@@ -19,11 +19,10 @@ pub mod fit;
 mod histogram;
 pub mod metrics;
 pub mod scan;
-mod stats;
 mod table;
 
 pub use fit::{collect_fit, FitCollector, FitObservation, FitOutcome, Reservoir};
 pub use histogram::Histogram;
 pub use scan::{CountingReader, ScanOptions, ScanOutcome};
-pub use stats::{StreamingSummary, Summary};
 pub use table::{Align, Table};
+pub use uswg_usim::{StreamingSummary, Summary};

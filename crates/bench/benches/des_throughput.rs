@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use std::hint::black_box;
 use uswg_bench::{hold_simulation, HOLD_BATCH};
 use uswg_core::experiment::ModelConfig;
-use uswg_core::{CdfTable, FillPattern, MultiStageGamma, SchedulerBackend, WorkloadSpec};
+use uswg_core::{CdfTable, FillPattern, MultiStageGamma, SchedulerBackend, UsageLog, WorkloadSpec};
 
 /// A small but non-trivial DES workload: 4 users × 4 sessions against NFS.
 fn des_spec() -> WorkloadSpec {
@@ -29,7 +29,7 @@ fn bench_des_events(c: &mut Criterion) {
     let model = ModelConfig::default_nfs();
     // Count events once; the run is seed-deterministic (and backend-
     // invariant), so every iteration processes exactly this many.
-    let events = spec.run_des(&model).unwrap().events;
+    let events = spec.run_des(&model, UsageLog::new()).unwrap().1.events;
 
     let mut group = c.benchmark_group("des_throughput");
     group.sample_size(10);
@@ -39,7 +39,7 @@ fn bench_des_events(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("nfs/4users_4sessions", backend.name()),
             &spec,
-            |b, spec| b.iter(|| black_box(spec.run_des(&model).unwrap().events)),
+            |b, spec| b.iter(|| black_box(spec.run_des(&model, UsageLog::new()).unwrap().1.events)),
         );
     }
     group.finish();

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use uswg_core::experiment::ModelConfig;
-use uswg_core::{FillPattern, RunConfig, WorkloadSpec};
+use uswg_core::{FillPattern, RunConfig, UsageLog, WorkloadSpec};
 
 fn quick_spec(users: usize, sessions: u32, seed: u64) -> WorkloadSpec {
     let mut spec = WorkloadSpec::paper_default().unwrap();
@@ -42,7 +42,7 @@ fn bench_direct(c: &mut Criterion) {
             seed += 1;
             black_box(
                 quick_spec(2, 2, seed)
-                    .run_des(&ModelConfig::default_nfs())
+                    .run_des(&ModelConfig::default_nfs(), UsageLog::new())
                     .unwrap(),
             )
         })

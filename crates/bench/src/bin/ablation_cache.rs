@@ -3,7 +3,7 @@
 //! sweep? (DESIGN.md §5, ablation 1.)
 
 use uswg_bench::paper_workload;
-use uswg_core::experiment::{access_size_sweep, user_sweep, ModelConfig};
+use uswg_core::experiment::{access_size_sweep, user_sweep, ModelConfig, Parallelism};
 use uswg_core::{NfsParams, Table};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -14,8 +14,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Ablation: NFS client block cache (8192-block LRU vs none)\n");
 
     let sizes = [128.0, 512.0, 1_024.0, 2_048.0];
-    let p_off = access_size_sweep(&spec, &without, sizes)?;
-    let p_on = access_size_sweep(&spec, &with, sizes)?;
+    let p_off = access_size_sweep(&spec, &without, sizes, Parallelism::Auto)?;
+    let p_on = access_size_sweep(&spec, &with, sizes, Parallelism::Auto)?;
     let mut table = Table::new(vec![
         "mean access (B)",
         "resp/byte no-cache",
@@ -36,8 +36,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("{}", table.render());
 
-    let u_off = user_sweep(&spec, &without, [1, 3, 6])?;
-    let u_on = user_sweep(&spec, &with, [1, 3, 6])?;
+    let u_off = user_sweep(&spec, &without, [1, 3, 6], Parallelism::Auto)?;
+    let u_on = user_sweep(&spec, &with, [1, 3, 6], Parallelism::Auto)?;
     let mut table = Table::new(vec![
         "users",
         "resp/byte no-cache",

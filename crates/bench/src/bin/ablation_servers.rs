@@ -3,7 +3,7 @@
 //! Figure 5.6 saturation?
 
 use uswg_bench::paper_workload;
-use uswg_core::experiment::{user_sweep, ModelConfig};
+use uswg_core::experiment::{user_sweep, ModelConfig, Parallelism};
 use uswg_core::{presets, PopulationSpec, Table};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -19,7 +19,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ])
     .with_title("Ablation: distributed NFS server count under extremely heavy users");
     for servers in [1usize, 2, 3, 4] {
-        let points = user_sweep(&spec, &ModelConfig::distributed_nfs(servers), [1, 3, 6])?;
+        let points = user_sweep(
+            &spec,
+            &ModelConfig::distributed_nfs(servers),
+            [1, 3, 6],
+            Parallelism::Auto,
+        )?;
         table.row(vec![
             servers.to_string(),
             format!("{:.3}", points[0].response_per_byte),

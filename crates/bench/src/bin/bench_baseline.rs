@@ -12,10 +12,10 @@
 //! 4. **Sweep parallelism** — wall-clock of a `user_sweep`, serial vs
 //!    all-cores (best of [`TRIALS`] runs each, so the committed snapshot
 //!    reports schedule cost rather than timer noise);
-//! 5. **Sweep memory** — peak allocation of a full sweep in `FullLog` vs
-//!    `Summary` mode (counting global allocator) and the bytes each mode
-//!    retains per point: the O(users × sessions × ops) log versus the
-//!    O(1) streaming sink;
+//! 5. **Sweep memory** — peak allocation of the sweep's largest point run
+//!    into a `UsageLog` sink vs a `SummarySink` (counting global allocator)
+//!    and the bytes each sink retains: the O(users × sessions × ops) log
+//!    versus the O(1) streaming sink;
 //! 6. **Pool scaling** — the work-stealing pool at 1/2/4 workers against
 //!    the serial loop (best-of-[`TRIALS`]; 1 worker short-circuits to the
 //!    identical serial code path, so regressions there are pure noise);
@@ -66,10 +66,10 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 use uswg_bench::{hold_simulation, HOLD_BATCH};
-use uswg_core::experiment::{user_sweep_with, ModelConfig, Parallelism, SweepMode};
+use uswg_core::experiment::{user_sweep, ModelConfig, Parallelism};
 use uswg_core::{
-    read_spill, read_spill_path, CdfTable, FillPattern, LogSink, MultiStageGamma, SchedulerBackend,
-    SpillCodec, SpillSink, SummarySink, UsageLog, WorkloadSpec,
+    read_spill, read_spill_path, CdfTable, ChannelSink, FillPattern, LogSink, MultiStageGamma,
+    SchedulerBackend, SpillCodec, SpillSink, SummarySink, UsageLog, WorkloadSpec,
 };
 
 /// A [`System`]-backed global allocator that tracks live and peak bytes, so
@@ -172,15 +172,15 @@ struct MemoryPoint {
     points: usize,
     users_per_point_max: usize,
     sessions_per_user: u32,
-    /// Peak allocation above baseline over the whole sweep, FullLog mode.
+    /// Peak allocation above baseline of the largest point, `UsageLog` sink.
     fulllog_peak_bytes: usize,
-    /// Peak allocation above baseline over the whole sweep, Summary mode.
+    /// Peak allocation above baseline of the largest point, `SummarySink`.
     summary_peak_bytes: usize,
-    /// Bytes the FullLog mode retains for its largest point (the
+    /// Bytes the `UsageLog` sink retains for the largest point (the
     /// materialized op + session records).
     fulllog_retained_bytes_per_point: usize,
-    /// Bytes the Summary mode retains per point (the streaming sink —
-    /// constant regardless of users × sessions × ops).
+    /// Bytes a `SummarySink` retains per point (constant regardless of
+    /// users × sessions × ops).
     summary_retained_bytes_per_point: usize,
 }
 
@@ -460,9 +460,15 @@ fn bench_spec(users: usize, sessions: u32) -> WorkloadSpec {
 fn measure_des() -> DesPoint {
     let spec = bench_spec(4, 4);
     let model = ModelConfig::default_nfs();
-    let events = spec.run_des(&model).expect("runs").events;
+    let run = || {
+        spec.run_des(&model, UsageLog::new())
+            .expect("runs")
+            .1
+            .events
+    };
+    let events = run();
     let ns_per_run = time_ns(|| {
-        black_box(spec.run_des(&model).expect("runs").events);
+        black_box(run());
     });
     DesPoint {
         users: 4,
@@ -503,14 +509,7 @@ fn run_sweep(
     spec: &WorkloadSpec,
     parallelism: Parallelism,
 ) -> Vec<uswg_core::experiment::SweepPoint> {
-    user_sweep_with(
-        spec,
-        &ModelConfig::default_nfs(),
-        SWEEP_USERS,
-        parallelism,
-        SweepMode::Summary,
-    )
-    .expect("runs")
+    user_sweep(spec, &ModelConfig::default_nfs(), SWEEP_USERS, parallelism).expect("runs")
 }
 
 /// Measures sweep parallelism (Auto vs serial) and pool scaling at 1/2/4
@@ -559,47 +558,19 @@ fn measure_sweep_and_pool() -> (SweepPointTiming, Vec<PoolPoint>) {
 fn measure_memory() -> MemoryPoint {
     let spec = bench_spec(1, 6);
     let model = ModelConfig::default_nfs();
-    // Warm both paths so one-time lazy allocations don't count as peaks.
-    let _ = user_sweep_with(
-        &spec,
-        &model,
-        SWEEP_USERS,
-        Parallelism::Serial,
-        SweepMode::FullLog,
-    )
-    .expect("runs");
-    let fulllog_peak_bytes = peak_alloc_during(|| {
-        black_box(
-            user_sweep_with(
-                &spec,
-                &model,
-                SWEEP_USERS,
-                Parallelism::Serial,
-                SweepMode::FullLog,
-            )
-            .expect("runs"),
-        );
-    });
-    let summary_peak_bytes = peak_alloc_during(|| {
-        black_box(
-            user_sweep_with(
-                &spec,
-                &model,
-                SWEEP_USERS,
-                Parallelism::Serial,
-                SweepMode::Summary,
-            )
-            .expect("runs"),
-        );
-    });
-    // What each mode *retains* per point: FullLog keeps every record of
-    // the largest point's materialized log; Summary keeps one fixed-size
-    // sink no matter how large the point is.
+    // A serial sweep peaks at its largest point, so that point is the
+    // measurement: once collecting the log, once streaming a summary.
     let mut biggest = spec.clone();
     biggest.run.n_users = *SWEEP_USERS.iter().max().expect("non-empty");
-    let report = biggest.run_des(&model).expect("runs");
-    let fulllog_retained =
-        std::mem::size_of_val(report.log.ops()) + std::mem::size_of_val(report.log.sessions());
+    // Warm so one-time lazy allocations don't count as peaks.
+    let (log, _) = biggest.run_des(&model, UsageLog::new()).expect("runs");
+    let fulllog_peak_bytes = peak_alloc_during(|| {
+        black_box(biggest.run_des(&model, UsageLog::new()).expect("runs"));
+    });
+    let summary_peak_bytes = peak_alloc_during(|| {
+        black_box(biggest.run_des(&model, SummarySink::new()).expect("runs"));
+    });
+    let fulllog_retained = std::mem::size_of_val(log.ops()) + std::mem::size_of_val(log.sessions());
     MemoryPoint {
         points: SWEEP_USERS.len(),
         users_per_point_max: biggest.run.n_users,
@@ -621,28 +592,7 @@ fn measure_shards() -> ShardScaling {
     use std::num::NonZeroUsize;
     let spec = bench_spec(8, 3);
     let model = ModelConfig::default_nfs();
-    // The exact single-instance baseline goes through the raw driver —
-    // never `spec.run_des_summary` — so it stays unsharded even when the
-    // process runs inside a `USWG_SHARDS` matrix entry (the same dodge
-    // tests/shard_equivalence.rs uses for its oracle).
-    let exact_run = || {
-        let (vfs, catalog) = spec.generate_fs().expect("fs builds");
-        let population = spec.compile().expect("compiles");
-        let mut pool = uswg_core::ResourcePool::new();
-        let built = model.build(&mut pool);
-        uswg_core::DesDriver::new()
-            .run_with_sink(
-                vfs,
-                catalog,
-                &population,
-                built,
-                pool,
-                &spec.run,
-                SummarySink::new(),
-            )
-            .expect("runs")
-            .0
-    };
+    let exact_run = || spec.run_des(&model, SummarySink::new()).expect("runs").0;
     let warm = exact_run();
     let unsharded_ms = best_ms(|| {
         assert_eq!(exact_run(), warm, "summary runs must be deterministic");
@@ -654,7 +604,7 @@ fn measure_shards() -> ShardScaling {
             sharded.run.shards = Some(NonZeroUsize::new(k).expect("positive"));
             let plan = uswg_core::ShardPlan::new(spec.run.n_users, sharded.run.shards.unwrap());
             let run_ms = best_ms(|| {
-                let (sink, _) = sharded.run_des_summary(&model).expect("runs");
+                let (sink, _) = sharded.run_des(&model, SummarySink::new()).expect("runs");
                 if k == 1 {
                     assert_eq!(sink, warm, "one shard must replay the exact path");
                 } else {
@@ -702,7 +652,9 @@ fn spill_encode(log: &UsageLog, codec: SpillCodec) -> Vec<u8> {
 /// so the committed ratio can never come from a codec that drops data.
 fn measure_spill_codec() -> SpillCodecBench {
     let spec = bench_spec(6, 6);
-    let log = spec.run_des(&ModelConfig::default_nfs()).expect("runs").log;
+    let (log, _) = spec
+        .run_des(&ModelConfig::default_nfs(), UsageLog::new())
+        .expect("runs");
     let raw = spill_encode(&log, SpillCodec::Raw);
     let compressed = spill_encode(&log, SpillCodec::Compressed);
     let source_json = log.to_json().expect("serializes");
@@ -750,23 +702,13 @@ fn measure_shard_spill_memory() -> ShardSpillMemory {
     let model = ModelConfig::default_nfs();
     let dir = std::env::temp_dir().join(format!("uswg-bench-spill-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    // The unsharded reference: the raw streaming path (dodging any
-    // USWG_SHARDS matrix entry), measured through the same file-backed
-    // sink the sharded points use.
+    // The unsharded reference, measured through the same file-backed sink
+    // the sharded points use.
     let unsharded_path = dir.join("unsharded.spill");
     let exact_spill = || {
-        let (vfs, catalog) = spec.generate_fs().expect("fs builds");
-        let population = spec.compile().expect("compiles");
-        let mut pool = uswg_core::ResourcePool::new();
-        let built = model.build(&mut pool);
-        let (sink, _) = uswg_core::DesDriver::new()
-            .run_with_sink(
-                vfs,
-                catalog,
-                &population,
-                built,
-                pool,
-                &spec.run,
+        let (sink, _) = spec
+            .run_des(
+                &model,
                 SpillSink::create(&unsharded_path).expect("spill file"),
             )
             .expect("runs");
@@ -783,7 +725,7 @@ fn measure_shard_spill_memory() -> ShardSpillMemory {
             let path = dir.join(format!("k{k}.spill"));
             let run = || {
                 let (sink, _) = sharded
-                    .run_des_with_sink(&model, SpillSink::create(&path).expect("spill file"))
+                    .run_des(&model, SpillSink::create(&path).expect("spill file"))
                     .expect("runs");
                 sink.finish().expect("seals");
             };
@@ -837,24 +779,24 @@ fn measure_faults() -> FaultBench {
     let mut faulted = spec.clone();
     faulted.run = faulted.run.with_faults(fault_spec);
 
-    let clean_warm = spec.run_des_summary(&model).expect("runs").0;
+    let clean_warm = spec.run_des(&model, SummarySink::new()).expect("runs").0;
     assert_eq!(
         (clean_warm.retries, clean_warm.aborted_ops),
         (0, 0),
         "the default FaultSpec must produce zero fault outcomes"
     );
-    let faulted_warm = faulted.run_des_summary(&model).expect("runs").0;
+    let faulted_warm = faulted.run_des(&model, SummarySink::new()).expect("runs").0;
     assert!(
         faulted_warm.retries > 0,
         "a 10% per-attempt fault rate must retry"
     );
 
     let clean_ms = best_ms(|| {
-        let (sink, _) = spec.run_des_summary(&model).expect("runs");
+        let (sink, _) = spec.run_des(&model, SummarySink::new()).expect("runs");
         assert_eq!(sink, clean_warm, "clean runs must be deterministic");
     });
     let faulted_ms = best_ms(|| {
-        let (sink, _) = faulted.run_des_summary(&model).expect("runs");
+        let (sink, _) = faulted.run_des(&model, SummarySink::new()).expect("runs");
         assert_eq!(sink, faulted_warm, "faulted runs must be deterministic");
     });
     FaultBench {
@@ -895,15 +837,22 @@ fn measure_drive_memory() -> DriveMemory {
     };
     let loopback = || Arc::new(LoopbackVfs::new(LoopbackConfig::default()));
     let run_materialized = |spec: &WorkloadSpec| -> usize {
-        let ops = spec.run_des(&model).expect("runs").log.ops().to_vec();
+        let ops = spec
+            .run_des(&model, UsageLog::new())
+            .expect("runs")
+            .0
+            .ops()
+            .to_vec();
         let count = ops.len();
         black_box(drive(ops, loopback(), &config).expect("drives"));
         count
     };
     let run_streamed = |spec: &WorkloadSpec| {
-        let (rx, handle) = spec.stream_des_ops(&model, config.queue_cap).into_parts();
+        let (sink, rx) = ChannelSink::bounded(config.queue_cap);
+        let (producer, model) = (spec.clone(), model.clone());
+        let handle = std::thread::spawn(move || producer.run_des(&model, sink).map(drop));
         let source = ChannelSource::new(rx).on_finish(Box::new(move || match handle.join() {
-            Ok(Ok(_stats)) => Ok(()),
+            Ok(Ok(())) => Ok(()),
             Ok(Err(e)) => Err(SourceError(format!("DES producer: {e}"))),
             Err(_) => Err(SourceError("DES producer thread panicked".into())),
         }));

@@ -3,13 +3,13 @@
 //! user load.
 
 use uswg_bench::paper_workload;
-use uswg_core::experiment::{access_size_sweep, ModelConfig};
+use uswg_core::experiment::{access_size_sweep, ModelConfig, Parallelism};
 use uswg_core::{plot, Table};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = paper_workload()?;
     let sizes = [128.0, 256.0, 384.0, 512.0, 768.0, 1_024.0, 1_536.0, 2_048.0];
-    let points = access_size_sweep(&spec, &ModelConfig::default_nfs(), sizes)?;
+    let points = access_size_sweep(&spec, &ModelConfig::default_nfs(), sizes, Parallelism::Auto)?;
 
     let mut table = Table::new(vec![
         "mean access size (B)",

@@ -3,14 +3,14 @@
 //! concurrent users. Paper columns printed alongside for comparison.
 
 use uswg_bench::{paper_workload, PAPER_TABLE_5_3};
-use uswg_core::experiment::{user_sweep, ModelConfig};
+use uswg_core::experiment::{user_sweep, ModelConfig, Parallelism};
 use uswg_core::{presets, PopulationSpec, Table};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The Section 5.1 measurement: heavy I/O users (think 5 000 µs), access
     // size exp(1024 B), the computer used by 1..6 users simultaneously.
     let spec = paper_workload()?.with_population(PopulationSpec::single(presets::heavy_user())?);
-    let points = user_sweep(&spec, &ModelConfig::default_nfs(), 1..=6)?;
+    let points = user_sweep(&spec, &ModelConfig::default_nfs(), 1..=6, Parallelism::Auto)?;
 
     let mut table = Table::new(vec![
         "users",

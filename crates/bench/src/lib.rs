@@ -27,7 +27,7 @@
 
 #![warn(missing_docs)]
 
-use uswg_core::experiment::{user_sweep, ModelConfig, SweepPoint};
+use uswg_core::experiment::{user_sweep, ModelConfig, Parallelism, SweepPoint};
 use uswg_core::{
     CoreError, PopulationSpec, Scheduler, SchedulerBackend, Simulation, Table, WorkloadSpec, World,
 };
@@ -118,7 +118,7 @@ pub fn run_user_sweep_figure(
     population: PopulationSpec,
 ) -> Result<Vec<SweepPoint>, CoreError> {
     let spec = paper_workload()?.with_population(population);
-    let points = user_sweep(&spec, &ModelConfig::default_nfs(), 1..=6)?;
+    let points = user_sweep(&spec, &ModelConfig::default_nfs(), 1..=6, Parallelism::Auto)?;
     print_user_sweep(figure, population_label, &points);
     Ok(points)
 }

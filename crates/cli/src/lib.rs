@@ -38,14 +38,14 @@ use std::fmt::Write as _;
 use std::num::NonZeroUsize;
 use std::sync::{Arc, Mutex};
 use uswg_core::experiment::{
-    access_size_sweep_with, mix_sweep_with, run_des_replicated, user_sweep_with, ModelConfig,
-    Parallelism, SweepMode, SweepPoint,
+    access_size_sweep, mix_sweep, run_des_replicated, user_sweep, ModelConfig, Parallelism,
+    SweepPoint,
 };
 use uswg_core::{
-    collect_fit, fit, gof, metrics, plot, presets, scan, synthesize_spec, CoreError, DistrError,
-    Distribution, FrameIndex, LogSink, MeasureFit, NfsParams, ScanOptions, SchedulerBackend,
-    SpillCodec, SpillReader, SpillRecord, SpillSink, Summary, SummarySink, SynthesisOptions, Table,
-    UsageLog, WorkloadSpec,
+    collect_fit, fit, gof, metrics, plot, presets, scan, synthesize_spec, ChannelSink, CoreError,
+    DistrError, Distribution, FrameIndex, LogSink, MeasureFit, NfsParams, ScanOptions,
+    SchedulerBackend, SpillCodec, SpillReader, SpillRecord, SpillSink, Summary, SummarySink,
+    SynthesisOptions, Table, UsageLog, WorkloadSpec,
 };
 
 /// A parsed command line.
@@ -65,14 +65,14 @@ pub enum Command {
         /// Optional path to write the usage log JSON.
         out: Option<String>,
         /// Event-queue backend override (None = the spec's choice, which
-        /// itself defaults to `USWG_SCHEDULER` or the heap).
+        /// itself defaults to the calendar).
         scheduler: Option<SchedulerBackend>,
         /// Optional path to stream the binary columnar log to during the
         /// run (full fidelity, O(1) resident memory; requires a model).
         spill: Option<String>,
         /// Shard the single run across this many independent DES
         /// instances (None = the spec's choice, which itself defaults to
-        /// `USWG_SHARDS` or the exact unsharded path).
+        /// the exact unsharded path).
         shards: Option<NonZeroUsize>,
         /// Override the spec's population size (the scale knob for smoke
         /// runs; applied before the file system is generated).
@@ -89,8 +89,6 @@ pub enum Command {
         model: ModelConfig,
         /// The swept axis and its points.
         axis: SweepAxis,
-        /// Per-point retention (summary = O(1) memory, the default).
-        mode: SweepMode,
         /// Worker threads (None = one per core).
         jobs: Option<usize>,
         /// Event-queue backend override.
@@ -106,8 +104,6 @@ pub enum Command {
         model: ModelConfig,
         /// The seeds to run.
         seeds: SeedSpec,
-        /// Per-point retention (summary = O(1) memory, the default).
-        mode: SweepMode,
         /// Worker threads (None = one per core).
         jobs: Option<usize>,
         /// Event-queue backend override.
@@ -297,8 +293,8 @@ USAGE:
                        during the run (full fidelity, O(1) resident memory;
                        model runs only — inspect it with uswg analyze)
       --scheduler <S>  event-queue backend: heap | calendar (default: the
-                       spec's choice; both give byte-identical results,
-                       calendar is faster beyond ~100k concurrent users)
+                       spec's choice, else calendar; both give byte-identical
+                       results, calendar is faster at every measured size)
       --shards <K>     split this one run into K independent DES instances
                        across cores and merge deterministically (model runs
                        only; K=1 replays the exact path byte for byte, K>1
@@ -314,7 +310,6 @@ USAGE:
   uswg sweep <spec.json> --model <M> <AXIS> [OPTIONS]
                                         run a Chapter 5 sweep across cores
       <AXIS> = --users 1,2,4,8 | --mix 0,0.5,1 | --sizes 128,512,2048
-      --mode <R>       summary (O(1) memory per point, default) | full-log
       --jobs <N>       worker threads (default: one per core)
       --scheduler <S>  event-queue backend override
       --shards <K>     shard every point's run K ways (as for run)
@@ -322,7 +317,7 @@ USAGE:
                                         rerun under independent seeds, report 95% CI
       --seeds 1,2,3    explicit seed list
       --replicates <N> N seeds counting up from the spec's seed (default 5)
-      --mode/--jobs/--scheduler/--shards  as for sweep
+      --jobs/--scheduler/--shards  as for sweep
   uswg drive <spec.json> --model <M> [OPTIONS]
                                         stream the workload open-loop against
                                         the in-process loopback target in
@@ -437,21 +432,6 @@ pub fn parse_shards(value: &str) -> Result<NonZeroUsize, CliError> {
         .map_err(|_| CliError::Usage(format!("bad shard count `{value}` (expected 1, 2, ...)")))
 }
 
-/// Parses a retention mode name.
-///
-/// # Errors
-///
-/// Returns [`CliError::Usage`] for unknown modes.
-pub fn parse_mode(name: &str) -> Result<SweepMode, CliError> {
-    match name {
-        "summary" => Ok(SweepMode::Summary),
-        "full-log" | "fulllog" | "full" => Ok(SweepMode::FullLog),
-        other => Err(CliError::Usage(format!(
-            "unknown mode `{other}` (expected summary, full-log)"
-        ))),
-    }
-}
-
 /// Parses a comma-separated list of values.
 fn parse_list<T: std::str::FromStr>(what: &str, raw: &str) -> Result<Vec<T>, CliError> {
     let values: Result<Vec<T>, _> = raw.split(',').map(|v| v.trim().parse::<T>()).collect();
@@ -510,7 +490,6 @@ impl<'a> Iterator for FlagPairs<'a> {
 #[derive(Debug, Default)]
 struct ExperimentFlags {
     model: Option<ModelConfig>,
-    mode: SweepMode,
     jobs: Option<usize>,
     scheduler: Option<SchedulerBackend>,
     shards: Option<NonZeroUsize>,
@@ -522,7 +501,6 @@ impl ExperimentFlags {
     fn try_consume(&mut self, flag: &str, value: &str) -> Result<bool, CliError> {
         match flag {
             "--model" => self.model = Some(parse_model(value)?),
-            "--mode" => self.mode = parse_mode(value)?,
             "--jobs" => {
                 let n: usize = value
                     .parse()
@@ -966,7 +944,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
                 path,
                 model,
                 axis,
-                mode: common.mode,
                 jobs: common.jobs,
                 scheduler: common.scheduler,
                 shards: common.shards,
@@ -1019,7 +996,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
                 path,
                 model,
                 seeds,
-                mode: common.mode,
                 jobs: common.jobs,
                 scheduler: common.scheduler,
                 shards: common.shards,
@@ -1092,87 +1068,88 @@ fn run_command(command: Command) -> Result<(String, i32), CliError> {
                 // full-fidelity rescale of the spec, not a truncation of its log.
                 spec.run.n_users = n.get();
             }
-            if summary_only {
-                // Headline numbers only: stream into the O(1) summary sink and
-                // never materialize a usage log. This is the million-user smoke
-                // path — resident memory is the user arenas plus the sink.
-                // parse_args enforces this too, but Command is a public type —
-                // keep execute total over hand-built values.
-                let m = model.as_ref().ok_or_else(|| {
-                    CliError::Usage(
-                        "--summary needs a timing model (the direct driver materializes its log)"
-                            .into(),
-                    )
-                })?;
-                let (sink, stats) = spec.run_des_with_sink(m, SummarySink::new())?;
-                let mut text = format!(
-                    "model {} | {} events | {} simulated\n",
-                    stats.model, stats.events, stats.duration
-                );
-                text.push_str(&render_summary_sink(&sink));
-                return ok(text);
+            // parse_args enforces the flag combinations too, but Command is a
+            // public type — keep execute total over hand-built values.
+            if summary_only && (out.is_some() || spill.is_some()) {
+                return Err(CliError::Usage(
+                    "--summary keeps no log, so --out/--spill have nothing to write".into(),
+                ));
             }
-            if let Some(spill_path) = spill {
-                // Memory-flat full-fidelity run: records stream to disk
-                // through the spill sink while a summary sink keeps the
-                // headline numbers for the console.
-                // parse_args enforces this too, but Command is a public
-                // type — keep execute total over hand-built values.
-                let m = model.as_ref().ok_or_else(|| {
-                    CliError::Usage(
-                        "--spill needs a timing model (the direct driver does not stream)".into(),
-                    )
-                })?;
-                let sink = (SummarySink::new(), SpillSink::create(&spill_path)?);
-                let ((summary, spill_sink), stats) = spec.run_des_with_sink(m, sink)?;
-                spill_sink.finish()?;
-                let mut text = format!(
-                    "model {} | {} events | {} simulated\n",
-                    stats.model, stats.events, stats.duration
-                );
-                if let Some(k) = spec.run.effective_shards() {
-                    // Sharded capture stays memory-flat: each shard spills
-                    // to its own temporary stream and the streams k-way
-                    // merge frame-by-frame into the output file.
-                    let _ = writeln!(
-                        text,
-                        "sharded run ({k} shard(s)): per-shard spill streams merged \
-                         frame-by-frame, O(1) resident memory"
-                    );
+            let Some(m) = &model else {
+                if summary_only || spill.is_some() {
+                    return Err(CliError::Usage(
+                        "--summary/--spill need a timing model (the direct driver \
+                         materializes its log and does not stream)"
+                            .into(),
+                    ));
                 }
-                text.push_str(&render_summary_sink(&summary));
+                let log = spec.run_direct()?;
+                let mut text = "direct driver (no timing model)\n".to_string();
+                text.push_str(&render_op_table(&log));
+                let _ = writeln!(text, "sessions: {}", log.sessions().len());
+                if let Some(out_path) = out {
+                    std::fs::write(&out_path, log.to_json().map_err(CoreError::from)?)?;
+                    let _ = writeln!(text, "usage log written to {out_path}");
+                }
+                return ok(text);
+            };
+            // One run, three sinks. A summary sink always keeps the headline
+            // numbers for the console; what rides beside it is the mode:
+            // nothing (--summary: O(1) memory, the million-user smoke path),
+            // a spill file (--spill: full fidelity on disk, still O(1)
+            // resident), or the collected log (default).
+            let (summary, stats, log) = match &spill {
+                Some(spill_path) => {
+                    let sink = (SummarySink::new(), SpillSink::create(spill_path)?);
+                    let ((summary, spill_sink), stats) = spec.run_des(m, sink)?;
+                    spill_sink.finish()?;
+                    (summary, stats, None)
+                }
+                None if summary_only => {
+                    let (summary, stats) = spec.run_des(m, SummarySink::new())?;
+                    (summary, stats, None)
+                }
+                None => {
+                    let ((summary, log), stats) =
+                        spec.run_des(m, (SummarySink::new(), UsageLog::new()))?;
+                    (summary, stats, Some(log))
+                }
+            };
+            let mut text = format!(
+                "model {} | {} events | {} simulated\n",
+                stats.model, stats.events, stats.duration
+            );
+            if let Some(log) = &log {
+                text.push_str(&render_op_table(log));
+            }
+            if let (Some(_), Some(k)) = (&spill, spec.run.shards) {
+                // Sharded capture stays memory-flat: each shard spills to
+                // its own temporary stream and the streams k-way merge
+                // frame-by-frame into the output file.
+                let _ = writeln!(
+                    text,
+                    "sharded run ({k} shard(s)): per-shard spill streams merged \
+                     frame-by-frame, O(1) resident memory"
+                );
+            }
+            text.push_str(&render_summary_sink(&summary));
+            if let Some(spill_path) = &spill {
                 let _ = writeln!(
                     text,
                     "binary log spilled to {spill_path} ({} ops, {} sessions)",
                     summary.ops, summary.sessions
                 );
-                if let Some(out_path) = out {
-                    // The JSON form is reconstructed from the spill file, so
-                    // even this path never holds the log *and* the run in
-                    // memory at once.
-                    let log = uswg_core::read_spill_path(&spill_path)?;
-                    std::fs::write(&out_path, log.to_json().map_err(CoreError::from)?)?;
-                    let _ = writeln!(text, "usage log written to {out_path}");
-                }
-                return ok(text);
             }
-            let (log, header) = match &model {
-                Some(m) => {
-                    let report = spec.run_des(m)?;
-                    let header = format!(
-                        "model {} | {} events | {} simulated\n",
-                        report.model, report.events, report.duration
-                    );
-                    (report.log, header)
-                }
-                None => {
-                    let log = spec.run_direct()?;
-                    (log, "direct driver (no timing model)\n".to_string())
-                }
-            };
-            let mut text = header;
-            text.push_str(&render_run_summary(&log, model.is_some()));
             if let Some(out_path) = out {
+                // Without a collected log the JSON form is reconstructed from
+                // the spill file, so even that path never holds the log *and*
+                // the run in memory at once.
+                let log = match log {
+                    Some(log) => log,
+                    None => uswg_core::read_spill_path(
+                        spill.as_ref().expect("no collected log means --spill"),
+                    )?,
+                };
                 std::fs::write(&out_path, log.to_json().map_err(CoreError::from)?)?;
                 let _ = writeln!(text, "usage log written to {out_path}");
             }
@@ -1182,7 +1159,6 @@ fn run_command(command: Command) -> Result<(String, i32), CliError> {
             path,
             model,
             axis,
-            mode,
             jobs,
             scheduler,
             shards,
@@ -1201,30 +1177,23 @@ fn run_command(command: Command) -> Result<(String, i32), CliError> {
             let (x_label, points) = match &axis {
                 SweepAxis::Users(users) => (
                     "users",
-                    user_sweep_with(&spec, &model, users.iter().copied(), parallelism, mode)?,
+                    user_sweep(&spec, &model, users.iter().copied(), parallelism)?,
                 ),
                 SweepAxis::Mix(fractions) => (
                     "heavy frac",
-                    mix_sweep_with(&spec, &model, fractions.iter().copied(), parallelism, mode)?,
+                    mix_sweep(&spec, &model, fractions.iter().copied(), parallelism)?,
                 ),
                 SweepAxis::Sizes(sizes) => (
                     "mean size",
-                    access_size_sweep_with(
-                        &spec,
-                        &model,
-                        sizes.iter().copied(),
-                        parallelism,
-                        mode,
-                    )?,
+                    access_size_sweep(&spec, &model, sizes.iter().copied(), parallelism)?,
                 ),
             };
-            ok(render_sweep(&model, x_label, &points, mode))
+            ok(render_sweep(&model, x_label, &points))
         }
         Command::Replicate {
             path,
             model,
             seeds,
-            mode,
             jobs,
             scheduler,
             shards,
@@ -1238,7 +1207,7 @@ fn run_command(command: Command) -> Result<(String, i32), CliError> {
             }
             let parallelism = parallelism_from_jobs(jobs)?;
             let seeds = seeds.resolve(spec.run.seed);
-            let study = run_des_replicated(&spec, &model, seeds, parallelism, mode)?;
+            let study = run_des_replicated(&spec, &model, seeds, parallelism)?;
             ok(render_replication(&model, &study))
         }
         Command::Fit {
@@ -1452,7 +1421,13 @@ fn run_command(command: Command) -> Result<(String, i32), CliError> {
                     // Channel capacity = queue capacity: the producer
                     // blocks once the pacer falls a queue behind, so the
                     // two sides hold O(queue) records between them.
-                    let (rx, handle) = spec.stream_des_ops(&model, queue_cap).into_parts();
+                    let (sink, rx) = ChannelSink::bounded(queue_cap);
+                    let producer = spec.clone();
+                    // The sink drops with the producer's return, which is what
+                    // closes the channel and ends the pacer's stream.
+                    let handle = std::thread::spawn(move || {
+                        producer.run_des(&model, sink).map(|(_sink, stats)| stats)
+                    });
                     let stats_slot = Arc::clone(&producer_stats);
                     let source = uswg_drive::ChannelSource::new(rx).on_finish(Box::new(
                         move || match handle.join() {
@@ -1726,12 +1701,7 @@ fn render_analyze_json(
     Ok(text)
 }
 
-fn render_sweep(
-    model: &ModelConfig,
-    x_label: &str,
-    points: &[SweepPoint],
-    mode: SweepMode,
-) -> String {
+fn render_sweep(model: &ModelConfig, x_label: &str, points: &[SweepPoint]) -> String {
     let mut table = Table::new(vec![
         x_label,
         "resp/byte (µs/B)",
@@ -1749,32 +1719,16 @@ fn render_sweep(
             p.sessions.to_string(),
         ]);
     }
-    let mut text = table.render();
-    let _ = writeln!(
-        text,
-        "mode: {} ({})",
-        match mode {
-            SweepMode::Summary => "summary",
-            SweepMode::FullLog => "full-log",
-        },
-        match mode {
-            SweepMode::Summary => "O(1) memory per point",
-            SweepMode::FullLog => "full usage log materialized per point",
-        }
-    );
-    text
+    table.render()
 }
 
 fn render_summary_sink(sink: &SummarySink) -> String {
+    let (access_size, response) = (sink.access_size(), sink.response());
     let mut text = String::new();
     let _ = writeln!(
         text,
         "data ops: {} | access size {:.1} ± {:.1} B | response {:.1} ± {:.1} µs",
-        sink.data_ops,
-        sink.mean_access_size(),
-        sink.std_dev_access_size(),
-        sink.mean_response(),
-        sink.std_dev_response(),
+        sink.data_ops, access_size.mean, access_size.std_dev, response.mean, response.std_dev,
     );
     let _ = writeln!(
         text,
@@ -1990,7 +1944,7 @@ fn fit_spill(
     ok(text)
 }
 
-fn render_run_summary(log: &UsageLog, with_model: bool) -> String {
+fn render_op_table(log: &UsageLog) -> String {
     let mut table = Table::new(vec![
         "system call",
         "count",
@@ -2006,16 +1960,7 @@ fn render_run_summary(log: &UsageLog, with_model: bool) -> String {
             row.response.mean_std(),
         ]);
     }
-    let mut text = table.render();
-    let _ = writeln!(text, "sessions: {}", log.sessions().len());
-    if with_model {
-        let _ = writeln!(
-            text,
-            "response time per byte: {:.3} µs/B",
-            metrics::response_time_per_byte(log)
-        );
-    }
-    text
+    table.render()
 }
 
 fn render_tables() -> String {
@@ -2185,7 +2130,11 @@ mod tests {
         assert!(parse_args(argv("sweep spec.json --model nfs")).is_err());
         assert!(parse_args(argv("sweep spec.json --model nfs --users 1 --mix 0.5")).is_err());
         assert!(parse_args(argv("sweep spec.json --model nfs --users banana")).is_err());
-        assert!(parse_args(argv("sweep spec.json --model nfs --users 1,2 --mode lossy")).is_err());
+        // The retention switch is gone: every point streams into a summary.
+        assert!(parse_args(argv(
+            "sweep spec.json --model nfs --users 1,2 --mode summary"
+        ))
+        .is_err());
         assert!(parse_args(argv("sweep spec.json --model nfs --users 1,2 --jobs 0")).is_err());
         // Replicate seed plumbing.
         assert!(parse_args(argv("replicate spec.json")).is_err());
@@ -2205,7 +2154,7 @@ mod tests {
     #[test]
     fn parses_sweep_and_replicate() {
         let cmd = parse_args(argv(
-            "sweep spec.json --model nfs --users 1,2,4 --mode full-log --jobs 2 --scheduler calendar --shards 2",
+            "sweep spec.json --model nfs --users 1,2,4 --jobs 2 --scheduler calendar --shards 2",
         ))
         .unwrap();
         match cmd {
@@ -2213,7 +2162,6 @@ mod tests {
                 path,
                 model,
                 axis,
-                mode,
                 jobs,
                 scheduler,
                 shards,
@@ -2221,7 +2169,6 @@ mod tests {
                 assert_eq!(path, "spec.json");
                 assert_eq!(model.name(), "nfs");
                 assert_eq!(axis, SweepAxis::Users(vec![1, 2, 4]));
-                assert_eq!(mode, SweepMode::FullLog);
                 assert_eq!(jobs, Some(2));
                 assert_eq!(scheduler, Some(SchedulerBackend::Calendar));
                 assert_eq!(shards, Some(NonZeroUsize::new(2).unwrap()));
@@ -2230,9 +2177,8 @@ mod tests {
         }
         let cmd = parse_args(argv("sweep spec.json --model local --mix 0,0.5,1")).unwrap();
         match cmd {
-            Command::Sweep { axis, mode, .. } => {
+            Command::Sweep { axis, .. } => {
                 assert_eq!(axis, SweepAxis::Mix(vec![0.0, 0.5, 1.0]));
-                assert_eq!(mode, SweepMode::Summary);
             }
             other => panic!("{other:?}"),
         }
@@ -2563,7 +2509,7 @@ mod tests {
         std::fs::write(&spec_path, spec.to_json().unwrap()).unwrap();
         let spec_arg: String = spec_path.to_string_lossy().into();
 
-        // sweep: summary and full-log modes print the same table layout.
+        // sweep: one table per axis.
         let out = execute(
             parse_args(argv(&format!(
                 "sweep {spec_arg} --model nfs --users 1,2 --jobs 1"
@@ -2572,15 +2518,12 @@ mod tests {
         )
         .unwrap();
         assert!(out.contains("Sweep — model nfs"), "{out}");
-        assert!(out.contains("mode: summary"), "{out}");
         let out = execute(
-            parse_args(argv(&format!(
-                "sweep {spec_arg} --model local --mix 0,1 --mode full-log"
-            )))
-            .unwrap(),
+            parse_args(argv(&format!("sweep {spec_arg} --model local --mix 0,1"))).unwrap(),
         )
         .unwrap();
-        assert!(out.contains("mode: full-log"), "{out}");
+        assert!(out.contains("Sweep — model local"), "{out}");
+        assert!(out.contains("heavy frac"), "{out}");
 
         // replicate: per-seed rows plus the CI and pooled lines.
         let out = execute(
@@ -2606,10 +2549,12 @@ mod tests {
         .unwrap();
         assert!(out.contains("binary log spilled"), "{out}");
         let spilled = uswg_core::read_spill_path(&spill_path).unwrap();
-        let report = spec.run_des(&ModelConfig::default_local()).unwrap();
+        let (log, _) = spec
+            .run_des(&ModelConfig::default_local(), UsageLog::new())
+            .unwrap();
         assert_eq!(
             spilled.to_json().unwrap(),
-            report.log.to_json().unwrap(),
+            log.to_json().unwrap(),
             "spilled log must be byte-identical to the in-memory log"
         );
 
@@ -2630,7 +2575,7 @@ mod tests {
         let parsed = serde_json::parse_value(&out).unwrap();
         assert_eq!(
             parsed.get("ops"),
-            Some(&serde::Value::U64(report.log.ops().len() as u64))
+            Some(&serde::Value::U64(log.ops().len() as u64))
         );
         assert_eq!(parsed.get("sessions"), Some(&serde::Value::U64(2)));
         assert!(parsed
@@ -2969,8 +2914,10 @@ mod tests {
             WorkloadSpec::from_json(&std::fs::read_to_string(&fitted_path).unwrap()).unwrap();
         assert_eq!(fitted.run.n_users, 3);
         assert_eq!(fitted.run.sessions_per_user, 3);
-        let report = fitted.run_des(&ModelConfig::default_local()).unwrap();
-        assert!(!report.log.ops().is_empty());
+        let (log, _) = fitted
+            .run_des(&ModelConfig::default_local(), UsageLog::new())
+            .unwrap();
+        assert!(!log.ops().is_empty());
 
         // JSON mode embeds the spec and the observation counts.
         let (out, _) =
@@ -3064,9 +3011,9 @@ mod tests {
         )
         .unwrap();
         let expected_ops = spec
-            .run_des(&ModelConfig::default_local())
+            .run_des(&ModelConfig::default_local(), UsageLog::new())
             .unwrap()
-            .log
+            .0
             .ops()
             .len();
         let (out, status) = execute_with_status(

@@ -1,0 +1,152 @@
+//! The shipped `uswg` binary, spawned as a child process: the contracts
+//! that only hold (or only break) at the process boundary — what the
+//! environment may and may not change, and that the three `run` modes are
+//! one simulation seen through three sinks.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+use uswg_core::WorkloadSpec;
+
+/// A fresh scratch directory under cargo's per-target test tmpdir.
+fn scratch(label: &str) -> PathBuf {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("uswg-binary-{label}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Writes a small 8-user spec (so `--shards 4` has four active shards).
+fn write_spec(dir: &Path) -> String {
+    let mut spec = WorkloadSpec::paper_default().unwrap();
+    spec.run.n_users = 8;
+    spec.run.sessions_per_user = 2;
+    spec.fsc = spec
+        .fsc
+        .with_files_per_user(8)
+        .unwrap()
+        .with_shared_files(10)
+        .unwrap();
+    let path = dir.join("spec.json");
+    std::fs::write(&path, spec.to_json().unwrap()).unwrap();
+    path.to_string_lossy().into()
+}
+
+/// The shard-count and scheduler variables the library used to read, each
+/// with a malformed value. Spelled in halves so a grep for the names over
+/// the tree lists live readers only — and there are none.
+const STALE_ENV: [(&str, &str); 2] = [
+    (concat!("USWG_", "SHARDS"), "abc"),
+    (concat!("USWG_", "SCHEDULER"), "fifo"),
+];
+
+/// Runs `uswg <args>` with the [`STALE_ENV`] names scrubbed and `env` set.
+fn uswg(args: &str, env: &[(&str, &str)]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_uswg"))
+        .args(args.split_whitespace())
+        .env_remove(STALE_ENV[0].0)
+        .env_remove(STALE_ENV[1].0)
+        .envs(env.iter().copied())
+        .output()
+        .expect("uswg spawns")
+}
+
+fn stdout_of(out: &Output, what: &str) -> String {
+    assert!(
+        out.status.success(),
+        "{what}: exit {:?}\nstderr: {}",
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout.clone()).expect("utf-8 stdout")
+}
+
+/// The library used to read the [`STALE_ENV`] variables and panic on a
+/// malformed value (exit 101 from inside the run, or from a pool helper
+/// thread under `sweep --jobs 2`). A run is now a function of the spec and
+/// the flags alone: stale values in the environment change nothing.
+#[test]
+fn stale_uswg_environment_variables_change_nothing() {
+    let dir = scratch("env");
+    let spec = write_spec(&dir);
+    for args in [
+        format!("run {spec} --model local --summary"),
+        format!("sweep {spec} --model local --users 1,2,3 --jobs 2"),
+    ] {
+        let clean = stdout_of(&uswg(&args, &[]), &args);
+        let with_stale = stdout_of(&uswg(&args, &STALE_ENV), &args);
+        assert_eq!(clean, with_stale, "{args}");
+        assert!(!clean.is_empty(), "{args}");
+    }
+}
+
+/// The headline lines of a `uswg run` report.
+fn headline(report: &str) -> Vec<&str> {
+    let lines: Vec<&str> = report
+        .lines()
+        .filter(|l| l.starts_with("data ops:") || l.starts_with("response time per byte:"))
+        .collect();
+    assert_eq!(lines.len(), 2, "{report}");
+    lines
+}
+
+/// Default, `--summary` and `--spill` are one `run_des` call with three
+/// sinks, so for one spec and seed they print the same numbers.
+#[test]
+fn run_modes_print_the_same_headline_numbers() {
+    let dir = scratch("modes");
+    let spec = write_spec(&dir);
+    let spill = dir.join("run.bin");
+    for shards in ["", " --shards 2"] {
+        let default = stdout_of(
+            &uswg(&format!("run {spec} --model nfs{shards}"), &[]),
+            "default",
+        );
+        let summary = stdout_of(
+            &uswg(&format!("run {spec} --model nfs --summary{shards}"), &[]),
+            "--summary",
+        );
+        let spilled = stdout_of(
+            &uswg(
+                &format!("run {spec} --model nfs --spill {}{shards}", spill.display()),
+                &[],
+            ),
+            "--spill",
+        );
+        assert_eq!(headline(&default), headline(&summary), "shards `{shards}`");
+        assert_eq!(headline(&default), headline(&spilled), "shards `{shards}`");
+        // Same simulation, too: the `model … | N events | T simulated` line.
+        assert_eq!(default.lines().next(), summary.lines().next());
+        assert_eq!(default.lines().next(), spilled.lines().next());
+    }
+}
+
+/// Sharded summaries fold per-shard sinks in memory — on `run --summary`
+/// exactly as in sweeps — so they work with no usable temporary directory.
+/// A sharded `--spill` does need one (per-shard streams merge from disk)
+/// and reports its absence as a typed error, not a panic.
+#[test]
+fn sharded_summaries_need_no_temporary_directory() {
+    let dir = scratch("tmpdir");
+    let spec = write_spec(&dir);
+    let blocker = dir.join("not-a-directory");
+    std::fs::write(&blocker, b"").unwrap();
+    let below_a_file = blocker.join("x");
+    let tmpdir = [("TMPDIR", below_a_file.to_str().unwrap())];
+
+    let args = format!("run {spec} --model local --summary --shards 4");
+    let unusable = stdout_of(&uswg(&args, &tmpdir), &args);
+    assert_eq!(unusable, stdout_of(&uswg(&args, &[]), &args));
+
+    let args = format!("sweep {spec} --model local --users 4,8 --shards 4");
+    stdout_of(&uswg(&args, &tmpdir), &args);
+
+    let args = format!(
+        "run {spec} --model local --shards 4 --spill {}",
+        dir.join("run.bin").display()
+    );
+    let out = uswg(&args, &tmpdir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("spill:"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

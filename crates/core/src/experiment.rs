@@ -9,14 +9,13 @@
 
 use crate::{presets, CoreError, WorkloadSpec};
 use serde::{Deserialize, Serialize};
-use std::sync::Mutex;
-use uswg_analyze::{metrics, Summary};
+use uswg_analyze::Summary;
 use uswg_netfs::{
     DistributedNfsModel, DistributedNfsParams, LocalDiskModel, LocalDiskParams, NfsModel,
     NfsParams, ServiceModel, WholeFileCacheModel, WholeFileCacheParams,
 };
 use uswg_sim::ResourcePool;
-use uswg_usim::{DesReport, LogSink, PopulationSpec, SummarySink};
+use uswg_usim::{PopulationSpec, SummarySink};
 
 /// Which file-system timing model to measure (the candidates of the Section
 /// 5.3 comparison study).
@@ -91,118 +90,33 @@ pub struct SweepPoint {
     pub sessions: usize,
 }
 
-fn measure(x: f64, report: &DesReport) -> SweepPoint {
-    let (access_size, response) = metrics::data_op_summary(&report.log);
-    SweepPoint {
-        x,
-        response_per_byte: metrics::response_time_per_byte(&report.log),
-        access_size,
-        response,
-        sessions: report.log.sessions().len(),
-    }
-}
-
-/// The [`measure`] counterpart for a streamed run: every statistic comes
-/// from the sink's running aggregates. Means, counts, extrema and the
-/// per-byte metric are bit-identical to post-hoc aggregation of the same
-/// record stream; the standard deviations use a one-pass Welford
-/// accumulator (numerically stable at any scale) and agree with the
-/// two-pass form to well within 1e-9 relative (property-tested).
-fn measure_streamed(x: f64, sink: &SummarySink) -> SweepPoint {
-    let n = sink.data_ops as usize;
+/// Reads a sweep point off a run's [`SummarySink`]. Means, counts, extrema
+/// and the per-byte metric are bit-identical to post-hoc aggregation of the
+/// same record stream (`uswg_analyze::metrics` over a collected log); the
+/// standard deviations use a one-pass Welford accumulator (numerically
+/// stable at any scale) and agree with the two-pass form to well within
+/// 1e-9 relative (property-tested in `tests/sweep_equivalence.rs`).
+fn measure(x: f64, sink: &SummarySink) -> SweepPoint {
     SweepPoint {
         x,
         response_per_byte: sink.response_per_byte(),
-        access_size: Summary {
-            n,
-            mean: sink.mean_access_size(),
-            std_dev: sink.std_dev_access_size(),
-            min: sink.min_access_size(),
-            max: sink.max_access_size(),
-        },
-        response: Summary {
-            n,
-            mean: sink.mean_response(),
-            std_dev: sink.std_dev_response(),
-            min: sink.min_response(),
-            max: sink.max_response(),
-        },
+        access_size: sink.access_size(),
+        response: sink.response(),
         sessions: sink.sessions as usize,
     }
 }
 
-/// What each point of a sweep materializes while it runs.
-///
-/// Both modes execute the identical simulation (same seed, same record
-/// stream); they differ only in what is *retained*. `Summary` keeps O(1)
-/// bytes per point — the mode that reaches the ROADMAP's million-user
-/// populations — and reproduces `FullLog`'s Table 5.3 statistics to 1e-9
-/// (means, counts and extrema exactly; standard deviations come from a
-/// Welford accumulator, stable at any scale, differing from the two-pass
-/// form only in rounding order).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
-pub enum SweepMode {
-    /// Materialize the full [`uswg_usim::UsageLog`] per point and
-    /// aggregate post hoc: memory grows with users × sessions × ops. Use
-    /// when the per-op records themselves are needed downstream.
-    FullLog,
-    /// Stream records into a [`SummarySink`] as they happen; no log is
-    /// ever allocated.
-    #[default]
-    Summary,
-}
-
-/// Runs one sweep point in the requested mode and measures it. This is
-/// the plain-sweep path: in `FullLog` mode the statistics come straight
-/// from the materialized log, with no post-hoc sink rebuild.
+/// Runs one sweep point, streaming its records into a [`SummarySink`] — no
+/// log is ever allocated, so a point costs O(1) memory beyond the
+/// simulation itself. The sink comes back too, for callers that pool
+/// statistics across points (replication studies merge them).
 fn run_point(
     spec: &WorkloadSpec,
     model: &ModelConfig,
     x: f64,
-    mode: SweepMode,
-) -> Result<SweepPoint, CoreError> {
-    match mode {
-        SweepMode::Summary => {
-            let (sink, _stats) = spec.run_des_summary(model)?;
-            Ok(measure_streamed(x, &sink))
-        }
-        SweepMode::FullLog => {
-            let report = spec.run_des(model)?;
-            Ok(measure(x, &report))
-        }
-    }
-}
-
-/// [`run_point`] for callers that also pool statistics across points
-/// (replication studies merge the sinks). In `FullLog` mode the sink is
-/// rebuilt post hoc from the materialized log — an extra pass plain
-/// sweeps never pay — so both modes hand back sinks over the identical
-/// record stream.
-fn run_point_with_sink(
-    spec: &WorkloadSpec,
-    model: &ModelConfig,
-    x: f64,
-    mode: SweepMode,
 ) -> Result<(SweepPoint, SummarySink), CoreError> {
-    match mode {
-        SweepMode::Summary => {
-            let (sink, _stats) = spec.run_des_summary(model)?;
-            Ok((measure_streamed(x, &sink), sink))
-        }
-        SweepMode::FullLog => {
-            let report = spec.run_des(model)?;
-            let point = measure(x, &report);
-            let mut sink = SummarySink::new();
-            for op in report.log.ops() {
-                sink.record_op(op);
-            }
-            for session in report.log.sessions() {
-                sink.record_session(session);
-            }
-            Ok((point, sink))
-        }
-    }
+    let (sink, _stats) = spec.run_des(model, SummarySink::new())?;
+    Ok((measure(x, &sink), sink))
 }
 
 /// How a sweep distributes its points over OS threads.
@@ -255,12 +169,12 @@ impl Parallelism {
     }
 }
 
-/// Runs `f` over every input, fanning out across a work-stealing pool of
-/// scoped threads ([`stealpool`]: per-worker Chase–Lev deques), and returns
-/// outputs in input order (identical to the serial order). Stealing keeps
-/// all cores busy even when point costs are wildly uneven — the norm for
-/// user sweeps, where the largest population dominates — and when sweeps
-/// nest replication grids beneath them.
+/// Runs `f` over every input, fanning out across the work-stealing pool
+/// ([`stealpool::try_map_indexed`]), and returns outputs in input order
+/// (identical to the serial order). Stealing keeps all cores busy even
+/// when point costs are wildly uneven — the norm for user sweeps, where
+/// the largest population dominates — and when sweeps nest replication
+/// grids beneath them.
 ///
 /// On failure the remaining undispatched points are cancelled (each point
 /// can be a full simulation — finishing a doomed sweep would waste minutes),
@@ -274,58 +188,13 @@ where
     F: Fn(&T) -> Result<O, CoreError> + Sync,
 {
     let workers = parallelism.workers(inputs.len());
-    fan_out_workers(inputs, workers, f)
-}
-
-/// [`fan_out`] with the worker count already resolved. Split out so unit
-/// tests can force a multi-worker pool even on single-core hosts — the
-/// [`Parallelism`] core cap would otherwise short-circuit every test
-/// schedule to the serial loop there and leave the pool-backed slot /
-/// error / cancellation plumbing unexercised.
-fn fan_out_workers<T, O, F>(inputs: Vec<T>, workers: usize, f: F) -> Result<Vec<O>, CoreError>
-where
-    T: Sync,
-    O: Send,
-    F: Fn(&T) -> Result<O, CoreError> + Sync,
-{
-    let n = inputs.len();
-    if workers <= 1 || n <= 1 {
-        return inputs.iter().map(&f).collect();
-    }
-    let slots: Vec<Mutex<Option<Result<O, CoreError>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    stealpool::run_indexed(workers, n, |i| {
-        let result = f(&inputs[i]);
-        let ok = result.is_ok();
-        *slots[i].lock().expect("slot lock") = Some(result);
-        ok // a failed point cancels the rest of the pool
-    });
-    let mut out = Vec::with_capacity(n);
-    let mut first_err: Option<CoreError> = None;
-    for slot in slots {
-        match slot.into_inner().expect("slot lock") {
-            Some(Ok(v)) => out.push(v),
-            Some(Err(e)) => {
-                first_err.get_or_insert(e);
-            }
-            // Cancelled after a failure elsewhere; the error below explains.
-            None => {}
-        }
-    }
-    match first_err {
-        Some(e) => Err(e),
-        None => {
-            debug_assert_eq!(out.len(), n, "no error, so every point must have run");
-            Ok(out)
-        }
-    }
+    stealpool::try_map_indexed(workers, inputs.len(), |i| f(&inputs[i]))
 }
 
 /// Sweeps the number of concurrent users (Table 5.3, Figures 5.6–5.11):
 /// for each `n`, rebuilds the file system for `n` users and runs the
-/// workload's population against `model`. Points fan out across all cores
-/// ([`Parallelism::Auto`]) in the memory-flat [`SweepMode::Summary`]; use
-/// [`user_sweep_with`] to control scheduling and retention.
+/// workload's population against `model`. Points fan out under
+/// `parallelism` and each streams into a [`SummarySink`].
 ///
 /// # Errors
 ///
@@ -334,33 +203,18 @@ pub fn user_sweep(
     base: &WorkloadSpec,
     model: &ModelConfig,
     users: impl IntoIterator<Item = usize>,
-) -> Result<Vec<SweepPoint>, CoreError> {
-    user_sweep_with(base, model, users, Parallelism::Auto, SweepMode::Summary)
-}
-
-/// [`user_sweep`] with explicit scheduling and retention mode.
-///
-/// # Errors
-///
-/// Propagates generation and simulation errors.
-pub fn user_sweep_with(
-    base: &WorkloadSpec,
-    model: &ModelConfig,
-    users: impl IntoIterator<Item = usize>,
     parallelism: Parallelism,
-    mode: SweepMode,
 ) -> Result<Vec<SweepPoint>, CoreError> {
     let points: Vec<usize> = users.into_iter().collect();
     fan_out(points, parallelism, |&n| {
         let mut spec = base.clone();
         spec.run.n_users = n;
-        run_point(&spec, model, n as f64, mode)
+        Ok(run_point(&spec, model, n as f64)?.0)
     })
 }
 
 /// Sweeps the heavy/light population mix at a fixed user count (the figure
-/// family 5.7–5.11 varies the mix across panels). Points fan out across all
-/// cores; use [`mix_sweep_with`] to control scheduling.
+/// family 5.7–5.11 varies the mix across panels).
 ///
 /// # Errors
 ///
@@ -369,41 +223,19 @@ pub fn mix_sweep(
     base: &WorkloadSpec,
     model: &ModelConfig,
     heavy_fractions: impl IntoIterator<Item = f64>,
-) -> Result<Vec<SweepPoint>, CoreError> {
-    mix_sweep_with(
-        base,
-        model,
-        heavy_fractions,
-        Parallelism::Auto,
-        SweepMode::Summary,
-    )
-}
-
-/// [`mix_sweep`] with explicit scheduling and retention mode.
-///
-/// # Errors
-///
-/// Propagates population validation and simulation errors.
-pub fn mix_sweep_with(
-    base: &WorkloadSpec,
-    model: &ModelConfig,
-    heavy_fractions: impl IntoIterator<Item = f64>,
     parallelism: Parallelism,
-    mode: SweepMode,
 ) -> Result<Vec<SweepPoint>, CoreError> {
     let points: Vec<f64> = heavy_fractions.into_iter().collect();
     fan_out(points, parallelism, |&frac| {
         let spec = base
             .clone()
             .with_population(presets::heavy_light_population(frac)?);
-        run_point(&spec, model, frac, mode)
+        Ok(run_point(&spec, model, frac)?.0)
     })
 }
 
 /// Sweeps the mean access size of file I/O system calls under an extremely
-/// heavy I/O user (Figure 5.12: means from 128 to 2048 bytes). Points fan
-/// out across all cores; use [`access_size_sweep_with`] to control
-/// scheduling.
+/// heavy I/O user (Figure 5.12: means from 128 to 2048 bytes).
 ///
 /// # Errors
 ///
@@ -412,40 +244,18 @@ pub fn access_size_sweep(
     base: &WorkloadSpec,
     model: &ModelConfig,
     mean_sizes: impl IntoIterator<Item = f64>,
-) -> Result<Vec<SweepPoint>, CoreError> {
-    access_size_sweep_with(
-        base,
-        model,
-        mean_sizes,
-        Parallelism::Auto,
-        SweepMode::Summary,
-    )
-}
-
-/// [`access_size_sweep`] with explicit scheduling and retention mode.
-///
-/// # Errors
-///
-/// Propagates population validation and simulation errors.
-pub fn access_size_sweep_with(
-    base: &WorkloadSpec,
-    model: &ModelConfig,
-    mean_sizes: impl IntoIterator<Item = f64>,
     parallelism: Parallelism,
-    mode: SweepMode,
 ) -> Result<Vec<SweepPoint>, CoreError> {
     let points: Vec<f64> = mean_sizes.into_iter().collect();
     fan_out(points, parallelism, |&mean| {
         let user = presets::user_type_with("extremely heavy I/O", 0.0, mean);
         let spec = base.clone().with_population(PopulationSpec::single(user)?);
-        run_point(&spec, model, mean, mode)
+        Ok(run_point(&spec, model, mean)?.0)
     })
 }
 
 /// Runs the same workload against several candidate models (the Section 5.3
 /// file-system comparison procedure) and returns `(model name, point)`.
-/// Models fan out across all cores; use [`compare_models_with`] to control
-/// scheduling.
 ///
 /// # Errors
 ///
@@ -453,24 +263,10 @@ pub fn access_size_sweep_with(
 pub fn compare_models(
     base: &WorkloadSpec,
     models: &[ModelConfig],
-) -> Result<Vec<(String, SweepPoint)>, CoreError> {
-    compare_models_with(base, models, Parallelism::Auto, SweepMode::Summary)
-}
-
-/// [`compare_models`] with explicit scheduling and retention mode.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn compare_models_with(
-    base: &WorkloadSpec,
-    models: &[ModelConfig],
     parallelism: Parallelism,
-    mode: SweepMode,
 ) -> Result<Vec<(String, SweepPoint)>, CoreError> {
     fan_out(models.to_vec(), parallelism, |model| {
-        let point = run_point(base, model, 0.0, mode)?;
-        Ok((model.name().to_string(), point))
+        Ok((model.name().to_string(), run_point(base, model, 0.0)?.0))
     })
 }
 
@@ -547,7 +343,6 @@ pub fn run_des_replicated(
     model: &ModelConfig,
     seeds: impl IntoIterator<Item = u64>,
     parallelism: Parallelism,
-    mode: SweepMode,
 ) -> Result<ReplicationStudy, CoreError> {
     let seeds: Vec<u64> = seeds.into_iter().collect();
     if seeds.is_empty() {
@@ -558,7 +353,7 @@ pub fn run_des_replicated(
     let measured = fan_out(seeds, parallelism, |&seed| {
         let mut spec = base.clone();
         spec.run.seed = seed;
-        let (point, sink) = run_point_with_sink(&spec, model, seed as f64, mode)?;
+        let (point, sink) = run_point(&spec, model, seed as f64)?;
         Ok((Replicate { seed, point }, sink))
     })?;
     // Parallel reduction: fold the per-seed sinks in input (seed) order, so
@@ -567,7 +362,6 @@ pub fn run_des_replicated(
     for (_, sink) in &measured {
         pooled.merge(sink);
     }
-    let pooled_point = measure_streamed(0.0, &pooled);
     let replicates: Vec<Replicate> = measured.into_iter().map(|(r, _)| r).collect();
     let values: Vec<f64> = replicates
         .iter()
@@ -584,8 +378,8 @@ pub fn run_des_replicated(
         mean_response_per_byte: summary.mean,
         std_dev_response_per_byte: summary.std_dev,
         ci95_half_width,
-        pooled_access_size: pooled_point.access_size,
-        pooled_response: pooled_point.response,
+        pooled_access_size: pooled.access_size(),
+        pooled_response: pooled.response(),
     })
 }
 
@@ -634,7 +428,13 @@ mod tests {
         let mut spec = quick_spec();
         // Zero think time saturates the server fastest.
         spec.population = PopulationSpec::single(presets::extremely_heavy_user()).unwrap();
-        let points = user_sweep(&spec, &ModelConfig::default_nfs(), [1, 3]).unwrap();
+        let points = user_sweep(
+            &spec,
+            &ModelConfig::default_nfs(),
+            [1, 3],
+            Parallelism::Auto,
+        )
+        .unwrap();
         assert_eq!(points.len(), 2);
         assert!(points[1].response_per_byte > points[0].response_per_byte);
         assert!(points[0].sessions > 0);
@@ -643,8 +443,13 @@ mod tests {
     #[test]
     fn access_size_sweep_amortizes_overhead() {
         let spec = quick_spec();
-        let points =
-            access_size_sweep(&spec, &ModelConfig::default_nfs(), [128.0, 2048.0]).unwrap();
+        let points = access_size_sweep(
+            &spec,
+            &ModelConfig::default_nfs(),
+            [128.0, 2048.0],
+            Parallelism::Auto,
+        )
+        .unwrap();
         assert!(points[0].response_per_byte > points[1].response_per_byte);
         // Measured access sizes track the swept means.
         assert!(points[0].access_size.mean < points[1].access_size.mean);
@@ -656,6 +461,7 @@ mod tests {
         let results = compare_models(
             &spec,
             &[ModelConfig::default_local(), ModelConfig::default_nfs()],
+            Parallelism::Auto,
         )
         .unwrap();
         assert_eq!(results.len(), 2);
@@ -672,7 +478,13 @@ mod tests {
     #[test]
     fn mix_sweep_runs_all_fractions() {
         let spec = quick_spec();
-        let points = mix_sweep(&spec, &ModelConfig::default_local(), [0.0, 0.5, 1.0]).unwrap();
+        let points = mix_sweep(
+            &spec,
+            &ModelConfig::default_local(),
+            [0.0, 0.5, 1.0],
+            Parallelism::Auto,
+        )
+        .unwrap();
         assert_eq!(points.len(), 3);
         assert!((points[1].x - 0.5).abs() < 1e-12);
     }
@@ -697,14 +509,18 @@ mod tests {
 
     #[test]
     fn fan_out_preserves_input_order() {
-        // `fan_out_workers` directly, with the worker count forced past
-        // the Parallelism core cap: on a 1-core CI host the public entry
-        // points all short-circuit to the serial loop, and this test is
-        // what keeps the pool-backed slot plumbing itself covered.
+        // The pool-backed slot plumbing itself (forced worker counts,
+        // cancellation) is covered by `stealpool::try_map_indexed`'s own
+        // tests; this pins the `Parallelism` front door over it.
         let inputs: Vec<usize> = (0..32).collect();
         let serial = fan_out(inputs.clone(), Parallelism::Serial, |&i| Ok(i * 3)).unwrap();
         for workers in [2usize, 4, 8] {
-            let pooled = fan_out_workers(inputs.clone(), workers, |&i| Ok(i * 3)).unwrap();
+            let pooled = fan_out(
+                inputs.clone(),
+                Parallelism::Threads(workers),
+                |&i| Ok(i * 3),
+            )
+            .unwrap();
             assert_eq!(serial, pooled, "workers = {workers}");
         }
         assert_eq!(serial[5], 15);
@@ -712,8 +528,6 @@ mod tests {
 
     #[test]
     fn fan_out_surfaces_errors() {
-        // Through the public entry point (may resolve to the serial loop
-        // on small hosts)...
         let result = fan_out(vec![1usize, 2, 3], Parallelism::Threads(3), |&i| {
             if i == 2 {
                 Err(CoreError::Spec("boom".into()))
@@ -722,12 +536,11 @@ mod tests {
             }
         });
         assert!(matches!(result, Err(CoreError::Spec(_))));
-        // ...and through a forced multi-worker pool, where the failure has
-        // to cancel the undispatched tail and still surface (which of the
-        // failing points runs first depends on the stolen schedule; the
-        // input-order rule applies among those that ran).
+        // With several failing points, which of them runs first depends on
+        // the stolen schedule; the input-order rule applies among those
+        // that ran, and the failure still cancels the undispatched tail.
         let inputs: Vec<usize> = (0..64).collect();
-        let result = fan_out_workers(inputs, 4, |&i| {
+        let result = fan_out(inputs, Parallelism::Threads(4), |&i| {
             if i % 7 == 3 {
                 Err(CoreError::Spec(format!("boom {i}")))
             } else {
@@ -743,32 +556,18 @@ mod tests {
     #[test]
     fn forced_pool_sweep_matches_serial() {
         // A real simulation through the pool with workers forced past the
-        // core cap: stolen schedules must reproduce the serial points byte
-        // for byte even when the host would normally short-circuit.
+        // `Parallelism` core cap: stolen schedules must reproduce the
+        // serial points byte for byte even when the host would normally
+        // short-circuit.
         let spec = quick_spec();
-        let users: Vec<usize> = vec![1, 2, 3];
-        let serial = fan_out_workers(users.clone(), 1, |&n| {
+        let users = [1usize, 2, 3];
+        let point = |i: usize| {
             let mut s = spec.clone();
-            s.run.n_users = n;
-            run_point(
-                &s,
-                &ModelConfig::default_local(),
-                n as f64,
-                SweepMode::Summary,
-            )
-        })
-        .unwrap();
-        let pooled = fan_out_workers(users, 3, |&n| {
-            let mut s = spec.clone();
-            s.run.n_users = n;
-            run_point(
-                &s,
-                &ModelConfig::default_local(),
-                n as f64,
-                SweepMode::Summary,
-            )
-        })
-        .unwrap();
+            s.run.n_users = users[i];
+            Ok::<_, CoreError>(run_point(&s, &ModelConfig::default_local(), users[i] as f64)?.0)
+        };
+        let serial = stealpool::try_map_indexed(1, users.len(), point).unwrap();
+        let pooled = stealpool::try_map_indexed(3, users.len(), point).unwrap();
         assert_eq!(serial, pooled);
     }
 
@@ -781,7 +580,6 @@ mod tests {
             &ModelConfig::default_local(),
             [1u64, 2, 3],
             Parallelism::Threads(3),
-            SweepMode::Summary,
         )
         .unwrap();
         assert_eq!(study.replicates.len(), 3);
@@ -806,7 +604,6 @@ mod tests {
             &ModelConfig::default_local(),
             [],
             Parallelism::Serial,
-            SweepMode::Summary,
         )
         .is_err());
     }
@@ -818,21 +615,19 @@ mod tests {
         use uswg_sim::SchedulerBackend;
         let mut spec = quick_spec();
         spec.run.scheduler = Some(SchedulerBackend::Heap);
-        let heap = user_sweep_with(
+        let heap = user_sweep(
             &spec,
             &ModelConfig::default_nfs(),
             [1, 2],
             Parallelism::Serial,
-            SweepMode::Summary,
         )
         .unwrap();
         spec.run.scheduler = Some(SchedulerBackend::Calendar);
-        let calendar = user_sweep_with(
+        let calendar = user_sweep(
             &spec,
             &ModelConfig::default_nfs(),
             [1, 2],
             Parallelism::Serial,
-            SweepMode::Summary,
         )
         .unwrap();
         assert_eq!(heap, calendar);
@@ -846,7 +641,6 @@ mod tests {
             &ModelConfig::default_local(),
             [7u64, 8],
             Parallelism::Serial,
-            SweepMode::Summary,
         )
         .unwrap();
         let b = run_des_replicated(
@@ -854,65 +648,9 @@ mod tests {
             &ModelConfig::default_local(),
             [7u64, 8],
             Parallelism::Threads(2),
-            SweepMode::Summary,
         )
         .unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn summary_mode_matches_full_log_mode() {
-        // The two retention modes execute the identical simulation; every
-        // SweepPoint statistic must agree — means, counts, extrema and the
-        // per-byte metric exactly, standard deviations to 1e-9 relative
-        // (different accumulation order).
-        let spec = quick_spec();
-        let model = ModelConfig::default_nfs();
-        let full = user_sweep_with(
-            &spec,
-            &model,
-            [1, 2],
-            Parallelism::Serial,
-            SweepMode::FullLog,
-        )
-        .unwrap();
-        let summary = user_sweep_with(
-            &spec,
-            &model,
-            [1, 2],
-            Parallelism::Serial,
-            SweepMode::Summary,
-        )
-        .unwrap();
-        assert_eq!(full.len(), summary.len());
-        for (f, s) in full.iter().zip(&summary) {
-            assert_eq!(f.x, s.x);
-            assert_eq!(f.sessions, s.sessions);
-            assert_eq!(f.response_per_byte, s.response_per_byte);
-            assert_eq!(f.access_size.n, s.access_size.n);
-            assert_eq!(f.access_size.mean, s.access_size.mean);
-            assert_eq!(f.access_size.min, s.access_size.min);
-            assert_eq!(f.access_size.max, s.access_size.max);
-            assert_eq!(f.response.min, s.response.min);
-            assert_eq!(f.response.max, s.response.max);
-            let rel = |a: f64, b: f64| (a - b).abs() / a.abs().max(b.abs()).max(1.0);
-            assert!(rel(f.access_size.std_dev, s.access_size.std_dev) < 1e-9);
-            assert!(rel(f.response.std_dev, s.response.std_dev) < 1e-9);
-        }
-    }
-
-    #[test]
-    fn sweep_mode_serde_round_trip() {
-        for mode in [SweepMode::FullLog, SweepMode::Summary] {
-            let json = serde_json::to_string(&mode).unwrap();
-            let back: SweepMode = serde_json::from_str(&json).unwrap();
-            assert_eq!(mode, back);
-        }
-        assert_eq!(SweepMode::default(), SweepMode::Summary);
-        assert_eq!(
-            serde_json::to_string(&SweepMode::Summary).unwrap(),
-            "\"summary\""
-        );
     }
 
     #[test]

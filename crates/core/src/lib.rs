@@ -26,14 +26,15 @@
 //! # Quickstart
 //!
 //! ```
-//! use uswg_core::{presets, experiment::ModelConfig, WorkloadSpec};
+//! use uswg_core::{experiment::ModelConfig, UsageLog, WorkloadSpec};
 //!
 //! # fn main() -> Result<(), uswg_core::CoreError> {
 //! // The paper's workload: Table 5.1 file system, Table 5.2 heavy users.
 //! let mut spec = WorkloadSpec::paper_default()?;
 //! spec.run.sessions_per_user = 2; // keep the doctest quick
-//! let report = spec.run_des(&ModelConfig::default_nfs())?;
-//! assert!(!report.log.sessions().is_empty());
+//! let (log, stats) = spec.run_des(&ModelConfig::default_nfs(), UsageLog::new())?;
+//! assert!(!log.sessions().is_empty());
+//! assert_eq!(stats.model, "nfs");
 //! # Ok(())
 //! # }
 //! ```
@@ -50,7 +51,7 @@ mod workload;
 
 pub use error::CoreError;
 pub use synth::{synthesize_spec, MeasureFit, SynthesisOptions, SynthesizedSpec};
-pub use workload::{DesOpStream, WorkloadSpec};
+pub use workload::WorkloadSpec;
 
 // Re-export the workspace surface so downstream users need one dependency.
 // (`uswg_analyze::fit` items are re-exported individually — the module name
@@ -77,7 +78,7 @@ pub use uswg_sim::{
 };
 pub use uswg_usim::{
     merge_shard_logs, merge_spill_shards, read_spill, read_spill_path, shard_model_seed,
-    AccessPattern, BehaviorState, CategoryUsage, CompiledPopulation, DesDriver, DesReport,
+    AccessPattern, BehaviorState, CategoryUsage, ChannelSink, CompiledPopulation, DesDriver,
     DesRunStats, DirectDriver, DiurnalProfile, FaultSpec, FrameIndex, FrameIndexEntry, LogSink,
     OpRecord, PhaseModel, PhaseState, PopulationSpec, RetryPolicy, RunConfig, SessionRecord,
     ShardEnv, ShardPlan, ShardedDesDriver, SpillCodec, SpillReader, SpillRecord, SpillSink,

@@ -5,13 +5,11 @@ use crate::{presets, CoreError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::num::NonZeroUsize;
 use uswg_fsc::{FileCatalog, FileSystemCreator, FscSpec};
 use uswg_sim::ResourcePool;
 use uswg_usim::{
-    ChannelSink, CompiledPopulation, DesDriver, DesReport, DesRunStats, DirectDriver, LogSink,
-    OpRecord, PopulationSpec, RunConfig, ShardEnv, ShardPlan, ShardedDesDriver, SummarySink,
-    UsageLog,
+    CompiledPopulation, DesDriver, DesRunStats, DirectDriver, LogSink, PopulationSpec, RunConfig,
+    ShardEnv, ShardPlan, ShardedDesDriver, UsageLog,
 };
 use uswg_vfs::{Vfs, VfsConfig};
 
@@ -131,128 +129,58 @@ impl WorkloadSpec {
     /// of the spec and seed, so the parallel schedule cannot change a
     /// byte of any environment.
     fn shard_envs(&self, model: &ModelConfig, active: usize) -> Result<Vec<ShardEnv>, CoreError> {
-        let slots: Vec<std::sync::Mutex<Option<Result<ShardEnv, CoreError>>>> =
-            (0..active).map(|_| std::sync::Mutex::new(None)).collect();
         let workers = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
             .min(active);
-        stealpool::run_indexed(workers, active, |i| {
-            let env = self.generate_fs().map(|(vfs, catalog)| {
-                let mut pool = ResourcePool::new();
-                let model = model.build(&mut pool);
-                ShardEnv {
-                    vfs,
-                    catalog,
-                    model,
-                    pool,
-                }
-            });
-            let ok = env.is_ok();
-            *slots[i].lock().expect("env slot lock") = Some(env);
-            ok // a failed build cancels the remaining ones
-        });
-        let mut envs = Vec::with_capacity(active);
-        let mut first_err: Option<CoreError> = None;
-        for slot in slots {
-            match slot.into_inner().expect("env slot lock") {
-                Some(Ok(env)) => envs.push(env),
-                Some(Err(e)) => {
-                    first_err.get_or_insert(e);
-                }
-                // Cancelled after a failure elsewhere; that error reports.
-                None => {}
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => {
-                debug_assert_eq!(envs.len(), active, "no error, so every env was built");
-                Ok(envs)
-            }
-        }
+        stealpool::try_map_indexed(workers, active, |_| {
+            let (vfs, catalog) = self.generate_fs()?;
+            let mut pool = ResourcePool::new();
+            let model = model.build(&mut pool);
+            Ok(ShardEnv {
+                vfs,
+                catalog,
+                model,
+                pool,
+            })
+        })
     }
 
-    /// Runs the workload in simulated time against a timing model: the
-    /// response-time measurement mode behind Table 5.3 and Figures
-    /// 5.6–5.12.
+    /// Runs the workload in simulated time against a timing model,
+    /// streaming every record into `sink`: the response-time measurement
+    /// mode behind Table 5.3 and Figures 5.6–5.12, and the one timed-run
+    /// entry point. What the caller keeps is the sink it passes — a
+    /// [`UsageLog`] collects the full log, a
+    /// [`SummarySink`](uswg_usim::SummarySink) keeps O(1) running
+    /// aggregates, a [`SpillSink`](uswg_usim::SpillSink) writes the binary
+    /// capture, a tuple tees two sinks, a
+    /// [`ChannelSink`](uswg_usim::ChannelSink) feeds a consumer thread — and
+    /// the record stream is identical whichever it is.
     ///
-    /// With `run.shards` set (or `USWG_SHARDS` in the environment) the
-    /// population is split across that many independent DES instances and
-    /// the per-shard logs are k-way merged deterministically; see
-    /// [`WorkloadSpec::run_des_sharded`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates generation, compilation and simulation errors.
-    pub fn run_des(&self, model: &ModelConfig) -> Result<DesReport, CoreError> {
-        if let Some(shards) = self.run.effective_shards() {
-            return self.run_des_sharded(model, shards);
-        }
-        let (vfs, catalog) = self.generate_fs()?;
-        let population = self.compile()?;
-        let mut pool = ResourcePool::new();
-        let model = model.build(&mut pool);
-        Ok(DesDriver::new().run(vfs, catalog, &population, model, pool, &self.run)?)
-    }
-
-    /// Runs the workload as `shards` independent DES instances over a
-    /// partition of the population, executed across cores, with the
-    /// per-shard logs merged into one deterministic [`UsageLog`] and the
-    /// per-shard resource statistics aggregated. One shard replays the
+    /// With `run.shards` set the population is split across that many
+    /// independent DES instances on the work-stealing pool and the sink
+    /// decides how the shard results combine (see [`LogSink`]): summaries
+    /// fold in shard order, logs k-way merge by completion time, anything
+    /// else sees the merged stream replayed from per-shard temporary spill
+    /// files with O(shards × frame) resident memory. One shard replays the
     /// unsharded run byte for byte; more shards trade contention fidelity
-    /// (each shard owns a private copy of the timing model) for wall-clock
-    /// — see the `uswg_usim::shard` module docs for the exact contract.
-    ///
-    /// # Errors
-    ///
-    /// Propagates generation, compilation and simulation errors.
-    pub fn run_des_sharded(
-        &self,
-        model: &ModelConfig,
-        shards: NonZeroUsize,
-    ) -> Result<DesReport, CoreError> {
-        let population = self.compile()?;
-        let plan = ShardPlan::new(self.run.n_users, shards);
-        let envs = self.shard_envs(model, plan.active_shards())?;
-        Ok(ShardedDesDriver::new().run(&population, &self.run, shards, envs)?)
-    }
-
-    /// Runs the workload in simulated time, streaming every record into
-    /// `sink` instead of materializing a [`UsageLog`]: the memory-flat
-    /// counterpart of [`WorkloadSpec::run_des`]. The record stream is
-    /// identical between the two paths for the same seed, so any
-    /// [`LogSink`] observes exactly what the collected log would contain.
-    ///
-    /// A sharded run (`run.shards` / `USWG_SHARDS`) stays memory-flat too:
-    /// each shard spills its records to a private temporary file as it
-    /// runs, and the per-shard streams are k-way merged frame-by-frame
-    /// into `sink` — all operation records in deterministic merged order,
-    /// then all session records, exactly the sequence the materialized
-    /// merge would replay (byte-identity property-tested in
-    /// `tests/spill_pipeline.rs`) — so the sink observes the merged log's
-    /// contents while resident memory stays O(shards × frame).
+    /// (each shard owns a private copy of the timing model) for wall-clock —
+    /// see [`ShardedDesDriver`] for the exact contract.
     ///
     /// # Errors
     ///
     /// Propagates generation, compilation and simulation errors, plus
-    /// spill-file I/O errors from the streamed sharded path.
-    pub fn run_des_with_sink<S: LogSink>(
+    /// spill-file I/O errors from the streamed sharded merge.
+    pub fn run_des<S: LogSink + Send>(
         &self,
         model: &ModelConfig,
         sink: S,
     ) -> Result<(S, DesRunStats), CoreError> {
-        if let Some(shards) = self.run.effective_shards() {
+        if let Some(shards) = self.run.shards {
             let population = self.compile()?;
             let plan = ShardPlan::new(self.run.n_users, shards);
             let envs = self.shard_envs(model, plan.active_shards())?;
-            return Ok(ShardedDesDriver::new().run_spill_streamed(
-                &population,
-                &self.run,
-                shards,
-                envs,
-                sink,
-            )?);
+            return Ok(ShardedDesDriver::new().run(&population, &self.run, shards, envs, sink)?);
         }
         let (vfs, catalog) = self.generate_fs()?;
         let population = self.compile()?;
@@ -267,96 +195,6 @@ impl WorkloadSpec {
             &self.run,
             sink,
         )?)
-    }
-
-    /// Runs the workload in simulated time with a streaming
-    /// [`SummarySink`]: O(1) memory regardless of users × sessions × ops,
-    /// retaining exactly the aggregates the Chapter 5 sweeps report. A
-    /// sharded run stays memory-flat: every shard streams into its own
-    /// sink and the sinks are folded with [`SummarySink::merge`] in shard
-    /// order — no log is ever materialized.
-    ///
-    /// # Errors
-    ///
-    /// Propagates generation, compilation and simulation errors.
-    pub fn run_des_summary(
-        &self,
-        model: &ModelConfig,
-    ) -> Result<(SummarySink, DesRunStats), CoreError> {
-        if let Some(shards) = self.run.effective_shards() {
-            let population = self.compile()?;
-            let plan = ShardPlan::new(self.run.n_users, shards);
-            let envs = self.shard_envs(model, plan.active_shards())?;
-            return Ok(ShardedDesDriver::new().run_summary(
-                &population,
-                &self.run,
-                shards,
-                envs,
-            )?);
-        }
-        self.run_des_with_sink(model, SummarySink::new())
-    }
-
-    /// Runs the workload's DES on a background producer thread, streaming
-    /// each executed [`OpRecord`] through a channel holding at most
-    /// `capacity` records. The producer blocks whenever the consumer falls
-    /// `capacity` ops behind, so the two sides together keep O(capacity)
-    /// records resident however many ops the run generates — the feed for
-    /// an open-loop drive whose memory is bounded by its queue, not the
-    /// log. Sharded specs stream too (the producer runs the spill-merge
-    /// path), with ops arriving in the merged deterministic order.
-    ///
-    /// Errors inside the producer (generation, simulation, spill I/O)
-    /// surface from [`DesOpStream::finish`] after the channel closes.
-    pub fn stream_des_ops(&self, model: &ModelConfig, capacity: usize) -> DesOpStream {
-        let (sink, rx) = ChannelSink::bounded(capacity);
-        let spec = self.clone();
-        let model = model.clone();
-        let handle = std::thread::spawn(move || {
-            spec.run_des_with_sink(&model, sink)
-                .map(|(_sink, stats)| stats)
-        });
-        DesOpStream { rx, handle }
-    }
-}
-
-/// A DES run in flight on a producer thread, exposed as a bounded channel
-/// of op records (see [`WorkloadSpec::stream_des_ops`]).
-#[derive(Debug)]
-pub struct DesOpStream {
-    rx: std::sync::mpsc::Receiver<OpRecord>,
-    handle: std::thread::JoinHandle<Result<DesRunStats, CoreError>>,
-}
-
-impl DesOpStream {
-    /// Splits into the op receiver and the join handle, for consumers that
-    /// wire the two into separate machinery (the drive glue hands the
-    /// receiver to a `ChannelSource` and joins the handle from its finish
-    /// hook).
-    #[must_use]
-    pub fn into_parts(
-        self,
-    ) -> (
-        std::sync::mpsc::Receiver<OpRecord>,
-        std::thread::JoinHandle<Result<DesRunStats, CoreError>>,
-    ) {
-        (self.rx, self.handle)
-    }
-
-    /// Drains any unread ops and joins the producer, returning its run
-    /// stats.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the producer's generation, simulation or spill I/O
-    /// error; a panicked producer surfaces as [`CoreError::Spec`].
-    pub fn finish(self) -> Result<DesRunStats, CoreError> {
-        // Dropping the receiver disconnects the sink, so a producer mid-
-        // send never deadlocks against a consumer that has stopped reading.
-        drop(self.rx);
-        self.handle
-            .join()
-            .map_err(|_| CoreError::Spec("DES producer thread panicked".into()))?
     }
 }
 
@@ -387,9 +225,11 @@ mod tests {
 
     #[test]
     fn paper_default_runs_des() {
-        let report = quick_spec().run_des(&ModelConfig::default_nfs()).unwrap();
-        assert_eq!(report.model, "nfs");
-        assert_eq!(report.log.sessions().len(), 2);
+        let (log, stats) = quick_spec()
+            .run_des(&ModelConfig::default_nfs(), UsageLog::new())
+            .unwrap();
+        assert_eq!(stats.model, "nfs");
+        assert_eq!(log.sessions().len(), 2);
     }
 
     #[test]
@@ -481,9 +321,12 @@ mod tests {
             .fsc
             .with_popularity(uswg_fsc::FilePopularity::Zipf { exponent: 3.0 });
         let model = ModelConfig::default_local();
-        let base_log = base.run_des(&model).unwrap().log.to_json().unwrap();
-        let uniform_log = uniform.run_des(&model).unwrap().log.to_json().unwrap();
-        let zipf_log = zipf.run_des(&model).unwrap().log.to_json().unwrap();
+        let log_json = |spec: &WorkloadSpec| {
+            let (log, _) = spec.run_des(&model, UsageLog::new()).unwrap();
+            log.to_json().unwrap()
+        };
+        let (base_log, uniform_log, zipf_log) =
+            (log_json(&base), log_json(&uniform), log_json(&zipf));
         assert_eq!(
             base_log, uniform_log,
             "explicit uniform must equal the default"

@@ -5,7 +5,6 @@ use crate::SimTime;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::OnceLock;
 
 /// The behaviour of a simulated system: how it reacts to each event.
 ///
@@ -30,7 +29,10 @@ pub trait World {
 /// operation, the calendar O(1) amortized, which starts to matter around
 /// ~10⁴ pending events and dominates at ≥ 10⁵ (see the `des_throughput`
 /// bench and `BENCH_baseline.json`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// The default is the calendar: `BENCH_baseline.json` has it ahead at every
+/// measured size (1.06× at 1k pending events, 6.8× at 1M).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
 pub enum SchedulerBackend {
     /// Binary min-heap: O(log n) push/pop, lowest constant factors, best for
@@ -38,6 +40,7 @@ pub enum SchedulerBackend {
     Heap,
     /// Calendar queue with adaptive bucket resizing: O(1) amortized
     /// push/pop, best for large populations (≳ 100k pending events).
+    #[default]
     Calendar,
 }
 
@@ -57,34 +60,6 @@ impl SchedulerBackend {
             SchedulerBackend::Heap => "heap",
             SchedulerBackend::Calendar => "calendar",
         }
-    }
-
-    /// The process-wide default backend: the `USWG_SCHEDULER` environment
-    /// variable (`heap` | `calendar`), or [`SchedulerBackend::Heap`] when
-    /// unset. Read once and memoized, so a process cannot observe a
-    /// mid-run change. This is how CI runs the whole test suite as a
-    /// two-entry backend matrix without touching any individual test.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognized value — a misconfigured matrix entry must
-    /// fail loudly, not silently test the wrong backend.
-    pub fn from_env() -> Self {
-        static CHOICE: OnceLock<SchedulerBackend> = OnceLock::new();
-        *CHOICE.get_or_init(|| match std::env::var("USWG_SCHEDULER") {
-            Ok(v) => SchedulerBackend::parse(&v).unwrap_or_else(|| {
-                panic!("USWG_SCHEDULER={v:?} is not a scheduler backend (expected heap|calendar)")
-            }),
-            Err(_) => SchedulerBackend::Heap,
-        })
-    }
-}
-
-impl Default for SchedulerBackend {
-    /// Defaults to [`SchedulerBackend::from_env`], so one environment
-    /// variable switches every default-configured simulation in the process.
-    fn default() -> Self {
-        Self::from_env()
     }
 }
 
@@ -375,8 +350,7 @@ impl<W: World> Simulation<W> {
 
     /// Creates a simulation on an explicit [`SchedulerBackend`], pre-sized
     /// for `capacity` pending events. [`Simulation::new`] and
-    /// [`Simulation::with_capacity`] use [`SchedulerBackend::default`]
-    /// (the `USWG_SCHEDULER` environment variable, or the heap).
+    /// [`Simulation::with_capacity`] use [`SchedulerBackend::default`].
     pub fn with_backend(world: W, backend: SchedulerBackend, capacity: usize) -> Self {
         Self {
             world,
@@ -688,26 +662,27 @@ mod tests {
 
     #[test]
     fn calendar_backend_passes_the_heap_scenarios() {
-        // The representative kernel behaviours, re-run on the calendar.
-        let mut sim =
-            Simulation::with_backend(Recorder { fired: vec![] }, SchedulerBackend::Calendar, 0);
-        sim.schedule(30, 3);
-        sim.schedule(10, 1);
-        sim.schedule(20, 2);
-        assert_eq!(sim.run_until(SimTime::from_micros(20)), 2);
-        assert_eq!(sim.pending(), 1);
-        assert_eq!(sim.run(), 1);
-        let order: Vec<u32> = sim.world().fired.iter().map(|&(e, _)| e).collect();
-        assert_eq!(order, vec![1, 2, 3]);
+        // The representative kernel behaviours above run on the default
+        // backend; re-run them on each backend explicitly.
+        for backend in [SchedulerBackend::Heap, SchedulerBackend::Calendar] {
+            let mut sim = Simulation::with_backend(Recorder { fired: vec![] }, backend, 0);
+            sim.schedule(30, 3);
+            sim.schedule(10, 1);
+            sim.schedule(20, 2);
+            assert_eq!(sim.run_until(SimTime::from_micros(20)), 2);
+            assert_eq!(sim.pending(), 1);
+            assert_eq!(sim.run(), 1);
+            let order: Vec<u32> = sim.world().fired.iter().map(|&(e, _)| e).collect();
+            assert_eq!(order, vec![1, 2, 3], "{backend}");
 
-        let mut sim =
-            Simulation::with_backend(Recorder { fired: vec![] }, SchedulerBackend::Calendar, 0);
-        for i in 0..50 {
-            sim.schedule(5, i);
+            let mut sim = Simulation::with_backend(Recorder { fired: vec![] }, backend, 0);
+            for i in 0..50 {
+                sim.schedule(5, i);
+            }
+            sim.run();
+            let order: Vec<u32> = sim.world().fired.iter().map(|&(e, _)| e).collect();
+            assert_eq!(order, (0..50).collect::<Vec<_>>(), "{backend}");
         }
-        sim.run();
-        let order: Vec<u32> = sim.world().fired.iter().map(|&(e, _)| e).collect();
-        assert_eq!(order, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

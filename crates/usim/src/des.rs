@@ -24,7 +24,7 @@
 //! `tests/golden_identity.rs`.
 
 use crate::compile::{BehaviorState, CompiledPopulation};
-use crate::log::{OpRecord, SessionRecord, UsageLog};
+use crate::log::{OpRecord, SessionRecord};
 use crate::session::{ExecutedOp, Session, MAX_ACCESS_BYTES};
 use crate::sink::LogSink;
 use crate::{RunConfig, UsimError};
@@ -392,40 +392,8 @@ impl<S: LogSink> World for UsimWorld<S> {
     }
 }
 
-/// The result of a discrete-event run.
-#[derive(Debug)]
-pub struct DesReport {
-    /// The usage log (ops + sessions).
-    pub log: UsageLog,
-    /// Final statistics of every model resource, by name.
-    pub resources: Vec<(String, ResourceStats)>,
-    /// Simulated duration of the whole run.
-    pub duration: SimTime,
-    /// Name of the timing model used.
-    pub model: String,
-    /// Total events processed by the kernel.
-    pub events: u64,
-}
-
-impl DesReport {
-    /// Assembles a report from a collected log and the run's statistics —
-    /// the single place the two shapes are stitched together, so adding a
-    /// run-level statistic means touching [`DesRunStats`] and this
-    /// constructor only. Also the seam the sharded driver re-enters with a
-    /// merged log and merged statistics.
-    pub(crate) fn from_parts(log: UsageLog, stats: DesRunStats) -> Self {
-        Self {
-            log,
-            resources: stats.resources,
-            duration: stats.duration,
-            model: stats.model,
-            events: stats.events,
-        }
-    }
-}
-
-/// Run-level statistics of a sink-driven DES run (everything a
-/// [`DesReport`] carries except the materialized log).
+/// Run-level statistics of a DES run: everything it reports besides the
+/// records that went to the sink.
 #[derive(Debug)]
 pub struct DesRunStats {
     /// Final statistics of every model resource, by name.
@@ -448,7 +416,7 @@ pub(crate) const MODEL_SEED_XOR: u64 = 0x4D4F_4445_4C00_0001;
 /// the population is partitioned across shards.
 pub(crate) const USER_SEED_MUL: u64 = 0x9E37_79B9;
 
-/// Capacity hint for a materialized [`UsageLog`]: the session count
+/// Capacity hint for a collecting sink: the session count
 /// (saturating — the `n_users × sessions_per_user` product can exceed
 /// `usize` long before either factor looks suspicious) and the compiled
 /// population's expected op count, both capped so the upfront reservation
@@ -491,53 +459,13 @@ impl DesDriver {
         Self
     }
 
-    /// Executes the run.
+    /// Executes the run, streaming every record into `sink`: a
+    /// [`UsageLog`](crate::UsageLog) collects them all (pre-sized through
+    /// [`LogSink::reserve`]), a [`SummarySink`](crate::SummarySink) keeps
+    /// O(1) memory. The record stream is the same whatever the sink.
     ///
     /// `vfs` and `catalog` are consumed (the simulation owns them while it
     /// runs); `pool` must be the pool the model registered its resources in.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration validation errors and any unexpected
-    /// file-system error raised mid-run.
-    pub fn run(
-        &self,
-        vfs: Vfs,
-        catalog: FileCatalog,
-        population: &CompiledPopulation,
-        model: Box<dyn ServiceModel>,
-        pool: ResourcePool,
-        config: &RunConfig,
-    ) -> Result<DesReport, UsimError> {
-        config.validate()?;
-        let (est_ops, sessions) = log_capacity_hint(population, config);
-        let log = UsageLog::with_capacity(est_ops, sessions);
-        let users = UserArena::build(
-            population,
-            config.seed,
-            config.n_users,
-            0..config.n_users,
-            config.n_users,
-        );
-        let (log, stats) = self.run_inner(
-            vfs,
-            catalog,
-            population,
-            model,
-            pool,
-            config,
-            users,
-            config.seed ^ MODEL_SEED_XOR,
-            log,
-        )?;
-        Ok(DesReport::from_parts(log, stats))
-    }
-
-    /// Executes the run, streaming records into `sink` instead of
-    /// materializing a [`UsageLog`]. This is the memory-lean entry point for
-    /// large-population sweeps; `DesDriver::run` is a thin wrapper passing a
-    /// pre-sized log as the sink. Record streams are identical between the
-    /// two paths for the same seed.
     ///
     /// # Errors
     ///
@@ -552,9 +480,11 @@ impl DesDriver {
         model: Box<dyn ServiceModel>,
         pool: ResourcePool,
         config: &RunConfig,
-        sink: S,
+        mut sink: S,
     ) -> Result<(S, DesRunStats), UsimError> {
         config.validate()?;
+        let (est_ops, sessions) = log_capacity_hint(population, config);
+        sink.reserve(est_ops, sessions);
         let users = UserArena::build(
             population,
             config.seed,
@@ -575,8 +505,8 @@ impl DesDriver {
         )
     }
 
-    /// Shared body of [`Self::run`], [`Self::run_with_sink`] and the
-    /// sharded driver's per-shard runs: simulates the users in `users` —
+    /// Shared body of [`Self::run_with_sink`] and the sharded driver's
+    /// per-shard runs: simulates the users in `users` —
     /// the full population for the unsharded entry points, one shard's
     /// members otherwise. Per-user PRNG streams are derived from the
     /// *global* ids (by [`UserArena::build`]), so each user's operation

@@ -39,10 +39,11 @@ mod shard;
 mod sink;
 mod spec;
 mod spill;
+mod stats;
 mod temporal;
 
 pub use compile::{BehaviorState, CompiledPopulation, CompiledUserType};
-pub use des::{DesDriver, DesReport, DesRunStats};
+pub use des::{DesDriver, DesRunStats};
 pub use direct::DirectDriver;
 pub use error::UsimError;
 pub use faults::{FaultSpec, RetryPolicy, PPM_SCALE};
@@ -57,5 +58,6 @@ pub use spill::{
     read_spill, read_spill_path, FrameIndex, FrameIndexEntry, SpillCodec, SpillReader, SpillRecord,
     SpillSink, FRAME_CAP,
 };
+pub use stats::{StreamingSummary, Summary};
 pub use temporal::{DiurnalProfile, PhaseModel, PhaseState};
 pub use uswg_sim::SchedulerBackend;

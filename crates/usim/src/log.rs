@@ -109,15 +109,13 @@ impl UsageLog {
         Self::default()
     }
 
-    /// Creates an empty log pre-sized for `ops` operation records and
-    /// `sessions` session records, so steady-state recording never
+    /// Reserves room for at least `ops` more operation records and
+    /// `sessions` more session records, so steady-state recording never
     /// reallocates. Drivers size this from `n_users × sessions_per_user`
     /// and the population's expected operations per session.
-    pub fn with_capacity(ops: usize, sessions: usize) -> Self {
-        Self {
-            ops: Vec::with_capacity(ops),
-            sessions: Vec::with_capacity(sessions),
-        }
+    pub fn reserve(&mut self, ops: usize, sessions: usize) {
+        self.ops.reserve(ops);
+        self.sessions.reserve(sessions);
     }
 
     /// Appends an operation record.

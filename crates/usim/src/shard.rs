@@ -31,17 +31,19 @@
 //!
 //! Shards execute in parallel, but every shard's result lands in a slot
 //! indexed by its shard number, and merging walks those slots in shard
-//! order: summary mode folds the per-shard [`SummarySink`]s with
-//! [`SummarySink::merge`], and full-log mode k-way-merges the per-shard
-//! logs by completion time (ties broken by shard index, within-shard order
-//! preserved) — a global re-sequencing that makes the merged [`UsageLog`]
-//! a pure function of (spec, seed, K), independent of worker count and
-//! scheduler backend.
+//! order. *How* they merge is the sink's choice (see [`LogSink`]): a
+//! [`SummarySink`](crate::SummarySink) folds per-shard sinks with its
+//! `merge`; a [`UsageLog`] k-way-merges the per-shard logs by completion
+//! time (ties broken by shard index, within-shard order preserved) — a
+//! global re-sequencing that makes the merged log a pure function of
+//! (spec, seed, K), independent of worker count and scheduler backend; any
+//! other sink sees that same merged sequence replayed from per-shard spill
+//! files.
 
 use crate::compile::CompiledPopulation;
-use crate::des::{DesDriver, DesReport, DesRunStats, UserArena, MODEL_SEED_XOR};
+use crate::des::{DesDriver, DesRunStats, UserArena, MODEL_SEED_XOR};
 use crate::log::{OpRecord, SessionRecord, UsageLog};
-use crate::sink::{LogSink, SummarySink};
+use crate::sink::LogSink;
 use crate::spill::{SpillReader, SpillRecord, SpillSink};
 use crate::{RunConfig, UsimError};
 use std::io;
@@ -138,10 +140,6 @@ pub struct ShardEnv {
     pub pool: ResourcePool,
 }
 
-/// One shard's outcome, parked in a slot indexed by shard number so the
-/// merge can walk results in shard order no matter which worker ran what.
-type ShardSlot<S> = Mutex<Option<Result<(S, DesRunStats), UsimError>>>;
-
 /// Runs one population as K independent DES instances on a work-stealing
 /// pool and merges the results deterministically. See the module
 /// documentation for the exact-vs-statistical contract.
@@ -175,42 +173,33 @@ impl ShardedDesDriver {
     }
 
     /// Runs every active shard through [`DesDriver::run_inner`] with its
-    /// own sink, returning `(sink, stats)` per shard **in shard order** —
-    /// the property every merge below relies on. `make_sink` builds the
-    /// shard's sink from its shard index (and may fail — spill sinks open
-    /// files). Shards execute on a work-stealing pool; a shard failure
-    /// cancels undispatched shards and the lowest-indexed error among the
-    /// shards that ran is returned.
-    fn run_shards<S, F>(
+    /// own sink (`sinks[s]` for shard `s`), returning `(sink, stats)` per
+    /// shard **in shard order** — the property every merge relies on.
+    /// Shards execute on a work-stealing pool; a shard failure cancels
+    /// undispatched shards and the lowest-indexed error among the shards
+    /// that ran is returned.
+    fn run_shards<S: LogSink + Send>(
         &self,
         population: &CompiledPopulation,
         config: &RunConfig,
         plan: ShardPlan,
         envs: Vec<ShardEnv>,
-        make_sink: F,
-    ) -> Result<Vec<(S, DesRunStats)>, UsimError>
-    where
-        S: LogSink + Send,
-        F: Fn(usize) -> Result<S, UsimError> + Sync,
-    {
-        config.validate()?;
+        sinks: Vec<S>,
+    ) -> Result<Vec<(S, DesRunStats)>, UsimError> {
         let active = plan.active_shards();
-        if envs.len() != active {
-            return Err(UsimError::ShardEnvMismatch {
-                expected: active,
-                got: envs.len(),
-            });
-        }
+        debug_assert_eq!(sinks.len(), active, "one sink per active shard");
         let driver = DesDriver::new();
-        let cells: Vec<Mutex<Option<ShardEnv>>> =
-            envs.into_iter().map(|e| Mutex::new(Some(e))).collect();
-        let slots: Vec<ShardSlot<S>> = (0..active).map(|_| Mutex::new(None)).collect();
-        stealpool::run_indexed(self.resolve_workers(active), active, |s| {
-            let env = cells[s]
+        let cells: Vec<Mutex<Option<(ShardEnv, S)>>> = envs
+            .into_iter()
+            .zip(sinks)
+            .map(|cell| Mutex::new(Some(cell)))
+            .collect();
+        stealpool::try_map_indexed(self.resolve_workers(active), active, |s| {
+            let (env, sink) = cells[s]
                 .lock()
-                .expect("env lock")
+                .expect("shard cell lock")
                 .take()
-                .expect("each shard env is taken exactly once");
+                .expect("each shard cell is taken exactly once");
             // Each shard builds only its own slice of the user columns —
             // nothing population-sized (like the old assignment vector) is
             // shared or cloned across shards.
@@ -221,48 +210,39 @@ impl ShardedDesDriver {
                 plan.members(s),
                 plan.shard_len(s),
             );
-            let result = make_sink(s).and_then(|sink| {
-                driver.run_inner(
-                    env.vfs,
-                    env.catalog,
-                    population,
-                    env.model,
-                    env.pool,
-                    config,
-                    users,
-                    shard_model_seed(config.seed, s),
-                    sink,
-                )
-            });
-            let ok = result.is_ok();
-            *slots[s].lock().expect("slot lock") = Some(result);
-            ok // a failed shard cancels the rest of the pool
-        });
-        let mut out = Vec::with_capacity(active);
-        let mut first_err: Option<UsimError> = None;
-        for slot in slots {
-            match slot.into_inner().expect("slot lock") {
-                Some(Ok(v)) => out.push(v),
-                Some(Err(e)) => {
-                    first_err.get_or_insert(e);
-                }
-                // Cancelled after a failure elsewhere.
-                None => {}
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => {
-                debug_assert_eq!(out.len(), active, "no error, so every shard ran");
-                Ok(out)
-            }
-        }
+            driver.run_inner(
+                env.vfs,
+                env.catalog,
+                population,
+                env.model,
+                env.pool,
+                config,
+                users,
+                shard_model_seed(config.seed, s),
+                sink,
+            )
+        })
     }
 
-    /// Executes the run in full-log mode: K independent shard simulations,
-    /// then a deterministic k-way merge of the per-shard logs (see
-    /// [`merge_shard_logs`]) and an aggregation of the per-shard resource
-    /// statistics.
+    /// Executes the run as K independent shard simulations and merges
+    /// their records into `sink` and their resource statistics into one
+    /// [`DesRunStats`].
+    ///
+    /// The sink picks the merge (see [`LogSink`]). One that hands out
+    /// per-shard instances ([`LogSink::shard_sink`]: `SummarySink`,
+    /// `UsageLog`) has them filled in parallel and folded in shard order —
+    /// no I/O. Any other sink gets the **streamed** merge: every shard
+    /// spills to a private temporary file as it runs, and the files are
+    /// k-way merged *frame by frame* into `sink` in exactly
+    /// [`merge_shard_logs`]' deterministic order (`(completion time, shard
+    /// index)` for ops, `(end, shard index)` for sessions; all merged ops
+    /// first, then all merged sessions), so resident memory is
+    /// O(K × frame) regardless of run length — the path that lets
+    /// `uswg run --spill --shards K` capture runs that would never fit in
+    /// RAM. The streamed sequence is byte-identical to the in-memory merge
+    /// (property-tested in `tests/spill_pipeline.rs`). Temporary files live
+    /// in a fresh directory under [`std::env::temp_dir`] and are removed
+    /// before returning (including on error).
     ///
     /// `envs` must hold exactly one [`ShardEnv`] per *active* shard
     /// (`ShardPlan::new(config.n_users, shards).active_shards()`), each
@@ -271,75 +251,10 @@ impl ShardedDesDriver {
     /// # Errors
     ///
     /// Propagates configuration validation errors, a shard-environment
-    /// count mismatch, and any file-system error raised inside a shard.
-    pub fn run(
-        &self,
-        population: &CompiledPopulation,
-        config: &RunConfig,
-        shards: NonZeroUsize,
-        envs: Vec<ShardEnv>,
-    ) -> Result<DesReport, UsimError> {
-        let plan = ShardPlan::new(config.n_users, shards);
-        let results = self.run_shards(population, config, plan, envs, |_| Ok(UsageLog::new()))?;
-        let (logs, stats): (Vec<UsageLog>, Vec<DesRunStats>) = results.into_iter().unzip();
-        Ok(DesReport::from_parts(
-            merge_shard_logs(logs),
-            merge_stats(stats),
-        ))
-    }
-
-    /// Executes the run in summary mode: every shard streams into its own
-    /// [`SummarySink`]; the sinks are folded with [`SummarySink::merge`] in
-    /// shard-index order. O(1) retained memory per shard, no log ever
-    /// materialized — the mode that scales a single run to the ROADMAP's
-    /// millions of users.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ShardedDesDriver::run`].
-    pub fn run_summary(
-        &self,
-        population: &CompiledPopulation,
-        config: &RunConfig,
-        shards: NonZeroUsize,
-        envs: Vec<ShardEnv>,
-    ) -> Result<(SummarySink, DesRunStats), UsimError> {
-        let plan = ShardPlan::new(config.n_users, shards);
-        let results =
-            self.run_shards(population, config, plan, envs, |_| Ok(SummarySink::new()))?;
-        let mut merged = SummarySink::new();
-        let mut stats = Vec::with_capacity(results.len());
-        for (sink, st) in results {
-            merged.merge(&sink);
-            stats.push(st);
-        }
-        Ok((merged, merge_stats(stats)))
-    }
-
-    /// Executes the run in **streamed** full-log mode: every shard spills
-    /// its records to a private temporary spill file as it runs, and the
-    /// per-shard files are k-way merged *frame by frame* into `sink` in
-    /// exactly [`merge_shard_logs`]' deterministic order (`(completion
-    /// time, shard index)` for ops, `(end, shard index)` for sessions; all
-    /// merged ops first, then all merged sessions — the order
-    /// `WorkloadSpec::run_des_with_sink` has always replayed). No
-    /// [`UsageLog`] is ever materialized, so resident memory is
-    /// O(K × frame) regardless of run length — the path that lets
-    /// `uswg run --spill --shards K` capture full-fidelity logs of runs
-    /// that would never fit in RAM. The streamed record sequence is
-    /// byte-identical to merging materialized per-shard logs
-    /// (property-tested in `tests/spill_pipeline.rs`).
-    ///
-    /// Temporary files live in a fresh directory under
-    /// [`std::env::temp_dir`] and are removed before returning (including
-    /// on error).
-    ///
-    /// # Errors
-    ///
-    /// As for [`ShardedDesDriver::run`], plus [`UsimError::Spill`] for any
-    /// failure creating, writing, sealing or reading the temporary spill
-    /// streams.
-    pub fn run_spill_streamed<S: LogSink>(
+    /// count mismatch, any file-system error raised inside a shard, and —
+    /// on the streamed path — [`UsimError::Spill`] for any failure
+    /// creating, writing, sealing or reading the temporary spill streams.
+    pub fn run<S: LogSink + Send>(
         &self,
         population: &CompiledPopulation,
         config: &RunConfig,
@@ -347,22 +262,43 @@ impl ShardedDesDriver {
         envs: Vec<ShardEnv>,
         mut sink: S,
     ) -> Result<(S, DesRunStats), UsimError> {
+        config.validate()?;
         let plan = ShardPlan::new(config.n_users, shards);
-        let dir = ShardSpillDir::create()?;
-        let paths: Vec<PathBuf> = (0..plan.active_shards())
-            .map(|s| dir.path().join(format!("shard{s:04}.spill")))
-            .collect();
-        let results = self.run_shards(population, config, plan, envs, |s| {
-            Ok(SpillSink::create(&paths[s])?)
-        })?;
-        let mut stats = Vec::with_capacity(results.len());
-        for (spill, st) in results {
-            // Seal each stream: an unsealed spill file is indistinguishable
-            // from a crashed run and the merge would reject it.
-            spill.finish()?;
-            stats.push(st);
+        let active = plan.active_shards();
+        if envs.len() != active {
+            return Err(UsimError::ShardEnvMismatch {
+                expected: active,
+                got: envs.len(),
+            });
         }
-        merge_spill_shards(&paths, &mut sink)?;
+        let in_memory: Option<Vec<S>> = (0..active).map(|_| sink.shard_sink()).collect();
+        let stats = if let Some(sinks) = in_memory {
+            let (sinks, stats): (Vec<S>, Vec<DesRunStats>) = self
+                .run_shards(population, config, plan, envs, sinks)?
+                .into_iter()
+                .unzip();
+            sink.absorb_shards(sinks);
+            stats
+        } else {
+            let dir = ShardSpillDir::create()?;
+            let paths: Vec<PathBuf> = (0..active)
+                .map(|s| dir.path().join(format!("shard{s:04}.spill")))
+                .collect();
+            let spills = paths
+                .iter()
+                .map(SpillSink::create)
+                .collect::<io::Result<Vec<_>>>()?;
+            let mut stats = Vec::with_capacity(active);
+            for (spill, st) in self.run_shards(population, config, plan, envs, spills)? {
+                // Seal each stream: an unsealed spill file is
+                // indistinguishable from a crashed run and the merge would
+                // reject it.
+                spill.finish()?;
+                stats.push(st);
+            }
+            merge_spill_shards(&paths, &mut sink)?;
+            stats
+        };
         Ok((sink, merge_stats(stats)))
     }
 }
@@ -442,20 +378,26 @@ fn add_stats(a: &mut ResourceStats, b: &ResourceStats) {
 /// the identity, so a K = 1 merged log is byte-identical to the unsharded
 /// driver's.
 pub fn merge_shard_logs(logs: Vec<UsageLog>) -> UsageLog {
-    let total_ops: usize = logs.iter().map(|l| l.ops().len()).sum();
-    let total_sessions: usize = logs.iter().map(|l| l.sessions().len()).sum();
-    let mut out = UsageLog::with_capacity(total_ops, total_sessions);
+    let mut out = UsageLog::new();
+    merge_shard_logs_into(&mut out, &logs);
+    out
+}
+
+/// [`merge_shard_logs`] appending to an existing log — the
+/// [`LogSink::absorb_shards`] of [`UsageLog`].
+pub(crate) fn merge_shard_logs_into(out: &mut UsageLog, logs: &[UsageLog]) {
+    out.reserve(
+        logs.iter().map(|l| l.ops().len()).sum(),
+        logs.iter().map(|l| l.sessions().len()).sum(),
+    );
     let op_streams: Vec<_> = logs.iter().map(|l| l.ops()).collect();
     kway_merge_by(
         &op_streams,
         |op| op.at.saturating_add(op.response),
-        |op| {
-            out.push_op(op);
-        },
+        |op| out.push_op(op),
     );
     let session_streams: Vec<_> = logs.iter().map(|l| l.sessions()).collect();
     kway_merge_by(&session_streams, |s| s.end, |s| out.push_session(s));
-    out
 }
 
 /// The streaming counterpart of [`merge_shard_logs`]: k-way merges sealed

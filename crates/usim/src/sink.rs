@@ -9,11 +9,23 @@
 //! aggregates and retains O(1) memory regardless of run length.
 
 use crate::log::{OpRecord, SessionRecord, UsageLog};
+use crate::stats::{StreamingSummary, Summary};
 use std::sync::mpsc::{Receiver, SyncSender};
 
 /// A destination for the records a driver produces.
 ///
 /// Methods take references so a sink never forces a copy it does not need.
+///
+/// # Sharded runs
+///
+/// How K shard results combine is a property of the sink. A sink whose
+/// per-shard instances can be combined in memory overrides
+/// [`LogSink::shard_sink`] and [`LogSink::absorb_shards`]: every shard
+/// then records into its own instance and the instances are folded in
+/// shard order, with no I/O. Any other sink sees the merged record stream
+/// replayed from per-shard temporary spill files (all ops in merged order,
+/// then all sessions) — see
+/// [`ShardedDesDriver::run`](crate::ShardedDesDriver::run).
 pub trait LogSink {
     /// Receives one executed operation. Only called when the run's
     /// `record_ops` flag is on.
@@ -21,8 +33,33 @@ pub trait LogSink {
 
     /// Receives one completed session.
     fn record_session(&mut self, session: &SessionRecord);
+
+    /// Capacity hint from the driver before an unsharded run starts: about
+    /// `ops` operation records and `sessions` session records will follow.
+    /// Collecting sinks pre-size from it; streaming sinks ignore it.
+    fn reserve(&mut self, _ops: usize, _sessions: usize) {}
+
+    /// A fresh, empty sink for one shard of a sharded run, or `None` (the
+    /// default) when per-shard instances cannot be combined in memory.
+    fn shard_sink(&self) -> Option<Self>
+    where
+        Self: Sized,
+    {
+        None
+    }
+
+    /// Folds the per-shard sinks handed out by [`LogSink::shard_sink`],
+    /// given **in shard order**, into `self`.
+    fn absorb_shards(&mut self, shards: Vec<Self>)
+    where
+        Self: Sized,
+    {
+        debug_assert!(shards.is_empty(), "shard_sink() handed out no sinks");
+    }
 }
 
+/// Collects everything; a sharded run k-way merges the per-shard logs by
+/// completion time ([`merge_shard_logs`](crate::merge_shard_logs)).
 impl LogSink for UsageLog {
     fn record_op(&mut self, op: &OpRecord) {
         self.push_op(*op);
@@ -31,11 +68,24 @@ impl LogSink for UsageLog {
     fn record_session(&mut self, session: &SessionRecord) {
         self.push_session(*session);
     }
+
+    fn reserve(&mut self, ops: usize, sessions: usize) {
+        UsageLog::reserve(self, ops, sessions);
+    }
+
+    fn shard_sink(&self) -> Option<Self> {
+        Some(UsageLog::new())
+    }
+
+    fn absorb_shards(&mut self, shards: Vec<Self>) {
+        crate::shard::merge_shard_logs_into(self, &shards);
+    }
 }
 
 /// A tee: every record goes to both sinks, left first. Lets one run feed a
 /// streaming summary *and* a spill file (the `uswg run --spill` path) with
-/// no extra driver machinery.
+/// no extra driver machinery. Shards combine in memory when both halves
+/// can, and through the streamed merge otherwise.
 impl<A: LogSink, B: LogSink> LogSink for (A, B) {
     fn record_op(&mut self, op: &OpRecord) {
         self.0.record_op(op);
@@ -45,6 +95,21 @@ impl<A: LogSink, B: LogSink> LogSink for (A, B) {
     fn record_session(&mut self, session: &SessionRecord) {
         self.0.record_session(session);
         self.1.record_session(session);
+    }
+
+    fn reserve(&mut self, ops: usize, sessions: usize) {
+        self.0.reserve(ops, sessions);
+        self.1.reserve(ops, sessions);
+    }
+
+    fn shard_sink(&self) -> Option<Self> {
+        Some((self.0.shard_sink()?, self.1.shard_sink()?))
+    }
+
+    fn absorb_shards(&mut self, shards: Vec<Self>) {
+        let (left, right) = shards.into_iter().unzip();
+        self.0.absorb_shards(left);
+        self.1.absorb_shards(right);
     }
 }
 
@@ -96,79 +161,6 @@ impl LogSink for ChannelSink {
     fn record_session(&mut self, _session: &SessionRecord) {}
 }
 
-/// One metric's running moments: the raw sum (so the reported mean is
-/// bit-identical to post-hoc `sum / n` aggregation), a Welford running
-/// mean + M2 (so the variance never suffers the catastrophic cancellation
-/// of the naive `sumsq − sum²/n` form — at a billion low-variance samples
-/// that form loses every significant digit, precisely the scale this sink
-/// exists for), and the extrema.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Moments {
-    /// Exact running sum of the samples.
-    sum: f64,
-    /// Welford running mean.
-    mean: f64,
-    /// Welford sum of squared deviations from the running mean.
-    m2: f64,
-    /// Smallest sample (+∞ while empty).
-    min: f64,
-    /// Largest sample (−∞ while empty).
-    max: f64,
-}
-
-impl Default for Moments {
-    fn default() -> Self {
-        Self {
-            sum: 0.0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-}
-
-impl Moments {
-    /// Folds in one sample; `n` is the sample count *including* `x`.
-    fn record(&mut self, x: f64, n: u64) {
-        self.sum += x;
-        let delta = x - self.mean;
-        self.mean += delta / n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Chan's parallel update: folds `other` (holding `nb` samples) into
-    /// `self` (holding `na`), exactly as stable as sequential Welford.
-    fn merge(&mut self, other: &Self, na: u64, nb: u64) {
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        if nb == 0 {
-            return;
-        }
-        if na == 0 {
-            self.mean = other.mean;
-            self.m2 = other.m2;
-            return;
-        }
-        let n = (na + nb) as f64;
-        let delta = other.mean - self.mean;
-        self.mean += delta * nb as f64 / n;
-        self.m2 += other.m2 + delta * delta * (na as f64) * (nb as f64) / n;
-    }
-
-    /// Sample standard deviation over `n` samples.
-    fn std_dev(&self, n: u64) -> f64 {
-        if n < 2 {
-            0.0
-        } else {
-            (self.m2.max(0.0) / (n - 1) as f64).sqrt()
-        }
-    }
-}
-
 /// Streaming-aggregate sink: folds the op stream into the figures' headline
 /// metrics without materializing any records.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -181,10 +173,10 @@ pub struct SummarySink {
     pub data_bytes: u64,
     /// Total response time over all operations, µs.
     pub total_response: u64,
-    /// Moments of data-op access sizes.
-    access_size: Moments,
-    /// Moments of data-op response times.
-    response: Moments,
+    /// Running moments of data-op access sizes.
+    access_size: StreamingSummary,
+    /// Running moments of data-op response times.
+    response: StreamingSummary,
     /// Sessions observed.
     pub sessions: u64,
     /// Total bytes accessed across sessions.
@@ -213,10 +205,8 @@ impl SummarySink {
     /// stream only by floating-point rounding order (≤ 1e-9 relative,
     /// property-tested).
     pub fn merge(&mut self, other: &SummarySink) {
-        self.access_size
-            .merge(&other.access_size, self.data_ops, other.data_ops);
-        self.response
-            .merge(&other.response, self.data_ops, other.data_ops);
+        self.access_size.merge(&other.access_size);
+        self.response.merge(&other.response);
         self.ops += other.ops;
         self.data_ops += other.data_ops;
         self.data_bytes += other.data_bytes;
@@ -255,69 +245,17 @@ impl SummarySink {
         }
     }
 
-    /// Mean access size over data operations, bytes.
-    pub fn mean_access_size(&self) -> f64 {
-        if self.data_ops == 0 {
-            0.0
-        } else {
-            self.access_size.sum / self.data_ops as f64
-        }
+    /// Access-size statistics over data operations, bytes (the zero
+    /// summary while empty, matching `Summary::of(&[])`). Mean, count and
+    /// extrema are bit-identical to post-hoc aggregation of the same
+    /// record stream; the standard deviation is one-pass Welford.
+    pub fn access_size(&self) -> Summary {
+        self.access_size.summary()
     }
 
-    /// Sample standard deviation of data-op access sizes, bytes.
-    pub fn std_dev_access_size(&self) -> f64 {
-        self.access_size.std_dev(self.data_ops)
-    }
-
-    /// Mean response time over data operations, µs.
-    pub fn mean_response(&self) -> f64 {
-        if self.data_ops == 0 {
-            0.0
-        } else {
-            self.response.sum / self.data_ops as f64
-        }
-    }
-
-    /// Sample standard deviation of data-op response times, µs.
-    pub fn std_dev_response(&self) -> f64 {
-        self.response.std_dev(self.data_ops)
-    }
-
-    /// Smallest data-op access size, bytes (0 while empty, matching the
-    /// zero summary `Summary::of(&[])` reports).
-    pub fn min_access_size(&self) -> f64 {
-        if self.data_ops == 0 {
-            0.0
-        } else {
-            self.access_size.min
-        }
-    }
-
-    /// Largest data-op access size, bytes (0 while empty).
-    pub fn max_access_size(&self) -> f64 {
-        if self.data_ops == 0 {
-            0.0
-        } else {
-            self.access_size.max
-        }
-    }
-
-    /// Smallest data-op response time, µs (0 while empty).
-    pub fn min_response(&self) -> f64 {
-        if self.data_ops == 0 {
-            0.0
-        } else {
-            self.response.min
-        }
-    }
-
-    /// Largest data-op response time, µs (0 while empty).
-    pub fn max_response(&self) -> f64 {
-        if self.data_ops == 0 {
-            0.0
-        } else {
-            self.response.max
-        }
+    /// Response-time statistics over data operations, µs.
+    pub fn response(&self) -> Summary {
+        self.response.summary()
     }
 }
 
@@ -335,14 +273,24 @@ impl LogSink for SummarySink {
             if op.aborted {
                 self.aborted_bytes += op.bytes;
             }
-            self.access_size.record(op.bytes as f64, self.data_ops);
-            self.response.record(op.response as f64, self.data_ops);
+            self.access_size.push(op.bytes as f64);
+            self.response.push(op.response as f64);
         }
     }
 
     fn record_session(&mut self, session: &SessionRecord) {
         self.sessions += 1;
         self.session_bytes_accessed += session.bytes_accessed;
+    }
+
+    fn shard_sink(&self) -> Option<Self> {
+        Some(SummarySink::new())
+    }
+
+    fn absorb_shards(&mut self, shards: Vec<Self>) {
+        for shard in &shards {
+            self.merge(shard);
+        }
     }
 }
 
@@ -385,18 +333,18 @@ mod tests {
         for (bytes, resp) in [(100u64, 10u64), (300, 30)] {
             sink.record_op(&op(OpKind::Write, bytes, resp));
         }
-        assert!((sink.mean_access_size() - 200.0).abs() < 1e-9);
+        assert!((sink.access_size().mean - 200.0).abs() < 1e-9);
         // Sample std dev of {100, 300} is sqrt(20000) ≈ 141.42.
-        assert!((sink.std_dev_access_size() - 20000f64.sqrt()).abs() < 1e-9);
-        assert!((sink.mean_response() - 20.0).abs() < 1e-9);
+        assert!((sink.access_size().std_dev - 20000f64.sqrt()).abs() < 1e-9);
+        assert!((sink.response().mean - 20.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_sink_is_all_zero() {
         let sink = SummarySink::new();
         assert_eq!(sink.response_per_byte(), 0.0);
-        assert_eq!(sink.mean_access_size(), 0.0);
-        assert_eq!(sink.std_dev_response(), 0.0);
+        assert_eq!(sink.access_size(), Summary::of(&[]));
+        assert_eq!(sink.response(), Summary::of(&[]));
     }
 
     #[test]
@@ -409,15 +357,15 @@ mod tests {
     #[test]
     fn extrema_track_data_ops_only() {
         let mut sink = SummarySink::new();
-        assert_eq!(sink.min_access_size(), 0.0);
-        assert_eq!(sink.max_response(), 0.0);
+        assert_eq!(sink.access_size().min, 0.0);
+        assert_eq!(sink.response().max, 0.0);
         sink.record_op(&op(OpKind::Open, 0, 9_999)); // metadata: no extrema
         sink.record_op(&op(OpKind::Read, 100, 10));
         sink.record_op(&op(OpKind::Write, 300, 30));
-        assert_eq!(sink.min_access_size(), 100.0);
-        assert_eq!(sink.max_access_size(), 300.0);
-        assert_eq!(sink.min_response(), 10.0);
-        assert_eq!(sink.max_response(), 30.0);
+        assert_eq!(sink.access_size().min, 100.0);
+        assert_eq!(sink.access_size().max, 300.0);
+        assert_eq!(sink.response().min, 10.0);
+        assert_eq!(sink.response().max, 30.0);
     }
 
     #[test]
@@ -496,7 +444,7 @@ mod tests {
         }
         // Values cycle {base, base+1, base+2}: sample variance → 2/3.
         let expected = (2.0f64 / 3.0).sqrt();
-        let got = whole.std_dev_access_size();
+        let got = whole.access_size().std_dev;
         assert!(
             (got - expected).abs() < 1e-6,
             "sequential std {got} vs {expected}"
@@ -506,13 +454,13 @@ mod tests {
         for shard in &shards {
             merged.merge(shard);
         }
-        let got = merged.std_dev_access_size();
+        let got = merged.access_size().std_dev;
         assert!(
             (got - expected).abs() < 1e-6,
             "merged std {got} vs {expected}"
         );
         assert_eq!(merged.data_ops, whole.data_ops);
-        assert_eq!(merged.mean_access_size(), whole.mean_access_size());
+        assert_eq!(merged.access_size().mean, whole.access_size().mean);
     }
 
     #[test]

@@ -4,7 +4,6 @@
 use crate::UsimError;
 use serde::{Deserialize, Serialize};
 use std::num::NonZeroUsize;
-use std::sync::OnceLock;
 use uswg_distr::DistributionSpec;
 use uswg_fsc::FileCategory;
 use uswg_sim::SchedulerBackend;
@@ -264,19 +263,17 @@ pub struct RunConfig {
     /// byte-identical simulations for the same seed; the calendar queue is
     /// O(1) per event and wins beyond ~100k concurrently pending events
     /// (roughly, users). `None` — the default, and what a freshly written
-    /// spec serializes — resolves at run time to the `USWG_SCHEDULER`
-    /// environment variable or the binary heap, so spec files stay portable
-    /// across backend matrices; set `Some` (or pass `--scheduler` to
-    /// `uswg run`) to pin one explicitly.
+    /// spec serializes — is [`SchedulerBackend::default`], the calendar;
+    /// set `Some` (or pass `--scheduler` to `uswg run`) to pin one
+    /// explicitly.
     #[serde(default)]
     pub scheduler: Option<SchedulerBackend>,
     /// Shards a single DES run across cores: the population is split
     /// round-robin into this many independent DES instances and the
     /// results are merged deterministically (see
     /// [`ShardedDesDriver`](crate::ShardedDesDriver)). `None` — the
-    /// default — resolves to the `USWG_SHARDS` environment variable, and
-    /// when that too is unset runs the exact single-instance simulation
-    /// with one globally contended resource model. `Some(1)` routes
+    /// default — runs the exact single-instance simulation with one
+    /// globally contended resource model. `Some(1)` routes
     /// through the sharded driver with one shard, which replays the exact
     /// path byte for byte; `Some(K > 1)` trades contention fidelity for
     /// wall-clock — each shard owns a private copy of the timing model's
@@ -376,32 +373,10 @@ impl RunConfig {
         self
     }
 
-    /// The backend this run will use: the pinned choice, or the
-    /// process-wide default (`USWG_SCHEDULER`, falling back to the heap).
+    /// The backend this run will use: the pinned choice, or
+    /// [`SchedulerBackend::default`].
     pub fn scheduler_backend(&self) -> SchedulerBackend {
         self.scheduler.unwrap_or_default()
-    }
-
-    /// The shard count this run will use: the pinned choice, or the
-    /// process-wide default from the `USWG_SHARDS` environment variable
-    /// (read once and memoized, so a process cannot observe a mid-run
-    /// change — the same contract as `USWG_SCHEDULER`). `None` means the
-    /// exact unsharded path. This is how CI runs the whole suite as a
-    /// shards matrix without touching any individual test.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `USWG_SHARDS` is set to anything but a positive
-    /// integer — a misconfigured matrix entry must fail loudly.
-    pub fn effective_shards(&self) -> Option<NonZeroUsize> {
-        static CHOICE: OnceLock<Option<NonZeroUsize>> = OnceLock::new();
-        self.shards
-            .or(*CHOICE.get_or_init(|| match std::env::var("USWG_SHARDS") {
-                Ok(v) => Some(v.parse::<NonZeroUsize>().unwrap_or_else(|_| {
-                    panic!("USWG_SHARDS={v:?} is not a shard count (expected a positive integer)")
-                })),
-                Err(_) => None,
-            }))
     }
 }
 

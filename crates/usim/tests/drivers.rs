@@ -6,7 +6,7 @@ use uswg_netfs::{LocalDiskModel, LocalDiskParams, NfsModel, NfsParams, OpKind};
 use uswg_sim::ResourcePool;
 use uswg_usim::{
     CategoryUsage, CompiledPopulation, DesDriver, DirectDriver, PopulationSpec, RunConfig,
-    UserTypeSpec,
+    UsageLog, UserTypeSpec,
 };
 use uswg_vfs::{Vfs, VfsConfig};
 
@@ -191,17 +191,16 @@ fn des_driver_measures_response_times() {
         .with_users(2)
         .with_sessions(3)
         .with_seed(5);
-    let report = DesDriver::new()
-        .run(vfs, catalog, &pop, model, pool, &config)
+    let (log, report) = DesDriver::new()
+        .run_with_sink(vfs, catalog, &pop, model, pool, &config, UsageLog::new())
         .unwrap();
 
     assert_eq!(report.model, "nfs");
-    assert_eq!(report.log.sessions().len(), 6);
+    assert_eq!(log.sessions().len(), 6);
     assert!(report.events > 0);
     assert!(report.duration.micros() > 0);
     // Remote data ops must cost at least the uncontended NFS path.
-    let min_read = report
-        .log
+    let min_read = log
         .ops()
         .iter()
         .filter(|o| o.op == OpKind::Read && o.bytes > 0)
@@ -236,11 +235,11 @@ fn des_contention_raises_response_times() {
             cdf_resolution: 512,
             ..RunConfig::default()
         };
-        let report = DesDriver::new()
-            .run(vfs, catalog, &pop, model, pool, &config)
+        let (log, _) = DesDriver::new()
+            .run_with_sink(vfs, catalog, &pop, model, pool, &config, UsageLog::new())
             .unwrap();
-        let total: u64 = report.log.ops().iter().map(|o| o.response).sum();
-        total as f64 / report.log.ops().len() as f64
+        let total: u64 = log.ops().iter().map(|o| o.response).sum();
+        total as f64 / log.ops().len() as f64
     };
     let one = run(1);
     let four = run(4);
@@ -267,12 +266,12 @@ fn des_and_direct_semantics_agree() {
     let (vfs2, catalog2) = build_fs(1, 8);
     let mut pool = ResourcePool::new();
     let model = Box::new(LocalDiskModel::new(&mut pool, LocalDiskParams::default()));
-    let des = DesDriver::new()
-        .run(vfs2, catalog2, &pop, model, pool, &config)
+    let (des_log, _) = DesDriver::new()
+        .run_with_sink(vfs2, catalog2, &pop, model, pool, &config, UsageLog::new())
         .unwrap();
 
     let seq_direct: Vec<(OpKind, u64)> = direct.ops().iter().map(|o| (o.op, o.bytes)).collect();
-    let seq_des: Vec<(OpKind, u64)> = des.log.ops().iter().map(|o| (o.op, o.bytes)).collect();
+    let seq_des: Vec<(OpKind, u64)> = des_log.ops().iter().map(|o| (o.op, o.bytes)).collect();
     assert_eq!(seq_direct, seq_des);
 }
 
@@ -312,10 +311,10 @@ fn des_driver_honours_a_pre_sealed_weighted_catalog() {
             .with_users(1)
             .with_sessions(6)
             .with_seed(9);
-        let report = DesDriver::new()
-            .run(vfs, catalog, &pop, model, pool, &config)
+        let (log, _) = DesDriver::new()
+            .run_with_sink(vfs, catalog, &pop, model, pool, &config, UsageLog::new())
             .unwrap();
-        report.log.ops().iter().map(|o| o.ino).collect::<Vec<u64>>()
+        log.ops().iter().map(|o| o.ino).collect::<Vec<u64>>()
     };
     let uniform = run(false);
     let zipf = run(true);
@@ -379,8 +378,8 @@ fn summary_sink_matches_collected_log() {
     let (vfs, catalog) = build_fs(2, 9);
     let mut pool = ResourcePool::new();
     let model = Box::new(NfsModel::new(&mut pool, NfsParams::default()));
-    let report = DesDriver::new()
-        .run(vfs, catalog, &pop, model, pool, &config)
+    let (log, report) = DesDriver::new()
+        .run_with_sink(vfs, catalog, &pop, model, pool, &config, UsageLog::new())
         .unwrap();
 
     // Streaming path: same seed, fresh world, SummarySink instead of a log.
@@ -395,12 +394,11 @@ fn summary_sink_matches_collected_log() {
     // equal the same aggregates computed from the materialized log.
     assert_eq!(stats.events, report.events);
     assert_eq!(stats.duration, report.duration);
-    assert_eq!(sink.ops as usize, report.log.ops().len());
-    assert_eq!(sink.sessions as usize, report.log.sessions().len());
-    let log_total: u64 = report.log.ops().iter().map(|o| o.response).sum();
+    assert_eq!(sink.ops as usize, log.ops().len());
+    assert_eq!(sink.sessions as usize, log.sessions().len());
+    let log_total: u64 = log.ops().iter().map(|o| o.response).sum();
     assert_eq!(sink.total_response, log_total);
-    let log_data_bytes: u64 = report
-        .log
+    let log_data_bytes: u64 = log
         .ops()
         .iter()
         .filter(|o| o.op.is_data() && o.bytes > 0)
@@ -447,8 +445,8 @@ fn spill_sink_through_des_driver_is_lossless() {
     let (vfs, catalog) = build_fs(2, 9);
     let mut pool = ResourcePool::new();
     let model = Box::new(NfsModel::new(&mut pool, NfsParams::default()));
-    let report = DesDriver::new()
-        .run(vfs, catalog, &pop, model, pool, &config)
+    let (log, report) = DesDriver::new()
+        .run_with_sink(vfs, catalog, &pop, model, pool, &config, UsageLog::new())
         .unwrap();
 
     // Spilled path: same seed, records stream through the columnar sink
@@ -466,11 +464,11 @@ fn spill_sink_through_des_driver_is_lossless() {
     // materialized: the full-fidelity path survives beyond RAM losslessly.
     let bytes = sink.finish().unwrap();
     let spilled = read_spill(bytes.as_slice()).unwrap();
-    assert_eq!(spilled.ops().len(), report.log.ops().len());
-    assert_eq!(spilled.sessions().len(), report.log.sessions().len());
+    assert_eq!(spilled.ops().len(), log.ops().len());
+    assert_eq!(spilled.sessions().len(), log.sessions().len());
     assert_eq!(
         spilled.to_json().unwrap(),
-        report.log.to_json().unwrap(),
+        log.to_json().unwrap(),
         "spilled stream must reconstruct the identical usage log"
     );
 }

@@ -6,7 +6,7 @@ use uswg_fsc::{CategorySpec, FileCatalog, FileCategory, FileSystemCreator, FillP
 use uswg_netfs::OpKind;
 use uswg_usim::{
     AccessPattern, CategoryUsage, CompiledPopulation, DesDriver, DirectDriver, DiurnalProfile,
-    PhaseModel, PopulationSpec, RunConfig, UserTypeSpec,
+    PhaseModel, PopulationSpec, RunConfig, UsageLog, UserTypeSpec,
 };
 use uswg_vfs::{Vfs, VfsConfig};
 
@@ -148,8 +148,8 @@ fn phase_model_stretches_session_durations() {
             &mut pool,
             uswg_netfs::LocalDiskParams::default(),
         ));
-        let report = DesDriver::new()
-            .run(vfs, catalog, &pop, model, pool, &config)
+        let (_, report) = DesDriver::new()
+            .run_with_sink(vfs, catalog, &pop, model, pool, &config, UsageLog::new())
             .unwrap();
         report.duration.micros()
     };
@@ -176,10 +176,10 @@ fn inter_session_gaps_appear_in_timeline() {
         &mut pool,
         uswg_netfs::LocalDiskParams::default(),
     ));
-    let report = DesDriver::new()
-        .run(vfs, catalog, &pop, model, pool, &config)
+    let (log, _) = DesDriver::new()
+        .run_with_sink(vfs, catalog, &pop, model, pool, &config, UsageLog::new())
         .unwrap();
-    let sessions = report.log.sessions();
+    let sessions = log.sessions();
     assert_eq!(sessions.len(), 3);
     for pair in sessions.windows(2) {
         let gap = pair[1].start - pair[0].end;
@@ -208,10 +208,10 @@ fn diurnal_profile_modulates_gaps() {
         &mut pool,
         uswg_netfs::LocalDiskParams::default(),
     ));
-    let report = DesDriver::new()
-        .run(vfs, catalog, &pop, model, pool, &config)
+    let (log, _) = DesDriver::new()
+        .run_with_sink(vfs, catalog, &pop, model, pool, &config, UsageLog::new())
         .unwrap();
-    let sessions = report.log.sessions();
+    let sessions = log.sessions();
     let gap = sessions[1].start - sessions[0].end;
     assert!(
         (gap as i64 - 360_000_000).abs() < 1_000,
@@ -275,11 +275,11 @@ fn drivers_still_agree_with_extensions_enabled() {
         &mut pool,
         uswg_netfs::LocalDiskParams::default(),
     ));
-    let des = DesDriver::new()
-        .run(vfs2, catalog2, &pop, model, pool, &config)
+    let (des_log, _) = DesDriver::new()
+        .run_with_sink(vfs2, catalog2, &pop, model, pool, &config, UsageLog::new())
         .unwrap();
 
     let a: Vec<(OpKind, u64)> = direct.ops().iter().map(|o| (o.op, o.bytes)).collect();
-    let b: Vec<(OpKind, u64)> = des.log.ops().iter().map(|o| (o.op, o.bytes)).collect();
+    let b: Vec<(OpKind, u64)> = des_log.ops().iter().map(|o| (o.op, o.bytes)).collect();
     assert_eq!(a, b);
 }

@@ -11,7 +11,7 @@
 //! cargo run --release -p uswg-examples --bin compare_filesystems
 //! ```
 
-use uswg_core::experiment::{compare_models, ModelConfig};
+use uswg_core::experiment::{compare_models, ModelConfig, Parallelism};
 use uswg_core::{presets, PopulationSpec, Table, UserTypeSpec, WorkloadSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -94,7 +94,7 @@ fn report(
     spec: &WorkloadSpec,
     candidates: &[ModelConfig],
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let results = compare_models(spec, candidates)?;
+    let results = compare_models(spec, candidates, Parallelism::Auto)?;
     let mut table = Table::new(vec![
         "file system",
         "resp/byte (µs/B)",

@@ -6,10 +6,10 @@
 //! cargo run --release -p uswg-examples --bin extensions_tour
 //! ```
 
-use uswg_core::experiment::{user_sweep, ModelConfig};
+use uswg_core::experiment::{user_sweep, ModelConfig, Parallelism};
 use uswg_core::{
     metrics, presets, AccessPattern, DistributionSpec, DiurnalProfile, PhaseModel, PopulationSpec,
-    Table, UserTypeSpec, WorkloadSpec,
+    Table, UsageLog, UserTypeSpec, WorkloadSpec,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -35,20 +35,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             cats,
         );
         let spec = base.clone().with_population(PopulationSpec::single(user)?);
-        let report = spec.run_des(&ModelConfig::default_nfs())?;
-        let seeks = report
-            .log
+        let (log, _) = spec.run_des(&ModelConfig::default_nfs(), UsageLog::new())?;
+        let seeks = log
             .ops()
             .iter()
             .filter(|o| o.op == uswg_core::OpKind::Seek)
             .count();
         table.row(vec![
             label.to_string(),
-            format!("{:.3}", metrics::response_time_per_byte(&report.log)),
-            format!(
-                "{:.0}%",
-                100.0 * seeks as f64 / report.log.ops().len() as f64
-            ),
+            format!("{:.3}", metrics::response_time_per_byte(&log)),
+            format!("{:.0}%", 100.0 * seeks as f64 / log.ops().len() as f64),
         ]);
     }
     println!("{}", table.render());
@@ -68,11 +64,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             user = user.with_phases(p);
         }
         let spec = base.clone().with_population(PopulationSpec::single(user)?);
-        let report = spec.run_des(&ModelConfig::default_nfs())?;
+        let (log, report) = spec.run_des(&ModelConfig::default_nfs(), UsageLog::new())?;
         table.row(vec![
             label.to_string(),
             format!("{:.2}", report.duration.as_secs_f64()),
-            format!("{:.3}", metrics::response_time_per_byte(&report.log)),
+            format!("{:.3}", metrics::response_time_per_byte(&log)),
         ]);
     }
     println!("{}", table.render());
@@ -83,9 +79,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_inter_session_time(DistributionSpec::exponential(120_000_000.0)) // ~2 min
         .with_diurnal(DiurnalProfile::university_lab());
     let spec = base.clone().with_population(PopulationSpec::single(user)?);
-    let report = spec.run_des(&ModelConfig::default_nfs())?;
-    let mut gaps: Vec<f64> = report
-        .log
+    let (log, _) = spec.run_des(&ModelConfig::default_nfs(), UsageLog::new())?;
+    let mut gaps: Vec<f64> = log
         .sessions()
         .windows(2)
         .filter(|w| w[0].user == w[1].user)
@@ -107,7 +102,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_population(PopulationSpec::single(presets::extremely_heavy_user())?);
     let mut table = Table::new(vec!["servers", "6-user resp/byte (µs/B)"]);
     for servers in [1usize, 2, 4] {
-        let points = user_sweep(&heavy, &ModelConfig::distributed_nfs(servers), [6])?;
+        let points = user_sweep(
+            &heavy,
+            &ModelConfig::distributed_nfs(servers),
+            [6],
+            Parallelism::Auto,
+        )?;
         table.row(vec![
             servers.to_string(),
             format!("{:.3}", points[0].response_per_byte),

@@ -1,4 +1,4 @@
-//! Tour of the memory-flat experiment machinery: summary-mode sweeps,
+//! Tour of the memory-flat experiment machinery: streamed sweeps,
 //! work-stolen replication studies with pooled statistics, and
 //! spill-to-disk full-fidelity runs.
 //!
@@ -6,9 +6,7 @@
 //! cargo run --release --example large_experiments
 //! ```
 
-use uswg_core::experiment::{
-    run_des_replicated, user_sweep_with, ModelConfig, Parallelism, SweepMode,
-};
+use uswg_core::experiment::{run_des_replicated, user_sweep, ModelConfig, Parallelism};
 use uswg_core::{read_spill, SpillSink, SummarySink, WorkloadSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -17,18 +15,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     spec.fsc = spec.fsc.with_files_per_user(20)?.with_shared_files(40)?;
     let model = ModelConfig::default_nfs();
 
-    // 1. A summary-mode sweep: every point streams into running aggregates
-    //    and retains O(1) bytes — the mode that scales to the million-user
+    // 1. A user sweep: every point streams into running aggregates and
+    //    retains O(1) bytes — which is what scales to the million-user
     //    populations the full log cannot hold. Points fan out over the
     //    work-stealing pool; schedules are byte-identical to serial.
-    println!("== summary-mode user sweep (O(1) memory per point) ==");
-    let points = user_sweep_with(
-        &spec,
-        &model,
-        [1, 2, 4, 8],
-        Parallelism::Auto,
-        SweepMode::Summary,
-    )?;
+    println!("== user sweep (O(1) memory per point) ==");
+    let points = user_sweep(&spec, &model, [1, 2, 4, 8], Parallelism::Auto)?;
     for p in &points {
         println!(
             "  {:>3} users: {:.3} µs/B over {} data ops ({} sessions)",
@@ -49,7 +41,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &model,
         spec.run.seed..spec.run.seed + 5,
         Parallelism::Auto,
-        SweepMode::Summary,
     )?;
     println!(
         "  mean response/byte {:.3} ± {:.3} µs/B (95% CI half-width {:.3}, {} seeds)",
@@ -68,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    writes the same frames to disk) and reconstruct the exact log.
     println!("\n== spill-to-disk full-fidelity run ==");
     let sink = SpillSink::new(Vec::new())?;
-    let (sink, stats) = spec.run_des_with_sink(&model, sink)?;
+    let (sink, stats) = spec.run_des(&model, sink)?;
     let bytes = sink.finish()?;
     println!(
         "  {} events simulated; spill stream is {} bytes",

@@ -8,7 +8,7 @@
 //! cargo run --release -p uswg-examples --bin nfs_measurement
 //! ```
 
-use uswg_core::experiment::{user_sweep, ModelConfig};
+use uswg_core::experiment::{user_sweep, ModelConfig, Parallelism};
 use uswg_core::{presets, PopulationSpec, Table, WorkloadSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== Measuring the simulated SUN NFS (Section 5.2) ==\n");
     for (label, population) in populations {
         let spec = base.clone().with_population(population);
-        let points = user_sweep(&spec, &ModelConfig::default_nfs(), 1..=6)?;
+        let points = user_sweep(&spec, &ModelConfig::default_nfs(), 1..=6, Parallelism::Auto)?;
         let mut table = Table::new(vec!["users", "resp/byte (µs/B)", "response µs mean(std)"])
             .with_title(label);
         for p in &points {

@@ -22,7 +22,9 @@ use proptest::prelude::*;
 use std::num::NonZeroUsize;
 use std::sync::Arc;
 use uswg_core::experiment::ModelConfig;
-use uswg_core::{SchedulerBackend, WorkloadSpec};
+use uswg_core::{
+    ChannelSink, CoreError, DesRunStats, OpRecord, SchedulerBackend, UsageLog, WorkloadSpec,
+};
 use uswg_drive::{
     drive, drive_stream, ChannelSource, DriveConfig, DriveError, DriveReport, LoopbackConfig,
     LoopbackVfs, SourceError, SpillSource,
@@ -75,10 +77,26 @@ fn wide_config(queue_cap: usize) -> DriveConfig {
     }
 }
 
+/// Runs the DES on a producer thread feeding a `capacity`-record channel —
+/// the same spawn the CLI's `drive` command does.
+fn spawn_des(
+    spec: &WorkloadSpec,
+    model: &ModelConfig,
+    capacity: usize,
+) -> (
+    std::sync::mpsc::Receiver<OpRecord>,
+    std::thread::JoinHandle<Result<DesRunStats, CoreError>>,
+) {
+    let (sink, rx) = ChannelSink::bounded(capacity);
+    let (spec, model) = (spec.clone(), model.clone());
+    let handle = std::thread::spawn(move || spec.run_des(&model, sink).map(|(_, stats)| stats));
+    (rx, handle)
+}
+
 /// Wraps a live DES producer as a drive source, surfacing its outcome
 /// through the finish hook — the same glue the CLI uses.
 fn des_source(spec: &WorkloadSpec, model: &ModelConfig, capacity: usize) -> ChannelSource {
-    let (rx, handle) = spec.stream_des_ops(model, capacity).into_parts();
+    let (rx, handle) = spawn_des(spec, model, capacity);
     ChannelSource::new(rx).on_finish(Box::new(move || match handle.join() {
         Ok(Ok(_stats)) => Ok(()),
         Ok(Err(e)) => Err(SourceError(format!("DES producer: {e}"))),
@@ -117,7 +135,12 @@ fn streamed_des_drive_matches_materialized_counters() {
     for backend in [SchedulerBackend::Heap, SchedulerBackend::Calendar] {
         for shards in [1usize, 2] {
             let spec = base_spec(3, 2, backend, shards);
-            let ops = spec.run_des(&model).unwrap().log.ops().to_vec();
+            let ops = spec
+                .run_des(&model, UsageLog::new())
+                .unwrap()
+                .0
+                .ops()
+                .to_vec();
             let total = ops.len();
             assert!(total > 0, "backend {backend}, K={shards}: empty workload");
             let config = wide_config(total);
@@ -144,13 +167,18 @@ fn spill_capture_drive_matches_materialized_counters() {
     std::fs::create_dir_all(&dir).unwrap();
     let model = ModelConfig::default_nfs();
     let spec = base_spec(2, 2, SchedulerBackend::Heap, 1);
-    let ops = spec.run_des(&model).unwrap().log.ops().to_vec();
+    let ops = spec
+        .run_des(&model, UsageLog::new())
+        .unwrap()
+        .0
+        .ops()
+        .to_vec();
     let config = wide_config(ops.len());
     let materialized = drive(ops, loopback(), &config).unwrap();
     for codec in [SpillCodec::Raw, SpillCodec::Compressed] {
         let path = dir.join(format!("capture-{codec:?}.bin"));
         let (sink, _stats) = spec
-            .run_des_with_sink(&model, SpillSink::create_with(&path, codec).unwrap())
+            .run_des(&model, SpillSink::create_with(&path, codec).unwrap())
             .unwrap();
         sink.finish().unwrap();
         let streamed =
@@ -179,9 +207,9 @@ fn truncated_capture_drains_and_keeps_the_conservation_identity() {
         64,
     )
     .unwrap();
-    let (sink, _stats) = spec.run_des_with_sink(&model, sink).unwrap();
+    let (sink, _stats) = spec.run_des(&model, sink).unwrap();
     sink.finish().unwrap();
-    let full_ops = spec.run_des(&model).unwrap().log.ops().len() as u64;
+    let full_ops = spec.run_des(&model, UsageLog::new()).unwrap().0.ops().len() as u64;
 
     // Cut mid-file (the same fixture recipe the analyze salvage tests
     // use): the frame prefix is intact, the tail is gone.
@@ -230,9 +258,9 @@ proptest! {
         let mut spec = base_spec(users, sessions, backend, shards);
         spec.run.seed = seed;
         let model = ModelConfig::default_local();
-        let expected = spec.run_des(&model).unwrap().log.ops().to_vec();
+        let expected = spec.run_des(&model, UsageLog::new()).unwrap().0.ops().to_vec();
         // A tiny channel forces real backpressure along the way.
-        let (rx, handle) = spec.stream_des_ops(&model, 8).into_parts();
+        let (rx, handle) = spawn_des(&spec, &model, 8);
         let got: Vec<_> = rx.iter().collect();
         handle.join().expect("producer panicked").expect("producer failed");
         prop_assert_eq!(got, expected);

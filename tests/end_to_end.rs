@@ -4,7 +4,7 @@
 use uswg_core::experiment::ModelConfig;
 use uswg_core::{
     metrics, presets, FillPattern, OpKind, PopulationSpec, SchedulerBackend, Summary, SummarySink,
-    WorkloadSpec,
+    UsageLog, WorkloadSpec,
 };
 
 fn small_spec() -> WorkloadSpec {
@@ -67,8 +67,10 @@ fn generated_file_sizes_track_table_5_1() {
 #[test]
 fn des_response_times_exceed_direct_zero_baseline() {
     let spec = small_spec();
-    let report = spec.run_des(&ModelConfig::default_nfs()).unwrap();
-    let (_, response) = metrics::data_op_summary(&report.log);
+    let (log, _) = spec
+        .run_des(&ModelConfig::default_nfs(), UsageLog::new())
+        .unwrap();
+    let (_, response) = metrics::data_op_summary(&log);
     assert!(response.n > 0);
     assert!(
         response.mean > 500.0,
@@ -108,13 +110,14 @@ fn populations_mix_in_des_runs() {
     let mut spec = small_spec();
     spec.run.n_users = 5;
     spec.population = presets::heavy_light_population(0.8).unwrap();
-    let report = spec.run_des(&ModelConfig::default_local()).unwrap();
+    let (log, _) = spec
+        .run_des(&ModelConfig::default_local(), UsageLog::new())
+        .unwrap();
     let types: std::collections::HashSet<usize> =
-        report.log.sessions().iter().map(|s| s.user_type).collect();
+        log.sessions().iter().map(|s| s.user_type).collect();
     assert_eq!(types.len(), 2, "both user types must appear");
     // 4 heavy users, 1 light user.
-    let heavy_users: std::collections::HashSet<usize> = report
-        .log
+    let heavy_users: std::collections::HashSet<usize> = log
         .sessions()
         .iter()
         .filter(|s| s.user_type == 0)
@@ -187,12 +190,10 @@ fn des_usage_log_is_byte_identical_across_scheduler_backends() {
     let run = |backend| {
         let mut spec = small_spec();
         spec.run.scheduler = Some(backend);
-        let report = spec.run_des(&ModelConfig::default_nfs()).unwrap();
-        (
-            report.events,
-            report.duration,
-            report.log.to_json().unwrap(),
-        )
+        let (log, report) = spec
+            .run_des(&ModelConfig::default_nfs(), UsageLog::new())
+            .unwrap();
+        (report.events, report.duration, log.to_json().unwrap())
     };
     let (heap_events, heap_duration, heap_json) = run(SchedulerBackend::Heap);
     let (cal_events, cal_duration, cal_json) = run(SchedulerBackend::Calendar);
@@ -223,13 +224,11 @@ fn summary_sink_matches_post_hoc_aggregation() {
     let model = ModelConfig::default_nfs();
 
     // Collected path: the standard run with a materialized log.
-    let report = spec.run_des(&model).unwrap();
-    let (access_size, response) = metrics::data_op_summary(&report.log);
+    let (log, report) = spec.run_des(&model, UsageLog::new()).unwrap();
+    let (access_size, response) = metrics::data_op_summary(&log);
 
     // Streaming path: identical pipeline, SummarySink instead of a log.
-    // Through the spec (not the raw driver), so both paths run the same
-    // simulation even when a USWG_SHARDS matrix entry shards them.
-    let (sink, stats) = spec.run_des_with_sink(&model, SummarySink::new()).unwrap();
+    let (sink, stats) = spec.run_des(&model, SummarySink::new()).unwrap();
 
     assert_eq!(stats.events, report.events);
     assert_eq!(sink.data_ops as usize, access_size.n);
@@ -241,24 +240,24 @@ fn summary_sink_matches_post_hoc_aggregation() {
         );
     };
     close(
-        sink.mean_access_size(),
+        sink.access_size().mean,
         access_size.mean,
         "access-size mean",
     );
     close(
-        sink.std_dev_access_size(),
+        sink.access_size().std_dev,
         access_size.std_dev,
         "access-size std dev",
     );
-    close(sink.mean_response(), response.mean, "response mean");
+    close(sink.response().mean, response.mean, "response mean");
     close(
-        sink.std_dev_response(),
+        sink.response().std_dev,
         response.std_dev,
         "response std dev",
     );
     close(
         sink.response_per_byte(),
-        metrics::response_time_per_byte(&report.log),
+        metrics::response_time_per_byte(&log),
         "response per byte",
     );
 }

@@ -2,7 +2,10 @@
 //! these are the acceptance criteria of DESIGN.md §4 (who wins, slopes,
 //! crossovers), run small enough for CI.
 
-use uswg_core::experiment::{access_size_sweep, compare_models, user_sweep, ModelConfig};
+use uswg_core::experiment::{
+    access_size_sweep, compare_models, mix_sweep, run_des_replicated, user_sweep, ModelConfig,
+    Parallelism,
+};
 use uswg_core::{presets, FillPattern, NfsParams, PopulationSpec, WorkloadSpec};
 
 fn base_spec() -> WorkloadSpec {
@@ -13,12 +16,8 @@ fn base_spec() -> WorkloadSpec {
     spec.run.sessions_per_user = 8;
     // These tests assert the paper's *contended* queueing shapes (response
     // grows with users because everyone queues behind one server), so they
-    // pin the single-shard path: K = 1 replays the exact fully contended
-    // simulation even under a USWG_SHARDS matrix entry, whereas K > 1
-    // deliberately severs cross-shard contention and would flatten every
-    // curve measured here. The sharded regime has its own suite
+    // run unsharded; the sharded regime has its own suite
     // (tests/shard_equivalence.rs).
-    spec.run.shards = Some(std::num::NonZeroUsize::new(1).unwrap());
     spec.fsc = spec
         .fsc
         .with_files_per_user(15)
@@ -33,7 +32,13 @@ fn base_spec() -> WorkloadSpec {
 fn figure_5_6_shape_linear_growth_under_saturation() {
     let spec = base_spec()
         .with_population(PopulationSpec::single(presets::extremely_heavy_user()).unwrap());
-    let points = user_sweep(&spec, &ModelConfig::default_nfs(), [1, 2, 4, 6]).unwrap();
+    let points = user_sweep(
+        &spec,
+        &ModelConfig::default_nfs(),
+        [1, 2, 4, 6],
+        Parallelism::Auto,
+    )
+    .unwrap();
     let rpb: Vec<f64> = points.iter().map(|p| p.response_per_byte).collect();
     // Strictly increasing.
     for w in rpb.windows(2) {
@@ -51,8 +56,20 @@ fn figures_5_7_to_5_11_shape_think_time_flattens_curves() {
     let heavy_spec = base_spec()
         .with_population(PopulationSpec::single(presets::extremely_heavy_user()).unwrap());
     let light_spec = base_spec().with_population(presets::heavy_light_population(0.0).unwrap());
-    let heavy = user_sweep(&heavy_spec, &ModelConfig::default_nfs(), [1, 6]).unwrap();
-    let light = user_sweep(&light_spec, &ModelConfig::default_nfs(), [1, 6]).unwrap();
+    let heavy = user_sweep(
+        &heavy_spec,
+        &ModelConfig::default_nfs(),
+        [1, 6],
+        Parallelism::Auto,
+    )
+    .unwrap();
+    let light = user_sweep(
+        &light_spec,
+        &ModelConfig::default_nfs(),
+        [1, 6],
+        Parallelism::Auto,
+    )
+    .unwrap();
     let heavy_slope = heavy[1].response_per_byte - heavy[0].response_per_byte;
     let light_slope = light[1].response_per_byte - light[0].response_per_byte;
     assert!(
@@ -67,8 +84,8 @@ fn paper_observation_5000_and_20000_think_times_are_similar() {
     // 20000-microsecond think time" (Section 5.2).
     let heavy = base_spec().with_population(presets::heavy_light_population(1.0).unwrap());
     let light = base_spec().with_population(presets::heavy_light_population(0.0).unwrap());
-    let h = user_sweep(&heavy, &ModelConfig::default_nfs(), [4]).unwrap();
-    let l = user_sweep(&light, &ModelConfig::default_nfs(), [4]).unwrap();
+    let h = user_sweep(&heavy, &ModelConfig::default_nfs(), [4], Parallelism::Auto).unwrap();
+    let l = user_sweep(&light, &ModelConfig::default_nfs(), [4], Parallelism::Auto).unwrap();
     let ratio = h[0].response_per_byte / l[0].response_per_byte;
     assert!(
         (0.5..=2.2).contains(&ratio),
@@ -83,6 +100,7 @@ fn figure_5_12_shape_larger_accesses_amortize() {
         &spec,
         &ModelConfig::default_nfs(),
         [128.0, 256.0, 512.0, 1024.0, 2048.0],
+        Parallelism::Auto,
     )
     .unwrap();
     let rpb: Vec<f64> = points.iter().map(|p| p.response_per_byte).collect();
@@ -99,7 +117,13 @@ fn figure_5_12_shape_larger_accesses_amortize() {
 #[test]
 fn table_5_3_shape_response_grows_and_spreads() {
     let spec = base_spec().with_population(presets::heavy_light_population(1.0).unwrap());
-    let points = user_sweep(&spec, &ModelConfig::default_nfs(), [1, 6]).unwrap();
+    let points = user_sweep(
+        &spec,
+        &ModelConfig::default_nfs(),
+        [1, 6],
+        Parallelism::Auto,
+    )
+    .unwrap();
     // Mean access size tracks the exp(1024) spec within sampling noise,
     // regardless of user count (paper's access-size column is flat).
     for p in &points {
@@ -164,6 +188,7 @@ fn section_5_3_model_ranking_depends_on_workload() {
             ModelConfig::default_nfs(),
             ModelConfig::WholeFile(small_cache),
         ],
+        Parallelism::Auto,
     )
     .unwrap();
     let nfs = results[0].1.response_per_byte;
@@ -191,6 +216,7 @@ fn section_5_3_model_ranking_depends_on_workload() {
             ModelConfig::default_nfs(),
             ModelConfig::default_whole_file(),
         ],
+        Parallelism::Auto,
     )
     .unwrap();
     let nfs = results[0].1.response_per_byte;
@@ -208,8 +234,20 @@ fn distributed_nfs_flattens_the_user_sweep() {
     // saturation curve flattens as servers are added.
     let spec = base_spec()
         .with_population(PopulationSpec::single(presets::extremely_heavy_user()).unwrap());
-    let one = user_sweep(&spec, &ModelConfig::distributed_nfs(1), [1, 6]).unwrap();
-    let three = user_sweep(&spec, &ModelConfig::distributed_nfs(3), [1, 6]).unwrap();
+    let one = user_sweep(
+        &spec,
+        &ModelConfig::distributed_nfs(1),
+        [1, 6],
+        Parallelism::Auto,
+    )
+    .unwrap();
+    let three = user_sweep(
+        &spec,
+        &ModelConfig::distributed_nfs(3),
+        [1, 6],
+        Parallelism::Auto,
+    )
+    .unwrap();
     let growth_one = one[1].response_per_byte / one[0].response_per_byte;
     let growth_three = three[1].response_per_byte / three[0].response_per_byte;
     assert!(
@@ -246,12 +284,14 @@ fn random_access_pattern_costs_more_per_byte() {
         &mk(uswg_core::AccessPattern::Sequential),
         &ModelConfig::default_nfs(),
         [2],
+        Parallelism::Auto,
     )
     .unwrap();
     let rnd = user_sweep(
         &mk(uswg_core::AccessPattern::Random),
         &ModelConfig::default_nfs(),
         [2],
+        Parallelism::Auto,
     )
     .unwrap();
     assert!(
@@ -265,8 +305,20 @@ fn random_access_pattern_costs_more_per_byte() {
 #[test]
 fn client_cache_ablation_reduces_response() {
     let spec = base_spec().with_population(presets::heavy_light_population(1.0).unwrap());
-    let without = user_sweep(&spec, &ModelConfig::Nfs(NfsParams::default()), [2]).unwrap();
-    let with = user_sweep(&spec, &ModelConfig::Nfs(NfsParams::with_cache(4_096)), [2]).unwrap();
+    let without = user_sweep(
+        &spec,
+        &ModelConfig::Nfs(NfsParams::default()),
+        [2],
+        Parallelism::Auto,
+    )
+    .unwrap();
+    let with = user_sweep(
+        &spec,
+        &ModelConfig::Nfs(NfsParams::with_cache(4_096)),
+        [2],
+        Parallelism::Auto,
+    )
+    .unwrap();
     assert!(
         with[0].response_per_byte < without[0].response_per_byte,
         "client cache must help: {} vs {}",
@@ -285,6 +337,7 @@ fn local_disk_always_beats_remote_models() {
             ModelConfig::default_nfs(),
             ModelConfig::default_whole_file(),
         ],
+        Parallelism::Auto,
     )
     .unwrap();
     let local = results[0].1.response_per_byte;
@@ -299,82 +352,67 @@ fn local_disk_always_beats_remote_models() {
 
 #[test]
 fn parallel_sweeps_match_serial() {
-    use uswg_core::experiment::{
-        access_size_sweep_with, compare_models_with, mix_sweep_with, user_sweep_with, Parallelism,
-        SweepMode,
-    };
-
     let spec = base_spec()
         .with_population(PopulationSpec::single(presets::extremely_heavy_user()).unwrap());
 
     // Every point is independently seeded from run.seed, so fanning points
     // across threads must reproduce the serial results byte for byte.
-    let serial = user_sweep_with(
+    let serial = user_sweep(
         &spec,
         &ModelConfig::default_nfs(),
         [1, 2, 3, 4],
         Parallelism::Serial,
-        SweepMode::Summary,
     )
     .unwrap();
-    let parallel = user_sweep_with(
+    let parallel = user_sweep(
         &spec,
         &ModelConfig::default_nfs(),
         [1, 2, 3, 4],
         Parallelism::Threads(4),
-        SweepMode::Summary,
     )
     .unwrap();
     assert_eq!(serial, parallel);
 
-    let serial = access_size_sweep_with(
+    let serial = access_size_sweep(
         &spec,
         &ModelConfig::default_nfs(),
         [128.0, 512.0, 2048.0],
         Parallelism::Serial,
-        SweepMode::Summary,
     )
     .unwrap();
-    let parallel = access_size_sweep_with(
+    let parallel = access_size_sweep(
         &spec,
         &ModelConfig::default_nfs(),
         [128.0, 512.0, 2048.0],
         Parallelism::Threads(3),
-        SweepMode::Summary,
     )
     .unwrap();
     assert_eq!(serial, parallel);
 
-    let serial = mix_sweep_with(
+    let serial = mix_sweep(
         &base_spec(),
         &ModelConfig::default_nfs(),
         [0.0, 0.5, 1.0],
         Parallelism::Serial,
-        SweepMode::Summary,
     )
     .unwrap();
-    let parallel = mix_sweep_with(
+    let parallel = mix_sweep(
         &base_spec(),
         &ModelConfig::default_nfs(),
         [0.0, 0.5, 1.0],
         Parallelism::Threads(3),
-        SweepMode::Summary,
     )
     .unwrap();
     assert_eq!(serial, parallel);
 
     let models = [ModelConfig::default_local(), ModelConfig::default_nfs()];
-    let serial =
-        compare_models_with(&spec, &models, Parallelism::Serial, SweepMode::Summary).unwrap();
-    let parallel =
-        compare_models_with(&spec, &models, Parallelism::Threads(2), SweepMode::Summary).unwrap();
+    let serial = compare_models(&spec, &models, Parallelism::Serial).unwrap();
+    let parallel = compare_models(&spec, &models, Parallelism::Threads(2)).unwrap();
     assert_eq!(serial, parallel);
 }
 
 #[test]
 fn replicated_runs_quantify_seed_spread() {
-    use uswg_core::experiment::{run_des_replicated, Parallelism, SweepMode};
-
     let spec = base_spec()
         .with_population(PopulationSpec::single(presets::extremely_heavy_user()).unwrap());
     let study = run_des_replicated(
@@ -382,7 +420,6 @@ fn replicated_runs_quantify_seed_spread() {
         &ModelConfig::default_nfs(),
         [101u64, 202, 303, 404],
         Parallelism::Auto,
-        SweepMode::Summary,
     )
     .unwrap();
     assert_eq!(study.replicates.len(), 4);

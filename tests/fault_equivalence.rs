@@ -18,8 +18,8 @@ use proptest::prelude::*;
 use std::num::NonZeroUsize;
 use uswg_core::experiment::ModelConfig;
 use uswg_core::{
-    DesDriver, DesReport, FaultSpec, ResourcePool, RetryPolicy, SchedulerBackend, SummarySink,
-    WorkloadSpec,
+    DesDriver, DesRunStats, FaultSpec, ResourcePool, RetryPolicy, SchedulerBackend, SummarySink,
+    UsageLog, WorkloadSpec,
 };
 
 fn nz(k: usize) -> NonZeroUsize {
@@ -60,26 +60,34 @@ fn heavy_faults() -> FaultSpec {
 }
 
 /// The unsharded oracle: one DES instance, one globally contended model.
-fn unsharded_report(spec: &WorkloadSpec, model: &ModelConfig) -> DesReport {
+fn unsharded_report(spec: &WorkloadSpec, model: &ModelConfig) -> (UsageLog, DesRunStats) {
     let (vfs, catalog) = spec.generate_fs().unwrap();
     let population = spec.compile().unwrap();
     let mut pool = ResourcePool::new();
     let m = model.build(&mut pool);
     DesDriver::new()
-        .run(vfs, catalog, &population, m, pool, &spec.run)
+        .run_with_sink(
+            vfs,
+            catalog,
+            &population,
+            m,
+            pool,
+            &spec.run,
+            UsageLog::new(),
+        )
         .unwrap()
 }
 
-fn sharded_report(spec: &WorkloadSpec, model: &ModelConfig, k: usize) -> DesReport {
+fn sharded_report(spec: &WorkloadSpec, model: &ModelConfig, k: usize) -> (UsageLog, DesRunStats) {
     let mut s = spec.clone();
     s.run.shards = Some(nz(k));
-    s.run_des(model).unwrap()
+    s.run_des(model, UsageLog::new()).unwrap()
 }
 
 fn sharded_summary(spec: &WorkloadSpec, model: &ModelConfig, k: usize) -> SummarySink {
     let mut s = spec.clone();
     s.run.shards = Some(nz(k));
-    s.run_des_summary(model).unwrap().0
+    s.run_des(model, SummarySink::new()).unwrap().0
 }
 
 /// With faults enabled, K = 1 through the sharded driver still replays the
@@ -90,20 +98,20 @@ fn faulted_one_shard_is_byte_identical_to_the_unsharded_driver() {
         let mut spec = fault_spec(3, 2, heavy_faults());
         spec.run.scheduler = Some(backend);
         let model = ModelConfig::default_nfs();
-        let exact = unsharded_report(&spec, &model);
-        let sharded = sharded_report(&spec, &model, 1);
+        let (exact_log, _) = unsharded_report(&spec, &model);
+        let (sharded_log, _) = sharded_report(&spec, &model, 1);
         assert_eq!(
-            exact.log.to_json().unwrap(),
-            sharded.log.to_json().unwrap(),
+            exact_log.to_json().unwrap(),
+            sharded_log.to_json().unwrap(),
             "backend {backend}: faulted K=1 must replay the unsharded log byte for byte"
         );
         // The faulted run really is faulted — the oracle is not vacuous.
         assert!(
-            exact.log.ops().iter().any(|op| op.retries > 0),
+            exact_log.ops().iter().any(|op| op.retries > 0),
             "backend {backend}: heavy fault mix must produce retries"
         );
         assert!(
-            exact.log.ops().iter().any(|op| op.aborted),
+            exact_log.ops().iter().any(|op| op.aborted),
             "backend {backend}: max_attempts=2 at 15% fault rate must abort some op"
         );
     }
@@ -117,7 +125,7 @@ fn faulted_merged_log_is_worker_and_backend_invariant() {
     let model = ModelConfig::default_nfs();
     let reference = {
         let spec = fault_spec(6, 2, heavy_faults());
-        sharded_report(&spec, &model, 4).log.to_json().unwrap()
+        sharded_report(&spec, &model, 4).0.to_json().unwrap()
     };
     for backend in [SchedulerBackend::Heap, SchedulerBackend::Calendar] {
         for workers in [1usize, 3, 8] {
@@ -138,11 +146,11 @@ fn faulted_merged_log_is_worker_and_backend_invariant() {
                     }
                 })
                 .collect();
-            let report = uswg_core::ShardedDesDriver::with_workers(workers)
-                .run(&population, &spec.run, nz(4), envs)
+            let (log, _) = uswg_core::ShardedDesDriver::with_workers(workers)
+                .run(&population, &spec.run, nz(4), envs, UsageLog::new())
                 .unwrap();
             assert_eq!(
-                report.log.to_json().unwrap(),
+                log.to_json().unwrap(),
                 reference,
                 "workers={workers} backend={backend}"
             );
@@ -158,12 +166,8 @@ fn default_fault_spec_produces_no_fault_outcomes() {
     let spec = fault_spec(3, 2, FaultSpec::default());
     assert!(!spec.run.faults.enabled());
     let model = ModelConfig::default_nfs();
-    let report = unsharded_report(&spec, &model);
-    assert!(report
-        .log
-        .ops()
-        .iter()
-        .all(|op| op.retries == 0 && !op.aborted));
+    let (log, _) = unsharded_report(&spec, &model);
+    assert!(log.ops().iter().all(|op| op.retries == 0 && !op.aborted));
     let summary = sharded_summary(&spec, &model, 2);
     assert_eq!(summary.retries, 0);
     assert_eq!(summary.aborted_ops, 0);
@@ -180,9 +184,9 @@ fn fault_tallies_agree_between_log_and_summary_at_any_k() {
     let spec = fault_spec(5, 2, heavy_faults());
     let model = ModelConfig::default_nfs();
     for k in [1usize, 2, 3] {
-        let report = sharded_report(&spec, &model, k);
+        let (log, _) = sharded_report(&spec, &model, k);
         let mut replayed = SummarySink::new();
-        for op in report.log.ops() {
+        for op in log.ops() {
             uswg_core::LogSink::record_op(&mut replayed, op);
         }
         let merged = sharded_summary(&spec, &model, k);
@@ -229,11 +233,11 @@ proptest! {
         let model = ModelConfig::default_nfs();
         let mut spec = fault_spec(4, 1, faults);
         spec.run.seed = seed;
-        let first = sharded_report(&spec, &model, k).log.to_json().unwrap();
-        let second = sharded_report(&spec, &model, k).log.to_json().unwrap();
+        let first = sharded_report(&spec, &model, k).0.to_json().unwrap();
+        let second = sharded_report(&spec, &model, k).0.to_json().unwrap();
         prop_assert_eq!(&first, &second, "same (spec, seed, K) must replay");
         spec.run.scheduler = Some(SchedulerBackend::Calendar);
-        let calendar = sharded_report(&spec, &model, k).log.to_json().unwrap();
+        let calendar = sharded_report(&spec, &model, k).0.to_json().unwrap();
         prop_assert_eq!(&first, &calendar, "backend must be unobservable");
     }
 }

@@ -17,7 +17,7 @@ use std::path::Path;
 use uswg_core::experiment::ModelConfig;
 use uswg_core::{
     collect_fit, gof, presets, synthesize_spec, FitObservation, OpKind, PopulationSpec,
-    ScanOptions, SchedulerBackend, SpillCodec, SpillSink, SynthesisOptions, WorkloadSpec,
+    ScanOptions, SchedulerBackend, SpillCodec, SpillSink, SynthesisOptions, UsageLog, WorkloadSpec,
 };
 
 /// Source spec 1: the paper-default heavy-user population, shrunk to a
@@ -60,10 +60,7 @@ fn unique_dir(label: &str) -> std::path::PathBuf {
     use std::sync::atomic::{AtomicUsize, Ordering};
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "uswg-fit-rt-{label}-{}-{n}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("uswg-fit-rt-{label}-{}-{n}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -74,9 +71,7 @@ fn unique_dir(label: &str) -> std::path::PathBuf {
 fn capture(spec: &WorkloadSpec, path: &Path, codec: SpillCodec, indexed: bool) {
     let sink = SpillSink::create_with(path, codec).unwrap();
     let sink = if indexed { sink } else { sink.without_index() };
-    let (sink, _stats) = spec
-        .run_des_with_sink(&ModelConfig::default_local(), sink)
-        .unwrap();
+    let (sink, _stats) = spec.run_des(&ModelConfig::default_local(), sink).unwrap();
     sink.finish().unwrap();
 }
 
@@ -150,7 +145,10 @@ fn roundtrip(
     let fitted = synthesize_spec(&source, &SynthesisOptions::default())
         .unwrap_or_else(|e| panic!("{label}: synthesize failed: {e}"));
     assert_eq!(fitted.spec.run.n_users, spec.run.n_users);
-    assert_eq!(fitted.spec.run.sessions_per_user, spec.run.sessions_per_user);
+    assert_eq!(
+        fitted.spec.run.sessions_per_user,
+        spec.run.sessions_per_user
+    );
 
     // The fitted spec runs unsharded on its own seed — the oracle compares
     // workload statistics, not event interleavings.
@@ -288,11 +286,11 @@ fn roundtrip_recovers_two_user_types() {
     let total: f64 = fitted.spec.population.types().iter().map(|&(_, f)| f).sum();
     assert!((total - 1.0).abs() < 1e-9);
     // And the fitted spec runs.
-    let report = fitted
+    let (log, _) = fitted
         .spec
-        .run_des(&ModelConfig::default_local())
+        .run_des(&ModelConfig::default_local(), UsageLog::new())
         .unwrap();
-    assert!(!report.log.sessions().is_empty());
+    assert!(!log.sessions().is_empty());
     std::fs::remove_dir_all(&dir).ok();
 }
 

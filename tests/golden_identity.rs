@@ -33,7 +33,7 @@ use std::path::{Path, PathBuf};
 use uswg_core::experiment::ModelConfig;
 use uswg_core::{
     DesDriver, FaultSpec, FrameIndex, Owner, PopulationSpec, ResourcePool, SchedulerBackend,
-    SpillSink, SummarySink, UsageClass, WorkloadSpec,
+    SpillSink, SummarySink, UsageClass, UsageLog, WorkloadSpec,
 };
 
 fn nz(k: usize) -> NonZeroUsize {
@@ -83,9 +83,9 @@ fn capture(k: usize, backend: SchedulerBackend) -> (String, Vec<u8>) {
     let spec = golden_spec(k, backend);
     let model = ModelConfig::default_nfs();
     let log_json = spec
-        .run_des(&model)
+        .run_des(&model, UsageLog::new())
         .expect("run succeeds")
-        .log
+        .0
         .to_json()
         .expect("log serializes");
     let spill_path = std::env::temp_dir().join(format!(
@@ -96,7 +96,7 @@ fn capture(k: usize, backend: SchedulerBackend) -> (String, Vec<u8>) {
         SummarySink::new(),
         SpillSink::create(&spill_path).expect("spill sink"),
     );
-    let ((_, spill_sink), _) = spec.run_des_with_sink(&model, sink).expect("run succeeds");
+    let ((_, spill_sink), _) = spec.run_des(&model, sink).expect("run succeeds");
     spill_sink.finish().expect("spill seals");
     let bytes = std::fs::read(&spill_path).expect("spill readable");
     let _ = std::fs::remove_file(&spill_path);
@@ -235,17 +235,17 @@ proptest! {
     ) {
         let spec = read_only_spec(users, sessions, seed);
         let direct = spec.run_direct().expect("direct run");
-        // The unsharded oracle dodge: the raw driver ignores USWG_SHARDS.
+        // The raw driver, so the oracle shares no plumbing with `run_des`.
         let (vfs, catalog) = spec.generate_fs().expect("fs builds");
         let population = spec.compile().expect("compiles");
         let mut pool = ResourcePool::new();
         let model = ModelConfig::default_local().build(&mut pool);
-        let des = DesDriver::new()
-            .run(vfs, catalog, &population, model, pool, &spec.run)
+        let (des_log, _) = DesDriver::new()
+            .run_with_sink(vfs, catalog, &population, model, pool, &spec.run, UsageLog::new())
             .expect("des run");
         for user in 0..users {
             prop_assert_eq!(
-                op_shapes(&des.log, user),
+                op_shapes(&des_log, user),
                 op_shapes(&direct, user),
                 "user {} op stream diverged between drivers",
                 user

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use uswg_core::experiment::ModelConfig;
 use uswg_core::{
     metrics, CategorySpec, CategoryUsage, DistributionSpec, FileCategory, FillPattern, FscSpec,
-    PopulationSpec, RunConfig, UserTypeSpec, VfsConfig, WorkloadSpec,
+    PopulationSpec, RunConfig, UsageLog, UserTypeSpec, VfsConfig, WorkloadSpec,
 };
 
 /// A small random-but-valid workload spec.
@@ -107,14 +107,14 @@ proptest! {
             1 => ModelConfig::default_nfs(),
             _ => ModelConfig::default_whole_file(),
         };
-        let report = spec.run_des(&model).expect("run succeeds");
+        let (log, report) = spec.run_des(&model, UsageLog::new()).expect("run succeeds");
         let mut last_at = std::collections::HashMap::new();
-        for op in report.log.ops() {
+        for op in log.ops() {
             let prev = last_at.insert(op.user, op.at).unwrap_or(0);
             prop_assert!(op.at >= prev, "issue times must be monotone per user");
         }
         // Total simulated duration bounds every op's completion.
-        for op in report.log.ops() {
+        for op in log.ops() {
             prop_assert!(op.at + op.response <= report.duration.micros());
         }
     }
@@ -135,10 +135,9 @@ proptest! {
     /// Response-time-per-byte is finite and positive whenever data moved.
     #[test]
     fn response_per_byte_is_sane(spec in spec_strategy()) {
-        let report = spec.run_des(&ModelConfig::default_nfs()).expect("run succeeds");
-        let rpb = metrics::response_time_per_byte(&report.log);
-        let moved: u64 = report
-            .log
+        let (log, _) = spec.run_des(&ModelConfig::default_nfs(), UsageLog::new()).expect("run succeeds");
+        let rpb = metrics::response_time_per_byte(&log);
+        let moved: u64 = log
             .ops()
             .iter()
             .filter(|o| o.op.is_data())

@@ -14,14 +14,14 @@
 //!   model. `shards: None` (or K = 1) remains the exact path.
 //!
 //! The unsharded oracle is always the raw [`DesDriver`], bypassing
-//! `WorkloadSpec::run_des`, so the baseline stays exact even when the CI
-//! matrix sets `USWG_SHARDS` for the whole process.
+//! `WorkloadSpec::run_des`, so the baseline shares no shard plumbing with
+//! the runs it checks.
 
 use proptest::prelude::*;
 use std::num::NonZeroUsize;
 use uswg_core::experiment::ModelConfig;
 use uswg_core::{
-    merge_shard_logs, shard_model_seed, DesDriver, DesReport, OpRecord, Owner, PopulationSpec,
+    merge_shard_logs, shard_model_seed, DesDriver, DesRunStats, OpRecord, Owner, PopulationSpec,
     ResourcePool, SchedulerBackend, ShardPlan, SummarySink, UsageClass, UsageLog, WorkloadSpec,
 };
 
@@ -57,13 +57,21 @@ fn base_spec(users: usize, sessions: u32, shared_read_only: bool) -> WorkloadSpe
 }
 
 /// The unsharded oracle: one DES instance, one globally contended model.
-fn unsharded_report(spec: &WorkloadSpec, model: &ModelConfig) -> DesReport {
+fn unsharded_report(spec: &WorkloadSpec, model: &ModelConfig) -> (UsageLog, DesRunStats) {
     let (vfs, catalog) = spec.generate_fs().unwrap();
     let population = spec.compile().unwrap();
     let mut pool = ResourcePool::new();
     let m = model.build(&mut pool);
     DesDriver::new()
-        .run(vfs, catalog, &population, m, pool, &spec.run)
+        .run_with_sink(
+            vfs,
+            catalog,
+            &population,
+            m,
+            pool,
+            &spec.run,
+            UsageLog::new(),
+        )
         .unwrap()
 }
 
@@ -88,16 +96,16 @@ fn unsharded_summary(spec: &WorkloadSpec, model: &ModelConfig) -> SummarySink {
     sink
 }
 
-fn sharded_report(spec: &WorkloadSpec, model: &ModelConfig, k: usize) -> DesReport {
+fn sharded_report(spec: &WorkloadSpec, model: &ModelConfig, k: usize) -> (UsageLog, DesRunStats) {
     let mut s = spec.clone();
     s.run.shards = Some(nz(k));
-    s.run_des(model).unwrap()
+    s.run_des(model, UsageLog::new()).unwrap()
 }
 
 fn sharded_summary(spec: &WorkloadSpec, model: &ModelConfig, k: usize) -> SummarySink {
     let mut s = spec.clone();
     s.run.shards = Some(nz(k));
-    s.run_des_summary(model).unwrap().0
+    s.run_des(model, SummarySink::new()).unwrap().0
 }
 
 fn rel(a: f64, b: f64) -> f64 {
@@ -115,11 +123,11 @@ fn one_shard_is_byte_identical_to_the_unsharded_driver() {
         let mut spec = base_spec(3, 2, false);
         spec.run.scheduler = Some(backend);
         let model = ModelConfig::default_nfs();
-        let exact = unsharded_report(&spec, &model);
-        let sharded = sharded_report(&spec, &model, 1);
+        let (exact_log, exact) = unsharded_report(&spec, &model);
+        let (sharded_log, sharded) = sharded_report(&spec, &model, 1);
         assert_eq!(
-            exact.log.to_json().unwrap(),
-            sharded.log.to_json().unwrap(),
+            exact_log.to_json().unwrap(),
+            sharded_log.to_json().unwrap(),
             "backend {backend}: K=1 must replay the unsharded log byte for byte"
         );
         assert_eq!(exact.resources, sharded.resources, "backend {backend}");
@@ -159,33 +167,33 @@ fn merged_summaries_match_unsharded_op_stream_stats() {
         );
         // Float moments of access sizes: 1e-9 (merge order only).
         assert!(
-            rel(merged.mean_access_size(), exact.mean_access_size()) < 1e-9,
+            rel(merged.access_size().mean, exact.access_size().mean) < 1e-9,
             "K={k}: access mean {} vs {}",
-            merged.mean_access_size(),
-            exact.mean_access_size()
+            merged.access_size().mean,
+            exact.access_size().mean
         );
         assert!(
-            rel(merged.std_dev_access_size(), exact.std_dev_access_size()) < 1e-9,
+            rel(merged.access_size().std_dev, exact.access_size().std_dev) < 1e-9,
             "K={k}"
         );
-        assert_eq!(merged.min_access_size(), exact.min_access_size(), "K={k}");
-        assert_eq!(merged.max_access_size(), exact.max_access_size(), "K={k}");
+        assert_eq!(merged.access_size().min, exact.access_size().min, "K={k}");
+        assert_eq!(merged.access_size().max, exact.access_size().max, "K={k}");
         // Response times: statistically preserved only. Sharding removes
         // cross-shard queueing, so the merged mean must stay in the same
         // regime (between the service floor and the fully contended mean)
         // — a loose, deterministic sanity band, not an equality.
-        assert!(merged.mean_response() > 0.0, "K={k}");
+        assert!(merged.response().mean > 0.0, "K={k}");
         assert!(
-            merged.mean_response() <= exact.mean_response() * 1.05,
+            merged.response().mean <= exact.response().mean * 1.05,
             "K={k}: sharding must not add contention ({} vs {})",
-            merged.mean_response(),
-            exact.mean_response()
+            merged.response().mean,
+            exact.response().mean
         );
         assert!(
-            rel(merged.mean_response(), exact.mean_response()) < 0.5,
+            rel(merged.response().mean, exact.response().mean) < 0.5,
             "K={k}: response regime shifted: {} vs {}",
-            merged.mean_response(),
-            exact.mean_response()
+            merged.response().mean,
+            exact.response().mean
         );
     }
 }
@@ -199,7 +207,7 @@ fn merged_log_is_worker_and_backend_invariant() {
     let model = ModelConfig::default_nfs();
     let reference = {
         let spec = base_spec(6, 2, false);
-        sharded_report(&spec, &model, 4).log.to_json().unwrap()
+        sharded_report(&spec, &model, 4).0.to_json().unwrap()
     };
     for backend in [SchedulerBackend::Heap, SchedulerBackend::Calendar] {
         for workers in [1usize, 2, 3, 8] {
@@ -220,11 +228,11 @@ fn merged_log_is_worker_and_backend_invariant() {
                     }
                 })
                 .collect();
-            let report = uswg_core::ShardedDesDriver::with_workers(workers)
-                .run(&population, &spec.run, nz(4), envs)
+            let (log, _) = uswg_core::ShardedDesDriver::with_workers(workers)
+                .run(&population, &spec.run, nz(4), envs, UsageLog::new())
                 .unwrap();
             assert_eq!(
-                report.log.to_json().unwrap(),
+                log.to_json().unwrap(),
                 reference,
                 "workers={workers} backend={backend}"
             );
@@ -241,12 +249,12 @@ fn sharded_full_log_and_summary_modes_agree() {
     let spec = base_spec(5, 2, false);
     let model = ModelConfig::default_nfs();
     for k in [2usize, 3] {
-        let report = sharded_report(&spec, &model, k);
+        let (log, _) = sharded_report(&spec, &model, k);
         let mut replayed = SummarySink::new();
-        for op in report.log.ops() {
+        for op in log.ops() {
             uswg_core::LogSink::record_op(&mut replayed, op);
         }
-        for session in report.log.sessions() {
+        for session in log.sessions() {
             uswg_core::LogSink::record_session(&mut replayed, session);
         }
         let merged = sharded_summary(&spec, &model, k);
@@ -255,40 +263,25 @@ fn sharded_full_log_and_summary_modes_agree() {
         assert_eq!(replayed.data_bytes, merged.data_bytes, "K={k}");
         assert_eq!(replayed.total_response, merged.total_response, "K={k}");
         assert_eq!(replayed.sessions, merged.sessions, "K={k}");
-        assert!(rel(replayed.mean_access_size(), merged.mean_access_size()) < 1e-9);
-        assert!(rel(replayed.std_dev_response(), merged.std_dev_response()) < 1e-9);
-        assert_eq!(replayed.min_response(), merged.min_response(), "K={k}");
-        assert_eq!(replayed.max_response(), merged.max_response(), "K={k}");
+        assert!(rel(replayed.access_size().mean, merged.access_size().mean) < 1e-9);
+        assert!(rel(replayed.response().std_dev, merged.response().std_dev) < 1e-9);
+        assert_eq!(replayed.response().min, merged.response().min, "K={k}");
+        assert_eq!(replayed.response().max, merged.response().max, "K={k}");
     }
 }
 
 /// Sharded runs nest under the existing experiment harness: a sweep with
 /// `shards` pinned produces the identical points under serial and stolen
-/// schedules (the outer pool) and under both retention modes' count
-/// fields — sharding composes with, rather than disturbs, PR 3's
-/// parallelism contracts.
+/// schedules (the outer pool) — sharding composes with, rather than
+/// disturbs, PR 3's parallelism contracts.
 #[test]
 fn sharded_sweeps_are_schedule_invariant() {
-    use uswg_core::experiment::{user_sweep_with, Parallelism, SweepMode};
+    use uswg_core::experiment::{user_sweep, Parallelism};
     let mut spec = base_spec(2, 2, false);
     spec.run.shards = Some(nz(2));
     let model = ModelConfig::default_nfs();
-    let serial = user_sweep_with(
-        &spec,
-        &model,
-        [1usize, 2, 3],
-        Parallelism::Serial,
-        SweepMode::Summary,
-    )
-    .unwrap();
-    let stolen = user_sweep_with(
-        &spec,
-        &model,
-        [1usize, 2, 3],
-        Parallelism::Threads(3),
-        SweepMode::Summary,
-    )
-    .unwrap();
+    let serial = user_sweep(&spec, &model, [1usize, 2, 3], Parallelism::Serial).unwrap();
+    let stolen = user_sweep(&spec, &model, [1usize, 2, 3], Parallelism::Threads(3)).unwrap();
     assert_eq!(serial, stolen);
 }
 
@@ -423,8 +416,8 @@ proptest! {
         prop_assert_eq!(merged.sessions, exact.sessions);
         // Determinism: the identical sharded run replays bit for bit.
         prop_assert_eq!(merged, sharded_summary(&spec, &model, k));
-        let log_a = sharded_report(&spec, &model, k).log.to_json().unwrap();
-        let log_b = sharded_report(&spec, &model, k).log.to_json().unwrap();
+        let log_a = sharded_report(&spec, &model, k).0.to_json().unwrap();
+        let log_b = sharded_report(&spec, &model, k).0.to_json().unwrap();
         prop_assert_eq!(log_a, log_b);
     }
 }

@@ -1,14 +1,10 @@
 //! Equivalence suite for the **streamed** spill pipeline: the sharded
-//! full-log path that writes per-shard spill streams and k-way merges them
-//! frame-by-frame must be record-for-record identical to the in-memory
-//! oracle (`ShardedDesDriver::run`, which materializes per-shard
-//! `UsageLog`s and merges with `merge_shard_logs`) — under both scheduler
-//! backends, several worker counts and shard counts, and through the
-//! `WorkloadSpec` entry point end to end (run → spill file → read back).
-//!
-//! The shard-env construction bypasses `WorkloadSpec::run_des*` so both
-//! halves of each comparison see exactly the same shard plan even when the
-//! CI matrix sets `USWG_SHARDS` for the whole process.
+//! merge every plain sink gets — per-shard spill streams k-way merged
+//! frame-by-frame — must be record-for-record identical to the in-memory
+//! oracle (a `UsageLog` sink, whose per-shard logs are materialized and
+//! merged with `merge_shard_logs`) — under both scheduler backends, several
+//! worker counts and shard counts, and through the `WorkloadSpec` entry
+//! point end to end (run → spill file → read back).
 
 use std::num::NonZeroUsize;
 use uswg_core::experiment::ModelConfig;
@@ -38,8 +34,24 @@ fn base_spec(users: usize, sessions: u32) -> WorkloadSpec {
     spec
 }
 
+/// A log collector that is *not* an in-memory-mergeable sink: it keeps the
+/// `LogSink` defaults, so a sharded run feeds it through the streamed
+/// spill merge instead of `UsageLog`'s k-way merge of materialized logs.
+#[derive(Default)]
+struct Streamed(UsageLog);
+
+impl LogSink for Streamed {
+    fn record_op(&mut self, op: &uswg_core::OpRecord) {
+        self.0.record_op(op);
+    }
+
+    fn record_session(&mut self, session: &uswg_core::SessionRecord) {
+        self.0.record_session(session);
+    }
+}
+
 /// One fresh environment per active shard, all built from the same seeded
-/// spec — the same construction `WorkloadSpec::run_des_sharded` performs.
+/// spec — the same construction `WorkloadSpec::run_des` performs.
 fn shard_envs(spec: &WorkloadSpec, model: &ModelConfig, active: usize) -> Vec<ShardEnv> {
     (0..active)
         .map(|_| {
@@ -69,27 +81,28 @@ fn streamed_merge_is_byte_identical_to_the_in_memory_oracle() {
         for k in [1usize, 2, 3] {
             let plan = ShardPlan::new(spec.run.n_users, nz(k));
             let population = spec.compile().unwrap();
-            let oracle = ShardedDesDriver::with_workers(1)
+            let (oracle_log, oracle) = ShardedDesDriver::with_workers(1)
                 .run(
                     &population,
                     &spec.run,
                     nz(k),
                     shard_envs(&spec, &model, plan.active_shards()),
+                    UsageLog::new(),
                 )
                 .unwrap();
             for workers in [1usize, 4] {
-                let (streamed, stats) = ShardedDesDriver::with_workers(workers)
-                    .run_spill_streamed(
+                let (Streamed(streamed), stats) = ShardedDesDriver::with_workers(workers)
+                    .run(
                         &population,
                         &spec.run,
                         nz(k),
                         shard_envs(&spec, &model, plan.active_shards()),
-                        UsageLog::new(),
+                        Streamed::default(),
                     )
                     .unwrap();
                 assert_eq!(
                     streamed.to_json().unwrap(),
-                    oracle.log.to_json().unwrap(),
+                    oracle_log.to_json().unwrap(),
                     "backend {backend}, K={k}, workers={workers}: streamed merge must \
                      reproduce merge_shard_logs byte for byte"
                 );
@@ -116,18 +129,19 @@ fn sharded_spill_file_reads_back_as_the_merged_log() {
     let population = spec.compile().unwrap();
     for k in [2usize, 4] {
         let plan = ShardPlan::new(spec.run.n_users, nz(k));
-        let oracle = ShardedDesDriver::with_workers(1)
+        let (oracle_log, _) = ShardedDesDriver::with_workers(1)
             .run(
                 &population,
                 &spec.run,
                 nz(k),
                 shard_envs(&spec, &model, plan.active_shards()),
+                UsageLog::new(),
             )
             .unwrap();
         let spill_path = dir.join(format!("k{k}.spill"));
         let sink = (SummarySink::new(), SpillSink::create(&spill_path).unwrap());
         let ((summary, spill), _) = ShardedDesDriver::with_workers(2)
-            .run_spill_streamed(
+            .run(
                 &population,
                 &spec.run,
                 nz(k),
@@ -139,13 +153,13 @@ fn sharded_spill_file_reads_back_as_the_merged_log() {
         let from_disk = read_spill_path(&spill_path).unwrap();
         assert_eq!(
             from_disk.to_json().unwrap(),
-            oracle.log.to_json().unwrap(),
+            oracle_log.to_json().unwrap(),
             "K={k}: spill file must hold the merged log"
         );
-        assert_eq!(summary.ops, oracle.log.ops().len() as u64, "K={k}");
+        assert_eq!(summary.ops, oracle_log.ops().len() as u64, "K={k}");
         assert_eq!(
             summary.sessions,
-            oracle.log.sessions().len() as u64,
+            oracle_log.sessions().len() as u64,
             "K={k}"
         );
     }
@@ -153,21 +167,19 @@ fn sharded_spill_file_reads_back_as_the_merged_log() {
 }
 
 /// End to end through the spec entry point (the CLI's code path): a
-/// sharded `run_des_with_sink` streams into the sink exactly what the
-/// sharded `run_des` report materializes — ops first, then sessions, in
-/// merged order — under whatever `USWG_SHARDS` matrix entry this process
-/// runs in (both sides pin the same K explicitly).
+/// sharded `run_des` streams into a plain sink exactly what it collects
+/// into a `UsageLog` — ops first, then sessions, in merged order.
 #[test]
 fn spec_level_streamed_sink_matches_run_des() {
     let model = ModelConfig::default_nfs();
     for k in [1usize, 3] {
         let mut spec = base_spec(3, 2);
         spec.run.shards = Some(nz(k));
-        let report = spec.run_des(&model).unwrap();
-        let (log, stats) = spec.run_des_with_sink(&model, UsageLog::new()).unwrap();
+        let (collected, report) = spec.run_des(&model, UsageLog::new()).unwrap();
+        let (Streamed(log), stats) = spec.run_des(&model, Streamed::default()).unwrap();
         assert_eq!(
             log.to_json().unwrap(),
-            report.log.to_json().unwrap(),
+            collected.to_json().unwrap(),
             "K={k}: the streamed sink must observe the merged log's contents"
         );
         assert_eq!(stats.events, report.events, "K={k}");
@@ -201,9 +213,7 @@ fn streamed_replay_emits_all_ops_then_all_sessions() {
     let model = ModelConfig::default_nfs();
     let mut spec = base_spec(3, 2);
     spec.run.shards = Some(nz(2));
-    let (probe, _) = spec
-        .run_des_with_sink(&model, OrderProbe::default())
-        .unwrap();
+    let (probe, _) = spec.run_des(&model, OrderProbe::default()).unwrap();
     assert!(probe.ops > 0 && probe.sessions > 0);
     assert!(
         !probe.session_before_op,

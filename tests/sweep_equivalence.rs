@@ -1,14 +1,13 @@
-//! Property suite for the memory-flat sweep mode: `SweepMode::Summary`
-//! must reproduce `SweepMode::FullLog` — the Table 5.3 statistics of every
-//! sweep point — to 1e-9 relative, across random workload shapes, models,
-//! seeds and both scheduler backends. This is the acceptance gate for
-//! making the O(1)-memory path the default.
+//! Property suite for the memory-flat sweeps: every point, streamed into a
+//! `SummarySink`, must reproduce the reference implementation — the full
+//! `UsageLog` of the same spec aggregated post hoc by `uswg_analyze::metrics`
+//! — in every Table 5.3 statistic to 1e-9 relative, across random workload
+//! shapes, models, seeds and both scheduler backends. This is the gate that
+//! lets sweeps never materialize a log.
 
 use proptest::prelude::*;
-use uswg_core::experiment::{
-    run_des_replicated, user_sweep_with, ModelConfig, Parallelism, SweepMode, SweepPoint,
-};
-use uswg_core::{SchedulerBackend, WorkloadSpec};
+use uswg_core::experiment::{run_des_replicated, user_sweep, ModelConfig, Parallelism, SweepPoint};
+use uswg_core::{metrics, SchedulerBackend, Summary, UsageLog, WorkloadSpec};
 
 fn small_spec(sessions: u32, seed: u64, backend: SchedulerBackend) -> WorkloadSpec {
     let mut spec = WorkloadSpec::paper_default().unwrap();
@@ -22,6 +21,21 @@ fn small_spec(sessions: u32, seed: u64, backend: SchedulerBackend) -> WorkloadSp
         .with_shared_files(12)
         .unwrap();
     spec
+}
+
+/// The reference sweep point: collect the run's full log and aggregate it
+/// with the two-pass post-hoc functions.
+fn reference_point(spec: &WorkloadSpec, model: &ModelConfig, x: f64) -> (SweepPoint, UsageLog) {
+    let (log, _) = spec.run_des(model, UsageLog::new()).unwrap();
+    let (access_size, response) = metrics::data_op_summary(&log);
+    let point = SweepPoint {
+        x,
+        response_per_byte: metrics::response_time_per_byte(&log),
+        access_size,
+        response,
+        sessions: log.sessions().len(),
+    };
+    (point, log)
 }
 
 fn rel(a: f64, b: f64) -> f64 {
@@ -59,6 +73,17 @@ fn assert_points_equivalent(full: &SweepPoint, summary: &SweepPoint) {
     );
 }
 
+/// Pooled statistics: counts and extrema exact; the moments differ from the
+/// two-pass form only in accumulation order (per-seed partial sums merged).
+#[track_caller]
+fn assert_pooled_equivalent(full: &Summary, pooled: &Summary) {
+    assert_eq!(full.n, pooled.n);
+    assert_eq!(full.min, pooled.min);
+    assert_eq!(full.max, pooled.max);
+    assert!(rel(full.mean, pooled.mean) < 1e-9);
+    assert!(rel(full.std_dev, pooled.std_dev) < 1e-9);
+}
+
 const MODELS: [fn() -> ModelConfig; 3] = [
     ModelConfig::default_local,
     ModelConfig::default_nfs,
@@ -71,8 +96,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Tentpole oracle: for any random spec shape, model, seed and
-    /// scheduler backend, every point of a Summary-mode user sweep equals
-    /// the FullLog-mode point to 1e-9.
+    /// scheduler backend, every point of a user sweep equals the post-hoc
+    /// aggregation of that point's full log to 1e-9.
     #[test]
     fn summary_sweep_points_match_full_log(
         sessions in 1u32..4,
@@ -84,21 +109,25 @@ proptest! {
         let spec = small_spec(sessions, seed, BACKENDS[backend_idx]);
         let model = MODELS[model_idx]();
         let users: Vec<usize> = (1..=max_users).collect();
-        let full = user_sweep_with(
-            &spec, &model, users.iter().copied(), Parallelism::Serial, SweepMode::FullLog,
-        ).unwrap();
-        let summary = user_sweep_with(
-            &spec, &model, users.iter().copied(), Parallelism::Serial, SweepMode::Summary,
-        ).unwrap();
+        let full: Vec<SweepPoint> = users
+            .iter()
+            .map(|&n| {
+                let mut at_n = spec.clone();
+                at_n.run.n_users = n;
+                reference_point(&at_n, &model, n as f64).0
+            })
+            .collect();
+        let summary =
+            user_sweep(&spec, &model, users.iter().copied(), Parallelism::Serial).unwrap();
         prop_assert_eq!(full.len(), summary.len());
         for (f, s) in full.iter().zip(&summary) {
             assert_points_equivalent(f, s);
         }
     }
 
-    /// Replication studies agree between modes too — per-replicate points
-    /// and the merged (pooled) statistics, which in FullLog mode are
-    /// rebuilt post hoc from the materialized logs.
+    /// Replication studies agree with the reference too — per-replicate
+    /// points, and the merged (pooled) statistics against the post-hoc
+    /// aggregation of every seed's log concatenated.
     #[test]
     fn replication_modes_agree(
         seed in 0u64..100_000,
@@ -108,22 +137,27 @@ proptest! {
         let spec = small_spec(2, 1, BACKENDS[backend_idx]);
         let model = MODELS[model_idx]();
         let seeds = [seed, seed ^ 0xABCD, seed.wrapping_add(17)];
-        let full = run_des_replicated(
-            &spec, &model, seeds, Parallelism::Serial, SweepMode::FullLog,
-        ).unwrap();
-        let summary = run_des_replicated(
-            &spec, &model, seeds, Parallelism::Serial, SweepMode::Summary,
-        ).unwrap();
-        prop_assert_eq!(full.replicates.len(), summary.replicates.len());
-        for (f, s) in full.replicates.iter().zip(&summary.replicates) {
-            prop_assert_eq!(f.seed, s.seed);
-            assert_points_equivalent(&f.point, &s.point);
+        let summary = run_des_replicated(&spec, &model, seeds, Parallelism::Serial).unwrap();
+        prop_assert_eq!(seeds.len(), summary.replicates.len());
+        let mut all_seeds = UsageLog::new();
+        let mut per_byte = Vec::new();
+        for (&seed, s) in seeds.iter().zip(&summary.replicates) {
+            let mut at_seed = spec.clone();
+            at_seed.run.seed = seed;
+            let (full, log) = reference_point(&at_seed, &model, seed as f64);
+            prop_assert_eq!(seed, s.seed);
+            assert_points_equivalent(&full, &s.point);
+            per_byte.push(full.response_per_byte);
+            for op in log.ops() {
+                all_seeds.push_op(*op);
+            }
         }
-        // Pooled reductions: both modes merge sinks over the identical
-        // record streams, so they are bitwise-identical, not just close.
-        prop_assert_eq!(full.pooled_access_size, summary.pooled_access_size);
-        prop_assert_eq!(full.pooled_response, summary.pooled_response);
-        prop_assert_eq!(full.mean_response_per_byte, summary.mean_response_per_byte);
+        // Pooled reductions: the merged sinks against one two-pass
+        // aggregation over every seed's records.
+        let (access_size, response) = metrics::data_op_summary(&all_seeds);
+        assert_pooled_equivalent(&access_size, &summary.pooled_access_size);
+        assert_pooled_equivalent(&response, &summary.pooled_response);
+        prop_assert_eq!(Summary::of(&per_byte).mean, summary.mean_response_per_byte);
     }
 }
 
@@ -140,23 +174,9 @@ fn stolen_schedules_are_byte_identical() {
     let spec = small_spec(2, 42, SchedulerBackend::Heap);
     let model = ModelConfig::default_nfs();
     let users = [1usize, 2, 3, 4, 5];
-    let serial = user_sweep_with(
-        &spec,
-        &model,
-        users,
-        Parallelism::Serial,
-        SweepMode::Summary,
-    )
-    .unwrap();
+    let serial = user_sweep(&spec, &model, users, Parallelism::Serial).unwrap();
     for workers in [2usize, 4, 8] {
-        let stolen = user_sweep_with(
-            &spec,
-            &model,
-            users,
-            Parallelism::Threads(workers),
-            SweepMode::Summary,
-        )
-        .unwrap();
+        let stolen = user_sweep(&spec, &model, users, Parallelism::Threads(workers)).unwrap();
         assert_eq!(serial, stolen, "workers = {workers}");
     }
 }
