@@ -150,3 +150,31 @@ fn sharded_summaries_need_no_temporary_directory() {
     assert!(stderr.contains("spill:"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+/// A population that cannot fit in `vfs.max_inodes` is refused up front,
+/// with a message that names the field, the demand and the limit — not a
+/// bare ENOSPC after 65 k inodes have been built.
+#[test]
+fn a_population_too_big_for_max_inodes_is_refused_by_name() {
+    let dir = scratch("inodes");
+    let spec_path = write_spec(&dir);
+    let spec = WorkloadSpec::from_json(&std::fs::read_to_string(&spec_path).unwrap()).unwrap();
+    assert_eq!(spec.vfs.max_inodes, 65_536, "the default the message names");
+    // The demand is linear in the population: measure it at one and two
+    // users on real builds, extrapolate to 100 000.
+    let used = |n_users| {
+        let mut spec = spec.clone();
+        spec.run.n_users = n_users;
+        spec.generate_fs().unwrap().0.statfs().used_inodes
+    };
+    let demand = (used(1) - 1) + 99_999 * (used(2) - used(1));
+
+    let args = format!("run {spec_path} --model local --summary --users 100000");
+    let out = uswg(&args, &[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    for part in ["vfs.max_inodes", &demand.to_string(), "65536"] {
+        assert!(stderr.contains(part), "no {part:?} in: {stderr}");
+    }
+    assert!(!stderr.contains("ENOSPC"), "{stderr}");
+}

@@ -10,9 +10,11 @@
 //! Determinism contract: [`AliasTable::draw`] consumes exactly **one**
 //! `next_u64` per draw, and a table built by [`AliasTable::uniform`] picks
 //! exactly the same index as the catalog's historical `u % n` pick from the
-//! same PRNG stream (property-tested in `tests/alias_equivalence.rs`), so
-//! routing [`FileCatalog`](crate::FileCatalog) picks through alias tables
-//! changes no seeded workload by a single byte.
+//! same PRNG stream (property-tested in `tests/alias_equivalence.rs`). That
+//! identity is why a uniformly sealed [`FileCatalog`](crate::FileCatalog)
+//! builds no table at all and draws the modulo directly, and why sealing
+//! changes no seeded workload by a single byte; only the weighted policies
+//! pay for tables.
 
 use crate::FscError;
 use rand::RngCore;

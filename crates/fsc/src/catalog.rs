@@ -106,6 +106,21 @@ impl FilePopularity {
     }
 }
 
+/// One candidate list: the live catalog indices of one category for one
+/// owner, with the alias sampler a weighted seal built over them.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+struct CandidateList {
+    indices: Vec<usize>,
+    /// `None` until a weighted seal, and again once the list is mutated:
+    /// [`FileCatalog::pick`] then draws `u % n`, which is also exactly the
+    /// uniform policy.
+    alias: Option<AliasTable>,
+}
+
+/// One owner's candidate lists. An owner has a handful of categories, so a
+/// linear scan beats hashing.
+type OwnerLists = Vec<(FileCategory, CandidateList)>;
+
 /// An index of the synthetic file population by `(user, category)`.
 ///
 /// The User Simulator asks the catalog for candidate files: a user accessing
@@ -114,17 +129,12 @@ impl FilePopularity {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FileCatalog {
     files: Vec<CatalogFile>,
-    /// Indices of shared files per category.
-    shared: HashMap<FileCategory, Vec<usize>>,
-    /// Indices of per-user files per (user, category).
-    per_user: HashMap<(usize, FileCategory), Vec<usize>>,
-    /// O(1) alias samplers over the shared candidate lists, built by
-    /// [`FileCatalog::seal`] and invalidated per list on mutation.
-    #[serde(default)]
-    shared_alias: HashMap<FileCategory, AliasTable>,
-    /// Alias samplers over the per-user candidate lists.
-    #[serde(default)]
-    per_user_alias: HashMap<(usize, FileCategory), AliasTable>,
+    /// Candidate lists of the shared files.
+    shared: OwnerLists,
+    /// Candidate lists of each user's own files, indexed by user.
+    per_user: Vec<OwnerLists>,
+    /// Whether [`FileCatalog::seal_with`] ran since the last mutation.
+    sealed: bool,
 }
 
 impl FileCatalog {
@@ -133,22 +143,34 @@ impl FileCatalog {
         Self::default()
     }
 
+    /// The lists `owner_user`'s files are indexed in, grown on demand.
+    fn lists_mut(&mut self, owner_user: Option<usize>) -> &mut OwnerLists {
+        match owner_user {
+            Some(user) => {
+                if self.per_user.len() <= user {
+                    self.per_user.resize_with(user + 1, Vec::new);
+                }
+                &mut self.per_user[user]
+            }
+            None => &mut self.shared,
+        }
+    }
+
     /// Registers a file and indexes it. Returns its catalog index.
     pub fn add(&mut self, file: CatalogFile) -> usize {
         let idx = self.files.len();
-        match file.owner_user {
-            Some(user) => {
-                self.per_user
-                    .entry((user, file.category))
-                    .or_default()
-                    .push(idx);
-                self.per_user_alias.remove(&(user, file.category));
-            }
-            None => {
-                self.shared.entry(file.category).or_default().push(idx);
-                self.shared_alias.remove(&file.category);
-            }
-        }
+        self.sealed = false;
+        let lists = self.lists_mut(file.owner_user);
+        let at = lists
+            .iter()
+            .position(|(cat, _)| *cat == file.category)
+            .unwrap_or_else(|| {
+                lists.push((file.category, CandidateList::default()));
+                lists.len() - 1
+            });
+        let list = &mut lists[at].1;
+        list.indices.push(idx);
+        list.alias = None;
         self.files.push(file);
         idx
     }
@@ -159,62 +181,46 @@ impl FileCatalog {
         let Some(file) = self.files.get(idx) else {
             return;
         };
-        let list = match file.owner_user {
-            Some(user) => {
-                self.per_user_alias.remove(&(user, file.category));
-                self.per_user.get_mut(&(user, file.category))
-            }
-            None => {
-                self.shared_alias.remove(&file.category);
-                self.shared.get_mut(&file.category)
-            }
-        };
-        if let Some(list) = list {
-            list.retain(|&i| i != idx);
+        let (owner_user, category) = (file.owner_user, file.category);
+        self.sealed = false;
+        let lists = self.lists_mut(owner_user);
+        if let Some((_, list)) = lists.iter_mut().find(|(cat, _)| *cat == category) {
+            list.indices.retain(|&i| i != idx);
+            list.alias = None;
         }
     }
 
-    /// Precomputes a uniform [`AliasTable`] for every candidate list, so
-    /// [`FileCatalog::pick`] answers from the O(1) alias path. Sealing is
-    /// purely an access-path change: a uniform alias draw is bit-identical
-    /// to the modulo fallback, so a sealed and an unsealed catalog pick
-    /// exactly the same files from the same PRNG stream (see
-    /// `tests/alias_equivalence.rs`). Mutating the catalog afterwards
-    /// invalidates the touched list; re-seal to restore it.
+    /// Seals the catalog with the uniform policy. Sealing is purely an
+    /// access-path declaration: a uniform draw is the modulo pick, so a
+    /// sealed and an unsealed catalog pick exactly the same files from the
+    /// same PRNG stream (see `tests/alias_equivalence.rs`).
     pub fn seal(&mut self) {
         self.seal_with(FilePopularity::Uniform);
     }
 
-    /// [`FileCatalog::seal`] with an explicit popularity policy: every
-    /// candidate list gets an [`AliasTable`] over the policy's weights, so
-    /// weighted picks stay O(1) — one `next_u64` per draw, like the
-    /// uniform path. [`FilePopularity::Uniform`] reproduces `seal` exactly
-    /// (and thereby the unsealed modulo pick, bit for bit); the weighted
-    /// policies deliberately change which files seeded workloads touch.
+    /// Seals the catalog with an explicit popularity policy. A weighted
+    /// policy gives every candidate list an [`AliasTable`] over the
+    /// policy's weights, so weighted picks stay O(1) — one `next_u64` per
+    /// draw, like the uniform path — and deliberately changes which files
+    /// seeded workloads touch. [`FilePopularity::Uniform`] builds nothing:
+    /// the modulo pick already is the uniform alias draw, bit for bit.
+    /// Mutating the catalog afterwards unseals it and drops the touched
+    /// list's table; re-seal to restore it.
     pub fn seal_with(&mut self, popularity: FilePopularity) {
-        let table = |files: &[CatalogFile], list: &[usize]| match popularity {
-            // The uniform constructor skips floating point entirely,
-            // keeping the draw bit-identical to `u % n`.
-            FilePopularity::Uniform => AliasTable::uniform(list.len()).expect("non-empty"),
-            _ => AliasTable::new(&popularity.weights(files, list)).expect("positive weights"),
-        };
-        self.shared_alias = self
-            .shared
-            .iter()
-            .filter(|(_, list)| !list.is_empty())
-            .map(|(&cat, list)| (cat, table(&self.files, list)))
-            .collect();
-        self.per_user_alias = self
-            .per_user
-            .iter()
-            .filter(|(_, list)| !list.is_empty())
-            .map(|(&key, list)| (key, table(&self.files, list)))
-            .collect();
+        let files = &self.files;
+        for (_, list) in self.per_user.iter_mut().flatten().chain(&mut self.shared) {
+            let weighted = popularity != FilePopularity::Uniform && !list.indices.is_empty();
+            list.alias = weighted.then(|| {
+                AliasTable::new(&popularity.weights(files, &list.indices))
+                    .expect("positive weights")
+            });
+        }
+        self.sealed = true;
     }
 
-    /// Whether [`FileCatalog::seal`] has built any alias tables.
+    /// Whether the catalog has been sealed since it was last mutated.
     pub fn is_sealed(&self) -> bool {
-        !self.shared_alias.is_empty() || !self.per_user_alias.is_empty()
+        self.sealed
     }
 
     /// All registered files (including removed ones; see [`Self::remove`]).
@@ -241,53 +247,49 @@ impl FileCatalog {
         &self.files[idx]
     }
 
-    /// Candidate file indices for `user` accessing `category`.
-    pub fn candidates(&self, user: usize, category: FileCategory) -> &[usize] {
-        let list = match category.owner {
-            crate::Owner::User => self.per_user.get(&(user, category)),
-            crate::Owner::Other => self.shared.get(&category),
+    fn list(&self, user: usize, category: FileCategory) -> Option<&CandidateList> {
+        let lists = match category.owner {
+            crate::Owner::User => self.per_user.get(user)?,
+            crate::Owner::Other => &self.shared,
         };
-        list.map(Vec::as_slice).unwrap_or(&[])
+        lists
+            .iter()
+            .find_map(|(cat, list)| (*cat == category).then_some(list))
     }
 
-    /// Picks a uniformly random candidate for `user` × `category`.
+    /// Candidate file indices for `user` accessing `category`.
+    pub fn candidates(&self, user: usize, category: FileCategory) -> &[usize] {
+        self.list(user, category)
+            .map_or(&[], |list| list.indices.as_slice())
+    }
+
+    /// Picks a random candidate for `user` × `category` under the policy
+    /// the catalog was sealed with (uniform when unsealed).
     ///
-    /// A sealed catalog (see [`FileCatalog::seal`]) answers through the
-    /// precomputed alias table; an unsealed or invalidated list falls back
-    /// to the modulo draw. Both consume one `next_u64` and return the same
-    /// file for the same stream.
+    /// A weighted list answers through its alias table; a uniform, unsealed
+    /// or since-mutated list draws modulo. Both consume one `next_u64`.
     pub fn pick(
         &self,
         user: usize,
         category: FileCategory,
         rng: &mut dyn RngCore,
     ) -> Option<usize> {
-        let candidates = self.candidates(user, category);
-        if candidates.is_empty() {
+        let list = self.list(user, category)?;
+        if list.indices.is_empty() {
             return None;
         }
-        let alias = match category.owner {
-            crate::Owner::User => self.per_user_alias.get(&(user, category)),
-            crate::Owner::Other => self.shared_alias.get(&category),
+        let i = match &list.alias {
+            Some(table) => table.draw(rng),
+            None => (rng.next_u64() % list.indices.len() as u64) as usize,
         };
-        let i = match alias {
-            Some(table) if table.len() == candidates.len() => table.draw(rng),
-            _ => (rng.next_u64() % candidates.len() as u64) as usize,
-        };
-        Some(candidates[i])
+        Some(list.indices[i])
     }
 
     /// Per-category summary: `(count, mean size)` over indexed (live) files.
     pub fn characterize(&self) -> HashMap<FileCategory, (usize, f64)> {
         let mut out: HashMap<FileCategory, (usize, f64)> = HashMap::new();
-        let live: Vec<usize> = self
-            .shared
-            .values()
-            .chain(self.per_user.values())
-            .flatten()
-            .copied()
-            .collect();
-        for idx in live {
+        let lists = self.per_user.iter().flatten().chain(&self.shared);
+        for &idx in lists.flat_map(|(_, list)| &list.indices) {
             let f = &self.files[idx];
             let entry = out.entry(f.category).or_insert((0, 0.0));
             entry.0 += 1;

@@ -3,8 +3,9 @@
 use crate::{CatalogFile, FileCatalog, FileCategory, FilePopularity, FileType, FscError, Owner};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
-use uswg_distr::DistributionSpec;
-use uswg_vfs::Vfs;
+use std::fmt::Write as _;
+use uswg_distr::{Distribution, DistributionSpec};
+use uswg_vfs::{Fd, FsError, Ino, OpenFlags, Process, Vfs};
 
 /// Tolerance when validating that category fractions sum to one.
 const FRACTION_TOL: f64 = 1e-6;
@@ -187,9 +188,17 @@ impl FileSystemCreator {
     /// (Section 4.1.2) — the population counts in the spec are therefore the
     /// *accessed* population, not a whole disk.
     ///
+    /// Every object is created by name inside a directory inode the builder
+    /// already holds, so the cost per object does not grow with the
+    /// population. A `vfs` that already contains part of the layout is
+    /// stepped into, as `mkdir -p` would.
+    ///
     /// # Errors
     ///
-    /// Propagates validation, distribution and file-system errors.
+    /// [`FscError::InodeDemand`] — before anything is created — when the
+    /// population cannot fit in the inodes `vfs` has left (an upper bound:
+    /// directories `vfs` already holds are counted again); otherwise
+    /// propagates validation, distribution and file-system errors.
     pub fn build(
         &self,
         vfs: &mut Vfs,
@@ -203,94 +212,143 @@ impl FileSystemCreator {
                 value: 0,
             });
         }
-        let mut catalog = FileCatalog::new();
+        let shared = self.plan(Owner::Other, self.spec.shared_files)?;
+        let personal = self.plan(Owner::User, self.spec.files_per_user)?;
+        check_inode_demand(vfs, n_users, &shared, &personal)?;
 
-        vfs.mkdir_all("/system")?;
-        vfs.mkdir_all("/notes")?;
-        vfs.mkdir_all("/u")?;
-        vfs.mkdir_all("/tmp")?;
-
-        // Shared population: OTHER-owned, pre-existing categories.
-        let shared: Vec<&CategorySpec> = self
-            .spec
-            .categories
-            .iter()
-            .filter(|c| c.category.owner == Owner::Other && c.category.preexisting())
-            .collect();
-        self.populate(
+        let root = vfs.root();
+        let system = Dir::ensure(vfs, root, "/system")?;
+        let notes = Dir::ensure(vfs, root, "/notes")?;
+        let homes = Dir::ensure(vfs, root, "/u")?;
+        let scratch = Dir::ensure(vfs, root, "/tmp")?;
+        let mut build = Build {
+            fill: self.spec.fill,
+            proc: vfs.new_process(),
             vfs,
             rng,
-            &mut catalog,
-            &shared,
-            self.spec.shared_files,
-            None,
-        )?;
-
-        // Per-user population: USER-owned, pre-existing categories.
-        let personal: Vec<&CategorySpec> = self
-            .spec
-            .categories
-            .iter()
-            .filter(|c| c.category.owner == Owner::User && c.category.preexisting())
-            .collect();
+            notes,
+            catalog: FileCatalog::new(),
+        };
+        build.populate(&shared, &system, None)?;
         for user in 0..n_users {
-            vfs.mkdir_all(&Self::user_dir(user))?;
-            vfs.mkdir_all(&Self::scratch_dir(user))?;
-            self.populate(
-                vfs,
-                rng,
-                &mut catalog,
-                &personal,
-                self.spec.files_per_user,
-                Some(user),
-            )?;
+            let home_path = Self::user_dir(user);
+            let home = Dir::ensure(build.vfs, homes.ino, &home_path)?;
+            // The scratch directory carries the home's name (`scratch_dir`).
+            build
+                .vfs
+                .ensure_dir_at(scratch.ino, last_component(&home_path))?;
+            build.populate(&personal, &home, Some(user))?;
         }
         // Seal with the spec's popularity policy so the pick weighting is
         // part of the declarative workload description. Uniform sealing is
         // bit-identical to the historical unsealed modulo pick
         // (property-tested in tests/alias_equivalence.rs), so default
         // specs reproduce every earlier run byte for byte.
+        let mut catalog = build.catalog;
         catalog.seal_with(self.spec.popularity);
         Ok(catalog)
     }
 
-    /// Creates `total` files spread across `specs` by renormalized fraction.
-    fn populate(
-        &self,
-        vfs: &mut Vfs,
-        rng: &mut dyn RngCore,
-        catalog: &mut FileCatalog,
-        specs: &[&CategorySpec],
-        total: u64,
-        owner_user: Option<usize>,
-    ) -> Result<(), FscError> {
+    /// The pre-existing categories owned by `owner`, with `total` objects
+    /// spread across them by renormalized fraction (at least one each).
+    fn plan(&self, owner: Owner, total: u64) -> Result<Vec<PlannedCategory>, FscError> {
+        let specs: Vec<&CategorySpec> = self
+            .spec
+            .categories
+            .iter()
+            .filter(|c| c.category.owner == owner && c.category.preexisting())
+            .collect();
         let frac_sum: f64 = specs.iter().map(|c| c.fraction).sum();
         if frac_sum <= 0.0 || total == 0 {
-            return Ok(());
+            return Ok(Vec::new());
         }
-        for spec in specs {
-            let count = ((spec.fraction / frac_sum) * total as f64).round().max(1.0) as u64;
-            let dist = spec.size.build()?;
-            for i in 0..count {
-                let size = dist.sample(rng).round().max(0.0) as u64;
-                let path = self.file_path(spec.category, owner_user, catalog.len(), i);
-                let ino = match spec.category.file_type {
-                    FileType::Dir => {
-                        vfs.mkdir_all(&path)?;
-                        vfs.resolve(&path)?
-                    }
-                    FileType::Reg | FileType::Notes => {
-                        self.create_file(vfs, &path, size)?;
-                        vfs.resolve(&path)?
-                    }
+        specs
+            .into_iter()
+            .map(|spec| {
+                Ok(PlannedCategory {
+                    category: spec.category,
+                    count: ((spec.fraction / frac_sum) * total as f64).round().max(1.0) as u64,
+                    size: spec.size.build()?,
+                })
+            })
+            .collect()
+    }
+}
+
+/// One pre-existing category as a build populates it: how many objects each
+/// owner gets, and the size distribution, built once.
+#[derive(Debug)]
+struct PlannedCategory {
+    category: FileCategory,
+    count: u64,
+    size: Box<dyn Distribution>,
+}
+
+/// A directory the builder holds: its inode and its absolute path.
+#[derive(Debug)]
+struct Dir<'a> {
+    ino: Ino,
+    path: &'a str,
+}
+
+impl<'a> Dir<'a> {
+    /// Steps into (or creates) the last component of `path` inside `parent`.
+    fn ensure(vfs: &mut Vfs, parent: Ino, path: &'a str) -> Result<Self, FscError> {
+        let ino = vfs.ensure_dir_at(parent, last_component(path))?;
+        Ok(Self { ino, path })
+    }
+}
+
+fn last_component(path: &str) -> &str {
+    path.rsplit('/').next().unwrap_or(path)
+}
+
+/// What one `build` threads through every object it creates.
+struct Build<'b> {
+    fill: FillPattern,
+    vfs: &'b mut Vfs,
+    rng: &'b mut dyn RngCore,
+    /// The descriptor table every file is created through.
+    proc: Process,
+    /// Notesfiles of every owner live here.
+    notes: Dir<'static>,
+    catalog: FileCatalog,
+}
+
+impl Build<'_> {
+    /// Creates one owner's objects: notesfiles under `/notes`, everything
+    /// else under `dir`.
+    fn populate(
+        &mut self,
+        plan: &[PlannedCategory],
+        dir: &Dir<'_>,
+        owner_user: Option<usize>,
+    ) -> Result<(), FscError> {
+        for planned in plan {
+            let category = planned.category;
+            let (stem, dir) = match category.file_type {
+                FileType::Dir => ("dir", dir),
+                FileType::Reg => ("file", dir),
+                FileType::Notes => ("note", &self.notes),
+            };
+            let (dir_ino, dir_path) = (dir.ino, dir.path);
+            for seq in 0..planned.count {
+                let size = planned.size.sample(self.rng).round().max(0.0) as u64;
+                let unique = self.catalog.len();
+                let mut path = String::with_capacity(dir_path.len() + stem.len() + 16);
+                write!(path, "{dir_path}/{stem}{unique:05}_{seq:04}").expect("String write");
+                let name = &path[dir_path.len() + 1..];
+                let ino = match category.file_type {
+                    FileType::Dir => self.vfs.ensure_dir_at(dir_ino, name)?,
+                    FileType::Reg | FileType::Notes => self.create_file(dir_ino, name, size)?,
                 };
-                catalog.add(CatalogFile {
+                self.catalog.add(CatalogFile {
                     path,
                     ino: ino.number(),
                     // Directories have no byte size; record the sampled size
                     // anyway as the "directory data" the workload reads.
                     size,
-                    category: spec.category,
+                    category,
                     owner_user,
                 });
             }
@@ -298,51 +356,82 @@ impl FileSystemCreator {
         Ok(())
     }
 
-    fn file_path(
-        &self,
-        category: FileCategory,
-        owner_user: Option<usize>,
-        unique: usize,
-        seq: u64,
-    ) -> String {
-        let stem = match category.file_type {
-            FileType::Dir => "dir",
-            FileType::Reg => "file",
-            FileType::Notes => "note",
+    /// Creates (or replaces) regular file `name` in `dir` with `size` bytes
+    /// of the spec's fill, and returns its inode.
+    fn create_file(&mut self, dir: Ino, name: &str, size: u64) -> Result<Ino, FsError> {
+        let (vfs, proc) = (&mut *self.vfs, &mut self.proc);
+        let fd = vfs.open_at(proc, dir, name, OpenFlags::create_write())?;
+        let ino = vfs.fstat(proc, fd)?.ino;
+        let filled = match self.fill {
+            FillPattern::Sparse => vfs.ftruncate(proc, fd, size),
+            FillPattern::Pattern => write_pattern(vfs, proc, fd, size),
         };
-        let root = match (category.file_type, owner_user) {
-            (FileType::Notes, _) => "/notes".to_string(),
-            (_, Some(user)) => Self::user_dir(user),
-            (_, None) => "/system".to_string(),
-        };
-        format!("{root}/{stem}{unique:05}_{seq:04}")
+        vfs.close(proc, fd)?;
+        filled?;
+        Ok(ino)
     }
+}
 
-    fn create_file(&self, vfs: &mut Vfs, path: &str, size: u64) -> Result<(), FscError> {
-        match self.spec.fill {
-            FillPattern::Sparse => {
-                vfs.write_file(path, &[])?;
-                vfs.truncate(path, size)?;
-            }
-            FillPattern::Pattern => {
-                // Deterministic pattern, written in bounded chunks.
-                let mut proc = vfs.new_process();
-                let fd = vfs.creat(&mut proc, path)?;
-                let chunk: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
-                let mut left = size as usize;
-                while left > 0 {
-                    let n = left.min(chunk.len());
-                    let written = vfs.write(&mut proc, fd, &chunk[..n])?;
-                    left -= written;
-                    if written == 0 {
-                        break;
-                    }
-                }
-                vfs.close(&mut proc, fd)?;
-            }
-        }
-        Ok(())
+/// Inodes a build allocates on a fresh file system: the four top-level
+/// directories, the shared objects, and per user a home, a scratch
+/// directory and the personal objects. `None` past `u64`.
+fn inode_demand(
+    n_users: usize,
+    shared: &[PlannedCategory],
+    personal: &[PlannedCategory],
+) -> Option<u64> {
+    let objects = |plan: &[PlannedCategory]| {
+        plan.iter()
+            .try_fold(0u64, |sum, planned| sum.checked_add(planned.count))
+    };
+    objects(personal)?
+        .checked_add(2)?
+        .checked_mul(n_users as u64)?
+        .checked_add(objects(shared)?)?
+        .checked_add(4)
+}
+
+/// Fails unless `vfs` has inodes left for the whole population.
+fn check_inode_demand(
+    vfs: &Vfs,
+    n_users: usize,
+    shared: &[PlannedCategory],
+    personal: &[PlannedCategory],
+) -> Result<(), FscError> {
+    let demand = inode_demand(n_users, shared, personal).unwrap_or(u64::MAX);
+    let stats = vfs.statfs();
+    let available = stats.total_inodes.saturating_sub(stats.used_inodes);
+    if demand > available {
+        return Err(FscError::InodeDemand {
+            demand,
+            available,
+            limit: stats.total_inodes,
+        });
     }
+    Ok(())
+}
+
+/// Writes `size` bytes of the deterministic fill pattern through `fd`,
+/// stopping early if the device fills.
+fn write_pattern(vfs: &mut Vfs, proc: &mut Process, fd: Fd, size: u64) -> Result<(), FsError> {
+    static CHUNK: [u8; 8192] = {
+        let mut chunk = [0; 8192];
+        let mut i = 0;
+        while i < chunk.len() {
+            chunk[i] = (i % 251) as u8;
+            i += 1;
+        }
+        chunk
+    };
+    let mut left = size as usize;
+    while left > 0 {
+        let written = vfs.write(proc, fd, &CHUNK[..left.min(CHUNK.len())])?;
+        if written == 0 {
+            break;
+        }
+        left -= written;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -407,6 +496,48 @@ mod tests {
         assert!(matches!(
             creator.build(&mut vfs, 0, &mut rng),
             Err(FscError::BadCount { .. })
+        ));
+    }
+
+    #[test]
+    fn inode_demand_is_checked_before_anything_is_built() {
+        let creator = FileSystemCreator::new(two_category_spec().with_fill(FillPattern::Sparse));
+        // Four top-level directories, 120 shared files, and per user a home,
+        // a scratch directory and 50 files.
+        let demand = 4 + 120 + 3 * (2 + 50);
+        let with_inodes = |max_inodes| {
+            Vfs::new(VfsConfig {
+                max_inodes,
+                ..VfsConfig::default()
+            })
+        };
+        let mut rng = StdRng::seed_from_u64(1);
+
+        let mut vfs = with_inodes(demand); // the root takes one
+        let err = creator.build(&mut vfs, 3, &mut rng).unwrap_err();
+        assert_eq!(
+            err,
+            FscError::InodeDemand {
+                demand: demand as u64,
+                available: demand as u64 - 1,
+                limit: demand as u64,
+            }
+        );
+        assert_eq!(vfs.statfs().used_inodes, 1, "nothing was built");
+        assert_eq!(vfs.readdir("/").unwrap(), vec![]);
+
+        let mut vfs = with_inodes(demand + 1);
+        creator.build(&mut vfs, 3, &mut rng).unwrap();
+        assert_eq!(vfs.statfs().used_inodes, demand as u64 + 1, "exact fit");
+
+        // A population no u64 can count is the same typed error.
+        let mut vfs = with_inodes(demand);
+        assert!(matches!(
+            creator.build(&mut vfs, usize::MAX, &mut rng),
+            Err(FscError::InodeDemand {
+                demand: u64::MAX,
+                ..
+            })
         ));
     }
 

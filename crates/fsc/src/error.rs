@@ -33,6 +33,16 @@ pub enum FscError {
         /// The offending value.
         value: f64,
     },
+    /// The population needs more inodes than the file system has left.
+    /// Raised before anything is created.
+    InodeDemand {
+        /// Inodes the build would allocate.
+        demand: u64,
+        /// Inodes the file system has free.
+        available: u64,
+        /// The file system's `vfs.max_inodes`.
+        limit: u64,
+    },
     /// A size distribution could not be instantiated.
     Distribution(DistrError),
     /// The underlying file system rejected an operation (usually `ENOSPC`).
@@ -53,6 +63,15 @@ impl fmt::Display for FscError {
             FscError::BadPopularity { reason, value } => {
                 write!(f, "file-popularity policy: {reason} (got {value})")
             }
+            FscError::InodeDemand {
+                demand,
+                available,
+                limit,
+            } => write!(
+                f,
+                "the population needs {demand} inodes but `vfs.max_inodes` is {limit} \
+                 ({available} free): raise vfs.max_inodes or shrink the population"
+            ),
             FscError::Distribution(e) => write!(f, "size distribution: {e}"),
             FscError::FileSystem(e) => write!(f, "file system: {e}"),
         }
@@ -93,6 +112,14 @@ mod tests {
         let e = FscError::FileSystem(FsError::NoSpace);
         assert!(e.to_string().contains("ENOSPC"));
         assert!(FscError::EmptySpec.to_string().contains("no categories"));
+        let e = FscError::InodeDemand {
+            demand: 5_200_124,
+            available: 65_535,
+            limit: 65_536,
+        };
+        for part in ["vfs.max_inodes", "5200124", "65536", "65535"] {
+            assert!(e.to_string().contains(part), "{e}");
+        }
     }
 
     #[test]

@@ -36,6 +36,25 @@ const WIDTH_SAMPLE: usize = 64;
 /// burst of far-future events) from paying O(buckets) per pop forever.
 const MISS_LIMIT: u32 = 16;
 
+/// Empty days a pop may walk, averaged over a window of pops, before the
+/// day width is declared stale and re-estimated (the dequeue-cost trigger of
+/// the SNOOPy calendar queue, Tan & Thng 2000). A width fitted to the
+/// population gives ~3 events per occupied day and well under one empty day
+/// per pop; a width fitted to a burst that has since spread out — a login
+/// wave estimated at a zero span, left at 1 µs — walks dozens, and neither
+/// the resize thresholds nor [`MISS_LIMIT`] ever notice: a walk that finds
+/// its event before a full lap is not a miss.
+const WALK_LIMIT: u64 = 2;
+
+/// Shortest window, in pops, the walk is averaged over. The window is never
+/// shorter than the bucket count either, so the empty days walked before a
+/// recalibration cost no more than the O(len) rebuild they trigger. The
+/// floor is deliberately long: 32 k wasted day visits are tens of
+/// microseconds, and a queue of a few dozen events riding out a start-up
+/// transient is left to [`MISS_LIMIT`] and the resize rebuilds, which
+/// sample it later and better.
+const WALK_WINDOW: u64 = 16_384;
+
 /// The calendar proper. See the module documentation.
 #[derive(Debug)]
 pub(crate) struct CalendarQueue<E> {
@@ -58,6 +77,13 @@ pub(crate) struct CalendarQueue<E> {
     bucket_top: u128,
     /// Consecutive pops that fell through to a direct search.
     misses: u32,
+    /// Empty days walked and pops made in the current window.
+    walked: u64,
+    pops: u64,
+    /// Windows a recalibration waits for: doubled each time one leaves the
+    /// width as it was, so a shape the estimator cannot help stops paying
+    /// for rebuilds; back to 1 when the width moves.
+    patience: u64,
 }
 
 impl<E> CalendarQueue<E> {
@@ -71,6 +97,9 @@ impl<E> CalendarQueue<E> {
             cur: 0,
             bucket_top: 0,
             misses: 0,
+            walked: 0,
+            pops: 0,
+            patience: 1,
         };
         q.anchor(0);
         q
@@ -130,6 +159,8 @@ impl<E> CalendarQueue<E> {
         if self.len == 0 {
             return None;
         }
+        self.check_walk();
+        self.pops += 1;
         // Year lap: walk at most one full calendar year from the current
         // day. The first event found inside its day's window is the global
         // minimum: every queued event is ≥ the window start (the `floor`
@@ -145,6 +176,7 @@ impl<E> CalendarQueue<E> {
             }
             self.cur = (self.cur + 1) & self.mask;
             self.bucket_top += u128::from(self.width);
+            self.walked += 1;
         }
         // A whole year holds nothing (far-future outliers): jump straight
         // to the earliest event instead of spinning through empty years.
@@ -164,6 +196,30 @@ impl<E> CalendarQueue<E> {
             self.rebuild(self.buckets.len());
         }
         Some(ev)
+    }
+
+    /// Re-estimates the width once the pops of the current window have
+    /// walked more than [`WALK_LIMIT`] empty days each, and starts a new
+    /// window when this one ends within that budget. Runs on entry to `pop`,
+    /// when the population is whole (fewer than two events have no span to
+    /// estimate from). A pure function of the queue's own history, like
+    /// every other rebuild.
+    fn check_walk(&mut self) {
+        let window = self
+            .patience
+            .saturating_mul(WALK_WINDOW.max(self.buckets.len() as u64));
+        if self.walked > WALK_LIMIT.saturating_mul(window) && self.len >= 2 {
+            let before = self.width;
+            self.rebuild(self.buckets.len());
+            self.patience = if self.width == before {
+                self.patience.saturating_mul(2)
+            } else {
+                1
+            };
+        } else if self.pops >= window {
+            self.pops = 0;
+            self.walked = 0;
+        }
     }
 
     fn take_front(&mut self, idx: usize) -> Scheduled<E> {
@@ -194,6 +250,8 @@ impl<E> CalendarQueue<E> {
         }
         self.len = 0;
         self.misses = 0;
+        self.walked = 0;
+        self.pops = 0;
         self.anchor(self.floor);
         for ev in all {
             self.insert(ev);
@@ -345,6 +403,101 @@ mod tests {
             seq += 1;
         }
         assert_eq!(q.len(), 2);
+    }
+
+    /// Pops once, returning the event and the empty days the pop walked.
+    /// `pop` may close its window on entry; doing that first (a second
+    /// `check_walk` changes nothing) keeps the counter monotonic across it.
+    /// A pop that rebuilds on its way out (`MISS_LIMIT`, halving) zeroes the
+    /// counter and reads as 0.
+    fn pop_walk(q: &mut CalendarQueue<u64>) -> (Scheduled<u64>, u64) {
+        q.check_walk();
+        let before = q.walked;
+        let e = q.pop().expect("hold loops never drain the queue");
+        (e, q.walked.saturating_sub(before))
+    }
+
+    /// A hold loop: every popped event is rescheduled `step(i)` µs later.
+    /// Returns the empty days walked by the second half of the pops and the
+    /// number of rebuilds (on a constant population each one is a
+    /// recalibration, and moves the width or doubles the patience).
+    fn hold(q: &mut CalendarQueue<u64>, pops: u64, mut step: impl FnMut(u64) -> u64) -> (u64, u32) {
+        let (mut late_walk, mut recalibrations, mut now) = (0, 0, 0);
+        for i in 0..pops {
+            let geometry = (q.width, q.patience);
+            let (e, walk) = pop_walk(q);
+            if (q.width, q.patience) != geometry {
+                recalibrations += 1;
+            }
+            if i >= pops / 2 {
+                late_walk += walk;
+            }
+            assert!(e.at.micros() >= now, "time ran backwards");
+            now = e.at.micros();
+            q.push(ev(now + step(i), 1_000_000 + i));
+        }
+        (late_walk, recalibrations)
+    }
+
+    #[test]
+    fn burst_then_spread_recalibrates_the_width() {
+        // The login-wave shape: thousands of events land on one timestamp
+        // while nothing pops, so every growth rebuild sees a zero span and
+        // leaves the width at 1 µs. The hold loop then spreads the same
+        // population over 2·10⁵ µs — ~50 empty days between events, never a
+        // whole empty year, and no resize to re-estimate on.
+        let mut q = CalendarQueue::new();
+        for seq in 0..4_096u64 {
+            q.push(ev(777, seq));
+        }
+        assert_eq!(q.width, 1);
+        let mut lcg = 24_301u64;
+        let pops = 40_000;
+        let (late_walk, _) = hold(&mut q, pops, |_| {
+            lcg = lcg.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            (lcg >> 33) % 200_000
+        });
+        assert!(q.width > 1, "the stale width was never re-estimated");
+        assert!(
+            late_walk < pops / 2,
+            "{late_walk} empty days over the last {} pops",
+            pops / 2
+        );
+        assert_eq!(drain_sorted(&mut q).len(), 4_096);
+    }
+
+    #[test]
+    fn unhelpable_shapes_back_off_instead_of_thrashing() {
+        let log2 = |pops: u64| u64::BITS - pops.leading_zeros();
+        // Two events a billion µs apart: one rebuild fixes the width for
+        // good.
+        let mut q = CalendarQueue::new();
+        q.push(ev(1, 0));
+        q.push(ev(1_000_000_000, 1));
+        let (_, recalibrations) = hold(&mut q, 100_000, |_| 2_000_000_000);
+        assert!(recalibrations <= log2(100_000), "{recalibrations} rebuilds");
+        assert_eq!(drain_sorted(&mut q).len(), 2);
+
+        // A shape the estimator cannot see: 99 % of the population parked on
+        // one far timestamp (trimmed span 0 → width 1) while ten live events
+        // step through the present 100 µs apart. Every recalibration returns
+        // the same width, so the patience doubles each time.
+        let mut q = CalendarQueue::new();
+        for seq in 0..1_000u64 {
+            q.push(ev(1_000_000_000_000, seq));
+        }
+        for seq in 0..10u64 {
+            q.push(ev(seq * 100, 1_000 + seq));
+        }
+        let pops = 200_000;
+        let (late_walk, recalibrations) = hold(&mut q, pops, |_| 1_000);
+        assert!(late_walk > pops, "the shape was meant to keep walking");
+        assert!(
+            (2..=log2(pops)).contains(&recalibrations),
+            "{recalibrations} rebuilds in {pops} pops"
+        );
+        assert_eq!(q.width, 1);
+        assert_eq!(drain_sorted(&mut q).len(), 1_010);
     }
 
     #[test]

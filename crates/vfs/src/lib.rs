@@ -14,6 +14,13 @@
 //! read back as zeros, and directory entries are kept in sorted order as
 //! `readdir` output.
 //!
+//! Paths are resolved from `/` on every call. A caller that creates many
+//! objects in a directory it already holds (the File System Creator) uses
+//! the by-handle calls instead — [`Vfs::mkdir_at`], [`Vfs::ensure_dir_at`],
+//! [`Vfs::open_at`], [`Vfs::ftruncate`] — which take the directory's
+//! [`Ino`] and one component name; the by-path `mkdir` and `open` create
+//! through the same body.
+//!
 //! # Example
 //!
 //! ```

@@ -39,6 +39,23 @@ pub fn components(path: &str) -> Result<Vec<&str>, FsError> {
     Ok(out)
 }
 
+/// Validates a single directory-entry name, as the by-handle calls take it:
+/// what [`components`] would yield as exactly one component.
+///
+/// # Errors
+///
+/// Returns [`FsError::InvalidArgument`] for an empty name, `.`, `..` or a
+/// name containing `/`, and [`FsError::NameTooLong`] beyond [`NAME_MAX`].
+pub fn check_name(name: &str) -> Result<(), FsError> {
+    if matches!(name, "" | "." | "..") || name.contains('/') {
+        return Err(FsError::InvalidArgument);
+    }
+    if name.len() > NAME_MAX {
+        return Err(FsError::NameTooLong);
+    }
+    Ok(())
+}
+
 /// Splits a path into `(parent_components, final_name)`.
 ///
 /// # Errors
@@ -97,6 +114,20 @@ mod tests {
         assert_eq!(components(&long), Err(FsError::NameTooLong));
         let ok = format!("/{}", "x".repeat(NAME_MAX));
         assert!(components(&ok).is_ok());
+    }
+
+    #[test]
+    fn check_name_accepts_exactly_one_component() {
+        assert_eq!(check_name("a.txt"), Ok(()));
+        assert_eq!(check_name("...").and(check_name(".hidden")), Ok(()));
+        for bad in ["", ".", "..", "a/b", "/a", "a/"] {
+            assert_eq!(check_name(bad), Err(FsError::InvalidArgument), "{bad:?}");
+        }
+        assert_eq!(check_name(&"x".repeat(NAME_MAX)), Ok(()));
+        assert_eq!(
+            check_name(&"x".repeat(NAME_MAX + 1)),
+            Err(FsError::NameTooLong)
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::block::{BlockStats, BlockStore};
 use crate::fd::{Fd, OpenFile, OpenFlags, Process, SeekFrom};
 use crate::inode::{FileKind, Ino, Inode, Metadata};
-use crate::path::{components, split_parent};
+use crate::path::{check_name, components, split_parent};
 use crate::FsError;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
@@ -318,44 +318,21 @@ impl Vfs {
     pub fn mkdir(&mut self, path: &str) -> Result<(), FsError> {
         self.counters.mkdirs += 1;
         let (parent, name) = self.resolve_parent(path)?;
-        if self.dirs[&parent].contains_key(name) {
-            return Err(FsError::AlreadyExists);
-        }
-        let ino = self.alloc_inode(FileKind::Directory, 0)?;
-        self.inode_mut(ino).nlink = 2;
-        self.dirs.insert(ino, BTreeMap::new());
-        self.dirs
-            .get_mut(&parent)
-            .expect("parent checked")
-            .insert(name.to_string(), ino);
-        let clock = self.clock;
-        let p = self.inode_mut(parent);
-        p.nlink += 1;
-        p.mtime = clock;
-        p.size += 1;
-        Ok(())
+        self.create_at(parent, name, FileKind::Directory)
+            .map(|_| ())
     }
 
-    /// Creates every missing directory along `path` (like `mkdir -p`).
+    /// Creates every missing directory along `path` (like `mkdir -p`), in
+    /// one walk from the root.
     ///
     /// # Errors
     ///
     /// [`FsError::NotADirectory`] if an existing component is a file, plus
     /// allocation errors.
     pub fn mkdir_all(&mut self, path: &str) -> Result<(), FsError> {
-        let comps = components(path)?;
-        let mut cur = String::new();
-        for comp in comps {
-            cur.push('/');
-            cur.push_str(comp);
-            match self.mkdir(&cur) {
-                Ok(()) | Err(FsError::AlreadyExists) => {
-                    if !self.dirs.contains_key(&self.resolve(&cur)?) {
-                        return Err(FsError::NotADirectory);
-                    }
-                }
-                Err(e) => return Err(e),
-            }
+        let mut cur = self.root;
+        for comp in components(path)? {
+            cur = self.ensure_dir_at(cur, comp)?;
         }
         Ok(())
     }
@@ -447,40 +424,11 @@ impl Vfs {
             }
             Err(FsError::NotFound) if flags.create => {
                 let (parent, name) = self.resolve_parent(path)?;
-                let ino = self.alloc_inode(FileKind::Regular, 0)?;
-                self.dirs
-                    .get_mut(&parent)
-                    .expect("parent checked")
-                    .insert(name.to_string(), ino);
-                let clock = self.clock;
-                let p = self.inode_mut(parent);
-                p.mtime = clock;
-                p.size += 1;
-                ino
+                self.create_at(parent, name, FileKind::Regular)?
             }
             Err(e) => return Err(e),
         };
-        if self.inode(ino).kind == FileKind::Directory {
-            if flags.write {
-                return Err(FsError::IsADirectory);
-            }
-            // Reading a directory through read(2) is not supported.
-            return Err(FsError::IsADirectory);
-        }
-        if flags.truncate {
-            self.truncate_inode(ino, 0)?;
-        }
-        let open = OpenFile {
-            ino,
-            offset: 0,
-            flags,
-        };
-        let fd = proc.insert(open).ok_or(FsError::TooManyOpenFiles)?;
-        let clock = self.clock;
-        let node = self.inode_mut(ino);
-        node.open_count += 1;
-        node.atime = clock;
-        Ok(fd)
+        self.open_inode(proc, ino, flags)
     }
 
     /// `creat(2)`: shorthand for `open` with create+write+truncate.
@@ -710,18 +658,7 @@ impl Vfs {
     pub fn truncate(&mut self, path: &str, len: u64) -> Result<(), FsError> {
         self.counters.truncates += 1;
         let ino = self.resolve(path)?;
-        if self.inode(ino).kind == FileKind::Directory {
-            return Err(FsError::IsADirectory);
-        }
-        if len > self.config.max_file_size {
-            return Err(FsError::FileTooLarge);
-        }
-        self.truncate_inode(ino, len)?;
-        let clock = self.clock;
-        let node = self.inode_mut(ino);
-        node.mtime = clock;
-        node.ctime = clock;
-        Ok(())
+        self.set_len(ino, len)
     }
 
     /// Reads a whole file by path (a convenience wrapper over
@@ -763,6 +700,160 @@ impl Vfs {
             done += n;
         }
         self.close(&mut proc, fd)
+    }
+
+    // ------------------------------------------------------------------
+    // By-handle calls: a directory inode plus one component name, in the
+    // style of `mkdirat(2)` / `openat(2)`. A bulk builder that holds its
+    // directory pays one map lookup per object instead of a walk from `/`.
+    // ------------------------------------------------------------------
+
+    /// `mkdirat(2)`: creates directory `name` inside directory `parent` and
+    /// returns its inode.
+    ///
+    /// # Errors
+    ///
+    /// [`FsError::InvalidArgument`] / [`FsError::NameTooLong`] unless `name`
+    /// is a single component, [`FsError::NotADirectory`] unless `parent` is
+    /// a live directory, [`FsError::AlreadyExists`] if the name is taken,
+    /// [`FsError::NoSpace`] when out of inodes.
+    pub fn mkdir_at(&mut self, parent: Ino, name: &str) -> Result<Ino, FsError> {
+        self.counters.mkdirs += 1;
+        self.create_at(parent, name, FileKind::Directory)
+    }
+
+    /// One step of `mkdir -p`: the inode of directory `name` inside
+    /// `parent`, created if it is missing.
+    ///
+    /// # Errors
+    ///
+    /// [`FsError::NotADirectory`] when `name` exists and is a file, plus the
+    /// errors of [`Vfs::mkdir_at`] other than `AlreadyExists`.
+    pub fn ensure_dir_at(&mut self, parent: Ino, name: &str) -> Result<Ino, FsError> {
+        match self.entries(parent)?.get(name) {
+            Some(&ino) if self.dirs.contains_key(&ino) => Ok(ino),
+            Some(_) => Err(FsError::NotADirectory),
+            None => self.mkdir_at(parent, name),
+        }
+    }
+
+    /// `openat(2)`: opens `name` inside directory `parent`, creating a
+    /// regular file there when `flags.create` is set and it is missing.
+    ///
+    /// # Errors
+    ///
+    /// The name and parent errors of [`Vfs::mkdir_at`], then the same as
+    /// [`Vfs::open`].
+    pub fn open_at(
+        &mut self,
+        proc: &mut Process,
+        parent: Ino,
+        name: &str,
+        flags: OpenFlags,
+    ) -> Result<Fd, FsError> {
+        self.counters.opens += 1;
+        if !flags.read && !flags.write {
+            return Err(FsError::InvalidArgument);
+        }
+        check_name(name)?;
+        let ino = match self.entries(parent)?.get(name) {
+            Some(_) if flags.create && flags.exclusive => return Err(FsError::AlreadyExists),
+            Some(&ino) => ino,
+            None if flags.create => self.create_at(parent, name, FileKind::Regular)?,
+            None => return Err(FsError::NotFound),
+        };
+        self.open_inode(proc, ino, flags)
+    }
+
+    /// `ftruncate(2)`: sets the length of the file open on `fd`.
+    ///
+    /// # Errors
+    ///
+    /// [`FsError::BadFd`] for unknown descriptors,
+    /// [`FsError::BadAccessMode`] unless it is open for writing,
+    /// [`FsError::FileTooLarge`] beyond the maximum file size.
+    pub fn ftruncate(&mut self, proc: &Process, fd: Fd, len: u64) -> Result<(), FsError> {
+        self.counters.truncates += 1;
+        let open = proc.get(fd).ok_or(FsError::BadFd)?;
+        if !open.flags.write {
+            return Err(FsError::BadAccessMode);
+        }
+        self.set_len(open.ino, len)
+    }
+
+    /// The entries of `dir`, which must be a live directory.
+    fn entries(&self, dir: Ino) -> Result<&BTreeMap<String, Ino>, FsError> {
+        self.dirs.get(&dir).ok_or(FsError::NotADirectory)
+    }
+
+    /// The one creation body behind `mkdir`, `open(create)` and their
+    /// by-handle forms: links a fresh inode of `kind` into `parent` as
+    /// `name`.
+    fn create_at(&mut self, parent: Ino, name: &str, kind: FileKind) -> Result<Ino, FsError> {
+        check_name(name)?;
+        if self.entries(parent)?.contains_key(name) {
+            return Err(FsError::AlreadyExists);
+        }
+        let ino = self.alloc_inode(kind, 0)?;
+        let is_dir = kind == FileKind::Directory;
+        if is_dir {
+            self.inode_mut(ino).nlink = 2;
+            self.dirs.insert(ino, BTreeMap::new());
+        }
+        self.dirs
+            .get_mut(&parent)
+            .expect("parent checked")
+            .insert(name.to_string(), ino);
+        let clock = self.clock;
+        let p = self.inode_mut(parent);
+        p.nlink += u32::from(is_dir);
+        p.mtime = clock;
+        p.size += 1;
+        Ok(ino)
+    }
+
+    /// The tail of every open: access checks on the resolved inode, then a
+    /// descriptor in `proc`.
+    fn open_inode(
+        &mut self,
+        proc: &mut Process,
+        ino: Ino,
+        flags: OpenFlags,
+    ) -> Result<Fd, FsError> {
+        // Reading a directory through read(2) is not supported either.
+        if self.inode(ino).kind == FileKind::Directory {
+            return Err(FsError::IsADirectory);
+        }
+        if flags.truncate {
+            self.truncate_inode(ino, 0)?;
+        }
+        let open = OpenFile {
+            ino,
+            offset: 0,
+            flags,
+        };
+        let fd = proc.insert(open).ok_or(FsError::TooManyOpenFiles)?;
+        let clock = self.clock;
+        let node = self.inode_mut(ino);
+        node.open_count += 1;
+        node.atime = clock;
+        Ok(fd)
+    }
+
+    /// The body of `truncate` and `ftruncate`.
+    fn set_len(&mut self, ino: Ino, len: u64) -> Result<(), FsError> {
+        if self.inode(ino).kind == FileKind::Directory {
+            return Err(FsError::IsADirectory);
+        }
+        if len > self.config.max_file_size {
+            return Err(FsError::FileTooLarge);
+        }
+        self.truncate_inode(ino, len)?;
+        let clock = self.clock;
+        let node = self.inode_mut(ino);
+        node.mtime = clock;
+        node.ctime = clock;
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1312,6 +1403,128 @@ mod tests {
         f.write_file("/a/b/f", b"x").unwrap();
         assert!(f.exists("/a/./b/../b/f"));
         assert!(f.exists("/../a/b/f"));
+    }
+
+    #[test]
+    fn by_handle_calls_create_what_the_path_calls_would() {
+        let mut by_path = fs();
+        by_path.set_clock(5);
+        by_path.mkdir("/d").unwrap();
+        by_path.write_file("/d/f", b"").unwrap();
+        by_path.truncate("/d/f", 300).unwrap();
+
+        let mut by_handle = fs();
+        by_handle.set_clock(5);
+        let root = by_handle.root();
+        let d = by_handle.mkdir_at(root, "d").unwrap();
+        assert_eq!(by_handle.ensure_dir_at(root, "d"), Ok(d), "steps into it");
+        let mut p = by_handle.new_process();
+        let fd = by_handle
+            .open_at(&mut p, d, "f", OpenFlags::create_write())
+            .unwrap();
+        by_handle.ftruncate(&p, fd, 300).unwrap();
+        by_handle.close(&mut p, fd).unwrap();
+
+        assert_eq!(by_handle.resolve("/d"), Ok(d));
+        for path in ["/", "/d", "/d/f"] {
+            assert_eq!(by_handle.stat(path), by_path.stat(path), "{path}");
+        }
+        assert_eq!(by_handle.statfs(), by_path.statfs());
+        // Opening the same name again finds the file instead of creating it.
+        let fd = by_handle
+            .open_at(&mut p, d, "f", OpenFlags::read_only())
+            .unwrap();
+        assert_eq!(by_handle.fstat(&p, fd).unwrap().size, 300);
+    }
+
+    #[test]
+    fn by_handle_calls_reject_bad_names() {
+        let mut f = fs();
+        let root = f.root();
+        let mut p = f.new_process();
+        let long = "x".repeat(256);
+        for (name, err) in [
+            ("", FsError::InvalidArgument),
+            (".", FsError::InvalidArgument),
+            ("..", FsError::InvalidArgument),
+            ("a/b", FsError::InvalidArgument),
+            (long.as_str(), FsError::NameTooLong),
+        ] {
+            assert_eq!(f.mkdir_at(root, name), Err(err), "{name:?}");
+            assert_eq!(f.ensure_dir_at(root, name), Err(err), "{name:?}");
+            assert_eq!(
+                f.open_at(&mut p, root, name, OpenFlags::create_write()),
+                Err(err),
+                "{name:?}"
+            );
+        }
+        assert_eq!(f.statfs().used_inodes, 1, "nothing was created");
+    }
+
+    #[test]
+    fn by_handle_calls_reject_bad_parents_and_taken_names() {
+        let mut f = fs();
+        let root = f.root();
+        let mut p = f.new_process();
+        f.write_file("/file", b"x").unwrap();
+        let file = f.resolve("/file").unwrap();
+        let gone = f.mkdir_at(root, "gone").unwrap();
+        f.rmdir("/gone").unwrap();
+        for parent in [file, gone, Ino(1 << 40)] {
+            assert_eq!(f.mkdir_at(parent, "d"), Err(FsError::NotADirectory));
+            assert_eq!(f.ensure_dir_at(parent, "d"), Err(FsError::NotADirectory));
+            assert_eq!(
+                f.open_at(&mut p, parent, "f", OpenFlags::create_write()),
+                Err(FsError::NotADirectory)
+            );
+        }
+
+        f.mkdir_at(root, "dir").unwrap();
+        assert_eq!(f.mkdir_at(root, "dir"), Err(FsError::AlreadyExists));
+        assert_eq!(f.mkdir_at(root, "file"), Err(FsError::AlreadyExists));
+        assert_eq!(f.ensure_dir_at(root, "file"), Err(FsError::NotADirectory));
+        let exclusive = OpenFlags::create_write().with_exclusive();
+        assert_eq!(
+            f.open_at(&mut p, root, "file", exclusive),
+            Err(FsError::AlreadyExists)
+        );
+        assert_eq!(
+            f.open_at(&mut p, root, "dir", OpenFlags::create_write()),
+            Err(FsError::IsADirectory)
+        );
+        assert_eq!(
+            f.open_at(&mut p, root, "missing", OpenFlags::read_only()),
+            Err(FsError::NotFound)
+        );
+    }
+
+    #[test]
+    fn by_handle_calls_respect_the_limits() {
+        let mut f = small_fs(); // 16 inodes, max_file_size 4096
+        let root = f.root();
+        let mut p = f.new_process();
+        let fd = f
+            .open_at(&mut p, root, "cap", OpenFlags::create_write())
+            .unwrap();
+        assert_eq!(f.ftruncate(&p, fd, 4097), Err(FsError::FileTooLarge));
+        f.ftruncate(&p, fd, 4096).unwrap();
+        f.close(&mut p, fd).unwrap();
+        assert_eq!(f.ftruncate(&p, fd, 0), Err(FsError::BadFd));
+        let fd = f
+            .open_at(&mut p, root, "cap", OpenFlags::read_only())
+            .unwrap();
+        assert_eq!(f.ftruncate(&p, fd, 0), Err(FsError::BadAccessMode));
+
+        for i in 0..14 {
+            f.mkdir_at(root, &format!("d{i}")).unwrap();
+        }
+        assert_eq!(f.mkdir_at(root, "one-too-many"), Err(FsError::NoSpace));
+        assert_eq!(f.ensure_dir_at(root, "one-too-many"), Err(FsError::NoSpace));
+        assert_eq!(
+            f.open_at(&mut p, root, "one-too-many", OpenFlags::create_write()),
+            Err(FsError::NoSpace)
+        );
+        assert_eq!(f.ensure_dir_at(root, "d3"), f.resolve("/d3"));
     }
 
     #[test]
