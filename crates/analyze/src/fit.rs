@@ -6,24 +6,24 @@
 //! counts, bounded reservoir samples of every usage measure the paper's
 //! workload model parameterizes (access size, op interarrival, think time,
 //! session length, inter-session gap), per-category usage aggregates and
-//! the distinct-file geometry of the capture. Both passes reuse the
-//! [`scan`](crate::scan) machinery: with a frame index and a window they
-//! seek straight to the overlapping frames; without one they stream the
-//! whole file through the same record-level window filter.
+//! the distinct-file geometry of the capture. Both passes go through
+//! [`scan::visit_path`](crate::scan::visit_path): with a frame index and a
+//! window they seek straight to the overlapping frames; without one they
+//! stream the whole file through the same record-level window filter.
 //!
 //! This module only *collects*; it never fits. `uswg-core` runs the
 //! `uswg-distr` fitters over the reservoirs and emits the runnable
 //! `WorkloadSpec`, so `uswg-analyze` stays independent of the distribution
 //! engine.
 
-use crate::scan::{visit_indexed, ScanOptions};
+use crate::scan::{visit_path, Coverage, ScanOptions};
 use crate::StreamingSummary;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::Path;
 use uswg_fsc::FileCategory;
 use uswg_netfs::OpKind;
-use uswg_usim::{FrameIndex, OpRecord, SessionRecord, SpillReader, SpillRecord};
+use uswg_usim::{OpRecord, SessionRecord, SpillReader, SpillRecord};
 
 /// Default bound on every reservoir the collector keeps: large enough that
 /// KS distances against it resolve to ~0.5%, small enough that a fit pass
@@ -537,12 +537,11 @@ pub struct FitOutcome {
 }
 
 /// Runs the two fit passes over the spill capture at `path` — either
-/// codec. With a window or sampling requested *and* an index footer
-/// present, each pass seeks straight to the overlapping frames (the
-/// [`visit_indexed`] path); otherwise both passes stream the whole file
-/// through the record-level window filter, which also covers footer-less
-/// pre-index captures. Each pass skips the other record kind structurally,
-/// so a pass never decodes the frames it doesn't need.
+/// codec — each through [`visit_path`], so fitting seeks or streams
+/// exactly when `uswg analyze` would for the same options (and streams
+/// footer-less pre-index captures through the same record filter). Each
+/// pass skips the other record kind structurally, so a pass never decodes
+/// the frames it doesn't need.
 ///
 /// # Errors
 ///
@@ -551,73 +550,26 @@ pub struct FitOutcome {
 /// a partial read would silently misrepresent the workload.
 pub fn collect_fit<P: AsRef<Path>>(path: P, opts: &ScanOptions) -> io::Result<FitOutcome> {
     let path = path.as_ref();
-    let windowed =
-        opts.since.is_some() || opts.until.is_some() || opts.sample.is_some_and(|k| k > 1);
-    let index = if windowed {
-        FrameIndex::load_path(path)?
-    } else {
-        None
-    };
     let mut collector = FitCollector::new();
-    let counts = match &index {
-        Some(index) => {
-            visit_indexed(
-                index,
-                opts,
-                || Ok(SpillReader::open(path)?.sessions_only()),
-                |record| {
-                    if let SpillRecord::Session(s) = record {
-                        collector.record_session(s);
-                    }
-                },
-            )?;
-            let (frames_total, frames_decoded) = visit_indexed(
-                index,
-                opts,
-                || Ok(SpillReader::open(path)?.ops_only()),
-                |record| {
-                    if let SpillRecord::Op(op) = record {
-                        collector.record_op(op);
-                    }
-                },
-            )?;
-            Some((frames_total, frames_decoded))
+    visit_path(path, opts, false, SpillReader::sessions_only, |record| {
+        if let SpillRecord::Session(s) = record {
+            collector.record_session(s);
         }
-        None => {
-            stream_pass(path, opts, &mut |record| {
-                if let SpillRecord::Session(s) = record {
-                    collector.record_session(s);
-                }
-            })?;
-            stream_pass(path, opts, &mut |record| {
-                if let SpillRecord::Op(op) = record {
-                    collector.record_op(op);
-                }
-            })?;
-            None
+    })?;
+    let pass = visit_path(path, opts, false, SpillReader::ops_only, |record| {
+        if let SpillRecord::Op(op) = record {
+            collector.record_op(op);
         }
+    })?;
+    let (frames_total, frames_decoded) = match pass.coverage {
+        Coverage::Indexed { decoded, total } => (Some(total), Some(decoded)),
+        Coverage::Full | Coverage::Filtered => (None, None),
     };
     Ok(FitOutcome {
         observation: collector.finish(),
-        frames_total: counts.map(|c| c.0),
-        frames_decoded: counts.map(|c| c.1),
+        frames_total,
+        frames_decoded,
     })
-}
-
-/// One sequential streaming pass over the whole file.
-fn stream_pass(
-    path: &Path,
-    opts: &ScanOptions,
-    visit: &mut dyn FnMut(&SpillRecord),
-) -> io::Result<()> {
-    let mut reader = SpillReader::open(path)?;
-    for record in &mut reader {
-        let record = record?;
-        if opts.record_in_window(&record) {
-            visit(&record);
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

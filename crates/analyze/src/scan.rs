@@ -1,22 +1,27 @@
-//! Indexed spill scans: the windowed, sampled and parallel passes behind
-//! `uswg analyze --since/--until/--sample/--jobs`.
+//! Spill scans: the one place that decides whether a pass over a capture
+//! seeks through the index footer or streams every frame, behind both
+//! `uswg analyze` and `uswg fit`.
 //!
-//! A sequential `uswg analyze` streams the whole file. With a
-//! [`FrameIndex`] loaded from the footer, [`scan_indexed`] instead selects
-//! the frames whose completion-time range overlaps the query window
-//! (optionally thinned to every k-th frame), seeks straight to them, and
-//! folds only those records into a [`StreamLogStats`] — O(window), not
-//! O(file). With `jobs > 1` the selected frames split into near-equal
-//! chunks fanned across the global stealpool budget; each worker opens its
-//! own reader, accumulates independently, and the chunks merge in file
-//! order via [`StreamLogStats::merge`], matching the sequential pass to
+//! [`scan_path`] (fold into a [`StreamLogStats`]) and [`visit_path`] (hand
+//! every record to a visitor) make the same choice from the same
+//! [`ScanOptions`]: when the options select or fan out frames and the file
+//! carries a [`FrameIndex`], only the frames whose completion-time range
+//! overlaps the window are decoded (optionally thinned to every k-th) —
+//! O(window), not O(file); otherwise every frame streams through the same
+//! record-level filter. With `jobs > 1` [`scan_indexed`] splits the
+//! selected frames into near-equal chunks fanned across the global
+//! stealpool budget; each worker opens its own reader, accumulates
+//! independently, and the chunks merge in file order via
+//! [`StreamLogStats::merge`], matching the sequential pass to
 //! floating-point roundoff.
 
 use crate::metrics::StreamLogStats;
-use std::io::{self, Read, Seek, SeekFrom};
+use std::fs::File;
+use std::io::{self, BufReader, Read, Seek, SeekFrom};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use uswg_usim::{FrameIndex, FrameIndexEntry, LogSink, SpillReader, SpillRecord};
+use std::sync::Arc;
+use uswg_usim::{FrameIndex, FrameIndexEntry, LogSink, SpillCodec, SpillReader, SpillRecord};
 
 /// What an indexed scan should select and how it should run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -29,11 +34,25 @@ pub struct ScanOptions {
     /// decodes them all) — a cheap estimate over a huge capture.
     pub sample: Option<u64>,
     /// Worker threads to request from the global stealpool budget
-    /// (`0` or `1` runs sequentially on the calling thread).
+    /// (`0` or `1` runs sequentially on the calling thread; `0` is "not
+    /// asked for", any other value also asks for the indexed path).
     pub jobs: usize,
 }
 
 impl ScanOptions {
+    /// Whether the options can drop records — the only way a pass over a
+    /// non-empty capture can come back empty.
+    pub fn filters(&self) -> bool {
+        self.since.is_some() || self.until.is_some() || self.sample.is_some()
+    }
+
+    /// Whether a pass should use the index footer when the file has one:
+    /// a filter can skip frames through it, and `jobs` needs it to split
+    /// the file. A plain full pass streams, footer or not.
+    pub fn wants_index(&self) -> bool {
+        self.filters() || self.jobs > 0
+    }
+
     /// Whether a decoded record falls inside the `[since, until]` window.
     /// Frames are selected by their index *range*, so a frame straddling a
     /// window edge still carries out-of-window records; this is the
@@ -89,30 +108,13 @@ where
     let frames_decoded = sampled.len();
     let workers = opts.jobs.max(1);
     let chunks: Vec<&[(usize, FrameIndexEntry)]> = split_even(&sampled, workers);
-    let stats = if chunks.len() <= 1 {
-        let mut stats = StreamLogStats::new();
-        if let Some(chunk) = chunks.first() {
-            stats = scan_chunk(&open, chunk, opts)?;
-        }
-        stats
-    } else {
-        let slots: Vec<Mutex<Option<io::Result<StreamLogStats>>>> =
-            chunks.iter().map(|_| Mutex::new(None)).collect();
-        stealpool::run_indexed(workers, chunks.len(), |i| {
-            let result = scan_chunk(&open, chunks[i], opts);
-            *slots[i].lock().expect("scan slot poisoned") = Some(result);
-            true
-        });
-        let mut stats = StreamLogStats::new();
-        for slot in slots {
-            let chunk_stats = slot
-                .into_inner()
-                .expect("scan slot poisoned")
-                .expect("stealpool runs every task")?;
-            stats.merge(&chunk_stats);
-        }
-        stats
-    };
+    // A single chunk runs inline on the calling thread.
+    let mut stats = StreamLogStats::new();
+    for chunk_stats in stealpool::try_map_indexed(workers, chunks.len(), |i| {
+        scan_chunk(&open, chunks[i], opts)
+    })? {
+        stats.merge(&chunk_stats);
+    }
     Ok(ScanOutcome {
         stats,
         frames_total: index.frames(),
@@ -121,8 +123,7 @@ where
 }
 
 /// The frames of `index` overlapping the window, thinned to every k-th
-/// when sampling — the selection both [`scan_indexed`] and
-/// [`visit_indexed`] decode.
+/// when sampling — the selection every indexed pass decodes.
 pub fn select_frames(index: &FrameIndex, opts: &ScanOptions) -> Vec<(usize, FrameIndexEntry)> {
     let selected: Vec<(usize, FrameIndexEntry)> = index
         .entries()
@@ -137,30 +138,176 @@ pub fn select_frames(index: &FrameIndex, opts: &ScanOptions) -> Vec<(usize, Fram
     }
 }
 
-/// Sequentially decodes the frames [`select_frames`] picks and passes
-/// every in-window record to `visit`, in file order. Returns
-/// `(frames_total, frames_decoded)`. This is the record-visitor core under
-/// [`scan_indexed`], exposed for passes (like the fit collector) that fold
-/// into something other than a [`StreamLogStats`].
+/// How much of the file a path-level pass decoded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Coverage {
+    /// Streamed every frame, no filter and no fan-out asked for.
+    Full,
+    /// Streamed every frame through the record filter: the options wanted
+    /// the index but the file carries no usable footer.
+    Filtered,
+    /// Seeked via the index footer and decoded only the selected frames.
+    Indexed {
+        /// Frames decoded (selected by window, thinned by sampling).
+        decoded: usize,
+        /// Frames in the file, per the index.
+        total: usize,
+    },
+}
+
+/// How a path-level pass went: what the file is, how much of it was
+/// decoded, and whether it ended early.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Pass {
+    /// The codec the file was written with.
+    pub codec: SpillCodec,
+    /// Which frames the pass decoded.
+    pub coverage: Coverage,
+    /// The file ended before its format said it should and `salvage`
+    /// accepted that: the pass covers the intact prefix only.
+    pub truncated: bool,
+    /// The end marker validated, so every *record* was seen even if the
+    /// pass is `truncated` — the cut fell inside the index footer and the
+    /// totals are exact, not a lower bound.
+    pub stream_complete: bool,
+}
+
+impl Pass {
+    /// An indexed pass: it only runs over a footer that loaded whole.
+    fn complete(codec: SpillCodec, coverage: Coverage) -> Self {
+        Self {
+            codec,
+            coverage,
+            truncated: false,
+            stream_complete: true,
+        }
+    }
+}
+
+/// A spill reader over a buffered file, as [`SpillReader::open`] returns.
+pub type FileReader = SpillReader<BufReader<File>>;
+
+/// The index footer of the capture at `path` when `opts` can use one and
+/// the file has one. A present-but-malformed footer fails closed (the
+/// trailer promised an index that lied); an absent or truncated one is
+/// `None` and the pass streams.
+fn index_for(path: &Path, opts: &ScanOptions) -> io::Result<Option<FrameIndex>> {
+    if opts.wants_index() {
+        FrameIndex::load_path(path)
+    } else {
+        Ok(None)
+    }
+}
+
+/// The Usage Analyzer pass over the capture at `path`: every selected
+/// record folded into a [`StreamLogStats`], through the index footer
+/// (across `opts.jobs` workers) when [`ScanOptions::wants_index`] and the
+/// file has one, else streamed frame-by-frame — no `UsageLog`, no O(run
+/// length) memory, any file the format can hold.
 ///
 /// # Errors
 ///
-/// Propagates reader-open and decode errors, exactly as [`scan_indexed`].
-pub fn visit_indexed<R, F, V>(
-    index: &FrameIndex,
+/// Propagates open and decode errors; see [`visit_path`] for what
+/// `salvage` accepts.
+pub fn scan_path<P: AsRef<Path>>(
+    path: P,
     opts: &ScanOptions,
-    open: F,
+    salvage: bool,
+) -> io::Result<(StreamLogStats, Pass)> {
+    let path = path.as_ref();
+    let Some(index) = index_for(path, opts)? else {
+        let mut stats = StreamLogStats::new();
+        let fold = |record: &SpillRecord| match record {
+            SpillRecord::Op(op) => stats.record_op(op),
+            SpillRecord::Session(s) => stats.record_session(s),
+        };
+        let pass = stream_path(path, opts, salvage, |reader| reader, fold)?;
+        return Ok((stats, pass));
+    };
+    let codec = SpillReader::open(path)?.codec();
+    let outcome = scan_indexed(&index, opts, || SpillReader::open(path))?;
+    let coverage = Coverage::Indexed {
+        decoded: outcome.frames_decoded,
+        total: outcome.frames_total,
+    };
+    Ok((outcome.stats, Pass::complete(codec, coverage)))
+}
+
+/// Passes every selected record of the capture at `path` to `visit`, in
+/// file order, making the same index-or-stream choice as [`scan_path`] —
+/// for passes (like the fit collector) that fold into something other than
+/// a [`StreamLogStats`]. `adapt` restricts each reader the pass opens
+/// (`SpillReader::ops_only`, `sessions_only`, or the identity).
+///
+/// With `salvage`, a *truncated* file ends the pass early instead of
+/// failing it ([`Pass::truncated`]): every record already visited came
+/// from an intact (v2: checksummed) frame, so the prefix is trustworthy.
+/// Corruption (`InvalidData`) means a frame lied and fails closed either
+/// way — and that includes garbage after a valid end marker.
+///
+/// # Errors
+///
+/// Propagates open and decode errors. An index that disagrees with the
+/// file (a seek landing mid-frame, a frame ending early) surfaces as the
+/// decode error the misaligned read produces.
+pub fn visit_path<P, A, V>(
+    path: P,
+    opts: &ScanOptions,
+    salvage: bool,
+    adapt: A,
     mut visit: V,
-) -> io::Result<(usize, usize)>
+) -> io::Result<Pass>
 where
-    R: Read + Seek,
-    F: Fn() -> io::Result<SpillReader<R>>,
+    P: AsRef<Path>,
+    A: Fn(FileReader) -> FileReader,
     V: FnMut(&SpillRecord),
 {
-    let sampled = select_frames(index, opts);
-    let frames_decoded = sampled.len();
-    visit_frames(&open, &sampled, opts, &mut visit)?;
-    Ok((index.frames(), frames_decoded))
+    let path = path.as_ref();
+    let Some(index) = index_for(path, opts)? else {
+        return stream_path(path, opts, salvage, adapt, visit);
+    };
+    let open = || SpillReader::open(path).map(&adapt);
+    let codec = open()?.codec();
+    let frames = select_frames(&index, opts);
+    visit_frames(&open, &frames, opts, &mut visit)?;
+    let coverage = Coverage::Indexed {
+        decoded: frames.len(),
+        total: index.frames(),
+    };
+    Ok(Pass::complete(codec, coverage))
+}
+
+/// The streamed pass under [`scan_path`] and [`visit_path`].
+fn stream_path(
+    path: &Path,
+    opts: &ScanOptions,
+    salvage: bool,
+    adapt: impl Fn(FileReader) -> FileReader,
+    mut visit: impl FnMut(&SpillRecord),
+) -> io::Result<Pass> {
+    let mut reader = adapt(SpillReader::open(path)?);
+    let mut truncated = false;
+    for record in reader.by_ref() {
+        match record {
+            Ok(record) if opts.record_in_window(&record) => visit(&record),
+            Ok(_) => {}
+            Err(e) if salvage && e.kind() == io::ErrorKind::UnexpectedEof => {
+                truncated = true;
+                break;
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(Pass {
+        codec: reader.codec(),
+        coverage: if opts.wants_index() {
+            Coverage::Filtered
+        } else {
+            Coverage::Full
+        },
+        truncated,
+        stream_complete: reader.stream_complete(),
+    })
 }
 
 /// Splits `frames` into at most `parts` near-equal contiguous chunks

@@ -1,12 +1,15 @@
-//! Acceptance pins for indexed spill scans: a windowed pass reads O(window)
-//! bytes (counting-reader budget), sampling thins frames, and a parallel
-//! pass merges to the sequential statistics within 1e-9.
+//! Acceptance pins for spill scans: a windowed pass reads O(window) bytes
+//! (counting-reader budget), sampling thins frames, a parallel pass merges
+//! to the sequential statistics within 1e-9, and the path-level entry
+//! points make one index-or-stream choice for `analyze` and `fit` alike.
 
-use std::io::Cursor;
+use std::io::{Cursor, ErrorKind};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use uswg_analyze::metrics::StreamLogStats;
-use uswg_analyze::{scan::scan_indexed, CountingReader, ScanOptions};
+use uswg_analyze::scan::{scan_indexed, scan_path};
+use uswg_analyze::{collect_fit, CountingReader, Coverage, ScanOptions};
 use uswg_usim::{
     FrameIndex, LogSink, OpRecord, SessionRecord, SpillCodec, SpillReader, SpillRecord, SpillSink,
 };
@@ -21,7 +24,10 @@ const OPS: u64 = 4000;
 /// fault outcomes and interleaved sessions, at a small frame cap so the
 /// file holds many frames.
 fn capture() -> Vec<u8> {
-    let mut sink = SpillSink::with_options(Vec::new(), SpillCodec::Compressed, FRAME).unwrap();
+    fill(SpillSink::with_options(Vec::new(), SpillCodec::Compressed, FRAME).unwrap())
+}
+
+fn fill(mut sink: SpillSink<Vec<u8>>) -> Vec<u8> {
     for i in 0..OPS {
         sink.record_op(&OpRecord {
             at: i * 10,
@@ -238,4 +244,93 @@ fn empty_window_scans_nothing() {
     assert_eq!(outcome.stats.sessions, 0);
     // No frames selected → no reader ever opened.
     assert_eq!(bytes_read.load(Ordering::Relaxed), 0);
+}
+
+/// `bytes` as a file under cargo's per-target test tmpdir.
+fn on_disk(name: &str, bytes: &[u8]) -> PathBuf {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("uswg-scan-{name}.bin"));
+    std::fs::write(&path, bytes).unwrap();
+    path
+}
+
+fn opts(since: Option<u64>, sample: Option<u64>, jobs: usize) -> ScanOptions {
+    let until = since.map(|s| s + 2_000);
+    ScanOptions {
+        since,
+        until,
+        sample,
+        jobs,
+    }
+}
+
+#[test]
+fn analyze_and_fit_make_one_index_or_stream_choice() {
+    let indexed = on_disk("indexed", &capture());
+    let bare = SpillSink::with_options(Vec::new(), SpillCodec::Compressed, FRAME).unwrap();
+    let unindexed = on_disk("unindexed", &fill(bare.without_index()));
+    // A filter, a fan-out request and `--sample 1` (which drops nothing) all
+    // ask for the index; only the plain full pass does not.
+    for (opts, wants_index) in [
+        (opts(None, None, 0), false),
+        (opts(Some(20_000), None, 0), true),
+        (opts(None, Some(1), 0), true),
+        (opts(None, Some(4), 0), true),
+        (opts(None, None, 1), true),
+        (opts(None, None, 3), true),
+    ] {
+        let (with, pass) = scan_path(&indexed, &opts, false).unwrap();
+        let (without, streamed) = scan_path(&unindexed, &opts, false).unwrap();
+        // Same records either way — unless sampling thins *frames*, which
+        // only an index can do.
+        if opts.sample.is_none_or(|k| k == 1) {
+            assert_stats_match(&with, &without);
+        }
+        assert!(!pass.truncated && !streamed.truncated);
+        let fallback = if wants_index {
+            Coverage::Filtered
+        } else {
+            Coverage::Full
+        };
+        assert_eq!(streamed.coverage, fallback, "{opts:?}");
+        // `fit` reports the frames `analyze` reports, or neither does.
+        let fit = collect_fit(&indexed, &opts).unwrap();
+        match pass.coverage {
+            Coverage::Indexed { decoded, total } if wants_index => {
+                assert_eq!(
+                    (fit.frames_decoded, fit.frames_total),
+                    (Some(decoded), Some(total))
+                );
+            }
+            Coverage::Full if !wants_index => assert_eq!(fit.frames_total, None),
+            other => panic!("{opts:?}: {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn salvage_accepts_a_cut_says_where_and_still_rejects_corruption() {
+    let bytes = capture();
+    let full = ScanOptions::default();
+    // Mid-stream: the intact prefix, a lower bound.
+    let mid = on_disk("cut-mid", &bytes[..bytes.len() * 2 / 3]);
+    let err = scan_path(&mid, &full, false).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
+    let (stats, pass) = scan_path(&mid, &full, true).unwrap();
+    assert!(pass.truncated && !pass.stream_complete);
+    assert!(0 < stats.ops && stats.ops < OPS, "{}", stats.ops);
+    // Inside the footer: every record, exact totals — and a windowed pass
+    // streams rather than trusting half an index.
+    let foot = on_disk("cut-foot", &bytes[..bytes.len() - 5]);
+    assert!(scan_path(&foot, &full, false).is_err());
+    let (stats, pass) = scan_path(&foot, &opts(Some(0), None, 0), true).unwrap();
+    assert!(pass.truncated && pass.stream_complete);
+    assert_eq!(
+        (stats.ops, pass.coverage),
+        (2_000 / 10 + 1, Coverage::Filtered)
+    );
+    // A flipped byte is a frame that lied: no salvage.
+    let mut flipped = bytes.clone();
+    flipped[bytes.len() / 2] ^= 0x40;
+    let err = scan_path(on_disk("flipped", &flipped), &full, true).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::InvalidData);
 }

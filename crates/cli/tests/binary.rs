@@ -178,3 +178,38 @@ fn a_population_too_big_for_max_inodes_is_refused_by_name() {
     }
     assert!(!stderr.contains("ENOSPC"), "{stderr}");
 }
+
+/// `--help` or `-h` anywhere on the line asks for the usage text (banner on
+/// stdout, exit 0) instead of being taken for an operand; and a failure
+/// names what was wrong — the file, the missing operand, the flag.
+#[test]
+fn help_is_never_an_operand_and_errors_name_their_cause() {
+    for subcommand in [
+        "init",
+        "run",
+        "sweep",
+        "replicate",
+        "drive",
+        "fit",
+        "analyze",
+        "tables",
+    ] {
+        for args in [format!("{subcommand} --help"), format!("{subcommand} x -h")] {
+            let text = stdout_of(&uswg(&args, &[]), &args);
+            assert!(text.starts_with("uswg — user-oriented"), "{args}: {text}");
+        }
+    }
+    for (args, cause) in [
+        ("run missing.json", "missing.json: No such file"),
+        ("analyze --json", "analyze needs a spill file"),
+        (
+            "sweep s.json --model nfs --users 1 --summary",
+            "unknown flag `--summary`",
+        ),
+    ] {
+        let out = uswg(args, &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args}: {stderr}");
+        assert!(stderr.contains(cause), "{args}: {stderr}");
+    }
+}

@@ -93,6 +93,14 @@
 //! while the frame granularity preserves the stream's op/session
 //! interleaving order within each record kind.
 
+mod index;
+
+pub use self::index::{FrameIndex, FrameIndexEntry};
+
+use self::index::{
+    decode_entries, write_index_footer, INDEX_ENTRY_BYTES, INDEX_FIXED_BYTES, MAGIC_INDEX,
+    MAGIC_TRAILER, TRAILER_BYTES,
+};
 use crate::log::{OpRecord, SessionRecord, UsageLog};
 use crate::sink::LogSink;
 use std::fs::File;
@@ -121,19 +129,6 @@ const TAG_END: u8 = 2;
 /// non-default outcome, so fault-free spill files keep the historical byte
 /// layout exactly.
 const TAG_OPS_FAULTS: u8 = 3;
-/// Index-footer magic, the first bytes after the end marker of an indexed
-/// file.
-const MAGIC_INDEX: &[u8; 8] = b"USWGIDX1";
-/// Trailer magic, the last 8 bytes of an indexed file.
-const MAGIC_TRAILER: &[u8; 8] = b"USWGTRL1";
-/// Bytes per index entry: offset u64, tag u8, records u32, min/max u64.
-const INDEX_ENTRY_BYTES: usize = 8 + 1 + 4 + 8 + 8;
-/// Fixed footer overhead around the entries: magic, count, CRC.
-const INDEX_FIXED_BYTES: usize = 8 + 4 + 4;
-/// Trailer length: footer length (u32) + trailer magic.
-const TRAILER_BYTES: usize = 4 + 8;
-/// The shortest possible sealed stream: magic + end marker.
-const MIN_STREAM_BYTES: u64 = 8 + 1 + 16;
 
 /// Records buffered per frame: the sink's entire resident footprint is two
 /// buffers of at most this many records (~320 KiB of ops), independent of
@@ -402,194 +397,6 @@ fn decode_u8_col(buf: &[u8], count: usize) -> io::Result<Vec<u8>> {
         }
         other => Err(bad_data(format!("unknown byte-column encoding {other}"))),
     }
-}
-
-// ---------------------------------------------------------------------------
-// Frame index
-// ---------------------------------------------------------------------------
-
-/// One frame of a spill file as the index footer describes it: where the
-/// frame starts, what it holds and the completion-time range it covers —
-/// everything a windowed or parallel pass needs to decide whether to decode
-/// the frame without reading it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameIndexEntry {
-    /// Byte offset of the frame's tag byte from the start of the file.
-    pub offset: u64,
-    /// Records in the frame (`1..=FRAME_CAP`).
-    pub records: u32,
-    /// Smallest completion time in the frame, µs (`at` for op frames,
-    /// `end` for session frames).
-    pub min_time: u64,
-    /// Largest completion time in the frame, µs.
-    pub max_time: u64,
-    /// The frame's tag byte.
-    tag: u8,
-}
-
-impl FrameIndexEntry {
-    /// Whether the frame holds session records (otherwise op records,
-    /// with or without fault outcomes).
-    pub fn is_session_frame(&self) -> bool {
-        self.tag == TAG_SESSIONS
-    }
-
-    /// Whether the frame's completion-time range intersects the closed
-    /// window `[since, until]` (an open bound always matches).
-    pub fn overlaps(&self, since: Option<u64>, until: Option<u64>) -> bool {
-        since.is_none_or(|s| self.max_time >= s) && until.is_none_or(|u| self.min_time <= u)
-    }
-}
-
-/// The frame index of a sealed spill file, loaded from the footer
-/// [`SpillSink::finish`] appends after the end marker. [`FrameIndex::load`]
-/// finds the footer by seeking to the fixed-size trailer at EOF, so a
-/// multi-gigabyte capture answers "which frames overlap t∈[a,b]" from a
-/// few dozen kilobytes of index — the entry point of `uswg analyze
-/// --since/--until/--sample/--jobs`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrameIndex {
-    entries: Vec<FrameIndexEntry>,
-}
-
-impl FrameIndex {
-    /// The per-frame entries, in file order.
-    pub fn entries(&self) -> &[FrameIndexEntry] {
-        &self.entries
-    }
-
-    /// Frames in the file.
-    pub fn frames(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Records over all frames (ops + sessions).
-    pub fn records(&self) -> u64 {
-        self.entries.iter().map(|e| u64::from(e.records)).sum()
-    }
-
-    /// Loads the index footer from a seekable spill file. Returns
-    /// `Ok(None)` when the file carries no trailer — a pre-index file, an
-    /// unindexed sink, or a file truncated anywhere inside the footer
-    /// (the trailer is the last thing written, so a damaged footer simply
-    /// fails to announce itself and the caller falls back to streaming).
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` when a trailer is present but the footer it
-    /// points at is malformed (bad magic, size mismatch, checksum
-    /// failure, nonsense entries), and propagates underlying I/O errors.
-    pub fn load<R: Read + Seek>(r: &mut R) -> io::Result<Option<Self>> {
-        let len = r.seek(SeekFrom::End(0))?;
-        if len < MIN_STREAM_BYTES + (INDEX_FIXED_BYTES + TRAILER_BYTES) as u64 {
-            return Ok(None);
-        }
-        r.seek(SeekFrom::End(-(TRAILER_BYTES as i64)))?;
-        let mut trailer = [0u8; TRAILER_BYTES];
-        r.read_exact(&mut trailer)?;
-        if &trailer[4..] != MAGIC_TRAILER {
-            return Ok(None);
-        }
-        let footer_len = u64::from(u32::from_le_bytes(
-            trailer[..4].try_into().expect("4 bytes"),
-        ));
-        let footer_start = len
-            .checked_sub(TRAILER_BYTES as u64)
-            .and_then(|n| n.checked_sub(footer_len))
-            .filter(|&start| footer_len >= INDEX_FIXED_BYTES as u64 && start >= MIN_STREAM_BYTES)
-            .ok_or_else(|| {
-                bad_data(format!(
-                    "index trailer declares a {footer_len}-byte footer, impossible \
-                     in a {len}-byte file"
-                ))
-            })?;
-        r.seek(SeekFrom::Start(footer_start))?;
-        let mut footer = vec![0u8; footer_len as usize];
-        r.read_exact(&mut footer)?;
-        if &footer[..8] != MAGIC_INDEX {
-            return Err(bad_data(format!(
-                "bad index footer magic {:02x?}",
-                &footer[..8]
-            )));
-        }
-        let count = u32::from_le_bytes(footer[8..12].try_into().expect("4 bytes")) as usize;
-        let expected = INDEX_FIXED_BYTES + count * INDEX_ENTRY_BYTES;
-        if footer_len != expected as u64 {
-            return Err(bad_data(format!(
-                "index footer length {footer_len} does not match its {count} entries"
-            )));
-        }
-        let crc_at = footer.len() - 4;
-        let mut crc = Crc32::new();
-        crc.update(&footer[..crc_at]);
-        let stored = u32::from_le_bytes(footer[crc_at..].try_into().expect("4 bytes"));
-        if crc.finish() != stored {
-            return Err(bad_data("index footer checksum mismatch".into()));
-        }
-        let mut entries = Vec::with_capacity(count);
-        let mut prev_end = 8u64; // frames start right after the file magic
-        for raw in footer[12..crc_at].chunks_exact(INDEX_ENTRY_BYTES) {
-            let entry = FrameIndexEntry {
-                offset: u64::from_le_bytes(raw[..8].try_into().expect("8 bytes")),
-                tag: raw[8],
-                records: u32::from_le_bytes(raw[9..13].try_into().expect("4 bytes")),
-                min_time: u64::from_le_bytes(raw[13..21].try_into().expect("8 bytes")),
-                max_time: u64::from_le_bytes(raw[21..29].try_into().expect("8 bytes")),
-            };
-            // The CRC already vouches for the bytes; these checks catch a
-            // *writer* bug before a seek lands mid-frame.
-            if !matches!(entry.tag, TAG_OPS | TAG_SESSIONS | TAG_OPS_FAULTS)
-                || entry.records == 0
-                || entry.records as usize > FRAME_CAP
-                || entry.offset < prev_end
-                || entry.offset >= footer_start
-                || entry.min_time > entry.max_time
-            {
-                return Err(bad_data(format!(
-                    "index entry {entry:?} is inconsistent with the file layout"
-                )));
-            }
-            prev_end = entry.offset + 1;
-            entries.push(entry);
-        }
-        Ok(Some(Self { entries }))
-    }
-
-    /// [`FrameIndex::load`] over a buffered file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FrameIndex::load`] errors and file-open failures.
-    pub fn load_path<P: AsRef<Path>>(path: P) -> io::Result<Option<Self>> {
-        Self::load(&mut BufReader::new(File::open(path)?))
-    }
-}
-
-/// Serializes the footer + trailer for `entries`.
-///
-/// # Errors
-///
-/// Propagates write failures; errors if the file somehow holds more than
-/// `u32::MAX` frames.
-fn write_index_footer<W: Write>(out: &mut W, entries: &[FrameIndexEntry]) -> io::Result<()> {
-    let count =
-        u32::try_from(entries.len()).map_err(|_| bad_data("too many frames to index".into()))?;
-    let mut footer = Vec::with_capacity(INDEX_FIXED_BYTES + entries.len() * INDEX_ENTRY_BYTES);
-    footer.extend_from_slice(MAGIC_INDEX);
-    footer.extend_from_slice(&count.to_le_bytes());
-    for e in entries {
-        footer.extend_from_slice(&e.offset.to_le_bytes());
-        footer.push(e.tag);
-        footer.extend_from_slice(&e.records.to_le_bytes());
-        footer.extend_from_slice(&e.min_time.to_le_bytes());
-        footer.extend_from_slice(&e.max_time.to_le_bytes());
-    }
-    let mut crc = Crc32::new();
-    crc.update(&footer);
-    footer.extend_from_slice(&crc.finish().to_le_bytes());
-    out.write_all(&footer)?;
-    out.write_all(&(footer.len() as u32).to_le_bytes())?;
-    out.write_all(MAGIC_TRAILER)
 }
 
 // ---------------------------------------------------------------------------
@@ -1401,42 +1208,18 @@ impl<R: Read> SpillReader<R> {
                 self.ops_seen + self.sessions_seen
             )));
         }
-        let mut entries = vec![0u8; count as usize * INDEX_ENTRY_BYTES];
-        self.read_footer_exact(&mut entries)?;
-        let mut crc = Crc32::new();
-        crc.update(MAGIC_INDEX);
-        crc.update(&count_raw);
-        crc.update(&entries);
-        let mut crc_raw = [0u8; 4];
-        self.read_footer_exact(&mut crc_raw)?;
-        if u32::from_le_bytes(crc_raw) != crc.finish() {
-            return Err(bad_data("index footer checksum mismatch".into()));
-        }
-        // The CRC vouches for the bytes; now check the entries describe
-        // the stream just read — offsets in order, record counts summing
-        // to the marker totals.
+        let mut counted = count_raw.to_vec();
+        counted.resize(4 + count as usize * INDEX_ENTRY_BYTES + 4, 0);
+        self.read_footer_exact(&mut counted[4..])?;
+        // This path's own check: the entries describe the stream just
+        // read — record counts summing to the marker totals.
         let (mut ops, mut sessions) = (0u64, 0u64);
-        let mut prev_end = 8u64;
-        for raw in entries.chunks_exact(INDEX_ENTRY_BYTES) {
-            let offset = u64::from_le_bytes(raw[..8].try_into().expect("8 bytes"));
-            let records = u64::from(u32::from_le_bytes(raw[9..13].try_into().expect("4 bytes")));
-            let min_time = u64::from_le_bytes(raw[13..21].try_into().expect("8 bytes"));
-            let max_time = u64::from_le_bytes(raw[21..29].try_into().expect("8 bytes"));
-            if records == 0
-                || records > FRAME_CAP as u64
-                || offset < prev_end
-                || min_time > max_time
-            {
-                return Err(bad_data(
-                    "index entry is inconsistent with the stream just read".to_string(),
-                ));
+        for entry in decode_entries(&counted)? {
+            if entry.is_session_frame() {
+                sessions += u64::from(entry.records);
+            } else {
+                ops += u64::from(entry.records);
             }
-            match raw[8] {
-                TAG_SESSIONS => sessions += records,
-                TAG_OPS | TAG_OPS_FAULTS => ops += records,
-                other => return Err(bad_data(format!("index entry has unknown tag {other}"))),
-            }
-            prev_end = offset + 1;
         }
         if ops != self.ops_seen || sessions != self.sessions_seen {
             return Err(bad_data(format!(
