@@ -825,7 +825,8 @@ fn measure_faults() -> FaultBench {
 fn measure_drive_memory() -> DriveMemory {
     use std::sync::Arc;
     use uswg_drive::{
-        drive, drive_stream, ChannelSource, DriveConfig, LoopbackConfig, LoopbackVfs, SourceError,
+        drive_stream, ChannelSource, DriveConfig, LoopbackConfig, LoopbackVfs, SourceError,
+        VecSource,
     };
     let spec = bench_spec(32, 52);
     let model = ModelConfig::default_nfs();
@@ -844,7 +845,7 @@ fn measure_drive_memory() -> DriveMemory {
             .ops()
             .to_vec();
         let count = ops.len();
-        black_box(drive(ops, loopback(), &config).expect("drives"));
+        black_box(drive_stream(VecSource::new(ops), loopback(), &config).expect("drives"));
         count
     };
     let run_streamed = |spec: &WorkloadSpec| {

@@ -121,8 +121,9 @@ impl Synth<'_> {
                 best.spec
             }
             Err(e) => {
-                self.warnings
-                    .push(format!("{name}: fit failed ({e}), using constant {mean:.3}"));
+                self.warnings.push(format!(
+                    "{name}: fit failed ({e}), using constant {mean:.3}"
+                ));
                 self.fits.push(MeasureFit {
                     measure: name,
                     family: "constant".into(),
@@ -209,8 +210,7 @@ fn synthesize_fsc(
     let total: u64 = preexisting.iter().map(|c| c.files).sum();
     if total == 0 {
         s.warnings.push(
-            "capture referenced no pre-existing files; file system falls back to Table 5.1"
-                .into(),
+            "capture referenced no pre-existing files; file system falls back to Table 5.1".into(),
         );
         return Ok(crate::presets::table_5_1_fs_spec()?);
     }

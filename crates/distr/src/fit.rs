@@ -168,10 +168,7 @@ pub fn fit_best(data: &[f64], max_k: usize) -> Result<BestFit, DistrError> {
     let mut consider = |family: String, spec: DistributionSpec| -> Result<(), DistrError> {
         let dist = spec.build()?;
         let ks = ks_statistic(data, dist.as_ref())?;
-        if best
-            .as_ref()
-            .is_none_or(|b| ks.statistic < b.ks.statistic)
-        {
+        if best.as_ref().is_none_or(|b| ks.statistic < b.ks.statistic) {
             best = Some(BestFit { family, spec, ks });
         }
         Ok(())

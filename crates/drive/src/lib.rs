@@ -32,8 +32,9 @@
 //! The pacer pulls from an [`OpSource`] — a fallible stream of timestamped
 //! ops — so replay length is decoupled from resident memory: a live DES
 //! run feeds it through a bounded channel ([`ChannelSource`]), a spill
-//! capture streams one frame at a time ([`SpillSource`]), and the original
-//! materialized path survives as [`VecSource`] behind [`drive`].
+//! capture streams one frame at a time ([`SpillSource`]), and an owned
+//! `Vec` of ops replays through [`VecSource`] — the materialized reference
+//! the streaming sources are tested against.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -293,24 +294,6 @@ fn scaled_arrival_micros(at: u64, speedup: f64) -> u64 {
     u64::try_from(scaled).unwrap_or(u64::MAX)
 }
 
-/// Replays the materialized `ops` (sorted by timestamp) against `target`
-/// under `config` — the [`VecSource`] adapter over [`drive_stream`].
-///
-/// Blocks until every offered operation is accounted for; under overload
-/// that is bounded by the queue capacity and the deadline, never by the
-/// backlog — see the module docs for the accounting identity.
-///
-/// # Errors
-///
-/// Returns [`DriveError::BadConfig`] for out-of-range configuration.
-pub fn drive(
-    ops: Vec<OpRecord>,
-    target: Arc<dyn Target>,
-    config: &DriveConfig,
-) -> Result<DriveReport, DriveError> {
-    drive_stream(VecSource::new(ops), target, config)
-}
-
 /// Replays a streaming [`OpSource`] against `target` under `config`.
 ///
 /// The pacer pulls one op at a time, so resident memory is bounded by the
@@ -549,6 +532,20 @@ mod tests {
         }
     }
 
+    /// Replays `ops` against a target failing its first `fail_first` calls.
+    fn drive_flaky(
+        ops: Vec<OpRecord>,
+        fail_first: u32,
+        config: &DriveConfig,
+    ) -> Result<DriveReport, DriveError> {
+        let calls = AtomicU32::new(0);
+        drive_stream(
+            VecSource::new(ops),
+            Arc::new(Flaky { fail_first, calls }),
+            config,
+        )
+    }
+
     #[test]
     fn underloaded_run_completes_everything() {
         let ops: Vec<_> = (0..40).map(|i| op(i * 10, i)).collect();
@@ -558,15 +555,7 @@ mod tests {
             queue_cap: 64,
             ..DriveConfig::default()
         };
-        let report = drive(
-            ops,
-            Arc::new(Flaky {
-                fail_first: 0,
-                calls: AtomicU32::new(0),
-            }),
-            &config,
-        )
-        .unwrap();
+        let report = drive_flaky(ops, 0, &config).unwrap();
         assert_eq!(report.offered, 40);
         assert_eq!(report.completed, 40);
         assert_eq!(report.shed + report.expired + report.aborted, 0);
@@ -587,15 +576,7 @@ mod tests {
             },
             ..DriveConfig::default()
         };
-        let report = drive(
-            ops,
-            Arc::new(Flaky {
-                fail_first: 3,
-                calls: AtomicU32::new(0),
-            }),
-            &config,
-        )
-        .unwrap();
+        let report = drive_flaky(ops, 3, &config).unwrap();
         assert_eq!(report.completed, 10);
         assert_eq!(report.retries, 3);
         assert_eq!(report.aborted, 0);
@@ -614,15 +595,7 @@ mod tests {
             },
             ..DriveConfig::default()
         };
-        let report = drive(
-            ops,
-            Arc::new(Flaky {
-                fail_first: u32::MAX,
-                calls: AtomicU32::new(0),
-            }),
-            &config,
-        )
-        .unwrap();
+        let report = drive_flaky(ops, u32::MAX, &config).unwrap();
         assert_eq!(report.aborted, 5);
         assert_eq!(report.completed, 0);
         // 2 retried attempts per op before the budget runs out.
@@ -657,29 +630,13 @@ mod tests {
                 ..base.clone()
             },
         ] {
-            assert!(drive(
-                Vec::new(),
-                Arc::new(Flaky {
-                    fail_first: 0,
-                    calls: AtomicU32::new(0)
-                }),
-                &config
-            )
-            .is_err());
+            assert!(drive_flaky(Vec::new(), 0, &config).is_err());
         }
     }
 
     #[test]
     fn empty_stream_reports_cleanly() {
-        let report = drive(
-            Vec::new(),
-            Arc::new(Flaky {
-                fail_first: 0,
-                calls: AtomicU32::new(0),
-            }),
-            &DriveConfig::default(),
-        )
-        .unwrap();
+        let report = drive_flaky(Vec::new(), 0, &DriveConfig::default()).unwrap();
         assert_eq!(report.offered, 0);
         let text = report.render();
         assert!(text.contains("offered 0"));
@@ -720,15 +677,7 @@ mod tests {
             max_in_flight: 2,
             ..DriveConfig::default()
         };
-        let report = drive(
-            ops,
-            Arc::new(Flaky {
-                fail_first: 0,
-                calls: AtomicU32::new(0),
-            }),
-            &config,
-        )
-        .unwrap();
+        let report = drive_flaky(ops, 0, &config).unwrap();
         assert_eq!(report.completed, 4);
     }
 

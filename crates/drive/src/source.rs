@@ -58,7 +58,7 @@ pub trait OpSource {
 }
 
 /// The materialized adapter: owns a `Vec<OpRecord>`, sorted by arrival
-/// time on construction exactly as [`drive`](crate::drive) always did.
+/// time on construction.
 #[derive(Debug)]
 pub struct VecSource {
     ops: std::vec::IntoIter<OpRecord>,

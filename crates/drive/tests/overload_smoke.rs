@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 use std::time::Instant;
-use uswg_drive::{drive, DriveConfig, LoopbackConfig, LoopbackVfs};
+use uswg_drive::{drive_stream, DriveConfig, LoopbackConfig, LoopbackVfs, VecSource};
 use uswg_fsc::FileCategory;
 use uswg_netfs::OpKind;
 use uswg_usim::{OpRecord, RetryPolicy};
@@ -51,7 +51,7 @@ fn ten_x_overload_sheds_and_terminates_bounded() {
     }));
 
     let started = Instant::now();
-    let report = drive(ops, target, &config).unwrap();
+    let report = drive_stream(VecSource::new(ops), target, &config).unwrap();
     let wall = started.elapsed();
 
     // Bounded termination: the backlog can never exceed queue_cap, so the
@@ -122,7 +122,7 @@ fn deadlines_expire_stale_queue_entries() {
         service_micros: 5_000,
         ..LoopbackConfig::default()
     }));
-    let report = drive(ops, target, &config).unwrap();
+    let report = drive_stream(VecSource::new(ops), target, &config).unwrap();
     assert_eq!(
         report.offered,
         report.completed + report.shed + report.expired + report.aborted
@@ -156,7 +156,7 @@ fn overload_with_faulty_target_still_conserves_ops() {
         fail_ppm: 200_000,
         ..LoopbackConfig::default()
     }));
-    let report = drive(ops, target, &config).unwrap();
+    let report = drive_stream(VecSource::new(ops), target, &config).unwrap();
     assert_eq!(
         report.offered,
         report.completed + report.shed + report.expired + report.aborted

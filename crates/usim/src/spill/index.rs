@@ -8,7 +8,9 @@
 //! [`decode_entries`], then each adds the one check only it can make —
 //! offsets inside the file, totals equal to the end marker's.
 
-use super::{bad_data, Crc32, FRAME_CAP, TAG_OPS, TAG_OPS_FAULTS, TAG_SESSIONS};
+use super::bad_data;
+use super::crc::crc32;
+use super::frame::{FRAME_CAP, TAG_OPS, TAG_OPS_FAULTS, TAG_SESSIONS};
 use std::fs::File;
 use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -83,11 +85,9 @@ pub(super) fn decode_entries(counted: &[u8]) -> io::Result<Vec<FrameIndexEntry>>
         )));
     }
     let (raw_entries, stored) = rest.split_at(rest.len() - 4);
-    let mut crc = Crc32::new();
-    crc.update(MAGIC_INDEX);
-    crc.update(count_raw);
-    crc.update(raw_entries);
-    if crc.finish() != u32::from_le_bytes(stored.try_into().expect("4 bytes")) {
+    if crc32(&[MAGIC_INDEX, count_raw, raw_entries])
+        != u32::from_le_bytes(stored.try_into().expect("4 bytes"))
+    {
         return Err(bad_data("index footer checksum mismatch".into()));
     }
     let mut entries: Vec<FrameIndexEntry> = Vec::with_capacity(count);
@@ -230,9 +230,8 @@ pub(super) fn write_index_footer<W: Write>(
         footer.extend_from_slice(&e.min_time.to_le_bytes());
         footer.extend_from_slice(&e.max_time.to_le_bytes());
     }
-    let mut crc = Crc32::new();
-    crc.update(&footer);
-    footer.extend_from_slice(&crc.finish().to_le_bytes());
+    let crc = crc32(&[&footer]);
+    footer.extend_from_slice(&crc.to_le_bytes());
     out.write_all(&footer)?;
     out.write_all(&(footer.len() as u32).to_le_bytes())?;
     out.write_all(MAGIC_TRAILER)

@@ -26,8 +26,8 @@ use uswg_core::{
     ChannelSink, CoreError, DesRunStats, OpRecord, SchedulerBackend, UsageLog, WorkloadSpec,
 };
 use uswg_drive::{
-    drive, drive_stream, ChannelSource, DriveConfig, DriveError, DriveReport, LoopbackConfig,
-    LoopbackVfs, SourceError, SpillSource,
+    drive_stream, ChannelSource, DriveConfig, DriveError, DriveReport, LoopbackConfig, LoopbackVfs,
+    SourceError, SpillSource, VecSource,
 };
 use uswg_usim::{SpillCodec, SpillSink};
 
@@ -144,7 +144,7 @@ fn streamed_des_drive_matches_materialized_counters() {
             let total = ops.len();
             assert!(total > 0, "backend {backend}, K={shards}: empty workload");
             let config = wide_config(total);
-            let materialized = drive(ops, loopback(), &config).unwrap();
+            let materialized = drive_stream(VecSource::new(ops), loopback(), &config).unwrap();
             let streamed = drive_stream(
                 des_source(&spec, &model, config.queue_cap),
                 loopback(),
@@ -174,7 +174,7 @@ fn spill_capture_drive_matches_materialized_counters() {
         .ops()
         .to_vec();
     let config = wide_config(ops.len());
-    let materialized = drive(ops, loopback(), &config).unwrap();
+    let materialized = drive_stream(VecSource::new(ops), loopback(), &config).unwrap();
     for codec in [SpillCodec::Raw, SpillCodec::Compressed] {
         let path = dir.join(format!("capture-{codec:?}.bin"));
         let (sink, _stats) = spec
