@@ -10,6 +10,7 @@
 //! bottleneck while the shared wire remains — exactly the trade-off a
 //! scaled-out NFS installation of the era faced.
 
+use crate::nfs::REMOTE_STAGES;
 use crate::{FileId, NfsParams, OpKind, OpRequest, ServiceModel, Stage};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
@@ -130,7 +131,8 @@ impl DistributedNfsModel {
         reply_payload: u64,
     ) -> Vec<Stage> {
         let p = self.params.per_server;
-        let mut stages = vec![
+        let mut stages = Vec::with_capacity(REMOTE_STAGES);
+        stages.extend([
             Stage::Service {
                 resource: self.client_cpu,
                 micros: p.client_cpu_per_call,
@@ -144,7 +146,7 @@ impl DistributedNfsModel {
                 resource: self.server_cpus[server],
                 micros: p.server_cpu_per_call,
             },
-        ];
+        ]);
         if disk_micros > 0 {
             stages.push(Stage::Service {
                 resource: self.server_disks[server],

@@ -73,10 +73,12 @@ impl ServiceModel for LocalDiskModel {
 
     fn stages(&mut self, req: &OpRequest, rng: &mut dyn RngCore) -> Vec<Stage> {
         let p = self.params;
-        let mut stages = vec![Stage::Service {
+        // CPU, then at most one disk service.
+        let mut stages = Vec::with_capacity(2);
+        stages.push(Stage::Service {
             resource: self.cpu,
             micros: p.cpu_per_call,
-        }];
+        });
         match req.kind {
             OpKind::Read | OpKind::Write => {
                 let transfer = (req.bytes as f64 * p.disk_per_byte).round() as u64;

@@ -101,6 +101,10 @@ pub struct NfsModel {
     cache_stats: CacheStats,
 }
 
+/// Stages of the longest remote round trip (the one that touches the disk):
+/// the chain is allocated once at this size.
+pub(crate) const REMOTE_STAGES: usize = 7;
+
 impl NfsModel {
     /// Registers client CPU, shared network, server CPU and server disk in
     /// `pool`.
@@ -176,7 +180,8 @@ impl NfsModel {
     /// Full remote round trip: request over the net, server work, reply.
     fn remote(&mut self, disk_micros: u64, request_payload: u64, reply_payload: u64) -> Vec<Stage> {
         let p = self.params;
-        let mut stages = vec![
+        let mut stages = Vec::with_capacity(REMOTE_STAGES);
+        stages.extend([
             Stage::Service {
                 resource: self.client_cpu,
                 micros: p.client_cpu_per_call,
@@ -190,7 +195,7 @@ impl NfsModel {
                 resource: self.server_cpu,
                 micros: p.server_cpu_per_call,
             },
-        ];
+        ]);
         if disk_micros > 0 {
             stages.push(Stage::Service {
                 resource: self.server_disk,
@@ -307,6 +312,21 @@ mod tests {
             + p.net_latency
             + ((1024 + p.rpc_header_bytes) as f64 * p.net_per_byte).round() as u64;
         assert_eq!(t, expect);
+    }
+
+    #[test]
+    fn remote_chain_is_allocated_at_its_final_size() {
+        // Growing the chain stage by stage cost a malloc, a realloc and a
+        // free per operation.
+        let mut pool = ResourcePool::new();
+        let mut m = NfsModel::new(&mut pool, NfsParams::default());
+        let mut rng = StdRng::seed_from_u64(1);
+        for kind in [OpKind::Read, OpKind::Write, OpKind::Open, OpKind::Create] {
+            let req = OpRequest::data(0, kind, FileId(1), 0, 1024, 8_192);
+            let stages = m.stages(&req, &mut rng);
+            assert_eq!(stages.len(), REMOTE_STAGES, "{kind:?}");
+            assert_eq!(stages.capacity(), REMOTE_STAGES, "{kind:?}");
+        }
     }
 
     #[test]

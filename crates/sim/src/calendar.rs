@@ -14,12 +14,20 @@
 //! one another (see `tests/properties.rs` and the end-to-end byte-identity
 //! tests). Two invariants make the search exact:
 //!
-//! * every queued event is at or after `floor`, the time of the last popped
-//!   event (the scheduler clamps scheduling into the past), and
+//! * every queued event is at or after the start of the day window the
+//!   search stands on: the walk only leaves a window it found empty, and a
+//!   `push` below the window moves the search back onto the pushed event's
+//!   day, and
 //! * equal-time events always hash to the same bucket, so FIFO ties are
 //!   resolved inside one sorted bucket, never across buckets.
+//!
+//! The first is all the queue assumes about its caller. The scheduler's
+//! held slot (see [`Scheduler`](crate::Scheduler)) dispatches events the
+//! calendar never saw and hands back a popped event that overshot a
+//! deadline, so pushes may land before the last popped event's time.
 
 use crate::scheduler::Scheduled;
+use crate::SimTime;
 use std::collections::VecDeque;
 
 /// Smallest and largest bucket counts (both powers of two). The cap bounds
@@ -31,7 +39,7 @@ const MAX_BUCKETS: usize = 1 << 21;
 /// Events sampled when re-estimating the bucket width.
 const WIDTH_SAMPLE: usize = 64;
 
-/// Consecutive direct-search pops tolerated before the geometry is declared
+/// Direct searches in a row tolerated before the geometry is declared
 /// stale and rebuilt. Keeps a queue whose time scale drifted (e.g. after a
 /// burst of far-future events) from paying O(buckets) per pop forever.
 const MISS_LIMIT: u32 = 16;
@@ -67,15 +75,13 @@ pub(crate) struct CalendarQueue<E> {
     /// Width of one day, µs (≥ 1).
     width: u64,
     len: usize,
-    /// Time of the last popped event: a floor under every queued event.
-    floor: u64,
     /// The day the search currently stands on.
     cur: usize,
-    /// Exclusive upper time bound of `cur`'s current year-lap window.
-    /// `u128`: the window may sweep past `u64::MAX` while scanning toward a
-    /// far-future outlier.
+    /// Exclusive upper time bound of `cur`'s current year-lap window; every
+    /// queued event is at or after `bucket_top - width`. `u128`: the window
+    /// may sweep past `u64::MAX` while scanning toward a far-future outlier.
     bucket_top: u128,
-    /// Consecutive pops that fell through to a direct search.
+    /// Direct searches since a walk last reached its event (or a rebuild).
     misses: u32,
     /// Empty days walked and pops made in the current window.
     walked: u64,
@@ -93,7 +99,6 @@ impl<E> CalendarQueue<E> {
             mask: MIN_BUCKETS - 1,
             width: 1,
             len: 0,
-            floor: 0,
             cur: 0,
             bucket_top: 0,
             misses: 0,
@@ -107,15 +112,6 @@ impl<E> CalendarQueue<E> {
 
     pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// Rewinds the floor and search position to `at`, undoing the floor
-    /// advance of a pop whose event is being reinserted (deadline overshoot
-    /// in `run_until`). Sound only when every queued and subsequently pushed
-    /// event is at or after `at` — which the scheduler's clock guarantees.
-    pub(crate) fn reanchor(&mut self, at: u64) {
-        self.floor = at;
-        self.anchor(at);
     }
 
     /// Points the search at the day containing `at`.
@@ -148,6 +144,13 @@ impl<E> CalendarQueue<E> {
     }
 
     pub(crate) fn push(&mut self, ev: Scheduled<E>) {
+        // Below the window the search stands on: every queued event is at or
+        // after the window's start, so this one is the new minimum and the
+        // search moves back onto its day.
+        let at = ev.at.micros();
+        if u128::from(at) + u128::from(self.width) < self.bucket_top {
+            self.anchor(at);
+        }
         self.insert(ev);
         if self.len > 2 * self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
             self.rebuild(self.buckets.len() * 2);
@@ -159,19 +162,41 @@ impl<E> CalendarQueue<E> {
         if self.len == 0 {
             return None;
         }
+        let day = self.seek();
+        Some(self.take_front(day))
+    }
+
+    /// Removes and returns the earliest event if it sorts before `key`
+    /// (a `(time, seq)` pair); otherwise leaves the queue as it is, with the
+    /// search parked on that event's day.
+    pub(crate) fn pop_before(&mut self, key: (SimTime, u64)) -> Option<Scheduled<E>> {
+        if self.len == 0 {
+            return None;
+        }
+        let day = self.seek();
+        let front = self.buckets[day].front().expect("seek found this event");
+        ((front.at, front.seq) < key).then(|| self.take_front(day))
+    }
+
+    /// Moves the search onto the day of the earliest event and returns that
+    /// day's bucket; the event is its front. The queue must not be empty.
+    fn seek(&mut self) -> usize {
         self.check_walk();
-        self.pops += 1;
         // Year lap: walk at most one full calendar year from the current
         // day. The first event found inside its day's window is the global
-        // minimum: every queued event is ≥ the window start (the `floor`
-        // invariant), and any event earlier than the current window's top
-        // would have hashed into a day already inspected.
-        let n = self.buckets.len();
-        for _ in 0..n {
+        // minimum: every queued event is ≥ the window start, and any event
+        // earlier than the current window's top would have hashed into a
+        // day already inspected.
+        let start = self.cur;
+        for _ in 0..self.buckets.len() {
             if let Some(front) = self.buckets[self.cur].front() {
                 if u128::from(front.at.micros()) < self.bucket_top {
-                    self.misses = 0;
-                    return Some(self.take_front(self.cur));
+                    // Finding the event where the last seek left the search
+                    // says nothing about the geometry.
+                    if self.cur != start {
+                        self.misses = 0;
+                    }
+                    return self.cur;
                 }
             }
             self.cur = (self.cur + 1) & self.mask;
@@ -180,7 +205,7 @@ impl<E> CalendarQueue<E> {
         }
         // A whole year holds nothing (far-future outliers): jump straight
         // to the earliest event instead of spinning through empty years.
-        let best = self
+        let (at, day) = self
             .buckets
             .iter()
             .enumerate()
@@ -188,22 +213,17 @@ impl<E> CalendarQueue<E> {
             .min()
             .map(|((at, _), i)| (at, i))
             .expect("len > 0 means some bucket is non-empty");
-        self.anchor(best.0.micros());
+        self.anchor(at.micros());
         self.misses += 1;
-        let ev = self.take_front(best.1);
-        if self.misses >= MISS_LIMIT && self.len > 0 {
-            // The geometry keeps missing its events: re-estimate the width.
-            self.rebuild(self.buckets.len());
-        }
-        Some(ev)
+        day
     }
 
     /// Re-estimates the width once the pops of the current window have
     /// walked more than [`WALK_LIMIT`] empty days each, and starts a new
-    /// window when this one ends within that budget. Runs on entry to `pop`,
-    /// when the population is whole (fewer than two events have no span to
-    /// estimate from). A pure function of the queue's own history, like
-    /// every other rebuild.
+    /// window when this one ends within that budget. Runs on entry to
+    /// `seek`, when the population is whole (fewer than two events have no
+    /// span to estimate from). A pure function of the queue's own history,
+    /// like every other rebuild.
     fn check_walk(&mut self) {
         let window = self
             .patience
@@ -227,9 +247,12 @@ impl<E> CalendarQueue<E> {
             .pop_front()
             .expect("bucket checked non-empty");
         self.len -= 1;
-        self.floor = ev.at.micros();
+        self.pops += 1;
         if self.len < self.buckets.len() / 2 && self.buckets.len() > MIN_BUCKETS {
             self.rebuild(self.buckets.len() / 2);
+        } else if self.misses >= MISS_LIMIT && self.len > 0 {
+            // The geometry keeps missing its events: re-estimate the width.
+            self.rebuild(self.buckets.len());
         }
         ev
     }
@@ -239,6 +262,10 @@ impl<E> CalendarQueue<E> {
     /// halving thresholds amortize it to O(1) per operation.
     fn rebuild(&mut self, nbuckets: usize) {
         let nbuckets = nbuckets.clamp(MIN_BUCKETS, MAX_BUCKETS);
+        // A rebuild never runs mid-walk, so the window rests on a day some
+        // real event or anchor named and its start is a `u64` time.
+        let window_start = u64::try_from(self.bucket_top - u128::from(self.width))
+            .expect("the search window rests on a real event's day");
         let mut all: Vec<Scheduled<E>> = Vec::with_capacity(self.len);
         for dq in &mut self.buckets {
             all.extend(dq.drain(..));
@@ -252,7 +279,7 @@ impl<E> CalendarQueue<E> {
         self.misses = 0;
         self.walked = 0;
         self.pops = 0;
-        self.anchor(self.floor);
+        self.anchor(window_start);
         for ev in all {
             self.insert(ev);
         }
@@ -289,7 +316,6 @@ fn estimate_width<E>(events: &[Scheduled<E>]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimTime;
 
     fn ev(at: u64, seq: u64) -> Scheduled<u64> {
         Scheduled {
@@ -382,6 +408,44 @@ mod tests {
         assert_eq!(q.pop().unwrap().seq, 1);
         assert_eq!(q.pop().unwrap().seq, 3);
         assert_eq!(q.pop().unwrap().seq, 2);
+    }
+
+    #[test]
+    fn push_below_the_window_after_a_declined_pop() {
+        // The scheduler's held event fires without the queue moving, but the
+        // question "is yours earlier?" walks the search to the queue's own
+        // minimum. What the handler then schedules lands below that window.
+        let mut q = CalendarQueue::new();
+        q.push(ev(1_000, 0));
+        assert!(q.pop_before((SimTime::from_micros(5), 1)).is_none());
+        assert_eq!(q.len(), 1, "a declined pop removes nothing");
+        q.push(ev(20, 2));
+        q.push(ev(10, 3));
+        q.push(ev(20, 4));
+        // A tie on the key is not "before" it.
+        assert!(q.pop_before((SimTime::from_micros(10), 3)).is_none());
+        assert_eq!(q.pop_before((SimTime::from_micros(10), 4)).unwrap().seq, 3);
+        assert_eq!(drain_sorted(&mut q), vec![(20, 2), (20, 4), (1_000, 0)]);
+    }
+
+    #[test]
+    fn push_below_the_window_after_an_overshoot() {
+        // `run_until` pops a far event, finds it past the deadline and
+        // keeps it; the search stays on that event's day while the caller
+        // schedules from a clock a million µs behind — enough pushes to
+        // rebuild the calendar under the stranded window twice over.
+        let mut q = CalendarQueue::new();
+        q.push(ev(1_000_000, 0));
+        q.push(ev(2_000_000, 1));
+        let far = q.pop().unwrap();
+        for seq in 2..40u64 {
+            q.push(ev(100 + 7 * (40 - seq), seq));
+        }
+        q.push(far);
+        let order = drain_sorted(&mut q);
+        assert_eq!(order.len(), 40);
+        assert_eq!(order[0], (107, 39));
+        assert_eq!(order[38..], [(1_000_000, 0), (2_000_000, 1)]);
     }
 
     #[test]

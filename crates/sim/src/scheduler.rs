@@ -26,20 +26,28 @@ pub trait World {
 /// — the heap by comparison, the calendar by construction (see
 /// [`CalendarQueue`]) — so a given seed produces byte-identical simulations
 /// under either. They differ only in cost: the heap pays O(log n) per
-/// operation, the calendar O(1) amortized, which starts to matter around
-/// ~10⁴ pending events and dominates at ≥ 10⁵ (see the `des_throughput`
-/// bench and `BENCH_baseline.json`).
+/// operation, the calendar O(1) amortized.
 ///
-/// The default is the calendar: `BENCH_baseline.json` has it ahead at every
-/// measured size (1.06× at 1k pending events, 6.8× at 1M).
+/// Measured on the hold model (a constant population, every event
+/// rescheduling itself — the case in which the scheduler's held slot never
+/// helps, so the queue's own cost): the heap is ~20 % ahead at 64 pending
+/// events, level at 1k, and behind by 1.5× at 10k, 2.3× at 100k and 5.5× at
+/// 1M. On the benchmark's run workloads, where half the events bypass the
+/// queue altogether, the two are within run-to-run noise of each other
+/// (`deep_nfs`, ≤ 64 pending; `wide_local`, ≤ 5k pending). The numbers and
+/// the command that makes them are in the README's "Scheduler backends"
+/// section and `benchmark/README.md`.
+///
+/// The default is the calendar: level where the queue is small, ahead
+/// where it is not.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
 pub enum SchedulerBackend {
-    /// Binary min-heap: O(log n) push/pop, lowest constant factors, best for
-    /// small event populations (≲ 10k pending events).
+    /// Binary min-heap: O(log n) push/pop. The calendar's order oracle in
+    /// the test suites.
     Heap,
     /// Calendar queue with adaptive bucket resizing: O(1) amortized
-    /// push/pop, best for large populations (≳ 100k pending events).
+    /// push/pop.
     #[default]
     Calendar,
 }
@@ -112,6 +120,13 @@ enum Queue<E> {
 }
 
 impl<E> Queue<E> {
+    fn new(backend: SchedulerBackend, capacity: usize) -> Self {
+        match backend {
+            SchedulerBackend::Heap => Queue::Heap(BinaryHeap::with_capacity(capacity)),
+            SchedulerBackend::Calendar => Queue::Calendar(CalendarQueue::new()),
+        }
+    }
+
     #[inline]
     fn push(&mut self, ev: Scheduled<E>) {
         match self {
@@ -125,6 +140,23 @@ impl<E> Queue<E> {
         match self {
             Queue::Heap(h) => h.pop().map(|Reverse(s)| s),
             Queue::Calendar(c) => c.pop(),
+        }
+    }
+
+    /// Pops the earliest event if it sorts before `key`; otherwise leaves
+    /// the queue untouched.
+    #[inline]
+    fn pop_before(&mut self, key: (SimTime, u64)) -> Option<Scheduled<E>> {
+        match self {
+            Queue::Heap(h) => {
+                let Reverse(top) = h.peek()?;
+                if (top.at, top.seq) < key {
+                    h.pop().map(|Reverse(s)| s)
+                } else {
+                    None
+                }
+            }
+            Queue::Calendar(c) => c.pop_before(key),
         }
     }
 
@@ -172,6 +204,21 @@ impl<E> std::fmt::Debug for SeedEvents<E> {
 }
 
 /// The event queue and virtual clock of a simulation.
+///
+/// # The held slot
+///
+/// A handler's follow-up is very often the next event to fire: a zero-delay
+/// hand-off, or a stage that completes before any other user's next event.
+/// Pushing it into the queue only to pop it straight back is the queue's
+/// whole cost for nothing, so `schedule_at` parks one event — the earliest
+/// it has seen since the last pop — in `held` and queues the rest. `pop`
+/// then asks the queue for its minimum only *if that sorts before* `held`
+/// (`Queue::pop_before`): if not, `held` fires without the queue having
+/// moved; if so, the queue's event fires and `held` is pushed, which is one
+/// pop and one push, what every event cost before. Each event is still
+/// dispatched in `(time, seq)` order with the sequence number it was given
+/// at `schedule_at`, so the drain order and the event count are those of a
+/// scheduler without the slot.
 #[derive(Debug)]
 pub struct Scheduler<E> {
     now: SimTime,
@@ -179,6 +226,7 @@ pub struct Scheduler<E> {
     backend: SchedulerBackend,
     queue: Queue<E>,
     seed: Option<SeedEvents<E>>,
+    held: Option<Scheduled<E>>,
 }
 
 impl<E> std::fmt::Debug for Scheduled<E> {
@@ -204,11 +252,9 @@ impl<E> Scheduler<E> {
             now: SimTime::ZERO,
             seq: 0,
             backend,
-            queue: match backend {
-                SchedulerBackend::Heap => Queue::Heap(BinaryHeap::with_capacity(capacity)),
-                SchedulerBackend::Calendar => Queue::Calendar(CalendarQueue::new()),
-            },
+            queue: Queue::new(backend, capacity),
             seed: None,
+            held: None,
         }
     }
 
@@ -262,12 +308,36 @@ impl<E> Scheduler<E> {
         let at = at.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Scheduled { at, seq, event });
+        let ev = Scheduled { at, seq, event };
+        match &mut self.held {
+            None => self.held = Some(ev),
+            Some(held) => {
+                let later = if ev < *held {
+                    std::mem::replace(held, ev)
+                } else {
+                    ev
+                };
+                self.queue.push(later);
+            }
+        }
     }
 
-    /// Number of events still pending (queued plus unstreamed seed events).
+    /// Number of events still pending (held, queued and unstreamed seed
+    /// events).
     pub fn pending(&self) -> usize {
-        self.queue.len() + self.seed.as_ref().map_or(0, |s| s.count - s.next)
+        usize::from(self.held.is_some())
+            + self.queue.len()
+            + self.seed.as_ref().map_or(0, |s| s.count - s.next)
+    }
+
+    /// Drops every pending event — held, queued and unstreamed seeds — so
+    /// the run loop returns as soon as the current handler does. For a
+    /// handler that hit an error it cannot continue past: draining a
+    /// million-user queue just to ignore each event is the alternative.
+    pub fn halt(&mut self) {
+        self.held = None;
+        self.seed = None;
+        self.queue = Queue::new(self.backend, 0);
     }
 
     /// Pre-allocates room for at least `additional` more pending events, so
@@ -294,28 +364,32 @@ impl<E> Scheduler<E> {
                 event,
             });
         }
-        self.queue.pop()
+        let Some(held) = self.held.take() else {
+            return self.queue.pop();
+        };
+        match self.queue.pop_before((held.at, held.seq)) {
+            Some(ev) => {
+                self.queue.push(held);
+                Some(ev)
+            }
+            None => Some(held),
+        }
     }
 
-    /// Reinserts an event that was popped but **not** executed (the
-    /// deadline overshoot in [`Simulation::run_until`]). The original
-    /// sequence number puts it back at exactly its previous position. The
-    /// calendar backend additionally rewinds its search floor to `now`:
-    /// popping had advanced the floor to the event's (possibly far-future)
-    /// time, and leaving it there would let later `schedule` calls insert
-    /// events below the search window — draining them out of order.
+    /// Takes back an event that was popped but **not** executed (the
+    /// deadline overshoot in [`Simulation::run_until`]). `pop` always leaves
+    /// the held slot empty, so the event waits there, with its original
+    /// sequence number, for the next `pop` or an earlier `schedule`.
     fn unpop(&mut self, ev: Scheduled<E>) {
         // Only deadline overshoots land here, and a seed event (time zero)
-        // cannot overshoot any deadline — so reinserting into the queue
-        // while seeds still stream first can never reorder against them.
+        // cannot overshoot any deadline — so holding it while seeds still
+        // stream first can never reorder against them.
         debug_assert!(
             self.seed.is_none() || ev.at > SimTime::ZERO,
             "a time-zero seed event cannot overshoot a deadline"
         );
-        if let Queue::Calendar(c) = &mut self.queue {
-            c.reanchor(self.now.micros());
-        }
-        self.queue.push(ev);
+        debug_assert!(self.held.is_none(), "pop empties the held slot");
+        self.held = Some(ev);
     }
 }
 
@@ -430,11 +504,11 @@ impl<W: World> Simulation<W> {
     /// `deadline` (that event stays queued). Returns the number of events
     /// processed.
     ///
-    /// The loop is fused: each event is extracted with a single heap pop
-    /// instead of a peek/pop pair, and the rare event beyond the deadline is
-    /// pushed back with its original sequence number, which re-inserts it at
-    /// exactly its previous position (FIFO order among simultaneous events
-    /// is untouched).
+    /// The loop is fused: each event is extracted with a single pop instead
+    /// of a peek/pop pair, and the rare event beyond the deadline goes back
+    /// into the held slot with its original sequence number, which keeps it
+    /// at exactly its previous position (FIFO order among simultaneous
+    /// events is untouched).
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let mut steps = 0;
         while let Some(ev) = self.sched.pop() {
@@ -573,6 +647,65 @@ mod tests {
     }
 
     #[test]
+    fn pending_counts_the_held_event() {
+        for backend in [SchedulerBackend::Heap, SchedulerBackend::Calendar] {
+            let mut sim = Simulation::with_backend(Recorder { fired: vec![] }, backend, 0);
+            sim.schedule(7, 1);
+            assert_eq!(
+                sim.pending(),
+                1,
+                "{backend}: the only event is the held one"
+            );
+            sim.schedule(3, 2);
+            sim.schedule(5, 3);
+            assert_eq!(sim.pending(), 3);
+            // The overshooting event is taken back, not lost.
+            assert_eq!(sim.run_until(SimTime::from_micros(4)), 1);
+            assert_eq!(sim.pending(), 2);
+            assert_eq!(sim.run(), 2);
+            assert_eq!(sim.pending(), 0);
+        }
+    }
+
+    /// Schedules two follow-ups per event and halts on event `stop`.
+    struct Halting {
+        stop: u32,
+        handled: u32,
+    }
+
+    impl World for Halting {
+        type Event = u32;
+        fn handle(&mut self, event: u32, sched: &mut Scheduler<u32>) {
+            self.handled += 1;
+            sched.schedule(0, event + 1);
+            sched.schedule(10, event + 2);
+            if event == self.stop {
+                sched.halt();
+            }
+        }
+    }
+
+    #[test]
+    fn halt_drops_held_queued_and_seed_events() {
+        for backend in [SchedulerBackend::Heap, SchedulerBackend::Calendar] {
+            let world = Halting {
+                stop: 2,
+                handled: 0,
+            };
+            // Seeds 0..1000 stream first: 0, 1, 2 — and 2 halts with 997
+            // seeds unstreamed, one event held and the rest queued.
+            let mut sim = Simulation::with_backend_seeded(world, backend, 0, 1_000, |i| i as u32);
+            assert_eq!(sim.run(), 3, "{backend}");
+            assert_eq!(sim.pending(), 0);
+            assert_eq!(sim.world().handled, 3);
+            // The scheduler is still usable afterwards.
+            sim.world_mut().stop = u32::MAX;
+            sim.schedule(1, 5);
+            assert_eq!(sim.run_steps(4), 4);
+        }
+    }
+
+    #[test]
     fn with_capacity_presizes_without_behavior_change() {
         let mut plain = Simulation::new(Recorder { fired: vec![] });
         let mut sized = Simulation::with_capacity(Recorder { fired: vec![] }, 64);
@@ -687,25 +820,28 @@ mod tests {
 
     #[test]
     fn pushback_then_earlier_schedule_stays_ordered() {
-        // Regression: run_until pops a far-future event, pushes it back,
-        // and the caller then schedules an *earlier* event. The calendar's
-        // search floor had advanced to the far event's time during the pop;
-        // without the unpop rewind, the later schedule lands below the
-        // search window and the far event drains first (debug builds panic
-        // on "time must not run backwards").
+        // Regression: run_until pops a far-future event, takes it back, and
+        // the caller then schedules an *earlier* event. The calendar's
+        // search had advanced to the far event's day during the pop; the
+        // earlier event takes the held slot, the far one goes back into the
+        // queue, and whatever is scheduled next lands below the search
+        // window (see `CalendarQueue::push`). Unhandled, the far event
+        // drains first (debug builds panic on "time must not run
+        // backwards").
         let run = |backend| {
             let mut sim = Simulation::with_backend(Recorder { fired: vec![] }, backend, 0);
             sim.schedule(5, 0);
             sim.schedule(1_000_000, 1);
             assert_eq!(sim.run_until(SimTime::from_micros(10)), 1);
-            sim.schedule(100, 2); // earlier than the pushed-back event
+            sim.schedule(100, 2); // earlier than the taken-back event
+            sim.schedule(50, 3); // earlier still: 2 is pushed below the window
             sim.run();
             sim.into_world().fired
         };
         let heap = run(SchedulerBackend::Heap);
         let calendar = run(SchedulerBackend::Calendar);
         let order: Vec<u32> = heap.iter().map(|&(e, _)| e).collect();
-        assert_eq!(order, vec![0, 2, 1]);
+        assert_eq!(order, vec![0, 3, 2, 1]);
         assert_eq!(heap, calendar);
     }
 

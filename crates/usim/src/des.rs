@@ -31,7 +31,7 @@ use crate::{RunConfig, UsimError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use uswg_fsc::FileCatalog;
-use uswg_netfs::{PendingOp, ServiceModel, Stage, StepOutcome};
+use uswg_netfs::{PendingOp, ServiceModel, StepOutcome};
 use uswg_sim::{ResourcePool, ResourceStats, Scheduler, SimTime, Simulation, World};
 use uswg_vfs::{Process, Vfs};
 
@@ -224,9 +224,6 @@ impl<S: LogSink> World for UsimWorld<S> {
     type Event = Ev;
 
     fn handle(&mut self, event: Ev, sched: &mut Scheduler<Ev>) {
-        if self.error.is_some() {
-            return; // drain silently after a fault
-        }
         let now = sched.now();
         self.vfs.set_clock(now.micros());
         match event {
@@ -273,19 +270,15 @@ impl<S: LogSink> World for UsimWorld<S> {
                 );
                 match next {
                     Ok(Some(exec)) => {
-                        let mut stages = self.model.stages(&exec.request, &mut self.model_rng);
+                        let stages = self.model.stages(&exec.request, &mut self.model_rng);
                         // Latency spike on the first attempt: a seeded draw
                         // from the issuing user's own stream, so the outcome
                         // is independent of sharding and backend. The
                         // disabled default draws nothing.
-                        if let Some(spike) =
-                            self.config.faults.sample_spike(&mut self.users.rng[user])
-                        {
-                            stages.insert(0, Stage::Delay(spike));
-                        }
+                        let spike = self.config.faults.sample_spike(&mut self.users.rng[user]);
                         hot.attempts = 1;
                         hot.prev_backoff = 0;
-                        hot.pending = Some(PendingOp::new(stages));
+                        hot.pending = Some(PendingOp::behind(spike, stages));
                         hot.current = Some((exec, now));
                         sched.schedule(0, Ev::Step(u));
                     }
@@ -311,7 +304,10 @@ impl<S: LogSink> World for UsimWorld<S> {
                         }
                     }
                     Err(e) => {
+                        // Nothing already pending may run once the file
+                        // system has failed: the run reports this error.
                         self.error = Some(e);
+                        sched.halt();
                     }
                 }
             }
@@ -351,10 +347,8 @@ impl<S: LogSink> World for UsimWorld<S> {
                                 hot.prev_backoff = backoff;
                                 hot.attempts += 1;
                                 let (exec, _) = hot.current.as_ref().expect("op in flight");
-                                let mut stages =
-                                    self.model.stages(&exec.request, &mut self.model_rng);
-                                stages.insert(0, Stage::Delay(backoff));
-                                hot.pending = Some(PendingOp::new(stages));
+                                let stages = self.model.stages(&exec.request, &mut self.model_rng);
+                                hot.pending = Some(PendingOp::behind(Some(backoff), stages));
                                 sched.schedule(0, Ev::Step(u));
                                 return;
                             }
@@ -448,6 +442,60 @@ pub(crate) fn log_capacity_hint(
     (est_ops, sessions)
 }
 
+/// The world and its scheduler, ready to run: `users` logged out, one
+/// time-zero wake per user pending.
+#[allow(clippy::too_many_arguments)]
+fn simulation<S: LogSink>(
+    vfs: Vfs,
+    mut catalog: FileCatalog,
+    population: &CompiledPopulation,
+    model: Box<dyn ServiceModel>,
+    pool: ResourcePool,
+    config: &RunConfig,
+    users: UserArena,
+    model_seed: u64,
+    sink: S,
+) -> Simulation<UsimWorld<S>> {
+    // Precompute the O(1) alias samplers for session planning's
+    // file-selection picks. Draw-for-draw identical to the unsealed
+    // modulo path, so seeded replay is unaffected. A catalog the
+    // caller already sealed — possibly with a *weighted* popularity
+    // policy via `FileCatalog::seal_with` — is left alone: re-sealing
+    // here would silently reset those weights to uniform.
+    if !catalog.is_sealed() {
+        catalog.seal();
+    }
+    let n_local = users.len();
+    let world = UsimWorld {
+        vfs,
+        catalog,
+        pool,
+        model,
+        model_rng: StdRng::seed_from_u64(model_seed),
+        population: population.clone(),
+        config: *config,
+        users,
+        hot: HotArena::default(),
+        buf: vec![0xA5u8; MAX_ACCESS_BYTES as usize],
+        sink,
+        error: None,
+    };
+    // The initial one-wake-per-user volley streams lazily from the
+    // scheduler's seed mechanism — byte-identical to scheduling each
+    // `Wake` eagerly (same `(time, seq)` slots), but the million-user
+    // login wave never occupies queue memory. Steady state holds at
+    // most one *dynamic* pending event per user (wake or step), and a
+    // mostly-idle population holds far fewer, so the queue pre-sizes
+    // for a capped slice of the population and grows only if the run
+    // actually keeps that many operations in flight. The backend choice
+    // never changes the drain order (both drain in (time, seq) order),
+    // so it is free to vary per run without breaking replay.
+    let capacity = (n_local + 1).min(1 << 16);
+    Simulation::with_backend_seeded(world, config.scheduler_backend(), capacity, n_local, |u| {
+        Ev::Wake(u as u32)
+    })
+}
+
 /// Runs a population against a timing model in simulated time. See the
 /// module documentation.
 #[derive(Debug, Default)]
@@ -516,7 +564,7 @@ impl DesDriver {
     pub(crate) fn run_inner<S: LogSink>(
         &self,
         vfs: Vfs,
-        mut catalog: FileCatalog,
+        catalog: FileCatalog,
         population: &CompiledPopulation,
         model: Box<dyn ServiceModel>,
         pool: ResourcePool,
@@ -525,48 +573,9 @@ impl DesDriver {
         model_seed: u64,
         sink: S,
     ) -> Result<(S, DesRunStats), UsimError> {
-        // Precompute the O(1) alias samplers for session planning's
-        // file-selection picks. Draw-for-draw identical to the unsealed
-        // modulo path, so seeded replay is unaffected. A catalog the
-        // caller already sealed — possibly with a *weighted* popularity
-        // policy via `FileCatalog::seal_with` — is left alone: re-sealing
-        // here would silently reset those weights to uniform.
-        if !catalog.is_sealed() {
-            catalog.seal();
-        }
-        let n_local = users.len();
         let model_name = model.name().to_string();
-        let world = UsimWorld {
-            vfs,
-            catalog,
-            pool,
-            model,
-            model_rng: StdRng::seed_from_u64(model_seed),
-            population: population.clone(),
-            config: *config,
-            users,
-            hot: HotArena::default(),
-            buf: vec![0xA5u8; MAX_ACCESS_BYTES as usize],
-            sink,
-            error: None,
-        };
-        // The initial one-wake-per-user volley streams lazily from the
-        // scheduler's seed mechanism — byte-identical to scheduling each
-        // `Wake` eagerly (same `(time, seq)` slots), but the million-user
-        // login wave never occupies queue memory. Steady state holds at
-        // most one *dynamic* pending event per user (wake or step), and a
-        // mostly-idle population holds far fewer, so the queue pre-sizes
-        // for a capped slice of the population and grows only if the run
-        // actually keeps that many operations in flight. The backend choice
-        // never changes the drain order (both drain in (time, seq) order),
-        // so it is free to vary per run without breaking replay.
-        let capacity = (n_local + 1).min(1 << 16);
-        let mut sim = Simulation::with_backend_seeded(
-            world,
-            config.scheduler_backend(),
-            capacity,
-            n_local,
-            |u| Ev::Wake(u as u32),
+        let mut sim = simulation(
+            vfs, catalog, population, model, pool, config, users, model_seed, sink,
         );
         let events = sim.run();
         let duration = sim.now();
@@ -594,9 +603,12 @@ impl DesDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CategoryUsage, PopulationSpec, UserTypeSpec};
+    use crate::{CategoryUsage, PopulationSpec, UsageLog, UserTypeSpec};
     use uswg_distr::DistributionSpec;
-    use uswg_fsc::FileCategory;
+    use uswg_fsc::{CategorySpec, FileCategory, FileSystemCreator, FillPattern, FscSpec};
+    use uswg_netfs::{NfsModel, NfsParams};
+    use uswg_sim::SchedulerBackend;
+    use uswg_vfs::{FsError, VfsConfig};
 
     fn population() -> CompiledPopulation {
         let t = UserTypeSpec::new(
@@ -641,6 +653,89 @@ mod tests {
         assert_eq!(arena.gid, vec![1, 4, 7]);
         assert!(arena.hot.iter().all(|&h| h == HOT_NONE));
         assert!(arena.sessions_done.iter().all(|&s| s == 0));
+    }
+
+    /// A file system for `n_users` whose every file owned by `broken` has
+    /// turned into a directory: that user's first `open` fails with an error
+    /// the session engine cannot degrade.
+    fn fs_with_a_broken_user(n_users: usize, broken: usize) -> (Vfs, FileCatalog) {
+        let spec = FscSpec::new(vec![CategorySpec::new(
+            FileCategory::REG_USER_RDONLY,
+            1.0,
+            DistributionSpec::exponential(2608.0),
+        )])
+        .unwrap()
+        .with_files_per_user(3)
+        .unwrap()
+        .with_fill(FillPattern::Sparse);
+        let mut vfs = Vfs::new(VfsConfig::default());
+        let catalog = FileSystemCreator::new(spec)
+            .build(&mut vfs, n_users, &mut StdRng::seed_from_u64(3))
+            .unwrap();
+        for file in catalog.files() {
+            if file.owner_user == Some(broken) {
+                vfs.unlink(&file.path).unwrap();
+                vfs.mkdir(&file.path).unwrap();
+            }
+        }
+        (vfs, catalog)
+    }
+
+    #[test]
+    fn a_file_system_error_halts_the_run_where_it_happens() {
+        let population = population();
+        let (n_users, broken) = (400, 150);
+        for backend in [SchedulerBackend::Heap, SchedulerBackend::Calendar] {
+            let config = RunConfig {
+                n_users,
+                sessions_per_user: 2,
+                scheduler: Some(backend),
+                ..RunConfig::default()
+            };
+            let build = || {
+                let (vfs, catalog) = fs_with_a_broken_user(n_users, broken);
+                let mut pool = ResourcePool::new();
+                let model = Box::new(NfsModel::new(&mut pool, NfsParams::default()));
+                (vfs, catalog, model, pool)
+            };
+            // The login wave wakes users in order, so the broken user's wake
+            // is event 151: 249 seed wakes unstreamed, 150 users' first
+            // stages held or queued. None of them may run.
+            let (vfs, catalog, model, pool) = build();
+            let users = UserArena::build(&population, config.seed, n_users, 0..n_users, n_users);
+            let mut sim = simulation(
+                vfs,
+                catalog,
+                &population,
+                model,
+                pool,
+                &config,
+                users,
+                1,
+                UsageLog::new(),
+            );
+            assert_eq!(sim.run(), broken as u64 + 1, "{backend}");
+            assert_eq!(sim.pending(), 0);
+            assert_eq!(
+                sim.world().error,
+                Some(UsimError::FileSystem(FsError::IsADirectory))
+            );
+            // And the driver reports it as the run's typed error.
+            let (vfs, catalog, model, pool) = build();
+            let result = DesDriver::new().run_with_sink(
+                vfs,
+                catalog,
+                &population,
+                model,
+                pool,
+                &config,
+                UsageLog::new(),
+            );
+            assert_eq!(
+                result.err(),
+                Some(UsimError::FileSystem(FsError::IsADirectory))
+            );
+        }
     }
 
     #[test]
