@@ -159,14 +159,6 @@ impl Parallelism {
         // serial wall-clock.
         want.min(points.max(1))
     }
-
-    /// The worker count this policy actually schedules for `points` sweep
-    /// points on this host — after the core cap and the point-count cap.
-    /// Exposed so measurement tools (`bench_baseline`) report the same
-    /// number the harness uses rather than re-deriving the policy.
-    pub fn effective_workers(self, points: usize) -> usize {
-        self.workers(points)
-    }
 }
 
 /// Runs `f` over every input, fanning out across the work-stealing pool

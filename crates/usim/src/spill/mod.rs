@@ -21,8 +21,8 @@
 //!
 //! * **v1 raw** (`USWGSPL1`, [`SpillCodec::Raw`]) — fixed-width
 //!   little-endian columns, exactly the format earlier releases wrote.
-//!   Still written on request (tests and `bench_baseline` ask; the CLI
-//!   always writes v2) and always readable.
+//!   Still written on request (tests ask; the CLI always writes v2) and
+//!   always readable.
 //! * **v2 compressed** (`USWGSPL2`, [`SpillCodec::Compressed`], the
 //!   default) — the same columns per frame, but each column is
 //!   independently compressed: integer columns as zigzag **delta +
