@@ -345,8 +345,11 @@ mod tests {
         let spec = quick_spec();
         let (_, c1) = spec.generate_fs().unwrap();
         let (_, c2) = spec.generate_fs().unwrap();
-        let paths1: Vec<_> = c1.files().iter().map(|f| (&f.path, f.size)).collect();
-        let paths2: Vec<_> = c2.files().iter().map(|f| (&f.path, f.size)).collect();
-        assert_eq!(paths1, paths2);
+        let paths = |c: &uswg_fsc::FileCatalog| -> Vec<_> {
+            (0..c.len())
+                .map(|i| (c.path(i).to_string(), c.file(i).size))
+                .collect()
+        };
+        assert_eq!(paths(&c1), paths(&c2));
     }
 }

@@ -1,16 +1,31 @@
 //! The file catalog: the FSC's output, consumed by the User Simulator.
+//!
+//! At population scale the catalog is millions of small facts, so it is six
+//! flat vectors and no file, list or owner has a heap block of its own:
+//! `files` (one `Copy` record per file), `paths` + `path_ends` (every path
+//! back to back, and where each ends), `candidates` (every candidate list
+//! back to back: live indices, ascending), `lists` (per list its category
+//! and its run of `candidates`; one owner's lists are adjacent) and
+//! `owner_lists` (per owner slot — 0 is the shared pool, `u + 1` user `u` —
+//! where its lists start). Offsets are `u32`;
+//! [`FileSystemCreator::build`](crate::FileSystemCreator::build) refuses a
+//! plan they cannot address.
+//!
+//! [`FileCatalog::add`] is an O(1) append when files arrive as the FSC
+//! builds them: into the list of the previous `add`, or a new list of that
+//! owner or a later one. Any other `add`, and every
+//! [`FileCatalog::remove`], re-derives the index in O(files log files), to
+//! the same candidate lists in the same order; only tests take that path.
 
-use crate::{AliasTable, FileCategory};
+use crate::{AliasTable, FileCategory, Owner};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// One file created by the FSC (or registered later by the USIM for files
-/// users create themselves).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One file created by the FSC. The catalog keeps its path
+/// ([`FileCatalog::path`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CatalogFile {
-    /// Absolute path in the synthetic file system.
-    pub path: String,
     /// Inode number in the VFS.
     pub ino: u64,
     /// Size at creation time, bytes.
@@ -106,33 +121,48 @@ impl FilePopularity {
     }
 }
 
-/// One candidate list: the live catalog indices of one category for one
-/// owner, with the alias sampler a weighted seal built over them.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-struct CandidateList {
-    indices: Vec<usize>,
-    /// `None` until a weighted seal, and again once the list is mutated:
-    /// [`FileCatalog::pick`] then draws `u % n`, which is also exactly the
-    /// uniform policy.
-    alias: Option<AliasTable>,
+/// One candidate list: its category and its run of `candidates`, never
+/// empty (a list whose last file is removed goes with it).
+#[derive(Debug, Clone, Copy)]
+struct List {
+    category: FileCategory,
+    start: u32,
+    len: u32,
 }
 
-/// One owner's candidate lists. An owner has a handful of categories, so a
-/// linear scan beats hashing.
-type OwnerLists = Vec<(FileCategory, CandidateList)>;
+impl List {
+    fn run<'c>(&self, candidates: &'c [usize]) -> &'c [usize] {
+        &candidates[self.start as usize..][..self.len as usize]
+    }
+}
+
+/// The owner slot a file is indexed under.
+fn slot(owner_user: Option<usize>) -> usize {
+    owner_user.map_or(0, |user| user + 1)
+}
+
+/// Narrows a count of files, lists or path bytes to a stored offset.
+fn offset(n: usize) -> u32 {
+    u32::try_from(n).expect("a catalog holds at most u32::MAX files and path bytes")
+}
 
 /// An index of the synthetic file population by `(user, category)`.
 ///
 /// The User Simulator asks the catalog for candidate files: a user accessing
 /// a `USER`-owned category draws from their own directory, a user accessing
-/// an `OTHER`-owned category draws from the shared pool.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// an `OTHER`-owned category draws from the shared pool. The layout is
+/// described at the top of this file.
+#[derive(Debug, Clone, Default)]
 pub struct FileCatalog {
     files: Vec<CatalogFile>,
-    /// Candidate lists of the shared files.
-    shared: OwnerLists,
-    /// Candidate lists of each user's own files, indexed by user.
-    per_user: Vec<OwnerLists>,
+    paths: String,
+    path_ends: Vec<u32>,
+    candidates: Vec<usize>,
+    lists: Vec<List>,
+    owner_lists: Vec<u32>,
+    /// One table per list after a weighted seal, else empty:
+    /// [`FileCatalog::pick`] then draws `u % n`, the uniform policy exactly.
+    aliases: Vec<AliasTable>,
     /// Whether [`FileCatalog::seal_with`] ran since the last mutation.
     sealed: bool,
 }
@@ -143,50 +173,76 @@ impl FileCatalog {
         Self::default()
     }
 
-    /// The lists `owner_user`'s files are indexed in, grown on demand.
-    fn lists_mut(&mut self, owner_user: Option<usize>) -> &mut OwnerLists {
-        match owner_user {
-            Some(user) => {
-                if self.per_user.len() <= user {
-                    self.per_user.resize_with(user + 1, Vec::new);
-                }
-                &mut self.per_user[user]
-            }
-            None => &mut self.shared,
+    /// Registers a file under `path` and indexes it. Returns its catalog
+    /// index. Panics past `u32::MAX` files or path bytes.
+    pub fn add(&mut self, path: &str, file: CatalogFile) -> usize {
+        let idx = self.files.len();
+        self.files.push(file);
+        self.paths.push_str(path);
+        self.path_ends.push(offset(self.paths.len()));
+        self.unseal();
+        if !self.append(idx) {
+            self.reindex(|live| live.push(idx));
         }
+        idx
     }
 
-    /// Registers a file and indexes it. Returns its catalog index.
-    pub fn add(&mut self, file: CatalogFile) -> usize {
-        let idx = self.files.len();
+    fn unseal(&mut self) {
         self.sealed = false;
-        let lists = self.lists_mut(file.owner_user);
-        let at = lists
-            .iter()
-            .position(|(cat, _)| *cat == file.category)
-            .unwrap_or_else(|| {
-                lists.push((file.category, CandidateList::default()));
-                lists.len() - 1
-            });
-        let list = &mut lists[at].1;
-        list.indices.push(idx);
-        list.alias = None;
-        self.files.push(file);
-        idx
+        self.aliases.clear();
+    }
+
+    /// Indexes file `idx` in place if it arrives in build order: into the
+    /// last list, or a new list of the last owner or a later one.
+    fn append(&mut self, idx: usize) -> bool {
+        let file = self.files[idx];
+        let slot = slot(file.owner_user);
+        if slot + 1 < self.owner_lists.len() {
+            return false; // an earlier owner
+        }
+        let first = match self.owner_lists.get(slot) {
+            Some(&first) => first as usize,
+            None => self.lists.len(),
+        };
+        let mut own = self.lists[first..].iter();
+        match own.position(|list| list.category == file.category) {
+            Some(at) if first + at + 1 < self.lists.len() => return false, // an earlier list
+            Some(_) => self.lists.last_mut().expect("just found").len += 1,
+            None => {
+                let owners = self.owner_lists.len().max(slot + 1);
+                self.owner_lists.resize(owners, offset(self.lists.len()));
+                self.lists.push(List {
+                    category: file.category,
+                    start: offset(self.candidates.len()),
+                    len: 1,
+                });
+            }
+        }
+        self.candidates.push(idx);
+        true
+    }
+
+    /// Re-derives the index over the live files as `change` leaves them, by
+    /// appending them in an order that is build order.
+    fn reindex(&mut self, change: impl FnOnce(&mut Vec<usize>)) {
+        let mut live = std::mem::take(&mut self.candidates);
+        change(&mut live);
+        let files = &self.files;
+        live.sort_unstable_by_key(|&idx| (slot(files[idx].owner_user), files[idx].category, idx));
+        self.lists.clear();
+        self.owner_lists.clear();
+        for idx in live {
+            let appended = self.append(idx);
+            debug_assert!(appended, "sorted by owner, then category");
+        }
     }
 
     /// Removes a file from the index (e.g. after `unlink`). The entry stays
     /// in the backing vector so indices remain stable.
     pub fn remove(&mut self, idx: usize) {
-        let Some(file) = self.files.get(idx) else {
-            return;
-        };
-        let (owner_user, category) = (file.owner_user, file.category);
-        self.sealed = false;
-        let lists = self.lists_mut(owner_user);
-        if let Some((_, list)) = lists.iter_mut().find(|(cat, _)| *cat == category) {
-            list.indices.retain(|&i| i != idx);
-            list.alias = None;
+        if idx < self.files.len() {
+            self.unseal();
+            self.reindex(|live| live.retain(|&i| i != idx));
         }
     }
 
@@ -204,17 +260,24 @@ impl FileCatalog {
     /// draw, like the uniform path — and deliberately changes which files
     /// seeded workloads touch. [`FilePopularity::Uniform`] builds nothing:
     /// the modulo pick already is the uniform alias draw, bit for bit.
-    /// Mutating the catalog afterwards unseals it and drops the touched
-    /// list's table; re-seal to restore it.
+    /// Mutating the catalog afterwards unseals it and drops the tables;
+    /// re-seal to restore them. A sealed catalog is expected to stay as it
+    /// is, so its vectors give back their spare capacity.
     pub fn seal_with(&mut self, popularity: FilePopularity) {
-        let files = &self.files;
-        for (_, list) in self.per_user.iter_mut().flatten().chain(&mut self.shared) {
-            let weighted = popularity != FilePopularity::Uniform && !list.indices.is_empty();
-            list.alias = weighted.then(|| {
-                AliasTable::new(&popularity.weights(files, &list.indices))
-                    .expect("positive weights")
+        self.aliases.clear();
+        if popularity != FilePopularity::Uniform {
+            let tables = self.lists.iter().map(|list| {
+                let weights = popularity.weights(&self.files, list.run(&self.candidates));
+                AliasTable::new(&weights).expect("positive weights")
             });
+            self.aliases.extend(tables);
         }
+        self.files.shrink_to_fit();
+        self.paths.shrink_to_fit();
+        self.path_ends.shrink_to_fit();
+        self.candidates.shrink_to_fit();
+        self.lists.shrink_to_fit();
+        self.owner_lists.shrink_to_fit();
         self.sealed = true;
     }
 
@@ -247,49 +310,56 @@ impl FileCatalog {
         &self.files[idx]
     }
 
-    fn list(&self, user: usize, category: FileCategory) -> Option<&CandidateList> {
-        let lists = match category.owner {
-            crate::Owner::User => self.per_user.get(user)?,
-            crate::Owner::Other => &self.shared,
+    /// The absolute path of the file at a catalog index; panics like
+    /// [`Self::file`].
+    pub fn path(&self, idx: usize) -> &str {
+        let start = idx.checked_sub(1).map_or(0, |prev| self.path_ends[prev]);
+        &self.paths[start as usize..self.path_ends[idx] as usize]
+    }
+
+    /// The list `user` draws `category` from, with its list number.
+    fn list(&self, user: usize, category: FileCategory) -> Option<(usize, &List)> {
+        let slot = match category.owner {
+            Owner::User => user + 1,
+            Owner::Other => 0,
         };
-        lists
-            .iter()
-            .find_map(|(cat, list)| (*cat == category).then_some(list))
+        let first = *self.owner_lists.get(slot)? as usize;
+        let end = (self.owner_lists.get(slot + 1)).map_or(self.lists.len(), |&at| at as usize);
+        let at = first + (self.lists[first..end].iter()).position(|l| l.category == category)?;
+        Some((at, &self.lists[at]))
     }
 
     /// Candidate file indices for `user` accessing `category`.
     pub fn candidates(&self, user: usize, category: FileCategory) -> &[usize] {
         self.list(user, category)
-            .map_or(&[], |list| list.indices.as_slice())
+            .map_or(&[], |(_, list)| list.run(&self.candidates))
     }
 
     /// Picks a random candidate for `user` × `category` under the policy
     /// the catalog was sealed with (uniform when unsealed).
     ///
-    /// A weighted list answers through its alias table; a uniform, unsealed
-    /// or since-mutated list draws modulo. Both consume one `next_u64`.
+    /// After a weighted seal a list answers through its alias table; a
+    /// uniform, unsealed or since-mutated catalog draws modulo. Both
+    /// consume one `next_u64`.
     pub fn pick(
         &self,
         user: usize,
         category: FileCategory,
         rng: &mut dyn RngCore,
     ) -> Option<usize> {
-        let list = self.list(user, category)?;
-        if list.indices.is_empty() {
-            return None;
-        }
-        let i = match &list.alias {
+        let (at, list) = self.list(user, category)?;
+        let run = list.run(&self.candidates);
+        let i = match self.aliases.get(at) {
             Some(table) => table.draw(rng),
-            None => (rng.next_u64() % list.indices.len() as u64) as usize,
+            None => (rng.next_u64() % run.len() as u64) as usize,
         };
-        Some(list.indices[i])
+        Some(run[i])
     }
 
     /// Per-category summary: `(count, mean size)` over indexed (live) files.
     pub fn characterize(&self) -> HashMap<FileCategory, (usize, f64)> {
         let mut out: HashMap<FileCategory, (usize, f64)> = HashMap::new();
-        let lists = self.per_user.iter().flatten().chain(&self.shared);
-        for &idx in lists.flat_map(|(_, list)| &list.indices) {
+        for &idx in &self.candidates {
             let f = &self.files[idx];
             let entry = out.entry(f.category).or_insert((0, 0.0));
             entry.0 += 1;
@@ -311,7 +381,6 @@ mod tests {
 
     fn file(cat: FileCategory, user: Option<usize>, size: u64, n: usize) -> CatalogFile {
         CatalogFile {
-            path: format!("/f{n}"),
             ino: n as u64,
             size,
             category: cat,
@@ -322,8 +391,8 @@ mod tests {
     #[test]
     fn user_files_are_private() {
         let mut c = FileCatalog::new();
-        c.add(file(FileCategory::REG_USER_RDONLY, Some(0), 100, 0));
-        c.add(file(FileCategory::REG_USER_RDONLY, Some(1), 100, 1));
+        c.add("/f0", file(FileCategory::REG_USER_RDONLY, Some(0), 100, 0));
+        c.add("/f1", file(FileCategory::REG_USER_RDONLY, Some(1), 100, 1));
         assert_eq!(c.candidates(0, FileCategory::REG_USER_RDONLY), &[0]);
         assert_eq!(c.candidates(1, FileCategory::REG_USER_RDONLY), &[1]);
     }
@@ -331,7 +400,7 @@ mod tests {
     #[test]
     fn shared_files_are_visible_to_all() {
         let mut c = FileCatalog::new();
-        c.add(file(FileCategory::REG_OTHER_RDONLY, None, 100, 0));
+        c.add("/f0", file(FileCategory::REG_OTHER_RDONLY, None, 100, 0));
         assert_eq!(c.candidates(0, FileCategory::REG_OTHER_RDONLY), &[0]);
         assert_eq!(c.candidates(7, FileCategory::REG_OTHER_RDONLY), &[0]);
     }
@@ -348,7 +417,10 @@ mod tests {
     fn pick_covers_all_candidates() {
         let mut c = FileCatalog::new();
         for n in 0..4 {
-            c.add(file(FileCategory::NOTES_OTHER_RDONLY, None, 10, n));
+            c.add(
+                &format!("/f{n}"),
+                file(FileCategory::NOTES_OTHER_RDONLY, None, 10, n),
+            );
         }
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let mut seen = std::collections::HashSet::new();
@@ -364,7 +436,7 @@ mod tests {
     #[test]
     fn remove_hides_from_candidates_but_keeps_record() {
         let mut c = FileCatalog::new();
-        let idx = c.add(file(FileCategory::REG_USER_TEMP, Some(0), 10, 0));
+        let idx = c.add("/f0", file(FileCategory::REG_USER_TEMP, Some(0), 10, 0));
         assert_eq!(c.candidates(0, FileCategory::REG_USER_TEMP).len(), 1);
         c.remove(idx);
         assert!(c.candidates(0, FileCategory::REG_USER_TEMP).is_empty());
@@ -375,8 +447,8 @@ mod tests {
     #[test]
     fn characterize_means() {
         let mut c = FileCatalog::new();
-        c.add(file(FileCategory::REG_USER_RDONLY, Some(0), 100, 0));
-        c.add(file(FileCategory::REG_USER_RDONLY, Some(0), 300, 1));
+        c.add("/f0", file(FileCategory::REG_USER_RDONLY, Some(0), 100, 0));
+        c.add("/f1", file(FileCategory::REG_USER_RDONLY, Some(0), 300, 1));
         let summary = c.characterize();
         let (count, mean) = summary[&FileCategory::REG_USER_RDONLY];
         assert_eq!(count, 2);

@@ -197,8 +197,10 @@ impl FileSystemCreator {
     ///
     /// [`FscError::InodeDemand`] — before anything is created — when the
     /// population cannot fit in the inodes `vfs` has left (an upper bound:
-    /// directories `vfs` already holds are counted again); otherwise
-    /// propagates validation, distribution and file-system errors.
+    /// directories `vfs` already holds are counted again), and
+    /// [`FscError::CatalogDemand`] when it has more files or path bytes
+    /// than the catalog's `u32` offsets address; otherwise propagates
+    /// validation, distribution and file-system errors.
     pub fn build(
         &self,
         vfs: &mut Vfs,
@@ -214,7 +216,9 @@ impl FileSystemCreator {
         }
         let shared = self.plan(Owner::Other, self.spec.shared_files)?;
         let personal = self.plan(Owner::User, self.spec.files_per_user)?;
-        check_inode_demand(vfs, n_users, &shared, &personal)?;
+        let files = file_demand(n_users, &shared, &personal);
+        check_inode_demand(vfs, n_users, files)?;
+        check_catalog_demand(n_users, files)?;
 
         let root = vfs.root();
         let system = Dir::ensure(vfs, root, "/system")?;
@@ -229,7 +233,9 @@ impl FileSystemCreator {
             notes,
             catalog: FileCatalog::new(),
         };
-        build.populate(&shared, &system, None)?;
+        // Every catalog path is rendered here; its tail is the VFS name.
+        let mut path = String::new();
+        build.populate(&shared, &system, None, &mut path)?;
         for user in 0..n_users {
             let home_path = Self::user_dir(user);
             let home = Dir::ensure(build.vfs, homes.ino, &home_path)?;
@@ -237,7 +243,7 @@ impl FileSystemCreator {
             build
                 .vfs
                 .ensure_dir_at(scratch.ino, last_component(&home_path))?;
-            build.populate(&personal, &home, Some(user))?;
+            build.populate(&personal, &home, Some(user), &mut path)?;
         }
         // Seal with the spec's popularity policy so the pick weighting is
         // part of the declarative workload description. Uniform sealing is
@@ -323,6 +329,7 @@ impl Build<'_> {
         plan: &[PlannedCategory],
         dir: &Dir<'_>,
         owner_user: Option<usize>,
+        path: &mut String,
     ) -> Result<(), FscError> {
         for planned in plan {
             let category = planned.category;
@@ -335,22 +342,22 @@ impl Build<'_> {
             for seq in 0..planned.count {
                 let size = planned.size.sample(self.rng).round().max(0.0) as u64;
                 let unique = self.catalog.len();
-                let mut path = String::with_capacity(dir_path.len() + stem.len() + 16);
+                path.clear();
                 write!(path, "{dir_path}/{stem}{unique:05}_{seq:04}").expect("String write");
                 let name = &path[dir_path.len() + 1..];
                 let ino = match category.file_type {
                     FileType::Dir => self.vfs.ensure_dir_at(dir_ino, name)?,
                     FileType::Reg | FileType::Notes => self.create_file(dir_ino, name, size)?,
                 };
-                self.catalog.add(CatalogFile {
-                    path,
+                let file = CatalogFile {
                     ino: ino.number(),
                     // Directories have no byte size; record the sampled size
                     // anyway as the "directory data" the workload reads.
                     size,
                     category,
                     owner_user,
-                });
+                };
+                self.catalog.add(path, file);
             }
         }
         Ok(())
@@ -372,10 +379,9 @@ impl Build<'_> {
     }
 }
 
-/// Inodes a build allocates on a fresh file system: the four top-level
-/// directories, the shared objects, and per user a home, a scratch
-/// directory and the personal objects. `None` past `u64`.
-fn inode_demand(
+/// Objects a build creates and catalogs: the shared ones, and the personal
+/// ones of every user. `None` past `u64`.
+fn file_demand(
     n_users: usize,
     shared: &[PlannedCategory],
     personal: &[PlannedCategory],
@@ -385,20 +391,18 @@ fn inode_demand(
             .try_fold(0u64, |sum, planned| sum.checked_add(planned.count))
     };
     objects(personal)?
-        .checked_add(2)?
         .checked_mul(n_users as u64)?
-        .checked_add(objects(shared)?)?
-        .checked_add(4)
+        .checked_add(objects(shared)?)
 }
 
-/// Fails unless `vfs` has inodes left for the whole population.
-fn check_inode_demand(
-    vfs: &Vfs,
-    n_users: usize,
-    shared: &[PlannedCategory],
-    personal: &[PlannedCategory],
-) -> Result<(), FscError> {
-    let demand = inode_demand(n_users, shared, personal).unwrap_or(u64::MAX);
+/// Fails unless `vfs` has inodes left for what a build allocates on a fresh
+/// file system: the `files`, the four top-level directories, and per user a
+/// home and a scratch directory.
+fn check_inode_demand(vfs: &Vfs, n_users: usize, files: Option<u64>) -> Result<(), FscError> {
+    let demand = files
+        .zip((n_users as u64).checked_mul(2))
+        .and_then(|(files, dirs)| files.checked_add(dirs)?.checked_add(4))
+        .unwrap_or(u64::MAX);
     let stats = vfs.statfs();
     let available = stats.total_inodes.saturating_sub(stats.used_inodes);
     if demand > available {
@@ -407,6 +411,21 @@ fn check_inode_demand(
             available,
             limit: stats.total_inodes,
         });
+    }
+    Ok(())
+}
+
+/// Fails unless the catalog's `u32` offsets can address the bytes of every
+/// path (at a byte or more each, so the `files` as well), taking each as
+/// the longest: in the last user's home, numbered as the last file, which
+/// no sequence number exceeds either.
+fn check_catalog_demand(n_users: usize, files: Option<u64>) -> Result<(), FscError> {
+    let files = files.unwrap_or(u64::MAX);
+    let home = FileSystemCreator::user_dir(n_users.saturating_sub(1));
+    let longest = format!("{home}/file{files:05}_{files:04}").len() as u64;
+    let path_bytes = files.saturating_mul(longest);
+    if path_bytes > u64::from(u32::MAX) {
+        return Err(FscError::CatalogDemand { files, path_bytes });
     }
     Ok(())
 }
@@ -542,6 +561,37 @@ mod tests {
     }
 
     #[test]
+    fn a_population_the_catalog_cannot_address_is_refused_up_front() {
+        // One user, nine-digit counts: `/u/user000/file126322567_126322567`
+        // is 34 bytes, and 34 × 126,322,567 is the last product under 2^32.
+        assert_eq!(check_catalog_demand(1, Some(126_322_567)), Ok(()));
+        let err = check_catalog_demand(1, Some(126_322_568)).unwrap_err();
+        let (files, path_bytes) = (126_322_568, 34 * 126_322_568);
+        assert_eq!(err, FscError::CatalogDemand { files, path_bytes });
+        for part in ["126322568 files", "4294967312 bytes", "at most 4294967295"] {
+            assert!(err.to_string().contains(part), "{err}");
+        }
+        // The million-user smoke is 3 M files and 99 MB of paths at most;
+        // forty times the users is refused, and so is a count past `u64`.
+        assert_eq!(check_catalog_demand(1_000_000, Some(3_000_120)), Ok(()));
+        assert!(check_catalog_demand(40_000_000, Some(120_000_120)).is_err());
+        assert!(check_catalog_demand(usize::MAX, None).is_err());
+
+        // Through `build`, with inodes to spare: nothing is created.
+        let spec = two_category_spec().with_files_per_user(5_000_000_000);
+        let mut vfs = Vfs::new(VfsConfig {
+            max_inodes: usize::MAX,
+            ..VfsConfig::default()
+        });
+        let err = FileSystemCreator::new(spec.unwrap())
+            .build(&mut vfs, 1, &mut StdRng::seed_from_u64(1))
+            .unwrap_err();
+        let files = 5_000_000_120;
+        assert!(matches!(err, FscError::CatalogDemand { files: f, .. } if f == files));
+        assert_eq!(vfs.statfs().used_inodes, 1, "nothing was built");
+    }
+
+    #[test]
     fn new_and_temp_categories_not_materialized() {
         let spec = FscSpec::new(vec![
             CategorySpec::new(
@@ -590,13 +640,13 @@ mod tests {
         let mut vfs = Vfs::new(VfsConfig::default());
         let mut rng = StdRng::seed_from_u64(4);
         let catalog = creator.build(&mut vfs, 1, &mut rng).unwrap();
-        let file = catalog
+        let idx = catalog
             .files()
             .iter()
-            .find(|f| f.size > 0)
+            .position(|f| f.size > 0)
             .expect("some non-empty file");
-        let data = vfs.read_file(&file.path).unwrap();
-        assert_eq!(data.len() as u64, file.size);
+        let data = vfs.read_file(catalog.path(idx)).unwrap();
+        assert_eq!(data.len() as u64, catalog.file(idx).size);
         assert!(vfs.block_stats().allocated > 0);
     }
 
@@ -646,9 +696,9 @@ mod tests {
         let dir_file = catalog
             .files()
             .iter()
-            .find(|f| f.category == FileCategory::DIR_USER_RDONLY)
+            .position(|f| f.category == FileCategory::DIR_USER_RDONLY)
             .expect("dir category populated");
-        assert!(vfs.stat(&dir_file.path).unwrap().is_dir());
+        assert!(vfs.stat(catalog.path(dir_file)).unwrap().is_dir());
     }
 
     #[test]
@@ -662,7 +712,8 @@ mod tests {
             catalog
                 .files()
                 .iter()
-                .map(|f| (f.path.clone(), f.size))
+                .enumerate()
+                .map(|(idx, f)| (catalog.path(idx).to_string(), f.size))
                 .collect::<Vec<_>>()
         };
         assert_eq!(build(42), build(42));

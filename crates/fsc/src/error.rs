@@ -43,6 +43,15 @@ pub enum FscError {
         /// The file system's `vfs.max_inodes`.
         limit: u64,
     },
+    /// The population has more bytes of file paths (so possibly more files)
+    /// than the catalog's `u32` offsets address. Raised before anything is
+    /// created.
+    CatalogDemand {
+        /// Files the build would catalog.
+        files: u64,
+        /// Upper bound on the bytes of their paths.
+        path_bytes: u64,
+    },
     /// A size distribution could not be instantiated.
     Distribution(DistrError),
     /// The underlying file system rejected an operation (usually `ENOSPC`).
@@ -71,6 +80,12 @@ impl fmt::Display for FscError {
                 f,
                 "the population needs {demand} inodes but `vfs.max_inodes` is {limit} \
                  ({available} free): raise vfs.max_inodes or shrink the population"
+            ),
+            FscError::CatalogDemand { files, path_bytes } => write!(
+                f,
+                "the population is {files} files with up to {path_bytes} bytes of paths, and \
+                 a file catalog addresses at most {} of either: shrink the population",
+                u32::MAX
             ),
             FscError::Distribution(e) => write!(f, "size distribution: {e}"),
             FscError::FileSystem(e) => write!(f, "file system: {e}"),

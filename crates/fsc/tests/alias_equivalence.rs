@@ -9,7 +9,6 @@ use uswg_fsc::{AliasTable, CatalogFile, FileCatalog, FileCategory};
 
 fn file(cat: FileCategory, user: Option<usize>, n: usize) -> CatalogFile {
     CatalogFile {
-        path: format!("/f{n}"),
         ino: n as u64,
         size: 100 + n as u64,
         category: cat,
@@ -46,7 +45,7 @@ proptest! {
                     uswg_fsc::Owner::User => Some(n % 3),
                     uswg_fsc::Owner::Other => None,
                 };
-                unsealed.add(file(cat, owner, n));
+                unsealed.add(&format!("/f{n}"), file(cat, owner, n));
                 n += 1;
             }
         }
@@ -90,7 +89,7 @@ proptest! {
         let cat = FileCategory::REG_OTHER_RDONLY;
         let mut sealed = FileCatalog::new();
         for i in 0..initial {
-            sealed.add(file(cat, None, i));
+            sealed.add(&format!("/f{i}"), file(cat, None, i));
         }
         let mut unsealed = sealed.clone();
         sealed.seal();
@@ -99,8 +98,8 @@ proptest! {
             unsealed.remove(r % initial);
         }
         // One list grew back after sealing, too.
-        sealed.add(file(cat, None, initial));
-        unsealed.add(file(cat, None, initial));
+        sealed.add(&format!("/f{initial}"), file(cat, None, initial));
+        unsealed.add(&format!("/f{initial}"), file(cat, None, initial));
 
         let mut rng_a = StdRng::seed_from_u64(seed);
         let mut rng_b = StdRng::seed_from_u64(seed);

@@ -85,13 +85,13 @@ fn reference_populate(
                     vfs.write_file(&path, &data).unwrap();
                 }
             }
-            catalog.add(CatalogFile {
+            let file = CatalogFile {
                 ino: vfs.resolve(&path).unwrap().number(),
-                path,
                 size,
                 category: c.category,
                 owner_user,
-            });
+            };
+            catalog.add(&path, file);
         }
     }
 }
@@ -179,6 +179,9 @@ proptest! {
 
         prop_assert!(built.is_sealed());
         prop_assert_eq!(built.files(), reference.files());
+        for idx in 0..built.len() {
+            prop_assert_eq!(built.path(idx), reference.path(idx));
+        }
         for policy in [
             FilePopularity::Uniform,
             FilePopularity::SizeWeighted,

@@ -11,13 +11,13 @@ use uswg_fsc::{CatalogFile, FileCatalog, FileCategory, FilePopularity};
 fn catalog_with_sizes(sizes: &[u64]) -> FileCatalog {
     let mut catalog = FileCatalog::new();
     for (n, &size) in sizes.iter().enumerate() {
-        catalog.add(CatalogFile {
-            path: format!("/shared/f{n}"),
+        let file = CatalogFile {
             ino: n as u64 + 1,
             size,
             category: FileCategory::REG_OTHER_RDONLY,
             owner_user: None,
-        });
+        };
+        catalog.add(&format!("/shared/f{n}"), file);
     }
     catalog
 }
@@ -141,13 +141,13 @@ fn zero_size_files_stay_reachable_under_size_weighting() {
 fn per_user_lists_honour_the_policy_too() {
     let mut catalog = FileCatalog::new();
     for (n, size) in [(0usize, 10u64), (1, 1_000)] {
-        catalog.add(CatalogFile {
-            path: format!("/u0/f{n}"),
+        let file = CatalogFile {
             ino: n as u64 + 1,
             size,
             category: FileCategory::REG_USER_RDONLY,
             owner_user: Some(0),
-        });
+        };
+        catalog.add(&format!("/u0/f{n}"), file);
     }
     catalog.seal_with(FilePopularity::SizeWeighted);
     let mut rng = StdRng::seed_from_u64(11);

@@ -672,10 +672,10 @@ mod tests {
         let catalog = FileSystemCreator::new(spec)
             .build(&mut vfs, n_users, &mut StdRng::seed_from_u64(3))
             .unwrap();
-        for file in catalog.files() {
+        for (idx, file) in catalog.files().iter().enumerate() {
             if file.owner_user == Some(broken) {
-                vfs.unlink(&file.path).unwrap();
-                vfs.mkdir(&file.path).unwrap();
+                vfs.unlink(catalog.path(idx)).unwrap();
+                vfs.mkdir(catalog.path(idx)).unwrap();
             }
         }
         (vfs, catalog)

@@ -51,7 +51,7 @@ enum Phase {
 #[derive(Debug, Clone, Copy)]
 enum TaskPath {
     /// Preexisting file or directory: index into the [`FileCatalog`],
-    /// whose entry owns the path — rendering borrows it for free.
+    /// which owns the path — rendering borrows it for free.
     Catalog(u32),
     /// Scratch file this session creates: the path is
     /// `scratch_dir(user)/s<ordinal>_c<ci>_f<k>` by construction.
@@ -94,7 +94,7 @@ impl Task {
     /// files. Byte-identical to the strings `plan` used to store.
     fn path<'a>(&self, user: usize, ordinal: u32, catalog: &'a FileCatalog) -> Cow<'a, str> {
         match self.location {
-            TaskPath::Catalog(idx) => Cow::Borrowed(catalog.file(idx as usize).path.as_str()),
+            TaskPath::Catalog(idx) => Cow::Borrowed(catalog.path(idx as usize)),
             TaskPath::Scratch { ci, k } => Cow::Owned(format!(
                 "{}/s{ordinal:05}_c{ci:02}_f{k:03}",
                 FileSystemCreator::scratch_dir(user)
@@ -148,7 +148,8 @@ impl Session {
                     match catalog.pick(user, usage.category, rng) {
                         Some(idx) => {
                             let f = catalog.file(idx);
-                            (TaskPath::Catalog(idx as u32), f.ino, f.size)
+                            let idx = u32::try_from(idx).expect("a catalog index fits u32");
+                            (TaskPath::Catalog(idx), f.ino, f.size)
                         }
                         None => continue, // nothing of this category exists
                     }

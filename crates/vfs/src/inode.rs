@@ -1,7 +1,15 @@
 //! Inodes and file metadata.
+//!
+//! An inode is one slot of the file system's inode table and the slot index
+//! is its number, so the number is not stored again inside. What the object
+//! holds lives in the inode too ([`Content`]): a file's block list or a
+//! directory's entries, keyed by `Box<str>` — 16 bytes a name, so a B-tree
+//! leaf (a whole directory of up to 11 entries) is 280 bytes. There is no
+//! side table of directories to probe or keep in step.
 
 use crate::block::BlockId;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Inode number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -23,11 +31,18 @@ pub enum FileKind {
     Directory,
 }
 
+/// What an inode holds besides its attributes; the variant is its kind.
+#[derive(Debug, Clone)]
+pub(crate) enum Content {
+    /// Data blocks; `None` entries are holes that read as zeros.
+    Regular(Vec<Option<BlockId>>),
+    /// Named entries, in name order.
+    Directory(BTreeMap<Box<str>, Ino>),
+}
+
 /// The in-memory inode.
 #[derive(Debug, Clone)]
 pub(crate) struct Inode {
-    pub ino: Ino,
-    pub kind: FileKind,
     /// Logical file size in bytes (directories: entry count).
     pub size: u64,
     /// Number of directory entries referencing this inode.
@@ -36,8 +51,7 @@ pub(crate) struct Inode {
     pub open_count: u32,
     /// Owner id recorded at creation (workload-level classification).
     pub uid: u32,
-    /// Data blocks; `None` entries are holes that read as zeros.
-    pub blocks: Vec<Option<BlockId>>,
+    pub content: Content,
     /// Last access time, microseconds of the file-system clock.
     pub atime: u64,
     /// Last modification time.
@@ -47,29 +61,58 @@ pub(crate) struct Inode {
 }
 
 impl Inode {
-    pub(crate) fn new(ino: Ino, kind: FileKind, uid: u32, now: u64) -> Self {
+    /// An empty object of `kind`. A directory starts at two links: its
+    /// name in the parent and its own `.`.
+    pub(crate) fn new(kind: FileKind, uid: u32, now: u64) -> Self {
+        let (nlink, content) = match kind {
+            FileKind::Regular => (1, Content::Regular(Vec::new())),
+            FileKind::Directory => (2, Content::Directory(BTreeMap::new())),
+        };
         Self {
-            ino,
-            kind,
             size: 0,
-            nlink: 1,
+            nlink,
             open_count: 0,
             uid,
-            blocks: Vec::new(),
+            content,
             atime: now,
             mtime: now,
             ctime: now,
         }
     }
 
-    pub(crate) fn metadata(&self, block_size: usize) -> Metadata {
+    pub(crate) fn kind(&self) -> FileKind {
+        match self.content {
+            Content::Regular(_) => FileKind::Regular,
+            Content::Directory(_) => FileKind::Directory,
+        }
+    }
+
+    /// The data blocks; a directory has none.
+    pub(crate) fn blocks(&self) -> &[Option<BlockId>] {
+        match &self.content {
+            Content::Regular(blocks) => blocks,
+            Content::Directory(_) => &[],
+        }
+    }
+
+    /// The block list of a regular file: descriptors and `truncate` reach
+    /// nothing else, and a live inode never changes kind.
+    pub(crate) fn blocks_mut(&mut self) -> &mut Vec<Option<BlockId>> {
+        match &mut self.content {
+            Content::Regular(blocks) => blocks,
+            Content::Directory(_) => unreachable!("data access to a directory"),
+        }
+    }
+
+    /// The `stat` snapshot of the inode in slot `ino`.
+    pub(crate) fn metadata(&self, ino: Ino, block_size: usize) -> Metadata {
         Metadata {
-            ino: self.ino,
-            kind: self.kind,
+            ino,
+            kind: self.kind(),
             size: self.size,
             nlink: self.nlink,
             uid: self.uid,
-            blocks: self.blocks.iter().flatten().count() as u64,
+            blocks: self.blocks().iter().flatten().count() as u64,
             block_size: block_size as u32,
             atime: self.atime,
             mtime: self.mtime,
@@ -121,10 +164,10 @@ mod tests {
 
     #[test]
     fn metadata_snapshot() {
-        let mut inode = Inode::new(Ino(7), FileKind::Regular, 42, 1_000);
+        let mut inode = Inode::new(FileKind::Regular, 42, 1_000);
         inode.size = 100;
-        inode.blocks = vec![None, None];
-        let md = inode.metadata(4096);
+        *inode.blocks_mut() = vec![None, None];
+        let md = inode.metadata(Ino(7), 4096);
         assert_eq!(md.ino.number(), 7);
         assert!(md.is_file());
         assert!(!md.is_dir());

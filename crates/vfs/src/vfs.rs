@@ -3,11 +3,11 @@
 
 use crate::block::{BlockStats, BlockStore};
 use crate::fd::{Fd, OpenFile, OpenFlags, Process, SeekFrom};
-use crate::inode::{FileKind, Ino, Inode, Metadata};
+use crate::inode::{Content, FileKind, Ino, Inode, Metadata};
 use crate::path::{check_name, components, split_parent};
 use crate::FsError;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Geometry and limits of a [`Vfs`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -122,7 +122,6 @@ pub struct Vfs {
     clock: u64,
     inodes: Vec<Option<Inode>>,
     free_inodes: Vec<usize>,
-    dirs: HashMap<Ino, BTreeMap<String, Ino>>,
     store: BlockStore,
     counters: OpCounters,
     root: Ino,
@@ -136,18 +135,13 @@ impl Vfs {
             clock: 0,
             inodes: Vec::new(),
             free_inodes: Vec::new(),
-            dirs: HashMap::new(),
             store: BlockStore::new(config.block_size, config.max_blocks),
             counters: OpCounters::default(),
             root: Ino(0),
         };
-        let root = fs
+        fs.root = fs
             .alloc_inode(FileKind::Directory, 0)
             .expect("fresh fs has inode space");
-        let node = fs.inode_mut(root);
-        node.nlink = 2;
-        fs.dirs.insert(root, BTreeMap::new());
-        fs.root = root;
         fs
     }
 
@@ -216,15 +210,13 @@ impl Vfs {
         if used >= self.config.max_inodes {
             return Err(FsError::NoSpace);
         }
-        let now = self.clock;
+        let node = Some(Inode::new(kind, uid, self.clock));
         if let Some(slot) = self.free_inodes.pop() {
-            let ino = Ino(slot as u64);
-            self.inodes[slot] = Some(Inode::new(ino, kind, uid, now));
-            return Ok(ino);
+            self.inodes[slot] = node;
+            return Ok(Ino(slot as u64));
         }
-        let ino = Ino(self.inodes.len() as u64);
-        self.inodes.push(Some(Inode::new(ino, kind, uid, now)));
-        Ok(ino)
+        self.inodes.push(node);
+        Ok(Ino(self.inodes.len() as u64 - 1))
     }
 
     /// Live inode count in O(1): allocated slots minus the free list.
@@ -244,15 +236,32 @@ impl Vfs {
             .expect("reference to freed inode")
     }
 
+    /// The entries of `ino` if it is a live directory of this file system:
+    /// `None` for a regular file, a freed slot, or a number past the table
+    /// (a handle kept across an `rmdir`, or taken from another `Vfs`).
+    fn dir(&self, ino: Ino) -> Option<&BTreeMap<Box<str>, Ino>> {
+        match &self.inodes.get(ino.0 as usize)?.as_ref()?.content {
+            Content::Directory(entries) => Some(entries),
+            Content::Regular(_) => None,
+        }
+    }
+
+    /// The entries of `ino`, which the caller has checked with [`Self::dir`].
+    fn dir_mut(&mut self, ino: Ino) -> &mut BTreeMap<Box<str>, Ino> {
+        match &mut self.inode_mut(ino).content {
+            Content::Directory(entries) => entries,
+            Content::Regular(_) => unreachable!("checked to be a directory"),
+        }
+    }
+
     /// Frees an inode and its data blocks.
     fn free_inode(&mut self, ino: Ino) {
         let node = self.inodes[ino.0 as usize]
             .take()
             .expect("double free of inode");
-        for block in node.blocks.into_iter().flatten() {
-            self.store.free(block);
+        for block in node.blocks().iter().flatten() {
+            self.store.free(*block);
         }
-        self.dirs.remove(&ino);
         self.free_inodes.push(ino.0 as usize);
     }
 
@@ -277,27 +286,23 @@ impl Vfs {
     /// [`FsError::NotFound`] for missing components, [`FsError::NotADirectory`]
     /// when a non-final component is a file, plus path-syntax errors.
     pub fn resolve(&self, path: &str) -> Result<Ino, FsError> {
-        let comps = components(path)?;
-        let mut cur = self.root;
-        for comp in comps {
-            let dir = self.dirs.get(&cur).ok_or(FsError::NotADirectory)?;
-            cur = *dir.get(comp).ok_or(FsError::NotFound)?;
-        }
-        Ok(cur)
+        self.walk(components(path)?)
+    }
+
+    /// Steps from the root through each of `comps`.
+    fn walk<'p>(&self, comps: impl IntoIterator<Item = &'p str>) -> Result<Ino, FsError> {
+        comps.into_iter().try_fold(self.root, |cur, comp| {
+            let dir = self.dir(cur).ok_or(FsError::NotADirectory)?;
+            dir.get(comp).copied().ok_or(FsError::NotFound)
+        })
     }
 
     /// Resolves the parent directory of `path`, returning `(dir_ino, name)`.
     fn resolve_parent<'p>(&self, path: &'p str) -> Result<(Ino, &'p str), FsError> {
         let (parent_comps, name) = split_parent(path)?;
-        let mut cur = self.root;
-        for comp in parent_comps {
-            let dir = self.dirs.get(&cur).ok_or(FsError::NotADirectory)?;
-            cur = *dir.get(comp).ok_or(FsError::NotFound)?;
-        }
-        if !self.dirs.contains_key(&cur) {
-            return Err(FsError::NotADirectory);
-        }
-        Ok((cur, name))
+        let parent = self.walk(parent_comps)?;
+        self.dir(parent).ok_or(FsError::NotADirectory)?;
+        Ok((parent, name))
     }
 
     /// Whether a path currently resolves to an object.
@@ -349,15 +354,12 @@ impl Vfs {
         if ino == self.root {
             return Err(FsError::Busy);
         }
-        let entries = self.dirs.get(&ino).ok_or(FsError::NotADirectory)?;
+        let entries = self.dir(ino).ok_or(FsError::NotADirectory)?;
         if !entries.is_empty() {
             return Err(FsError::DirectoryNotEmpty);
         }
         let (parent, name) = self.resolve_parent(path)?;
-        self.dirs
-            .get_mut(&parent)
-            .expect("parent checked")
-            .remove(name);
+        self.dir_mut(parent).remove(name);
         let clock = self.clock;
         let p = self.inode_mut(parent);
         p.nlink -= 1;
@@ -378,13 +380,13 @@ impl Vfs {
     pub fn readdir(&mut self, path: &str) -> Result<Vec<DirEntry>, FsError> {
         self.counters.readdirs += 1;
         let ino = self.resolve(path)?;
-        let entries = self.dirs.get(&ino).ok_or(FsError::NotADirectory)?;
+        let entries = self.dir(ino).ok_or(FsError::NotADirectory)?;
         let out = entries
             .iter()
             .map(|(name, &child)| DirEntry {
-                name: name.clone(),
+                name: name.as_ref().into(),
                 ino: child,
-                kind: self.inode(child).kind,
+                kind: self.inode(child).kind(),
             })
             .collect();
         let clock = self.clock;
@@ -545,7 +547,7 @@ impl Vfs {
     pub fn stat(&mut self, path: &str) -> Result<Metadata, FsError> {
         self.counters.stats += 1;
         let ino = self.resolve(path)?;
-        Ok(self.inode(ino).metadata(self.config.block_size))
+        Ok(self.inode(ino).metadata(ino, self.config.block_size))
     }
 
     /// `fstat(2)`.
@@ -555,8 +557,8 @@ impl Vfs {
     /// [`FsError::BadFd`] for unknown descriptors.
     pub fn fstat(&mut self, proc: &Process, fd: Fd) -> Result<Metadata, FsError> {
         self.counters.stats += 1;
-        let open = proc.get(fd).ok_or(FsError::BadFd)?;
-        Ok(self.inode(open.ino).metadata(self.config.block_size))
+        let ino = proc.get(fd).ok_or(FsError::BadFd)?.ino;
+        Ok(self.inode(ino).metadata(ino, self.config.block_size))
     }
 
     /// `unlink(2)`: removes a file name. Data is freed when the last open
@@ -569,15 +571,11 @@ impl Vfs {
     pub fn unlink(&mut self, path: &str) -> Result<(), FsError> {
         self.counters.unlinks += 1;
         let ino = self.resolve(path)?;
-        if self.inode(ino).kind == FileKind::Directory {
+        if self.dir(ino).is_some() {
             return Err(FsError::IsADirectory);
         }
         let (parent, name) = self.resolve_parent(path)?;
-        self.dirs
-            .get_mut(&parent)
-            .expect("parent checked")
-            .remove(name)
-            .ok_or(FsError::NotFound)?;
+        self.dir_mut(parent).remove(name).ok_or(FsError::NotFound)?;
         let clock = self.clock;
         let p = self.inode_mut(parent);
         p.mtime = clock;
@@ -605,34 +603,26 @@ impl Vfs {
         if old_parent == new_parent && old_name == new_name {
             return Ok(());
         }
-        let is_dir = self.inode(ino).kind == FileKind::Directory;
+        let is_dir = self.dir(ino).is_some();
         if is_dir && self.is_same_or_descendant(ino, new_parent) {
             return Err(FsError::InvalidArgument);
         }
         // Handle an existing target.
-        if let Some(&target) = self.dirs[&new_parent].get(new_name) {
-            if self.inode(target).kind == FileKind::Directory {
+        let new_entries = self.dir(new_parent).expect("parent checked");
+        if let Some(&target) = new_entries.get(new_name) {
+            if self.dir(target).is_some() {
                 return Err(FsError::IsADirectory);
             }
             if target == ino {
                 // Hard-link aliasing cannot happen (no link(2)); same-file
                 // rename to a different parent entry: remove old name below.
             } else {
-                self.dirs
-                    .get_mut(&new_parent)
-                    .expect("parent checked")
-                    .remove(new_name);
+                self.dir_mut(new_parent).remove(new_name);
                 self.drop_link(target);
             }
         }
-        self.dirs
-            .get_mut(&old_parent)
-            .expect("parent checked")
-            .remove(old_name);
-        self.dirs
-            .get_mut(&new_parent)
-            .expect("parent checked")
-            .insert(new_name.to_string(), ino);
+        self.dir_mut(old_parent).remove(old_name);
+        self.dir_mut(new_parent).insert(new_name.into(), ino);
         let clock = self.clock;
         if old_parent != new_parent {
             if is_dir {
@@ -730,8 +720,8 @@ impl Vfs {
     /// [`FsError::NotADirectory`] when `name` exists and is a file, plus the
     /// errors of [`Vfs::mkdir_at`] other than `AlreadyExists`.
     pub fn ensure_dir_at(&mut self, parent: Ino, name: &str) -> Result<Ino, FsError> {
-        match self.entries(parent)?.get(name) {
-            Some(&ino) if self.dirs.contains_key(&ino) => Ok(ino),
+        match self.dir(parent).ok_or(FsError::NotADirectory)?.get(name) {
+            Some(&ino) if self.dir(ino).is_some() => Ok(ino),
             Some(_) => Err(FsError::NotADirectory),
             None => self.mkdir_at(parent, name),
         }
@@ -756,7 +746,7 @@ impl Vfs {
             return Err(FsError::InvalidArgument);
         }
         check_name(name)?;
-        let ino = match self.entries(parent)?.get(name) {
+        let ino = match self.dir(parent).ok_or(FsError::NotADirectory)?.get(name) {
             Some(_) if flags.create && flags.exclusive => return Err(FsError::AlreadyExists),
             Some(&ino) => ino,
             None if flags.create => self.create_at(parent, name, FileKind::Regular)?,
@@ -781,32 +771,20 @@ impl Vfs {
         self.set_len(open.ino, len)
     }
 
-    /// The entries of `dir`, which must be a live directory.
-    fn entries(&self, dir: Ino) -> Result<&BTreeMap<String, Ino>, FsError> {
-        self.dirs.get(&dir).ok_or(FsError::NotADirectory)
-    }
-
     /// The one creation body behind `mkdir`, `open(create)` and their
     /// by-handle forms: links a fresh inode of `kind` into `parent` as
     /// `name`.
     fn create_at(&mut self, parent: Ino, name: &str, kind: FileKind) -> Result<Ino, FsError> {
         check_name(name)?;
-        if self.entries(parent)?.contains_key(name) {
+        let siblings = self.dir(parent).ok_or(FsError::NotADirectory)?;
+        if siblings.contains_key(name) {
             return Err(FsError::AlreadyExists);
         }
         let ino = self.alloc_inode(kind, 0)?;
-        let is_dir = kind == FileKind::Directory;
-        if is_dir {
-            self.inode_mut(ino).nlink = 2;
-            self.dirs.insert(ino, BTreeMap::new());
-        }
-        self.dirs
-            .get_mut(&parent)
-            .expect("parent checked")
-            .insert(name.to_string(), ino);
+        self.dir_mut(parent).insert(name.into(), ino);
         let clock = self.clock;
         let p = self.inode_mut(parent);
-        p.nlink += u32::from(is_dir);
+        p.nlink += u32::from(kind == FileKind::Directory);
         p.mtime = clock;
         p.size += 1;
         Ok(ino)
@@ -821,7 +799,7 @@ impl Vfs {
         flags: OpenFlags,
     ) -> Result<Fd, FsError> {
         // Reading a directory through read(2) is not supported either.
-        if self.inode(ino).kind == FileKind::Directory {
+        if self.dir(ino).is_some() {
             return Err(FsError::IsADirectory);
         }
         if flags.truncate {
@@ -842,7 +820,7 @@ impl Vfs {
 
     /// The body of `truncate` and `ftruncate`.
     fn set_len(&mut self, ino: Ino, len: u64) -> Result<(), FsError> {
-        if self.inode(ino).kind == FileKind::Directory {
+        if self.dir(ino).is_some() {
             return Err(FsError::IsADirectory);
         }
         if len > self.config.max_file_size {
@@ -873,7 +851,7 @@ impl Vfs {
             let block_idx = (pos / bs) as usize;
             let in_block = (pos % bs) as usize;
             let chunk = (n - done).min(bs as usize - in_block);
-            match node.blocks.get(block_idx).copied().flatten() {
+            match node.blocks().get(block_idx).copied().flatten() {
                 Some(id) => {
                     let data = self.store.data(id);
                     buf[done..done + chunk].copy_from_slice(&data[in_block..in_block + chunk]);
@@ -897,12 +875,12 @@ impl Vfs {
             let in_block = (pos % bs) as usize;
             let chunk = (data.len() - done).min(bs as usize - in_block);
             // Ensure the block exists.
-            if self.inode(ino).blocks.len() <= block_idx {
-                self.inode_mut(ino).blocks.resize(block_idx + 1, None);
+            if self.inode(ino).blocks().len() <= block_idx {
+                self.inode_mut(ino).blocks_mut().resize(block_idx + 1, None);
             }
-            if self.inode(ino).blocks[block_idx].is_none() {
+            if self.inode(ino).blocks()[block_idx].is_none() {
                 match self.store.alloc() {
-                    Ok(id) => self.inode_mut(ino).blocks[block_idx] = Some(id),
+                    Ok(id) => self.inode_mut(ino).blocks_mut()[block_idx] = Some(id),
                     Err(e) => {
                         return if done > 0 {
                             self.bump_size(ino, offset + done as u64);
@@ -913,7 +891,7 @@ impl Vfs {
                     }
                 }
             }
-            let id = self.inode(ino).blocks[block_idx].expect("just ensured");
+            let id = self.inode(ino).blocks()[block_idx].expect("just ensured");
             let block = self.store.data_mut(id);
             block[in_block..in_block + chunk].copy_from_slice(&data[done..done + chunk]);
             done += chunk;
@@ -933,9 +911,9 @@ impl Vfs {
         let bs = self.config.block_size as u64;
         let keep_blocks = (len.div_ceil(bs)) as usize;
         let freed: Vec<_> = {
-            let node = self.inode_mut(ino);
-            if node.blocks.len() > keep_blocks {
-                node.blocks.drain(keep_blocks..).flatten().collect()
+            let blocks = self.inode_mut(ino).blocks_mut();
+            if blocks.len() > keep_blocks {
+                blocks.drain(keep_blocks..).flatten().collect()
             } else {
                 Vec::new()
             }
@@ -946,7 +924,7 @@ impl Vfs {
         // Zero the tail of the boundary block so re-extension reads zeros.
         let node_size = self.inode(ino).size;
         if len < node_size && !len.is_multiple_of(bs) {
-            if let Some(Some(id)) = self.inode(ino).blocks.get(keep_blocks - 1).copied() {
+            if let Some(Some(id)) = self.inode(ino).blocks().get(keep_blocks - 1).copied() {
                 let from = (len % bs) as usize;
                 self.store.data_mut(id)[from..].fill(0);
             }
@@ -960,12 +938,12 @@ impl Vfs {
         if dir == candidate {
             return true;
         }
-        let Some(entries) = self.dirs.get(&dir) else {
+        let Some(entries) = self.dir(dir) else {
             return false;
         };
-        entries.values().any(|&child| {
-            self.dirs.contains_key(&child) && self.is_same_or_descendant(child, candidate)
-        })
+        entries
+            .values()
+            .any(|&child| self.is_same_or_descendant(child, candidate))
     }
 }
 
@@ -1470,7 +1448,13 @@ mod tests {
         let file = f.resolve("/file").unwrap();
         let gone = f.mkdir_at(root, "gone").unwrap();
         f.rmdir("/gone").unwrap();
-        for parent in [file, gone, Ino(1 << 40)] {
+        assert_eq!(f.readdir("/gone"), Err(FsError::NotFound));
+        // A handle indexes the inode table: one from a larger file system
+        // lies past the end of this one's.
+        let mut larger = fs();
+        larger.mkdir_all("/a/b/c/d/e/f").unwrap();
+        let foreign = larger.resolve("/a/b/c/d/e/f").unwrap();
+        for parent in [file, gone, foreign, Ino(1 << 40)] {
             assert_eq!(f.mkdir_at(parent, "d"), Err(FsError::NotADirectory));
             assert_eq!(f.ensure_dir_at(parent, "d"), Err(FsError::NotADirectory));
             assert_eq!(
@@ -1478,6 +1462,11 @@ mod tests {
                 Err(FsError::NotADirectory)
             );
         }
+        // The freed slot comes back as a regular file: still no directory.
+        f.write_file("/reuse", b"x").unwrap();
+        assert_eq!(f.resolve("/reuse"), Ok(gone), "the slot was reused");
+        assert_eq!(f.ensure_dir_at(gone, "d"), Err(FsError::NotADirectory));
+        assert_eq!(f.readdir("/reuse"), Err(FsError::NotADirectory));
 
         f.mkdir_at(root, "dir").unwrap();
         assert_eq!(f.mkdir_at(root, "dir"), Err(FsError::AlreadyExists));
