@@ -12,6 +12,7 @@
 //!   files referenced) and per-syscall access-size/response summaries;
 //! * [`Table`] — plain-text table rendering for experiment reports.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -9,8 +9,8 @@
 //! overlaps the window are decoded (optionally thinned to every k-th) —
 //! O(window), not O(file); otherwise every frame streams through the same
 //! record-level filter. With `jobs > 1` [`scan_indexed`] splits the
-//! selected frames into near-equal chunks fanned across the global
-//! stealpool budget; each worker opens its own reader, accumulates
+//! selected frames into near-equal chunks fanned out under the pool's
+//! global thread budget; each worker opens its own reader, accumulates
 //! independently, and the chunks merge in file order via
 //! [`StreamLogStats::merge`], matching the sequential pass to
 //! floating-point roundoff.
@@ -33,7 +33,7 @@ pub struct ScanOptions {
     /// Decode only every k-th of the selected frames (`None` or `Some(1)`
     /// decodes them all) — a cheap estimate over a huge capture.
     pub sample: Option<u64>,
-    /// Worker threads to request from the global stealpool budget
+    /// Worker threads to request from the pool's global thread budget
     /// (`0` or `1` runs sequentially on the calling thread; `0` is "not
     /// asked for", any other value also asks for the indexed path).
     pub jobs: usize,

@@ -23,6 +23,7 @@
 //! error, not the default. Performance is measured elsewhere, by the
 //! harness in `benchmark/`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use uswg_core::experiment::SweepPoint;

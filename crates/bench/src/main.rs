@@ -1,6 +1,8 @@
 //! `paper <id>…` — regenerates the artefacts of the paper's Chapter 5, one
 //! row of [`EXPERIMENTS`] per table, figure or ablation.
 
+#![forbid(unsafe_code)]
+
 use std::error::Error;
 use std::process::ExitCode;
 

@@ -47,7 +47,7 @@ pub enum Command {
         model: ModelConfig,
         /// The swept axis and its points.
         axis: SweepAxis,
-        /// Worker threads (None = one per core).
+        /// Worker threads (None = one per point, as cores allow).
         jobs: Option<usize>,
         /// Event-queue backend override.
         scheduler: Option<SchedulerBackend>,
@@ -62,7 +62,7 @@ pub enum Command {
         model: ModelConfig,
         /// The seeds to run.
         seeds: SeedSpec,
-        /// Worker threads (None = one per core).
+        /// Worker threads (None = one per seed, as cores allow).
         jobs: Option<usize>,
         /// Event-queue backend override.
         scheduler: Option<SchedulerBackend>,
@@ -111,7 +111,7 @@ pub enum Command {
         /// Decode every k-th selected frame (requires an index footer to
         /// skip; thins a huge capture into a cheap estimate).
         sample: Option<u64>,
-        /// Fan disjoint frame ranges across this many stealpool workers.
+        /// Fan disjoint frame ranges across this many pool workers.
         jobs: Option<usize>,
     },
     /// `drive <path>`: stream the workload's op stream — from a live DES
@@ -180,6 +180,7 @@ impl Command {
                 (Some(_), Some(_)) => Some("--from-spill replays a capture; drop --model"),
                 _ => None,
             },
+            Command::Replicate { seeds, .. } => return seeds.check_distinct(),
             _ => None,
         };
         refusal.map_or(Ok(()), |msg| Err(CliError::Usage(msg.into())))
@@ -198,6 +199,18 @@ pub enum SeedSpec {
 
 impl SeedSpec {
     /// The concrete seed list for a spec whose base seed is `base`.
+    /// A seed listed twice is one run counted as two samples: the interval
+    /// would shrink on no new information. (A `Count` cannot collide.)
+    fn check_distinct(&self) -> Result<(), CliError> {
+        let mut seen = std::collections::HashSet::new();
+        if let SeedSpec::List(seeds) = self {
+            if let Some(seed) = seeds.iter().find(|&&seed| !seen.insert(seed)) {
+                return Err(CliError::Usage(format!("--seeds lists {seed} twice")));
+            }
+        }
+        Ok(())
+    }
+
     pub(crate) fn resolve(&self, base: u64) -> Vec<u64> {
         match self {
             SeedSpec::List(seeds) => seeds.clone(),

@@ -32,9 +32,6 @@ pub(crate) fn sweep(command: Command) -> Outcome {
         unreachable!("execute_with_status routes on the variant");
     };
     let spec = load_spec(&path, scheduler, shards)?;
-    // No jobs × shards clamp here: sweep workers and nested shard
-    // workers lease threads from stealpool's one global budget, so
-    // any request composes to at most the host's cores.
     let parallelism = parallelism_from_jobs(jobs)?;
     let (x_label, points) = match &axis {
         SweepAxis::Users(users) => (

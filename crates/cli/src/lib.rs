@@ -38,6 +38,7 @@
 //! tables), `experiment` (sweep, replicate), `capture` (analyze, fit) and
 //! `drive`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod capture;
@@ -319,6 +320,8 @@ mod tests {
         assert!(parse_args(argv("sweep spec.json --model nfs")).is_err());
         assert!(parse_args(argv("sweep spec.json --model nfs --users 1 --mix 0.5")).is_err());
         assert!(parse_args(argv("sweep spec.json --model nfs --users banana")).is_err());
+        assert!(parse_args(argv("sweep spec.json --model nfs --mix nan")).is_err());
+        assert!(parse_args(argv("sweep spec.json --model nfs --mix -0.5,1.5")).is_err());
         // The retention switch is gone: every point streams into a summary.
         assert!(parse_args(argv(
             "sweep spec.json --model nfs --users 1,2 --mode summary"
@@ -338,6 +341,8 @@ mod tests {
             "replicate spec.json --model nfs --seeds 1 --replicates 2"
         ))
         .is_err());
+        let repeated = parse_args(argv("replicate spec.json --model nfs --seeds 7,8,7"));
+        assert!(matches!(repeated, Err(CliError::Usage(msg)) if msg.contains("lists 7 twice")));
     }
 
     #[test]

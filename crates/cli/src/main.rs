@@ -4,6 +4,8 @@
 //! simulation error), 3 `analyze --salvage` succeeded on a truncated file
 //! (the report covers the intact prefix only).
 
+#![forbid(unsafe_code)]
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match uswg_cli::parse_args(args).and_then(uswg_cli::execute_with_status) {

@@ -242,7 +242,14 @@ fn parse_flags(args: &[String], needs: &str) -> Result<(String, Parsed), CliErro
             "--shards" => p.shards = Some(parse_shards(flags.value()?)?),
             "--users" if subcommand == "sweep" => p.set_axis(SweepAxis::Users(flags.list()?))?,
             "--users" => p.users = Some(flags.parsed()?),
-            "--mix" => p.set_axis(SweepAxis::Mix(flags.list()?))?,
+            "--mix" => {
+                let mix: Vec<f64> = flags.list()?;
+                // NaN is in no range, so it is refused here too.
+                if let Some(bad) = mix.iter().find(|f| !(0.0..=1.0).contains(*f)) {
+                    return Err(CliError::Usage(format!("--mix {bad} is not in [0, 1]")));
+                }
+                p.set_axis(SweepAxis::Mix(mix))?;
+            }
             "--sizes" => p.set_axis(SweepAxis::Sizes(flags.list()?))?,
             "--jobs" => p.jobs = Some(flags.positive()?),
             "--seeds" => p.seeds = Some(flags.list()?),

@@ -79,6 +79,24 @@ fn stale_uswg_environment_variables_change_nothing() {
     }
 }
 
+/// Sweep, shard and frame-range workers share one thread budget, and the
+/// width asked for — past the cores, past the tasks — changes no printed byte.
+#[test]
+fn nested_fan_outs_print_the_same_bytes_at_any_width() {
+    let dir = scratch("widths");
+    let (spec, capture) = (write_spec(&dir), dir.join("run.bin").display().to_string());
+    let out = |args: String| stdout_of(&uswg(&args, &[]), &args);
+    out(format!("run {spec} --model nfs --spill {capture}"));
+    let sweep = format!("sweep {spec} --model local --users 1,2,3,4 --shards 2");
+    let analyze = format!("analyze {capture}");
+    // 64 workers for four points; 100000 for a capture of five frames.
+    for (command, widths) in [(sweep, [1, 2, 64]), (analyze, [1, 3, 100_000])] {
+        let [one, some, many] = widths.map(|jobs| out(format!("{command} --jobs {jobs}")));
+        assert!(one.lines().count() > 4, "{one}");
+        assert_eq!((&one, &one), (&some, &many), "{command}");
+    }
+}
+
 /// The headline lines of a `uswg run` report.
 fn headline(report: &str) -> Vec<&str> {
     let lines: Vec<&str> = report

@@ -129,50 +129,34 @@ fn run_point(
 pub enum Parallelism {
     /// One point after another on the calling thread.
     Serial,
-    /// One worker per available core (capped at the point count).
+    /// One worker per point, as far as the host has cores for them.
     Auto,
-    /// This many workers — capped at the point count *and* at the host's
-    /// core count: sweep points are CPU-bound simulations, so
-    /// oversubscribing cores only adds context-switch overhead (measured
-    /// ~4% on a 1-core host before the cap). `0` and `1` both mean serial.
+    /// This many workers, capped by the pool at the point count and at the
+    /// host's cores (oversubscribing CPU-bound points only adds context
+    /// switches: ~4% measured on one core). `0` and `1` both mean serial.
     Threads(usize),
 }
 
 impl Parallelism {
-    /// Cores the host offers this process.
-    fn cores() -> usize {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    }
-
+    /// Workers to *ask* the pool for: the host's core count is the pool's
+    /// business alone, and a request granted no helper is the serial loop.
     fn workers(self, points: usize) -> usize {
-        let want = match self {
+        match self {
             Parallelism::Serial => 1,
-            Parallelism::Auto => Self::cores(),
-            Parallelism::Threads(n) => n.max(1).min(Self::cores()),
-        };
-        // On a single-core host every variant resolves to 1, and fan_out's
-        // `workers <= 1` guard short-circuits straight to the plain serial
-        // loop: no threads, no deques, no atomics — a parallel request is
-        // then the same code path as serial and can never regress below
-        // serial wall-clock.
-        want.min(points.max(1))
+            Parallelism::Auto => points,
+            Parallelism::Threads(n) => n,
+        }
     }
 }
 
-/// Runs `f` over every input, fanning out across the work-stealing pool
-/// ([`stealpool::try_map_indexed`]), and returns outputs in input order
-/// (identical to the serial order). Stealing keeps all cores busy even
-/// when point costs are wildly uneven — the norm for user sweeps, where
-/// the largest population dominates — and when sweeps nest replication
-/// grids beneath them.
-///
-/// On failure the remaining undispatched points are cancelled (each point
-/// can be a full simulation — finishing a doomed sweep would waste minutes),
-/// and the input-order-first error among the points that ran is returned;
-/// with a single failing point that is exactly the error the serial loop
-/// reports.
+/// Runs `f` over every input in parallel ([`stealpool::try_map_indexed`],
+/// whose contract this is) and returns outputs in input order, identical
+/// to the serial loop's. The last point is claimed first: sweeps list
+/// their points in ascending cost, so the largest population starts at
+/// once instead of becoming the tail every core waits for. A failure
+/// cancels the unclaimed points (each can be a full simulation) and the
+/// input-order-first error among the points that ran is returned — with
+/// one failing point, exactly the error the serial loop reports.
 fn fan_out<T, O, F>(inputs: Vec<T>, parallelism: Parallelism, f: F) -> Result<Vec<O>, CoreError>
 where
     T: Sync,
@@ -319,7 +303,7 @@ fn t_quantile_95(df: usize) -> f64 {
     }
 }
 
-/// Runs the same workload under each seed (work-stolen across cores) and
+/// Runs the same workload under each seed (fanned out across cores) and
 /// reports the spread: the statistical backing for any response-time
 /// claim. Each replicate is completely determined by its seed, so the
 /// study is reproducible point for point; the pooled statistics merge the
@@ -483,20 +467,13 @@ mod tests {
 
     #[test]
     fn parallelism_worker_counts() {
-        let cores = Parallelism::cores();
+        // What a variant asks the pool for. The pool alone caps the request
+        // (at the point count and the host's cores), and its own tests pin
+        // that `0` workers, like `1`, is the serial loop on the caller.
         assert_eq!(Parallelism::Serial.workers(10), 1);
-        // Explicit thread requests are capped at the host's core count
-        // (oversubscription never helps a CPU-bound point) and at the
-        // point count.
-        assert_eq!(Parallelism::Threads(4).workers(10), 4.min(cores));
-        assert_eq!(Parallelism::Threads(4).workers(2), 2.min(cores));
-        assert_eq!(Parallelism::Threads(0).workers(10), 1);
-        assert_eq!(Parallelism::Threads(usize::MAX).workers(usize::MAX), cores);
-        // Auto is exactly the core count (capped at points): on a 1-core
-        // host this is the serial short-circuit the bench snapshot relies
-        // on.
-        assert_eq!(Parallelism::Auto.workers(64.max(cores)), cores);
-        assert_eq!(Parallelism::Auto.workers(1), 1);
+        assert_eq!(Parallelism::Threads(0).workers(10), 0);
+        assert_eq!(Parallelism::Threads(4).workers(2), 4);
+        assert_eq!(Parallelism::Auto.workers(64), 64);
     }
 
     #[test]

@@ -122,18 +122,12 @@ impl WorkloadSpec {
     /// per-shard model copies are the documented sharding approximation —
     /// users queue only behind their own shard's resources.
     ///
-    /// Environments build in parallel on the same work-stealing pool the
-    /// shards will run on: K full file-system builds would otherwise sit
-    /// on the single-threaded critical path and grow linearly with K while
-    /// the simulation itself shrinks with K. Each build is a pure function
-    /// of the spec and seed, so the parallel schedule cannot change a
-    /// byte of any environment.
+    /// Environments build in parallel, under the thread budget the shards
+    /// then run under: K full file-system builds would otherwise sit on the
+    /// single-threaded critical path and grow with K while the simulation
+    /// shrinks with K. A build is a pure function of the spec and seed.
     fn shard_envs(&self, model: &ModelConfig, active: usize) -> Result<Vec<ShardEnv>, CoreError> {
-        let workers = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .min(active);
-        stealpool::try_map_indexed(workers, active, |_| {
+        stealpool::try_map_indexed(active, active, |_| {
             let (vfs, catalog) = self.generate_fs()?;
             let mut pool = ResourcePool::new();
             let model = model.build(&mut pool);
@@ -158,7 +152,7 @@ impl WorkloadSpec {
     /// the record stream is identical whichever it is.
     ///
     /// With `run.shards` set the population is split across that many
-    /// independent DES instances on the work-stealing pool and the sink
+    /// independent DES instances run in parallel and the sink
     /// decides how the shard results combine (see [`LogSink`]): summaries
     /// fold in shard order, logs k-way merge by completion time, anything
     /// else sees the merged stream replayed from per-shard temporary spill

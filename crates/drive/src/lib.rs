@@ -36,6 +36,7 @@
 //! `Vec` of ops replays through [`VecSource`] — the materialized reference
 //! the streaming sources are tested against.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -23,6 +23,7 @@
 //! every experiment in `uswg-bench` reports *shapes* (who wins, slopes,
 //! crossovers), not absolute agreement.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -31,6 +31,7 @@
 //! assert_eq!(sim.now(), SimTime::from_micros(5));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -25,6 +25,7 @@
 //!
 //! Both record a [`UsageLog`] — the paper's "usage log file".
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

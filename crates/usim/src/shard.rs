@@ -1,9 +1,9 @@
 //! Sharded single-run DES: one giant population split across cores.
 //!
-//! Sweeps and replication studies already fan whole simulations out across
-//! a work-stealing pool, but one *point* — one run, millions of users — was
-//! still a single thread. The paper's workload model draws every user's
-//! sessions independently (Section 3.1.4's independence assumption), so the
+//! Sweeps and replication studies fan whole simulations out across the
+//! cores; this does the same inside one *point* — one run, millions of
+//! users. The paper's workload model draws every user's sessions
+//! independently (Section 3.1.4's independence assumption), so the
 //! population is embarrassingly partitionable: [`ShardedDesDriver`] splits
 //! the users round-robin into K shards ([`ShardPlan`]), runs each shard as
 //! an independent DES instance with its own [`Scheduler`](uswg_sim::Scheduler),
@@ -140,44 +140,31 @@ pub struct ShardEnv {
     pub pool: ResourcePool,
 }
 
-/// Runs one population as K independent DES instances on a work-stealing
-/// pool and merges the results deterministically. See the module
-/// documentation for the exact-vs-statistical contract.
+/// Runs one population as K independent DES instances in parallel and
+/// merges the results deterministically. See the module documentation for
+/// the exact-vs-statistical contract.
 #[derive(Debug, Default)]
 pub struct ShardedDesDriver {
     workers: usize,
 }
 
 impl ShardedDesDriver {
-    /// A driver that uses one worker per available core (capped at the
-    /// number of active shards).
+    /// A driver that asks for one worker per active shard.
     pub fn new() -> Self {
         Self { workers: 0 }
     }
 
-    /// A driver with an explicit worker count (`0` = one per core). The
-    /// worker count never changes results — only wall-clock.
+    /// A driver asking for this many workers (`0` = one per shard; the pool
+    /// grants what the host has). The count changes wall-clock, never results.
     pub fn with_workers(workers: usize) -> Self {
         Self { workers }
     }
 
-    fn resolve_workers(&self, active: usize) -> usize {
-        let want = if self.workers == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            self.workers
-        };
-        want.min(active)
-    }
-
     /// Runs every active shard through [`DesDriver::run_inner`] with its
     /// own sink (`sinks[s]` for shard `s`), returning `(sink, stats)` per
-    /// shard **in shard order** — the property every merge relies on.
-    /// Shards execute on a work-stealing pool; a shard failure cancels
-    /// undispatched shards and the lowest-indexed error among the shards
-    /// that ran is returned.
+    /// shard **in shard order** — the property every merge relies on. A
+    /// shard failure cancels unclaimed shards and the lowest-indexed error
+    /// among the shards that ran is returned.
     fn run_shards<S: LogSink + Send>(
         &self,
         population: &CompiledPopulation,
@@ -194,15 +181,18 @@ impl ShardedDesDriver {
             .zip(sinks)
             .map(|cell| Mutex::new(Some(cell)))
             .collect();
-        stealpool::try_map_indexed(self.resolve_workers(active), active, |s| {
+        let workers = match self.workers {
+            0 => active,
+            n => n,
+        };
+        stealpool::try_map_indexed(workers, active, |s| {
             let (env, sink) = cells[s]
                 .lock()
                 .expect("shard cell lock")
                 .take()
                 .expect("each shard cell is taken exactly once");
-            // Each shard builds only its own slice of the user columns —
-            // nothing population-sized (like the old assignment vector) is
-            // shared or cloned across shards.
+            // Each shard builds only its own slice of the user columns:
+            // nothing population-sized is shared or cloned across shards.
             let users = UserArena::build(
                 population,
                 config.seed,

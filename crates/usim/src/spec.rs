@@ -199,7 +199,9 @@ impl PopulationSpec {
             return Err(UsimError::EmptyPopulation);
         }
         let sum: f64 = types.iter().map(|&(_, f)| f).sum();
-        if (sum - 1.0).abs() > FRACTION_TOL || types.iter().any(|&(_, f)| f < 0.0) {
+        // A NaN or infinite fraction makes the sum non-finite, and `NaN > TOL` is false.
+        let off_one = !sum.is_finite() || (sum - 1.0).abs() > FRACTION_TOL;
+        if off_one || types.iter().any(|&(_, f)| f < 0.0) {
             return Err(UsimError::BadFractions { sum });
         }
         for (t, _) in &types {
@@ -355,18 +357,6 @@ impl RunConfig {
         self
     }
 
-    /// Builder-style scheduler-backend override.
-    pub fn with_scheduler(mut self, scheduler: SchedulerBackend) -> Self {
-        self.scheduler = Some(scheduler);
-        self
-    }
-
-    /// Builder-style shard-count override.
-    pub fn with_shards(mut self, shards: NonZeroUsize) -> Self {
-        self.shards = Some(shards);
-        self
-    }
-
     /// Builder-style fault-injection override.
     pub fn with_faults(mut self, faults: crate::FaultSpec) -> Self {
         self.faults = faults;
@@ -407,6 +397,11 @@ mod tests {
         ));
         let bad = PopulationSpec::new(vec![(minimal_type("a"), 0.5)]);
         assert!(matches!(bad, Err(UsimError::BadFractions { .. })));
+        // Nor is NaN a fraction, or infinity, or a negative share that sums to one.
+        for (a, b) in [(f64::NAN, 0.5), (f64::INFINITY, 0.5), (1.5, -0.5)] {
+            let bad = PopulationSpec::new(vec![(minimal_type("a"), a), (minimal_type("b"), b)]);
+            assert!(matches!(bad, Err(UsimError::BadFractions { .. })), "{a}");
+        }
         let empty_type = UserTypeSpec::new(
             "e",
             DistributionSpec::constant(0.0),

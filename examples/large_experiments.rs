@@ -1,5 +1,5 @@
 //! Tour of the memory-flat experiment machinery: streamed sweeps,
-//! work-stolen replication studies with pooled statistics, and
+//! parallel replication studies with pooled statistics, and
 //! spill-to-disk full-fidelity runs.
 //!
 //! ```sh
@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A user sweep: every point streams into running aggregates and
     //    retains O(1) bytes — which is what scales to the million-user
     //    populations the full log cannot hold. Points fan out over the
-    //    work-stealing pool; schedules are byte-identical to serial.
+    //    cores; any schedule is byte-identical to serial.
     println!("== user sweep (O(1) memory per point) ==");
     let points = user_sweep(&spec, &model, [1, 2, 4, 8], Parallelism::Auto)?;
     for p in &points {
