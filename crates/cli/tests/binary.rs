@@ -231,3 +231,43 @@ fn help_is_never_an_operand_and_errors_name_their_cause() {
         assert!(stderr.contains(cause), "{args}: {stderr}");
     }
 }
+
+/// `--max-in-flight` beyond the threads the OS grants is a typed error, not
+/// a panic from `thread::spawn` (status 101 here, 134 under a task limit).
+/// The address-space ceiling is the idiom CI's million-user step uses, so it
+/// binds as root too: 2 MiB stacks run out after ~100 threads; eight fit.
+#[test]
+fn more_workers_than_the_os_grants_is_a_typed_error() {
+    let dir = scratch("spawn");
+    let (spec, capture) = (write_spec(&dir), dir.join("run.bin").display().to_string());
+    let args = format!("run {spec} --model nfs --spill {capture}");
+    stdout_of(&uswg(&args, &[]), &args);
+    let limited = |max_in_flight: &str| {
+        let script = "ulimit -v 262144; exec \"$0\" drive \"$@\" --speedup 1000000 --max-in-flight";
+        let mut sh = Command::new("sh");
+        sh.args(["-c", &format!("{script} {max_in_flight}")]);
+        sh.args([env!("CARGO_BIN_EXE_uswg"), &spec, "--from-spill", &capture]);
+        sh.output().expect("sh spawns")
+    };
+
+    let out = limited("4096");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(out.stdout.is_empty(), "{:?}", out.stdout);
+    assert!(stderr.starts_with("uswg: drive: started "), "{stderr}");
+    assert!(
+        stderr.contains(" of 4096 workers") && !stderr.contains("panicked"),
+        "{stderr}"
+    );
+
+    // Under the same ceiling a pool that fits still accounts for every op:
+    // offered = completed + shed + expired + aborted, the line's five counts.
+    let report = stdout_of(&limited("8"), "--max-in-flight 8");
+    let line = report.lines().find(|l| l.starts_with("drive report"));
+    let words = line.expect("a report line").split(' ');
+    let n: Vec<u64> = words.filter_map(|w| w.parse().ok()).collect();
+    assert!(
+        n.len() == 5 && n[0] > 0 && n[0] == n[1..].iter().sum(),
+        "{report}"
+    );
+}

@@ -91,8 +91,8 @@ pub trait Target: Send + Sync {
     }
 }
 
-/// Errors from the drive layer itself (bad configuration, a failed op
-/// source; target errors are retried/aborted per-op, never surfaced here).
+/// Errors from the drive layer itself (bad configuration, a failed op source,
+/// a refused thread; target errors are retried/aborted per-op, never surfaced here).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DriveError {
     /// A configuration field is out of range.
@@ -106,6 +106,16 @@ pub enum DriveError {
         /// The partial report over the ops actually offered.
         report: Box<DriveReport>,
     },
+    /// The OS refused the worker thread after `started` of the `wanted`
+    /// (`max_in_flight`); nothing was offered and those were joined.
+    Spawn {
+        /// Workers running when the refusal came.
+        started: usize,
+        /// Workers asked for.
+        wanted: usize,
+        /// The OS error, rendered.
+        error: String,
+    },
 }
 
 impl std::fmt::Display for DriveError {
@@ -116,6 +126,14 @@ impl std::fmt::Display for DriveError {
                 f,
                 "op source failed after {} ops: {message}",
                 report.offered
+            ),
+            DriveError::Spawn {
+                started,
+                wanted,
+                error,
+            } => write!(
+                f,
+                "drive: started {started} of {wanted} workers, then the OS refused a thread: {error}"
             ),
         }
     }
@@ -305,10 +323,12 @@ fn scaled_arrival_micros(at: u64, speedup: f64) -> u64 {
 ///
 /// # Errors
 ///
-/// Returns [`DriveError::BadConfig`] for out-of-range configuration. When
-/// the source fails mid-run the already-queued ops still drain and the
-/// partial report comes back inside [`DriveError::Source`], with the
-/// conservation identity intact over the ops actually offered.
+/// Returns [`DriveError::BadConfig`] for out-of-range configuration and
+/// [`DriveError::Spawn`] when the OS grants fewer threads than
+/// `max_in_flight`. When the source fails mid-run the already-queued ops
+/// still drain and the partial report comes back inside
+/// [`DriveError::Source`], with the conservation identity intact over the
+/// ops actually offered.
 pub fn drive_stream<S: OpSource>(
     mut source: S,
     target: Arc<dyn Target>,
@@ -326,17 +346,33 @@ pub fn drive_stream<S: OpSource>(
         peak: AtomicUsize::new(0),
     });
 
-    let workers: Vec<_> = (0..config.max_in_flight)
-        .map(|i| {
-            let shared = Arc::clone(&shared);
-            let target = Arc::clone(&target);
-            let retry = config.retry;
-            let deadline = config.deadline_micros;
-            let mut rng =
-                StdRng::seed_from_u64(config.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            std::thread::spawn(move || worker(&shared, &*target, retry, deadline, &mut rng))
-        })
-        .collect();
+    let mut workers = Vec::new();
+    for i in 0..config.max_in_flight {
+        let (shared_w, target) = (Arc::clone(&shared), Arc::clone(&target));
+        let retry = config.retry;
+        let deadline = config.deadline_micros;
+        let mut rng =
+            StdRng::seed_from_u64(config.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let spawned = std::thread::Builder::new()
+            .spawn(move || worker(&shared_w, &*target, retry, deadline, &mut rng));
+        match spawned {
+            Ok(handle) => workers.push(handle),
+            Err(e) => {
+                // Nothing has been offered: release the workers that did
+                // start and fail typed instead of running under-provisioned.
+                shared.queue.lock().expect("queue poisoned").done = true;
+                shared.ready.notify_all();
+                for handle in workers {
+                    handle.join().expect("drive worker panicked");
+                }
+                return Err(DriveError::Spawn {
+                    started: i,
+                    wanted: config.max_in_flight,
+                    error: e.to_string(),
+                });
+            }
+        }
+    }
 
     // The pacer: offer each op at its scaled arrival time. A full queue
     // sheds its oldest entry — the pacer itself never blocks on workers,

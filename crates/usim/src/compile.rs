@@ -223,7 +223,7 @@ impl CompiledPopulation {
     }
 }
 
-fn uniform01(rng: &mut dyn RngCore) -> f64 {
+pub(crate) fn uniform01(rng: &mut dyn RngCore) -> f64 {
     const SCALE: f64 = 1.0 / (1u64 << 53) as f64;
     (rng.next_u64() >> 11) as f64 * SCALE
 }

@@ -24,8 +24,8 @@
 //! `tests/golden_identity.rs`.
 
 use crate::compile::{BehaviorState, CompiledPopulation};
-use crate::log::{OpRecord, SessionRecord};
-use crate::session::{ExecutedOp, Session, MAX_ACCESS_BYTES};
+use crate::log::OpRecord;
+use crate::session::{ExecutedOp, Session};
 use crate::sink::LogSink;
 use crate::{RunConfig, UsimError};
 use rand::rngs::StdRng;
@@ -123,7 +123,6 @@ impl UserArena {
 struct HotUser {
     proc: Process,
     session: Session,
-    session_start: SimTime,
     pending: Option<PendingOp>,
     current: Option<(ExecutedOp, SimTime)>,
     /// Attempts made on the current operation (1 = first try). Only read
@@ -188,7 +187,6 @@ struct UsimWorld<S: LogSink> {
     config: RunConfig,
     users: UserArena,
     hot: HotArena,
-    buf: Vec<u8>,
     sink: S,
     error: Option<UsimError>,
 }
@@ -201,21 +199,7 @@ impl<S: LogSink> UsimWorld<S> {
         }
         let hot = self.hot.release(slot);
         self.users.hot[user] = HOT_NONE;
-        let m = hot.session.metrics;
-        self.sink.record_session(&SessionRecord {
-            user: self.users.gid[user] as usize,
-            user_type: hot.session.user_type,
-            session: hot.session.ordinal,
-            start: hot.session_start.micros(),
-            end: now.micros(),
-            ops: m.ops,
-            files_referenced: m.files_referenced,
-            file_bytes_referenced: m.file_bytes_referenced,
-            bytes_accessed: m.bytes_read + m.bytes_written,
-            bytes_read: m.bytes_read,
-            bytes_written: m.bytes_written,
-            total_response: m.total_response,
-        });
+        self.sink.record_session(&hot.session.finish(now.micros()));
         self.users.sessions_done[user] += 1;
     }
 }
@@ -243,6 +227,7 @@ impl<S: LogSink> World for UsimWorld<S> {
                         self.users.gid[user] as usize,
                         type_idx,
                         self.users.sessions_done[user],
+                        now.micros(),
                         &self.population.types()[type_idx],
                         &self.catalog,
                         &mut self.users.rng[user],
@@ -250,7 +235,6 @@ impl<S: LogSink> World for UsimWorld<S> {
                     self.users.hot[user] = self.hot.acquire(HotUser {
                         proc: self.vfs.new_process(),
                         session,
-                        session_start: now,
                         pending: None,
                         current: None,
                         attempts: 0,
@@ -265,7 +249,6 @@ impl<S: LogSink> World for UsimWorld<S> {
                     &mut hot.proc,
                     utype,
                     &self.catalog,
-                    &mut self.buf,
                     &mut self.users.rng[user],
                 );
                 match next {
@@ -356,12 +339,12 @@ impl<S: LogSink> World for UsimWorld<S> {
                         }
                         let (exec, issued) = hot.current.take().expect("op in flight");
                         let response = now - issued;
-                        hot.session.metrics.total_response += response;
+                        hot.session.record.total_response += response;
                         if self.config.record_ops {
                             self.sink.record_op(&OpRecord {
                                 at: issued.micros(),
                                 user: self.users.gid[user] as usize,
-                                session: hot.session.ordinal,
+                                session: hot.session.record.session,
                                 op: exec.request.kind,
                                 ino: exec.request.file.0,
                                 bytes: exec.request.bytes,
@@ -476,7 +459,6 @@ fn simulation<S: LogSink>(
         config: *config,
         users,
         hot: HotArena::default(),
-        buf: vec![0xA5u8; MAX_ACCESS_BYTES as usize],
         sink,
         error: None,
     };

@@ -4,12 +4,15 @@
 //! This is how the original tool ran when the measured quantity was the
 //! usage distribution itself rather than response time — it powers the
 //! Figure 5.3–5.5 studies (600 login sessions) and the throughput benches.
-//! Response times are measured with the host's monotonic clock, so they
-//! reflect this machine's in-memory file system, not a model.
+//! Response times are measured with the host's monotonic clock: they time
+//! this machine's in-memory file system doing the *bookkeeping* for a call —
+//! path walk, descriptor and cursor, block allocation, the copy of a write's
+//! bytes; a read's bytes are not copied ([`Vfs::read_discard`]: the user
+//! program never looks at them). That was never a model of anything.
 
 use crate::compile::CompiledPopulation;
-use crate::log::{OpRecord, SessionRecord, UsageLog};
-use crate::session::{Session, MAX_ACCESS_BYTES};
+use crate::log::{OpRecord, UsageLog};
+use crate::session::Session;
 use crate::{RunConfig, UsimError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,7 +46,6 @@ impl DirectDriver {
         config.validate()?;
         let assignment = population.assign(config.n_users);
         let mut log = UsageLog::new();
-        let mut buf = vec![0xA5u8; MAX_ACCESS_BYTES as usize];
 
         for (user, &type_idx) in assignment.iter().enumerate() {
             let utype = &population.types()[type_idx];
@@ -56,18 +58,18 @@ impl DirectDriver {
             let mut virtual_clock: u64 = 0;
 
             for ordinal in 0..config.sessions_per_user {
-                let mut session = Session::plan(user, type_idx, ordinal, utype, catalog, &mut rng);
-                let start = virtual_clock;
-                vfs.set_clock(start);
+                let now = virtual_clock;
+                let mut session =
+                    Session::plan(user, type_idx, ordinal, now, utype, catalog, &mut rng);
+                vfs.set_clock(now);
                 loop {
                     let before = Instant::now();
-                    let Some(exec) =
-                        session.next_op(vfs, &mut proc, utype, catalog, &mut buf, &mut rng)?
+                    let Some(exec) = session.next_op(vfs, &mut proc, utype, catalog, &mut rng)?
                     else {
                         break;
                     };
                     let response = before.elapsed().as_micros() as u64;
-                    session.metrics.total_response += response;
+                    session.record.total_response += response;
                     if config.record_ops {
                         log.push_op(OpRecord {
                             at: virtual_clock,
@@ -86,22 +88,7 @@ impl DirectDriver {
                     virtual_clock += utype.sample_think(&mut behavior, &mut rng);
                     vfs.set_clock(virtual_clock);
                 }
-                let end = virtual_clock;
-                let m = session.metrics;
-                log.push_session(SessionRecord {
-                    user,
-                    user_type: session.user_type,
-                    session: ordinal,
-                    start,
-                    end,
-                    ops: m.ops,
-                    files_referenced: m.files_referenced,
-                    file_bytes_referenced: m.file_bytes_referenced,
-                    bytes_accessed: m.bytes_read + m.bytes_written,
-                    bytes_read: m.bytes_read,
-                    bytes_written: m.bytes_written,
-                    total_response: m.total_response,
-                });
+                log.push_session(session.finish(virtual_clock));
                 // Logout → next login gap (same RNG point as the DES driver).
                 virtual_clock += utype.sample_inter_session(virtual_clock, &mut rng);
             }

@@ -38,7 +38,7 @@ pub struct OpRecord {
 }
 
 /// Summary of one login session.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SessionRecord {
     /// The user.
     pub user: usize,

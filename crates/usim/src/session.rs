@@ -10,7 +10,8 @@
 //! (Section 3.1.4) — with strictly sequential access within each file
 //! (Section 4.2), wrapping with an explicit `lseek` when a pass completes.
 
-use crate::compile::CompiledUserType;
+use crate::compile::{uniform01, CompiledUserType};
+use crate::log::SessionRecord;
 use crate::spec::AccessPattern;
 use crate::UsimError;
 use rand::RngCore;
@@ -20,8 +21,12 @@ use uswg_netfs::{FileId, OpKind, OpRequest};
 use uswg_vfs::{Fd, FsError, OpenFlags, Process, SeekFrom, Vfs};
 
 /// Upper bound on a single access, bytes (guards the exponential tail and
-/// bounds the shared I/O buffer).
+/// is the length of [`FILLER`]).
 pub const MAX_ACCESS_BYTES: u64 = 262_144;
+
+/// What every write stores. Reads discard their bytes
+/// ([`Vfs::read_discard`]), so nothing ever looks at it.
+static FILLER: [u8; MAX_ACCESS_BYTES as usize] = [0xA5; MAX_ACCESS_BYTES as usize];
 
 /// Safety margin on per-task operation counts, so a pathological sample
 /// cannot loop forever.
@@ -84,9 +89,20 @@ struct Task {
 }
 
 impl Task {
-    fn op_guard(&self) -> u64 {
-        // Every data op moves at least one byte, plus bookkeeping calls.
-        self.budget + OP_GUARD_SLACK
+    /// A metadata call on this task's file, ready for timing and logging.
+    fn meta(&self, user: usize, kind: OpKind) -> ExecutedOp {
+        ExecutedOp {
+            request: OpRequest::metadata(user, kind, FileId(self.ino), self.file_size),
+            category: self.category,
+        }
+    }
+
+    /// A data call that moved `n` bytes at `offset` of this task's file.
+    fn data(&self, user: usize, kind: OpKind, offset: u64, n: u64) -> ExecutedOp {
+        ExecutedOp {
+            request: OpRequest::data(user, kind, FileId(self.ino), offset, n, self.file_size),
+            category: self.category,
+        }
     }
 
     /// Renders the task's path (see [`TaskPath`]): borrowed straight from
@@ -103,35 +119,25 @@ impl Task {
     }
 }
 
-/// Accumulated per-session metrics.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct SessionMetrics {
-    pub ops: u64,
-    pub files_referenced: u64,
-    pub file_bytes_referenced: u64,
-    pub bytes_read: u64,
-    pub bytes_written: u64,
-    pub total_response: u64,
-}
-
 /// One login session of one user.
 #[derive(Debug)]
 pub(crate) struct Session {
-    user: usize,
-    pub user_type: usize,
-    pub ordinal: u32,
+    /// The session's record as it grows: who and `start` from login, the
+    /// totals as calls execute (`total_response` is the driver's to add),
+    /// `end` and `bytes_accessed` at logout ([`Session::finish`]).
+    pub record: SessionRecord,
     tasks: Vec<Task>,
     /// Indices of unfinished tasks (packed `u32` like every per-task id).
     live: Vec<u32>,
-    pub metrics: SessionMetrics,
 }
 
 impl Session {
-    /// Plans a session: selects categories, files and budgets.
+    /// Plans a session logging in at `start`: categories, files and budgets.
     pub fn plan(
         user: usize,
         user_type: usize,
-        ordinal: u32,
+        session: u32,
+        start: u64,
         utype: &CompiledUserType,
         catalog: &FileCatalog,
         rng: &mut dyn RngCore,
@@ -193,14 +199,25 @@ impl Session {
         // doubled capacity.
         tasks.shrink_to_fit();
         let live = (0..tasks.len() as u32).collect();
-        Self {
+        let record = SessionRecord {
             user,
             user_type,
-            ordinal,
+            session,
+            start,
+            ..SessionRecord::default()
+        };
+        Self {
+            record,
             tasks,
             live,
-            metrics: SessionMetrics::default(),
         }
+    }
+
+    /// Logs out at `end`: the finished record.
+    pub fn finish(mut self, end: u64) -> SessionRecord {
+        self.record.end = end;
+        self.record.bytes_accessed = self.record.bytes_read + self.record.bytes_written;
+        self.record
     }
 
     /// Selects and executes the next system call against `vfs`.
@@ -217,7 +234,6 @@ impl Session {
         proc: &mut Process,
         utype: &CompiledUserType,
         catalog: &FileCatalog,
-        buf: &mut [u8],
         rng: &mut dyn RngCore,
     ) -> Result<Option<ExecutedOp>, UsimError> {
         loop {
@@ -229,30 +245,26 @@ impl Session {
             let slot = (rng.next_u64() % self.live.len() as u64) as usize;
             let tidx = self.live[slot] as usize;
 
-            // Runaway guard: a task that somehow exceeds its op budget is
+            // Runaway guard: a task that somehow exceeds its op budget (every
+            // data op moves at least one byte, plus bookkeeping calls) is
             // force-finished rather than looping forever.
-            if self.tasks[tidx].ops_issued > self.tasks[tidx].op_guard() {
-                self.tasks[tidx].done = self.tasks[tidx].budget;
+            let task = &mut self.tasks[tidx];
+            if task.ops_issued > task.budget + OP_GUARD_SLACK {
+                task.done = task.budget;
             }
 
-            match self.step_task(tidx, vfs, proc, utype, catalog, buf, rng)? {
-                StepResult::Op(exec) => {
-                    self.tasks[tidx].ops_issued += 1;
-                    self.metrics.ops += 1;
-                    return Ok(Some(exec));
-                }
-                StepResult::TaskDone => {
-                    self.live.swap_remove(slot);
-                    // Loop on: pick another task.
-                }
-                StepResult::TaskAbandoned => {
-                    self.live.swap_remove(slot);
-                }
+            if let Some(exec) = self.step_task(tidx, vfs, proc, utype, catalog, rng)? {
+                self.tasks[tidx].ops_issued += 1;
+                self.record.ops += 1;
+                return Ok(Some(exec));
             }
+            // Prune, then loop on: pick another task.
+            self.live.swap_remove(slot);
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Steps one task: the system call it executed, or `None` when it is
+    /// finished or could not run (missing file, fd pressure, full device).
     fn step_task(
         &mut self,
         tidx: usize,
@@ -260,146 +272,76 @@ impl Session {
         proc: &mut Process,
         utype: &CompiledUserType,
         catalog: &FileCatalog,
-        buf: &mut [u8],
         rng: &mut dyn RngCore,
-    ) -> Result<StepResult, UsimError> {
-        let (user, ordinal) = (self.user, self.ordinal);
+    ) -> Result<Option<ExecutedOp>, UsimError> {
+        let (user, ordinal) = (self.record.user, self.record.session);
         let task = &mut self.tasks[tidx];
         match task.phase {
             Phase::Closed => {
-                if task.is_dir {
+                let path = task.path(user, ordinal, catalog);
+                let kind = if task.is_dir {
                     // Directories are walked via stat + readdir.
-                    match vfs.stat(&task.path(user, ordinal, catalog)) {
-                        Ok(md) => {
-                            task.ino = md.ino.number();
-                            task.phase = Phase::Io;
-                            self.metrics.files_referenced += 1;
-                            self.metrics.file_bytes_referenced += task.file_size;
-                            Ok(StepResult::Op(ExecutedOp {
-                                request: OpRequest::metadata(
-                                    self.user,
-                                    OpKind::Stat,
-                                    FileId(task.ino),
-                                    task.file_size,
-                                ),
-                                category: task.category,
-                            }))
-                        }
-                        Err(FsError::NotFound) => Ok(StepResult::TaskAbandoned),
-                        Err(e) => Err(e.into()),
-                    }
-                } else if task.creates {
-                    let path = task.path(user, ordinal, catalog);
-                    let fd = match vfs.open(proc, &path, OpenFlags::read_write_create()) {
-                        Ok(fd) => fd,
-                        Err(FsError::NoSpace | FsError::TooManyOpenFiles) => {
-                            return Ok(StepResult::TaskAbandoned);
-                        }
+                    match vfs.stat(&path) {
+                        Ok(md) => task.ino = md.ino.number(),
+                        Err(FsError::NotFound) => return Ok(None),
                         Err(e) => return Err(e.into()),
-                    };
-                    task.fd = Some(fd);
-                    task.ino = vfs.fstat(proc, fd)?.ino.number();
-                    task.phase = Phase::Io;
-                    self.metrics.files_referenced += 1;
-                    self.metrics.file_bytes_referenced += task.file_size;
-                    Ok(StepResult::Op(ExecutedOp {
-                        request: OpRequest::metadata(
-                            self.user,
-                            OpKind::Create,
-                            FileId(task.ino),
-                            task.file_size,
-                        ),
-                        category: task.category,
-                    }))
+                    }
+                    OpKind::Stat
                 } else {
-                    let flags = if task.category.usage == UsageClass::ReadWrite {
-                        OpenFlags::read_write()
+                    // What may go wrong without failing the run, besides fd
+                    // pressure: a full device on create, a vanished file.
+                    let (flags, kind, excused) = if task.creates {
+                        let flags = OpenFlags::read_write_create();
+                        (flags, OpKind::Create, FsError::NoSpace)
+                    } else if task.category.usage == UsageClass::ReadWrite {
+                        (OpenFlags::read_write(), OpKind::Open, FsError::NotFound)
                     } else {
-                        OpenFlags::read_only()
+                        (OpenFlags::read_only(), OpKind::Open, FsError::NotFound)
                     };
-                    let fd = match vfs.open(proc, &task.path(user, ordinal, catalog), flags) {
+                    let fd = match vfs.open(proc, &path, flags) {
                         Ok(fd) => fd,
-                        Err(FsError::NotFound) => return Ok(StepResult::TaskAbandoned),
-                        Err(FsError::TooManyOpenFiles) => return Ok(StepResult::TaskAbandoned),
+                        Err(e) if e == excused || e == FsError::TooManyOpenFiles => {
+                            return Ok(None);
+                        }
                         Err(e) => return Err(e.into()),
                     };
                     task.fd = Some(fd);
                     task.ino = vfs.fstat(proc, fd)?.ino.number();
-                    task.phase = Phase::Io;
-                    self.metrics.files_referenced += 1;
-                    self.metrics.file_bytes_referenced += task.file_size;
-                    Ok(StepResult::Op(ExecutedOp {
-                        request: OpRequest::metadata(
-                            self.user,
-                            OpKind::Open,
-                            FileId(task.ino),
-                            task.file_size,
-                        ),
-                        category: task.category,
-                    }))
-                }
+                    kind
+                };
+                task.phase = Phase::Io;
+                self.record.files_referenced += 1;
+                self.record.file_bytes_referenced += task.file_size;
+                return Ok(Some(task.meta(user, kind)));
             }
-            Phase::Io => {
-                if task.done >= task.budget {
-                    // Finished with the data: close (files) or finish (dirs).
-                    if task.is_dir {
-                        task.phase = Phase::Finished;
-                        return Ok(StepResult::TaskDone);
-                    }
-                    let fd = task.fd.take().expect("file task in Io phase has fd");
-                    vfs.close(proc, fd)?;
-                    let exec = ExecutedOp {
-                        request: OpRequest::metadata(
-                            self.user,
-                            OpKind::Close,
-                            FileId(task.ino),
-                            task.file_size,
-                        ),
-                        category: task.category,
-                    };
-                    task.phase = if task.unlink_after {
-                        Phase::Unlink
-                    } else {
-                        Phase::Finished
-                    };
-                    return Ok(StepResult::Op(exec));
+            // Finished with the data: close (files) or finish (dirs).
+            Phase::Io if task.done >= task.budget => {
+                if task.is_dir {
+                    task.phase = Phase::Finished;
+                    return Ok(None);
                 }
-                self.io_step(tidx, vfs, proc, utype, catalog, buf, rng)
+                let fd = task.fd.take().expect("file task in Io phase has fd");
+                vfs.close(proc, fd)?;
+                task.phase = if task.unlink_after {
+                    Phase::Unlink
+                } else {
+                    Phase::Finished
+                };
+                return Ok(Some(task.meta(user, OpKind::Close)));
             }
             Phase::Unlink => {
                 match vfs.unlink(&task.path(user, ordinal, catalog)) {
                     Ok(()) | Err(FsError::NotFound) => {}
                     Err(e) => return Err(e.into()),
                 }
-                let exec = ExecutedOp {
-                    request: OpRequest::metadata(
-                        self.user,
-                        OpKind::Unlink,
-                        FileId(task.ino),
-                        task.file_size,
-                    ),
-                    category: task.category,
-                };
                 task.phase = Phase::Finished;
-                Ok(StepResult::Op(exec))
+                return Ok(Some(task.meta(user, OpKind::Unlink)));
             }
-            Phase::Finished => Ok(StepResult::TaskDone),
+            Phase::Finished => return Ok(None),
+            // A data call (or the seek before one): the rest of the function.
+            Phase::Io => {}
         }
-    }
 
-    #[allow(clippy::too_many_arguments)]
-    fn io_step(
-        &mut self,
-        tidx: usize,
-        vfs: &mut Vfs,
-        proc: &mut Process,
-        utype: &CompiledUserType,
-        catalog: &FileCatalog,
-        buf: &mut [u8],
-        rng: &mut dyn RngCore,
-    ) -> Result<StepResult, UsimError> {
-        let (user, ordinal) = (self.user, self.ordinal);
-        let task = &mut self.tasks[tidx];
         let want_write = match task.category.usage {
             UsageClass::ReadOnly => false,
             UsageClass::New | UsageClass::Temp => task.written < task.file_size,
@@ -430,15 +372,7 @@ impl Session {
             vfs.lseek(proc, fd, SeekFrom::Start(target))?;
             task.cursor = target;
             task.needs_random_seek = false;
-            return Ok(StepResult::Op(ExecutedOp {
-                request: OpRequest::metadata(
-                    self.user,
-                    OpKind::Seek,
-                    FileId(task.ino),
-                    task.file_size,
-                ),
-                category: task.category,
-            }));
+            return Ok(Some(task.meta(user, OpKind::Seek)));
         }
 
         // Sequential constraint: wrap to the start with an explicit lseek
@@ -447,21 +381,13 @@ impl Session {
             let fd = task.fd.expect("Io phase has fd");
             vfs.lseek(proc, fd, SeekFrom::Start(0))?;
             task.cursor = 0;
-            return Ok(StepResult::Op(ExecutedOp {
-                request: OpRequest::metadata(
-                    self.user,
-                    OpKind::Seek,
-                    FileId(task.ino),
-                    task.file_size,
-                ),
-                category: task.category,
-            }));
+            return Ok(Some(task.meta(user, OpKind::Seek)));
         }
 
         let mut access = utype
             .access_size
             .sample_count(rng)
-            .clamp(1, MAX_ACCESS_BYTES.min(buf.len() as u64));
+            .clamp(1, MAX_ACCESS_BYTES);
         access = access.min(task.budget - task.done);
         let offset = task.cursor;
         if task.pattern == AccessPattern::Random && !filling {
@@ -480,24 +406,14 @@ impl Session {
             match vfs.readdir(&task.path(user, ordinal, catalog)) {
                 Ok(_) => {}
                 Err(FsError::NotFound | FsError::NotADirectory) => {
-                    return Ok(StepResult::TaskAbandoned);
+                    return Ok(None);
                 }
                 Err(e) => return Err(e.into()),
             }
             task.done += access;
             task.cursor += access;
-            self.metrics.bytes_read += access;
-            return Ok(StepResult::Op(ExecutedOp {
-                request: OpRequest::data(
-                    self.user,
-                    OpKind::Read,
-                    FileId(task.ino),
-                    offset,
-                    access,
-                    task.file_size,
-                ),
-                category: task.category,
-            }));
+            self.record.bytes_read += access;
+            return Ok(Some(task.data(user, OpKind::Read, offset, access)));
         }
 
         let fd = task.fd.expect("Io phase has fd");
@@ -506,32 +422,22 @@ impl Session {
             if task.written < task.file_size {
                 access = access.min(task.file_size - task.written).max(1);
             }
-            let n = match vfs.write(proc, fd, &buf[..access as usize]) {
+            let n = match vfs.write(proc, fd, &FILLER[..access as usize]) {
                 Ok(n) => n as u64,
                 Err(FsError::NoSpace | FsError::FileTooLarge) => {
                     // Device full: stop writing, degrade to finishing early.
                     task.done = task.budget;
-                    return Ok(StepResult::TaskDone);
+                    return Ok(None);
                 }
                 Err(e) => return Err(e.into()),
             };
             task.cursor += n;
             task.written += n;
             task.done += n;
-            self.metrics.bytes_written += n;
-            Ok(StepResult::Op(ExecutedOp {
-                request: OpRequest::data(
-                    self.user,
-                    OpKind::Write,
-                    FileId(task.ino),
-                    offset,
-                    n,
-                    task.file_size,
-                ),
-                category: task.category,
-            }))
+            self.record.bytes_written += n;
+            Ok(Some(task.data(user, OpKind::Write, offset, n)))
         } else {
-            let n = vfs.read(proc, fd, &mut buf[..access as usize])? as u64;
+            let n = vfs.read_discard(proc, fd, access as usize)? as u64;
             if n == 0 {
                 // EOF. An empty file has nothing to give: finish the task;
                 // otherwise wrap on the next selection.
@@ -543,35 +449,9 @@ impl Session {
             } else {
                 task.cursor += n;
                 task.done += n;
-                self.metrics.bytes_read += n;
+                self.record.bytes_read += n;
             }
-            Ok(StepResult::Op(ExecutedOp {
-                request: OpRequest::data(
-                    self.user,
-                    OpKind::Read,
-                    FileId(task.ino),
-                    offset,
-                    n,
-                    task.file_size,
-                ),
-                category: task.category,
-            }))
+            Ok(Some(task.data(user, OpKind::Read, offset, n)))
         }
     }
-}
-
-/// Outcome of stepping one task.
-#[derive(Debug)]
-enum StepResult {
-    /// A system call was executed.
-    Op(ExecutedOp),
-    /// The task completed without emitting a call; prune and pick another.
-    TaskDone,
-    /// The task could not run (missing file, fd pressure); prune silently.
-    TaskAbandoned,
-}
-
-fn uniform01(rng: &mut dyn RngCore) -> f64 {
-    const SCALE: f64 = 1.0 / (1u64 << 53) as f64;
-    (rng.next_u64() >> 11) as f64 * SCALE
 }

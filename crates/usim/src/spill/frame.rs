@@ -374,17 +374,33 @@ fn read_col_len<R: Read>(r: &mut R, col: Col, count: usize) -> io::Result<u32> {
     Ok(len)
 }
 
-/// Reads and decodes one frame body (everything after tag + count). A v2
-/// body is read whole and its CRC verified *before* any column is decoded.
+/// One decoded frame and what decoding it needed — the value slab
+/// (column-major, see [`Cols`]) and the bytes as stored — kept by the reader
+/// across frames: allocated afresh (~430, ~360 and ~70 kB) they sit astride
+/// glibc's trim threshold, and whether the heap then shrank and regrew
+/// around every frame — 10× the page faults — depended on what was
+/// allocated before the first one.
+#[derive(Debug, Default)]
+pub(super) struct Decoded {
+    /// The frame's records (nothing usable after a failed [`read_body`]).
+    pub(super) rows: Vec<SpillRecord>,
+    vals: Vec<u64>,
+    raw: Vec<u8>,
+}
+
+/// Reads and decodes one frame body (everything after tag + count) into
+/// `out`, replacing what it held. A v2 body is read whole and its CRC
+/// verified *before* any column is decoded.
 pub(super) fn read_body<R: Read>(
     r: &mut R,
     codec: SpillCodec,
     head: FrameHeader,
-) -> io::Result<Vec<SpillRecord>> {
+    out: &mut Decoded,
+) -> io::Result<()> {
     if head.is_sessions() {
-        read_rows(r, codec, head, SpillRecord::Session)
+        read_rows(r, codec, head, out, SpillRecord::Session)
     } else {
-        read_rows(r, codec, head, SpillRecord::Op)
+        read_rows(r, codec, head, out, SpillRecord::Op)
     }
 }
 
@@ -392,24 +408,26 @@ fn read_rows<T: Row, R: Read>(
     r: &mut R,
     codec: SpillCodec,
     FrameHeader { tag, count }: FrameHeader,
+    Decoded { rows, vals, raw }: &mut Decoded,
     wrap: impl Fn(T) -> SpillRecord,
-) -> io::Result<Vec<SpillRecord>> {
+) -> io::Result<()> {
     let cols = frame_cols(tag);
-    let mut vals = vec![0u64; T::COLS.len() * count];
+    rows.clear();
+    vals.clear();
+    vals.resize(T::COLS.len() * count, 0);
     match codec {
         SpillCodec::Raw => {
-            let mut raw = Vec::new();
             for (col, out) in cols.iter().zip(vals.chunks_exact_mut(count)) {
                 raw.resize(col.width() * count, 0);
-                r.read_exact(&mut raw)?;
-                decode_fixed_col(&raw, col.width(), out);
+                r.read_exact(raw)?;
+                decode_fixed_col(raw, col.width(), out);
             }
         }
         SpillCodec::Compressed => {
             let mut stored = [0u8; 4];
             r.read_exact(&mut stored)?;
             // Every column with its length prefix, exactly as checksummed.
-            let mut raw = Vec::new();
+            raw.clear();
             for &col in cols {
                 let len = read_col_len(r, col, count)?;
                 raw.extend_from_slice(&len.to_le_bytes());
@@ -417,7 +435,7 @@ fn read_rows<T: Row, R: Read>(
                 raw.resize(at + len as usize, 0);
                 r.read_exact(&mut raw[at..])?;
             }
-            if crc32(&[&[tag], &(count as u32).to_le_bytes(), &raw]) != u32::from_le_bytes(stored) {
+            if crc32(&[&[tag], &(count as u32).to_le_bytes(), raw]) != u32::from_le_bytes(stored) {
                 return Err(bad_data(
                     "frame checksum mismatch: the spill file is corrupt".into(),
                 ));
@@ -435,12 +453,12 @@ fn read_rows<T: Row, R: Read>(
             }
         }
     }
-    let cols = Cols { vals: &vals, count };
-    let mut rows = Vec::with_capacity(count);
+    let cols = Cols { vals, count };
+    rows.reserve(count);
     for i in 0..count {
         rows.push(wrap(T::from_cols(&cols, i)?));
     }
-    Ok(rows)
+    Ok(())
 }
 
 /// Consumes exactly `n` bytes of `r` without decoding them, erroring on a
@@ -536,7 +554,10 @@ mod tests {
     /// Decodes one frame (tag byte first) with no reader around it.
     fn decode(codec: SpillCodec, bytes: &[u8]) -> io::Result<Vec<SpillRecord>> {
         let mut r = Probe(&bytes[1..], 0);
-        let rows = read_header(&mut r, bytes[0]).and_then(|head| read_body(&mut r, codec, head));
+        let mut out = Decoded::default();
+        let read =
+            read_header(&mut r, bytes[0]).and_then(|h| read_body(&mut r, codec, h, &mut out));
+        let rows = read.map(|()| out.rows);
         // Nothing is sized past one column of FRAME_CAP values.
         assert!(r.1 <= 1 + FRAME_CAP * (1 + MAX_VARINT));
         assert!(rows.as_ref().map_or(0, Vec::len) <= FRAME_CAP);

@@ -43,7 +43,10 @@ pub struct SpillReader<R: Read> {
     keep_sessions: Option<bool>,
     ops_seen: u64,
     sessions_seen: u64,
-    pending: std::vec::IntoIter<SpillRecord>,
+    /// The current frame, its records handed out from `next` on; its
+    /// buffers are reused from frame to frame.
+    pending: frame::Decoded,
+    next: usize,
     state: ReaderState,
     /// `Some(n)` after [`SpillReader::seek_to_frames`]: decode at most `n`
     /// more frames, then finish — the end marker is not expected (the
@@ -89,7 +92,8 @@ impl<R: Read> SpillReader<R> {
             keep_sessions: None,
             ops_seen: 0,
             sessions_seen: 0,
-            pending: Vec::new().into_iter(),
+            pending: frame::Decoded::default(),
+            next: 0,
             state: ReaderState::Streaming,
             frames_left: None,
             end_validated: false,
@@ -231,7 +235,8 @@ impl<R: Read> SpillReader<R> {
     /// stream, or an error.
     fn next_record(&mut self) -> io::Result<Option<SpillRecord>> {
         loop {
-            if let Some(record) = self.pending.next() {
+            if let Some(&record) = self.pending.rows.get(self.next) {
+                self.next += 1;
                 return Ok(Some(record));
             }
             if self.state == ReaderState::Finished {
@@ -297,7 +302,8 @@ impl<R: Read> SpillReader<R> {
                 frame::skip_body(&mut self.r, self.codec, head)?;
                 continue;
             }
-            self.pending = frame::read_body(&mut self.r, self.codec, head)?.into_iter();
+            self.next = 0;
+            frame::read_body(&mut self.r, self.codec, head, &mut self.pending)?;
         }
     }
 }
@@ -320,7 +326,7 @@ impl<R: Read + Seek> SpillReader<R> {
     /// Propagates seek failures.
     pub fn seek_to_frames(&mut self, offset: u64, frames: u64) -> io::Result<()> {
         self.r.seek(SeekFrom::Start(offset))?;
-        self.pending = Vec::new().into_iter();
+        self.pending.rows.clear();
         self.state = ReaderState::Streaming;
         self.frames_left = Some(frames);
         self.end_validated = false;

@@ -1,16 +1,17 @@
 //! End-to-end tests of both USIM drivers on a small Table-5.2-like workload.
 
 use uswg_distr::DistributionSpec;
-use uswg_fsc::{CategorySpec, FileCatalog, FileCategory, FileSystemCreator, FillPattern, FscSpec};
-use uswg_netfs::{LocalDiskModel, LocalDiskParams, NfsModel, NfsParams, OpKind};
+use uswg_fsc::FillPattern::{self, Sparse};
+use uswg_fsc::{CategorySpec, FileCatalog, FileCategory, FileSystemCreator, FileType, FscSpec};
+use uswg_netfs::{LocalDiskModel, LocalDiskParams, NfsModel, NfsParams, OpKind, ServiceModel};
 use uswg_sim::ResourcePool;
 use uswg_usim::{
-    CategoryUsage, CompiledPopulation, DesDriver, DirectDriver, PopulationSpec, RunConfig,
-    UsageLog, UserTypeSpec,
+    CategoryUsage, CompiledPopulation, DesDriver, DesRunStats, DirectDriver, LogSink,
+    PopulationSpec, RunConfig, UsageLog, UserTypeSpec,
 };
 use uswg_vfs::{Vfs, VfsConfig};
 
-fn build_fs(n_users: usize, seed: u64) -> (Vfs, FileCatalog) {
+fn build_fs(n_users: usize, seed: u64, fill: FillPattern) -> (Vfs, FileCatalog) {
     let spec = FscSpec::new(vec![
         CategorySpec::new(
             FileCategory::DIR_USER_RDONLY,
@@ -38,7 +39,7 @@ fn build_fs(n_users: usize, seed: u64) -> (Vfs, FileCatalog) {
     .unwrap()
     .with_shared_files(20)
     .unwrap()
-    .with_fill(FillPattern::Sparse);
+    .with_fill(fill);
     let creator = FileSystemCreator::new(spec);
     let mut vfs = Vfs::new(VfsConfig::default());
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
@@ -67,44 +68,79 @@ fn population(think_us: f64) -> PopulationSpec {
     PopulationSpec::single(utype).unwrap()
 }
 
+fn compiled(think_us: f64, resolution: usize) -> CompiledPopulation {
+    CompiledPopulation::compile(&population(think_us), resolution).unwrap()
+}
+
+fn direct(
+    vfs: &mut Vfs,
+    files: &FileCatalog,
+    pop: &CompiledPopulation,
+    run: &RunConfig,
+) -> UsageLog {
+    DirectDriver::new().run(vfs, files, pop, run).unwrap()
+}
+
+/// A DES run over `fs` into `sink`, under the NFS model or the local disk's.
+fn des<S: LogSink>(
+    (vfs, files): (Vfs, FileCatalog),
+    pop: &CompiledPopulation,
+    run: &RunConfig,
+    nfs: bool,
+    sink: S,
+) -> (S, DesRunStats) {
+    let mut pool = ResourcePool::new();
+    let model: Box<dyn ServiceModel> = if nfs {
+        Box::new(NfsModel::new(&mut pool, NfsParams::default()))
+    } else {
+        Box::new(LocalDiskModel::new(&mut pool, LocalDiskParams::default()))
+    };
+    let done = DesDriver::new().run_with_sink(vfs, files, pop, model, pool, run, sink);
+    done.unwrap()
+}
+
+fn config(users: usize, sessions: u32, seed: u64) -> RunConfig {
+    let config = RunConfig::default().with_users(users);
+    config.with_sessions(sessions).with_seed(seed)
+}
+
+/// Over real blocks and over holes alike. Sessions read through
+/// `Vfs::read_discard`: the file system still counts every read and every
+/// byte the log says a file read moved (directory reads go through `readdir`).
 #[test]
 fn direct_driver_produces_sessions_and_ops() {
-    let (mut vfs, catalog) = build_fs(2, 1);
-    let pop = CompiledPopulation::compile(&population(0.0), 512).unwrap();
-    let config = RunConfig::default()
-        .with_users(2)
-        .with_sessions(5)
-        .with_seed(7);
-    let log = DirectDriver::new()
-        .run(&mut vfs, &catalog, &pop, &config)
-        .unwrap();
+    for fill in [FillPattern::Pattern, FillPattern::Sparse] {
+        let (mut vfs, catalog) = build_fs(2, 1, fill);
+        vfs.reset_counters();
+        let log = direct(&mut vfs, &catalog, &compiled(0.0, 512), &config(2, 5, 7));
 
-    assert_eq!(log.sessions().len(), 10);
-    assert!(!log.ops().is_empty());
-    // Session metrics add up against the op stream.
-    let total_ops: u64 = log.sessions().iter().map(|s| s.ops).sum();
-    assert_eq!(total_ops as usize, log.ops().len());
-    let read_bytes: u64 = log
-        .ops()
-        .iter()
-        .filter(|o| o.op == OpKind::Read)
-        .map(|o| o.bytes)
-        .sum();
-    let session_reads: u64 = log.sessions().iter().map(|s| s.bytes_read).sum();
-    assert_eq!(read_bytes, session_reads);
+        assert_eq!(log.sessions().len(), 10);
+        assert!(!log.ops().is_empty());
+        // Session metrics add up against the op stream.
+        let total_ops: u64 = log.sessions().iter().map(|s| s.ops).sum();
+        assert_eq!(total_ops as usize, log.ops().len());
+        let reads = || log.ops().iter().filter(|o| o.op == OpKind::Read);
+        let session_reads: u64 = log.sessions().iter().map(|s| s.bytes_read).sum();
+        assert_eq!(reads().map(|o| o.bytes).sum::<u64>(), session_reads);
+        // And against the file system's own accounting.
+        let file_reads = reads().filter(|o| o.category.file_type != FileType::Dir);
+        let (count, bytes) = file_reads.fold((0, 0), |(c, b), o| (c + 1, b + o.bytes));
+        assert!(count > 100, "{fill:?}");
+        let counters = vfs.counters();
+        assert_eq!(
+            (counters.reads, counters.bytes_read),
+            (count, bytes),
+            "{fill:?}"
+        );
+    }
 }
 
 #[test]
 fn op_stream_respects_logical_constraints() {
-    let (mut vfs, catalog) = build_fs(1, 2);
-    let pop = CompiledPopulation::compile(&population(0.0), 512).unwrap();
-    let config = RunConfig::default()
-        .with_users(1)
-        .with_sessions(3)
-        .with_seed(3);
-    let log = DirectDriver::new()
-        .run(&mut vfs, &catalog, &pop, &config)
-        .unwrap();
+    let (mut vfs, catalog) = build_fs(1, 2, Sparse);
+    let pop = compiled(0.0, 512);
+    let config = config(1, 3, 3);
+    let log = direct(&mut vfs, &catalog, &pop, &config);
 
     // Per (session, ino): open/creat before any read/write; close after.
     // A file may be referenced by several concurrent tasks in one session
@@ -152,7 +188,7 @@ fn op_stream_respects_logical_constraints() {
 
 #[test]
 fn temp_files_do_not_accumulate() {
-    let (mut vfs, catalog) = build_fs(1, 3);
+    let (mut vfs, catalog) = build_fs(1, 3, Sparse);
     let before = vfs.statfs().used_inodes;
     let utype = UserTypeSpec::new(
         "temp-only",
@@ -167,13 +203,8 @@ fn temp_files_do_not_accumulate() {
         )],
     );
     let pop = CompiledPopulation::compile(&PopulationSpec::single(utype).unwrap(), 256).unwrap();
-    let config = RunConfig::default()
-        .with_users(1)
-        .with_sessions(10)
-        .with_seed(11);
-    let log = DirectDriver::new()
-        .run(&mut vfs, &catalog, &pop, &config)
-        .unwrap();
+    let config = config(1, 10, 11);
+    let log = direct(&mut vfs, &catalog, &pop, &config);
     let creates = log.ops().iter().filter(|o| o.op == OpKind::Create).count();
     let unlinks = log.ops().iter().filter(|o| o.op == OpKind::Unlink).count();
     assert!(creates > 0, "temp workload must create files");
@@ -183,17 +214,10 @@ fn temp_files_do_not_accumulate() {
 
 #[test]
 fn des_driver_measures_response_times() {
-    let (vfs, catalog) = build_fs(2, 4);
-    let pop = CompiledPopulation::compile(&population(5000.0), 512).unwrap();
-    let mut pool = ResourcePool::new();
-    let model = Box::new(NfsModel::new(&mut pool, NfsParams::default()));
-    let config = RunConfig::default()
-        .with_users(2)
-        .with_sessions(3)
-        .with_seed(5);
-    let (log, report) = DesDriver::new()
-        .run_with_sink(vfs, catalog, &pop, model, pool, &config, UsageLog::new())
-        .unwrap();
+    let (vfs, catalog) = build_fs(2, 4, Sparse);
+    let pop = compiled(5000.0, 512);
+    let config = config(2, 3, 5);
+    let (log, report) = des((vfs, catalog), &pop, &config, true, UsageLog::new());
 
     assert_eq!(report.model, "nfs");
     assert_eq!(log.sessions().len(), 6);
@@ -223,10 +247,8 @@ fn des_driver_measures_response_times() {
 #[test]
 fn des_contention_raises_response_times() {
     let run = |n_users| {
-        let (vfs, catalog) = build_fs(n_users, 6);
-        let pop = CompiledPopulation::compile(&population(0.0), 512).unwrap();
-        let mut pool = ResourcePool::new();
-        let model = Box::new(NfsModel::new(&mut pool, NfsParams::default()));
+        let (vfs, catalog) = build_fs(n_users, 6, Sparse);
+        let pop = compiled(0.0, 512);
         let config = RunConfig {
             n_users,
             sessions_per_user: 4,
@@ -235,9 +257,7 @@ fn des_contention_raises_response_times() {
             cdf_resolution: 512,
             ..RunConfig::default()
         };
-        let (log, _) = DesDriver::new()
-            .run_with_sink(vfs, catalog, &pop, model, pool, &config, UsageLog::new())
-            .unwrap();
+        let (log, _) = des((vfs, catalog), &pop, &config, true, UsageLog::new());
         let total: u64 = log.ops().iter().map(|o| o.response).sum();
         total as f64 / log.ops().len() as f64
     };
@@ -253,22 +273,13 @@ fn des_contention_raises_response_times() {
 fn des_and_direct_semantics_agree() {
     // The same seed produces the same op stream regardless of driver,
     // because op generation only consumes the per-user RNG.
-    let (mut vfs1, catalog1) = build_fs(1, 8);
-    let pop = CompiledPopulation::compile(&population(0.0), 512).unwrap();
-    let config = RunConfig::default()
-        .with_users(1)
-        .with_sessions(2)
-        .with_seed(9);
-    let direct = DirectDriver::new()
-        .run(&mut vfs1, &catalog1, &pop, &config)
-        .unwrap();
+    let (mut vfs1, catalog1) = build_fs(1, 8, Sparse);
+    let pop = compiled(0.0, 512);
+    let config = config(1, 2, 9);
+    let direct = direct(&mut vfs1, &catalog1, &pop, &config);
 
-    let (vfs2, catalog2) = build_fs(1, 8);
-    let mut pool = ResourcePool::new();
-    let model = Box::new(LocalDiskModel::new(&mut pool, LocalDiskParams::default()));
-    let (des_log, _) = DesDriver::new()
-        .run_with_sink(vfs2, catalog2, &pop, model, pool, &config, UsageLog::new())
-        .unwrap();
+    let (vfs2, catalog2) = build_fs(1, 8, Sparse);
+    let (des_log, _) = des((vfs2, catalog2), &pop, &config, false, UsageLog::new());
 
     let seq_direct: Vec<(OpKind, u64)> = direct.ops().iter().map(|o| (o.op, o.bytes)).collect();
     let seq_des: Vec<(OpKind, u64)> = des_log.ops().iter().map(|o| (o.op, o.bytes)).collect();
@@ -277,15 +288,10 @@ fn des_and_direct_semantics_agree() {
 
 #[test]
 fn log_round_trips_through_json() {
-    let (mut vfs, catalog) = build_fs(1, 10);
-    let pop = CompiledPopulation::compile(&population(0.0), 256).unwrap();
-    let config = RunConfig::default()
-        .with_users(1)
-        .with_sessions(1)
-        .with_seed(13);
-    let log = DirectDriver::new()
-        .run(&mut vfs, &catalog, &pop, &config)
-        .unwrap();
+    let (mut vfs, catalog) = build_fs(1, 10, Sparse);
+    let pop = compiled(0.0, 256);
+    let config = config(1, 1, 13);
+    let log = direct(&mut vfs, &catalog, &pop, &config);
     let json = log.to_json().unwrap();
     let back = uswg_usim::UsageLog::from_json(&json).unwrap();
     assert_eq!(back.ops().len(), log.ops().len());
@@ -300,20 +306,13 @@ fn des_driver_honours_a_pre_sealed_weighted_catalog() {
     // policy. A heavily skewed Zipf pick stream touches a measurably
     // different set of shared files than the uniform stream.
     let run = |weighted: bool| {
-        let (vfs, mut catalog) = build_fs(1, 7);
+        let (vfs, mut catalog) = build_fs(1, 7, Sparse);
         if weighted {
             catalog.seal_with(uswg_fsc::FilePopularity::Zipf { exponent: 3.0 });
         }
-        let pop = CompiledPopulation::compile(&population(0.0), 256).unwrap();
-        let mut pool = ResourcePool::new();
-        let model = Box::new(LocalDiskModel::new(&mut pool, LocalDiskParams::default()));
-        let config = RunConfig::default()
-            .with_users(1)
-            .with_sessions(6)
-            .with_seed(9);
-        let (log, _) = DesDriver::new()
-            .run_with_sink(vfs, catalog, &pop, model, pool, &config, UsageLog::new())
-            .unwrap();
+        let pop = compiled(0.0, 256);
+        let config = config(1, 6, 9);
+        let (log, _) = des((vfs, catalog), &pop, &config, false, UsageLog::new());
         log.ops().iter().map(|o| o.ino).collect::<Vec<u64>>()
     };
     let uniform = run(false);
@@ -329,15 +328,10 @@ fn des_driver_honours_a_pre_sealed_weighted_catalog() {
 #[test]
 fn deterministic_given_seed() {
     let run = |seed| {
-        let (mut vfs, catalog) = build_fs(2, 42);
-        let pop = CompiledPopulation::compile(&population(0.0), 256).unwrap();
-        let config = RunConfig::default()
-            .with_users(2)
-            .with_sessions(3)
-            .with_seed(seed);
-        let log = DirectDriver::new()
-            .run(&mut vfs, &catalog, &pop, &config)
-            .unwrap();
+        let (mut vfs, catalog) = build_fs(2, 42, Sparse);
+        let pop = compiled(0.0, 256);
+        let config = config(2, 3, seed);
+        let log = direct(&mut vfs, &catalog, &pop, &config);
         log.ops()
             .iter()
             .map(|o| (o.user, o.op, o.bytes, o.ino))
@@ -349,16 +343,11 @@ fn deterministic_given_seed() {
 
 #[test]
 fn record_ops_off_still_counts_sessions() {
-    let (mut vfs, catalog) = build_fs(1, 11);
-    let pop = CompiledPopulation::compile(&population(0.0), 256).unwrap();
-    let mut config = RunConfig::default()
-        .with_users(1)
-        .with_sessions(4)
-        .with_seed(15);
+    let (mut vfs, catalog) = build_fs(1, 11, Sparse);
+    let pop = compiled(0.0, 256);
+    let mut config = config(1, 4, 15);
     config.record_ops = false;
-    let log = DirectDriver::new()
-        .run(&mut vfs, &catalog, &pop, &config)
-        .unwrap();
+    let log = direct(&mut vfs, &catalog, &pop, &config);
     assert!(log.ops().is_empty());
     assert_eq!(log.sessions().len(), 4);
     assert!(log.sessions().iter().any(|s| s.ops > 0));
@@ -368,27 +357,16 @@ fn record_ops_off_still_counts_sessions() {
 fn summary_sink_matches_collected_log() {
     use uswg_usim::SummarySink;
 
-    let config = RunConfig::default()
-        .with_users(2)
-        .with_sessions(3)
-        .with_seed(21);
-    let pop = CompiledPopulation::compile(&population(2000.0), 512).unwrap();
+    let config = config(2, 3, 21);
+    let pop = compiled(2000.0, 512);
 
     // Collected path.
-    let (vfs, catalog) = build_fs(2, 9);
-    let mut pool = ResourcePool::new();
-    let model = Box::new(NfsModel::new(&mut pool, NfsParams::default()));
-    let (log, report) = DesDriver::new()
-        .run_with_sink(vfs, catalog, &pop, model, pool, &config, UsageLog::new())
-        .unwrap();
+    let (vfs, catalog) = build_fs(2, 9, Sparse);
+    let (log, report) = des((vfs, catalog), &pop, &config, true, UsageLog::new());
 
     // Streaming path: same seed, fresh world, SummarySink instead of a log.
-    let (vfs, catalog) = build_fs(2, 9);
-    let mut pool = ResourcePool::new();
-    let model = Box::new(NfsModel::new(&mut pool, NfsParams::default()));
-    let (sink, stats) = DesDriver::new()
-        .run_with_sink(vfs, catalog, &pop, model, pool, &config, SummarySink::new())
-        .unwrap();
+    let (vfs, catalog) = build_fs(2, 9, Sparse);
+    let (sink, stats) = des((vfs, catalog), &pop, &config, true, SummarySink::new());
 
     // The record streams are identical, so the streamed aggregates must
     // equal the same aggregates computed from the materialized log.
@@ -410,20 +388,15 @@ fn summary_sink_matches_collected_log() {
 
 #[test]
 fn expected_ops_estimate_is_a_sane_capacity_hint() {
-    let pop = CompiledPopulation::compile(&population(0.0), 256).unwrap();
+    let pop = compiled(0.0, 256);
     let est = pop.types()[0].expected_ops_per_session();
     assert!(est > 0.0, "estimate must be positive, got {est}");
 
     // Compare against an actual run: the hint should be the right order of
     // magnitude (it guides Vec pre-sizing, nothing else).
-    let (mut vfs, catalog) = build_fs(1, 9);
-    let config = RunConfig::default()
-        .with_users(1)
-        .with_sessions(8)
-        .with_seed(3);
-    let log = DirectDriver::new()
-        .run(&mut vfs, &catalog, &pop, &config)
-        .unwrap();
+    let (mut vfs, catalog) = build_fs(1, 9, Sparse);
+    let config = config(1, 8, 3);
+    let log = direct(&mut vfs, &catalog, &pop, &config);
     let actual = log.ops().len() as f64 / 8.0;
     assert!(
         est > actual / 20.0 && est < actual * 20.0,
@@ -435,29 +408,18 @@ fn expected_ops_estimate_is_a_sane_capacity_hint() {
 fn spill_sink_through_des_driver_is_lossless() {
     use uswg_usim::{read_spill, SpillSink};
 
-    let config = RunConfig::default()
-        .with_users(2)
-        .with_sessions(3)
-        .with_seed(77);
-    let pop = CompiledPopulation::compile(&population(2000.0), 512).unwrap();
+    let config = config(2, 3, 77);
+    let pop = compiled(2000.0, 512);
 
     // Collected path: the in-memory log.
-    let (vfs, catalog) = build_fs(2, 9);
-    let mut pool = ResourcePool::new();
-    let model = Box::new(NfsModel::new(&mut pool, NfsParams::default()));
-    let (log, report) = DesDriver::new()
-        .run_with_sink(vfs, catalog, &pop, model, pool, &config, UsageLog::new())
-        .unwrap();
+    let (vfs, catalog) = build_fs(2, 9, Sparse);
+    let (log, report) = des((vfs, catalog), &pop, &config, true, UsageLog::new());
 
     // Spilled path: same seed, records stream through the columnar sink
     // into a byte buffer (a stand-in for the on-disk file).
-    let (vfs, catalog) = build_fs(2, 9);
-    let mut pool = ResourcePool::new();
-    let model = Box::new(NfsModel::new(&mut pool, NfsParams::default()));
+    let (vfs, catalog) = build_fs(2, 9, Sparse);
     let sink = SpillSink::new(Vec::new()).unwrap();
-    let (sink, stats) = DesDriver::new()
-        .run_with_sink(vfs, catalog, &pop, model, pool, &config, sink)
-        .unwrap();
+    let (sink, stats) = des((vfs, catalog), &pop, &config, true, sink);
     assert_eq!(stats.events, report.events);
 
     // Reading the spill back reconstructs the exact log the collected run

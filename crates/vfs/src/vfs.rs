@@ -70,7 +70,7 @@ pub struct OpCounters {
     pub opens: u64,
     /// `close` calls.
     pub closes: u64,
-    /// `read` calls.
+    /// `read` / `read_discard` calls.
     pub reads: u64,
     /// `write` calls.
     pub writes: u64,
@@ -90,7 +90,7 @@ pub struct OpCounters {
     pub renames: u64,
     /// `truncate` calls.
     pub truncates: u64,
-    /// Bytes returned by `read`.
+    /// Bytes returned by `read` / `read_discard`.
     pub bytes_read: u64,
     /// Bytes accepted by `write`.
     pub bytes_written: u64,
@@ -465,13 +465,45 @@ impl Vfs {
     ///
     /// [`FsError::BadFd`] / [`FsError::BadAccessMode`] for bad descriptors.
     pub fn read(&mut self, proc: &mut Process, fd: Fd, buf: &mut [u8]) -> Result<usize, FsError> {
+        self.read_impl(proc, fd, buf.len(), Some(buf))
+    }
+
+    /// `read(2)` for a caller that will not look at the bytes: every check
+    /// and every effect of [`Vfs::read`] with a `len`-byte buffer — return
+    /// value, cursor, `atime`, counters — and nothing is copied.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Vfs::read`].
+    pub fn read_discard(
+        &mut self,
+        proc: &mut Process,
+        fd: Fd,
+        len: usize,
+    ) -> Result<usize, FsError> {
+        self.read_impl(proc, fd, len, None)
+    }
+
+    /// The body of `read` and `read_discard`: the one place that decides how
+    /// many bytes a read returns. `buf`, when given, is `len` bytes long.
+    fn read_impl(
+        &mut self,
+        proc: &mut Process,
+        fd: Fd,
+        len: usize,
+        buf: Option<&mut [u8]>,
+    ) -> Result<usize, FsError> {
         self.counters.reads += 1;
         let open = proc.get_mut(fd).ok_or(FsError::BadFd)?;
         if !open.flags.read {
             return Err(FsError::BadAccessMode);
         }
         let (ino, offset) = (open.ino, open.offset);
-        let n = self.read_at(ino, offset, buf);
+        let left = self.inode(ino).size.saturating_sub(offset);
+        let n = usize::try_from(left).map_or(len, |left| len.min(left));
+        if let Some(buf) = buf {
+            self.read_at(ino, offset, &mut buf[..n]);
+        }
         open.offset += n as u64;
         let clock = self.clock;
         self.inode_mut(ino).atime = clock;
@@ -838,12 +870,11 @@ impl Vfs {
     // Data plumbing
     // ------------------------------------------------------------------
 
-    fn read_at(&self, ino: Ino, offset: u64, buf: &mut [u8]) -> usize {
+    /// Copies `buf.len()` bytes at `offset` out of the file; the caller
+    /// (`read_impl`) has already clipped the range to the file's size.
+    fn read_at(&self, ino: Ino, offset: u64, buf: &mut [u8]) {
         let node = self.inode(ino);
-        if offset >= node.size {
-            return 0;
-        }
-        let n = buf.len().min((node.size - offset) as usize);
+        let n = buf.len();
         let bs = self.config.block_size as u64;
         let mut done = 0usize;
         while done < n {
@@ -863,7 +894,6 @@ impl Vfs {
             }
             done += chunk;
         }
-        n
     }
 
     fn write_at(&mut self, ino: Ino, offset: u64, data: &[u8]) -> Result<usize, FsError> {

@@ -186,4 +186,60 @@ proptest! {
         fs.close(&mut proc, fd).unwrap();
         prop_assert_eq!(fs.read_file("/sparse").unwrap(), model);
     }
+
+    /// `read_discard` is `read` minus the bytes: over files with holes,
+    /// truncations up and down, cursors past EOF, a write-only and a closed
+    /// descriptor, it returns what `read` returns and leaves the cursor, the
+    /// inode and the counters where `read` leaves them. A step is (what to
+    /// do, on which descriptor, a length or offset).
+    #[test]
+    fn read_discard_is_read_minus_the_bytes(steps in prop::collection::vec((0u8..6, 0usize..6, any::<u16>()), 1..80)) {
+        // Three files: a read-write descriptor on each, a second (read-only)
+        // cursor on the first, a write-only and a closed one.
+        let open_all = |fs: &mut Vfs| {
+            let mut proc = fs.new_process();
+            let mut open = |f: u8, flags| fs.open(&mut proc, &format!("/f{f}"), flags).unwrap();
+            let mut fds: Vec<_> = (0..3).map(|f| open(f, OpenFlags::read_write_create())).collect();
+            fds.extend([open(0, OpenFlags::read_only()), open(1, OpenFlags::create_write())]);
+            fds.push(open(2, OpenFlags::read_only()));
+            fs.close(&mut proc, fds[5]).unwrap();
+            (proc, fds)
+        };
+        let (mut copying, mut discarding) = (Vfs::new(VfsConfig::default()), Vfs::new(VfsConfig::default()));
+        let (mut proc_c, fds) = open_all(&mut copying);
+        let (mut proc_d, _) = open_all(&mut discarding);
+
+        let mut buf = vec![0xC3u8; 9_000];
+        for (tick, (what, fd, arg)) in steps.into_iter().enumerate() {
+            let (fd, len) = (fds[fd], arg as usize % buf.len());
+            if what >= 4 {
+                // A read, the one call that differs.
+                prop_assert_eq!(
+                    copying.read(&mut proc_c, fd, &mut buf[..len]),
+                    discarding.read_discard(&mut proc_d, fd, len)
+                );
+                continue;
+            }
+            for (fs, proc) in [(&mut copying, &mut proc_c), (&mut discarding, &mut proc_d)] {
+                match what {
+                    0 => drop(fs.write(proc, fd, &buf[..len % 3_000])),
+                    1 => fs.truncate(&format!("/f{}", arg % 3), (arg / 3).into()).unwrap(),
+                    2 => drop(fs.lseek(proc, fd, SeekFrom::Start(arg.into()))),
+                    _ => fs.set_clock(7 * tick as u64),
+                }
+            }
+        }
+
+        for &fd in &fds {
+            prop_assert_eq!(
+                copying.lseek(&mut proc_c, fd, SeekFrom::Current(0)),
+                discarding.lseek(&mut proc_d, fd, SeekFrom::Current(0))
+            );
+        }
+        for f in 0..3 {
+            // Size, blocks, atime, mtime and the rest, field by field.
+            prop_assert_eq!(copying.stat(&format!("/f{f}")), discarding.stat(&format!("/f{f}")));
+        }
+        prop_assert_eq!(copying.counters(), discarding.counters());
+    }
 }
