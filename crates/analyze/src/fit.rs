@@ -23,7 +23,7 @@ use std::io;
 use std::path::Path;
 use uswg_fsc::FileCategory;
 use uswg_netfs::OpKind;
-use uswg_usim::{OpRecord, SessionRecord, SpillReader, SpillRecord};
+use uswg_usim::{OpRecord, Overflow, SessionRecord, SpillReader, SpillRecord, TotalsOverflow};
 
 /// Default bound on every reservoir the collector keeps: large enough that
 /// KS distances against it resolve to ~0.5%, small enough that a fit pass
@@ -328,6 +328,8 @@ pub struct FitCollector {
     /// Per-user previous session end (session pass).
     last_end: BTreeMap<usize, u64>,
     per_user_sessions: BTreeMap<usize, u64>,
+    /// Byte totals saturate rather than wrap; `finish` refuses them.
+    overflow: Overflow,
 }
 
 impl Default for FitCollector {
@@ -359,6 +361,7 @@ impl FitCollector {
             scratch: BTreeMap::new(),
             last_end: BTreeMap::new(),
             per_user_sessions: BTreeMap::new(),
+            overflow: Overflow::default(),
         }
     }
 
@@ -397,11 +400,7 @@ impl FitCollector {
         };
         let t = self.types.get_mut(&ty).expect("type created in pass 1");
         t.ops += 1;
-        let pos = OpKind::ALL
-            .iter()
-            .position(|&k| k == op.op)
-            .expect("every OpKind is in ALL");
-        t.op_mix[pos] += 1;
+        t.op_mix[op.op.index()] += 1;
         if op.op.is_data() && op.bytes > 0 {
             t.access_size.push(op.bytes as f64);
         }
@@ -411,7 +410,7 @@ impl FitCollector {
             .or_insert_with(|| SessionScratch::new(op.session));
         if scratch.session != op.session {
             let done = std::mem::replace(scratch, SessionScratch::new(op.session));
-            Self::flush_scratch(t, done);
+            Self::flush_scratch(t, done, &mut self.overflow);
         }
         if let Some((last_at, last_resp)) = scratch.last {
             if op.at >= last_at {
@@ -425,11 +424,11 @@ impl FitCollector {
         let size = c.sizes.entry(op.ino).or_insert(0);
         *size = (*size).max(op.file_size);
         if op.op.is_data() {
-            c.data_bytes += op.bytes;
+            self.overflow.add(&mut c.data_bytes, op.bytes);
         }
     }
 
-    fn flush_scratch(t: &mut TypeState, done: SessionScratch) {
+    fn flush_scratch(t: &mut TypeState, done: SessionScratch, overflow: &mut Overflow) {
         let cap = t.cap;
         for (category, c) in done.per_cat {
             let cs = t
@@ -438,22 +437,27 @@ impl FitCollector {
                 .or_insert_with(|| CatState::new(cap));
             cs.sessions += 1;
             cs.files += c.sizes.len() as u64;
-            cs.file_bytes += c.sizes.values().sum::<u64>();
-            cs.data_bytes += c.data_bytes;
+            overflow.add(&mut cs.data_bytes, c.data_bytes);
             cs.files_per_session.push(c.sizes.len() as f64);
             for &size in c.sizes.values() {
+                overflow.add(&mut cs.file_bytes, size);
                 cs.file_sizes.push(size as f64);
             }
         }
     }
 
     /// Flushes the in-flight sessions and returns the observation.
-    pub fn finish(mut self) -> FitObservation {
+    ///
+    /// # Errors
+    ///
+    /// [`TotalsOverflow`] when a byte total of the records passed
+    /// `u64::MAX`: a spec fitted from it would be wrong.
+    pub fn finish(mut self) -> Result<FitObservation, TotalsOverflow> {
         let scratches = std::mem::take(&mut self.scratch);
         for (user, scratch) in scratches {
             if let Some(ty) = self.user_type.get(&user) {
                 let t = self.types.get_mut(ty).expect("type created in pass 1");
-                Self::flush_scratch(t, scratch);
+                Self::flush_scratch(t, scratch, &mut self.overflow);
             }
         }
         let mut spu: BTreeMap<usize, StreamingSummary> = BTreeMap::new();
@@ -501,7 +505,7 @@ impl FitCollector {
             geometry.max_ino = geometry.max_ino.max(ino);
             geometry.max_file_size = geometry.max_file_size.max(size);
             geometry.total_files += 1;
-            geometry.total_bytes += size;
+            self.overflow.add(&mut geometry.total_bytes, size);
             let cf = geom.entry(category).or_insert_with(|| CategoryFiles {
                 category,
                 files: 0,
@@ -509,18 +513,19 @@ impl FitCollector {
                 sizes: Reservoir::new(self.cap),
             });
             cf.files += 1;
-            cf.bytes += size;
+            self.overflow.add(&mut cf.bytes, size);
             cf.sizes.push(size as f64);
         }
         geometry.categories = geom.into_values().collect();
-        FitObservation {
+        self.overflow.check()?;
+        Ok(FitObservation {
             types,
             users: self.user_type.len(),
             sessions: self.sessions,
             ops,
             ops_unclassified: self.ops_unclassified,
             geometry,
-        }
+        })
     }
 }
 
@@ -547,7 +552,9 @@ pub struct FitOutcome {
 ///
 /// Propagates open and decode errors. A truncated or corrupt capture
 /// errors mid-pass; fitting never salvages, since a spec synthesized from
-/// a partial read would silently misrepresent the workload.
+/// a partial read would silently misrepresent the workload. A capture
+/// whose byte totals pass `u64::MAX` is refused the same way
+/// (`InvalidData` wrapping [`TotalsOverflow`]).
 pub fn collect_fit<P: AsRef<Path>>(path: P, opts: &ScanOptions) -> io::Result<FitOutcome> {
     let path = path.as_ref();
     let mut collector = FitCollector::new();
@@ -566,7 +573,7 @@ pub fn collect_fit<P: AsRef<Path>>(path: P, opts: &ScanOptions) -> io::Result<Fi
         Coverage::Full | Coverage::Filtered => (None, None),
     };
     Ok(FitOutcome {
-        observation: collector.finish(),
+        observation: collector.finish()?,
         frames_total,
         frames_decoded,
     })
@@ -663,7 +670,7 @@ mod tests {
         c.record_op(&op(1, 0, 2_000, OpKind::Read, 128));
         c.record_op(&op(9, 0, 3_000, OpKind::Read, 64));
 
-        let obs = c.finish();
+        let obs = c.finish().unwrap();
         assert_eq!(obs.users, 2);
         assert_eq!(obs.sessions, 3);
         assert_eq!(obs.ops, 4);
@@ -675,15 +682,9 @@ mod tests {
         assert_eq!(t0.users, 1);
         assert_eq!(t0.sessions, 2);
         assert_eq!(t0.ops, 3);
-        let open_pos = OpKind::ALL.iter().position(|&k| k == OpKind::Open).unwrap();
-        let read_pos = OpKind::ALL.iter().position(|&k| k == OpKind::Read).unwrap();
-        let write_pos = OpKind::ALL
-            .iter()
-            .position(|&k| k == OpKind::Write)
-            .unwrap();
-        assert_eq!(t0.op_mix[open_pos], 1);
-        assert_eq!(t0.op_mix[read_pos], 1);
-        assert_eq!(t0.op_mix[write_pos], 1);
+        for kind in [OpKind::Open, OpKind::Read, OpKind::Write] {
+            assert_eq!(t0.op_mix[kind.index()], 1);
+        }
         assert_eq!(t0.access_size.samples(), &[256.0, 512.0]);
         assert_eq!(t0.interarrival.samples(), &[600.0]);
         assert_eq!(t0.think_time.samples(), &[500.0]);
@@ -718,7 +719,7 @@ mod tests {
         c.record_op(&o2);
         c.record_op(&o3);
 
-        let obs = c.finish();
+        let obs = c.finish().unwrap();
         let cats = &obs.types[0].categories;
         assert_eq!(cats.len(), 2);
         let rdonly = cats
@@ -747,11 +748,11 @@ mod tests {
 
     #[test]
     fn empty_observation_is_detected() {
-        let obs = FitCollector::new().finish();
+        let obs = FitCollector::new().finish().unwrap();
         assert!(obs.is_empty());
         assert!(obs.types.is_empty());
         let mut c = FitCollector::new();
         c.record_op(&op(5, 0, 0, OpKind::Read, 1));
-        assert!(!c.finish().is_empty());
+        assert!(!c.finish().unwrap().is_empty());
     }
 }

@@ -1,17 +1,22 @@
 //! Metrics extracted from usage logs: the data behind Tables 5.2–5.3 and
 //! Figures 5.3–5.12.
 //!
-//! Two shapes of input: the batch functions take a materialized
-//! [`UsageLog`]; [`StreamLogStats`] is a [`LogSink`] that folds the same
-//! statistics out of a record *stream* (a live run, or a spill file read
-//! through `SpillReader`) in O(1) memory — the engine behind
-//! `uswg analyze`.
+//! The Table 5.3 per-system-call summaries, the data-op aggregate, the
+//! response-per-byte metric and the per-user-type breakdown are all read
+//! off one accumulator, [`SummarySink`]: fed live by a run, from a spill
+//! file by [`scan`](crate::scan), or from a collected log by
+//! [`SummarySink::of`]. This module adds the per-session series
+//! (Figures 5.3–5.5) and the per-category observations (Table 5.2).
 
-use crate::{StreamingSummary, Summary};
 use std::collections::BTreeMap;
 use uswg_fsc::FileCategory;
-use uswg_netfs::OpKind;
-use uswg_usim::{LogSink, OpRecord, SessionRecord, UsageLog};
+pub use uswg_usim::{OpKindSummary, SummarySink, UserTypeStream};
+use uswg_usim::{SessionRecord, UsageLog};
+
+/// The accumulator's former name, kept only because the benchmark harness
+/// names it; the benchmark-only change that unpins the harness (ROADMAP
+/// Direction 1) deletes it.
+pub use uswg_usim::SummarySink as StreamLogStats;
 
 /// Which per-session usage measure to extract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,283 +45,6 @@ fn session_metric(s: &SessionRecord, metric: SessionMetric) -> f64 {
         SessionMetric::MeanFileSize => s.mean_file_size(),
         SessionMetric::FilesReferenced => s.files_referenced as f64,
         SessionMetric::ResponsePerByte => s.response_per_byte(),
-    }
-}
-
-/// One row of the per-system-call summary (Table 5.3).
-#[derive(Debug, Clone, PartialEq)]
-pub struct OpKindSummary {
-    /// The system call.
-    pub kind: OpKind,
-    /// Number of calls observed.
-    pub count: usize,
-    /// Access-size statistics over the calls (bytes).
-    pub access_size: Summary,
-    /// Response-time statistics over the calls (µs).
-    pub response: Summary,
-}
-
-/// Summarizes access size and response time per system call kind, in
-/// [`OpKind::ALL`] order, skipping kinds that never occurred.
-pub fn op_kind_summaries(log: &UsageLog) -> Vec<OpKindSummary> {
-    OpKind::ALL
-        .iter()
-        .filter_map(|&kind| {
-            let sizes: Vec<f64> = log
-                .ops()
-                .iter()
-                .filter(|o| o.op == kind)
-                .map(|o| o.bytes as f64)
-                .collect();
-            if sizes.is_empty() {
-                return None;
-            }
-            let responses: Vec<f64> = log
-                .ops()
-                .iter()
-                .filter(|o| o.op == kind)
-                .map(|o| o.response as f64)
-                .collect();
-            Some(OpKindSummary {
-                kind,
-                count: sizes.len(),
-                access_size: Summary::of(&sizes),
-                response: Summary::of(&responses),
-            })
-        })
-        .collect()
-}
-
-/// Access-size and response-time summary over *data* calls only (read/
-/// write), the aggregate Table 5.3 reports per user count.
-pub fn data_op_summary(log: &UsageLog) -> (Summary, Summary) {
-    let data: Vec<&uswg_usim::OpRecord> = log
-        .ops()
-        .iter()
-        .filter(|o| o.op.is_data() && o.bytes > 0)
-        .collect();
-    let sizes: Vec<f64> = data.iter().map(|o| o.bytes as f64).collect();
-    let responses: Vec<f64> = data.iter().map(|o| o.response as f64).collect();
-    (Summary::of(&sizes), Summary::of(&responses))
-}
-
-/// Mean response time per byte: the total response time of **all** file
-/// I/O system calls divided by the data bytes moved (the y-axis of Figures
-/// 5.6–5.12, matching [`SessionRecord::response_per_byte`]).
-///
-/// Charging metadata calls to the transferred bytes matters when comparing
-/// file systems: a whole-file-caching design does its expensive work at
-/// `open` time, and a per-byte metric that ignored opens would make it look
-/// free (Section 5.3's comparison would be meaningless).
-pub fn response_time_per_byte(log: &UsageLog) -> f64 {
-    let mut micros = 0u64;
-    let mut bytes = 0u64;
-    for op in log.ops() {
-        micros += op.response;
-        if op.op.is_data() {
-            bytes += op.bytes;
-        }
-    }
-    if bytes == 0 {
-        0.0
-    } else {
-        micros as f64 / bytes as f64
-    }
-}
-
-/// One per-op-kind accumulator of [`StreamLogStats`].
-#[derive(Debug, Clone, Copy, Default)]
-struct KindAcc {
-    count: u64,
-    access_size: StreamingSummary,
-    response: StreamingSummary,
-}
-
-/// Per-user-type aggregates folded from the session records of a stream:
-/// the breakdown `uswg analyze --by-type` reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct UserTypeStream {
-    /// Sessions completed by users of this type.
-    pub sessions: u64,
-    /// System calls those sessions issued.
-    pub ops: u64,
-    /// Bytes moved by those sessions' reads and writes.
-    pub bytes_accessed: u64,
-    /// Total response time of those sessions' calls, µs.
-    pub total_response_us: u64,
-}
-
-impl UserTypeStream {
-    /// Mean response time per accessed byte, µs (0 while no bytes moved).
-    pub fn response_per_byte(&self) -> f64 {
-        if self.bytes_accessed == 0 {
-            0.0
-        } else {
-            self.total_response_us as f64 / self.bytes_accessed as f64
-        }
-    }
-}
-
-/// Streaming usage-log statistics: a [`LogSink`] that folds every record
-/// into the aggregates the batch functions above compute from a
-/// materialized log — per-kind counts and access-size/response summaries
-/// ([`op_kind_summaries`]), the data-op aggregate ([`data_op_summary`]),
-/// the response-per-byte metric ([`response_time_per_byte`]) and a
-/// per-user-type session breakdown — in O(1) memory regardless of stream
-/// length. Means and extrema match the batch path exactly; standard
-/// deviations agree to floating-point accumulation order (≤ 1e-9
-/// relative, test-pinned).
-#[derive(Debug, Clone, Default)]
-pub struct StreamLogStats {
-    /// Operations observed.
-    pub ops: u64,
-    /// Sessions observed.
-    pub sessions: u64,
-    /// Total response time over all operations, µs.
-    pub total_response_us: u64,
-    /// Bytes moved by data operations.
-    pub data_bytes: u64,
-    /// Retried attempts summed over all operations (fault injection;
-    /// 0 for fault-free logs, including every pre-fault spill file).
-    pub retries: u64,
-    /// Operations that exhausted their retry budget and were aborted.
-    pub aborted_ops: u64,
-    /// Bytes moved by aborted data operations.
-    pub aborted_bytes: u64,
-    /// Per-kind accumulators, indexed by position in [`OpKind::ALL`].
-    per_kind: [KindAcc; OpKind::ALL.len()],
-    data_access_size: StreamingSummary,
-    data_response: StreamingSummary,
-    by_user_type: BTreeMap<usize, UserTypeStream>,
-}
-
-impl StreamLogStats {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Per-system-call summaries in [`OpKind::ALL`] order, skipping kinds
-    /// that never occurred — the streaming [`op_kind_summaries`].
-    pub fn op_kind_summaries(&self) -> Vec<OpKindSummary> {
-        OpKind::ALL
-            .iter()
-            .zip(&self.per_kind)
-            .filter(|(_, acc)| acc.count > 0)
-            .map(|(&kind, acc)| OpKindSummary {
-                kind,
-                count: acc.count as usize,
-                access_size: acc.access_size.summary(),
-                response: acc.response.summary(),
-            })
-            .collect()
-    }
-
-    /// Access-size and response-time summary over data calls only — the
-    /// streaming [`data_op_summary`].
-    pub fn data_op_summary(&self) -> (Summary, Summary) {
-        (
-            self.data_access_size.summary(),
-            self.data_response.summary(),
-        )
-    }
-
-    /// Mean response time of all calls per data byte moved — the streaming
-    /// [`response_time_per_byte`].
-    pub fn response_per_byte(&self) -> f64 {
-        if self.data_bytes == 0 {
-            0.0
-        } else {
-            self.total_response_us as f64 / self.data_bytes as f64
-        }
-    }
-
-    /// Per-user-type session aggregates, keyed by the population's type
-    /// index (ascending).
-    pub fn user_types(&self) -> &BTreeMap<usize, UserTypeStream> {
-        &self.by_user_type
-    }
-
-    /// Fraction of operations that aborted (0 for fault-free logs).
-    pub fn abort_rate(&self) -> f64 {
-        if self.ops == 0 {
-            0.0
-        } else {
-            self.aborted_ops as f64 / self.ops as f64
-        }
-    }
-
-    /// Bytes moved by data operations that completed without aborting:
-    /// goodput, against `data_bytes` as offered load.
-    pub fn goodput_bytes(&self) -> u64 {
-        self.data_bytes - self.aborted_bytes
-    }
-
-    /// Folds another accumulator in, as if its records had been recorded
-    /// here — the combining half of parallel analyze, mirroring
-    /// `SummarySink::merge`: disjoint frame ranges accumulate
-    /// independently, then merge in file order. Counters add; the
-    /// streaming summaries combine via [`StreamingSummary::merge`], so the
-    /// result matches a sequential pass over the same records to
-    /// floating-point roundoff (≤ 1e-9, test-pinned).
-    pub fn merge(&mut self, other: &Self) {
-        self.ops += other.ops;
-        self.sessions += other.sessions;
-        self.total_response_us += other.total_response_us;
-        self.data_bytes += other.data_bytes;
-        self.retries += other.retries;
-        self.aborted_ops += other.aborted_ops;
-        self.aborted_bytes += other.aborted_bytes;
-        for (mine, theirs) in self.per_kind.iter_mut().zip(&other.per_kind) {
-            mine.count += theirs.count;
-            mine.access_size.merge(&theirs.access_size);
-            mine.response.merge(&theirs.response);
-        }
-        self.data_access_size.merge(&other.data_access_size);
-        self.data_response.merge(&other.data_response);
-        for (&user_type, theirs) in &other.by_user_type {
-            let mine = self.by_user_type.entry(user_type).or_default();
-            mine.sessions += theirs.sessions;
-            mine.ops += theirs.ops;
-            mine.bytes_accessed += theirs.bytes_accessed;
-            mine.total_response_us += theirs.total_response_us;
-        }
-    }
-}
-
-impl LogSink for StreamLogStats {
-    fn record_op(&mut self, op: &OpRecord) {
-        self.ops += 1;
-        self.total_response_us += op.response;
-        self.retries += u64::from(op.retries);
-        if op.aborted {
-            self.aborted_ops += 1;
-            if op.op.is_data() && op.bytes > 0 {
-                self.aborted_bytes += op.bytes;
-            }
-        }
-        let pos = OpKind::ALL
-            .iter()
-            .position(|&k| k == op.op)
-            .expect("every OpKind is in ALL");
-        let acc = &mut self.per_kind[pos];
-        acc.count += 1;
-        acc.access_size.push(op.bytes as f64);
-        acc.response.push(op.response as f64);
-        if op.op.is_data() && op.bytes > 0 {
-            self.data_bytes += op.bytes;
-            self.data_access_size.push(op.bytes as f64);
-            self.data_response.push(op.response as f64);
-        }
-    }
-
-    fn record_session(&mut self, session: &SessionRecord) {
-        self.sessions += 1;
-        let entry = self.by_user_type.entry(session.user_type).or_default();
-        entry.sessions += 1;
-        entry.ops += session.ops;
-        entry.bytes_accessed += session.bytes_accessed;
-        entry.total_response_us += session.total_response;
     }
 }
 
@@ -398,8 +126,8 @@ pub fn category_observations(log: &UsageLog) -> Vec<CategoryObservation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uswg_fsc::FileCategory;
-    use uswg_usim::{OpRecord, SessionRecord};
+    use uswg_netfs::OpKind;
+    use uswg_usim::{LogSink, OpRecord, Summary};
 
     fn log_with(ops: Vec<OpRecord>, sessions: Vec<SessionRecord>) -> UsageLog {
         let mut log = UsageLog::new();
@@ -472,7 +200,7 @@ mod tests {
             vec![op(OpKind::Read, 100, 10), op(OpKind::Read, 300, 20)],
             vec![],
         );
-        let summaries = op_kind_summaries(&log);
+        let summaries = SummarySink::of(&log).op_kind_summaries();
         assert_eq!(summaries.len(), 1);
         assert_eq!(summaries[0].kind, OpKind::Read);
         assert_eq!(summaries[0].count, 2);
@@ -490,7 +218,7 @@ mod tests {
             ],
             vec![],
         );
-        let (sizes, responses) = data_op_summary(&log);
+        let (sizes, responses) = SummarySink::of(&log).data_op_summary();
         assert_eq!(sizes.n, 2);
         assert!((sizes.mean - 200.0).abs() < 1e-12);
         assert!((responses.mean - 20.0).abs() < 1e-12);
@@ -503,8 +231,8 @@ mod tests {
             vec![],
         );
         // 200 µs over 400 bytes.
-        assert!((response_time_per_byte(&log) - 0.5).abs() < 1e-12);
-        assert_eq!(response_time_per_byte(&UsageLog::new()), 0.0);
+        assert!((SummarySink::of(&log).response_per_byte() - 0.5).abs() < 1e-12);
+        assert_eq!(SummarySink::new().response_per_byte(), 0.0);
     }
 
     #[test]
@@ -515,7 +243,28 @@ mod tests {
             vec![],
         );
         // (400 + 100) µs over 400 data bytes.
-        assert!((response_time_per_byte(&log) - 1.25).abs() < 1e-12);
+        assert!((SummarySink::of(&log).response_per_byte() - 1.25).abs() < 1e-12);
+    }
+
+    /// Two-pass `Summary::of` over the sizes and responses of the ops kept.
+    fn batch(ops: &[OpRecord], keep: impl Fn(&OpRecord) -> bool) -> (Summary, Summary) {
+        let (sizes, responses): (Vec<f64>, Vec<f64>) = ops
+            .iter()
+            .filter(|o| keep(o))
+            .map(|o| (o.bytes as f64, o.response as f64))
+            .unzip();
+        (Summary::of(&sizes), Summary::of(&responses))
+    }
+
+    /// Counts and extrema exactly, mean and std dev to 1e-9.
+    #[track_caller]
+    fn assert_close(got: &Summary, want: &Summary) {
+        assert_eq!((got.n, got.min, got.max), (want.n, want.min, want.max));
+        assert!((got.mean - want.mean).abs() < 1e-9, "{got:?} vs {want:?}");
+        assert!(
+            (got.std_dev - want.std_dev).abs() < 1e-9,
+            "{got:?} vs {want:?}"
+        );
     }
 
     #[test]
@@ -523,62 +272,93 @@ mod tests {
         // A stream with every wrinkle: metadata calls, zero-byte data
         // calls excluded from the data aggregate, several kinds, and
         // sessions of two user types.
-        let mut log = log_with(
+        let other_type = SessionRecord {
+            user_type: 1,
+            ..session(600, 300, 3, 70)
+        };
+        let log = log_with(
             vec![
                 op(OpKind::Open, 0, 400),
                 op(OpKind::Read, 100, 10),
                 op(OpKind::Read, 300, 20),
                 op(OpKind::Write, 200, 15),
+                op(OpKind::Write, 0, 3),
                 op(OpKind::Close, 0, 5),
             ],
-            vec![],
+            vec![session(400, 100, 2, 50), other_type],
         );
-        log.push_session(session(400, 100, 2, 50));
-        let mut other_type = session(600, 300, 3, 70);
-        other_type.user_type = 1;
-        log.push_session(other_type);
-
-        let mut stream = StreamLogStats::new();
-        for o in log.ops() {
-            stream.record_op(o);
+        let stream = SummarySink::of(&log);
+        assert_eq!((stream.ops, stream.sessions), (6, 2));
+        let kinds = stream.op_kind_summaries();
+        assert_eq!(kinds.len(), 4);
+        for s in &kinds {
+            let (sizes, responses) = batch(log.ops(), |o| o.op == s.kind);
+            assert_eq!(s.count, sizes.n);
+            assert_close(&s.access_size, &sizes);
+            assert_close(&s.response, &responses);
         }
-        for s in log.sessions() {
-            stream.record_session(s);
-        }
-
-        assert_eq!(stream.ops, log.ops().len() as u64);
-        assert_eq!(stream.sessions, log.sessions().len() as u64);
-        let batch_kinds = op_kind_summaries(&log);
-        let stream_kinds = stream.op_kind_summaries();
-        assert_eq!(batch_kinds.len(), stream_kinds.len());
-        for (b, s) in batch_kinds.iter().zip(&stream_kinds) {
-            assert_eq!(b.kind, s.kind);
-            assert_eq!(b.count, s.count);
-            assert!((b.access_size.mean - s.access_size.mean).abs() < 1e-9);
-            assert!((b.access_size.std_dev - s.access_size.std_dev).abs() < 1e-9);
-            assert!((b.response.mean - s.response.mean).abs() < 1e-9);
-            assert_eq!(b.access_size.min, s.access_size.min);
-            assert_eq!(b.response.max, s.response.max);
-        }
-        let (batch_sizes, batch_resp) = data_op_summary(&log);
-        let (stream_sizes, stream_resp) = stream.data_op_summary();
-        assert_eq!(batch_sizes.n, stream_sizes.n);
-        assert!((batch_sizes.mean - stream_sizes.mean).abs() < 1e-9);
-        assert!((batch_resp.std_dev - stream_resp.std_dev).abs() < 1e-9);
-        assert!((response_time_per_byte(&log) - stream.response_per_byte()).abs() < 1e-12);
+        let (sizes, responses) = batch(log.ops(), |o| o.op.is_data() && o.bytes > 0);
+        assert_eq!(sizes.n, 3);
+        assert_close(&stream.access_size(), &sizes);
+        assert_close(&stream.response(), &responses);
+        // Every call's response over the data bytes: 453 µs / 600 B.
+        assert!((stream.response_per_byte() - 453.0 / 600.0).abs() < 1e-12);
         // Per-user-type breakdown.
         let types = stream.user_types();
-        assert_eq!(types.len(), 2);
-        assert_eq!(types[&0].sessions, 1);
+        assert_eq!(
+            (types.len(), types[&0].sessions, types[&1].sessions),
+            (2, 1, 1)
+        );
         assert_eq!(types[&0].bytes_accessed, 400);
-        assert_eq!(types[&1].sessions, 1);
         assert!((types[&1].response_per_byte() - 70.0 / 600.0).abs() < 1e-12);
-        assert_eq!(UserTypeStream::default().response_per_byte(), 0.0);
+    }
+
+    #[test]
+    fn merged_stream_stats_match_a_single_pass() {
+        // Two disjoint halves with different kinds, fault outcomes and
+        // user types must merge into exactly what one pass accumulates.
+        let ops: Vec<OpRecord> = (0..200u64)
+            .map(|i| OpRecord {
+                retries: (i % 3) as u32,
+                aborted: i % 17 == 0,
+                ..op(OpKind::ALL[i as usize % 8], i * 37 % 500, i * 13 % 90 + 1)
+            })
+            .collect();
+        let sessions: Vec<SessionRecord> = (0..40)
+            .map(|i| SessionRecord {
+                user_type: i % 3,
+                ..session(i as u64 * 10, 100, 2, i as u64 * 3)
+            })
+            .collect();
+        let of = |o: &[OpRecord], s: &[SessionRecord]| {
+            SummarySink::of(&log_with(o.to_vec(), s.to_vec()))
+        };
+        let whole = of(&ops, &sessions);
+        let mut merged = of(&ops[..77], &sessions[..13]);
+        merged.merge(&of(&ops[77..], &sessions[13..]));
+        let tallies = |s: &SummarySink| {
+            let faults = [s.retries, s.aborted_ops, s.aborted_bytes];
+            ([s.ops, s.sessions, s.total_response, s.data_bytes], faults)
+        };
+        assert_eq!(tallies(&merged), tallies(&whole));
+        assert_eq!(merged.user_types(), whole.user_types());
+        let kinds = merged.op_kind_summaries();
+        assert_eq!(kinds.len(), whole.op_kind_summaries().len());
+        for (m, w) in kinds.iter().zip(&whole.op_kind_summaries()) {
+            assert_eq!((m.kind, m.count), (w.kind, w.count));
+            assert_close(&m.access_size, &w.access_size);
+            assert_close(&m.response, &w.response);
+        }
+        assert_close(&merged.access_size(), &whole.access_size());
+        assert_close(&merged.response(), &whole.response());
+        // Merging an empty accumulator changes nothing.
+        merged.merge(&SummarySink::new());
+        assert_eq!(merged.op_kind_summaries(), kinds);
     }
 
     #[test]
     fn stream_stats_fold_fault_outcomes() {
-        let mut stream = StreamLogStats::new();
+        let mut stream = SummarySink::new();
         stream.record_op(&op(OpKind::Read, 100, 10)); // clean
         stream.record_op(&OpRecord {
             retries: 2,
@@ -599,84 +379,9 @@ mod tests {
         assert!((stream.abort_rate() - 0.5).abs() < 1e-12);
         assert_eq!(stream.goodput_bytes(), 300);
         // A fault-free stream reports zeros.
-        let clean = StreamLogStats::new();
+        let clean = SummarySink::new();
         assert_eq!(clean.abort_rate(), 0.0);
         assert_eq!(clean.goodput_bytes(), 0);
-    }
-
-    #[test]
-    fn merged_stream_stats_match_a_single_pass() {
-        // Two disjoint halves with different kinds, fault outcomes and
-        // user types must merge into exactly what one pass accumulates.
-        let ops: Vec<OpRecord> = (0..200)
-            .map(|i| {
-                let kind = OpKind::ALL[i % OpKind::ALL.len()];
-                OpRecord {
-                    retries: (i % 3) as u32,
-                    aborted: i % 17 == 0,
-                    ..op(kind, (i as u64 * 37) % 500, (i as u64 * 13) % 90 + 1)
-                }
-            })
-            .collect();
-        let sessions: Vec<SessionRecord> = (0..40)
-            .map(|i| {
-                let mut s = session(i as u64 * 10, 100, 2, i as u64 * 3);
-                s.user_type = i % 3;
-                s
-            })
-            .collect();
-        let mut whole = StreamLogStats::new();
-        for o in &ops {
-            whole.record_op(o);
-        }
-        for s in &sessions {
-            whole.record_session(s);
-        }
-        let mut left = StreamLogStats::new();
-        let mut right = StreamLogStats::new();
-        for o in &ops[..77] {
-            left.record_op(o);
-        }
-        for o in &ops[77..] {
-            right.record_op(o);
-        }
-        for s in &sessions[..13] {
-            left.record_session(s);
-        }
-        for s in &sessions[13..] {
-            right.record_session(s);
-        }
-        left.merge(&right);
-        assert_eq!(left.ops, whole.ops);
-        assert_eq!(left.sessions, whole.sessions);
-        assert_eq!(left.total_response_us, whole.total_response_us);
-        assert_eq!(left.data_bytes, whole.data_bytes);
-        assert_eq!(left.retries, whole.retries);
-        assert_eq!(left.aborted_ops, whole.aborted_ops);
-        assert_eq!(left.aborted_bytes, whole.aborted_bytes);
-        assert_eq!(left.user_types(), whole.user_types());
-        let merged_kinds = left.op_kind_summaries();
-        let whole_kinds = whole.op_kind_summaries();
-        assert_eq!(merged_kinds.len(), whole_kinds.len());
-        for (m, w) in merged_kinds.iter().zip(&whole_kinds) {
-            assert_eq!(m.kind, w.kind);
-            assert_eq!(m.count, w.count);
-            assert!((m.access_size.mean - w.access_size.mean).abs() < 1e-9);
-            assert!((m.access_size.std_dev - w.access_size.std_dev).abs() < 1e-9);
-            assert!((m.response.mean - w.response.mean).abs() < 1e-9);
-            assert!((m.response.std_dev - w.response.std_dev).abs() < 1e-9);
-            assert_eq!(m.access_size.min, w.access_size.min);
-            assert_eq!(m.response.max, w.response.max);
-        }
-        let (m_sizes, m_resp) = left.data_op_summary();
-        let (w_sizes, w_resp) = whole.data_op_summary();
-        assert_eq!(m_sizes.n, w_sizes.n);
-        assert!((m_sizes.std_dev - w_sizes.std_dev).abs() < 1e-9);
-        assert!((m_resp.std_dev - w_resp.std_dev).abs() < 1e-9);
-        // Merging an empty accumulator changes nothing.
-        let before = left.op_kind_summaries();
-        left.merge(&StreamLogStats::new());
-        assert_eq!(left.op_kind_summaries(), before);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! seeks through the index footer or streams every frame, behind both
 //! `uswg analyze` and `uswg fit`.
 //!
-//! [`scan_path`] (fold into a [`StreamLogStats`]) and [`visit_path`] (hand
+//! [`scan_path`] (fold into a [`SummarySink`]) and [`visit_path`] (hand
 //! every record to a visitor) make the same choice from the same
 //! [`ScanOptions`]: when the options select or fan out frames and the file
 //! carries a [`FrameIndex`], only the frames whose completion-time range
@@ -12,16 +12,17 @@
 //! selected frames into near-equal chunks fanned out under the pool's
 //! global thread budget; each worker opens its own reader, accumulates
 //! independently, and the chunks merge in file order via
-//! [`StreamLogStats::merge`], matching the sequential pass to
+//! [`SummarySink::merge`], matching the sequential pass to
 //! floating-point roundoff.
 
-use crate::metrics::StreamLogStats;
 use std::fs::File;
 use std::io::{self, BufReader, Read, Seek, SeekFrom};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use uswg_usim::{FrameIndex, FrameIndexEntry, LogSink, SpillCodec, SpillReader, SpillRecord};
+use uswg_usim::{
+    FrameIndex, FrameIndexEntry, LogSink, SpillCodec, SpillReader, SpillRecord, SummarySink,
+};
 
 /// What an indexed scan should select and how it should run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -74,7 +75,7 @@ impl ScanOptions {
 pub struct ScanOutcome {
     /// The folded statistics over every in-window record of the decoded
     /// frames.
-    pub stats: StreamLogStats,
+    pub stats: SummarySink,
     /// Frames in the file, per the index.
     pub frames_total: usize,
     /// Frames actually decoded (selected by window, thinned by sampling).
@@ -84,7 +85,7 @@ pub struct ScanOutcome {
 /// Runs an indexed scan: selects the frames of `index` overlapping the
 /// window, thins them to every k-th if sampling, fans contiguous frame
 /// runs across `opts.jobs` workers (each opening its own reader through
-/// `open`), and merges the per-chunk [`StreamLogStats`] in file order.
+/// `open`), and merges the per-chunk [`SummarySink`] in file order.
 ///
 /// `open` is called once per worker (once total when sequential); each
 /// reader only ever seeks to frame offsets taken from the index, so the
@@ -109,7 +110,7 @@ where
     let workers = opts.jobs.max(1);
     let chunks: Vec<&[(usize, FrameIndexEntry)]> = split_even(&sampled, workers);
     // A single chunk runs inline on the calling thread.
-    let mut stats = StreamLogStats::new();
+    let mut stats = SummarySink::new();
     for chunk_stats in stealpool::try_map_indexed(workers, chunks.len(), |i| {
         scan_chunk(&open, chunks[i], opts)
     })? {
@@ -200,7 +201,7 @@ fn index_for(path: &Path, opts: &ScanOptions) -> io::Result<Option<FrameIndex>> 
 }
 
 /// The Usage Analyzer pass over the capture at `path`: every selected
-/// record folded into a [`StreamLogStats`], through the index footer
+/// record folded into a [`SummarySink`], through the index footer
 /// (across `opts.jobs` workers) when [`ScanOptions::wants_index`] and the
 /// file has one, else streamed frame-by-frame — no `UsageLog`, no O(run
 /// length) memory, any file the format can hold.
@@ -208,35 +209,43 @@ fn index_for(path: &Path, opts: &ScanOptions) -> io::Result<Option<FrameIndex>> 
 /// # Errors
 ///
 /// Propagates open and decode errors; see [`visit_path`] for what
-/// `salvage` accepts.
+/// `salvage` accepts. A capture whose byte or µs totals pass `u64::MAX`
+/// is refused with an `InvalidData` error wrapping
+/// [`TotalsOverflow`](uswg_usim::TotalsOverflow).
 pub fn scan_path<P: AsRef<Path>>(
     path: P,
     opts: &ScanOptions,
     salvage: bool,
-) -> io::Result<(StreamLogStats, Pass)> {
+) -> io::Result<(SummarySink, Pass)> {
     let path = path.as_ref();
-    let Some(index) = index_for(path, opts)? else {
-        let mut stats = StreamLogStats::new();
-        let fold = |record: &SpillRecord| match record {
-            SpillRecord::Op(op) => stats.record_op(op),
-            SpillRecord::Session(s) => stats.record_session(s),
-        };
-        let pass = stream_path(path, opts, salvage, |reader| reader, fold)?;
-        return Ok((stats, pass));
+    let (stats, pass) = match index_for(path, opts)? {
+        None => {
+            let mut stats = SummarySink::new();
+            let fold = |record: &SpillRecord| match record {
+                SpillRecord::Op(op) => stats.record_op(op),
+                SpillRecord::Session(s) => stats.record_session(s),
+            };
+            let pass = stream_path(path, opts, salvage, |reader| reader, fold)?;
+            (stats, pass)
+        }
+        Some(index) => {
+            let codec = SpillReader::open(path)?.codec();
+            let outcome = scan_indexed(&index, opts, || SpillReader::open(path))?;
+            let coverage = Coverage::Indexed {
+                decoded: outcome.frames_decoded,
+                total: outcome.frames_total,
+            };
+            (outcome.stats, Pass::complete(codec, coverage))
+        }
     };
-    let codec = SpillReader::open(path)?.codec();
-    let outcome = scan_indexed(&index, opts, || SpillReader::open(path))?;
-    let coverage = Coverage::Indexed {
-        decoded: outcome.frames_decoded,
-        total: outcome.frames_total,
-    };
-    Ok((outcome.stats, Pass::complete(codec, coverage)))
+    stats.check_totals()?;
+    Ok((stats, pass))
 }
 
 /// Passes every selected record of the capture at `path` to `visit`, in
 /// file order, making the same index-or-stream choice as [`scan_path`] —
 /// for passes (like the fit collector) that fold into something other than
-/// a [`StreamLogStats`]. `adapt` restricts each reader the pass opens
+/// a [`SummarySink`]. `adapt` restricts each reader the pass opens
 /// (`SpillReader::ops_only`, `sessions_only`, or the identity).
 ///
 /// With `salvage`, a *truncated* file ends the pass early instead of
@@ -339,12 +348,12 @@ fn scan_chunk<R, F>(
     open: &F,
     frames: &[(usize, FrameIndexEntry)],
     opts: &ScanOptions,
-) -> io::Result<StreamLogStats>
+) -> io::Result<SummarySink>
 where
     R: Read + Seek,
     F: Fn() -> io::Result<SpillReader<R>>,
 {
-    let mut stats = StreamLogStats::new();
+    let mut stats = SummarySink::new();
     visit_frames(open, frames, opts, &mut |record| match record {
         SpillRecord::Op(op) => stats.record_op(op),
         SpillRecord::Session(s) => stats.record_session(s),

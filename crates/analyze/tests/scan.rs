@@ -7,11 +7,11 @@ use std::io::{Cursor, ErrorKind};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use uswg_analyze::metrics::StreamLogStats;
 use uswg_analyze::scan::{scan_indexed, scan_path};
 use uswg_analyze::{collect_fit, CountingReader, Coverage, ScanOptions};
 use uswg_usim::{
     FrameIndex, LogSink, OpRecord, SessionRecord, SpillCodec, SpillReader, SpillRecord, SpillSink,
+    SummarySink,
 };
 
 use uswg_fsc::FileCategory;
@@ -63,8 +63,8 @@ fn fill(mut sink: SpillSink<Vec<u8>>) -> Vec<u8> {
 }
 
 /// The plain sequential pass: stream every record, filter by window.
-fn sequential(bytes: &[u8], opts: &ScanOptions) -> StreamLogStats {
-    let mut stats = StreamLogStats::new();
+fn sequential(bytes: &[u8], opts: &ScanOptions) -> SummarySink {
+    let mut stats = SummarySink::new();
     for record in SpillReader::new(bytes).unwrap() {
         let record = record.unwrap();
         if opts.record_in_window(&record) {
@@ -77,10 +77,10 @@ fn sequential(bytes: &[u8], opts: &ScanOptions) -> StreamLogStats {
     stats
 }
 
-fn assert_stats_match(a: &StreamLogStats, b: &StreamLogStats) {
+fn assert_stats_match(a: &SummarySink, b: &SummarySink) {
     assert_eq!(a.ops, b.ops);
     assert_eq!(a.sessions, b.sessions);
-    assert_eq!(a.total_response_us, b.total_response_us);
+    assert_eq!(a.total_response, b.total_response);
     assert_eq!(a.data_bytes, b.data_bytes);
     assert_eq!(a.retries, b.retries);
     assert_eq!(a.aborted_ops, b.aborted_ops);

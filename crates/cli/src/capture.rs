@@ -11,8 +11,8 @@ use serde::Serialize;
 use std::fmt::Write as _;
 use uswg_core::scan::{scan_path, Coverage, Pass};
 use uswg_core::{
-    collect_fit, fit, gof, metrics::StreamLogStats, plot, synthesize_spec, Distribution,
-    MeasureFit, ScanOptions, SpillCodec, Summary, SynthesisOptions, Table, WorkloadSpec,
+    collect_fit, fit, gof, plot, synthesize_spec, Distribution, MeasureFit, ScanOptions,
+    SpillCodec, Summary, SummarySink, SynthesisOptions, Table, WorkloadSpec,
 };
 
 pub(crate) fn analyze(command: Command) -> Outcome {
@@ -85,7 +85,7 @@ fn codec_name(codec: SpillCodec) -> &'static str {
     }
 }
 
-fn render_analyze_text(path: &str, stats: &StreamLogStats, pass: &Pass, by_type: bool) -> String {
+fn render_analyze_text(path: &str, stats: &SummarySink, pass: &Pass, by_type: bool) -> String {
     let mut text = format!(
         "spill file {path} ({}): {} ops, {} sessions\n",
         codec_name(pass.codec),
@@ -211,7 +211,7 @@ struct AnalyzeReport {
 }
 
 fn render_analyze_json(
-    stats: &StreamLogStats,
+    stats: &SummarySink,
     pass: &Pass,
     by_type: bool,
 ) -> Result<String, CliError> {

@@ -567,6 +567,39 @@ mod tests {
         dir
     }
 
+    /// `uswg <args>` in-process: the printed text and exit status.
+    fn cli(args: &str) -> Outcome {
+        parse_args(argv(args)).and_then(execute_with_status)
+    }
+
+    /// The text of a `uswg <args>` that must exit 0.
+    fn cli_ok(args: &str) -> String {
+        let (text, status) = cli(args).unwrap_or_else(|e| panic!("{args}: {e}"));
+        assert_eq!(status, EXIT_OK, "{args}: {text}");
+        text
+    }
+
+    /// `dir/name` as a command-line operand.
+    fn arg(dir: &std::path::Path, name: &str) -> String {
+        dir.join(name).display().to_string()
+    }
+
+    /// The paper-default spec at two sessions per user over a small file
+    /// system, edited by `edit` and written to `dir/spec.json`.
+    fn small_spec(dir: &std::path::Path, edit: impl FnOnce(&mut WorkloadSpec)) -> WorkloadSpec {
+        let mut spec = WorkloadSpec::paper_default().unwrap();
+        spec.run.sessions_per_user = 2;
+        spec.fsc = spec
+            .fsc
+            .with_files_per_user(8)
+            .unwrap()
+            .with_shared_files(10)
+            .unwrap();
+        edit(&mut spec);
+        std::fs::write(dir.join("spec.json"), spec.to_json().unwrap()).unwrap();
+        spec
+    }
+
     #[test]
     fn help_and_tables_render() {
         let help = execute(Command::Help).unwrap();
@@ -580,40 +613,16 @@ mod tests {
     #[test]
     fn init_run_fit_round_trip() {
         let dir = unique_test_dir("test");
-        let spec_path = dir.join("spec.json");
-        let log_path = dir.join("log.json");
+        let (spec, log_path) = (arg(&dir, "spec.json"), dir.join("log.json"));
+        assert!(cli_ok(&format!("init {spec}")).contains("wrote"));
 
-        // init
-        let msg = execute(Command::Init {
-            path: spec_path.to_string_lossy().into(),
-        })
-        .unwrap();
-        assert!(msg.contains("wrote"));
-
-        // shrink the spec so the test is fast
-        let mut spec =
-            WorkloadSpec::from_json(&std::fs::read_to_string(&spec_path).unwrap()).unwrap();
-        spec.run.sessions_per_user = 2;
-        spec.fsc = spec
-            .fsc
-            .with_files_per_user(8)
-            .unwrap()
-            .with_shared_files(10)
-            .unwrap();
-        std::fs::write(&spec_path, spec.to_json().unwrap()).unwrap();
+        // init wrote the paper default; shrink it so the test is fast
+        let written = WorkloadSpec::from_json(&std::fs::read_to_string(&spec).unwrap()).unwrap();
+        assert_eq!(written.run, WorkloadSpec::paper_default().unwrap().run);
+        small_spec(&dir, |_| {});
 
         // run (direct) with log output
-        let out = execute(Command::Run {
-            path: spec_path.to_string_lossy().into(),
-            model: None,
-            out: Some(log_path.to_string_lossy().into()),
-            scheduler: None,
-            spill: None,
-            shards: None,
-            users: None,
-            summary: false,
-        })
-        .unwrap();
+        let out = cli_ok(&format!("run {spec} --direct --out {}", log_path.display()));
         assert!(out.contains("Per-system-call summary"));
         assert!(out.contains("sessions: 2"));
         let log = UsageLog::from_json(&std::fs::read_to_string(&log_path).unwrap()).unwrap();
@@ -621,66 +630,34 @@ mod tests {
 
         // run (modelled), once per scheduler backend: same spec, same seed,
         // so the rendered summaries must be identical text.
-        let run_with = |scheduler| {
-            execute(Command::Run {
-                path: spec_path.to_string_lossy().into(),
-                model: Some(ModelConfig::default_local()),
-                out: None,
-                scheduler,
-                spill: None,
-                shards: None,
-                users: None,
-                summary: false,
-            })
-            .unwrap()
-        };
-        let out = run_with(Some(SchedulerBackend::Heap));
+        let run_with =
+            |scheduler| cli_ok(&format!("run {spec} --model local --scheduler {scheduler}"));
+        let out = run_with("heap");
         assert!(out.contains("response time per byte"));
-        assert_eq!(out, run_with(Some(SchedulerBackend::Calendar)));
+        assert_eq!(out, run_with("calendar"));
 
         // summary mode with a population override: O(1)-memory headline run.
-        let out = execute(Command::Run {
-            path: spec_path.to_string_lossy().into(),
-            model: Some(ModelConfig::default_local()),
-            out: None,
-            scheduler: None,
-            spill: None,
-            shards: None,
-            users: NonZeroUsize::new(3),
-            summary: true,
-        })
-        .unwrap();
+        let out = cli_ok(&format!("run {spec} --model local --users 3 --summary"));
         // 3 users × 2 sessions each: the override reached the DES.
         assert!(out.contains("model local"));
         assert!(out.contains("sessions: 6"));
 
         // fit
-        let data_path = dir.join("data.txt");
+        let data = arg(&dir, "data.txt");
         let mut body = String::from("# exponential-ish data\n");
         let truth = uswg_core::Exponential::new(500.0).unwrap();
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(3);
         for _ in 0..500 {
             let _ = writeln!(body, "{:.3}", truth.sample(&mut rng));
         }
-        std::fs::write(&data_path, body).unwrap();
-        let out = execute(Command::Fit {
-            path: data_path.to_string_lossy().into(),
-            family: Some(Family::Exponential),
-            out: None,
-            json: false,
-            since: None,
-            until: None,
-            sample: None,
-        })
-        .unwrap();
-        assert!(out.contains("KS D ="));
+        std::fs::write(&data, body).unwrap();
+        assert!(cli_ok(&format!("fit {data} --family exp")).contains("KS D ="));
 
         // A text data file without --family is caught at execution, with
         // the capture-only flags rejected for the same reason.
-        let data_arg: String = data_path.to_string_lossy().into();
-        let err = execute(parse_args(argv(&format!("fit {data_arg}"))).unwrap());
+        let err = cli(&format!("fit {data}"));
         assert!(matches!(err, Err(CliError::Usage(m)) if m.contains("--family")));
-        let err = execute(parse_args(argv(&format!("fit {data_arg} --json"))).unwrap());
+        let err = cli(&format!("fit {data} --json"));
         assert!(matches!(err, Err(CliError::Usage(m)) if m.contains("not one")));
 
         std::fs::remove_dir_all(&dir).ok();
@@ -689,60 +666,31 @@ mod tests {
     #[test]
     fn sweep_replicate_and_spill_smoke() {
         let dir = unique_test_dir("exp-test");
-        let spec_path = dir.join("spec.json");
-        let spill_path = dir.join("log.bin");
-
-        let mut spec = WorkloadSpec::paper_default().unwrap();
-        spec.run.sessions_per_user = 2;
-        spec.fsc = spec
-            .fsc
-            .with_files_per_user(8)
-            .unwrap()
-            .with_shared_files(10)
-            .unwrap();
-        std::fs::write(&spec_path, spec.to_json().unwrap()).unwrap();
-        let spec_arg: String = spec_path.to_string_lossy().into();
+        let spec = small_spec(&dir, |_| {});
+        let (spec_arg, spill_arg) = (arg(&dir, "spec.json"), arg(&dir, "log.bin"));
 
         // sweep: one table per axis.
-        let out = execute(
-            parse_args(argv(&format!(
-                "sweep {spec_arg} --model nfs --users 1,2 --jobs 1"
-            )))
-            .unwrap(),
-        )
-        .unwrap();
+        let out = cli_ok(&format!(
+            "sweep {spec_arg} --model nfs --users 1,2 --jobs 1"
+        ));
         assert!(out.contains("Sweep — model nfs"), "{out}");
-        let out = execute(
-            parse_args(argv(&format!("sweep {spec_arg} --model local --mix 0,1"))).unwrap(),
-        )
-        .unwrap();
+        let out = cli_ok(&format!("sweep {spec_arg} --model local --mix 0,1"));
         assert!(out.contains("Sweep — model local"), "{out}");
         assert!(out.contains("heavy frac"), "{out}");
 
         // replicate: per-seed rows plus the CI and pooled lines.
-        let out = execute(
-            parse_args(argv(&format!(
-                "replicate {spec_arg} --model local --seeds 5,6 --jobs 1"
-            )))
-            .unwrap(),
-        )
-        .unwrap();
+        let out = cli_ok(&format!(
+            "replicate {spec_arg} --model local --seeds 5,6 --jobs 1"
+        ));
         assert!(out.contains("Replication study — model local"), "{out}");
         assert!(out.contains("95% CI"), "{out}");
         assert!(out.contains("pooled over all seeds"), "{out}");
 
         // run --spill: streams the log to disk; reading it back gives the
         // exact log an in-memory run would have produced.
-        let out = execute(
-            parse_args(argv(&format!(
-                "run {spec_arg} --model local --spill {}",
-                spill_path.to_string_lossy()
-            )))
-            .unwrap(),
-        )
-        .unwrap();
+        let out = cli_ok(&format!("run {spec_arg} --model local --spill {spill_arg}"));
         assert!(out.contains("binary log spilled"), "{out}");
-        let spilled = uswg_core::read_spill_path(&spill_path).unwrap();
+        let spilled = uswg_core::read_spill_path(&spill_arg).unwrap();
         let (log, _) = spec
             .run_des(&ModelConfig::default_local(), UsageLog::new())
             .unwrap();
@@ -753,25 +701,22 @@ mod tests {
         );
 
         // analyze: the run → spill → analyze pipeline, text shape.
-        let spill_arg: String = spill_path.to_string_lossy().into();
-        let out = execute(parse_args(argv(&format!("analyze {spill_arg}"))).unwrap()).unwrap();
+        let out = cli_ok(&format!("analyze {spill_arg}"));
         assert!(out.contains("Per-system-call summary"), "{out}");
         assert!(out.contains("v2 compressed"), "{out}");
         assert!(out.contains("response time per byte"), "{out}");
         assert!(!out.contains("Per-user-type"), "breakdown is opt-in: {out}");
+        // Fault-free spill files never print the fault line — the text
+        // report stays exactly what it was before fault injection existed.
+        assert!(!out.contains("faults:"), "{out}");
         // --by-type adds the breakdown table.
-        let out =
-            execute(parse_args(argv(&format!("analyze {spill_arg} --by-type"))).unwrap()).unwrap();
+        let out = cli_ok(&format!("analyze {spill_arg} --by-type"));
         assert!(out.contains("Per-user-type summary"), "{out}");
         // --json emits a parseable report whose counts match the log.
-        let out =
-            execute(parse_args(argv(&format!("analyze {spill_arg} --json"))).unwrap()).unwrap();
-        let parsed = serde_json::parse_value(&out).unwrap();
-        assert_eq!(
-            parsed.get("ops"),
-            Some(&serde::Value::U64(log.ops().len() as u64))
-        );
-        assert_eq!(parsed.get("sessions"), Some(&serde::Value::U64(2)));
+        let parsed =
+            serde_json::parse_value(&cli_ok(&format!("analyze {spill_arg} --json"))).unwrap();
+        assert_eq!(json_u64(&parsed, "ops"), log.ops().len() as u64);
+        assert_eq!(json_u64(&parsed, "sessions"), 2);
         assert!(parsed
             .get("op_mix")
             .and_then(serde::Value::as_seq)
@@ -779,33 +724,25 @@ mod tests {
         assert_eq!(parsed.get("user_types"), Some(&serde::Value::Null));
 
         // Corrupt input surfaces as an error (a nonzero exit in main).
-        let corrupt_path = dir.join("corrupt.bin");
-        std::fs::write(&corrupt_path, b"NOTSPILLNOTDATA").unwrap();
-        let err = execute(
-            parse_args(argv(&format!("analyze {}", corrupt_path.to_string_lossy()))).unwrap(),
+        let corrupt = arg(&dir, "corrupt.bin");
+        std::fs::write(&corrupt, b"NOTSPILLNOTDATA").unwrap();
+        assert!(
+            cli(&format!("analyze {corrupt}")).is_err(),
+            "corrupt spill input must fail"
         );
-        assert!(err.is_err(), "corrupt spill input must fail");
         // A truncated (unsealed) file fails too — no partial silent output.
-        let bytes = std::fs::read(&spill_path).unwrap();
-        std::fs::write(&corrupt_path, &bytes[..bytes.len() - 9]).unwrap();
-        let err = execute(
-            parse_args(argv(&format!("analyze {}", corrupt_path.to_string_lossy()))).unwrap(),
+        let bytes = std::fs::read(&spill_arg).unwrap();
+        std::fs::write(&corrupt, &bytes[..bytes.len() - 9]).unwrap();
+        assert!(
+            cli(&format!("analyze {corrupt}")).is_err(),
+            "truncated spill input must fail"
         );
-        assert!(err.is_err(), "truncated spill input must fail");
-
-        // Fault-free spill files never print the fault line — the text
-        // report stays exactly what it was before fault injection existed.
-        let out = execute(parse_args(argv(&format!("analyze {spill_arg}"))).unwrap()).unwrap();
-        assert!(!out.contains("faults:"), "{out}");
 
         // run --shards 1 routes through the sharded driver but replays the
         // exact path: the rendered summary is identical text. A larger K
         // still runs (this spec has one user, so 4 shards collapse to 1
         // active shard and the output stays identical too).
-        let run_sharded = |flags: &str| {
-            execute(parse_args(argv(&format!("run {spec_arg} --model local{flags}"))).unwrap())
-                .unwrap()
-        };
+        let run_sharded = |flags: &str| cli_ok(&format!("run {spec_arg} --model local{flags}"));
         let unsharded = run_sharded("");
         assert_eq!(unsharded, run_sharded(" --shards 1"));
         assert_eq!(unsharded, run_sharded(" --shards 4"));
@@ -816,78 +753,49 @@ mod tests {
     #[test]
     fn salvage_reports_truncated_files_and_rejects_corrupt_ones() {
         let dir = unique_test_dir("salvage");
-        let spec_path = dir.join("spec.json");
-        let spill_path = dir.join("log.bin");
-
         // A *faulted* spec, so the analysis also exercises the fault
         // reporting path end to end.
-        let mut spec = WorkloadSpec::paper_default().unwrap();
-        spec.run.sessions_per_user = 2;
-        spec.run.faults = uswg_core::FaultSpec {
-            fault_ppm: 200_000,
-            spike_ppm: 0,
-            spike_micros: 0,
-            retry: uswg_core::RetryPolicy {
-                max_attempts: 2,
-                base_backoff_micros: 100,
-                max_backoff_micros: 800,
-            },
-        };
-        spec.fsc = spec
-            .fsc
-            .with_files_per_user(8)
-            .unwrap()
-            .with_shared_files(10)
-            .unwrap();
-        std::fs::write(&spec_path, spec.to_json().unwrap()).unwrap();
-        execute(
-            parse_args(argv(&format!(
-                "run {} --model local --spill {}",
-                spec_path.to_string_lossy(),
-                spill_path.to_string_lossy()
-            )))
-            .unwrap(),
-        )
-        .unwrap();
-        let spill_arg: String = spill_path.to_string_lossy().into();
+        small_spec(&dir, |spec| {
+            spec.run.faults = uswg_core::FaultSpec {
+                fault_ppm: 200_000,
+                spike_ppm: 0,
+                spike_micros: 0,
+                retry: uswg_core::RetryPolicy {
+                    max_attempts: 2,
+                    base_backoff_micros: 100,
+                    max_backoff_micros: 800,
+                },
+            };
+        });
+        let (spec_arg, spill_arg) = (arg(&dir, "spec.json"), arg(&dir, "log.bin"));
+        cli_ok(&format!("run {spec_arg} --model local --spill {spill_arg}"));
 
         // Intact file: clean exit, and the fault outcomes are reported.
-        let (out, status) =
-            execute_with_status(parse_args(argv(&format!("analyze {spill_arg}"))).unwrap())
-                .unwrap();
-        assert_eq!(status, EXIT_OK);
+        let out = cli_ok(&format!("analyze {spill_arg}"));
         assert!(out.contains("faults:"), "{out}");
         assert!(out.contains("retries"), "{out}");
         assert!(out.contains("abort rate"), "{out}");
         assert!(!out.contains("warning"), "{out}");
         // The JSON report carries the same tallies plus the salvage flag.
-        let (out, _) =
-            execute_with_status(parse_args(argv(&format!("analyze {spill_arg} --json"))).unwrap())
-                .unwrap();
-        let parsed = serde_json::parse_value(&out).unwrap();
+        let parsed =
+            serde_json::parse_value(&cli_ok(&format!("analyze {spill_arg} --json"))).unwrap();
         assert_eq!(parsed.get("salvaged"), Some(&serde::Value::Bool(false)));
-        assert!(matches!(parsed.get("retries"), Some(serde::Value::U64(n)) if *n > 0));
+        assert!(json_u64(&parsed, "retries") > 0);
 
         // Truncated file, no --salvage: hard failure (exit 2 via main).
-        let bytes = std::fs::read(&spill_path).unwrap();
-        let cut_path = dir.join("cut.bin");
-        std::fs::write(&cut_path, &bytes[..bytes.len() * 2 / 3]).unwrap();
-        let cut_arg: String = cut_path.to_string_lossy().into();
-        assert!(execute(parse_args(argv(&format!("analyze {cut_arg}"))).unwrap()).is_err());
+        let bytes = std::fs::read(&spill_arg).unwrap();
+        let cut = arg(&dir, "cut.bin");
+        std::fs::write(&cut, &bytes[..bytes.len() * 2 / 3]).unwrap();
+        assert!(cli(&format!("analyze {cut}")).is_err());
 
         // Truncated file with --salvage: the intact prefix is reported,
         // with a warning and the salvaged exit status.
-        let (out, status) =
-            execute_with_status(parse_args(argv(&format!("analyze {cut_arg} --salvage"))).unwrap())
-                .unwrap();
+        let (out, status) = cli(&format!("analyze {cut} --salvage")).unwrap();
         assert_eq!(status, EXIT_SALVAGED);
         assert!(out.contains("warning: spill file is truncated"), "{out}");
         assert!(out.contains("Per-system-call summary"), "{out}");
         // JSON mode flags the salvage instead of the warning line.
-        let (out, status) = execute_with_status(
-            parse_args(argv(&format!("analyze {cut_arg} --salvage --json"))).unwrap(),
-        )
-        .unwrap();
+        let (out, status) = cli(&format!("analyze {cut} --salvage --json")).unwrap();
         assert_eq!(status, EXIT_SALVAGED);
         let parsed = serde_json::parse_value(&out).unwrap();
         assert_eq!(parsed.get("salvaged"), Some(&serde::Value::Bool(true)));
@@ -896,15 +804,9 @@ mod tests {
         // the magic fails closed even under --salvage.
         let mut corrupt = bytes.clone();
         corrupt[8] = 0xEE;
-        let corrupt_path = dir.join("corrupt.bin");
-        std::fs::write(&corrupt_path, &corrupt).unwrap();
-        let err = execute_with_status(
-            parse_args(argv(&format!(
-                "analyze {} --salvage",
-                corrupt_path.to_string_lossy()
-            )))
-            .unwrap(),
-        );
+        let corrupt_arg = arg(&dir, "corrupt.bin");
+        std::fs::write(&corrupt_arg, &corrupt).unwrap();
+        let err = cli(&format!("analyze {corrupt_arg} --salvage"));
         assert!(
             err.is_err(),
             "corrupt frames must fail closed under salvage"
@@ -916,14 +818,10 @@ mod tests {
         // closed, salvage or not.
         let mut tampered = bytes.clone();
         tampered.push(0x5A);
-        let tampered_path = dir.join("tampered.bin");
-        std::fs::write(&tampered_path, &tampered).unwrap();
-        let tampered_arg: String = tampered_path.to_string_lossy().into();
-        assert!(execute(parse_args(argv(&format!("analyze {tampered_arg}"))).unwrap()).is_err());
-        assert!(execute_with_status(
-            parse_args(argv(&format!("analyze {tampered_arg} --salvage"))).unwrap()
-        )
-        .is_err());
+        let tampered_arg = arg(&dir, "tampered.bin");
+        std::fs::write(&tampered_arg, &tampered).unwrap();
+        assert!(cli(&format!("analyze {tampered_arg}")).is_err());
+        assert!(cli(&format!("analyze {tampered_arg} --salvage")).is_err());
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -939,15 +837,11 @@ mod tests {
     #[test]
     fn windowed_and_parallel_analyze_use_the_index() {
         let dir = unique_test_dir("window");
-        let spill_path = dir.join("timed.bin");
+        let arg = arg(&dir, "timed.bin");
         // A capture with a known time line: op i completes at i*10 µs, at
         // a small frame cap so the file holds many seekable frames.
-        let mut sink = SpillSink::with_options(
-            std::fs::File::create(&spill_path).unwrap(),
-            SpillCodec::Compressed,
-            64,
-        )
-        .unwrap();
+        let file = std::fs::File::create(&arg).unwrap();
+        let mut sink = SpillSink::with_options(file, SpillCodec::Compressed, 64).unwrap();
         for i in 0..2000u64 {
             sink.record_op(&uswg_core::OpRecord {
                 at: i * 10,
@@ -964,28 +858,18 @@ mod tests {
             });
         }
         sink.finish().unwrap();
-        let arg: String = spill_path.to_string_lossy().into();
+        let json = |flags: &str| {
+            serde_json::parse_value(&cli_ok(&format!("analyze {arg} --json {flags}"))).unwrap()
+        };
 
         // Full sequential pass, for reference.
-        let (full, status) =
-            execute_with_status(parse_args(argv(&format!("analyze {arg} --json"))).unwrap())
-                .unwrap();
-        assert_eq!(status, EXIT_OK);
-        let full = serde_json::parse_value(&full).unwrap();
+        let full = json("");
         assert_eq!(json_u64(&full, "ops"), 2000);
         assert_eq!(full.get("indexed"), Some(&serde::Value::Bool(false)));
 
         // A time window over [5000, 7000] µs holds ops 500..=700 and, via
         // the index, decodes only the overlapping frames.
-        let (out, status) = execute_with_status(
-            parse_args(argv(&format!(
-                "analyze {arg} --json --since 5000 --until 7000"
-            )))
-            .unwrap(),
-        )
-        .unwrap();
-        assert_eq!(status, EXIT_OK);
-        let windowed = serde_json::parse_value(&out).unwrap();
+        let windowed = json("--since 5000 --until 7000");
         assert_eq!(json_u64(&windowed, "ops"), 201);
         assert_eq!(windowed.get("indexed"), Some(&serde::Value::Bool(true)));
         let decoded = json_u64(&windowed, "frames_decoded");
@@ -993,20 +877,12 @@ mod tests {
         assert_eq!(total, 2000 / 64 + 1);
         assert!(decoded <= 5, "{decoded} frames for a 201-op window");
         // Text mode names the coverage.
-        let (out, _) = execute_with_status(
-            parse_args(argv(&format!("analyze {arg} --since 5000 --until 7000"))).unwrap(),
-        )
-        .unwrap();
+        let out = cli_ok(&format!("analyze {arg} --since 5000 --until 7000"));
         assert!(out.contains("frame index: decoded"), "{out}");
 
         // Parallel analyze matches the sequential pass: counters exactly,
         // derived floats within 1e-9.
-        let (out, status) = execute_with_status(
-            parse_args(argv(&format!("analyze {arg} --json --jobs 4"))).unwrap(),
-        )
-        .unwrap();
-        assert_eq!(status, EXIT_OK);
-        let parallel = serde_json::parse_value(&out).unwrap();
+        let parallel = json("--jobs 4");
         for key in ["ops", "sessions", "data_bytes", "goodput_bytes"] {
             assert_eq!(json_u64(&parallel, key), json_u64(&full, key), "{key}");
         }
@@ -1021,11 +897,7 @@ mod tests {
         assert_eq!(json_u64(&parallel, "frames_decoded"), total);
 
         // Sampling decodes every k-th frame.
-        let (out, _) = execute_with_status(
-            parse_args(argv(&format!("analyze {arg} --json --sample 4"))).unwrap(),
-        )
-        .unwrap();
-        let sampled = serde_json::parse_value(&out).unwrap();
+        let sampled = json("--sample 4");
         assert_eq!(
             json_u64(&sampled, "frames_decoded"),
             (total as usize).div_ceil(4) as u64
@@ -1034,16 +906,12 @@ mod tests {
         // A cut inside the index footer: windowed flags fall back to the
         // streamed pass; --salvage reports *exact* totals (the record
         // stream is complete) with the footer warning, never an error.
-        let bytes = std::fs::read(&spill_path).unwrap();
-        let cut_path = dir.join("footer-cut.bin");
-        std::fs::write(&cut_path, &bytes[..bytes.len() - 5]).unwrap();
-        let cut_arg: String = cut_path.to_string_lossy().into();
-        let (out, status) = execute_with_status(
-            parse_args(argv(&format!(
-                "analyze {cut_arg} --salvage --since 5000 --until 7000"
-            )))
-            .unwrap(),
-        )
+        let bytes = std::fs::read(&arg).unwrap();
+        let cut = dir.join("footer-cut.bin").display().to_string();
+        std::fs::write(&cut, &bytes[..bytes.len() - 5]).unwrap();
+        let (out, status) = cli(&format!(
+            "analyze {cut} --salvage --since 5000 --until 7000"
+        ))
         .unwrap();
         assert_eq!(status, EXIT_SALVAGED);
         assert!(out.contains("no index footer"), "{out}");
@@ -1051,12 +919,9 @@ mod tests {
         assert!(out.contains("totals are exact"), "{out}");
         assert!(out.contains(": 201 ops"), "{out}");
         // Same cut without --salvage is still an error…
-        assert!(execute(parse_args(argv(&format!("analyze {cut_arg}"))).unwrap()).is_err());
+        assert!(cli(&format!("analyze {cut}")).is_err());
         // …and a JSON salvage of the whole cut file carries every record.
-        let (out, status) = execute_with_status(
-            parse_args(argv(&format!("analyze {cut_arg} --salvage --json"))).unwrap(),
-        )
-        .unwrap();
+        let (out, status) = cli(&format!("analyze {cut} --salvage --json")).unwrap();
         assert_eq!(status, EXIT_SALVAGED);
         let parsed = serde_json::parse_value(&out).unwrap();
         assert_eq!(json_u64(&parsed, "ops"), 2000);
@@ -1068,44 +933,23 @@ mod tests {
     #[test]
     fn fit_synthesizes_a_runnable_spec_from_a_capture() {
         let dir = unique_test_dir("fitspill");
-        let spec_path = dir.join("spec.json");
-        let spill_path = dir.join("cap.bin");
-        let fitted_path = dir.join("fitted.json");
-
-        let mut spec = WorkloadSpec::paper_default().unwrap();
-        spec.run.n_users = 3;
-        spec.run.sessions_per_user = 3;
-        spec.fsc = spec
-            .fsc
-            .with_files_per_user(8)
-            .unwrap()
-            .with_shared_files(10)
-            .unwrap();
-        std::fs::write(&spec_path, spec.to_json().unwrap()).unwrap();
-        let spec_arg: String = spec_path.to_string_lossy().into();
-        let spill_arg: String = spill_path.to_string_lossy().into();
-        let fitted_arg: String = fitted_path.to_string_lossy().into();
-        execute(
-            parse_args(argv(&format!(
-                "run {spec_arg} --model local --spill {spill_arg}"
-            )))
-            .unwrap(),
-        )
-        .unwrap();
+        small_spec(&dir, |spec| {
+            spec.run.n_users = 3;
+            spec.run.sessions_per_user = 3;
+        });
+        let spec_arg = arg(&dir, "spec.json");
+        let (spill_arg, fitted_arg) = (arg(&dir, "cap.bin"), arg(&dir, "fitted.json"));
+        cli_ok(&format!("run {spec_arg} --model local --spill {spill_arg}"));
 
         // Text mode: per-measure fit table plus the written spec.
-        let (out, status) = execute_with_status(
-            parse_args(argv(&format!("fit {spill_arg} --out {fitted_arg}"))).unwrap(),
-        )
-        .unwrap();
-        assert_eq!(status, EXIT_OK);
+        let out = cli_ok(&format!("fit {spill_arg} --out {fitted_arg}"));
         assert!(out.contains("Fitted distributions"), "{out}");
         assert!(out.contains("fitted spec written to"), "{out}");
         assert!(out.contains("3 users"), "{out}");
 
         // The emitted spec parses, validates, and actually runs.
         let fitted =
-            WorkloadSpec::from_json(&std::fs::read_to_string(&fitted_path).unwrap()).unwrap();
+            WorkloadSpec::from_json(&std::fs::read_to_string(&fitted_arg).unwrap()).unwrap();
         assert_eq!(fitted.run.n_users, 3);
         assert_eq!(fitted.run.sessions_per_user, 3);
         let (log, _) = fitted
@@ -1114,10 +958,7 @@ mod tests {
         assert!(!log.ops().is_empty());
 
         // JSON mode embeds the spec and the observation counts.
-        let (out, _) =
-            execute_with_status(parse_args(argv(&format!("fit {spill_arg} --json"))).unwrap())
-                .unwrap();
-        let parsed = serde_json::parse_value(&out).unwrap();
+        let parsed = serde_json::parse_value(&cli_ok(&format!("fit {spill_arg} --json"))).unwrap();
         assert_eq!(json_u64(&parsed, "users"), 3);
         assert!(json_u64(&parsed, "ops") > 0);
         assert!(parsed.get("spec").is_some());
@@ -1127,17 +968,15 @@ mod tests {
             .is_some_and(|fits| !fits.is_empty()));
 
         // A capture fits every measure itself: --family contradicts it.
-        let err = execute(parse_args(argv(&format!("fit {spill_arg} --family exp"))).unwrap());
+        let err = cli(&format!("fit {spill_arg} --family exp"));
         assert!(matches!(err, Err(CliError::Usage(m)) if m.contains("drop --family")));
 
         // A window past the end of the capture selects nothing — a clear
         // error, not a degenerate spec; analyze agrees.
-        let err =
-            execute(parse_args(argv(&format!("fit {spill_arg} --since 99999999999"))).unwrap());
-        assert!(matches!(err, Err(CliError::Usage(m)) if m.contains("selects no records")));
-        let err =
-            execute(parse_args(argv(&format!("analyze {spill_arg} --since 99999999999"))).unwrap());
-        assert!(matches!(err, Err(CliError::Usage(m)) if m.contains("selects no records")));
+        for command in ["fit", "analyze"] {
+            let err = cli(&format!("{command} {spill_arg} --since 99999999999"));
+            assert!(matches!(err, Err(CliError::Usage(m)) if m.contains("selects no records")));
+        }
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1145,29 +984,14 @@ mod tests {
     #[test]
     fn drive_loopback_smoke() {
         let dir = unique_test_dir("drive");
-        let spec_path = dir.join("spec.json");
-        let mut spec = WorkloadSpec::paper_default().unwrap();
-        spec.run.sessions_per_user = 2;
-        spec.fsc = spec
-            .fsc
-            .with_files_per_user(8)
-            .unwrap()
-            .with_shared_files(10)
-            .unwrap();
-        std::fs::write(&spec_path, spec.to_json().unwrap()).unwrap();
-
+        small_spec(&dir, |_| {});
         // Replay heavily compressed (every op arrives ~immediately) against
         // a slow loopback with a tiny queue: completes fast, sheds hard.
-        let (out, status) = execute_with_status(
-            parse_args(argv(&format!(
-                "drive {} --model local --speedup 1000000 --max-in-flight 2 \
-                 --queue-cap 8 --service-us 300",
-                spec_path.to_string_lossy()
-            )))
-            .unwrap(),
-        )
-        .unwrap();
-        assert_eq!(status, EXIT_OK);
+        let out = cli_ok(&format!(
+            "drive {} --model local --speedup 1000000 --max-in-flight 2 \
+             --queue-cap 8 --service-us 300",
+            arg(&dir, "spec.json")
+        ));
         assert!(out.contains("replaying open-loop"), "{out}");
         assert!(out.contains("drive report (target loopback-vfs)"), "{out}");
         assert!(out.contains("shed"), "{out}");
@@ -1182,74 +1006,43 @@ mod tests {
     #[test]
     fn drive_from_spill_replays_and_salvages_truncation() {
         let dir = unique_test_dir("fromspill");
-        let spec_path = dir.join("spec.json");
-        let spill_path = dir.join("cap.bin");
-        let mut spec = WorkloadSpec::paper_default().unwrap();
-        spec.run.sessions_per_user = 2;
-        spec.fsc = spec
-            .fsc
-            .with_files_per_user(8)
-            .unwrap()
-            .with_shared_files(10)
-            .unwrap();
-        std::fs::write(&spec_path, spec.to_json().unwrap()).unwrap();
-        let spec_arg: String = spec_path.to_string_lossy().into();
-        let spill_arg: String = spill_path.to_string_lossy().into();
+        let spec = small_spec(&dir, |_| {});
+        let (spec_arg, spill_arg) = (arg(&dir, "spec.json"), arg(&dir, "cap.bin"));
 
         // Capture a run, then replay the capture without a model.
-        execute(
-            parse_args(argv(&format!(
-                "run {spec_arg} --model local --spill {spill_arg}"
-            )))
-            .unwrap(),
-        )
-        .unwrap();
+        cli_ok(&format!("run {spec_arg} --model local --spill {spill_arg}"));
         let expected_ops = spec
             .run_des(&ModelConfig::default_local(), UsageLog::new())
             .unwrap()
             .0
             .ops()
             .len();
-        let (out, status) = execute_with_status(
-            parse_args(argv(&format!(
-                "drive {spec_arg} --from-spill {spill_arg} --speedup 1000000"
-            )))
-            .unwrap(),
-        )
-        .unwrap();
-        assert_eq!(status, EXIT_OK);
+        let replay = |capture: &str| {
+            cli(&format!(
+                "drive {spec_arg} --from-spill {capture} --speedup 1000000"
+            ))
+        };
+        let out = cli_ok(&format!(
+            "drive {spec_arg} --from-spill {spill_arg} --speedup 1000000"
+        ));
         assert!(out.contains("streaming capture"), "{out}");
         assert!(out.contains(&format!("offered {expected_ops}")), "{out}");
         assert!(!out.contains("warning"), "{out}");
 
         // A truncated capture drains what it has, warns, and exits 3 —
         // the drive-side twin of `analyze --salvage`.
-        let bytes = std::fs::read(&spill_path).unwrap();
-        let cut_path = dir.join("cut.bin");
-        std::fs::write(&cut_path, &bytes[..bytes.len() * 2 / 3]).unwrap();
-        let (out, status) = execute_with_status(
-            parse_args(argv(&format!(
-                "drive {spec_arg} --from-spill {} --speedup 1000000",
-                cut_path.to_string_lossy()
-            )))
-            .unwrap(),
-        )
-        .unwrap();
+        let bytes = std::fs::read(&spill_arg).unwrap();
+        let cut = arg(&dir, "cut.bin");
+        std::fs::write(&cut, &bytes[..bytes.len() * 2 / 3]).unwrap();
+        let (out, status) = replay(&cut).unwrap();
         assert_eq!(status, EXIT_SALVAGED);
         assert!(out.contains("warning: op source ended early"), "{out}");
         assert!(out.contains("drive report"), "{out}");
 
         // A file that is not a spill capture at all is a hard error.
-        let bogus = dir.join("bogus.bin");
+        let bogus = arg(&dir, "bogus.bin");
         std::fs::write(&bogus, b"NOTASPILLFILE").unwrap();
-        assert!(execute(
-            parse_args(argv(&format!(
-                "drive {spec_arg} --from-spill {}",
-                bogus.to_string_lossy()
-            )))
-            .unwrap()
-        )
-        .is_err());
+        assert!(replay(&bogus).is_err());
 
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -17,7 +17,9 @@ fn main() {
         }
         Err(e) => {
             eprintln!("uswg: {e}");
-            eprintln!("run `uswg help` for usage");
+            if matches!(e, uswg_cli::CliError::Usage(_)) {
+                eprintln!("run `uswg help` for usage");
+            }
             std::process::exit(2);
         }
     }

@@ -3,9 +3,7 @@
 
 use crate::{at, load_spec, ok, op_table, write_file, CliError, Command, Outcome};
 use std::fmt::Write as _;
-use uswg_core::{
-    metrics, presets, CoreError, SpillSink, SummarySink, Table, UsageLog, WorkloadSpec,
-};
+use uswg_core::{presets, CoreError, SpillSink, SummarySink, Table, UsageLog, WorkloadSpec};
 
 pub(crate) fn init(path: &str) -> Outcome {
     let spec = WorkloadSpec::paper_default()?;
@@ -47,41 +45,40 @@ pub(crate) fn run(command: Command) -> Outcome {
     let Some(m) = &model else {
         let log = spec.run_direct()?;
         let mut text = "direct driver (no timing model)\n".to_string();
-        text.push_str(&op_table(metrics::op_kind_summaries(&log)));
+        text.push_str(&op_table(SummarySink::of(&log).op_kind_summaries()));
         let _ = writeln!(text, "sessions: {}", log.sessions().len());
         if let Some(out_path) = out {
             write_log(&mut text, out_path, &log)?;
         }
         return ok(text);
     };
-    // One run, three sinks. A summary sink always keeps the headline
-    // numbers for the console; what rides beside it is the mode:
-    // nothing (--summary: O(1) memory, the million-user smoke path),
-    // a spill file (--spill: full fidelity on disk, still O(1)
-    // resident), or the collected log (default).
-    let (summary, stats, log) = match spill {
-        Some(spill_path) => {
+    // One run into the summary sink, which holds every number the console
+    // prints; beside it rides a spill file (--spill: full fidelity on
+    // disk, O(1) resident) or, only when --out asks for one, the
+    // collected log. --summary prints the headline without the table.
+    let (summary, stats, log) = match (spill, out) {
+        (Some(spill_path), _) => {
             let spill_sink = SpillSink::create(spill_path).map_err(at(spill_path))?;
             let ((summary, spill_sink), stats) =
                 spec.run_des(m, (SummarySink::new(), spill_sink))?;
             spill_sink.finish().map_err(at(spill_path))?;
             (summary, stats, None)
         }
-        None if summary_only => {
-            let (summary, stats) = spec.run_des(m, SummarySink::new())?;
-            (summary, stats, None)
-        }
-        None => {
+        (None, Some(_)) => {
             let ((summary, log), stats) = spec.run_des(m, (SummarySink::new(), UsageLog::new()))?;
             (summary, stats, Some(log))
+        }
+        (None, None) => {
+            let (summary, stats) = spec.run_des(m, SummarySink::new())?;
+            (summary, stats, None)
         }
     };
     let mut text = format!(
         "model {} | {} events | {} simulated\n",
         stats.model, stats.events, stats.duration
     );
-    if let Some(log) = &log {
-        text.push_str(&op_table(metrics::op_kind_summaries(log)));
+    if spill.is_none() && !summary_only {
+        text.push_str(&op_table(summary.op_kind_summaries()));
     }
     if let (Some(_), Some(k)) = (spill, spec.run.shards) {
         // Sharded capture stays memory-flat: each shard spills to

@@ -271,3 +271,43 @@ fn more_workers_than_the_os_grants_is_a_typed_error() {
         "{report}"
     );
 }
+
+/// Two reads of 2^63 bytes and 2^63 µs: every byte and µs total passes
+/// `u64::MAX`. Such a capture used to print `data_bytes 0` (release) or
+/// panic on the wrapping add (debug); `analyze` and `fit` now refuse it
+/// with one typed line, exit 2, nothing on stdout.
+#[test]
+fn a_capture_whose_totals_overflow_is_refused() {
+    use uswg_core::{FileCategory, LogSink, OpKind, OpRecord, SessionRecord, SpillSink};
+    let capture = scratch("overflow").join("huge.bin");
+    let mut sink = SpillSink::create(&capture).unwrap();
+    for at in [1, 2] {
+        sink.record_op(&OpRecord {
+            at,
+            user: 0,
+            session: 0,
+            op: OpKind::Read,
+            ino: 1,
+            bytes: 1 << 63,
+            file_size: 1 << 63,
+            response: 1 << 63,
+            category: FileCategory::REG_USER_RDONLY,
+            retries: 0,
+            aborted: false,
+        });
+    }
+    sink.record_session(&SessionRecord {
+        end: 3,
+        ..SessionRecord::default()
+    });
+    sink.finish().unwrap();
+    for (command, flags) in [("analyze", ""), ("analyze", "--json --jobs 2"), ("fit", "")] {
+        let args = format!("{command} {} {flags}", capture.display());
+        let out = uswg(&args, &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args}: {:?}", out.stdout);
+        assert_eq!(stderr.lines().count(), 1, "{args}: {stderr}");
+        assert!(stderr.contains("exceeds 2^64 - 1"), "{args}: {stderr}");
+    }
+}

@@ -90,9 +90,9 @@ pub struct SweepPoint {
     pub sessions: usize,
 }
 
-/// Reads a sweep point off a run's [`SummarySink`]. Means, counts, extrema
-/// and the per-byte metric are bit-identical to post-hoc aggregation of the
-/// same record stream (`uswg_analyze::metrics` over a collected log); the
+/// Reads a sweep point off a run's [`SummarySink`], the one accumulator
+/// every report reads. Counts, extrema, means and the per-byte metric are
+/// bit-identical to `Summary::of` over the same run's collected log; the
 /// standard deviations use a one-pass Welford accumulator (numerically
 /// stable at any scale) and agree with the two-pass form to well within
 /// 1e-9 relative (property-tested in `tests/sweep_equivalence.rs`).

@@ -391,7 +391,7 @@ mod tests {
                 }
             }
         }
-        c.finish()
+        c.finish().unwrap()
     }
 
     #[test]
@@ -420,7 +420,7 @@ mod tests {
 
     #[test]
     fn empty_observation_is_an_error() {
-        let obs = FitCollector::new().finish();
+        let obs = FitCollector::new().finish().unwrap();
         match synthesize_spec(&obs, &SynthesisOptions::default()) {
             Err(CoreError::Spec(msg)) => assert!(msg.contains("no completed sessions")),
             other => panic!("expected Spec error, got {other:?}"),
@@ -432,7 +432,7 @@ mod tests {
         let mut c = FitCollector::new();
         c.record_session(&session(0, 0, 0, 0, 1_000));
         c.record_op(&op(0, 0, 100, 1, 512));
-        let out = synthesize_spec(&c.finish(), &SynthesisOptions::default()).unwrap();
+        let out = synthesize_spec(&c.finish().unwrap(), &SynthesisOptions::default()).unwrap();
         assert!(!out.warnings.is_empty());
         assert!(out.fits.iter().all(|f| f.family == "constant"));
         // Still runnable.

@@ -51,6 +51,12 @@ impl OpKind {
         OpKind::Seek,
     ];
 
+    /// The kind's position in [`OpKind::ALL`]: the index of per-kind tables
+    /// and the op code a spill file stores.
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
     /// The system-call name.
     pub fn name(self) -> &'static str {
         match self {
@@ -139,6 +145,13 @@ mod tests {
         assert_eq!(OpKind::Create.name(), "creat");
         assert_eq!(OpKind::Seek.to_string(), "lseek");
         assert_eq!(OpKind::ALL.len(), 8);
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for kind in OpKind::ALL {
+            assert_eq!(OpKind::ALL[kind.index()], kind);
+        }
     }
 
     #[test]

@@ -53,12 +53,12 @@ pub use session::MAX_ACCESS_BYTES;
 pub use shard::{
     merge_shard_logs, merge_spill_shards, shard_model_seed, ShardEnv, ShardPlan, ShardedDesDriver,
 };
-pub use sink::{ChannelSink, LogSink, SummarySink};
+pub use sink::{ChannelSink, LogSink, OpKindSummary, SummarySink, UserTypeStream};
 pub use spec::{AccessPattern, CategoryUsage, PopulationSpec, RunConfig, UserTypeSpec};
 pub use spill::{
     read_spill, read_spill_path, FrameIndex, FrameIndexEntry, SpillCodec, SpillReader, SpillRecord,
     SpillSink, FRAME_CAP,
 };
-pub use stats::{StreamingSummary, Summary};
+pub use stats::{Overflow, StreamingSummary, Summary, TotalsOverflow};
 pub use temporal::{DiurnalProfile, PhaseModel, PhaseState};
 pub use uswg_sim::SchedulerBackend;

@@ -1,16 +1,19 @@
 //! Streaming destinations for usage records.
 //!
 //! At paper scale (a handful of users × 50 sessions) materializing every
-//! [`OpRecord`] is free; at the ROADMAP's millions-of-users scale the op
-//! vector **is** the memory ceiling — a sweep point only needs running
-//! summaries of the op stream. [`LogSink`] abstracts where records go: the
-//! default [`UsageLog`] sink collects everything (so existing figures are
-//! byte-identical), while [`SummarySink`] folds each record into running
-//! aggregates and retains O(1) memory regardless of run length.
+//! [`OpRecord`] is free; at millions of users the op vector **is** the
+//! memory ceiling, and no report needs it: every Table 5.3 and Figures
+//! 5.6–5.12 number is a running summary of the record stream. [`LogSink`]
+//! abstracts where records go: a [`UsageLog`] collects everything, a
+//! spill file streams it to disk, and [`SummarySink`] — the one
+//! accumulator every report reads, live or replayed — folds each record
+//! into running aggregates in O(1) memory regardless of run length.
 
 use crate::log::{OpRecord, SessionRecord, UsageLog};
-use crate::stats::{StreamingSummary, Summary};
+use crate::stats::{Overflow, StreamingSummary, Summary, TotalsOverflow};
+use std::collections::BTreeMap;
 use std::sync::mpsc::{Receiver, SyncSender};
+use uswg_netfs::OpKind;
 
 /// A destination for the records a driver produces.
 ///
@@ -161,9 +164,62 @@ impl LogSink for ChannelSink {
     fn record_session(&mut self, _session: &SessionRecord) {}
 }
 
-/// Streaming-aggregate sink: folds the op stream into the figures' headline
-/// metrics without materializing any records.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// One row of the per-system-call summary (Table 5.3).
+#[derive(Debug, Clone, PartialEq)]
+pub struct OpKindSummary {
+    /// The system call.
+    pub kind: OpKind,
+    /// Number of calls observed.
+    pub count: usize,
+    /// Access-size statistics over the calls (bytes).
+    pub access_size: Summary,
+    /// Response-time statistics over the calls (µs).
+    pub response: Summary,
+}
+
+/// Per-user-type aggregates folded from the session records of a stream:
+/// the breakdown `uswg analyze --by-type` reports.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct UserTypeStream {
+    /// Sessions completed by users of this type.
+    pub sessions: u64,
+    /// System calls those sessions issued.
+    pub ops: u64,
+    /// Bytes moved by those sessions' reads and writes.
+    pub bytes_accessed: u64,
+    /// Total response time of those sessions' calls, µs.
+    pub total_response_us: u64,
+}
+
+impl UserTypeStream {
+    /// Mean response time per accessed byte, µs (0 while no bytes moved).
+    pub fn response_per_byte(&self) -> f64 {
+        if self.bytes_accessed == 0 {
+            0.0
+        } else {
+            self.total_response_us as f64 / self.bytes_accessed as f64
+        }
+    }
+
+    fn absorb(&mut self, other: &Self, overflow: &mut Overflow) {
+        overflow.add(&mut self.sessions, other.sessions);
+        overflow.add(&mut self.ops, other.ops);
+        overflow.add(&mut self.bytes_accessed, other.bytes_accessed);
+        overflow.add(&mut self.total_response_us, other.total_response_us);
+    }
+}
+
+/// The Usage Analyzer's accumulator (Section 5.1): folds a record stream
+/// into the Table 5.3 per-system-call summaries, the data-op aggregate,
+/// the Figures 5.6–5.12 response-per-byte metric, fault outcomes and a
+/// per-user-type session breakdown, in O(1) memory however long the
+/// stream. `uswg run`, the sweeps and replications feed it live, `uswg
+/// analyze` from a spill file, and [`SummarySink::of`] replays a collected
+/// [`UsageLog`] through it. Counts, extrema and means equal a two-pass
+/// [`Summary::of`] over the same values; standard deviations are one-pass
+/// Welford and agree to ≤ 1e-9 relative (property-tested). Byte and µs
+/// totals saturate rather than wrap: [`SummarySink::check_totals`].
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SummarySink {
     /// Operations observed.
     pub ops: u64,
@@ -173,10 +229,6 @@ pub struct SummarySink {
     pub data_bytes: u64,
     /// Total response time over all operations, µs.
     pub total_response: u64,
-    /// Running moments of data-op access sizes.
-    access_size: StreamingSummary,
-    /// Running moments of data-op response times.
-    response: StreamingSummary,
     /// Sessions observed.
     pub sessions: u64,
     /// Total bytes accessed across sessions.
@@ -188,6 +240,16 @@ pub struct SummarySink {
     /// Bytes moved by *aborted* data operations — subtract from
     /// `data_bytes` for goodput.
     pub aborted_bytes: u64,
+    /// Access-size and response moments of every call, by
+    /// [`OpKind::index`].
+    per_kind: [(StreamingSummary, StreamingSummary); OpKind::ALL.len()],
+    /// Running moments of data-op access sizes and response times. Their
+    /// own accumulators, not a merge of the read and write rows, so a
+    /// sweep point's statistics keep their exact accumulation order.
+    access_size: StreamingSummary,
+    response: StreamingSummary,
+    user_types: BTreeMap<usize, UserTypeStream>,
+    overflow: Overflow,
 }
 
 impl SummarySink {
@@ -196,26 +258,66 @@ impl SummarySink {
         Self::default()
     }
 
+    /// The accumulator over a collected log: its op records, then its
+    /// session records — the post-hoc form of every figure here.
+    pub fn of(log: &UsageLog) -> Self {
+        let mut sink = Self::new();
+        for op in log.ops() {
+            sink.record_op(op);
+        }
+        for session in log.sessions() {
+            sink.record_session(session);
+        }
+        sink
+    }
+
     /// Folds `other` into `self`, as if every record `other` saw had been
-    /// recorded here too. This is the reduction step for sharded or
-    /// replicated runs: fan the population out over independent sinks, then
-    /// merge them pairwise — counts, sums and extrema combine exactly, and
-    /// the variance accumulators combine via Chan's parallel formula, so a
-    /// merged sink differs from a single-sink run of the concatenated
-    /// stream only by floating-point rounding order (≤ 1e-9 relative,
-    /// property-tested).
+    /// recorded here too. This is the reduction step for sharded,
+    /// replicated and parallel-analyze passes: fan the stream out over
+    /// independent sinks, then merge them in order — counts, sums and
+    /// extrema combine exactly, and the variance accumulators combine via
+    /// Chan's parallel formula, so a merged sink differs from a single pass
+    /// over the concatenated stream only by floating-point rounding order
+    /// (≤ 1e-9 relative, property-tested).
     pub fn merge(&mut self, other: &SummarySink) {
+        let overflow = &mut self.overflow;
+        overflow.merge(other.overflow);
+        for (total, x) in [
+            (&mut self.ops, other.ops),
+            (&mut self.data_ops, other.data_ops),
+            (&mut self.data_bytes, other.data_bytes),
+            (&mut self.total_response, other.total_response),
+            (&mut self.sessions, other.sessions),
+            (
+                &mut self.session_bytes_accessed,
+                other.session_bytes_accessed,
+            ),
+            (&mut self.retries, other.retries),
+            (&mut self.aborted_ops, other.aborted_ops),
+            (&mut self.aborted_bytes, other.aborted_bytes),
+        ] {
+            overflow.add(total, x);
+        }
+        for (mine, theirs) in self.per_kind.iter_mut().zip(&other.per_kind) {
+            mine.0.merge(&theirs.0);
+            mine.1.merge(&theirs.1);
+        }
         self.access_size.merge(&other.access_size);
         self.response.merge(&other.response);
-        self.ops += other.ops;
-        self.data_ops += other.data_ops;
-        self.data_bytes += other.data_bytes;
-        self.total_response += other.total_response;
-        self.sessions += other.sessions;
-        self.session_bytes_accessed += other.session_bytes_accessed;
-        self.retries += other.retries;
-        self.aborted_ops += other.aborted_ops;
-        self.aborted_bytes += other.aborted_bytes;
+        for (&user_type, theirs) in &other.user_types {
+            let mine = self.user_types.entry(user_type).or_default();
+            mine.absorb(theirs, overflow);
+        }
+    }
+
+    /// `Err` when a byte or µs total passed `u64::MAX` and saturated: every
+    /// sum-derived figure would be wrong, so a report should refuse.
+    ///
+    /// # Errors
+    ///
+    /// [`TotalsOverflow`] once any total has saturated.
+    pub fn check_totals(&self) -> Result<(), TotalsOverflow> {
+        self.overflow.check()
     }
 
     /// Bytes moved by data operations that completed without aborting —
@@ -234,9 +336,12 @@ impl SummarySink {
         }
     }
 
-    /// Mean response time per data byte, µs — the Figures 5.6–5.12 metric,
-    /// charging metadata calls to the transferred bytes exactly like
-    /// `uswg_analyze::metrics::response_time_per_byte`.
+    /// Mean response time per data byte, µs — the Figures 5.6–5.12 metric
+    /// (matching [`SessionRecord::response_per_byte`]). It charges metadata
+    /// calls to the transferred bytes: a whole-file-caching design does its
+    /// expensive work at `open` time, and a per-byte metric that ignored
+    /// opens would make it look free (Section 5.3's comparison would be
+    /// meaningless).
     pub fn response_per_byte(&self) -> f64 {
         if self.data_bytes == 0 {
             0.0
@@ -246,9 +351,7 @@ impl SummarySink {
     }
 
     /// Access-size statistics over data operations, bytes (the zero
-    /// summary while empty, matching `Summary::of(&[])`). Mean, count and
-    /// extrema are bit-identical to post-hoc aggregation of the same
-    /// record stream; the standard deviation is one-pass Welford.
+    /// summary while empty, matching `Summary::of(&[])`).
     pub fn access_size(&self) -> Summary {
         self.access_size.summary()
     }
@@ -257,30 +360,73 @@ impl SummarySink {
     pub fn response(&self) -> Summary {
         self.response.summary()
     }
+
+    /// [`access_size`](Self::access_size) and
+    /// [`response`](Self::response): the aggregate over data calls that
+    /// Table 5.3 reports per user count.
+    pub fn data_op_summary(&self) -> (Summary, Summary) {
+        (self.access_size(), self.response())
+    }
+
+    /// Per-system-call summaries in [`OpKind::ALL`] order, skipping kinds
+    /// that never occurred.
+    pub fn op_kind_summaries(&self) -> Vec<OpKindSummary> {
+        OpKind::ALL
+            .iter()
+            .zip(&self.per_kind)
+            .filter(|(_, (sizes, _))| sizes.count() > 0)
+            .map(|(&kind, (sizes, responses))| OpKindSummary {
+                kind,
+                count: sizes.count() as usize,
+                access_size: sizes.summary(),
+                response: responses.summary(),
+            })
+            .collect()
+    }
+
+    /// Per-user-type session aggregates, keyed by the population's type
+    /// index (ascending).
+    pub fn user_types(&self) -> &BTreeMap<usize, UserTypeStream> {
+        &self.user_types
+    }
 }
 
 impl LogSink for SummarySink {
     fn record_op(&mut self, op: &OpRecord) {
+        let overflow = &mut self.overflow;
         self.ops += 1;
-        self.total_response += op.response;
-        self.retries += u64::from(op.retries);
+        overflow.add(&mut self.total_response, op.response);
+        overflow.add(&mut self.retries, u64::from(op.retries));
         if op.aborted {
             self.aborted_ops += 1;
         }
+        let (bytes, response) = (op.bytes as f64, op.response as f64);
+        let kind = &mut self.per_kind[op.op.index()];
+        kind.0.push(bytes);
+        kind.1.push(response);
         if op.op.is_data() && op.bytes > 0 {
             self.data_ops += 1;
-            self.data_bytes += op.bytes;
+            overflow.add(&mut self.data_bytes, op.bytes);
             if op.aborted {
-                self.aborted_bytes += op.bytes;
+                overflow.add(&mut self.aborted_bytes, op.bytes);
             }
-            self.access_size.push(op.bytes as f64);
-            self.response.push(op.response as f64);
+            self.access_size.push(bytes);
+            self.response.push(response);
         }
     }
 
     fn record_session(&mut self, session: &SessionRecord) {
         self.sessions += 1;
-        self.session_bytes_accessed += session.bytes_accessed;
+        let overflow = &mut self.overflow;
+        overflow.add(&mut self.session_bytes_accessed, session.bytes_accessed);
+        let stream = UserTypeStream {
+            sessions: 1,
+            ops: session.ops,
+            bytes_accessed: session.bytes_accessed,
+            total_response_us: session.total_response,
+        };
+        let entry = self.user_types.entry(session.user_type).or_default();
+        entry.absorb(&stream, overflow);
     }
 
     fn shard_sink(&self) -> Option<Self> {
@@ -297,8 +443,8 @@ impl LogSink for SummarySink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use uswg_fsc::FileCategory;
-    use uswg_netfs::OpKind;
 
     fn op(kind: OpKind, bytes: u64, response: u64) -> OpRecord {
         OpRecord {
@@ -321,22 +467,10 @@ mod tests {
         let mut sink = SummarySink::new();
         sink.record_op(&op(OpKind::Open, 0, 400));
         sink.record_op(&op(OpKind::Read, 400, 100));
-        // (400 + 100) µs over 400 data bytes, as response_time_per_byte.
+        // (400 + 100) µs over 400 data bytes: the open is charged too.
         assert!((sink.response_per_byte() - 1.25).abs() < 1e-12);
         assert_eq!(sink.ops, 2);
         assert_eq!(sink.data_ops, 1);
-    }
-
-    #[test]
-    fn summary_moments_match_direct_computation() {
-        let mut sink = SummarySink::new();
-        for (bytes, resp) in [(100u64, 10u64), (300, 30)] {
-            sink.record_op(&op(OpKind::Write, bytes, resp));
-        }
-        assert!((sink.access_size().mean - 200.0).abs() < 1e-9);
-        // Sample std dev of {100, 300} is sqrt(20000) ≈ 141.42.
-        assert!((sink.access_size().std_dev - 20000f64.sqrt()).abs() < 1e-9);
-        assert!((sink.response().mean - 20.0).abs() < 1e-9);
     }
 
     #[test]
@@ -345,6 +479,8 @@ mod tests {
         assert_eq!(sink.response_per_byte(), 0.0);
         assert_eq!(sink.access_size(), Summary::of(&[]));
         assert_eq!(sink.response(), Summary::of(&[]));
+        assert!(sink.op_kind_summaries().is_empty() && sink.user_types().is_empty());
+        assert_eq!(UserTypeStream::default().response_per_byte(), 0.0);
     }
 
     #[test]
@@ -369,6 +505,18 @@ mod tests {
     }
 
     #[test]
+    fn summary_moments_match_direct_computation() {
+        let sink = fold(
+            &[op(OpKind::Write, 100, 10), op(OpKind::Write, 300, 30)],
+            &[],
+        );
+        assert!((sink.access_size().mean - 200.0).abs() < 1e-9);
+        // Sample std dev of {100, 300} is sqrt(20000) ≈ 141.42.
+        assert!((sink.access_size().std_dev - 20000f64.sqrt()).abs() < 1e-9);
+        assert!((sink.response().mean - 20.0).abs() < 1e-9);
+    }
+
+    #[test]
     fn merge_equals_single_stream() {
         let records = [
             op(OpKind::Read, 100, 10),
@@ -376,54 +524,114 @@ mod tests {
             op(OpKind::Write, 300, 30),
             op(OpKind::Read, 50, 7),
         ];
-        let mut whole = SummarySink::new();
-        for r in &records {
-            whole.record_op(r);
-        }
-        whole.record_session(&SessionRecord {
-            user: 0,
-            user_type: 0,
-            session: 0,
-            start: 0,
-            end: 1,
+        let session = SessionRecord {
             ops: 4,
-            files_referenced: 2,
-            file_bytes_referenced: 100,
             bytes_accessed: 450,
-            bytes_read: 150,
-            bytes_written: 300,
             total_response: 52,
-        });
-        let mut left = SummarySink::new();
-        let mut right = SummarySink::new();
-        for r in &records[..2] {
-            left.record_op(r);
-        }
-        for r in &records[2..] {
-            right.record_op(r);
-        }
-        right.record_session(&SessionRecord {
-            user: 0,
-            user_type: 0,
-            session: 0,
-            start: 0,
-            end: 1,
-            ops: 4,
-            files_referenced: 2,
-            file_bytes_referenced: 100,
-            bytes_accessed: 450,
-            bytes_read: 150,
-            bytes_written: 300,
-            total_response: 52,
-        });
-        let mut merged = left;
-        merged.merge(&right);
+            ..SessionRecord::default()
+        };
+        let whole = fold(&records, &[session]);
+        let mut merged = fold(&records[..2], &[]);
+        merged.merge(&fold(&records[2..], &[session]));
         // Integer tallies and extrema combine exactly; the float sums here
         // are small integers, so even those are exact.
         assert_eq!(merged, whole);
         // Merging an empty sink is the identity.
         merged.merge(&SummarySink::new());
         assert_eq!(merged, whole);
+    }
+
+    fn fold(ops: &[OpRecord], sessions: &[SessionRecord]) -> SummarySink {
+        let mut sink = SummarySink::new();
+        ops.iter().for_each(|o| sink.record_op(o));
+        sessions.iter().for_each(|s| sink.record_session(s));
+        sink
+    }
+
+    #[track_caller]
+    fn assert_close(got: &Summary, want: &Summary) {
+        let rel = |a: f64, b: f64| (a - b).abs() / a.abs().max(b.abs()).max(1.0);
+        assert_eq!((got.n, got.min, got.max), (want.n, want.min, want.max));
+        assert!(rel(got.mean, want.mean) < 1e-9, "{got:?} vs {want:?}");
+        assert!(rel(got.std_dev, want.std_dev) < 1e-9, "{got:?} vs {want:?}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random records over every kind, faults on or off, 1–4 user
+        /// types, split at a random point: the two halves merged equal one
+        /// pass (integer tallies exactly, moments to 1e-9), and every
+        /// summary equals a two-pass `Summary::of` over the same values.
+        #[test]
+        fn merge_equals_a_single_pass(
+            ops in prop::collection::vec((0usize..8, 0u64..5_000, 0u64..90_000, 0u32..4, 0u8..6), 0..300),
+            sessions in prop::collection::vec((0usize..4, 0u64..500, 0u64..1 << 20, 0u64..1 << 24), 0..40),
+            faults in any::<bool>(),
+            types in 1usize..5,
+            split in 0.0f64..1.0,
+        ) {
+            let ops: Vec<OpRecord> = ops
+                .into_iter()
+                .map(|(kind, bytes, response, retries, abort)| OpRecord {
+                    retries: if faults { retries } else { 0 },
+                    aborted: faults && abort == 0,
+                    ..op(OpKind::ALL[kind], bytes, response)
+                })
+                .collect();
+            let sessions: Vec<SessionRecord> = sessions
+                .into_iter()
+                .map(|(user_type, ops, bytes_accessed, total_response)| SessionRecord {
+                    user_type: user_type % types,
+                    ops,
+                    bytes_accessed,
+                    total_response,
+                    ..SessionRecord::default()
+                })
+                .collect();
+            let whole = fold(&ops, &sessions);
+            let (i, j) = ((ops.len() as f64 * split) as usize, (sessions.len() as f64 * split) as usize);
+            let mut merged = fold(&ops[..i], &sessions[..j]);
+            merged.merge(&fold(&ops[i..], &sessions[j..]));
+
+            let tallies = |s: &SummarySink| {
+                [s.ops, s.data_ops, s.data_bytes, s.total_response, s.sessions,
+                 s.session_bytes_accessed, s.retries, s.aborted_ops, s.aborted_bytes]
+            };
+            prop_assert_eq!(tallies(&merged), tallies(&whole));
+            prop_assert_eq!(merged.user_types(), whole.user_types());
+            for (&t, row) in whole.user_types() {
+                let of_type: Vec<_> = sessions.iter().filter(|s| s.user_type == t).collect();
+                let bytes: u64 = of_type.iter().map(|s| s.bytes_accessed).sum();
+                prop_assert!(t < types);
+                prop_assert_eq!((row.sessions, row.bytes_accessed), (of_type.len() as u64, bytes));
+            }
+            prop_assert_eq!(whole.check_totals(), Ok(()));
+            let data = |o: &&OpRecord| o.op.is_data() && o.bytes > 0;
+            let data_bytes: u64 = ops.iter().filter(data).map(|o| o.bytes).sum();
+            let total: u64 = ops.iter().map(|o| o.response).sum();
+            prop_assert_eq!((whole.data_bytes, whole.total_response), (data_bytes, total));
+            let two_pass = |of: &mut dyn Iterator<Item = &OpRecord>| {
+                let rows: Vec<_> = of.map(|o| (o.bytes as f64, o.response as f64)).collect();
+                let (sizes, responses): (Vec<f64>, Vec<f64>) = rows.into_iter().unzip();
+                (Summary::of(&sizes), Summary::of(&responses))
+            };
+            for sink in [&whole, &merged] {
+                let (sizes, responses) = two_pass(&mut ops.iter().filter(data));
+                assert_close(&sink.access_size(), &sizes);
+                assert_close(&sink.response(), &responses);
+                let rows = sink.op_kind_summaries();
+                let seen: Vec<OpKind> =
+                    OpKind::ALL.into_iter().filter(|&k| ops.iter().any(|o| o.op == k)).collect();
+                prop_assert_eq!(rows.iter().map(|r| r.kind).collect::<Vec<_>>(), seen);
+                for row in &rows {
+                    let (sizes, responses) = two_pass(&mut ops.iter().filter(|o| o.op == row.kind));
+                    prop_assert_eq!(row.count, sizes.n);
+                    assert_close(&row.access_size, &sizes);
+                    assert_close(&row.response, &responses);
+                }
+            }
+        }
     }
 
     #[test]
@@ -500,20 +708,7 @@ mod tests {
     #[test]
     fn channel_sink_ignores_sessions() {
         let (mut sink, rx) = ChannelSink::bounded(4);
-        sink.record_session(&SessionRecord {
-            user: 0,
-            user_type: 0,
-            session: 0,
-            start: 0,
-            end: 1,
-            ops: 0,
-            files_referenced: 0,
-            file_bytes_referenced: 0,
-            bytes_accessed: 0,
-            bytes_read: 0,
-            bytes_written: 0,
-            total_response: 0,
-        });
+        sink.record_session(&SessionRecord::default());
         sink.record_op(&op(OpKind::Read, 8, 7));
         drop(sink);
         let got: Vec<_> = rx.iter().collect();

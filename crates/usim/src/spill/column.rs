@@ -11,10 +11,7 @@ use uswg_netfs::OpKind;
 
 /// Encodes an [`OpKind`] as its index in [`OpKind::ALL`].
 pub(super) fn encode_op(kind: OpKind) -> u8 {
-    OpKind::ALL
-        .iter()
-        .position(|&k| k == kind)
-        .expect("every OpKind is in ALL") as u8
+    kind.index() as u8
 }
 
 pub(super) fn decode_op(code: u8) -> io::Result<OpKind> {

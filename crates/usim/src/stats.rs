@@ -180,9 +180,79 @@ impl StreamingSummary {
     }
 }
 
+/// Running `u64` totals of record-supplied values (bytes, µs) as every
+/// accumulator over a record stream keeps them: [`Overflow::add`] saturates
+/// at `u64::MAX` instead of wrapping (or panicking in a debug build) and
+/// remembers that it did, so a report over such totals is refused rather
+/// than printed wrong.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Overflow {
+    saturated: bool,
+}
+
+impl Overflow {
+    /// `*total += x`, saturating.
+    #[inline]
+    pub fn add(&mut self, total: &mut u64, x: u64) {
+        let (sum, wrapped) = total.overflowing_add(x);
+        *total = if wrapped { u64::MAX } else { sum };
+        self.saturated |= wrapped;
+    }
+
+    /// Folds in the flag of another accumulator.
+    pub fn merge(&mut self, other: Overflow) {
+        self.saturated |= other.saturated;
+    }
+
+    /// `Err` once any total has saturated.
+    ///
+    /// # Errors
+    ///
+    /// [`TotalsOverflow`] when a sum passed `u64::MAX`.
+    pub fn check(self) -> Result<(), TotalsOverflow> {
+        if self.saturated {
+            Err(TotalsOverflow)
+        } else {
+            Ok(())
+        }
+    }
+}
+
+/// A record stream whose byte or µs totals pass `u64::MAX`: its report
+/// cannot be computed. Converts to an `InvalidData` I/O error, the kind a
+/// corrupt capture raises.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TotalsOverflow;
+
+impl std::fmt::Display for TotalsOverflow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("a byte or µs total of the records exceeds 2^64 - 1")
+    }
+}
+
+impl std::error::Error for TotalsOverflow {}
+
+impl From<TotalsOverflow> for std::io::Error {
+    fn from(e: TotalsOverflow) -> Self {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, e)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn overflow_saturates_and_remembers() {
+        let (mut of, mut total) = (Overflow::default(), u64::MAX - 1);
+        of.add(&mut total, 1);
+        assert_eq!((total, of.check()), (u64::MAX, Ok(())));
+        of.add(&mut total, 1);
+        assert_eq!((total, of.check()), (u64::MAX, Err(TotalsOverflow)));
+        let mut clean = Overflow::default();
+        clean.merge(of);
+        assert!(clean.check().is_err());
+    }
 
     #[test]
     fn empty_sample() {

@@ -8,8 +8,8 @@
 
 use uswg_core::experiment::{user_sweep, ModelConfig, Parallelism};
 use uswg_core::{
-    metrics, presets, AccessPattern, DistributionSpec, DiurnalProfile, PhaseModel, PopulationSpec,
-    Table, UsageLog, UserTypeSpec, WorkloadSpec,
+    presets, AccessPattern, DistributionSpec, DiurnalProfile, PhaseModel, PopulationSpec,
+    SummarySink, Table, UsageLog, UserTypeSpec, WorkloadSpec,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .count();
         table.row(vec![
             label.to_string(),
-            format!("{:.3}", metrics::response_time_per_byte(&log)),
+            format!("{:.3}", SummarySink::of(&log).response_per_byte()),
             format!("{:.0}%", 100.0 * seeks as f64 / log.ops().len() as f64),
         ]);
     }
@@ -64,11 +64,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             user = user.with_phases(p);
         }
         let spec = base.clone().with_population(PopulationSpec::single(user)?);
-        let (log, report) = spec.run_des(&ModelConfig::default_nfs(), UsageLog::new())?;
+        let (summary, report) = spec.run_des(&ModelConfig::default_nfs(), SummarySink::new())?;
         table.row(vec![
             label.to_string(),
             format!("{:.2}", report.duration.as_secs_f64()),
-            format!("{:.3}", metrics::response_time_per_byte(&log)),
+            format!("{:.3}", summary.response_per_byte()),
         ]);
     }
     println!("{}", table.render());

@@ -28,7 +28,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!(
-        "  (each point retained {} bytes instead of a full usage log)",
+        "  (each point retained a {}-byte accumulator, plus one entry per user type, \
+         instead of a full usage log)",
         std::mem::size_of::<SummarySink>()
     );
 

@@ -6,7 +6,7 @@
 //! ```
 
 use uswg_core::experiment::ModelConfig;
-use uswg_core::{metrics, Table, UsageLog, WorkloadSpec};
+use uswg_core::{SummarySink, Table, WorkloadSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The workload of Section 5.1: Table 5.1 file system, Table 5.2 usage,
@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Run in simulated time against the NFS-like model.
-    let (log, report) = spec.run_des(&ModelConfig::default_nfs(), UsageLog::new())?;
+    let (summary, report) = spec.run_des(&ModelConfig::default_nfs(), SummarySink::new())?;
     println!(
         "simulated {} events over {} of virtual time\n",
         report.events, report.duration
@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "response (µs)",
     ])
     .with_title("Per-system-call summary (mean(std) as in Table 5.3)");
-    for row in metrics::op_kind_summaries(&log) {
+    for row in summary.op_kind_summaries() {
         table.row(vec![
             row.kind.to_string(),
             row.count.to_string(),
@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!(
         "mean response time per byte: {:.3} µs/B",
-        metrics::response_time_per_byte(&log)
+        summary.response_per_byte()
     );
     for (name, stats) in &report.resources {
         println!(

@@ -66,10 +66,10 @@ fn generated_file_sizes_track_table_5_1() {
 #[test]
 fn des_response_times_exceed_direct_zero_baseline() {
     let spec = small_spec();
-    let (log, _) = spec
-        .run_des(&ModelConfig::default_nfs(), UsageLog::new())
+    let (sink, _) = spec
+        .run_des(&ModelConfig::default_nfs(), SummarySink::new())
         .unwrap();
-    let (_, response) = metrics::data_op_summary(&log);
+    let response = sink.response();
     assert!(response.n > 0);
     assert!(
         response.mean > 500.0,
@@ -206,69 +206,13 @@ fn des_usage_log_is_byte_identical_across_scheduler_backends() {
 }
 
 #[test]
-fn summary_sink_matches_post_hoc_aggregation() {
-    // Table 5.3 measures access-size and response-time means/std-devs of
-    // the heavy-I/O population against NFS. The streaming SummarySink must
-    // reproduce, to within 1e-9 relative, what post-hoc aggregation of a
-    // fully materialized UsageLog computes for the same run.
-    let mut spec = WorkloadSpec::paper_default().unwrap();
-    spec.run.n_users = 3;
-    spec.run.sessions_per_user = 8;
-    spec.fsc = spec
-        .fsc
-        .with_files_per_user(15)
-        .unwrap()
-        .with_shared_files(25)
-        .unwrap();
-    let model = ModelConfig::default_nfs();
-
-    // Collected path: the standard run with a materialized log.
-    let (log, report) = spec.run_des(&model, UsageLog::new()).unwrap();
-    let (access_size, response) = metrics::data_op_summary(&log);
-
-    // Streaming path: identical pipeline, SummarySink instead of a log.
-    let (sink, stats) = spec.run_des(&model, SummarySink::new()).unwrap();
-
-    assert_eq!(stats.events, report.events);
-    assert_eq!(sink.data_ops as usize, access_size.n);
-    let close = |streamed: f64, post_hoc: f64, what: &str| {
-        let tol = 1e-9 * post_hoc.abs().max(1.0);
-        assert!(
-            (streamed - post_hoc).abs() <= tol,
-            "{what}: streamed {streamed} vs post-hoc {post_hoc}"
-        );
-    };
-    close(
-        sink.access_size().mean,
-        access_size.mean,
-        "access-size mean",
-    );
-    close(
-        sink.access_size().std_dev,
-        access_size.std_dev,
-        "access-size std dev",
-    );
-    close(sink.response().mean, response.mean, "response mean");
-    close(
-        sink.response().std_dev,
-        response.std_dev,
-        "response std dev",
-    );
-    close(
-        sink.response_per_byte(),
-        metrics::response_time_per_byte(&log),
-        "response per byte",
-    );
-}
-
-#[test]
 fn usage_log_json_round_trip_at_scale() {
     let spec = small_spec();
     let log = spec.run_direct().unwrap();
     let json = log.to_json().unwrap();
     let back = uswg_core::UsageLog::from_json(&json).unwrap();
     assert_eq!(back.ops().len(), log.ops().len());
-    let apb_a = metrics::response_time_per_byte(&log);
-    let apb_b = metrics::response_time_per_byte(&back);
+    let apb_a = SummarySink::of(&log).response_per_byte();
+    let apb_b = SummarySink::of(&back).response_per_byte();
     assert!((apb_a - apb_b).abs() < 1e-12);
 }

@@ -4,8 +4,8 @@
 use proptest::prelude::*;
 use uswg_core::experiment::ModelConfig;
 use uswg_core::{
-    metrics, CategorySpec, CategoryUsage, DistributionSpec, FileCategory, FillPattern, FscSpec,
-    PopulationSpec, RunConfig, UsageLog, UserTypeSpec, VfsConfig, WorkloadSpec,
+    CategorySpec, CategoryUsage, DistributionSpec, FileCategory, FillPattern, FscSpec,
+    PopulationSpec, RunConfig, SummarySink, UsageLog, UserTypeSpec, VfsConfig, WorkloadSpec,
 };
 
 /// A small random-but-valid workload spec.
@@ -136,7 +136,7 @@ proptest! {
     #[test]
     fn response_per_byte_is_sane(spec in spec_strategy()) {
         let (log, _) = spec.run_des(&ModelConfig::default_nfs(), UsageLog::new()).expect("run succeeds");
-        let rpb = metrics::response_time_per_byte(&log);
+        let rpb = SummarySink::of(&log).response_per_byte();
         let moved: u64 = log
             .ops()
             .iter()

@@ -1,13 +1,13 @@
 //! Property suite for the memory-flat sweeps: every point, streamed into a
 //! `SummarySink`, must reproduce the reference implementation — the full
-//! `UsageLog` of the same spec aggregated post hoc by `uswg_analyze::metrics`
-//! — in every Table 5.3 statistic to 1e-9 relative, across random workload
+//! `UsageLog` of the same spec aggregated post hoc with `Summary::of` — in
+//! every Table 5.3 statistic to 1e-9 relative, across random workload
 //! shapes, models, seeds and both scheduler backends. This is the gate that
 //! lets sweeps never materialize a log.
 
 use proptest::prelude::*;
 use uswg_core::experiment::{run_des_replicated, user_sweep, ModelConfig, Parallelism, SweepPoint};
-use uswg_core::{metrics, SchedulerBackend, Summary, UsageLog, WorkloadSpec};
+use uswg_core::{SchedulerBackend, Summary, UsageLog, WorkloadSpec};
 
 fn small_spec(sessions: u32, seed: u64, backend: SchedulerBackend) -> WorkloadSpec {
     let mut spec = WorkloadSpec::paper_default().unwrap();
@@ -23,14 +23,34 @@ fn small_spec(sessions: u32, seed: u64, backend: SchedulerBackend) -> WorkloadSp
     spec
 }
 
+/// Two-pass `Summary::of` over the log's data ops: access sizes, responses.
+fn data_summaries(log: &UsageLog) -> (Summary, Summary) {
+    let data = log.ops().iter().filter(|o| o.op.is_data() && o.bytes > 0);
+    let (sizes, responses): (Vec<f64>, Vec<f64>) =
+        data.map(|o| (o.bytes as f64, o.response as f64)).unzip();
+    (Summary::of(&sizes), Summary::of(&responses))
+}
+
 /// The reference sweep point: collect the run's full log and aggregate it
-/// with the two-pass post-hoc functions.
+/// directly — two-pass `Summary::of`, integer sums for the per-byte metric —
+/// so the oracle shares no code with the streaming accumulator.
 fn reference_point(spec: &WorkloadSpec, model: &ModelConfig, x: f64) -> (SweepPoint, UsageLog) {
     let (log, _) = spec.run_des(model, UsageLog::new()).unwrap();
-    let (access_size, response) = metrics::data_op_summary(&log);
+    let (access_size, response) = data_summaries(&log);
+    let micros: u64 = log.ops().iter().map(|o| o.response).sum();
+    let bytes: u64 = log
+        .ops()
+        .iter()
+        .filter(|o| o.op.is_data())
+        .map(|o| o.bytes)
+        .sum();
     let point = SweepPoint {
         x,
-        response_per_byte: metrics::response_time_per_byte(&log),
+        response_per_byte: if bytes == 0 {
+            0.0
+        } else {
+            micros as f64 / bytes as f64
+        },
         access_size,
         response,
         sessions: log.sessions().len(),
@@ -154,7 +174,7 @@ proptest! {
         }
         // Pooled reductions: the merged sinks against one two-pass
         // aggregation over every seed's records.
-        let (access_size, response) = metrics::data_op_summary(&all_seeds);
+        let (access_size, response) = data_summaries(&all_seeds);
         assert_pooled_equivalent(&access_size, &summary.pooled_access_size);
         assert_pooled_equivalent(&response, &summary.pooled_response);
         prop_assert_eq!(Summary::of(&per_byte).mean, summary.mean_response_per_byte);
@@ -179,4 +199,23 @@ fn stolen_schedules_are_byte_identical() {
         let stolen = user_sweep(&spec, &model, users, Parallelism::Threads(workers)).unwrap();
         assert_eq!(serial, stolen, "workers = {workers}");
     }
+}
+
+/// Table 5.3's measurement on the paper-default spec — heavy-I/O users
+/// against NFS, 3 users × 8 sessions — as one more fixed spec shape.
+#[test]
+fn summary_sink_matches_post_hoc_aggregation() {
+    let mut spec = WorkloadSpec::paper_default().unwrap();
+    spec.run.n_users = 3;
+    spec.run.sessions_per_user = 8;
+    spec.fsc = spec
+        .fsc
+        .with_files_per_user(15)
+        .unwrap()
+        .with_shared_files(25)
+        .unwrap();
+    let model = ModelConfig::default_nfs();
+    let (full, _) = reference_point(&spec, &model, 3.0);
+    let streamed = user_sweep(&spec, &model, [3], Parallelism::Serial).unwrap();
+    assert_points_equivalent(&full, &streamed[0]);
 }
