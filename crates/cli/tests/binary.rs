@@ -197,6 +197,31 @@ fn a_population_too_big_for_max_inodes_is_refused_by_name() {
     assert!(!stderr.contains("ENOSPC"), "{stderr}");
 }
 
+/// A `vfs` section no file system can be built on is refused in one line
+/// that names the field, not a panic inside the file system.
+#[test]
+fn an_unbuildable_vfs_geometry_is_refused_by_name() {
+    let dir = scratch("geometry");
+    let spec = WorkloadSpec::from_json(&std::fs::read_to_string(write_spec(&dir)).unwrap());
+    let mut bad = [spec.clone().unwrap(), spec.unwrap()];
+    bad[0].vfs.block_size = 16;
+    bad[1].vfs.max_inodes = 0;
+    for (field, bad) in ["vfs.block_size", "vfs.max_inodes"].into_iter().zip(bad) {
+        let path = dir.join("bad.json");
+        std::fs::write(&path, bad.to_json().unwrap()).unwrap();
+        let out = uswg(
+            &format!("run {} --model nfs --summary", path.display()),
+            &[],
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{stderr}");
+        assert!(out.stdout.is_empty(), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(stderr.contains(field), "{stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    }
+}
+
 /// `--help` or `-h` anywhere on the line asks for the usage text (banner on
 /// stdout, exit 0) instead of being taken for an operand; and a failure
 /// names what was wrong — the file, the missing operand, the flag.

@@ -2,7 +2,7 @@ use std::fmt;
 use uswg_distr::DistrError;
 use uswg_fsc::FscError;
 use uswg_usim::UsimError;
-use uswg_vfs::FsError;
+use uswg_vfs::{ConfigError, FsError};
 
 /// Unified error of the workload-generator facade.
 #[derive(Debug, Clone, PartialEq)]
@@ -16,6 +16,8 @@ pub enum CoreError {
     Simulator(UsimError),
     /// File system error.
     FileSystem(FsError),
+    /// A spec's `vfs` geometry that no file system can be built on.
+    Geometry(ConfigError),
     /// Workload specification serialization problem.
     Spec(String),
 }
@@ -27,6 +29,7 @@ impl fmt::Display for CoreError {
             CoreError::Creator(e) => write!(f, "file system creator: {e}"),
             CoreError::Simulator(e) => write!(f, "user simulator: {e}"),
             CoreError::FileSystem(e) => write!(f, "file system: {e}"),
+            CoreError::Geometry(e) => write!(f, "file system geometry: {e}"),
             CoreError::Spec(msg) => write!(f, "workload spec: {msg}"),
         }
     }
@@ -39,6 +42,7 @@ impl std::error::Error for CoreError {
             CoreError::Creator(e) => Some(e),
             CoreError::Simulator(e) => Some(e),
             CoreError::FileSystem(e) => Some(e),
+            CoreError::Geometry(e) => Some(e),
             CoreError::Spec(_) => None,
         }
     }

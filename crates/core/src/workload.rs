@@ -82,8 +82,10 @@ impl WorkloadSpec {
     ///
     /// # Errors
     ///
-    /// Propagates creator and file-system errors.
+    /// [`CoreError::Geometry`] for a `vfs` section no file system can be
+    /// built on; otherwise propagates creator and file-system errors.
     pub fn generate_fs(&self) -> Result<(Vfs, FileCatalog), CoreError> {
+        self.vfs.validate().map_err(CoreError::Geometry)?;
         let mut vfs = Vfs::new(self.vfs);
         let creator = FileSystemCreator::new(self.fsc.clone());
         let mut rng = StdRng::seed_from_u64(self.run.seed.wrapping_mul(0xF5C0_0001));

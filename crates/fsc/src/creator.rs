@@ -5,7 +5,7 @@ use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use uswg_distr::{Distribution, DistributionSpec};
-use uswg_vfs::{Fd, FsError, Ino, OpenFlags, Process, Vfs};
+use uswg_vfs::{FsError, Ino, OpenFlags, Process, Vfs};
 
 /// Tolerance when validating that category fractions sum to one.
 const FRACTION_TOL: f64 = 1e-6;
@@ -36,7 +36,9 @@ impl CategorySpec {
 /// How created files are filled with data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum FillPattern {
-    /// Write a deterministic byte pattern (real data blocks are allocated).
+    /// Allocate zero-filled data blocks for every byte of the file: the
+    /// device fills as the sizes say, and a block costs no memory until a
+    /// simulated user writes into it.
     #[default]
     Pattern,
     /// Set sizes with `truncate` only: files are holes and occupy no blocks.
@@ -94,13 +96,7 @@ impl FscSpec {
     ///
     /// Returns [`FscError::BadCount`] when `n` is zero.
     pub fn with_files_per_user(mut self, n: u64) -> Result<Self, FscError> {
-        if n == 0 {
-            return Err(FscError::BadCount {
-                name: "files_per_user",
-                value: n,
-            });
-        }
-        self.files_per_user = n;
+        self.files_per_user = positive("files_per_user", n)?;
         Ok(self)
     }
 
@@ -110,13 +106,7 @@ impl FscSpec {
     ///
     /// Returns [`FscError::BadCount`] when `n` is zero.
     pub fn with_shared_files(mut self, n: u64) -> Result<Self, FscError> {
-        if n == 0 {
-            return Err(FscError::BadCount {
-                name: "shared_files",
-                value: n,
-            });
-        }
-        self.shared_files = n;
+        self.shared_files = positive("shared_files", n)?;
         Ok(self)
     }
 
@@ -208,12 +198,7 @@ impl FileSystemCreator {
         rng: &mut dyn RngCore,
     ) -> Result<FileCatalog, FscError> {
         self.spec.validate()?;
-        if n_users == 0 {
-            return Err(FscError::BadCount {
-                name: "n_users",
-                value: 0,
-            });
-        }
+        positive("n_users", n_users as u64)?;
         let shared = self.plan(Owner::Other, self.spec.shared_files)?;
         let personal = self.plan(Owner::User, self.spec.files_per_user)?;
         let files = file_demand(n_users, &shared, &personal);
@@ -371,11 +356,24 @@ impl Build<'_> {
         let ino = vfs.fstat(proc, fd)?.ino;
         let filled = match self.fill {
             FillPattern::Sparse => vfs.ftruncate(proc, fd, size),
-            FillPattern::Pattern => write_pattern(vfs, proc, fd, size),
+            // The whole size in one call; a short write is a full device.
+            FillPattern::Pattern => match vfs.write_zeros(proc, fd, size as usize) {
+                Ok(n) if n as u64 == size => Ok(()),
+                Ok(_) => Err(FsError::NoSpace),
+                Err(e) => Err(e),
+            },
         };
         vfs.close(proc, fd)?;
         filled?;
         Ok(ino)
+    }
+}
+
+/// `n`, or [`FscError::BadCount`] naming `name` when it is zero.
+fn positive(name: &'static str, n: u64) -> Result<u64, FscError> {
+    match n {
+        0 => Err(FscError::BadCount { name, value: 0 }),
+        n => Ok(n),
     }
 }
 
@@ -430,29 +428,6 @@ fn check_catalog_demand(n_users: usize, files: Option<u64>) -> Result<(), FscErr
     Ok(())
 }
 
-/// Writes `size` bytes of the deterministic fill pattern through `fd`,
-/// stopping early if the device fills.
-fn write_pattern(vfs: &mut Vfs, proc: &mut Process, fd: Fd, size: u64) -> Result<(), FsError> {
-    static CHUNK: [u8; 8192] = {
-        let mut chunk = [0; 8192];
-        let mut i = 0;
-        while i < chunk.len() {
-            chunk[i] = (i % 251) as u8;
-            i += 1;
-        }
-        chunk
-    };
-    let mut left = size as usize;
-    while left > 0 {
-        let written = vfs.write(proc, fd, &CHUNK[..left.min(CHUNK.len())])?;
-        if written == 0 {
-            break;
-        }
-        left -= written;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,6 +451,14 @@ mod tests {
         .unwrap()
     }
 
+    /// Builds `spec` for `n_users` users on a default file system.
+    fn build(spec: FscSpec, n_users: usize, seed: u64) -> Result<(Vfs, FileCatalog), FscError> {
+        let mut vfs = Vfs::new(VfsConfig::default());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let catalog = FileSystemCreator::new(spec).build(&mut vfs, n_users, &mut rng)?;
+        Ok((vfs, catalog))
+    }
+
     #[test]
     fn validation_rejects_bad_specs() {
         assert!(matches!(FscSpec::new(vec![]), Err(FscError::EmptySpec)));
@@ -491,11 +474,7 @@ mod tests {
 
     #[test]
     fn build_creates_layout() {
-        let spec = two_category_spec();
-        let creator = FileSystemCreator::new(spec);
-        let mut vfs = Vfs::new(VfsConfig::default());
-        let mut rng = StdRng::seed_from_u64(1);
-        let catalog = creator.build(&mut vfs, 3, &mut rng).unwrap();
+        let (vfs, catalog) = build(two_category_spec(), 3, 1).unwrap();
         assert!(vfs.exists("/system"));
         assert!(vfs.exists("/notes"));
         for u in 0..3 {
@@ -504,18 +483,14 @@ mod tests {
         }
         // 50 per user × 3 + 120 shared (only one category on each side).
         assert_eq!(catalog.len(), 50 * 3 + 120);
+        let creator = FileSystemCreator::new(two_category_spec());
         assert!(creator.spec().files_per_user == 50);
     }
 
     #[test]
     fn zero_users_rejected() {
-        let creator = FileSystemCreator::new(two_category_spec());
-        let mut vfs = Vfs::new(VfsConfig::default());
-        let mut rng = StdRng::seed_from_u64(1);
-        assert!(matches!(
-            creator.build(&mut vfs, 0, &mut rng),
-            Err(FscError::BadCount { .. })
-        ));
+        let result = build(two_category_spec(), 0, 1);
+        assert!(matches!(result, Err(FscError::BadCount { .. })));
     }
 
     #[test]
@@ -606,10 +581,7 @@ mod tests {
             ),
         ])
         .unwrap();
-        let creator = FileSystemCreator::new(spec);
-        let mut vfs = Vfs::new(VfsConfig::default());
-        let mut rng = StdRng::seed_from_u64(2);
-        let catalog = creator.build(&mut vfs, 1, &mut rng).unwrap();
+        let (_, catalog) = build(spec, 1, 2).unwrap();
         assert!(catalog
             .files()
             .iter()
@@ -618,11 +590,8 @@ mod tests {
 
     #[test]
     fn sparse_fill_allocates_no_blocks() {
-        let spec = two_category_spec().with_fill(FillPattern::Sparse);
-        let creator = FileSystemCreator::new(spec);
-        let mut vfs = Vfs::new(VfsConfig::default());
-        let mut rng = StdRng::seed_from_u64(3);
-        let catalog = creator.build(&mut vfs, 1, &mut rng).unwrap();
+        let (vfs, catalog) =
+            build(two_category_spec().with_fill(FillPattern::Sparse), 1, 3).unwrap();
         assert_eq!(
             vfs.block_stats().allocated,
             0,
@@ -635,11 +604,7 @@ mod tests {
 
     #[test]
     fn pattern_fill_writes_real_data() {
-        let spec = two_category_spec();
-        let creator = FileSystemCreator::new(spec);
-        let mut vfs = Vfs::new(VfsConfig::default());
-        let mut rng = StdRng::seed_from_u64(4);
-        let catalog = creator.build(&mut vfs, 1, &mut rng).unwrap();
+        let (mut vfs, catalog) = build(two_category_spec(), 1, 4).unwrap();
         let idx = catalog
             .files()
             .iter()
@@ -661,14 +626,7 @@ mod tests {
         .with_shared_files(2_000)
         .unwrap()
         .with_fill(FillPattern::Sparse);
-        let creator = FileSystemCreator::new(spec);
-        let mut vfs = Vfs::new(VfsConfig {
-            max_inodes: 1 << 20,
-            ..VfsConfig::default()
-        });
-        let mut rng = StdRng::seed_from_u64(5);
-        let catalog = creator.build(&mut vfs, 1, &mut rng).unwrap();
-        let summary = catalog.characterize();
+        let summary = build(spec, 1, 5).unwrap().1.characterize();
         let (count, mean) = summary[&FileCategory::REG_OTHER_RDONLY];
         assert_eq!(count, 2_000);
         assert!((mean - 8192.0).abs() / 8192.0 < 0.1, "mean = {mean}");
@@ -689,10 +647,7 @@ mod tests {
             ),
         ])
         .unwrap();
-        let creator = FileSystemCreator::new(spec);
-        let mut vfs = Vfs::new(VfsConfig::default());
-        let mut rng = StdRng::seed_from_u64(6);
-        let catalog = creator.build(&mut vfs, 1, &mut rng).unwrap();
+        let (mut vfs, catalog) = build(spec, 1, 6).unwrap();
         let dir_file = catalog
             .files()
             .iter()
@@ -703,12 +658,9 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let build = |seed| {
-            let creator =
-                FileSystemCreator::new(two_category_spec().with_fill(FillPattern::Sparse));
-            let mut vfs = Vfs::new(VfsConfig::default());
-            let mut rng = StdRng::seed_from_u64(seed);
-            let catalog = creator.build(&mut vfs, 2, &mut rng).unwrap();
+        let paths = |seed| {
+            let spec = two_category_spec().with_fill(FillPattern::Sparse);
+            let (_, catalog) = build(spec, 2, seed).unwrap();
             catalog
                 .files()
                 .iter()
@@ -716,8 +668,8 @@ mod tests {
                 .map(|(idx, f)| (catalog.path(idx).to_string(), f.size))
                 .collect::<Vec<_>>()
         };
-        assert_eq!(build(42), build(42));
-        assert_ne!(build(42), build(43));
+        assert_eq!(paths(42), paths(42));
+        assert_ne!(paths(42), paths(43));
     }
 
     #[test]
@@ -765,16 +717,9 @@ mod tests {
             let spec = two_category_spec()
                 .with_popularity(FilePopularity::Zipf { exponent })
                 .with_fill(FillPattern::Sparse);
-            let creator = FileSystemCreator::new(spec);
-            let mut vfs = Vfs::new(VfsConfig::default());
-            let mut rng = StdRng::seed_from_u64(8);
-            assert!(
-                matches!(
-                    creator.build(&mut vfs, 1, &mut rng),
-                    Err(FscError::BadPopularity { .. })
-                ),
-                "exponent {exponent} must be rejected"
-            );
+            let result = build(spec, 1, 8);
+            let rejected = matches!(result, Err(FscError::BadPopularity { .. }));
+            assert!(rejected, "exponent {exponent} must be rejected");
         }
         // The boundary itself is usable.
         let spec = two_category_spec()
@@ -782,23 +727,15 @@ mod tests {
                 exponent: crate::MAX_ZIPF_EXPONENT,
             })
             .with_fill(FillPattern::Sparse);
-        let mut vfs = Vfs::new(VfsConfig::default());
-        let mut rng = StdRng::seed_from_u64(9);
-        assert!(FileSystemCreator::new(spec)
-            .build(&mut vfs, 1, &mut rng)
-            .is_ok());
+        assert!(build(spec, 1, 9).is_ok());
     }
 
     #[test]
     fn build_seals_with_the_spec_popularity() {
-        let creator = FileSystemCreator::new(
-            two_category_spec()
-                .with_fill(FillPattern::Sparse)
-                .with_popularity(FilePopularity::SizeWeighted),
-        );
-        let mut vfs = Vfs::new(VfsConfig::default());
-        let mut rng = StdRng::seed_from_u64(7);
-        let catalog = creator.build(&mut vfs, 1, &mut rng).unwrap();
+        let spec = two_category_spec()
+            .with_fill(FillPattern::Sparse)
+            .with_popularity(FilePopularity::SizeWeighted);
+        let (_, catalog) = build(spec, 1, 7).unwrap();
         assert!(catalog.is_sealed(), "build seals the catalog");
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! The builder creates every object by name inside a directory inode it
 //! holds. The reference below is the population sequence written the plain
-//! way — one absolute path per object, resolved from `/` by every call — and
-//! the property is that nobody downstream can tell the two apart: the same
-//! tree (names, inode numbers, kinds, sizes, link counts, timestamps), the
-//! same `statfs`, the same catalog, the same candidate lists, and the same
+//! way — one absolute path per object, resolved from `/` by every call, a
+//! filled file one `write` of zeros — and the property is that nobody
+//! downstream can tell the two apart: the same tree (names, inode numbers,
+//! kinds, sizes, link counts, timestamps, contents), the same `statfs` and
+//! block counts, the same catalog, the same candidate lists, and the same
 //! picks from the same PRNG stream under every popularity policy.
 
 use proptest::prelude::*;
@@ -81,8 +82,7 @@ fn reference_populate(
                     vfs.truncate(&path, size).unwrap();
                 }
                 (_, FillPattern::Pattern) => {
-                    let data: Vec<u8> = (0..size).map(|i| (i % 8192 % 251) as u8).collect();
-                    vfs.write_file(&path, &data).unwrap();
+                    vfs.write_file(&path, &vec![0; size as usize]).unwrap()
                 }
             }
             let file = CatalogFile {
@@ -176,6 +176,7 @@ proptest! {
         prop_assert_eq!(tree, ref_tree);
         prop_assert_eq!(vfs.stat("/").unwrap(), ref_vfs.stat("/").unwrap());
         prop_assert_eq!(vfs.statfs(), ref_vfs.statfs());
+        prop_assert_eq!(vfs.block_stats(), ref_vfs.block_stats());
 
         prop_assert!(built.is_sealed());
         prop_assert_eq!(built.files(), reference.files());

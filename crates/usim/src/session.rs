@@ -20,13 +20,8 @@ use uswg_fsc::{FileCatalog, FileCategory, FileSystemCreator, FileType, UsageClas
 use uswg_netfs::{FileId, OpKind, OpRequest};
 use uswg_vfs::{Fd, FsError, OpenFlags, Process, SeekFrom, Vfs};
 
-/// Upper bound on a single access, bytes (guards the exponential tail and
-/// is the length of [`FILLER`]).
+/// Upper bound on a single access, bytes (guards the exponential tail).
 pub const MAX_ACCESS_BYTES: u64 = 262_144;
-
-/// What every write stores. Reads discard their bytes
-/// ([`Vfs::read_discard`]), so nothing ever looks at it.
-static FILLER: [u8; MAX_ACCESS_BYTES as usize] = [0xA5; MAX_ACCESS_BYTES as usize];
 
 /// Safety margin on per-task operation counts, so a pathological sample
 /// cannot loop forever.
@@ -422,7 +417,8 @@ impl Session {
             if task.written < task.file_size {
                 access = access.min(task.file_size - task.written).max(1);
             }
-            let n = match vfs.write(proc, fd, &FILLER[..access as usize]) {
+            // Nothing reads the bytes back (reads discard them): store none.
+            let n = match vfs.write_zeros(proc, fd, access as usize) {
                 Ok(n) => n as u64,
                 Err(FsError::NoSpace | FsError::FileTooLarge) => {
                     // Device full: stop writing, degrade to finishing early.

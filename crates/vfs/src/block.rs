@@ -1,8 +1,9 @@
 //! The block store: fixed-size data blocks with a free list and a capacity
 //! limit, giving the file system real `ENOSPC` behaviour and allocation
-//! statistics.
+//! statistics. A block holds memory only once a caller writes into it.
 
 use crate::FsError;
+use std::ops::Range;
 
 /// Identifier of one block in the store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -24,6 +25,8 @@ pub struct BlockStats {
 pub(crate) struct BlockStore {
     block_size: usize,
     max_blocks: usize,
+    /// `None` for a free id; an empty buffer (no heap memory) for an
+    /// allocated block nobody has written, which reads as zeros.
     blocks: Vec<Option<Box<[u8]>>>,
     free: Vec<BlockId>,
     stats: BlockStats,
@@ -41,16 +44,6 @@ impl BlockStore {
         }
     }
 
-    #[cfg(test)]
-    pub(crate) fn block_size(&self) -> usize {
-        self.block_size
-    }
-
-    #[cfg(test)]
-    pub(crate) fn allocated(&self) -> u64 {
-        self.stats.allocated
-    }
-
     pub(crate) fn free_blocks(&self) -> u64 {
         (self.max_blocks as u64).saturating_sub(self.stats.allocated)
     }
@@ -59,7 +52,7 @@ impl BlockStore {
         self.stats
     }
 
-    /// Allocates a zeroed block.
+    /// Allocates a block that reads as zeros.
     pub(crate) fn alloc(&mut self) -> Result<BlockId, FsError> {
         if self.stats.allocated as usize >= self.max_blocks {
             return Err(FsError::NoSpace);
@@ -67,13 +60,11 @@ impl BlockStore {
         self.stats.allocated += 1;
         self.stats.total_allocations += 1;
         if let Some(id) = self.free.pop() {
-            self.blocks[id.0 as usize] = Some(vec![0u8; self.block_size].into_boxed_slice());
+            self.blocks[id.0 as usize] = Some(Box::default());
             return Ok(id);
         }
-        let id = BlockId(self.blocks.len() as u32);
-        self.blocks
-            .push(Some(vec![0u8; self.block_size].into_boxed_slice()));
-        Ok(id)
+        self.blocks.push(Some(Box::default()));
+        Ok(BlockId(self.blocks.len() as u32 - 1))
     }
 
     /// Returns a block to the free list.
@@ -86,16 +77,37 @@ impl BlockStore {
         self.stats.total_frees += 1;
     }
 
-    pub(crate) fn data(&self, id: BlockId) -> &[u8] {
+    fn buffer(&mut self, id: BlockId) -> &mut Box<[u8]> {
         self.blocks[id.0 as usize]
-            .as_deref()
+            .as_mut()
             .expect("access to freed block")
     }
 
+    /// The bytes of block `id`, or `None` while no caller has written into
+    /// it and it reads as zeros.
+    pub(crate) fn data(&self, id: BlockId) -> Option<&[u8]> {
+        let data = self.blocks[id.0 as usize]
+            .as_deref()
+            .expect("access to freed block");
+        (!data.is_empty()).then_some(data)
+    }
+
+    /// The bytes of block `id` to write into: a zeroed buffer on first use.
     pub(crate) fn data_mut(&mut self, id: BlockId) -> &mut [u8] {
-        self.blocks[id.0 as usize]
-            .as_deref_mut()
-            .expect("access to freed block")
+        let size = self.block_size;
+        let buffer = self.buffer(id);
+        if buffer.is_empty() {
+            *buffer = vec![0; size].into_boxed_slice();
+        }
+        buffer
+    }
+
+    /// Zeros `range` of block `id`, which takes no work (and no memory)
+    /// unless the block has a buffer.
+    pub(crate) fn zero(&mut self, id: BlockId, range: Range<usize>) {
+        if let Some(bytes) = self.buffer(id).get_mut(range) {
+            bytes.fill(0);
+        }
     }
 }
 
@@ -109,10 +121,10 @@ mod tests {
         let a = s.alloc().unwrap();
         let b = s.alloc().unwrap();
         assert_ne!(a, b);
-        assert_eq!(s.allocated(), 2);
+        assert_eq!(s.stats().allocated, 2);
         assert_eq!(s.free_blocks(), 2);
         s.free(a);
-        assert_eq!(s.allocated(), 1);
+        assert_eq!(s.stats().allocated, 1);
         let c = s.alloc().unwrap();
         assert_eq!(c, a, "freed block is reused");
         assert_eq!(s.stats().total_allocations, 3);
@@ -135,14 +147,15 @@ mod tests {
     fn blocks_are_zeroed_on_alloc() {
         let mut s = BlockStore::new(128, 2);
         let a = s.alloc().unwrap();
+        assert_eq!(s.data(a), None, "a fresh block has no buffer");
         s.data_mut(a).fill(0xAB);
         s.free(a);
         let b = s.alloc().unwrap();
         assert_eq!(b, a);
-        assert!(
-            s.data(b).iter().all(|&x| x == 0),
-            "recycled block must be zeroed"
-        );
+        assert_eq!(s.data(b), None, "recycled block must read as zeros");
+        s.zero(b, 0..128);
+        assert_eq!(s.data(b), None, "zeroing gives no buffer");
+        assert_eq!(s.data_mut(b), &[0; 128][..]);
     }
 
     #[test]
@@ -150,8 +163,9 @@ mod tests {
         let mut s = BlockStore::new(128, 1);
         let a = s.alloc().unwrap();
         s.data_mut(a)[..5].copy_from_slice(b"hello");
-        assert_eq!(&s.data(a)[..5], b"hello");
-        assert_eq!(s.block_size(), 128);
+        s.zero(a, 1..3);
+        assert_eq!(&s.data(a).unwrap()[..5], b"h\0\0lo");
+        assert_eq!(s.data(a).unwrap().len(), 128);
     }
 
     #[test]

@@ -75,6 +75,31 @@ impl fmt::Display for FsError {
 
 impl std::error::Error for FsError {}
 
+/// A [`VfsConfig`](crate::VfsConfig) field out of the range a file system
+/// can be built on, from [`VfsConfig::validate`](crate::VfsConfig::validate).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The field, as a workload spec spells it.
+    pub field: &'static str,
+    /// Its value.
+    pub value: usize,
+    /// The range it must lie in.
+    pub expected: &'static str,
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Self {
+            field,
+            value,
+            expected,
+        } = self;
+        write!(f, "`{field}` is {value}, but must be {expected}")
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,7 +12,10 @@
 //! unlinked-but-open files stay readable until the last close (the paper's
 //! `TEMP` usage class relies on this), `lseek` past EOF creates holes that
 //! read back as zeros, and directory entries are kept in sorted order as
-//! `readdir` output.
+//! `readdir` output. Data blocks are allocated, counted and freed as on a
+//! disk, but a block holds memory only once a caller writes bytes into it:
+//! [`Vfs::write_zeros`], the write twin of [`Vfs::read_discard`], fills a
+//! file for callers that never read its content back.
 //!
 //! Paths are resolved from `/` on every call. A caller that creates many
 //! objects in a directory it already holds (the File System Creator) uses
@@ -50,7 +53,7 @@ mod path;
 mod vfs;
 
 pub use block::BlockStats;
-pub use error::FsError;
+pub use error::{ConfigError, FsError};
 pub use fd::{Fd, OpenFlags, Process, SeekFrom};
 pub use inode::{FileKind, Ino, Metadata};
 pub use vfs::{DirEntry, FsStats, OpCounters, Vfs, VfsConfig};

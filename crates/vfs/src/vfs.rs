@@ -5,7 +5,7 @@ use crate::block::{BlockStats, BlockStore};
 use crate::fd::{Fd, OpenFile, OpenFlags, Process, SeekFrom};
 use crate::inode::{Content, FileKind, Ino, Inode, Metadata};
 use crate::path::{check_name, components, split_parent};
-use crate::FsError;
+use crate::{ConfigError, FsError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -34,6 +34,30 @@ impl Default for VfsConfig {
             max_fds_per_process: 256,
             max_file_size: 256 * 1024 * 1024,
         }
+    }
+}
+
+impl VfsConfig {
+    /// Checks that a [`Vfs`] can be built on this geometry: blocks of 64
+    /// bytes up to `u32::MAX` (the width `stat` and `statfs` report), and an
+    /// inode for the root directory.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError`] naming the first field out of range.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let (field, value, expected) = if !(64..=u32::MAX as usize).contains(&self.block_size) {
+            ("vfs.block_size", self.block_size, "64 to 4294967295 bytes")
+        } else if self.max_inodes == 0 {
+            ("vfs.max_inodes", 0, "at least 1, for the root directory")
+        } else {
+            return Ok(());
+        };
+        Err(ConfigError {
+            field,
+            value,
+            expected,
+        })
     }
 }
 
@@ -72,7 +96,7 @@ pub struct OpCounters {
     pub closes: u64,
     /// `read` / `read_discard` calls.
     pub reads: u64,
-    /// `write` calls.
+    /// `write` / `write_zeros` calls.
     pub writes: u64,
     /// `lseek` calls.
     pub seeks: u64,
@@ -92,7 +116,7 @@ pub struct OpCounters {
     pub truncates: u64,
     /// Bytes returned by `read` / `read_discard`.
     pub bytes_read: u64,
-    /// Bytes accepted by `write`.
+    /// Bytes accepted by `write` / `write_zeros`.
     pub bytes_written: u64,
 }
 
@@ -128,8 +152,10 @@ pub struct Vfs {
 }
 
 impl Vfs {
-    /// Creates an empty file system containing only the root directory.
+    /// Creates an empty file system containing only the root directory;
+    /// panics on a `config` that fails [`VfsConfig::validate`].
     pub fn new(config: VfsConfig) -> Self {
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
         let mut fs = Self {
             config,
             clock: 0,
@@ -521,6 +547,33 @@ impl Vfs {
     /// [`FsError::NoSpace`] when nothing could be written,
     /// [`FsError::FileTooLarge`] beyond the maximum file size.
     pub fn write(&mut self, proc: &mut Process, fd: Fd, data: &[u8]) -> Result<usize, FsError> {
+        self.write_impl(proc, fd, data.len(), Some(data))
+    }
+
+    /// `write(2)` of `n` zero bytes, for a caller whose data nobody reads
+    /// back: every check and every effect of [`Vfs::write`] with an `n`-byte
+    /// zero buffer — return value, short write at `NoSpace`, `FileTooLarge`,
+    /// cursor, size, `mtime`/`ctime`, counters, blocks allocated — and no
+    /// byte is stored. A block only ever written this way costs no memory;
+    /// one that already holds data has the range zeroed.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Vfs::write`].
+    pub fn write_zeros(&mut self, proc: &mut Process, fd: Fd, n: usize) -> Result<usize, FsError> {
+        self.write_impl(proc, fd, n, None)
+    }
+
+    /// The body of `write` and `write_zeros`: the one place that decides how
+    /// many bytes a write takes. `data`, when given, is `len` bytes long;
+    /// `None` writes zeros.
+    fn write_impl(
+        &mut self,
+        proc: &mut Process,
+        fd: Fd,
+        len: usize,
+        data: Option<&[u8]>,
+    ) -> Result<usize, FsError> {
         self.counters.writes += 1;
         let open = proc.get_mut(fd).ok_or(FsError::BadFd)?;
         if !open.flags.write {
@@ -532,18 +585,44 @@ impl Vfs {
         } else {
             open.offset
         };
-        if offset.saturating_add(data.len() as u64) > self.config.max_file_size {
+        if offset.saturating_add(len as u64) > self.config.max_file_size {
             return Err(FsError::FileTooLarge);
         }
-        let n = self.write_at(ino, offset, data)?;
+        let bs = self.config.block_size as u64;
+        let mut done = 0usize;
+        while done < len {
+            let pos = offset + done as u64;
+            let block_idx = (pos / bs) as usize;
+            let in_block = (pos % bs) as usize;
+            let chunk = (len - done).min(bs as usize - in_block);
+            if self.inode(ino).blocks().len() <= block_idx {
+                self.inode_mut(ino).blocks_mut().resize(block_idx + 1, None);
+            }
+            let id = match self.inode(ino).blocks()[block_idx] {
+                Some(id) => id,
+                None => match self.store.alloc() {
+                    Ok(id) => *self.inode_mut(ino).blocks_mut()[block_idx].insert(id),
+                    Err(e) if done == 0 => return Err(e),
+                    // The device filled mid-write: a short write.
+                    Err(_) => break,
+                },
+            };
+            let range = in_block..in_block + chunk;
+            match data.map(|data| &data[done..done + chunk]) {
+                Some(bytes) => self.store.data_mut(id)[range].copy_from_slice(bytes),
+                None => self.store.zero(id, range),
+            }
+            done += chunk;
+        }
         let open = proc.get_mut(fd).expect("still open");
-        open.offset = offset + n as u64;
+        open.offset = offset + done as u64;
         let clock = self.clock;
         let node = self.inode_mut(ino);
+        node.size = node.size.max(offset + done as u64);
         node.mtime = clock;
         node.ctime = clock;
-        self.counters.bytes_written += n as u64;
-        Ok(n)
+        self.counters.bytes_written += done as u64;
+        Ok(done)
     }
 
     /// `lseek(2)`: repositions the cursor; returns the new offset.
@@ -554,11 +633,8 @@ impl Vfs {
     /// [`FsError::InvalidArgument`] for seeks before the start of the file.
     pub fn lseek(&mut self, proc: &mut Process, fd: Fd, pos: SeekFrom) -> Result<u64, FsError> {
         self.counters.seeks += 1;
-        let size = {
-            let open = proc.get(fd).ok_or(FsError::BadFd)?;
-            self.inode(open.ino).size
-        };
         let open = proc.get_mut(fd).ok_or(FsError::BadFd)?;
+        let size = self.inode(open.ino).size;
         let new = match pos {
             SeekFrom::Start(o) => o as i128,
             SeekFrom::Current(d) => open.offset as i128 + d as i128,
@@ -645,10 +721,9 @@ impl Vfs {
             if self.dir(target).is_some() {
                 return Err(FsError::IsADirectory);
             }
-            if target == ino {
-                // Hard-link aliasing cannot happen (no link(2)); same-file
-                // rename to a different parent entry: remove old name below.
-            } else {
+            // Without link(2) the target is `ino` only if the names alias,
+            // and the old name goes below.
+            if target != ino {
                 self.dir_mut(new_parent).remove(new_name);
                 self.drop_link(target);
             }
@@ -835,7 +910,7 @@ impl Vfs {
             return Err(FsError::IsADirectory);
         }
         if flags.truncate {
-            self.truncate_inode(ino, 0)?;
+            self.truncate_inode(ino, 0);
         }
         let open = OpenFile {
             ino,
@@ -858,7 +933,7 @@ impl Vfs {
         if len > self.config.max_file_size {
             return Err(FsError::FileTooLarge);
         }
-        self.truncate_inode(ino, len)?;
+        self.truncate_inode(ino, len);
         let clock = self.clock;
         let node = self.inode_mut(ino);
         node.mtime = clock;
@@ -882,98 +957,44 @@ impl Vfs {
             let block_idx = (pos / bs) as usize;
             let in_block = (pos % bs) as usize;
             let chunk = (n - done).min(bs as usize - in_block);
-            match node.blocks().get(block_idx).copied().flatten() {
-                Some(id) => {
-                    let data = self.store.data(id);
+            let block = node.blocks().get(block_idx).copied().flatten();
+            match block.and_then(|id| self.store.data(id)) {
+                Some(data) => {
                     buf[done..done + chunk].copy_from_slice(&data[in_block..in_block + chunk]);
                 }
-                None => {
-                    // Hole: zeros.
-                    buf[done..done + chunk].fill(0);
-                }
+                // A hole, or a block no caller has written: zeros.
+                None => buf[done..done + chunk].fill(0),
             }
             done += chunk;
         }
     }
 
-    fn write_at(&mut self, ino: Ino, offset: u64, data: &[u8]) -> Result<usize, FsError> {
-        let bs = self.config.block_size as u64;
-        let mut done = 0usize;
-        while done < data.len() {
-            let pos = offset + done as u64;
-            let block_idx = (pos / bs) as usize;
-            let in_block = (pos % bs) as usize;
-            let chunk = (data.len() - done).min(bs as usize - in_block);
-            // Ensure the block exists.
-            if self.inode(ino).blocks().len() <= block_idx {
-                self.inode_mut(ino).blocks_mut().resize(block_idx + 1, None);
-            }
-            if self.inode(ino).blocks()[block_idx].is_none() {
-                match self.store.alloc() {
-                    Ok(id) => self.inode_mut(ino).blocks_mut()[block_idx] = Some(id),
-                    Err(e) => {
-                        return if done > 0 {
-                            self.bump_size(ino, offset + done as u64);
-                            Ok(done)
-                        } else {
-                            Err(e)
-                        };
-                    }
-                }
-            }
-            let id = self.inode(ino).blocks()[block_idx].expect("just ensured");
-            let block = self.store.data_mut(id);
-            block[in_block..in_block + chunk].copy_from_slice(&data[done..done + chunk]);
-            done += chunk;
-        }
-        self.bump_size(ino, offset + done as u64);
-        Ok(done)
-    }
-
-    fn bump_size(&mut self, ino: Ino, end: u64) {
-        let node = self.inode_mut(ino);
-        if end > node.size {
-            node.size = end;
-        }
-    }
-
-    fn truncate_inode(&mut self, ino: Ino, len: u64) -> Result<(), FsError> {
+    fn truncate_inode(&mut self, ino: Ino, len: u64) {
         let bs = self.config.block_size as u64;
         let keep_blocks = (len.div_ceil(bs)) as usize;
-        let freed: Vec<_> = {
-            let blocks = self.inode_mut(ino).blocks_mut();
-            if blocks.len() > keep_blocks {
-                blocks.drain(keep_blocks..).flatten().collect()
-            } else {
-                Vec::new()
-            }
-        };
-        for id in freed {
+        let blocks = self.inode_mut(ino).blocks_mut();
+        let freed = blocks.split_off(keep_blocks.min(blocks.len()));
+        for id in freed.into_iter().flatten() {
             self.store.free(id);
         }
         // Zero the tail of the boundary block so re-extension reads zeros.
         let node_size = self.inode(ino).size;
         if len < node_size && !len.is_multiple_of(bs) {
             if let Some(Some(id)) = self.inode(ino).blocks().get(keep_blocks - 1).copied() {
-                let from = (len % bs) as usize;
-                self.store.data_mut(id)[from..].fill(0);
+                self.store.zero(id, (len % bs) as usize..bs as usize);
             }
         }
         self.inode_mut(ino).size = len;
-        Ok(())
     }
 
     /// Whether `candidate` is `dir` itself or lives anywhere below it.
     fn is_same_or_descendant(&self, dir: Ino, candidate: Ino) -> bool {
-        if dir == candidate {
-            return true;
-        }
-        let Some(entries) = self.dir(dir) else {
-            return false;
-        };
-        entries
-            .values()
-            .any(|&child| self.is_same_or_descendant(child, candidate))
+        dir == candidate
+            || self.dir(dir).is_some_and(|entries| {
+                entries
+                    .values()
+                    .any(|&child| self.is_same_or_descendant(child, candidate))
+            })
     }
 }
 
@@ -1093,11 +1114,7 @@ mod tests {
         let mut p = f.new_process();
         let none = OpenFlags {
             read: false,
-            write: false,
-            create: false,
-            truncate: false,
-            append: false,
-            exclusive: false,
+            ..OpenFlags::read_only()
         };
         assert_eq!(f.open(&mut p, "/x", none), Err(FsError::InvalidArgument));
         assert_eq!(

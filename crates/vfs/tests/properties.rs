@@ -167,21 +167,27 @@ proptest! {
     }
 
     /// Writing at random offsets then reading back behaves like a sparse
-    /// byte array.
+    /// byte array, whether a segment is written as bytes or as zeros.
     #[test]
-    fn random_offset_writes(segments in prop::collection::vec((0u32..200_000, prop::collection::vec(any::<u8>(), 1..500)), 1..10)) {
+    fn random_offset_writes(segments in prop::collection::vec((0u32..200_000, prop::collection::vec(any::<u8>(), 1..500), any::<bool>()), 1..10)) {
         let mut fs = Vfs::new(VfsConfig::default());
         let mut proc = fs.new_process();
         let fd = fs.creat(&mut proc, "/sparse").unwrap();
         let mut model: Vec<u8> = Vec::new();
-        for (offset, data) in &segments {
+        for (offset, data, zeros) in &segments {
             let offset = *offset as usize;
             fs.lseek(&mut proc, fd, SeekFrom::Start(offset as u64)).unwrap();
-            fs.write(&mut proc, fd, data).unwrap();
             if model.len() < offset + data.len() {
                 model.resize(offset + data.len(), 0);
             }
-            model[offset..offset + data.len()].copy_from_slice(data);
+            let written = &mut model[offset..offset + data.len()];
+            if *zeros {
+                fs.write_zeros(&mut proc, fd, data.len()).unwrap();
+                written.fill(0);
+            } else {
+                fs.write(&mut proc, fd, data).unwrap();
+                written.copy_from_slice(data);
+            }
         }
         fs.close(&mut proc, fd).unwrap();
         prop_assert_eq!(fs.read_file("/sparse").unwrap(), model);
@@ -241,5 +247,70 @@ proptest! {
             prop_assert_eq!(copying.stat(&format!("/f{f}")), discarding.stat(&format!("/f{f}")));
         }
         prop_assert_eq!(copying.counters(), discarding.counters());
+    }
+
+    /// `write_zeros` is `write` minus the bytes: one random script on two file
+    /// systems, one writing a buffer of zeros, the other calling
+    /// `write_zeros`, on a geometry small enough that writes come up short at
+    /// `NoSpace` and fail at `FileTooLarge`. Both also write the same non-zero
+    /// bytes, so zeros land on blocks holding data and truncation cuts through
+    /// them. After every step they agree on the result, every cursor and
+    /// `fstat`, the counters, `block_stats` and `statfs`; a read, on the bytes.
+    #[test]
+    fn write_zeros_is_write_minus_the_bytes(steps in prop::collection::vec((0u8..9, any::<u16>()), 1..80)) {
+        let config = VfsConfig {
+            block_size: 64,
+            max_blocks: 24,
+            max_inodes: 8,
+            max_fds_per_process: 8,
+            max_file_size: 1_000,
+        };
+        let (mut copying, mut zeroing) = (Vfs::new(config), Vfs::new(config));
+        let (mut proc_c, mut proc_z) = (copying.new_process(), zeroing.new_process());
+        let create = OpenFlags::read_write_create();
+        let mut fds = vec![copying.open(&mut proc_c, "/f0", create).unwrap()];
+        zeroing.open(&mut proc_z, "/f0", create).unwrap();
+        for (what, arg) in steps {
+            let (path, len) = (format!("/f{}", arg % 3), usize::from(arg) % 700);
+            let fd = fds[usize::from(arg) % fds.len()];
+            let (mut results, mut bytes, mut opened) = (Vec::new(), Vec::new(), None);
+            for (fs, proc, zeros) in [(&mut copying, &mut proc_c, false), (&mut zeroing, &mut proc_z, true)] {
+                let n = |n: usize| n as u64;
+                results.push(match what {
+                    // An open, of a file that may be new, in append mode or not.
+                    0 | 1 => fs.open(proc, &path, OpenFlags { append: what == 1, ..create }).map(|fd| {
+                        opened = Some(fd);
+                        fd.number().into()
+                    }),
+                    2 if zeros => fs.write_zeros(proc, fd, len).map(n),
+                    2 => fs.write(proc, fd, &[0; 700][..len]).map(n),
+                    3 => fs.write(proc, fd, &[arg as u8 | 1; 700][..len]).map(n),
+                    4 => fs.lseek(proc, fd, SeekFrom::Start(u64::from(arg) % 1_200)),
+                    5 => fs.truncate(&path, u64::from(arg) % 1_100).map(|()| 0),
+                    6 => {
+                        let mut buf = vec![0xEE; len];
+                        let read = fs.read(proc, fd, &mut buf);
+                        buf.truncate(*read.as_ref().unwrap_or(&0));
+                        bytes.push(buf);
+                        read.map(n)
+                    }
+                    7 => fs.unlink(&path).map(|()| 0),
+                    _ => fs.close(proc, fd).map(|()| 0),
+                });
+            }
+            prop_assert_eq!(results[0], results[1], "step {} {}", what, arg);
+            prop_assert_eq!(bytes.first(), bytes.last());
+            fds.extend(opened);
+            for &fd in &fds {
+                prop_assert_eq!(
+                    copying.lseek(&mut proc_c, fd, SeekFrom::Current(0)),
+                    zeroing.lseek(&mut proc_z, fd, SeekFrom::Current(0))
+                );
+                prop_assert_eq!(copying.fstat(&proc_c, fd), zeroing.fstat(&proc_z, fd));
+            }
+            prop_assert_eq!(copying.counters(), zeroing.counters());
+            prop_assert_eq!(copying.block_stats(), zeroing.block_stats());
+            prop_assert_eq!(copying.statfs(), zeroing.statfs());
+        }
     }
 }

@@ -8,7 +8,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering::Relaxed};
-use uswg_core::WorkloadSpec;
+use uswg_core::{FillPattern, WorkloadSpec};
 
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
 static LIVE_BLOCKS: AtomicIsize = AtomicIsize::new(0);
@@ -75,4 +75,24 @@ fn the_file_system_costs_a_known_number_of_bytes_and_blocks_per_user() {
     // Six vectors however many files: no block per file, list or owner
     // (712,007 blocks at 100 k users when every owner held its own lists).
     assert!(catalog_blocks <= 8, "{catalog_blocks} catalog blocks");
+
+    // Pattern fill allocates a data block for every block of every file; a
+    // block no caller has written costs its id, not its bytes. Over the
+    // sparse build of the same spec that is at most 64 bytes a block (the
+    // block's 8 KiB when each held a zeroed buffer).
+    let built = |fill| {
+        let mut spec = WorkloadSpec::paper_default().unwrap();
+        spec.fsc.fill = fill;
+        let before = LIVE_BYTES.load(Relaxed);
+        let (vfs, _catalog) = spec.generate_fs().unwrap();
+        let bytes = LIVE_BYTES.load(Relaxed) - before;
+        (bytes, vfs.block_stats().allocated)
+    };
+    let [(pattern, blocks), (sparse, no_blocks)] =
+        [FillPattern::Pattern, FillPattern::Sparse].map(built);
+    let bytes_per_block = (pattern - sparse) as f64 / blocks as f64;
+    println!("{bytes_per_block:.1} B per data block over {blocks} blocks");
+    assert_eq!(no_blocks, 0);
+    assert!(blocks > 100, "{blocks} data blocks");
+    assert!(bytes_per_block <= 64.0, "{bytes_per_block} B per block");
 }
