@@ -5,7 +5,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
-use uswg_core::WorkloadSpec;
+use uswg_core::{DistributionSpec, PopulationSpec, UserTypeSpec, WorkloadSpec};
 
 /// A fresh scratch directory under cargo's per-target test tmpdir.
 fn scratch(label: &str) -> PathBuf {
@@ -219,6 +219,48 @@ fn an_unbuildable_vfs_geometry_is_refused_by_name() {
         assert!(!stderr.contains("panicked"), "{stderr}");
         assert!(stderr.contains(field), "{stderr}");
         assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    }
+}
+
+/// Simulated time saturates, so a delay past the clock's limit used to pin
+/// it there: every later response read 0 and the run exited 0 with a
+/// 18446744073709.551 s report. Now it is one line of error, exit 2,
+/// sharded or not — from a latency spike and from a think time alike.
+#[test]
+fn a_run_whose_clock_overflows_is_refused() {
+    let dir = scratch("clock");
+    let mut spike = WorkloadSpec::paper_default().unwrap();
+    (spike.run.n_users, spike.run.sessions_per_user) = (2, 2);
+    let mut think = spike.clone();
+    spike.run.faults.spike_ppm = 1_000_000;
+    spike.run.faults.spike_micros = 9_000_000_000_000_000_000;
+    let types = think.population.types().iter().cloned();
+    think.population = PopulationSpec::new(
+        types
+            .map(|(t, share)| {
+                (
+                    UserTypeSpec {
+                        think_time: DistributionSpec::exponential(1e19),
+                        ..t
+                    },
+                    share,
+                )
+            })
+            .collect(),
+    )
+    .unwrap();
+    for (name, spec) in [("spike", spike), ("think", think)] {
+        let path = dir.join(format!("{name}.json"));
+        std::fs::write(&path, spec.to_json().unwrap()).unwrap();
+        for shards in ["", " --shards 2"] {
+            let args = format!("run {} --model nfs --summary{shards}", path.display());
+            let out = uswg(&args, &[]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args}: {stderr}");
+            assert!(out.stdout.is_empty(), "{args}: {stderr}");
+            assert!(stderr.contains("clock overflow"), "{args}: {stderr}");
+            assert_eq!(stderr.lines().count(), 1, "{args}: {stderr}");
+        }
     }
 }
 

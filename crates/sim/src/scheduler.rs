@@ -30,13 +30,13 @@ pub trait World {
 ///
 /// Measured on the hold model (a constant population, every event
 /// rescheduling itself — the case in which the scheduler's held slot never
-/// helps, so the queue's own cost): the heap is ~20 % ahead at 64 pending
-/// events, level at 1k, and behind by 1.5× at 10k, 2.3× at 100k and 5.5× at
-/// 1M. On the benchmark's run workloads, where half the events bypass the
-/// queue altogether, the two are within run-to-run noise of each other
-/// (`deep_nfs`, ≤ 64 pending; `wide_local`, ≤ 5k pending). The numbers and
-/// the command that makes them are in the README's "Scheduler backends"
-/// section and `benchmark/README.md`.
+/// helps, so the queue's own cost): level at 64 pending events (31 ns per
+/// event each), the calendar ahead by 1.3× at 1k, 1.9× at 10k, 1.8× at 100k
+/// and 8× at 1M. On the benchmark's run workloads, where half the events
+/// bypass the queue altogether, the two are within run-to-run noise of each
+/// other (`deep_nfs`, ≤ 64 pending; `wide_local`, ≤ 5k pending). The
+/// numbers and the command that makes them are in the README's "Scheduler
+/// backends" section and `benchmark/README.md`.
 ///
 /// The default is the calendar: level where the queue is small, ahead
 /// where it is not.
@@ -78,7 +78,8 @@ impl std::fmt::Display for SchedulerBackend {
 }
 
 /// One pending event. Ordered by time, then by insertion sequence so that
-/// simultaneous events run in FIFO order (deterministic replay).
+/// simultaneous events run in FIFO order (deterministic replay): by
+/// [`Scheduled::key`].
 ///
 /// Layout note: `at` and `seq` lead so the comparison key sits in the first
 /// 16 bytes; with a zero-sized or small event payload the whole entry packs
@@ -90,9 +91,19 @@ pub(crate) struct Scheduled<E> {
     pub(crate) event: E,
 }
 
+impl<E> Scheduled<E> {
+    /// The `(at, seq)` order as one integer, `at` in the high half: one
+    /// 128-bit comparison where the tuple takes two compares and a branch.
+    /// Computed, not stored, so the entry stays two words plus payload.
+    #[inline]
+    pub(crate) fn key(&self) -> u128 {
+        (u128::from(self.at.micros()) << 64) | u128::from(self.seq)
+    }
+}
+
 impl<E> PartialEq for Scheduled<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl<E> Eq for Scheduled<E> {}
@@ -105,7 +116,7 @@ impl<E> PartialOrd for Scheduled<E> {
 impl<E> Ord for Scheduled<E> {
     #[inline]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+        self.key().cmp(&other.key())
     }
 }
 
@@ -143,19 +154,12 @@ impl<E> Queue<E> {
         }
     }
 
-    /// Pops the earliest event if it sorts before `key`; otherwise leaves
-    /// the queue untouched.
+    /// Pops the earliest event if its [`Scheduled::key`] is below `key`;
+    /// otherwise leaves the queue untouched.
     #[inline]
-    fn pop_before(&mut self, key: (SimTime, u64)) -> Option<Scheduled<E>> {
+    fn pop_before(&mut self, key: u128) -> Option<Scheduled<E>> {
         match self {
-            Queue::Heap(h) => {
-                let Reverse(top) = h.peek()?;
-                if (top.at, top.seq) < key {
-                    h.pop().map(|Reverse(s)| s)
-                } else {
-                    None
-                }
-            }
+            Queue::Heap(h) => (h.peek()?.0.key() < key).then(|| h.pop().expect("peeked").0),
             Queue::Calendar(c) => c.pop_before(key),
         }
     }
@@ -171,7 +175,7 @@ impl<E> Queue<E> {
         match self {
             Queue::Heap(h) => h.reserve(additional),
             // The calendar sizes its bucket array from the live population;
-            // per-bucket deques are too small to be worth pre-sizing.
+            // its days are too small to be worth pre-sizing.
             Queue::Calendar(_) => {}
         }
     }
@@ -239,14 +243,6 @@ impl<E> std::fmt::Debug for Scheduled<E> {
 }
 
 impl<E> Scheduler<E> {
-    fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    fn with_capacity(capacity: usize) -> Self {
-        Self::with_backend(SchedulerBackend::default(), capacity)
-    }
-
     fn with_backend(backend: SchedulerBackend, capacity: usize) -> Self {
         Self {
             now: SimTime::ZERO,
@@ -367,7 +363,7 @@ impl<E> Scheduler<E> {
         let Some(held) = self.held.take() else {
             return self.queue.pop();
         };
-        match self.queue.pop_before((held.at, held.seq)) {
+        match self.queue.pop_before(held.key()) {
             Some(ev) => {
                 self.queue.push(held);
                 Some(ev)
@@ -405,10 +401,7 @@ pub struct Simulation<W: World> {
 impl<W: World> Simulation<W> {
     /// Creates a simulation at time zero with an empty event queue.
     pub fn new(world: W) -> Self {
-        Self {
-            world,
-            sched: Scheduler::new(),
-        }
+        Self::with_capacity(world, 0)
     }
 
     /// Creates a simulation whose event queue is pre-sized for `capacity`
@@ -416,10 +409,7 @@ impl<W: World> Simulation<W> {
     /// event population (e.g. one in-flight event per simulated user) avoid
     /// every mid-run heap reallocation this way.
     pub fn with_capacity(world: W, capacity: usize) -> Self {
-        Self {
-            world,
-            sched: Scheduler::with_capacity(capacity),
-        }
+        Self::with_backend(world, SchedulerBackend::default(), capacity)
     }
 
     /// Creates a simulation on an explicit [`SchedulerBackend`], pre-sized
@@ -843,6 +833,35 @@ mod tests {
         let order: Vec<u32> = heap.iter().map(|&(e, _)| e).collect();
         assert_eq!(order, vec![0, 3, 2, 1]);
         assert_eq!(heap, calendar);
+    }
+
+    #[test]
+    fn key_orders_exactly_like_time_then_seq() {
+        let edges = [
+            0,
+            1,
+            2,
+            1 << 32,
+            (1 << 63) - 1,
+            1 << 63,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let all: Vec<Scheduled<()>> = (edges.iter())
+            .flat_map(|&at| edges.iter().map(move |&seq| (at, seq)))
+            .map(|(at, seq)| Scheduled {
+                at: SimTime::from_micros(at),
+                seq,
+                event: (),
+            })
+            .collect();
+        for a in &all {
+            for b in &all {
+                let tuples = (a.at, a.seq).cmp(&(b.at, b.seq));
+                assert_eq!(a.key().cmp(&b.key()), tuples, "{a:?} vs {b:?}");
+                assert_eq!(a.cmp(b), tuples);
+            }
+        }
     }
 
     #[test]

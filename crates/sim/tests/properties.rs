@@ -80,31 +80,41 @@ struct Node {
     depth: u8,
 }
 
-/// Follow-ups a handled event schedules, as delays: 0–3 of them, a pure
-/// function of the event id, drawn from `delays` (which holds zeros, ties
-/// and `u64::MAX - 1`). Shared by the kernel-driven world and the reference,
-/// so the two can differ only in the order they dispatch.
-fn follow_ups(node: Node, delays: &[u64]) -> impl Iterator<Item = u64> + '_ {
-    let h = node.id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17;
+/// The follow-ups a handled event schedules, as delays: a pure function of
+/// the event. Shared by the kernel-driven world and the reference, so the
+/// two can differ only in the order they dispatch.
+type Rule<'a> = &'a dyn Fn(Node) -> Vec<u64>;
+
+/// A well-mixed hash of an event id, for rules that draw from it.
+fn mix(id: u64) -> u64 {
+    id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17
+}
+
+/// 0–3 follow-ups, drawn from `delays` (which holds zeros, ties and
+/// `u64::MAX - 1`).
+fn follow_ups(node: Node, delays: &[u64]) -> Vec<u64> {
+    let h = mix(node.id);
     let count = if node.depth >= 4 { 0 } else { h % 4 };
-    (0..count).map(move |k| delays[((h + k) % delays.len() as u64) as usize])
+    (0..count)
+        .map(|k| delays[((h + k) % delays.len() as u64) as usize])
+        .collect()
 }
 
 /// The branching world on the real kernel.
-struct Branching {
-    delays: Vec<u64>,
+struct Branching<'a> {
+    rule: Rule<'a>,
     next_id: u64,
     fired: Vec<(u64, SimTime)>,
 }
 
-impl World for Branching {
+impl World for Branching<'_> {
     type Event = Node;
     fn handle(&mut self, node: Node, sched: &mut Scheduler<Node>) {
         self.fired.push((node.id, sched.now()));
-        for delay in follow_ups(node, &self.delays) {
+        for delay in (self.rule)(node) {
             let child = Node {
                 id: self.next_id,
-                depth: node.depth + 1,
+                depth: node.depth.saturating_add(1),
             };
             self.next_id += 1;
             sched.schedule(delay, child);
@@ -130,22 +140,29 @@ impl Reference {
     }
 
     /// Dispatches the earliest event if it is due by `deadline`.
-    fn step(&mut self, delays: &[u64], deadline: u64) -> bool {
-        let Some(i) =
-            (0..self.pending.len()).min_by_key(|&i| (self.pending[i].0, self.pending[i].1))
-        else {
+    fn step(&mut self, rule: Rule, deadline: u64) -> bool {
+        if self.pending.is_empty() {
             return false;
-        };
+        }
+        // A plain loop: the dense-day oracles scan 2,048 events 10⁵ times,
+        // unoptimized.
+        let mut i = 0;
+        for (j, e) in self.pending.iter().enumerate() {
+            let min = &self.pending[i];
+            if e.0 < min.0 || e.0 == min.0 && e.1 < min.1 {
+                i = j;
+            }
+        }
         if self.pending[i].0 > deadline {
             return false;
         }
         let (at, _, node) = self.pending.swap_remove(i);
         self.now = at;
         self.fired.push((node.id, SimTime::from_micros(at)));
-        for delay in follow_ups(node, delays) {
+        for delay in rule(node) {
             let child = Node {
                 id: self.next_id,
-                depth: node.depth + 1,
+                depth: node.depth.saturating_add(1),
             };
             self.next_id += 1;
             self.schedule(delay, child);
@@ -153,33 +170,29 @@ impl Reference {
         true
     }
 
-    fn run(&mut self, delays: &[u64], max_events: u64, deadline: u64) -> u64 {
+    fn run(&mut self, rule: Rule, max_events: u64, deadline: u64) -> u64 {
         let mut steps = 0;
-        while steps < max_events && self.step(delays, deadline) {
+        while steps < max_events && self.step(rule, deadline) {
             steps += 1;
         }
         steps
     }
 }
 
-/// Drives the branching world through `ops` on `backend` and on the
+/// Drives the branching world through `ops` on both backends and on the
 /// reference in lockstep, comparing step counts, clock and population after
 /// every slice and the full dispatch sequence at the end. `seeds` time-zero
 /// events stream from the kernel's lazy seed block first.
-fn check_against_reference(
-    backend: SchedulerBackend,
-    seeds: usize,
-    delays: &[u64],
-    ops: &[QueueOp],
-) {
+fn check_against_reference(seeds: usize, rule: Rule, ops: &[QueueOp]) {
     let root = |id: u64| Node { id, depth: 0 };
-    let world = Branching {
-        delays: delays.to_vec(),
-        next_id: 1 << 32,
-        fired: vec![],
-    };
-    let mut sim =
-        Simulation::with_backend_seeded(world, backend, 0, seeds, move |i| root(i as u64));
+    let mut sims = [SchedulerBackend::Heap, SchedulerBackend::Calendar].map(|backend| {
+        let world = Branching {
+            rule,
+            next_id: 1 << 32,
+            fired: vec![],
+        };
+        Simulation::with_backend_seeded(world, backend, 0, seeds, move |i| root(i as u64))
+    });
     let mut reference = Reference {
         next_id: 1 << 32,
         fired: vec![],
@@ -194,27 +207,91 @@ fn check_against_reference(
     for op in ops {
         match *op {
             QueueOp::Schedule(delay) => {
-                sim.schedule(delay, root(id));
+                for sim in &mut sims {
+                    sim.schedule(delay, root(id));
+                }
                 reference.schedule(delay, root(id));
                 id += 1;
             }
             QueueOp::Drain(count) => {
-                prop_assert_eq!(sim.run_steps(count), reference.run(delays, count, u64::MAX));
+                let steps = reference.run(rule, count, u64::MAX);
+                for sim in &mut sims {
+                    prop_assert_eq!(sim.run_steps(count), steps, "{}", sim.backend());
+                }
             }
             QueueOp::RunUntil(delta) => {
-                let deadline = sim.now().saturating_add(delta);
-                prop_assert_eq!(
-                    sim.run_until(deadline),
-                    reference.run(delays, u64::MAX, deadline.micros())
-                );
+                let deadline = reference.now.saturating_add(delta);
+                let steps = reference.run(rule, u64::MAX, deadline);
+                for sim in &mut sims {
+                    let ran = sim.run_until(SimTime::from_micros(deadline));
+                    prop_assert_eq!(ran, steps, "{}", sim.backend());
+                }
             }
         }
-        prop_assert_eq!(sim.now().micros(), reference.now);
-        prop_assert_eq!(sim.pending(), reference.pending.len());
+        for sim in &sims {
+            prop_assert_eq!(sim.now().micros(), reference.now);
+            prop_assert_eq!(sim.pending(), reference.pending.len());
+        }
     }
-    prop_assert_eq!(sim.run(), reference.run(delays, u64::MAX, u64::MAX));
-    prop_assert_eq!(sim.pending(), 0);
-    prop_assert_eq!(&sim.world().fired, &reference.fired);
+    let steps = reference.run(rule, u64::MAX, u64::MAX);
+    for sim in &mut sims {
+        prop_assert_eq!(sim.run(), steps, "{}", sim.backend());
+        prop_assert_eq!(sim.pending(), 0);
+        prop_assert_eq!(&sim.world().fired, &reference.fired);
+    }
+}
+
+/// Event ids at which the hold rules below stop rescheduling: ~10⁵ events
+/// past the seeds (dynamic ids start at 2³²), then the population drains.
+const HOLD_LAST_ID: u64 = (1 << 32) + 100_000;
+
+/// Runs a hold world — `entities` seed events, each handled event
+/// rescheduling itself once at `delay(mix(id))` — against the reference on
+/// both backends, sliced by `run_steps` and `run_until` along the way.
+fn hold_against_reference(entities: usize, delay: fn(u64) -> u64) {
+    let rule = |node: Node| {
+        if node.id < HOLD_LAST_ID {
+            vec![delay(mix(node.id))]
+        } else {
+            vec![]
+        }
+    };
+    let ops: Vec<QueueOp> = (0..8)
+        .flat_map(|i| [QueueOp::Drain(4_000), QueueOp::RunUntil(i * 3_000)])
+        .collect();
+    check_against_reference(entities, &rule, &ops);
+}
+
+/// `deep_nfs`'s queue: 64 users, one pending event each — zero-delay
+/// hand-offs, 60–1,200 µs service stages and millisecond think times — so
+/// newcomers land first, last and in between on days of a few events.
+#[test]
+fn hold_order_at_the_deep_nfs_shape() {
+    hold_against_reference(64, |h| match h % 10 {
+        0..=3 => 0,
+        4..=7 => 60 + h / 10 % 1_141,
+        _ => 1_000 + h / 10 % 50_000,
+    });
+}
+
+/// 2,048 events within 200 µs: ~10 residents per µs-wide day, and a
+/// newcomer (the largest `seq` at its time) is almost always its day's
+/// latest — the appends a day sorts as one reversal.
+#[test]
+fn hold_order_at_a_dense_same_microsecond_shape() {
+    hold_against_reference(2_048, |h| 1 + h % 200);
+}
+
+/// A sparse present and residents years ahead (up to the saturating
+/// clock), hashed onto the same days: a day holds events of several years,
+/// so its earliest event need not be in the current window.
+#[test]
+fn hold_order_with_far_future_residents() {
+    hold_against_reference(96, |h| match h % 16 {
+        0 => 1_000_000_000 + h % 1_000_000_000_000,
+        1 if h % 7 == 0 => u64::MAX / 3,
+        _ => 10 + h % 1_000,
+    });
 }
 
 proptest! {
@@ -231,9 +308,7 @@ proptest! {
         delays in prop::collection::vec(delay_strategy(), 4..48),
         ops in prop::collection::vec(op_strategy(), 1..120),
     ) {
-        for backend in [SchedulerBackend::Heap, SchedulerBackend::Calendar] {
-            check_against_reference(backend, seeds, &delays, &ops);
-        }
+        check_against_reference(seeds, &|node| follow_ups(node, &delays), &ops);
     }
 
     /// Tentpole oracle: any random schedule/pop interleaving — including

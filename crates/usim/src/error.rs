@@ -56,6 +56,10 @@ pub enum UsimError {
         /// The rendered underlying I/O error.
         message: String,
     },
+    /// The simulated clock reached its limit (`SimTime::MAX`, ~584,542
+    /// years): a think time, gap or delay overflowed, and since every time
+    /// addition saturates, every response after it would read 0.
+    ClockOverflow,
 }
 
 impl fmt::Display for UsimError {
@@ -83,6 +87,11 @@ impl fmt::Display for UsimError {
             UsimError::Distribution(e) => write!(f, "distribution: {e}"),
             UsimError::FileSystem(e) => write!(f, "file system: {e}"),
             UsimError::Spill { message } => write!(f, "spill: {message}"),
+            UsimError::ClockOverflow => write!(
+                f,
+                "simulated clock overflow: a delay pushed it past 2^64 - 1 µs \
+                 (check think times, gaps and fault delays)"
+            ),
         }
     }
 }

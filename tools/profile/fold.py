@@ -1,12 +1,23 @@
 #!/usr/bin/env python3
-"""Folds sigprof.so's samples into tables: fold.py [-n ROWS] run.prof...
+"""Folds sigprof.so's samples into tables.
+
+    fold.py [-n ROWS] [--callers FN | --addrs FN] run.prof...
 
 Every address is rebased against the mapping it fell in and symbolised with
 `addr2line -a -f -i -C -e <file>` (inlined frames included, so build with
 CARGO_PROFILE_RELEASE_DEBUG=true). Prints, as a share of all samples, self
 and inclusive time by function and by source line. A sample counts once for
 a function however many of its frames are on the stack.
+
+Two views say what a hot line belongs to. Both take the samples whose
+innermost frame's function contains FN, and print instead of the tables:
+
+  --callers FN   the frames above FN (function and call site), so a `self`
+                 row such as `core::mem::replace` names the code it is in;
+  --addrs FN     the hottest instruction addresses, file-relative, ready for
+                 `objdump -d --start-address=ADDR --stop-address=ADDR+64 FILE`.
 """
+import argparse
 import collections
 import subprocess
 import sys
@@ -72,23 +83,41 @@ def table(title, counts, total, rows):
 
 
 def main():
-    args, rows = sys.argv[1:], 25
-    if args[:1] == ["-n"]:
-        rows, args = int(args[1]), args[2:]
-    stacks = [stack for path in args for stack in load(path)]
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("-n", dest="rows", type=int, default=25)
+    ap.add_argument("--callers", metavar="FN")
+    ap.add_argument("--addrs", metavar="FN")
+    ap.add_argument("profiles", nargs="+")
+    args = ap.parse_args()
+    stacks = [stack for path in args.profiles for stack in load(path)]
     frames = symbolise(stacks)
+    total = len(stacks)
+    print(f"{total} samples from {len(args.profiles)} run(s)")
+    resolved = [[f for at in stack for f in frames.get(at) or [("?", at[0].split("/")[-1])]]
+                for stack in stacks]
+    focus = args.callers or args.addrs
+    if focus:
+        mine = [(stack, res) for stack, res in zip(stacks, resolved) if focus in res[0][0]]
+        if args.callers:
+            chains = collections.Counter(
+                "\n          <- ".join(f"{fn}  {where}" for fn, where in res[:5]) for _, res in mine)
+            table(f"self in {focus}, by caller chain", chains, total, args.rows)
+        else:
+            addrs = collections.Counter(
+                f"{hex(stack[0][1])}  {res[0][1]}  {stack[0][0].split('/')[-1]}" for stack, res in mine)
+            table(f"self in {focus}, by instruction address", addrs, total, args.rows)
+        return
     self_fn, self_line, incl_fn, incl_line = (collections.Counter() for _ in range(4))
-    for stack in stacks:
-        resolved = [f for at in stack for f in frames.get(at) or [("?", at[0].split("/")[-1])]]
-        self_fn[resolved[0][0]] += 1
-        self_line[f"{resolved[0][1]}  {resolved[0][0]}"] += 1
-        incl_fn.update({fn for fn, _ in resolved})
-        incl_line.update({f"{where}  {fn}" for fn, where in resolved})
-    print(f"{len(stacks)} samples from {len(args)} run(s)")
-    table("self, by function", self_fn, len(stacks), rows)
-    table("inclusive, by function", incl_fn, len(stacks), rows)
-    table("self, by source line", self_line, len(stacks), rows)
-    table("inclusive, by source line", incl_line, len(stacks), rows)
+    for res in resolved:
+        self_fn[res[0][0]] += 1
+        self_line[f"{res[0][1]}  {res[0][0]}"] += 1
+        incl_fn.update({fn for fn, _ in res})
+        incl_line.update({f"{where}  {fn}" for fn, where in res})
+    table("self, by function", self_fn, total, args.rows)
+    table("inclusive, by function", incl_fn, total, args.rows)
+    table("self, by source line", self_line, total, args.rows)
+    table("inclusive, by source line", incl_line, total, args.rows)
 
 
 main()
