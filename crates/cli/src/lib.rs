@@ -294,6 +294,8 @@ mod tests {
         assert!(parse_args(argv("analyze")).is_err());
         assert!(parse_args(argv("analyze run.bin --frobnicate")).is_err());
         assert!(parse_model("distributed:0").is_err());
+        assert!(parse_model("distributed:65536").is_ok());
+        assert!(parse_model("distributed:65537").is_err());
         assert!(parse_family("phase:0").is_err());
         assert!(parse_family("phase:99").is_err());
         assert!(parse_family("cauchy").is_err());

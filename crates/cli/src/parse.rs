@@ -80,6 +80,11 @@ impl<'a> Flags<'a> {
     }
 }
 
+/// The most servers `distributed:<n>` accepts. Each costs about 0.5 KB per
+/// shard (36 MB at this bound); far past it, resource registration runs the
+/// process out of memory.
+const MAX_SERVERS: usize = 65_536;
+
 /// Parses a model name into a configuration.
 ///
 /// # Errors
@@ -92,6 +97,11 @@ pub fn parse_model(name: &str) -> Result<ModelConfig, CliError> {
             .map_err(|_| CliError::Usage(format!("bad server count `{rest}`")))?;
         if servers == 0 {
             return Err(CliError::Usage("server count must be positive".into()));
+        }
+        if servers > MAX_SERVERS {
+            return Err(CliError::Usage(format!(
+                "server count {servers} exceeds the limit of {MAX_SERVERS}"
+            )));
         }
         return Ok(ModelConfig::distributed_nfs(servers));
     }

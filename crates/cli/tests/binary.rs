@@ -264,6 +264,45 @@ fn a_run_whose_clock_overflows_is_refused() {
     }
 }
 
+/// A server count or a CDF resolution past its bound used to size an
+/// allocation: `distributed:18446744073709551615` panicked with `capacity
+/// overflow` (exit 101), `distributed:100000000000` and a resolution of
+/// 10^12 aborted allocating (134). Now each is refused in one line that
+/// names the bound, exit 2, one past the bound as far past it.
+#[test]
+fn a_server_count_or_cdf_resolution_past_its_bound_is_refused() {
+    let dir = scratch("bounds");
+    let spec_path = write_spec(&dir);
+    let spec = WorkloadSpec::from_json(&std::fs::read_to_string(&spec_path).unwrap()).unwrap();
+    let mut runs = Vec::new();
+    for servers in ["18446744073709551615", "100000000000", "65537"] {
+        runs.push(format!(
+            "run {spec_path} --model distributed:{servers} --summary"
+        ));
+    }
+    for resolution in [1_000_000_000_000, 65_537] {
+        let mut spec = spec.clone();
+        spec.run.cdf_resolution = resolution;
+        let path = dir.join(format!("cdf-{resolution}.json"));
+        std::fs::write(&path, spec.to_json().unwrap()).unwrap();
+        for shards in ["", " --shards 2"] {
+            runs.push(format!(
+                "run {} --model nfs --summary{shards}",
+                path.display()
+            ));
+        }
+    }
+    for args in runs {
+        let out = uswg(&args, &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args}: {stderr}");
+        let naming = stderr.lines().filter(|l| l.contains("limit of 65536"));
+        assert_eq!(naming.count(), 1, "{args}: {stderr}");
+    }
+}
+
 /// `--help` or `-h` anywhere on the line asks for the usage text (banner on
 /// stdout, exit 0) instead of being taken for an operand; and a failure
 /// names what was wrong — the file, the missing operand, the flag.

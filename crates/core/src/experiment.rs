@@ -11,8 +11,8 @@ use crate::{presets, CoreError, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 use uswg_analyze::Summary;
 use uswg_netfs::{
-    DistributedNfsModel, DistributedNfsParams, LocalDiskModel, LocalDiskParams, NfsModel,
-    NfsParams, ServiceModel, WholeFileCacheModel, WholeFileCacheParams,
+    DistributedNfsParams, LocalDiskModel, LocalDiskParams, NfsModel, NfsParams, ServiceModel,
+    WholeFileCacheModel, WholeFileCacheParams,
 };
 use uswg_sim::ResourcePool;
 use uswg_usim::{PopulationSpec, SummarySink};
@@ -60,7 +60,7 @@ impl ModelConfig {
             ModelConfig::Local(p) => Box::new(LocalDiskModel::new(pool, *p)),
             ModelConfig::Nfs(p) => Box::new(NfsModel::new(pool, *p)),
             ModelConfig::WholeFile(p) => Box::new(WholeFileCacheModel::new(pool, *p)),
-            ModelConfig::DistributedNfs(p) => Box::new(DistributedNfsModel::new(pool, *p)),
+            ModelConfig::DistributedNfs(p) => Box::new(NfsModel::distributed(pool, *p)),
         }
     }
 

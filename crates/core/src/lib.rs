@@ -70,9 +70,9 @@ pub use uswg_fsc::{
     FileType, FillPattern, FscError, FscSpec, Owner, UsageClass,
 };
 pub use uswg_netfs::{
-    isolated_response, DistributedNfsModel, DistributedNfsParams, FileId, LocalDiskModel,
-    LocalDiskParams, NfsModel, NfsParams, OpKind, OpRequest, PendingOp, ServiceModel, Stage,
-    StepOutcome, WholeFileCacheModel, WholeFileCacheParams,
+    isolated_response, DistributedNfsParams, FileId, LocalDiskModel, LocalDiskParams, NfsModel,
+    NfsParams, OpKind, OpRequest, PendingOp, ServiceModel, Stage, StepOutcome, WholeFileCacheModel,
+    WholeFileCacheParams,
 };
 pub use uswg_sim::{
     Resource, ResourcePool, ResourceStats, Scheduler, SchedulerBackend, SimTime, Simulation, World,

@@ -98,8 +98,11 @@ impl WorkloadSpec {
     ///
     /// # Errors
     ///
-    /// Propagates distribution tabulation errors.
+    /// A `run` section [`RunConfig::validate`](uswg_usim::RunConfig::validate)
+    /// refuses — checked first, so no table is sized from a bad
+    /// `cdf_resolution` — and distribution tabulation errors.
     pub fn compile(&self) -> Result<CompiledPopulation, CoreError> {
+        self.run.validate()?;
         Ok(CompiledPopulation::compile(
             &self.population,
             self.run.cdf_resolution,

@@ -6,13 +6,23 @@
 //! method the paper names — while [`EmpiricalCdf`] holds `(x, F(x))` samples
 //! directly and samples by inverse transform.
 
-use crate::guide::GuideTable;
+use crate::guide::{GuideTable, MAX_POINTS};
 use crate::{uniform01, DistrError, Distribution};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// Relative tolerance for a uniform grid check.
 const GRID_TOL: f64 = 1e-9;
+
+/// Refuses a table of more points than a guide table indexes, so every
+/// constructed table samples in O(1).
+fn fits_guide(len: usize) -> Result<(), DistrError> {
+    if len > MAX_POINTS {
+        return Err(DistrError::BadTable {
+            reason: format!("{len} points exceed the limit of {MAX_POINTS}"),
+        });
+    }
+    Ok(())
+}
 
 /// A probability density supplied as a table of `(x, pdf(x))` points.
 ///
@@ -21,29 +31,14 @@ const GRID_TOL: f64 = 1e-9;
 /// correction for a trailing odd interval), plain trapezoid otherwise. The
 /// integrated table is normalized so the final CDF value is exactly one,
 /// which mirrors how the GDS "creates CDF tables for the FSC and the USIM".
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PdfTable {
     xs: Vec<f64>,
     pdf: Vec<f64>,
     cdf: Vec<f64>,
     mean: f64,
     variance: f64,
-    /// O(1) sampling index; rebuilt by constructors, empty (= binary-search
-    /// fallback) when absent from serialized input.
-    #[serde(default)]
     guide: GuideTable,
-}
-
-/// Equality ignores the guide: a derived index, legitimately empty on
-/// deserialized tables until [`PdfTable::rebuild_guide`] runs.
-impl PartialEq for PdfTable {
-    fn eq(&self, other: &Self) -> bool {
-        self.xs == other.xs
-            && self.pdf == other.pdf
-            && self.cdf == other.cdf
-            && self.mean == other.mean
-            && self.variance == other.variance
-    }
 }
 
 impl PdfTable {
@@ -51,16 +46,17 @@ impl PdfTable {
     ///
     /// # Errors
     ///
-    /// Returns [`DistrError::BadTable`] when fewer than three points are
-    /// given, when `x` values are not strictly increasing or negative, when a
-    /// density value is negative or non-finite, or when the total integral is
-    /// not positive.
+    /// Returns [`DistrError::BadTable`] when fewer than three or more than
+    /// `u32::MAX` points are given, when `x` values are not strictly
+    /// increasing or negative, when a density value is negative or
+    /// non-finite, or when the total integral is not positive.
     pub fn new(points: Vec<(f64, f64)>) -> Result<Self, DistrError> {
         if points.len() < 3 {
             return Err(DistrError::BadTable {
                 reason: format!("need at least 3 points, got {}", points.len()),
             });
         }
+        fits_guide(points.len())?;
         for window in points.windows(2) {
             if window[1].0 <= window[0].0 {
                 return Err(DistrError::BadTable {
@@ -135,12 +131,6 @@ impl PdfTable {
             // Same CDF grid, so the bucket index transfers verbatim.
             guide: self.guide.clone(),
         }
-    }
-
-    /// Rebuilds the O(1) sampling index (empty after deserialization; see
-    /// [`crate::GuideTable`]).
-    pub fn rebuild_guide(&mut self) {
-        self.guide = GuideTable::build(&self.cdf);
     }
 }
 
@@ -222,26 +212,16 @@ impl Distribution for PdfTable {
 }
 
 /// A distribution supplied directly as a table of `(x, F(x))` CDF points.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmpiricalCdf {
     xs: Vec<f64>,
     cdf: Vec<f64>,
-    /// O(1) sampling index; rebuilt by constructors, empty (= binary-search
-    /// fallback) when absent from serialized input.
-    #[serde(default)]
     guide: GuideTable,
 }
 
-/// Equality ignores the guide: a derived index, legitimately empty on
-/// deserialized tables until [`EmpiricalCdf::rebuild_guide`] runs.
-impl PartialEq for EmpiricalCdf {
-    fn eq(&self, other: &Self) -> bool {
-        self.xs == other.xs && self.cdf == other.cdf
-    }
-}
-
 impl EmpiricalCdf {
-    /// Builds a CDF table from `(x, F(x))` points sorted by `x`.
+    /// Builds a CDF table from 2 to `u32::MAX` `(x, F(x))` points sorted by
+    /// `x`.
     ///
     /// The first CDF value must be `>= 0`, the last is rescaled to exactly 1
     /// if it is within 1% of 1, and the sequence must be non-decreasing.
@@ -255,6 +235,7 @@ impl EmpiricalCdf {
                 reason: format!("need at least 2 points, got {}", points.len()),
             });
         }
+        fits_guide(points.len())?;
         // Reject non-finite values first: NaN slips through every ordering
         // comparison below (`NaN < x` and `x <= NaN` are both false) and
         // would then be laundered to 1.0 by the rescaling clamp.
@@ -338,7 +319,8 @@ impl EmpiricalCdf {
     /// # Errors
     ///
     /// Returns [`DistrError::InsufficientData`] for fewer than 2 samples and
-    /// [`DistrError::BadTable`] if any sample is negative or non-finite.
+    /// [`DistrError::BadTable`] for more than `u32::MAX` or if any sample is
+    /// negative or non-finite.
     pub fn from_samples(data: &[f64]) -> Result<Self, DistrError> {
         if data.len() < 2 {
             return Err(DistrError::InsufficientData {
@@ -346,6 +328,7 @@ impl EmpiricalCdf {
                 got: data.len(),
             });
         }
+        fits_guide(data.len())?;
         if data.iter().any(|x| !x.is_finite() || *x < 0.0) {
             return Err(DistrError::BadTable {
                 reason: "samples must be finite and non-negative".into(),
@@ -413,12 +396,6 @@ impl EmpiricalCdf {
     pub fn table_quantile_unguided(&self, p: f64) -> f64 {
         assert!((0.0..=1.0).contains(&p), "probability out of range");
         inverse_transform(&self.xs, &self.cdf, p)
-    }
-
-    /// Rebuilds the O(1) sampling index (empty after deserialization; see
-    /// [`crate::GuideTable`]).
-    pub fn rebuild_guide(&mut self) {
-        self.guide = GuideTable::build(&self.cdf);
     }
 }
 
@@ -548,13 +525,8 @@ pub(crate) fn inverse_transform(xs: &[f64], cdf: &[f64], p: f64) -> f64 {
 
 /// Inverse-transform lookup through a [`GuideTable`]: O(1) bucket lookup
 /// plus local scan instead of the binary search, bit-identical output.
-/// Falls back to [`inverse_transform`] when the guide is empty (e.g. a table
-/// deserialized from a pre-guide snapshot).
 #[inline]
 pub(crate) fn inverse_transform_guided(xs: &[f64], cdf: &[f64], guide: &GuideTable, p: f64) -> f64 {
-    if guide.is_empty() {
-        return inverse_transform(xs, cdf, p);
-    }
     let p = p.clamp(0.0, 1.0);
     if p <= cdf[0] {
         return xs[0];
@@ -727,18 +699,5 @@ mod tests {
         let t = uniform_pdf_table(10);
         let e = t.to_empirical_cdf();
         assert!((e.cdf(5.0) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let t = uniform_pdf_table(6);
-        let json = serde_json::to_string(&t).unwrap();
-        let back: PdfTable = serde_json::from_str(&json).unwrap();
-        // JSON float formatting may drift by 1 ulp; compare approximately.
-        assert_eq!(t.xs().len(), back.xs().len());
-        for (a, b) in t.cumulative().iter().zip(back.cumulative()) {
-            assert!((a - b).abs() <= 1e-12);
-        }
-        assert!((t.mean() - back.mean()).abs() <= 1e-9);
     }
 }

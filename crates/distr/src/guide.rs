@@ -15,43 +15,30 @@
 //! is enforced by unit tests here and property tests in
 //! `tests/properties.rs`.
 
-use serde::{DeError, Deserialize, Serialize, Value};
+/// The most grid points a table may have: the guide indexes them with `u32`
+/// cuts. Every table constructor refuses more, so every table has a guide.
+pub(crate) const MAX_POINTS: usize = u32::MAX as usize;
 
 /// An equal-probability bucket index over a CDF grid.
 ///
 /// `cuts[k]` is the first grid index `i` with `cdf[i] >= k / G`, where `G`
-/// is the number of buckets (one per grid point). An empty guide (the
-/// [`Default`]) is valid everywhere a guide is accepted and simply means
-/// "fall back to binary search" — this keeps old serialized tables loadable.
+/// is the number of buckets (one per grid point). A guide is a pure
+/// function of its grid, so tables holding one compare equal exactly when
+/// their grids do.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct GuideTable {
     cuts: Vec<u32>,
 }
 
-/// A guide is a pure derivation of its CDF grid, and its cuts index that
-/// grid — stale or hand-edited cuts would panic or silently break the
-/// bit-identical guarantee. Serialized form is therefore always `null`, and
-/// deserialization always yields the empty fallback (correct, binary-search
-/// sampling); owners rebuild the index via their `rebuild_guide()` methods.
-impl Serialize for GuideTable {
-    fn to_value(&self) -> Value {
-        Value::Null
-    }
-}
-
-impl Deserialize for GuideTable {
-    fn from_value(_v: &Value) -> Result<Self, DeError> {
-        Ok(Self::default())
-    }
-}
-
 impl GuideTable {
-    /// Builds the guide for a monotone non-decreasing `cdf` grid.
+    /// Builds the guide for a monotone non-decreasing `cdf` grid of 2 to
+    /// `u32::MAX` points; any other length gets the empty guide, which no
+    /// table holds.
     ///
     /// One bucket per grid point plus a terminal cut, so the guide costs
     /// `4 × (len + 1)` bytes next to the grid's `16 × len`.
     pub fn build(cdf: &[f64]) -> Self {
-        if cdf.len() < 2 || cdf.len() > u32::MAX as usize {
+        if !(2..=MAX_POINTS).contains(&cdf.len()) {
             return Self::default();
         }
         let g = cdf.len();
@@ -67,14 +54,13 @@ impl GuideTable {
         Self { cuts }
     }
 
-    /// Whether this guide is the empty fallback. A valid built guide always
-    /// has at least two cuts (`G + 1` with `G >= 2`), so anything shorter is
-    /// treated as absent.
+    /// Whether this guide is empty (built from a grid of a length no table
+    /// has).
     pub fn is_empty(&self) -> bool {
-        self.cuts.len() < 2
+        self.cuts.is_empty()
     }
 
-    /// Number of buckets (0 for the empty fallback).
+    /// Number of buckets (0 for the empty guide).
     pub fn len(&self) -> usize {
         self.cuts.len().saturating_sub(1)
     }

@@ -10,10 +10,9 @@
 //! measured (see the `cdf_table_resolution` bench).
 
 use crate::empirical::{inverse_transform, inverse_transform_guided};
-use crate::guide::GuideTable;
+use crate::guide::{GuideTable, MAX_POINTS};
 use crate::{uniform01, DistrError, Distribution};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// A discretized CDF used for inverse-transform random variate generation.
 ///
@@ -21,28 +20,13 @@ use serde::{Deserialize, Serialize};
 /// binary search with an equal-probability bucket lookup, producing
 /// bit-identical variates for the same uniform draw (see
 /// [`CdfTable::quantile_unguided`] for the reference path).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CdfTable {
     xs: Vec<f64>,
     cdf: Vec<f64>,
     mean: f64,
     std_dev: f64,
-    /// O(1) sampling index; rebuilt by constructors, empty (= binary-search
-    /// fallback) when absent from serialized input.
-    #[serde(default)]
     guide: GuideTable,
-}
-
-/// Equality ignores the guide: it is a derived index, and deserialized
-/// tables legitimately carry an empty one until [`CdfTable::rebuild_guide`]
-/// runs, while sampling identically either way.
-impl PartialEq for CdfTable {
-    fn eq(&self, other: &Self) -> bool {
-        self.xs == other.xs
-            && self.cdf == other.cdf
-            && self.mean == other.mean
-            && self.std_dev == other.std_dev
-    }
 }
 
 impl CdfTable {
@@ -51,9 +35,10 @@ impl CdfTable {
     ///
     /// # Errors
     ///
-    /// Returns [`DistrError::BadParameter`] if `points < 2`.
+    /// Returns [`DistrError::BadParameter`] if `points < 2` or `points`
+    /// exceeds `u32::MAX`, the most a guide table indexes.
     pub fn from_distribution(dist: &dyn Distribution, points: usize) -> Result<Self, DistrError> {
-        if points < 2 {
+        if !(2..=MAX_POINTS).contains(&points) {
             return Err(DistrError::BadParameter {
                 name: "points",
                 value: points as f64,
@@ -175,20 +160,6 @@ impl CdfTable {
         self.guide.memory_bytes()
     }
 
-    /// Rebuilds the O(1) sampling index. Guides are never trusted from
-    /// serialized input (deserialization leaves the empty binary-search
-    /// fallback); call this after loading a table to restore O(1) draws.
-    pub fn rebuild_guide(&mut self) {
-        self.guide = GuideTable::build(&self.cdf);
-    }
-
-    /// Whether the O(1) guide index is present (false after deserialization
-    /// until [`Self::rebuild_guide`] runs; sampling then falls back to the
-    /// binary search).
-    pub fn has_guide(&self) -> bool {
-        !self.guide.is_empty()
-    }
-
     /// The grid of `x` values.
     pub fn xs(&self) -> &[f64] {
         &self.xs
@@ -274,47 +245,5 @@ mod tests {
         let err_coarse = (coarse.quantile(p) - exact).abs();
         let err_fine = (fine.quantile(p) - exact).abs();
         assert!(err_fine <= err_coarse, "{err_fine} vs {err_coarse}");
-    }
-
-    #[test]
-    fn deserialized_guide_is_never_trusted() {
-        // A serialized guide could be stale or hand-edited relative to its
-        // grid, so deserialization always yields the binary-search fallback;
-        // rebuild_guide restores O(1) sampling with identical output.
-        let d = Exponential::new(50.0).unwrap();
-        let t = CdfTable::from_distribution(&d, 256).unwrap();
-        assert!(t.has_guide());
-        let json = serde_json::to_string(&t).unwrap();
-        // Even a hostile guide payload in the JSON is ignored.
-        let json = json.replace("\"guide\":null", "\"guide\":{\"cuts\":[500]}");
-        let mut back: CdfTable = serde_json::from_str(&json).unwrap();
-        assert!(!back.has_guide());
-        for k in 0..=100 {
-            let p = k as f64 / 100.0;
-            assert_eq!(back.quantile(p).to_bits(), t.quantile(p).to_bits());
-        }
-        back.rebuild_guide();
-        assert!(back.has_guide());
-        for k in 0..=100 {
-            let p = k as f64 / 100.0;
-            assert_eq!(back.quantile(p).to_bits(), t.quantile(p).to_bits());
-        }
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let d = Exponential::new(5.0).unwrap();
-        let t = CdfTable::from_distribution(&d, 32).unwrap();
-        let json = serde_json::to_string(&t).unwrap();
-        let back: CdfTable = serde_json::from_str(&json).unwrap();
-        // JSON float formatting may drift by 1 ulp; compare approximately.
-        assert_eq!(t.len(), back.len());
-        for (a, b) in t.xs().iter().zip(back.xs()) {
-            assert!((a - b).abs() <= 1e-12 * (1.0 + a.abs()));
-        }
-        for (a, b) in t.cumulative().iter().zip(back.cumulative()) {
-            assert!((a - b).abs() <= 1e-12);
-        }
-        assert!((t.mean() - back.mean()).abs() <= 1e-12 * (1.0 + t.mean().abs()));
     }
 }

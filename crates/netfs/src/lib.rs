@@ -8,13 +8,16 @@
 //! User Simulator walks event by event, so concurrent users contend for the
 //! network, the server CPU and the disk exactly as they would on the wire.
 //!
-//! Three models are provided, matching the comparison study the paper
-//! sketches in Section 5.3:
+//! The models, matching the comparison study the paper sketches in Section
+//! 5.3 and its Section 4.2 distributed-file-system extension:
 //!
 //! * [`LocalDiskModel`] — all I/O served by a local disk;
 //! * [`NfsModel`] — an NFS-like remote file system: client CPU, shared
 //!   (half-duplex) network, server CPU, server disk, with an optional
-//!   client block cache;
+//!   client block cache. It serves
+//!   * one server ([`NfsModel::new`], [`NfsParams`]), or
+//!   * N servers behind the one network, each file placed by a hash of its
+//!     inode number ([`NfsModel::distributed`], [`DistributedNfsParams`]);
 //! * [`WholeFileCacheModel`] — an AFS-like design that fetches whole files
 //!   on open and writes them back on close.
 //!
@@ -36,7 +39,7 @@ mod op;
 mod stage;
 
 pub use afs::{WholeFileCacheModel, WholeFileCacheParams};
-pub use distributed::{DistributedNfsModel, DistributedNfsParams};
+pub use distributed::DistributedNfsParams;
 pub use local::{LocalDiskModel, LocalDiskParams};
 pub use nfs::{NfsModel, NfsParams};
 pub use op::{FileId, OpKind, OpRequest, UserId};
@@ -59,6 +62,33 @@ pub trait ServiceModel: std::fmt::Debug + Send {
 
     /// Called when a file is removed, so caches can drop entries.
     fn invalidate(&mut self, _file: FileId) {}
+}
+
+/// The jitter a model adds to one disk service: a draw from
+/// `0..=2 × half_width` µs, and no draw at all when `half_width` is zero.
+fn jitter(half_width: u64, rng: &mut dyn RngCore) -> u64 {
+    if half_width == 0 {
+        0
+    } else {
+        rng.next_u64() % (2 * half_width + 1)
+    }
+}
+
+/// Issues two stage chains together at time zero and advances the earlier
+/// one first, as the event loop would; returns when the later finishes, µs.
+#[cfg(test)]
+fn finish_together(pool: &mut ResourcePool, pair: [Vec<Stage>; 2]) -> u64 {
+    let mut ops = pair.map(|stages| (PendingOp::new(stages), uswg_sim::SimTime::ZERO));
+    while let Some((op, at)) = ops
+        .iter_mut()
+        .filter(|(op, _)| op.remaining() > 0)
+        .min_by_key(|(_, at)| *at)
+    {
+        if let StepOutcome::NextAt(next) = op.advance(pool, *at) {
+            *at = next;
+        }
+    }
+    ops[0].1.max(ops[1].1).micros()
 }
 
 /// Convenience: runs a single operation to completion against the pool with

@@ -1,7 +1,7 @@
 //! A local-disk file system model: every call costs client CPU, data and
 //! metadata calls also visit the local disk.
 
-use crate::{OpKind, OpRequest, ServiceModel, Stage};
+use crate::{jitter, OpKind, OpRequest, ServiceModel, Stage};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use uswg_sim::{Resource, ResourceId, ResourcePool};
@@ -56,14 +56,6 @@ impl LocalDiskModel {
     pub fn params(&self) -> &LocalDiskParams {
         &self.params
     }
-
-    fn jitter(&self, rng: &mut dyn RngCore) -> u64 {
-        if self.params.disk_jitter == 0 {
-            0
-        } else {
-            rng.next_u64() % (2 * self.params.disk_jitter + 1)
-        }
-    }
 }
 
 impl ServiceModel for LocalDiskModel {
@@ -84,20 +76,20 @@ impl ServiceModel for LocalDiskModel {
                 let transfer = (req.bytes as f64 * p.disk_per_byte).round() as u64;
                 stages.push(Stage::Service {
                     resource: self.disk,
-                    micros: p.disk_per_op + transfer + self.jitter(rng),
+                    micros: p.disk_per_op + transfer + jitter(p.disk_jitter, rng),
                 });
             }
             OpKind::Open | OpKind::Stat => {
                 stages.push(Stage::Service {
                     resource: self.disk,
-                    micros: p.disk_per_metadata_op + self.jitter(rng),
+                    micros: p.disk_per_metadata_op + jitter(p.disk_jitter, rng),
                 });
             }
             OpKind::Create | OpKind::Unlink => {
                 // Synchronous metadata update: two disk touches (dir + inode).
                 stages.push(Stage::Service {
                     resource: self.disk,
-                    micros: 2 * p.disk_per_metadata_op + self.jitter(rng),
+                    micros: 2 * p.disk_per_metadata_op + jitter(p.disk_jitter, rng),
                 });
             }
             OpKind::Close | OpKind::Seek => {

@@ -1,4 +1,4 @@
-//! The NFS-like remote file system model.
+//! The NFS-like remote file system model, with one file server or several.
 //!
 //! One operation issued by a client crosses: client CPU → shared half-duplex
 //! network (request) → server CPU → server disk (for calls that touch data
@@ -7,13 +7,17 @@
 //! paper's response-time growth as concurrent users are added (Figures
 //! 5.6–5.11) and the per-byte economies of larger access sizes (Figure 5.12).
 //!
+//! With several servers ([`NfsModel::distributed`]) each file lives on one
+//! of them, chosen by a hash of its inode number: every server has its own
+//! CPU and disk, and all clients still share the one network.
+//!
 //! An optional client block cache (off by default, as NFS v2 semantics are
 //! write-through and the paper's workload is read-mostly across many files)
 //! serves repeat reads of cached blocks at client CPU cost only; the
 //! `model_ablation` bench measures its effect.
 
 use crate::lru::LruSet;
-use crate::{FileId, OpKind, OpRequest, ServiceModel, Stage};
+use crate::{jitter, DistributedNfsParams, FileId, OpKind, OpRequest, ServiceModel, Stage};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use uswg_sim::{Resource, ResourceId, ResourcePool};
@@ -92,40 +96,74 @@ pub struct CacheStats {
 /// The NFS-like client/server timing model. See the module documentation for the full model description.
 #[derive(Debug)]
 pub struct NfsModel {
+    name: &'static str,
     params: NfsParams,
     client_cpu: ResourceId,
     network: ResourceId,
-    server_cpu: ResourceId,
-    server_disk: ResourceId,
+    /// `(CPU, disk)` of each file server.
+    servers: Vec<(ResourceId, ResourceId)>,
     cache: Option<LruSet<(FileId, u64)>>,
     cache_stats: CacheStats,
 }
 
 /// Stages of the longest remote round trip (the one that touches the disk):
 /// the chain is allocated once at this size.
-pub(crate) const REMOTE_STAGES: usize = 7;
+const REMOTE_STAGES: usize = 7;
 
 impl NfsModel {
-    /// Registers client CPU, shared network, server CPU and server disk in
-    /// `pool`.
+    /// One server: registers client CPU, shared network, server CPU and
+    /// server disk in `pool`.
     pub fn new(pool: &mut ResourcePool, params: NfsParams) -> Self {
         let client_cpu = pool.add(Resource::new("nfs.client_cpu", 1));
         let network = pool.add(Resource::new("nfs.network", 1));
-        let server_cpu = pool.add(Resource::new("nfs.server_cpu", 1));
-        let server_disk = pool.add(Resource::new("nfs.server_disk", 1));
-        let cache = (params.cache_blocks > 0).then(|| LruSet::new(params.cache_blocks));
+        let server = (
+            pool.add(Resource::new("nfs.server_cpu", 1)),
+            pool.add(Resource::new("nfs.server_disk", 1)),
+        );
+        Self::assemble("nfs", params, client_cpu, network, vec![server])
+    }
+
+    /// `params.servers` servers: registers client CPU, the shared network
+    /// and one (CPU, disk) pair per server in `pool`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.servers` is zero.
+    pub fn distributed(pool: &mut ResourcePool, params: DistributedNfsParams) -> Self {
+        assert!(params.servers > 0, "need at least one server");
+        let client_cpu = pool.add(Resource::new("dnfs.client_cpu", 1));
+        let network = pool.add(Resource::new("dnfs.network", 1));
+        let servers = (0..params.servers)
+            .map(|s| {
+                (
+                    pool.add(Resource::new(format!("dnfs.server{s}.cpu"), 1)),
+                    pool.add(Resource::new(format!("dnfs.server{s}.disk"), 1)),
+                )
+            })
+            .collect();
+        let params = params.per_server;
+        Self::assemble("distributed-nfs", params, client_cpu, network, servers)
+    }
+
+    fn assemble(
+        name: &'static str,
+        params: NfsParams,
+        client_cpu: ResourceId,
+        network: ResourceId,
+        servers: Vec<(ResourceId, ResourceId)>,
+    ) -> Self {
         Self {
+            name,
             params,
             client_cpu,
             network,
-            server_cpu,
-            server_disk,
-            cache,
+            servers,
+            cache: (params.cache_blocks > 0).then(|| LruSet::new(params.cache_blocks)),
             cache_stats: CacheStats::default(),
         }
     }
 
-    /// The model's parameters.
+    /// The model's parameters (each server's, when there are several).
     pub fn params(&self) -> &NfsParams {
         &self.params
     }
@@ -135,11 +173,12 @@ impl NfsModel {
         self.cache_stats
     }
 
-    fn jitter(&self, rng: &mut dyn RngCore) -> u64 {
-        if self.params.disk_jitter == 0 {
-            0
-        } else {
-            rng.next_u64() % (2 * self.params.disk_jitter + 1)
+    /// The server a file lives on: the only one, or else a Fibonacci hash
+    /// of the inode number (stable, well spread).
+    pub fn server_of(&self, file: FileId) -> usize {
+        match self.servers.len() {
+            1 => 0,
+            n => (file.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % n,
         }
     }
 
@@ -177,9 +216,17 @@ impl NfsModel {
         }
     }
 
-    /// Full remote round trip: request over the net, server work, reply.
-    fn remote(&mut self, disk_micros: u64, request_payload: u64, reply_payload: u64) -> Vec<Stage> {
+    /// Full remote round trip to `file`'s server: request over the net,
+    /// server work, reply.
+    fn remote(
+        &self,
+        file: FileId,
+        disk_micros: u64,
+        request_payload: u64,
+        reply_payload: u64,
+    ) -> Vec<Stage> {
         let p = self.params;
+        let (server_cpu, server_disk) = self.servers[self.server_of(file)];
         let mut stages = Vec::with_capacity(REMOTE_STAGES);
         stages.extend([
             Stage::Service {
@@ -192,13 +239,13 @@ impl NfsModel {
                 micros: self.wire(request_payload),
             },
             Stage::Service {
-                resource: self.server_cpu,
+                resource: server_cpu,
                 micros: p.server_cpu_per_call,
             },
         ]);
         if disk_micros > 0 {
             stages.push(Stage::Service {
-                resource: self.server_disk,
+                resource: server_disk,
                 micros: disk_micros,
             });
         }
@@ -213,7 +260,7 @@ impl NfsModel {
 
 impl ServiceModel for NfsModel {
     fn name(&self) -> &str {
-        "nfs"
+        self.name
     }
 
     fn stages(&mut self, req: &OpRequest, rng: &mut dyn RngCore) -> Vec<Stage> {
@@ -232,8 +279,8 @@ impl ServiceModel for NfsModel {
                 }
                 let disk = p.server_disk_per_op
                     + (req.bytes as f64 * p.server_disk_per_byte).round() as u64
-                    + self.jitter(rng);
-                let stages = self.remote(disk, 0, req.bytes);
+                    + jitter(p.disk_jitter, rng);
+                let stages = self.remote(req.file, disk, 0, req.bytes);
                 self.cache_fill(req.file, req.offset, req.bytes);
                 stages
             }
@@ -242,22 +289,22 @@ impl ServiceModel for NfsModel {
                 // server; written blocks become cached for later reads.
                 let disk = p.server_disk_per_op
                     + (req.bytes as f64 * p.server_disk_per_byte).round() as u64
-                    + self.jitter(rng);
-                let stages = self.remote(disk, req.bytes, 0);
+                    + jitter(p.disk_jitter, rng);
+                let stages = self.remote(req.file, disk, req.bytes, 0);
                 self.cache_fill(req.file, req.offset, req.bytes);
                 stages
             }
             OpKind::Open | OpKind::Stat => {
-                let disk = p.server_disk_per_metadata_op + self.jitter(rng);
-                self.remote(disk, 0, 0)
+                let disk = p.server_disk_per_metadata_op + jitter(p.disk_jitter, rng);
+                self.remote(req.file, disk, 0, 0)
             }
             OpKind::Create | OpKind::Unlink => {
-                let disk =
-                    p.sync_metadata_factor * p.server_disk_per_metadata_op + self.jitter(rng);
+                let disk = p.sync_metadata_factor * p.server_disk_per_metadata_op
+                    + jitter(p.disk_jitter, rng);
                 if req.kind == OpKind::Unlink {
                     self.invalidate(req.file);
                 }
-                self.remote(disk, 0, 0)
+                self.remote(req.file, disk, 0, 0)
             }
             OpKind::Close | OpKind::Seek => {
                 // Local: NFS v2 has no close RPC; lseek moves a local cursor.
@@ -279,7 +326,7 @@ impl ServiceModel for NfsModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isolated_response;
+    use crate::{finish_together, isolated_response};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use uswg_sim::SimTime;
@@ -423,42 +470,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let req0 = OpRequest::data(0, OpKind::Read, FileId(1), 0, 1024, 8192);
         let req1 = OpRequest::data(1, OpKind::Read, FileId(2), 0, 1024, 8192);
-        // Interleave both ops stage by stage via PendingOp directly.
-        let mut a = crate::PendingOp::new(m.stages(&req0, &mut rng));
-        let mut b = crate::PendingOp::new(m.stages(&req1, &mut rng));
-        let mut ta = SimTime::ZERO;
-        let mut tb = SimTime::ZERO;
-        loop {
-            // Advance whichever op is earlier, mimicking the event loop.
-            let next_is_a = ta <= tb && a.remaining() > 0;
-            if next_is_a {
-                match a.advance(&mut pool, ta) {
-                    crate::StepOutcome::NextAt(t) => ta = t,
-                    crate::StepOutcome::Done => {
-                        if b.remaining() == 0 {
-                            break;
-                        }
-                    }
-                }
-            } else if b.remaining() > 0 {
-                match b.advance(&mut pool, tb) {
-                    crate::StepOutcome::NextAt(t) => tb = t,
-                    crate::StepOutcome::Done => {
-                        if a.remaining() == 0 {
-                            break;
-                        }
-                    }
-                }
-            } else {
-                break;
-            }
-        }
+        let pair = [&req0, &req1].map(|req| m.stages(req, &mut rng));
+        let slower = finish_together(&mut pool, pair);
         let solo = {
             let mut pool2 = ResourcePool::new();
             let mut m2 = NfsModel::new(&mut pool2, no_jitter());
             response(&mut m2, &mut pool2, &req0, 9)
         };
-        let slower = ta.max(tb).micros();
         assert!(
             slower > solo,
             "the queued op must finish later than a solo op: {slower} vs {solo}"

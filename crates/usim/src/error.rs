@@ -30,6 +30,15 @@ pub enum UsimError {
         /// Name of the parameter.
         name: &'static str,
     },
+    /// A run-configuration count was above its limit.
+    TooLarge {
+        /// Name of the parameter.
+        name: &'static str,
+        /// The offending value.
+        value: usize,
+        /// The largest value accepted.
+        max: usize,
+    },
     /// The requested population does not fit the user arena's packed
     /// per-user ids (`u32`).
     PopulationTooLarge {
@@ -76,6 +85,9 @@ impl fmt::Display for UsimError {
                 write!(f, "probability `{name}` outside [0, 1] (got {value})")
             }
             UsimError::BadCount { name } => write!(f, "count `{name}` must be positive"),
+            UsimError::TooLarge { name, value, max } => {
+                write!(f, "count `{name}` of {value} exceeds the limit of {max}")
+            }
             UsimError::PopulationTooLarge { n_users } => write!(
                 f,
                 "population of {n_users} users exceeds the arena limit of 2^32 - 1"

@@ -309,13 +309,19 @@ impl Default for RunConfig {
 }
 
 impl RunConfig {
+    /// The finest CDF table a run compiles, 4× the resolution ablation's
+    /// largest. Every table of the population is allocated at this size,
+    /// so a resolution far past it runs the process out of memory.
+    pub const MAX_CDF_RESOLUTION: usize = 65_536;
+
     /// Validates the counts.
     ///
     /// # Errors
     ///
     /// Returns [`UsimError::BadCount`] when users, sessions or resolution
-    /// are zero, and [`UsimError::PopulationTooLarge`] when the population
-    /// exceeds the user arena's packed `u32` ids.
+    /// are zero, [`UsimError::TooLarge`] for a resolution above
+    /// [`Self::MAX_CDF_RESOLUTION`], and [`UsimError::PopulationTooLarge`]
+    /// when the population exceeds the user arena's packed `u32` ids.
     pub fn validate(&self) -> Result<(), UsimError> {
         if self.n_users == 0 {
             return Err(UsimError::BadCount { name: "n_users" });
@@ -333,6 +339,13 @@ impl RunConfig {
         if self.cdf_resolution < 2 {
             return Err(UsimError::BadCount {
                 name: "cdf_resolution",
+            });
+        }
+        if self.cdf_resolution > Self::MAX_CDF_RESOLUTION {
+            return Err(UsimError::TooLarge {
+                name: "cdf_resolution",
+                value: self.cdf_resolution,
+                max: Self::MAX_CDF_RESOLUTION,
             });
         }
         self.faults.validate()?;
@@ -456,11 +469,13 @@ mod tests {
         assert!(RunConfig::default().validate().is_ok());
         assert!(RunConfig::default().with_users(0).validate().is_err());
         assert!(RunConfig::default().with_sessions(0).validate().is_err());
-        let c = RunConfig {
-            cdf_resolution: 1,
-            ..RunConfig::default()
-        };
-        assert!(c.validate().is_err());
+        for (cdf_resolution, ok) in [(1, false), (2, true), (65_536, true), (65_537, false)] {
+            let c = RunConfig {
+                cdf_resolution,
+                ..RunConfig::default()
+            };
+            assert_eq!(c.validate().is_ok(), ok, "{cdf_resolution}");
+        }
     }
 
     #[test]

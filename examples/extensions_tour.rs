@@ -1,6 +1,6 @@
 //! Tour of the Section 6.2 extensions: random (database-style) access,
 //! Markov-modulated user phases, diurnal inter-login times, and a
-//! distributed NFS with explicit file placement.
+//! distributed NFS.
 //!
 //! ```sh
 //! cargo run --release -p uswg-examples --bin extensions_tour

@@ -248,6 +248,15 @@ fn distributed_nfs_flattens_the_user_sweep() {
         Parallelism::Auto,
     )
     .unwrap();
+    // One server is the plain NFS model, point for point.
+    let nfs = user_sweep(
+        &spec,
+        &ModelConfig::default_nfs(),
+        [1, 6],
+        Parallelism::Auto,
+    )
+    .unwrap();
+    assert_eq!(one, nfs);
     let growth_one = one[1].response_per_byte / one[0].response_per_byte;
     let growth_three = three[1].response_per_byte / three[0].response_per_byte;
     assert!(
