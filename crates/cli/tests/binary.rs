@@ -378,6 +378,37 @@ fn more_workers_than_the_os_grants_is_a_typed_error() {
     );
 }
 
+/// Sixty million files on two users: the inode table alone is 4.3 GB. The
+/// build reserves it from the plan before it creates anything, so a ceiling
+/// it cannot fit under is one typed line and exit 2 at once, where the
+/// table used to double its way there for ten seconds and abort (134).
+#[test]
+fn a_population_the_memory_limit_cannot_hold_is_refused_up_front() {
+    let mut spec = WorkloadSpec::paper_default().unwrap();
+    spec.run.n_users = 2;
+    spec.run.sessions_per_user = 1;
+    spec.fsc = (spec.fsc.with_files_per_user(30_000_000).unwrap())
+        .with_fill(uswg_core::FillPattern::Sparse);
+    spec.vfs.max_inodes = usize::MAX;
+    let path = scratch("reserve").join("huge.json");
+    std::fs::write(&path, spec.to_json().unwrap()).unwrap();
+    let mut sh = Command::new("sh");
+    sh.args([
+        "-c",
+        "ulimit -v 2097152; exec \"$0\" run \"$1\" --model local --summary",
+    ]);
+    let out = sh.args([env!("CARGO_BIN_EXE_uswg"), path.to_str().unwrap()]);
+    let out = out.output().expect("sh spawns");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(out.stdout.is_empty(), "{:?}", out.stdout);
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(
+        stderr.contains("cannot reserve 4320009360 bytes for the inode table"),
+        "{stderr}"
+    );
+}
+
 /// Two reads of 2^63 bytes and 2^63 µs: every byte and µs total passes
 /// `u64::MAX`. Such a capture used to print `data_bytes 0` (release) or
 /// panic on the wrapping add (debug); `analyze` and `fit` now refuse it

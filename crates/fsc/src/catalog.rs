@@ -2,14 +2,15 @@
 //!
 //! At population scale the catalog is millions of small facts, so it is six
 //! flat vectors and no file, list or owner has a heap block of its own:
-//! `files` (one `Copy` record per file), `paths` + `path_ends` (every path
+//! `files` (one 32-byte `Copy` record per file), `paths` + `path_ends` (every path
 //! back to back, and where each ends), `candidates` (every candidate list
 //! back to back: live indices, ascending), `lists` (per list its category
 //! and its run of `candidates`; one owner's lists are adjacent) and
 //! `owner_lists` (per owner slot — 0 is the shared pool, `u + 1` user `u` —
-//! where its lists start). Offsets are `u32`;
+//! where its lists start). Offsets and owners are `u32`;
 //! [`FileSystemCreator::build`](crate::FileSystemCreator::build) refuses a
-//! plan they cannot address.
+//! plan they cannot address, and reserves the three per-file vectors at
+//! their final length before it adds the first file.
 //!
 //! [`FileCatalog::add`] is an O(1) append when files arrive as the FSC
 //! builds them: into the list of the previous `add`, or a new list of that
@@ -33,7 +34,7 @@ pub struct CatalogFile {
     /// The file's category.
     pub category: FileCategory,
     /// Owning virtual user for `Owner::User` categories, `None` for shared.
-    pub owner_user: Option<usize>,
+    pub owner_user: Option<u32>,
 }
 
 /// How [`FileCatalog::pick`] weights the candidates within one candidate
@@ -137,8 +138,8 @@ impl List {
 }
 
 /// The owner slot a file is indexed under.
-fn slot(owner_user: Option<usize>) -> usize {
-    owner_user.map_or(0, |user| user + 1)
+fn slot(owner_user: Option<u32>) -> usize {
+    owner_user.map_or(0, |user| user as usize + 1)
 }
 
 /// Narrows a count of files, lists or path bytes to a stored offset.
@@ -185,6 +186,18 @@ impl FileCatalog {
             self.reindex(|live| live.push(idx));
         }
         idx
+    }
+
+    /// Makes room for `files` more files in the per-file vectors, with no
+    /// slack.
+    pub(crate) fn try_reserve(&mut self, files: usize) -> Result<(), crate::FscError> {
+        fn exact<T>(v: &mut Vec<T>, n: usize, table: &'static str) -> Result<(), crate::FscError> {
+            let bytes = (n as u64).saturating_mul(std::mem::size_of::<T>() as u64);
+            (v.try_reserve_exact(n)).map_err(|_| crate::FscError::Reserve { table, bytes })
+        }
+        exact(&mut self.files, files, "catalog's file records")?;
+        exact(&mut self.path_ends, files, "catalog's path ends")?;
+        exact(&mut self.candidates, files, "catalog's candidate index")
     }
 
     fn unseal(&mut self) {
@@ -379,13 +392,18 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
-    fn file(cat: FileCategory, user: Option<usize>, size: u64, n: usize) -> CatalogFile {
+    fn file(cat: FileCategory, user: Option<u32>, size: u64, n: usize) -> CatalogFile {
         CatalogFile {
             ino: n as u64,
             size,
             category: cat,
             owner_user: user,
         }
+    }
+
+    #[test]
+    fn a_file_record_is_32_bytes() {
+        assert!(std::mem::size_of::<CatalogFile>() <= 32);
     }
 
     #[test]

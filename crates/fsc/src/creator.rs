@@ -202,8 +202,15 @@ impl FileSystemCreator {
         let shared = self.plan(Owner::Other, self.spec.shared_files)?;
         let personal = self.plan(Owner::User, self.spec.files_per_user)?;
         let files = file_demand(n_users, &shared, &personal);
-        check_inode_demand(vfs, n_users, files)?;
-        check_catalog_demand(n_users, files)?;
+        let inodes = check_inode_demand(vfs, n_users, files)?;
+        let files = check_catalog_demand(n_users, files)?;
+        vfs.try_reserve_inodes(inodes)
+            .map_err(|_| FscError::Reserve {
+                table: "inode table",
+                bytes: (inodes as u64).saturating_mul(Vfs::INODE_BYTES as u64),
+            })?;
+        let mut catalog = FileCatalog::new();
+        catalog.try_reserve(files)?;
 
         let root = vfs.root();
         let system = Dir::ensure(vfs, root, "/system")?;
@@ -216,7 +223,7 @@ impl FileSystemCreator {
             vfs,
             rng,
             notes,
-            catalog: FileCatalog::new(),
+            catalog,
         };
         // Every catalog path is rendered here; its tail is the VFS name.
         let mut path = String::new();
@@ -228,7 +235,11 @@ impl FileSystemCreator {
             build
                 .vfs
                 .ensure_dir_at(scratch.ino, last_component(&home_path))?;
-            build.populate(&personal, &home, Some(user), &mut path)?;
+            let owner = u32::try_from(user).map_err(|_| FscError::BadCount {
+                name: "n_users",
+                value: n_users as u64,
+            })?;
+            build.populate(&personal, &home, Some(owner), &mut path)?;
         }
         // Seal with the spec's popularity policy so the pick weighting is
         // part of the declarative workload description. Uniform sealing is
@@ -313,7 +324,7 @@ impl Build<'_> {
         &mut self,
         plan: &[PlannedCategory],
         dir: &Dir<'_>,
-        owner_user: Option<usize>,
+        owner_user: Option<u32>,
         path: &mut String,
     ) -> Result<(), FscError> {
         for planned in plan {
@@ -393,10 +404,10 @@ fn file_demand(
         .checked_add(objects(shared)?)
 }
 
-/// Fails unless `vfs` has inodes left for what a build allocates on a fresh
-/// file system: the `files`, the four top-level directories, and per user a
-/// home and a scratch directory.
-fn check_inode_demand(vfs: &Vfs, n_users: usize, files: Option<u64>) -> Result<(), FscError> {
+/// The inodes a build allocates on a fresh file system — the `files`, the
+/// four top-level directories, and per user a home and a scratch directory
+/// — or an error unless `vfs` has that many left.
+fn check_inode_demand(vfs: &Vfs, n_users: usize, files: Option<u64>) -> Result<usize, FscError> {
     let demand = files
         .zip((n_users as u64).checked_mul(2))
         .and_then(|(files, dirs)| files.checked_add(dirs)?.checked_add(4))
@@ -410,14 +421,14 @@ fn check_inode_demand(vfs: &Vfs, n_users: usize, files: Option<u64>) -> Result<(
             limit: stats.total_inodes,
         });
     }
-    Ok(())
+    Ok(demand as usize)
 }
 
 /// Fails unless the catalog's `u32` offsets can address the bytes of every
 /// path (at a byte or more each, so the `files` as well), taking each as
 /// the longest: in the last user's home, numbered as the last file, which
-/// no sequence number exceeds either.
-fn check_catalog_demand(n_users: usize, files: Option<u64>) -> Result<(), FscError> {
+/// no sequence number exceeds either. Returns the file count.
+fn check_catalog_demand(n_users: usize, files: Option<u64>) -> Result<usize, FscError> {
     let files = files.unwrap_or(u64::MAX);
     let home = FileSystemCreator::user_dir(n_users.saturating_sub(1));
     let longest = format!("{home}/file{files:05}_{files:04}").len() as u64;
@@ -425,7 +436,7 @@ fn check_catalog_demand(n_users: usize, files: Option<u64>) -> Result<(), FscErr
     if path_bytes > u64::from(u32::MAX) {
         return Err(FscError::CatalogDemand { files, path_bytes });
     }
-    Ok(())
+    Ok(files as usize)
 }
 
 #[cfg(test)]
@@ -539,7 +550,7 @@ mod tests {
     fn a_population_the_catalog_cannot_address_is_refused_up_front() {
         // One user, nine-digit counts: `/u/user000/file126322567_126322567`
         // is 34 bytes, and 34 × 126,322,567 is the last product under 2^32.
-        assert_eq!(check_catalog_demand(1, Some(126_322_567)), Ok(()));
+        assert_eq!(check_catalog_demand(1, Some(126_322_567)), Ok(126_322_567));
         let err = check_catalog_demand(1, Some(126_322_568)).unwrap_err();
         let (files, path_bytes) = (126_322_568, 34 * 126_322_568);
         assert_eq!(err, FscError::CatalogDemand { files, path_bytes });
@@ -548,7 +559,10 @@ mod tests {
         }
         // The million-user smoke is 3 M files and 99 MB of paths at most;
         // forty times the users is refused, and so is a count past `u64`.
-        assert_eq!(check_catalog_demand(1_000_000, Some(3_000_120)), Ok(()));
+        assert_eq!(
+            check_catalog_demand(1_000_000, Some(3_000_120)),
+            Ok(3_000_120)
+        );
         assert!(check_catalog_demand(40_000_000, Some(120_000_120)).is_err());
         assert!(check_catalog_demand(usize::MAX, None).is_err());
 

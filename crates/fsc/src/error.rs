@@ -52,6 +52,14 @@ pub enum FscError {
         /// Upper bound on the bytes of their paths.
         path_bytes: u64,
     },
+    /// Memory for a table the population needs could not be reserved.
+    /// Raised before anything is created.
+    Reserve {
+        /// The table.
+        table: &'static str,
+        /// Bytes the population needs in it.
+        bytes: u64,
+    },
     /// A size distribution could not be instantiated.
     Distribution(DistrError),
     /// The underlying file system rejected an operation (usually `ENOSPC`).
@@ -86,6 +94,10 @@ impl fmt::Display for FscError {
                 "the population is {files} files with up to {path_bytes} bytes of paths, and \
                  a file catalog addresses at most {} of either: shrink the population",
                 u32::MAX
+            ),
+            FscError::Reserve { table, bytes } => write!(
+                f,
+                "cannot reserve {bytes} bytes for the {table}: shrink the population"
             ),
             FscError::Distribution(e) => write!(f, "size distribution: {e}"),
             FscError::FileSystem(e) => write!(f, "file system: {e}"),

@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use uswg_fsc::{AliasTable, CatalogFile, FileCatalog, FileCategory};
 
-fn file(cat: FileCategory, user: Option<usize>, n: usize) -> CatalogFile {
+fn file(cat: FileCategory, user: Option<u32>, n: usize) -> CatalogFile {
     CatalogFile {
         ino: n as u64,
         size: 100 + n as u64,
@@ -42,7 +42,7 @@ proptest! {
             let cat = CATS[cat_idx];
             for _ in 0..count {
                 let owner = match cat.owner {
-                    uswg_fsc::Owner::User => Some(n % 3),
+                    uswg_fsc::Owner::User => Some(n as u32 % 3),
                     uswg_fsc::Owner::Other => None,
                 };
                 unsealed.add(&format!("/f{n}"), file(cat, owner, n));

@@ -89,7 +89,7 @@ fn reference_populate(
                 ino: vfs.resolve(&path).unwrap().number(),
                 size,
                 category: c.category,
-                owner_user,
+                owner_user: owner_user.map(|user| user as u32),
             };
             catalog.add(&path, file);
         }

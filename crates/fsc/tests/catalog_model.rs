@@ -28,7 +28,7 @@ type Model = Vec<(CatalogFile, bool)>;
 
 fn candidates(model: &Model, user: usize, category: FileCategory) -> Vec<usize> {
     let owner = match category.owner {
-        Owner::User => Some(user),
+        Owner::User => Some(user as u32),
         Owner::Other => None,
     };
     let listed = |(file, removed): &(CatalogFile, bool)| {
@@ -74,7 +74,7 @@ proptest! {
                     ino: idx as u64,
                     size: n * 100, // zero included: size-weighting keeps it reachable
                     category: CATS[cat],
-                    owner_user: owner.checked_sub(1),
+                    owner_user: owner.checked_sub(1).map(|user| user as u32),
                 };
                 prop_assert_eq!(catalog.add(&format!("/o{owner}/f{idx}"), file), idx);
                 prop_assert!(!catalog.is_sealed(), "a mutation unseals");

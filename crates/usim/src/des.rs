@@ -671,7 +671,7 @@ mod tests {
             .build(&mut vfs, n_users, &mut StdRng::seed_from_u64(3))
             .unwrap();
         for (idx, file) in catalog.files().iter().enumerate() {
-            if file.owner_user == Some(broken) {
+            if file.owner_user == Some(broken as u32) {
                 vfs.unlink(catalog.path(idx)).unwrap();
                 vfs.mkdir(catalog.path(idx)).unwrap();
             }

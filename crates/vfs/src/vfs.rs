@@ -3,11 +3,11 @@
 
 use crate::block::{BlockStats, BlockStore};
 use crate::fd::{Fd, OpenFile, OpenFlags, Process, SeekFrom};
-use crate::inode::{Content, FileKind, Ino, Inode, Metadata};
+use crate::inode::{Content, Entries, FileKind, Ino, Inode, Metadata};
 use crate::path::{check_name, components, split_parent};
 use crate::{ConfigError, FsError};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::TryReserveError;
 
 /// Geometry and limits of a [`Vfs`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -166,7 +166,7 @@ impl Vfs {
             root: Ino(0),
         };
         fs.root = fs
-            .alloc_inode(FileKind::Directory, 0)
+            .alloc_inode(FileKind::Directory)
             .expect("fresh fs has inode space");
         fs
     }
@@ -228,7 +228,7 @@ impl Vfs {
     // Inode plumbing
     // ------------------------------------------------------------------
 
-    fn alloc_inode(&mut self, kind: FileKind, uid: u32) -> Result<Ino, FsError> {
+    fn alloc_inode(&mut self, kind: FileKind) -> Result<Ino, FsError> {
         // Every `None` slot is on the free list exactly once, so the used
         // count is a subtraction — scanning the table here would make bulk
         // creation (the FSC populating millions of inodes) quadratic.
@@ -236,13 +236,30 @@ impl Vfs {
         if used >= self.config.max_inodes {
             return Err(FsError::NoSpace);
         }
-        let node = Some(Inode::new(kind, uid, self.clock));
+        let node = Some(Inode::new(kind, self.clock));
         if let Some(slot) = self.free_inodes.pop() {
             self.inodes[slot] = node;
             return Ok(Ino(slot as u64));
         }
         self.inodes.push(node);
         Ok(Ino(self.inodes.len() as u64 - 1))
+    }
+
+    /// Bytes of one slot of the inode table.
+    pub const INODE_BYTES: usize = std::mem::size_of::<Option<Inode>>();
+
+    /// Makes room in the inode table for `inodes` more live inodes, with no
+    /// slack: a caller that knows its demand before it creates anything
+    /// (the File System Creator) has the table sized once, to that demand.
+    /// Creation past it, during a run, grows the table by doubling.
+    ///
+    /// # Errors
+    ///
+    /// The allocator's, when the table cannot grow that far; the table is
+    /// then as it was.
+    pub fn try_reserve_inodes(&mut self, inodes: usize) -> Result<(), TryReserveError> {
+        let more = inodes.saturating_sub(self.free_inodes.len());
+        self.inodes.try_reserve_exact(more)
     }
 
     /// Live inode count in O(1): allocated slots minus the free list.
@@ -265,7 +282,7 @@ impl Vfs {
     /// The entries of `ino` if it is a live directory of this file system:
     /// `None` for a regular file, a freed slot, or a number past the table
     /// (a handle kept across an `rmdir`, or taken from another `Vfs`).
-    fn dir(&self, ino: Ino) -> Option<&BTreeMap<Box<str>, Ino>> {
+    fn dir(&self, ino: Ino) -> Option<&Entries> {
         match &self.inodes.get(ino.0 as usize)?.as_ref()?.content {
             Content::Directory(entries) => Some(entries),
             Content::Regular(_) => None,
@@ -273,7 +290,7 @@ impl Vfs {
     }
 
     /// The entries of `ino`, which the caller has checked with [`Self::dir`].
-    fn dir_mut(&mut self, ino: Ino) -> &mut BTreeMap<Box<str>, Ino> {
+    fn dir_mut(&mut self, ino: Ino) -> &mut Entries {
         match &mut self.inode_mut(ino).content {
             Content::Directory(entries) => entries,
             Content::Regular(_) => unreachable!("checked to be a directory"),
@@ -319,7 +336,7 @@ impl Vfs {
     fn walk<'p>(&self, comps: impl IntoIterator<Item = &'p str>) -> Result<Ino, FsError> {
         comps.into_iter().try_fold(self.root, |cur, comp| {
             let dir = self.dir(cur).ok_or(FsError::NotADirectory)?;
-            dir.get(comp).copied().ok_or(FsError::NotFound)
+            dir.get(comp).ok_or(FsError::NotFound)
         })
     }
 
@@ -409,8 +426,8 @@ impl Vfs {
         let entries = self.dir(ino).ok_or(FsError::NotADirectory)?;
         let out = entries
             .iter()
-            .map(|(name, &child)| DirEntry {
-                name: name.as_ref().into(),
+            .map(|(name, child)| DirEntry {
+                name: name.as_str().into(),
                 ino: child,
                 kind: self.inode(child).kind(),
             })
@@ -717,7 +734,7 @@ impl Vfs {
         }
         // Handle an existing target.
         let new_entries = self.dir(new_parent).expect("parent checked");
-        if let Some(&target) = new_entries.get(new_name) {
+        if let Some(target) = new_entries.get(new_name) {
             if self.dir(target).is_some() {
                 return Err(FsError::IsADirectory);
             }
@@ -725,11 +742,13 @@ impl Vfs {
             // and the old name goes below.
             if target != ino {
                 self.dir_mut(new_parent).remove(new_name);
+                let p = self.inode_mut(new_parent);
+                p.size = p.size.saturating_sub(1);
                 self.drop_link(target);
             }
         }
         self.dir_mut(old_parent).remove(old_name);
-        self.dir_mut(new_parent).insert(new_name.into(), ino);
+        self.dir_mut(new_parent).insert(new_name, ino);
         let clock = self.clock;
         if old_parent != new_parent {
             if is_dir {
@@ -828,7 +847,7 @@ impl Vfs {
     /// errors of [`Vfs::mkdir_at`] other than `AlreadyExists`.
     pub fn ensure_dir_at(&mut self, parent: Ino, name: &str) -> Result<Ino, FsError> {
         match self.dir(parent).ok_or(FsError::NotADirectory)?.get(name) {
-            Some(&ino) if self.dir(ino).is_some() => Ok(ino),
+            Some(ino) if self.dir(ino).is_some() => Ok(ino),
             Some(_) => Err(FsError::NotADirectory),
             None => self.mkdir_at(parent, name),
         }
@@ -855,7 +874,7 @@ impl Vfs {
         check_name(name)?;
         let ino = match self.dir(parent).ok_or(FsError::NotADirectory)?.get(name) {
             Some(_) if flags.create && flags.exclusive => return Err(FsError::AlreadyExists),
-            Some(&ino) => ino,
+            Some(ino) => ino,
             None if flags.create => self.create_at(parent, name, FileKind::Regular)?,
             None => return Err(FsError::NotFound),
         };
@@ -884,11 +903,11 @@ impl Vfs {
     fn create_at(&mut self, parent: Ino, name: &str, kind: FileKind) -> Result<Ino, FsError> {
         check_name(name)?;
         let siblings = self.dir(parent).ok_or(FsError::NotADirectory)?;
-        if siblings.contains_key(name) {
+        if siblings.get(name).is_some() {
             return Err(FsError::AlreadyExists);
         }
-        let ino = self.alloc_inode(kind, 0)?;
-        self.dir_mut(parent).insert(name.into(), ino);
+        let ino = self.alloc_inode(kind)?;
+        self.dir_mut(parent).insert(name, ino);
         let clock = self.clock;
         let p = self.inode_mut(parent);
         p.nlink += u32::from(kind == FileKind::Directory);
@@ -992,8 +1011,8 @@ impl Vfs {
         dir == candidate
             || self.dir(dir).is_some_and(|entries| {
                 entries
-                    .values()
-                    .any(|&child| self.is_same_or_descendant(child, candidate))
+                    .iter()
+                    .any(|(_, child)| self.is_same_or_descendant(child, candidate))
             })
     }
 }

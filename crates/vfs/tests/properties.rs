@@ -3,8 +3,8 @@
 //! to byte vector), plus standalone invariants like space accounting.
 
 use proptest::prelude::*;
-use std::collections::HashMap;
-use uswg_vfs::{FsError, OpenFlags, SeekFrom, Vfs, VfsConfig};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use uswg_vfs::{FileKind, FsError, OpenFlags, SeekFrom, Vfs, VfsConfig};
 
 /// Random workload operations applied both to the Vfs and to the model.
 #[derive(Debug, Clone)]
@@ -34,6 +34,69 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 fn path(name: u8) -> String {
     format!("/w/f{name}")
+}
+
+/// Distinct names a directory script draws from: more than a directory
+/// holds before it is promoted from a vector to a B-tree.
+const POOL: usize = 64;
+
+/// `POOL` entry names of 1 to 40 bytes, ASCII and two-, three- and
+/// four-byte characters, on both sides of the 22 bytes an entry holds in
+/// place. A name's first letter and its length tell it apart.
+fn names() -> Vec<String> {
+    const CHARS: [&str; 4] = ["a", "é", "日", "🦀"];
+    (0..POOL)
+        .map(|i| {
+            let bytes = 1 + i * 13 % 40;
+            let mut name = char::from(b'a' + (i % 26) as u8).to_string();
+            for c in CHARS.iter().cycle().skip(i) {
+                if name.len() == bytes {
+                    break;
+                }
+                name.push_str(if name.len() + c.len() <= bytes {
+                    c
+                } else {
+                    "a"
+                });
+            }
+            name
+        })
+        .collect()
+}
+
+/// One step of a directory script, on one name of `/d`.
+#[derive(Debug, Clone, Copy)]
+enum DirOp {
+    Create,
+    Mkdir,
+    Unlink,
+    Rmdir,
+    /// A new file in `/o` renamed onto the name.
+    RenameIn,
+    /// The entry renamed to `/o`, then removed there.
+    RenameOut,
+    /// The entry renamed to another name of the pool.
+    RenameWithin(usize),
+    Lookup,
+}
+
+/// What step `what` does: a growing script mostly adds entries, a
+/// shrinking one mostly removes them.
+fn dir_op(what: u8, shrinking: bool, other: usize) -> DirOp {
+    use DirOp::*;
+    const GROW: [DirOp; 8] = [
+        Create, Create, Create, Create, Mkdir, Mkdir, RenameIn, Unlink,
+    ];
+    const SHRINK: [DirOp; 8] = [
+        Unlink, Unlink, Rmdir, Rmdir, RenameOut, RenameOut, RenameOut, Create,
+    ];
+    match what {
+        0..=7 if shrinking => SHRINK[usize::from(what)],
+        0..=7 => GROW[usize::from(what)],
+        8 => RenameWithin(other),
+        9 if shrinking => RenameOut,
+        _ => Lookup,
+    }
 }
 
 proptest! {
@@ -126,6 +189,111 @@ proptest! {
         prop_assert_eq!(listed, expected);
         for (p, content) in &model {
             prop_assert_eq!(&fs.read_file(p).unwrap(), content);
+        }
+    }
+
+    /// One directory under a random script of creates, mkdirs, unlinks,
+    /// rmdirs, renames in, out and within, and lookups, checked against a
+    /// map from name to inode after every step: what each call returns,
+    /// `readdir` in name order with every inode and kind, the directory's
+    /// size and links, and the live inode count. A script grows the
+    /// directory past the vector-to-B-tree promotion, then shrinks it.
+    #[test]
+    fn a_directory_matches_a_name_map(
+        grow in prop::collection::vec((0u8..11, 0..POOL, 0..POOL), 80..200),
+        shrink in prop::collection::vec((0u8..11, 0..POOL, 0..POOL), 80..240),
+    ) {
+        let names = names();
+        let mut fs = Vfs::new(VfsConfig::default());
+        fs.mkdir("/d").unwrap();
+        fs.mkdir("/o").unwrap();
+        let (mut model, mut dirs) = (BTreeMap::<String, _>::new(), BTreeSet::new());
+        let steps = grow.iter().map(|s| (s, false)).chain(shrink.iter().map(|s| (s, true)));
+        for (&(what, name, other), shrinking) in steps {
+            let (name, path) = (&names[name], format!("/d/{}", names[name]));
+            let op = dir_op(what, shrinking, other);
+            let (present, is_dir) = (model.contains_key(name), dirs.contains(name));
+            let expected = match op {
+                _ if !present && !matches!(op, DirOp::Create | DirOp::Mkdir | DirOp::RenameIn) => {
+                    Err(FsError::NotFound)
+                }
+                DirOp::Create | DirOp::Mkdir if present => Err(FsError::AlreadyExists),
+                DirOp::Unlink | DirOp::RenameIn if is_dir => Err(FsError::IsADirectory),
+                DirOp::Rmdir if !is_dir => Err(FsError::NotADirectory),
+                DirOp::RenameWithin(to) if dirs.contains(&names[to]) && names[to] != *name => {
+                    Err(FsError::IsADirectory)
+                }
+                _ => Ok(()),
+            };
+            let result = match op {
+                DirOp::Create => {
+                    let mut proc = fs.new_process();
+                    let created = fs.open(&mut proc, &path, OpenFlags::create_write().with_exclusive());
+                    created.map(|fd| fs.close(&mut proc, fd).unwrap())
+                }
+                DirOp::Mkdir => fs.mkdir(&path),
+                DirOp::Unlink => fs.unlink(&path),
+                DirOp::Rmdir => fs.rmdir(&path),
+                DirOp::RenameIn => {
+                    fs.write_file("/o/in", b"x").unwrap();
+                    let ino = fs.resolve("/o/in").unwrap();
+                    let renamed = fs.rename("/o/in", &path);
+                    match renamed {
+                        Ok(()) => drop((model.insert(name.clone(), ino), dirs.remove(name))),
+                        Err(_) => fs.unlink("/o/in").unwrap(),
+                    }
+                    renamed
+                }
+                DirOp::RenameOut => {
+                    let out = format!("/o/{name}");
+                    let renamed = fs.rename(&path, &out);
+                    if renamed.is_ok() {
+                        if is_dir { fs.rmdir(&out) } else { fs.unlink(&out) }.unwrap();
+                    }
+                    renamed
+                }
+                DirOp::RenameWithin(to) => {
+                    let renamed = fs.rename(&path, &format!("/d/{}", names[to]));
+                    if renamed.is_ok() && names[to] != *name {
+                        let ino = model.remove(name).unwrap();
+                        model.insert(names[to].clone(), ino);
+                        if dirs.remove(name) {
+                            dirs.insert(names[to].clone());
+                        }
+                    }
+                    renamed
+                }
+                DirOp::Lookup => fs.resolve(&path).map(|ino| {
+                    assert_eq!(model.get(name), Some(&ino), "{name}");
+                }),
+            };
+            prop_assert_eq!(result, expected, "{:?} {}", op, name);
+            if result.is_ok() {
+                match op {
+                    DirOp::Create | DirOp::Mkdir => {
+                        model.insert(name.clone(), fs.resolve(&path).unwrap());
+                        if matches!(op, DirOp::Mkdir) {
+                            dirs.insert(name.clone());
+                        }
+                    }
+                    DirOp::Unlink | DirOp::Rmdir | DirOp::RenameOut => {
+                        model.remove(name);
+                        dirs.remove(name);
+                    }
+                    _ => {}
+                }
+            }
+
+            let listed: Vec<_> = fs.readdir("/d").unwrap().into_iter()
+                .map(|e| (e.name, e.ino, e.kind == FileKind::Directory))
+                .collect();
+            let expected: Vec<_> = model.iter()
+                .map(|(name, &ino)| (name.clone(), ino, dirs.contains(name)))
+                .collect();
+            prop_assert_eq!(listed, expected);
+            let md = fs.stat("/d").unwrap();
+            prop_assert_eq!((md.size, md.nlink as usize), (model.len() as u64, 2 + dirs.len()));
+            prop_assert_eq!(fs.statfs().used_inodes, 3 + model.len() as u64);
         }
     }
 

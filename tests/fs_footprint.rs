@@ -56,22 +56,23 @@ fn footprint(users: usize) -> ([isize; 2], isize) {
 
 #[test]
 fn the_file_system_costs_a_known_number_of_bytes_and_blocks_per_user() {
-    // 125 + 5 inodes per user: 16,375 and 32,625, which fill the doubling
-    // inode table (16,384 and 32,768 slots), so the figure is what a user
-    // costs and not where a capacity happened to land. The difference of
-    // two sizes cancels the shared tree and every other fixed cost.
+    // The build sizes the inode table and the catalog's per-file vectors
+    // to the plan, so no capacity lands past the population. The
+    // difference of two sizes cancels the shared tree and every other
+    // fixed cost.
     const STEP: usize = 3_250;
     let ([bytes_a, blocks_a], _) = footprint(STEP);
     let ([bytes_b, blocks_b], catalog_blocks) = footprint(2 * STEP);
     let bytes_per_user = (bytes_b - bytes_a) as f64 / STEP as f64;
     let blocks_per_user = (blocks_b - blocks_a) as f64 / STEP as f64;
     println!("{bytes_per_user:.1} B and {blocks_per_user:.3} blocks per user");
-    // Measured 1,099.7 B and 6.295 blocks (100 k → 200 k users: 1,136 B and
-    // 6.31); the bounds are that plus 10 %. With directories in a hash map
-    // beside the inode table and a catalog of per-owner lists the same
-    // measurement read 1,967.9 B and 13.295 blocks (2,023 B and 13.31).
-    assert!(bytes_per_user <= 1_210.0, "{bytes_per_user} bytes per user");
-    assert!(blocks_per_user <= 6.93, "{blocks_per_user} blocks per user");
+    // Measured 817.4 B and 1.295 blocks; the bounds are that plus 10 %.
+    // With every directory a B-tree keyed by boxed names, an owner id in
+    // every inode and a `usize` owner in every catalog record it read
+    // 1,099.7 B and 6.295 blocks; with directories in a hash map beside the
+    // inode table and a catalog of per-owner lists, 1,967.9 B and 13.295.
+    assert!(bytes_per_user <= 899.0, "{bytes_per_user} bytes per user");
+    assert!(blocks_per_user <= 1.42, "{blocks_per_user} blocks per user");
     // Six vectors however many files: no block per file, list or owner
     // (712,007 blocks at 100 k users when every owner held its own lists).
     assert!(catalog_blocks <= 8, "{catalog_blocks} catalog blocks");
