@@ -4,7 +4,6 @@
 use crate::CliError;
 use std::num::NonZeroUsize;
 use uswg_core::experiment::ModelConfig;
-use uswg_core::SchedulerBackend;
 
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,9 +21,6 @@ pub enum Command {
         model: Option<ModelConfig>,
         /// Optional path to write the usage log JSON.
         out: Option<String>,
-        /// Event-queue backend override (None = the spec's choice, which
-        /// itself defaults to the calendar).
-        scheduler: Option<SchedulerBackend>,
         /// Optional path to stream the binary columnar log to during the
         /// run (full fidelity, O(1) resident memory; requires a model).
         spill: Option<String>,
@@ -49,8 +45,6 @@ pub enum Command {
         axis: SweepAxis,
         /// Worker threads (None = one per point, as cores allow).
         jobs: Option<usize>,
-        /// Event-queue backend override.
-        scheduler: Option<SchedulerBackend>,
         /// Per-point shard-count override (see `run`'s `shards`).
         shards: Option<NonZeroUsize>,
     },
@@ -64,8 +58,6 @@ pub enum Command {
         seeds: SeedSpec,
         /// Worker threads (None = one per seed, as cores allow).
         jobs: Option<usize>,
-        /// Event-queue backend override.
-        scheduler: Option<SchedulerBackend>,
         /// Per-replicate shard-count override (see `run`'s `shards`).
         shards: Option<NonZeroUsize>,
     },
@@ -255,9 +247,8 @@ USAGE:
       --spill <p.bin>  stream the log to a compressed binary columnar file
                        during the run (full fidelity, O(1) resident memory;
                        model runs only — inspect it with uswg analyze)
-      --scheduler <S>  event-queue backend: heap | calendar (default: the
-                       spec's choice, else calendar; both give byte-identical
-                       results, calendar is faster at every measured size)
+      --scheduler calendar  accepted and ignored: the calendar queue is the
+                       only event queue (`heap` is an error)
       --shards <K>     split this one run into K independent DES instances
                        across cores and merge deterministically (model runs
                        only; K=1 replays the exact path byte for byte, K>1
@@ -274,13 +265,12 @@ USAGE:
                                         run a Chapter 5 sweep across cores
       <AXIS> = --users 1,2,4,8 | --mix 0,0.5,1 | --sizes 128,512,2048
       --jobs <N>       worker threads (default: one per core)
-      --scheduler <S>  event-queue backend override
       --shards <K>     shard every point's run K ways (as for run)
   uswg replicate <spec.json> --model <M> [OPTIONS]
                                         rerun under independent seeds, report 95% CI
       --seeds 1,2,3    explicit seed list
       --replicates <N> N seeds counting up from the spec's seed (default 5)
-      --jobs/--scheduler/--shards  as for sweep
+      --jobs/--shards  as for sweep
   uswg drive <spec.json> --model <M> [OPTIONS]
                                         stream the workload open-loop against
                                         the in-process loopback target in

@@ -49,12 +49,12 @@ mod parse;
 mod run;
 
 pub use command::{Command, Family, SeedSpec, SweepAxis, USAGE};
-pub use parse::{parse_args, parse_family, parse_model, parse_scheduler, parse_shards};
+pub use parse::{parse_args, parse_family, parse_model, parse_shards};
 
 use serde::Serialize;
 use std::num::NonZeroUsize;
 use uswg_core::metrics::OpKindSummary;
-use uswg_core::{CoreError, DistrError, SchedulerBackend, Table, WorkloadSpec};
+use uswg_core::{CoreError, DistrError, Table, WorkloadSpec};
 
 /// Errors produced by the CLI layer.
 #[derive(Debug)]
@@ -151,15 +151,9 @@ pub fn execute_with_status(command: Command) -> Result<(String, i32), CliError> 
     }
 }
 
-/// Reads the workload spec at `path` and applies the `--scheduler` and
-/// `--shards` overrides.
-fn load_spec(
-    path: &str,
-    scheduler: Option<SchedulerBackend>,
-    shards: Option<NonZeroUsize>,
-) -> Result<WorkloadSpec, CliError> {
+/// Reads the workload spec at `path` and applies the `--shards` override.
+fn load_spec(path: &str, shards: Option<NonZeroUsize>) -> Result<WorkloadSpec, CliError> {
     let mut spec = WorkloadSpec::from_json(&std::fs::read_to_string(path).map_err(at(path))?)?;
-    spec.run.scheduler = scheduler.or(spec.run.scheduler);
     spec.run.shards = shards.or(spec.run.shards);
     Ok(spec)
 }
@@ -221,7 +215,6 @@ mod tests {
                 path,
                 model,
                 out,
-                scheduler,
                 spill,
                 shards,
                 users,
@@ -230,7 +223,6 @@ mod tests {
                 assert_eq!(path, "spec.json");
                 assert_eq!(model.unwrap().name(), "nfs");
                 assert_eq!(out.as_deref(), Some("log.json"));
-                assert_eq!(scheduler, None);
                 assert_eq!(spill, None);
                 assert_eq!(shards, None);
                 assert_eq!(users, None);
@@ -265,13 +257,8 @@ mod tests {
             Command::Run { model: Some(m), .. } => assert_eq!(m.name(), "distributed-nfs"),
             other => panic!("{other:?}"),
         }
-        let cmd = parse_args(argv("run spec.json --scheduler calendar")).unwrap();
-        match cmd {
-            Command::Run { scheduler, .. } => {
-                assert_eq!(scheduler, Some(SchedulerBackend::Calendar));
-            }
-            other => panic!("{other:?}"),
-        }
+        let with = parse_args(argv("run spec.json --model nfs --scheduler calendar")).unwrap();
+        assert_eq!(with, parse_args(argv("run spec.json --model nfs")).unwrap());
     }
 
     #[test]
@@ -279,6 +266,8 @@ mod tests {
         assert!(parse_args(argv("run")).is_err());
         assert!(parse_args(argv("run spec.json --model warp-drive")).is_err());
         assert!(parse_args(argv("run spec.json --scheduler splay")).is_err());
+        let heap = parse_args(argv("run spec.json --scheduler heap"));
+        assert!(matches!(heap, Err(CliError::Usage(msg)) if msg.contains("removed")));
         assert!(parse_args(argv("run spec.json --scheduler")).is_err());
         assert!(parse_args(argv("run spec.json --bogus")).is_err());
         assert!(parse_args(argv("frobnicate")).is_err());
@@ -350,7 +339,7 @@ mod tests {
     #[test]
     fn parses_sweep_and_replicate() {
         let cmd = parse_args(argv(
-            "sweep spec.json --model nfs --users 1,2,4 --jobs 2 --scheduler calendar --shards 2",
+            "sweep spec.json --model nfs --users 1,2,4 --jobs 2 --shards 2",
         ))
         .unwrap();
         match cmd {
@@ -359,14 +348,12 @@ mod tests {
                 model,
                 axis,
                 jobs,
-                scheduler,
                 shards,
             } => {
                 assert_eq!(path, "spec.json");
                 assert_eq!(model.name(), "nfs");
                 assert_eq!(axis, SweepAxis::Users(vec![1, 2, 4]));
                 assert_eq!(jobs, Some(2));
-                assert_eq!(scheduler, Some(SchedulerBackend::Calendar));
                 assert_eq!(shards, Some(NonZeroUsize::new(2).unwrap()));
             }
             other => panic!("{other:?}"),
@@ -630,13 +617,9 @@ mod tests {
         let log = UsageLog::from_json(&std::fs::read_to_string(&log_path).unwrap()).unwrap();
         assert!(!log.ops().is_empty());
 
-        // run (modelled), once per scheduler backend: same spec, same seed,
-        // so the rendered summaries must be identical text.
-        let run_with =
-            |scheduler| cli_ok(&format!("run {spec} --model local --scheduler {scheduler}"));
-        let out = run_with("heap");
+        // run (modelled)
+        let out = cli_ok(&format!("run {spec} --model local"));
         assert!(out.contains("response time per byte"));
-        assert_eq!(out, run_with("calendar"));
 
         // summary mode with a population override: O(1)-memory headline run.
         let out = cli_ok(&format!("run {spec} --model local --users 3 --summary"));

@@ -6,15 +6,15 @@ use crate::CliError;
 use std::num::NonZeroUsize;
 use std::str::FromStr;
 use uswg_core::experiment::ModelConfig;
-use uswg_core::{NfsParams, SchedulerBackend};
+use uswg_core::NfsParams;
 
 /// The grammar, one row per subcommand: its name, then every flag it
 /// accepts. The cursor vets each token against the row, and a unit test
 /// holds the usage text to it.
 const FLAGS: [&str; 6] = [
     "run --model --direct --out --spill --scheduler --shards --users --summary",
-    "sweep --model --users --mix --sizes --jobs --scheduler --shards",
-    "replicate --model --seeds --replicates --jobs --scheduler --shards",
+    "sweep --model --users --mix --sizes --jobs --shards",
+    "replicate --model --seeds --replicates --jobs --shards",
     "drive --model --from-spill --speedup --max-in-flight --queue-cap --deadline-us \
      --service-us --fail-ppm",
     "fit --family --out --json --since --until --sample",
@@ -116,17 +116,18 @@ pub fn parse_model(name: &str) -> Result<ModelConfig, CliError> {
     }
 }
 
-/// Parses a scheduler-backend name.
-///
-/// # Errors
-///
-/// Returns [`CliError::Usage`] for unknown backends.
-pub fn parse_scheduler(name: &str) -> Result<SchedulerBackend, CliError> {
-    SchedulerBackend::parse(name).ok_or_else(|| {
-        CliError::Usage(format!(
-            "unknown scheduler `{name}` (expected heap, calendar)"
-        ))
-    })
+/// Checks `run --scheduler`'s value. The calendar queue is the only event
+/// queue, so `calendar` is accepted and changes nothing.
+fn check_scheduler(name: &str) -> Result<(), CliError> {
+    match name {
+        "calendar" => Ok(()),
+        "heap" => Err(CliError::Usage(
+            "--scheduler heap was removed: the calendar queue is the only event queue".into(),
+        )),
+        other => Err(CliError::Usage(format!(
+            "unknown scheduler `{other}` (expected calendar)"
+        ))),
+    }
 }
 
 /// Parses a shard count (a positive integer).
@@ -183,7 +184,6 @@ struct Parsed {
     out: Option<String>,
     spill: Option<String>,
     from_spill: Option<String>,
-    scheduler: Option<SchedulerBackend>,
     shards: Option<NonZeroUsize>,
     users: Option<NonZeroUsize>,
     jobs: Option<usize>,
@@ -248,7 +248,7 @@ fn parse_flags(args: &[String], needs: &str) -> Result<(String, Parsed), CliErro
             "--out" => p.out = Some(flags.value()?.to_string()),
             "--spill" => p.spill = Some(flags.value()?.to_string()),
             "--from-spill" => p.from_spill = Some(flags.value()?.to_string()),
-            "--scheduler" => p.scheduler = Some(parse_scheduler(flags.value()?)?),
+            "--scheduler" => check_scheduler(flags.value()?)?,
             "--shards" => p.shards = Some(parse_shards(flags.value()?)?),
             "--users" if subcommand == "sweep" => p.set_axis(SweepAxis::Users(flags.list()?))?,
             "--users" => p.users = Some(flags.parsed()?),
@@ -338,7 +338,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
                 path,
                 model: p.model,
                 out: p.out,
-                scheduler: p.scheduler,
                 spill: p.spill,
                 shards: p.shards,
                 users: p.users,
@@ -354,7 +353,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
                     CliError::Usage("sweep needs an axis: --users, --mix or --sizes".into())
                 })?,
                 jobs: p.jobs,
-                scheduler: p.scheduler,
                 shards: p.shards,
             }
         }
@@ -375,7 +373,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
                 model,
                 seeds,
                 jobs: p.jobs,
-                scheduler: p.scheduler,
                 shards: p.shards,
             }
         }

@@ -26,7 +26,6 @@ pub(crate) fn run(command: Command) -> Outcome {
         path,
         model,
         out,
-        scheduler,
         spill,
         shards,
         users,
@@ -35,7 +34,7 @@ pub(crate) fn run(command: Command) -> Outcome {
     else {
         unreachable!("execute_with_status routes on the variant");
     };
-    let mut spec = load_spec(&path, scheduler, shards)?;
+    let mut spec = load_spec(&path, shards)?;
     if let Some(n) = users {
         // Applied before the file system is generated, so the run is a
         // full-fidelity rescale of the spec, not a truncation of its log.

@@ -303,6 +303,41 @@ fn a_server_count_or_cdf_resolution_past_its_bound_is_refused() {
     }
 }
 
+/// There is one event queue. `run --scheduler calendar` still parses and
+/// changes nothing; `heap`, on the command line or in a spec, is refused
+/// by name, and `sweep` no longer takes the flag at all.
+#[test]
+fn the_removed_heap_scheduler_is_refused() {
+    let dir = scratch("scheduler");
+    let spec = write_spec(&dir);
+    let json = std::fs::read_to_string(&spec).unwrap();
+    let pinned = json.replace("\"scheduler\": null", "\"scheduler\": \"heap\"");
+    assert_ne!(pinned, json, "the spec names no scheduler to pin");
+    let heap_spec = dir.join("heap.json");
+    std::fs::write(&heap_spec, pinned).unwrap();
+    for (args, cause) in [
+        (format!("run {spec} --scheduler heap"), "heap was removed"),
+        (
+            format!("run {} --model local", heap_spec.display()),
+            "unknown SchedulerBackend variant `heap`",
+        ),
+        (
+            format!("sweep {spec} --model local --users 1 --scheduler calendar"),
+            "unknown flag `--scheduler`",
+        ),
+    ] {
+        let out = uswg(&args, &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args}: {stderr}");
+        assert!(stderr.contains(cause), "{args}: {stderr}");
+    }
+    let run = format!("run {spec} --model local");
+    let plain = stdout_of(&uswg(&run, &[]), &run);
+    let flagged = format!("{run} --scheduler calendar");
+    assert_eq!(stdout_of(&uswg(&flagged, &[]), &flagged), plain);
+}
+
 /// `--help` or `-h` anywhere on the line asks for the usage text (banner on
 /// stdout, exit 0) instead of being taken for an operand; and a failure
 /// names what was wrong — the file, the missing operand, the flag.

@@ -578,31 +578,6 @@ mod tests {
     }
 
     #[test]
-    fn sweeps_are_backend_invariant() {
-        // The sweep/replication entry points thread `run.scheduler` through
-        // every point; the two backends must produce identical measurements.
-        use uswg_sim::SchedulerBackend;
-        let mut spec = quick_spec();
-        spec.run.scheduler = Some(SchedulerBackend::Heap);
-        let heap = user_sweep(
-            &spec,
-            &ModelConfig::default_nfs(),
-            [1, 2],
-            Parallelism::Serial,
-        )
-        .unwrap();
-        spec.run.scheduler = Some(SchedulerBackend::Calendar);
-        let calendar = user_sweep(
-            &spec,
-            &ModelConfig::default_nfs(),
-            [1, 2],
-            Parallelism::Serial,
-        )
-        .unwrap();
-        assert_eq!(heap, calendar);
-    }
-
-    #[test]
     fn replication_is_seed_deterministic() {
         let spec = quick_spec();
         let a = run_des_replicated(

@@ -1,10 +1,10 @@
-//! The calendar-queue backend of the event [`Scheduler`](crate::Scheduler).
+//! The event queue of the [`Scheduler`](crate::Scheduler).
 //!
 //! A calendar queue (Brown 1988) hashes each event into a circular array of
 //! time buckets — "days" of a fixed `width` — and pops by walking the
 //! calendar from the current day forward. With the bucket count and width
 //! tracking the event population (the ladder-queue-style `rebuild` below),
-//! both `push` and `pop` are O(1) amortized, against the binary heap's
+//! both `push` and `pop` are O(1) amortized, against a binary heap's
 //! O(log n): at the ROADMAP's million-pending-event populations that log
 //! factor is the DES hot loop's dominant cost.
 //!
@@ -19,11 +19,10 @@
 //! appends — about three events on `deep_nfs` — and a run appended in `seq`
 //! order on a dense same-µs day is one reversal.
 //!
-//! Ordering contract: events drain in exactly `(time, seq)` order — the same
-//! total order as the heap backend, including FIFO tie-breaking of
-//! simultaneous events — so the two backends are interchangeable oracles for
-//! one another (see `tests/properties.rs` and the end-to-end byte-identity
-//! tests). Two invariants make the search exact:
+//! Ordering contract: events drain in exactly `(time, seq)` order, including
+//! FIFO tie-breaking of simultaneous events. `tests/properties.rs` checks it
+//! against a reference that scans a `Vec` for the minimum and shares no code
+//! with the queue. Two invariants make the search exact:
 //!
 //! * every queued event is at or after the start of the day window the
 //!   search stands on: the walk only leaves a window it found empty, and a

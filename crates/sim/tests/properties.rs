@@ -1,7 +1,7 @@
 //! Property-based tests of the simulation kernel's ordering guarantees.
 
 use proptest::prelude::*;
-use uswg_sim::{Resource, Scheduler, SchedulerBackend, SimTime, Simulation, World};
+use uswg_sim::{Resource, Scheduler, SimTime, Simulation, World};
 
 /// Records (event id, fire time) pairs.
 struct Recorder {
@@ -48,29 +48,6 @@ fn op_strategy() -> impl Strategy<Value = QueueOp> {
         (1u64..20).prop_map(QueueOp::Drain),
         (0u64..20_000).prop_map(QueueOp::RunUntil),
     ]
-}
-
-/// Applies one schedule/pop interleaving to a fresh simulation on `backend`
-/// and returns the full `(event id, fire time)` drain sequence.
-fn interleave(backend: SchedulerBackend, ops: &[QueueOp]) -> Vec<(u64, SimTime)> {
-    let mut sim = Simulation::with_backend(Recorder { fired: vec![] }, backend, 0);
-    let mut id = 0u64;
-    for op in ops {
-        match *op {
-            QueueOp::Schedule(delay) => {
-                sim.schedule(delay, id);
-                id += 1;
-            }
-            QueueOp::Drain(count) => {
-                sim.run_steps(count);
-            }
-            QueueOp::RunUntil(delta) => {
-                sim.run_until(sim.now().saturating_add(delta));
-            }
-        }
-    }
-    sim.run();
-    sim.into_world().fired
 }
 
 /// An event of the branching world: `depth` bounds the family tree.
@@ -179,20 +156,18 @@ impl Reference {
     }
 }
 
-/// Drives the branching world through `ops` on both backends and on the
+/// Drives the branching world through `ops` on the kernel and on the
 /// reference in lockstep, comparing step counts, clock and population after
 /// every slice and the full dispatch sequence at the end. `seeds` time-zero
 /// events stream from the kernel's lazy seed block first.
 fn check_against_reference(seeds: usize, rule: Rule, ops: &[QueueOp]) {
     let root = |id: u64| Node { id, depth: 0 };
-    let mut sims = [SchedulerBackend::Heap, SchedulerBackend::Calendar].map(|backend| {
-        let world = Branching {
-            rule,
-            next_id: 1 << 32,
-            fired: vec![],
-        };
-        Simulation::with_backend_seeded(world, backend, 0, seeds, move |i| root(i as u64))
-    });
+    let world = Branching {
+        rule,
+        next_id: 1 << 32,
+        fired: vec![],
+    };
+    let mut sim = Simulation::seeded(world, seeds, move |i| root(i as u64));
     let mut reference = Reference {
         next_id: 1 << 32,
         fired: vec![],
@@ -207,38 +182,27 @@ fn check_against_reference(seeds: usize, rule: Rule, ops: &[QueueOp]) {
     for op in ops {
         match *op {
             QueueOp::Schedule(delay) => {
-                for sim in &mut sims {
-                    sim.schedule(delay, root(id));
-                }
+                sim.schedule(delay, root(id));
                 reference.schedule(delay, root(id));
                 id += 1;
             }
             QueueOp::Drain(count) => {
                 let steps = reference.run(rule, count, u64::MAX);
-                for sim in &mut sims {
-                    prop_assert_eq!(sim.run_steps(count), steps, "{}", sim.backend());
-                }
+                prop_assert_eq!(sim.run_steps(count), steps);
             }
             QueueOp::RunUntil(delta) => {
                 let deadline = reference.now.saturating_add(delta);
                 let steps = reference.run(rule, u64::MAX, deadline);
-                for sim in &mut sims {
-                    let ran = sim.run_until(SimTime::from_micros(deadline));
-                    prop_assert_eq!(ran, steps, "{}", sim.backend());
-                }
+                prop_assert_eq!(sim.run_until(SimTime::from_micros(deadline)), steps);
             }
         }
-        for sim in &sims {
-            prop_assert_eq!(sim.now().micros(), reference.now);
-            prop_assert_eq!(sim.pending(), reference.pending.len());
-        }
+        prop_assert_eq!(sim.now().micros(), reference.now);
+        prop_assert_eq!(sim.pending(), reference.pending.len());
     }
     let steps = reference.run(rule, u64::MAX, u64::MAX);
-    for sim in &mut sims {
-        prop_assert_eq!(sim.run(), steps, "{}", sim.backend());
-        prop_assert_eq!(sim.pending(), 0);
-        prop_assert_eq!(&sim.world().fired, &reference.fired);
-    }
+    prop_assert_eq!(sim.run(), steps);
+    prop_assert_eq!(sim.pending(), 0);
+    prop_assert_eq!(&sim.world().fired, &reference.fired);
 }
 
 /// Event ids at which the hold rules below stop rescheduling: ~10⁵ events
@@ -246,8 +210,8 @@ fn check_against_reference(seeds: usize, rule: Rule, ops: &[QueueOp]) {
 const HOLD_LAST_ID: u64 = (1 << 32) + 100_000;
 
 /// Runs a hold world — `entities` seed events, each handled event
-/// rescheduling itself once at `delay(mix(id))` — against the reference on
-/// both backends, sliced by `run_steps` and `run_until` along the way.
+/// rescheduling itself once at `delay(mix(id))` — against the reference,
+/// sliced by `run_steps` and `run_until` along the way.
 fn hold_against_reference(entities: usize, delay: fn(u64) -> u64) {
     let rule = |node: Node| {
         if node.id < HOLD_LAST_ID {
@@ -297,11 +261,9 @@ fn hold_order_with_far_future_residents() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The heap-against-calendar comparisons below share the scheduler's
-    /// held slot, so a bug in it passes them. This one does not: handlers
-    /// that schedule follow-ups (the only way an event meets a non-empty
-    /// held slot mid-run), sliced by `run_steps` / `run_until`, against a
-    /// reference that scans a `Vec` for the minimum.
+    /// Handlers that schedule follow-ups (the only way an event meets a
+    /// non-empty held slot mid-run), sliced by `run_steps` / `run_until`,
+    /// against a reference that scans a `Vec` for the minimum.
     #[test]
     fn dispatch_order_matches_a_scanning_reference(
         seeds in 0usize..6,
@@ -311,16 +273,12 @@ proptest! {
         check_against_reference(seeds, &|node| follow_ups(node, &delays), &ops);
     }
 
-    /// Tentpole oracle: any random schedule/pop interleaving — including
-    /// bucket-rotation, resize, all-same-timestamp and far-future-outlier
-    /// shapes — drains in identical `(time, seq)` order on the calendar and
-    /// heap backends.
+    /// Any random schedule/pop interleaving — including bucket-rotation,
+    /// resize, all-same-timestamp and far-future-outlier shapes — drains in
+    /// the reference's `(time, seq)` order.
     #[test]
     fn backends_drain_identically(ops in prop::collection::vec(op_strategy(), 1..250)) {
-        let heap = interleave(SchedulerBackend::Heap, &ops);
-        let calendar = interleave(SchedulerBackend::Calendar, &ops);
-        prop_assert_eq!(heap.len(), calendar.len());
-        prop_assert_eq!(heap, calendar);
+        check_against_reference(0, &|_| vec![], &ops);
     }
 
     /// Heavy same-instant bursts punctuated by far-future jumps: the
@@ -339,9 +297,7 @@ proptest! {
             ops.push(QueueOp::Schedule(outlier));
             ops.push(QueueOp::Drain(burst as u64 / 2 + 1));
         }
-        let heap = interleave(SchedulerBackend::Heap, &ops);
-        let calendar = interleave(SchedulerBackend::Calendar, &ops);
-        prop_assert_eq!(heap, calendar);
+        check_against_reference(0, &|_| vec![], &ops);
     }
 
     /// Events fire in non-decreasing time order no matter the insertion

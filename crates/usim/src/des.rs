@@ -339,7 +339,7 @@ impl<S: LogSink> World for UsimWorld<S> {
                     let stages = self.model.stages(&exec.request, &mut self.model_rng);
                     // Latency spike on the first attempt: a seeded draw
                     // from the issuing user's own stream, so the outcome
-                    // is independent of sharding and backend. The
+                    // is independent of sharding. The
                     // disabled default draws nothing.
                     let spike = self.config.faults.sample_spike(&mut self.users.rng[user]);
                     hot.attempts = 1;
@@ -476,17 +476,8 @@ fn simulation<S: LogSink>(
     // The initial one-wake-per-user volley streams lazily from the
     // scheduler's seed mechanism — byte-identical to scheduling each
     // `Wake` eagerly (same `(time, seq)` slots), but the million-user
-    // login wave never occupies queue memory. Steady state holds at
-    // most one *dynamic* pending event per user (wake or step), and a
-    // mostly-idle population holds far fewer, so the queue pre-sizes
-    // for a capped slice of the population and grows only if the run
-    // actually keeps that many operations in flight. The backend choice
-    // never changes the drain order (both drain in (time, seq) order),
-    // so it is free to vary per run without breaking replay.
-    let capacity = (n_local + 1).min(1 << 16);
-    Simulation::with_backend_seeded(world, config.scheduler_backend(), capacity, n_local, |u| {
-        Ev::wake(u as u32)
-    })
+    // login wave never occupies queue memory.
+    Simulation::seeded(world, n_local, |u| Ev::wake(u as u32))
 }
 
 /// Runs a population against a timing model in simulated time. See the
@@ -605,7 +596,6 @@ mod tests {
     use uswg_distr::DistributionSpec;
     use uswg_fsc::{CategorySpec, FileCategory, FileSystemCreator, FillPattern, FscSpec};
     use uswg_netfs::{NfsModel, NfsParams};
-    use uswg_sim::SchedulerBackend;
     use uswg_vfs::{FsError, VfsConfig};
 
     fn population() -> CompiledPopulation {
@@ -683,57 +673,54 @@ mod tests {
     fn a_file_system_error_halts_the_run_where_it_happens() {
         let population = population();
         let (n_users, broken) = (400, 150);
-        for backend in [SchedulerBackend::Heap, SchedulerBackend::Calendar] {
-            let config = RunConfig {
-                n_users,
-                sessions_per_user: 2,
-                scheduler: Some(backend),
-                ..RunConfig::default()
-            };
-            let build = || {
-                let (vfs, catalog) = fs_with_a_broken_user(n_users, broken);
-                let mut pool = ResourcePool::new();
-                let model = Box::new(NfsModel::new(&mut pool, NfsParams::default()));
-                (vfs, catalog, model, pool)
-            };
-            // The login wave wakes users in order, so the broken user's wake
-            // is event 151: 249 seed wakes unstreamed, 150 users' first
-            // stages held or queued. None of them may run.
-            let (vfs, catalog, model, pool) = build();
-            let users = UserArena::build(&population, config.seed, n_users, 0..n_users, n_users);
-            let mut sim = simulation(
-                vfs,
-                catalog,
-                &population,
-                model,
-                pool,
-                &config,
-                users,
-                1,
-                UsageLog::new(),
-            );
-            assert_eq!(sim.run(), broken as u64 + 1, "{backend}");
-            assert_eq!(sim.pending(), 0);
-            assert_eq!(
-                sim.world().error,
-                Some(UsimError::FileSystem(FsError::IsADirectory))
-            );
-            // And the driver reports it as the run's typed error.
-            let (vfs, catalog, model, pool) = build();
-            let result = DesDriver::new().run_with_sink(
-                vfs,
-                catalog,
-                &population,
-                model,
-                pool,
-                &config,
-                UsageLog::new(),
-            );
-            assert_eq!(
-                result.err(),
-                Some(UsimError::FileSystem(FsError::IsADirectory))
-            );
-        }
+        let config = RunConfig {
+            n_users,
+            sessions_per_user: 2,
+            ..RunConfig::default()
+        };
+        let build = || {
+            let (vfs, catalog) = fs_with_a_broken_user(n_users, broken);
+            let mut pool = ResourcePool::new();
+            let model = Box::new(NfsModel::new(&mut pool, NfsParams::default()));
+            (vfs, catalog, model, pool)
+        };
+        // The login wave wakes users in order, so the broken user's wake
+        // is event 151: 249 seed wakes unstreamed, 150 users' first
+        // stages held or queued. None of them may run.
+        let (vfs, catalog, model, pool) = build();
+        let users = UserArena::build(&population, config.seed, n_users, 0..n_users, n_users);
+        let mut sim = simulation(
+            vfs,
+            catalog,
+            &population,
+            model,
+            pool,
+            &config,
+            users,
+            1,
+            UsageLog::new(),
+        );
+        assert_eq!(sim.run(), broken as u64 + 1);
+        assert_eq!(sim.pending(), 0);
+        assert_eq!(
+            sim.world().error,
+            Some(UsimError::FileSystem(FsError::IsADirectory))
+        );
+        // And the driver reports it as the run's typed error.
+        let (vfs, catalog, model, pool) = build();
+        let result = DesDriver::new().run_with_sink(
+            vfs,
+            catalog,
+            &population,
+            model,
+            pool,
+            &config,
+            UsageLog::new(),
+        );
+        assert_eq!(
+            result.err(),
+            Some(UsimError::FileSystem(FsError::IsADirectory))
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! exponential backoff and decorrelated jitter. Every random decision is
 //! drawn from the issuing user's own PRNG stream, so a faulted run remains
 //! a pure function of (spec, seed, K): fault outcomes never depend on the
-//! scheduler backend, the worker count or how the population is sharded —
+//! worker count or how the population is sharded —
 //! exactly the contract the shard- and sweep-equivalence suites pin.
 //!
 //! Faults model the *timing and outcome* of a call, not its semantics: the

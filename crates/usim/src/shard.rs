@@ -36,7 +36,7 @@
 //! `merge`; a [`UsageLog`] k-way-merges the per-shard logs by completion
 //! time (ties broken by shard index, within-shard order preserved) — a
 //! global re-sequencing that makes the merged log a pure function of
-//! (spec, seed, K), independent of worker count and scheduler backend; any
+//! (spec, seed, K), independent of worker count; any
 //! other sink sees that same merged sequence replayed from per-shard spill
 //! files.
 
@@ -364,7 +364,7 @@ fn add_stats(a: &mut ResourceStats, b: &ResourceStats) {
 /// globally by `(completion time, shard index)` for ops and `(end, shard
 /// index)` for sessions, preserving within-shard order, which makes the
 /// merged log a pure function of the shard logs: independent of worker
-/// count, finish order and scheduler backend. With a single shard this is
+/// count and finish order. With a single shard this is
 /// the identity, so a K = 1 merged log is byte-identical to the unsharded
 /// driver's.
 pub fn merge_shard_logs(logs: Vec<UsageLog>) -> UsageLog {

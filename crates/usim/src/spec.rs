@@ -261,13 +261,9 @@ pub struct RunConfig {
     pub record_ops: bool,
     /// Resolution of the compiled CDF tables (samples per distribution).
     pub cdf_resolution: usize,
-    /// Event-queue backend of the DES driver. Both backends produce
-    /// byte-identical simulations for the same seed; the calendar queue is
-    /// O(1) per event and wins beyond ~100k concurrently pending events
-    /// (roughly, users). `None` — the default, and what a freshly written
-    /// spec serializes — is [`SchedulerBackend::default`], the calendar;
-    /// set `Some` (or pass `--scheduler` to `uswg run`) to pin one
-    /// explicitly.
+    /// Event-queue backend of the DES driver. There is one, the calendar
+    /// queue, so this changes nothing; it is read so that specs naming
+    /// `"calendar"` still parse, and any other name is a spec error.
     #[serde(default)]
     pub scheduler: Option<SchedulerBackend>,
     /// Shards a single DES run across cores: the population is split
@@ -374,12 +370,6 @@ impl RunConfig {
     pub fn with_faults(mut self, faults: crate::FaultSpec) -> Self {
         self.faults = faults;
         self
-    }
-
-    /// The backend this run will use: the pinned choice, or
-    /// [`SchedulerBackend::default`].
-    pub fn scheduler_backend(&self) -> SchedulerBackend {
-        self.scheduler.unwrap_or_default()
     }
 }
 

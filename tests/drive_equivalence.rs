@@ -6,7 +6,7 @@
 //!
 //! * **Stream identity** — the channel source yields exactly the op
 //!   sequence the materialized log holds, record for record, for any
-//!   (spec, seed, scheduler, K) — property-tested below. This is the
+//!   (spec, seed, K) — property-tested below. This is the
 //!   strong form: the pacer cannot tell which path produced its input.
 //! * **Report equality** — at high speedup against an instant loopback
 //!   with a queue wide enough to hold the whole stream, every op
@@ -22,9 +22,7 @@ use proptest::prelude::*;
 use std::num::NonZeroUsize;
 use std::sync::Arc;
 use uswg_core::experiment::ModelConfig;
-use uswg_core::{
-    ChannelSink, CoreError, DesRunStats, OpRecord, SchedulerBackend, UsageLog, WorkloadSpec,
-};
+use uswg_core::{ChannelSink, CoreError, DesRunStats, OpRecord, UsageLog, WorkloadSpec};
 use uswg_drive::{
     drive_stream, ChannelSource, DriveConfig, DriveError, DriveReport, LoopbackConfig, LoopbackVfs,
     SourceError, SpillSource, VecSource,
@@ -35,17 +33,11 @@ fn nz(k: usize) -> NonZeroUsize {
     NonZeroUsize::new(k).expect("positive shard count")
 }
 
-/// A small multi-user workload under the given backend and shard count.
-fn base_spec(
-    users: usize,
-    sessions: u32,
-    backend: SchedulerBackend,
-    shards: usize,
-) -> WorkloadSpec {
+/// A small multi-user workload under the given shard count.
+fn base_spec(users: usize, sessions: u32, shards: usize) -> WorkloadSpec {
     let mut spec = WorkloadSpec::paper_default().unwrap();
     spec.run.n_users = users;
     spec.run.sessions_per_user = sessions;
-    spec.run.scheduler = Some(backend);
     spec.run.shards = (shards > 1).then(|| nz(shards));
     spec.fsc = spec
         .fsc
@@ -126,36 +118,34 @@ fn assert_reports_equivalent(streamed: &DriveReport, materialized: &DriveReport,
     );
 }
 
-/// The tentpole contract: for heap/calendar × shards {1, 2}, the streamed
+/// The tentpole contract: for shards {1, 2}, the streamed
 /// drive report equals the Vec-fed report on every counter, and the run
 /// really completes everything (the equality is not vacuous).
 #[test]
 fn streamed_des_drive_matches_materialized_counters() {
     let model = ModelConfig::default_nfs();
-    for backend in [SchedulerBackend::Heap, SchedulerBackend::Calendar] {
-        for shards in [1usize, 2] {
-            let spec = base_spec(3, 2, backend, shards);
-            let ops = spec
-                .run_des(&model, UsageLog::new())
-                .unwrap()
-                .0
-                .ops()
-                .to_vec();
-            let total = ops.len();
-            assert!(total > 0, "backend {backend}, K={shards}: empty workload");
-            let config = wide_config(total);
-            let materialized = drive_stream(VecSource::new(ops), loopback(), &config).unwrap();
-            let streamed = drive_stream(
-                des_source(&spec, &model, config.queue_cap),
-                loopback(),
-                &config,
-            )
-            .unwrap();
-            let label = format!("backend {backend}, K={shards}");
-            assert_reports_equivalent(&streamed, &materialized, &label);
-            assert_eq!(streamed.completed, total as u64, "{label}: all complete");
-            assert_eq!(streamed.shed + streamed.expired + streamed.aborted, 0);
-        }
+    for shards in [1usize, 2] {
+        let spec = base_spec(3, 2, shards);
+        let ops = spec
+            .run_des(&model, UsageLog::new())
+            .unwrap()
+            .0
+            .ops()
+            .to_vec();
+        let total = ops.len();
+        assert!(total > 0, "K={shards}: empty workload");
+        let config = wide_config(total);
+        let materialized = drive_stream(VecSource::new(ops), loopback(), &config).unwrap();
+        let streamed = drive_stream(
+            des_source(&spec, &model, config.queue_cap),
+            loopback(),
+            &config,
+        )
+        .unwrap();
+        let label = format!("K={shards}");
+        assert_reports_equivalent(&streamed, &materialized, &label);
+        assert_eq!(streamed.completed, total as u64, "{label}: all complete");
+        assert_eq!(streamed.shed + streamed.expired + streamed.aborted, 0);
     }
 }
 
@@ -166,7 +156,7 @@ fn spill_capture_drive_matches_materialized_counters() {
     let dir = std::env::temp_dir().join(format!("uswg-drive-equiv-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let model = ModelConfig::default_nfs();
-    let spec = base_spec(2, 2, SchedulerBackend::Heap, 1);
+    let spec = base_spec(2, 2, 1);
     let ops = spec
         .run_des(&model, UsageLog::new())
         .unwrap()
@@ -197,7 +187,7 @@ fn truncated_capture_drains_and_keeps_the_conservation_identity() {
     let dir = std::env::temp_dir().join(format!("uswg-drive-trunc-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let model = ModelConfig::default_nfs();
-    let spec = base_spec(2, 2, SchedulerBackend::Heap, 1);
+    let spec = base_spec(2, 2, 1);
     let path = dir.join("capture.bin");
     // Tiny frames, so a mid-file cut leaves many intact op frames ahead
     // of it (one default-sized frame would swallow the whole small run).
@@ -248,14 +238,8 @@ proptest! {
         sessions in 1u32..=2,
         seed in 0u64..1_000,
         shards in 1usize..=2,
-        calendar in any::<bool>(),
     ) {
-        let backend = if calendar {
-            SchedulerBackend::Calendar
-        } else {
-            SchedulerBackend::Heap
-        };
-        let mut spec = base_spec(users, sessions, backend, shards);
+        let mut spec = base_spec(users, sessions, shards);
         spec.run.seed = seed;
         let model = ModelConfig::default_local();
         let expected = spec.run_des(&model, UsageLog::new()).unwrap().0.ops().to_vec();

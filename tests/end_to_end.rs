@@ -3,8 +3,8 @@
 
 use uswg_core::experiment::ModelConfig;
 use uswg_core::{
-    metrics, presets, FillPattern, OpKind, PopulationSpec, SchedulerBackend, Summary, SummarySink,
-    UsageLog, WorkloadSpec,
+    metrics, presets, FillPattern, OpKind, PopulationSpec, Summary, SummarySink, UsageLog,
+    WorkloadSpec,
 };
 
 fn small_spec() -> WorkloadSpec {
@@ -179,30 +179,6 @@ fn spec_json_survives_and_runs() {
     let parsed = WorkloadSpec::from_json(&json).unwrap();
     let log = parsed.run_direct().unwrap();
     assert_eq!(log.sessions().len(), 8);
-}
-
-#[test]
-fn des_usage_log_is_byte_identical_across_scheduler_backends() {
-    // The tentpole's end-to-end oracle: same seed + same WorkloadSpec must
-    // serialize to byte-identical UsageLogs whether the DES hot loop runs
-    // on the binary heap or the calendar queue.
-    let run = |backend| {
-        let mut spec = small_spec();
-        spec.run.scheduler = Some(backend);
-        let (log, report) = spec
-            .run_des(&ModelConfig::default_nfs(), UsageLog::new())
-            .unwrap();
-        (report.events, report.duration, log.to_json().unwrap())
-    };
-    let (heap_events, heap_duration, heap_json) = run(SchedulerBackend::Heap);
-    let (cal_events, cal_duration, cal_json) = run(SchedulerBackend::Calendar);
-    assert_eq!(heap_events, cal_events, "event counts diverged");
-    assert_eq!(heap_duration, cal_duration, "simulated clocks diverged");
-    assert!(heap_json.contains("\"ops\""));
-    assert_eq!(heap_json, cal_json, "serialized usage logs diverged");
-    // (The direct driver is left out on purpose: it stamps each record with
-    // wall-clock `Instant` timings, so two direct runs are never
-    // byte-identical — with or without a scheduler.)
 }
 
 #[test]

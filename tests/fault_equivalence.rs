@@ -4,8 +4,8 @@
 //!
 //! * The per-op fault/spike/backoff draws come from the per-user PRNG, so
 //!   they are program-ordered per user and therefore partition-invariant:
-//!   worker count and scheduler backend never change a byte of the merged
-//!   log, faults on or off.
+//!   the worker count never changes a byte of the merged log, faults on or
+//!   off.
 //! * `FaultSpec::default()` draws **zero** random values, so a spec without
 //!   a fault section behaves byte-for-byte as it did before fault injection
 //!   existed (the existing golden and equivalence suites double as that
@@ -18,8 +18,8 @@ use proptest::prelude::*;
 use std::num::NonZeroUsize;
 use uswg_core::experiment::ModelConfig;
 use uswg_core::{
-    DesDriver, DesRunStats, FaultSpec, ResourcePool, RetryPolicy, SchedulerBackend, SummarySink,
-    UsageLog, WorkloadSpec,
+    DesDriver, DesRunStats, FaultSpec, ResourcePool, RetryPolicy, SummarySink, UsageLog,
+    WorkloadSpec,
 };
 
 fn nz(k: usize) -> NonZeroUsize {
@@ -33,7 +33,6 @@ fn fault_spec(users: usize, sessions: u32, faults: FaultSpec) -> WorkloadSpec {
     let mut spec = WorkloadSpec::paper_default().unwrap();
     spec.run.n_users = users;
     spec.run.sessions_per_user = sessions;
-    spec.run.scheduler = Some(SchedulerBackend::Heap);
     spec.run.faults = faults;
     spec.fsc = spec
         .fsc
@@ -91,70 +90,57 @@ fn sharded_summary(spec: &WorkloadSpec, model: &ModelConfig, k: usize) -> Summar
 }
 
 /// With faults enabled, K = 1 through the sharded driver still replays the
-/// unsharded simulation byte for byte, under both scheduler backends.
+/// unsharded simulation byte for byte.
 #[test]
 fn faulted_one_shard_is_byte_identical_to_the_unsharded_driver() {
-    for backend in [SchedulerBackend::Heap, SchedulerBackend::Calendar] {
-        let mut spec = fault_spec(3, 2, heavy_faults());
-        spec.run.scheduler = Some(backend);
-        let model = ModelConfig::default_nfs();
-        let (exact_log, _) = unsharded_report(&spec, &model);
-        let (sharded_log, _) = sharded_report(&spec, &model, 1);
-        assert_eq!(
-            exact_log.to_json().unwrap(),
-            sharded_log.to_json().unwrap(),
-            "backend {backend}: faulted K=1 must replay the unsharded log byte for byte"
-        );
-        // The faulted run really is faulted — the oracle is not vacuous.
-        assert!(
-            exact_log.ops().iter().any(|op| op.retries > 0),
-            "backend {backend}: heavy fault mix must produce retries"
-        );
-        assert!(
-            exact_log.ops().iter().any(|op| op.aborted),
-            "backend {backend}: max_attempts=2 at 15% fault rate must abort some op"
-        );
-    }
+    let spec = fault_spec(3, 2, heavy_faults());
+    let model = ModelConfig::default_nfs();
+    let (exact_log, _) = unsharded_report(&spec, &model);
+    let (sharded_log, _) = sharded_report(&spec, &model, 1);
+    assert_eq!(
+        exact_log.to_json().unwrap(),
+        sharded_log.to_json().unwrap(),
+        "faulted K=1 must replay the unsharded log byte for byte"
+    );
+    // The faulted run really is faulted — the oracle is not vacuous.
+    assert!(
+        exact_log.ops().iter().any(|op| op.retries > 0),
+        "heavy fault mix must produce retries"
+    );
+    assert!(
+        exact_log.ops().iter().any(|op| op.aborted),
+        "max_attempts=2 at 15% fault rate must abort some op"
+    );
 }
 
-/// The faulted merged log is a pure function of (spec, seed, K): worker
-/// count and scheduler backend never change a byte, exactly as for clean
-/// runs — fault, spike and backoff draws ride the per-user streams.
+/// The faulted merged log is a pure function of (spec, seed, K): the worker
+/// count never changes a byte, exactly as for clean runs — fault, spike and
+/// backoff draws ride the per-user streams.
 #[test]
 fn faulted_merged_log_is_worker_and_backend_invariant() {
     let model = ModelConfig::default_nfs();
-    let reference = {
-        let spec = fault_spec(6, 2, heavy_faults());
-        sharded_report(&spec, &model, 4).0.to_json().unwrap()
-    };
-    for backend in [SchedulerBackend::Heap, SchedulerBackend::Calendar] {
-        for workers in [1usize, 3, 8] {
-            let mut spec = fault_spec(6, 2, heavy_faults());
-            spec.run.scheduler = Some(backend);
-            let population = spec.compile().unwrap();
-            let plan = uswg_core::ShardPlan::new(spec.run.n_users, nz(4));
-            let envs: Vec<uswg_core::ShardEnv> = (0..plan.active_shards())
-                .map(|_| {
-                    let (vfs, catalog) = spec.generate_fs().unwrap();
-                    let mut pool = ResourcePool::new();
-                    let m = model.build(&mut pool);
-                    uswg_core::ShardEnv {
-                        vfs,
-                        catalog,
-                        model: m,
-                        pool,
-                    }
-                })
-                .collect();
-            let (log, _) = uswg_core::ShardedDesDriver::with_workers(workers)
-                .run(&population, &spec.run, nz(4), envs, UsageLog::new())
-                .unwrap();
-            assert_eq!(
-                log.to_json().unwrap(),
-                reference,
-                "workers={workers} backend={backend}"
-            );
-        }
+    let spec = fault_spec(6, 2, heavy_faults());
+    let reference = sharded_report(&spec, &model, 4).0.to_json().unwrap();
+    let population = spec.compile().unwrap();
+    for workers in [1usize, 3, 8] {
+        let plan = uswg_core::ShardPlan::new(spec.run.n_users, nz(4));
+        let envs: Vec<uswg_core::ShardEnv> = (0..plan.active_shards())
+            .map(|_| {
+                let (vfs, catalog) = spec.generate_fs().unwrap();
+                let mut pool = ResourcePool::new();
+                let m = model.build(&mut pool);
+                uswg_core::ShardEnv {
+                    vfs,
+                    catalog,
+                    model: m,
+                    pool,
+                }
+            })
+            .collect();
+        let (log, _) = uswg_core::ShardedDesDriver::with_workers(workers)
+            .run(&population, &spec.run, nz(4), envs, UsageLog::new())
+            .unwrap();
+        assert_eq!(log.to_json().unwrap(), reference, "workers={workers}");
     }
 }
 
@@ -209,8 +195,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// For arbitrary valid fault specs, seeds and K: two runs of the same
-    /// (spec, seed, K) are byte-identical, and the scheduler backend is
-    /// never observable in the merged log.
+    /// (spec, seed, K) are byte-identical.
     #[test]
     fn faulted_runs_are_pure_functions_of_spec_seed_and_k(
         fault_ppm in 0u32..300_000,
@@ -236,8 +221,5 @@ proptest! {
         let first = sharded_report(&spec, &model, k).0.to_json().unwrap();
         let second = sharded_report(&spec, &model, k).0.to_json().unwrap();
         prop_assert_eq!(&first, &second, "same (spec, seed, K) must replay");
-        spec.run.scheduler = Some(SchedulerBackend::Calendar);
-        let calendar = sharded_report(&spec, &model, k).0.to_json().unwrap();
-        prop_assert_eq!(&first, &calendar, "backend must be unobservable");
     }
 }

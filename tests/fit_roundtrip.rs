@@ -6,18 +6,19 @@
 //! (measure a system, characterize the users, regenerate an equivalent
 //! workload), closed as an executable loop.
 //!
-//! The matrix covers both scheduler backends, unsharded and sharded
-//! captures (K ∈ {1, 2}), both spill codecs, and a footer-less capture
-//! (no index — the fit collector's streamed fallback), across two
-//! distinct source specs. Everything is seeded, so the acceptance bands
-//! are deterministic gates, not flaky tolerances.
+//! The matrix covers unsharded and sharded captures (K ∈ {1, 2}), both
+//! spill codecs, and a footer-less capture (no index — the fit collector's
+//! streamed fallback), across two distinct source specs. Everything is
+//! seeded, so the acceptance bands are deterministic gates, not flaky
+//! tolerances. The `heap` / `calendar` in the test names is only a name:
+//! there is one event queue, and every case runs on it.
 
 use std::num::NonZeroUsize;
 use std::path::Path;
 use uswg_core::experiment::ModelConfig;
 use uswg_core::{
     collect_fit, gof, presets, synthesize_spec, FitObservation, OpKind, PopulationSpec,
-    ScanOptions, SchedulerBackend, SpillCodec, SpillSink, SynthesisOptions, UsageLog, WorkloadSpec,
+    ScanOptions, SpillCodec, SpillSink, SynthesisOptions, UsageLog, WorkloadSpec,
 };
 
 /// Source spec 1: the paper-default heavy-user population, shrunk to a
@@ -123,20 +124,12 @@ fn assert_measure_close(label: &str, a: &[f64], b: &[f64], max_d: f64, ratio: f6
 
 /// The oracle: capture `spec`, fit it, run the fitted spec, and pin the
 /// regenerated capture against the original.
-fn roundtrip(
-    label: &str,
-    spec: &WorkloadSpec,
-    scheduler: SchedulerBackend,
-    shards: usize,
-    codec: SpillCodec,
-    indexed: bool,
-) {
+fn roundtrip(label: &str, spec: &WorkloadSpec, shards: usize, codec: SpillCodec, indexed: bool) {
     let dir = unique_dir(label);
     let source_path = dir.join("source.bin");
     let refit_path = dir.join("refit.bin");
 
     let mut spec = spec.clone();
-    spec.run.scheduler = Some(scheduler);
     spec.run.shards = NonZeroUsize::new(shards);
     capture(&spec, &source_path, codec, indexed);
 
@@ -213,9 +206,8 @@ fn roundtrip(
 #[test]
 fn roundtrip_paper_heap_unsharded_compressed() {
     roundtrip(
-        "paper-heap-k1-v2",
+        "paper-k1-v2",
         &paper_spec(),
-        SchedulerBackend::Heap,
         1,
         SpillCodec::Compressed,
         true,
@@ -224,14 +216,7 @@ fn roundtrip_paper_heap_unsharded_compressed() {
 
 #[test]
 fn roundtrip_paper_calendar_unsharded_raw() {
-    roundtrip(
-        "paper-cal-k1-v1",
-        &paper_spec(),
-        SchedulerBackend::Calendar,
-        1,
-        SpillCodec::Raw,
-        true,
-    );
+    roundtrip("paper-k1-v1", &paper_spec(), 1, SpillCodec::Raw, true);
 }
 
 #[test]
@@ -239,9 +224,8 @@ fn roundtrip_paper_heap_sharded_footerless() {
     // K = 2 sharded capture, no index footer: the fit collector must take
     // its whole-file streamed fallback over the merged shard streams.
     roundtrip(
-        "paper-heap-k2-nofooter",
+        "paper-k2-nofooter",
         &paper_spec(),
-        SchedulerBackend::Heap,
         2,
         SpillCodec::Compressed,
         false,
@@ -251,9 +235,8 @@ fn roundtrip_paper_heap_sharded_footerless() {
 #[test]
 fn roundtrip_mixed_calendar_sharded_compressed() {
     roundtrip(
-        "mixed-cal-k2-v2",
+        "mixed-k2-v2",
         &mixed_spec(),
-        SchedulerBackend::Calendar,
         2,
         SpillCodec::Compressed,
         true,
@@ -263,9 +246,8 @@ fn roundtrip_mixed_calendar_sharded_compressed() {
 #[test]
 fn roundtrip_mixed_heap_unsharded_raw_footerless() {
     roundtrip(
-        "mixed-heap-k1-v1-nofooter",
+        "mixed-k1-v1-nofooter",
         &mixed_spec(),
-        SchedulerBackend::Heap,
         1,
         SpillCodec::Raw,
         false,

@@ -1,7 +1,6 @@
 //! Golden byte-identity suite: committed fixtures pin the **exact bytes**
 //! a fixed workload produces — the serialized [`UsageLog`] JSON and the
-//! binary spill capture — across scheduler backends × shard counts
-//! K ∈ {1, 2, 4}.
+//! binary spill capture — at shard counts K ∈ {1, 2, 4}.
 //!
 //! The fixtures under `tests/golden/` were generated by the pre-arena
 //! `DesDriver` (one boxed `UserState` per user), so these tests prove the
@@ -32,8 +31,8 @@ use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use uswg_core::experiment::ModelConfig;
 use uswg_core::{
-    DesDriver, FaultSpec, FrameIndex, Owner, PopulationSpec, ResourcePool, SchedulerBackend,
-    SpillSink, SummarySink, UsageClass, UsageLog, WorkloadSpec,
+    DesDriver, FaultSpec, FrameIndex, Owner, PopulationSpec, ResourcePool, SpillSink, SummarySink,
+    UsageClass, UsageLog, WorkloadSpec,
 };
 
 fn nz(k: usize) -> NonZeroUsize {
@@ -56,12 +55,11 @@ fn golden_dir() -> PathBuf {
 /// session (login/logout/relogin), the full paper category mix including
 /// shared read-write coupling, and fault injection (retries, spikes,
 /// aborts) so the retry state machine is pinned too.
-fn golden_spec(k: usize, backend: SchedulerBackend) -> WorkloadSpec {
+fn golden_spec(k: usize) -> WorkloadSpec {
     let mut spec = WorkloadSpec::paper_default().expect("paper default builds");
     spec.run.n_users = 6;
     spec.run.sessions_per_user = 3;
     spec.run.seed = 0x60_1D;
-    spec.run.scheduler = Some(backend);
     spec.run.shards = Some(nz(k));
     spec.run.faults = FaultSpec {
         fault_ppm: 120_000,
@@ -79,8 +77,8 @@ fn golden_spec(k: usize, backend: SchedulerBackend) -> WorkloadSpec {
 }
 
 /// One captured run: the serialized usage log and the raw spill bytes.
-fn capture(k: usize, backend: SchedulerBackend) -> (String, Vec<u8>) {
-    let spec = golden_spec(k, backend);
+fn capture(k: usize) -> (String, Vec<u8>) {
+    let spec = golden_spec(k);
     let model = ModelConfig::default_nfs();
     let log_json = spec
         .run_des(&model, UsageLog::new())
@@ -88,10 +86,8 @@ fn capture(k: usize, backend: SchedulerBackend) -> (String, Vec<u8>) {
         .0
         .to_json()
         .expect("log serializes");
-    let spill_path = std::env::temp_dir().join(format!(
-        "uswg-golden-{}-k{k}-{backend}.spill",
-        std::process::id()
-    ));
+    let spill_path =
+        std::env::temp_dir().join(format!("uswg-golden-{}-k{k}.spill", std::process::id()));
     let sink = (
         SummarySink::new(),
         SpillSink::create(&spill_path).expect("spill sink"),
@@ -103,9 +99,7 @@ fn capture(k: usize, backend: SchedulerBackend) -> (String, Vec<u8>) {
     (log_json, bytes)
 }
 
-/// The fixture comparison (or regeneration) for every backend × K cell.
-/// Both backends must match the *same* fixture: backend byte-identity is
-/// part of the pinned contract, so the fixture set is indexed by K only.
+/// The fixture comparison (or regeneration) for every K.
 #[test]
 fn arena_refactor_replays_the_pre_refactor_bytes() {
     let regen = std::env::var("USWG_GOLDEN_REGEN").is_ok();
@@ -115,53 +109,51 @@ fn arena_refactor_replays_the_pre_refactor_bytes() {
     }
     for k in [1usize, 2, 4] {
         let spill_fixture = dir.join(format!("k{k}.spill"));
-        for backend in [SchedulerBackend::Heap, SchedulerBackend::Calendar] {
-            let (log_json, spill_bytes) = capture(k, backend);
-            let index = FrameIndex::load(&mut Cursor::new(&spill_bytes))
-                .expect("trailer probe succeeds")
-                .expect("a sealed capture carries an index footer");
-            let stream_end = spill_bytes.len() - footer_bytes(index.frames());
-            if regen && backend == SchedulerBackend::Heap {
-                // Fixtures stay in the pre-footer format — the capture
-                // minus its index footer — so the suite keeps pinning
-                // that footer-less files remain readable.
-                std::fs::write(&spill_fixture, &spill_bytes[..stream_end])
-                    .expect("write spill fixture");
-            }
-            if !spill_fixture.exists() {
-                panic!(
-                    "missing fixture {} — regenerate with USWG_GOLDEN_REGEN=1",
-                    spill_fixture.display()
-                );
-            }
-            let want_spill = std::fs::read(&spill_fixture).expect("spill fixture readable");
-            assert_eq!(
-                &spill_bytes[..stream_end],
-                &want_spill[..],
-                "K={k} backend={backend}: spill record stream diverged from the \
-                 committed golden fixture (an op-stream change; if intended, \
-                 regenerate with USWG_GOLDEN_REGEN=1 and commit the fixtures)"
-            );
-            assert_eq!(
-                spill_bytes.len(),
-                want_spill.len() + footer_bytes(index.frames()),
-                "K={k} backend={backend}: the index footer must be the only \
-                 bytes a live capture adds after the pre-footer stream"
-            );
-            // The compressed spill *is* the full log (the fixture set stays
-            // ~100 KB per K instead of ~1.5 MB of JSON): reconstructing a
-            // UsageLog from the fixture and serializing it pins the
-            // materialized-log path to the same golden bytes.
-            let want_log = uswg_core::read_spill_path(&spill_fixture)
-                .expect("fixture decodes")
-                .to_json()
-                .expect("fixture log serializes");
-            assert_eq!(
-                log_json, want_log,
-                "K={k} backend={backend}: serialized UsageLog diverged from the \
-                 committed golden fixture"
+        let (log_json, spill_bytes) = capture(k);
+        let index = FrameIndex::load(&mut Cursor::new(&spill_bytes))
+            .expect("trailer probe succeeds")
+            .expect("a sealed capture carries an index footer");
+        let stream_end = spill_bytes.len() - footer_bytes(index.frames());
+        if regen {
+            // Fixtures stay in the pre-footer format — the capture
+            // minus its index footer — so the suite keeps pinning
+            // that footer-less files remain readable.
+            std::fs::write(&spill_fixture, &spill_bytes[..stream_end])
+                .expect("write spill fixture");
+        }
+        if !spill_fixture.exists() {
+            panic!(
+                "missing fixture {} — regenerate with USWG_GOLDEN_REGEN=1",
+                spill_fixture.display()
             );
         }
+        let want_spill = std::fs::read(&spill_fixture).expect("spill fixture readable");
+        assert_eq!(
+            &spill_bytes[..stream_end],
+            &want_spill[..],
+            "K={k}: spill record stream diverged from the \
+             committed golden fixture (an op-stream change; if intended, \
+             regenerate with USWG_GOLDEN_REGEN=1 and commit the fixtures)"
+        );
+        assert_eq!(
+            spill_bytes.len(),
+            want_spill.len() + footer_bytes(index.frames()),
+            "K={k}: the index footer must be the only \
+             bytes a live capture adds after the pre-footer stream"
+        );
+        // The compressed spill *is* the full log (the fixture set stays
+        // ~100 KB per K instead of ~1.5 MB of JSON): reconstructing a
+        // UsageLog from the fixture and serializing it pins the
+        // materialized-log path to the same golden bytes.
+        let want_log = uswg_core::read_spill_path(&spill_fixture)
+            .expect("fixture decodes")
+            .to_json()
+            .expect("fixture log serializes");
+        assert_eq!(
+            log_json, want_log,
+            "K={k}: serialized UsageLog diverged from the \
+             committed golden fixture"
+        );
     }
 }
 
@@ -179,7 +171,6 @@ fn read_only_spec(users: usize, sessions: u32, seed: u64) -> WorkloadSpec {
     spec.run.n_users = users;
     spec.run.sessions_per_user = sessions;
     spec.run.seed = seed;
-    spec.run.scheduler = Some(SchedulerBackend::Heap);
     spec.fsc = spec
         .fsc
         .with_files_per_user(6)

@@ -3,11 +3,11 @@
 //!
 //! * **Exactly**: a one-shard run is byte-identical (serialized
 //!   [`UsageLog`]) to the unsharded driver; for any K the merged log is a
-//!   pure function of (spec, seed, K) — independent of worker count and
-//!   scheduler backend; and for workloads whose cross-user coupling is
-//!   read-only (shared files never written, device never full) every
-//!   statistic derived from the operation streams alone — counts, access
-//!   sizes, bytes, sessions — matches the unsharded run to 1e-9.
+//!   pure function of (spec, seed, K) — independent of worker count; and
+//!   for workloads whose cross-user coupling is read-only (shared files
+//!   never written, device never full) every statistic derived from the
+//!   operation streams alone — counts, access sizes, bytes, sessions —
+//!   matches the unsharded run to 1e-9.
 //! * **Statistically**: response times. Each shard owns a private copy of
 //!   the timing model's resources, so K > 1 queues users only behind their
 //!   own shard — the documented approximation of one globally contended
@@ -22,7 +22,7 @@ use std::num::NonZeroUsize;
 use uswg_core::experiment::ModelConfig;
 use uswg_core::{
     merge_shard_logs, shard_model_seed, DesDriver, DesRunStats, OpRecord, Owner, PopulationSpec,
-    ResourcePool, SchedulerBackend, ShardPlan, SummarySink, UsageClass, UsageLog, WorkloadSpec,
+    ResourcePool, ShardPlan, SummarySink, UsageClass, UsageLog, WorkloadSpec,
 };
 
 fn nz(k: usize) -> NonZeroUsize {
@@ -39,7 +39,6 @@ fn base_spec(users: usize, sessions: u32, shared_read_only: bool) -> WorkloadSpe
     let mut spec = WorkloadSpec::paper_default().unwrap();
     spec.run.n_users = users;
     spec.run.sessions_per_user = sessions;
-    spec.run.scheduler = Some(SchedulerBackend::Heap);
     spec.fsc = spec
         .fsc
         .with_files_per_user(8)
@@ -114,33 +113,28 @@ fn rel(a: f64, b: f64) -> f64 {
 
 /// K = 1 through the sharded driver replays the unsharded simulation byte
 /// for byte: same serialized log, same resource statistics, same event
-/// count and duration — under both scheduler backends and with the full
-/// paper workload (shared read-write files included; one shard holds the
+/// count and duration — with the full paper workload (shared read-write files included; one shard holds the
 /// whole population, so no coupling is severed).
 #[test]
 fn one_shard_is_byte_identical_to_the_unsharded_driver() {
-    for backend in [SchedulerBackend::Heap, SchedulerBackend::Calendar] {
-        let mut spec = base_spec(3, 2, false);
-        spec.run.scheduler = Some(backend);
-        let model = ModelConfig::default_nfs();
-        let (exact_log, exact) = unsharded_report(&spec, &model);
-        let (sharded_log, sharded) = sharded_report(&spec, &model, 1);
-        assert_eq!(
-            exact_log.to_json().unwrap(),
-            sharded_log.to_json().unwrap(),
-            "backend {backend}: K=1 must replay the unsharded log byte for byte"
-        );
-        assert_eq!(exact.resources, sharded.resources, "backend {backend}");
-        assert_eq!(exact.events, sharded.events, "backend {backend}");
-        assert_eq!(exact.duration, sharded.duration, "backend {backend}");
-        // The streaming summary path agrees bit for bit too (merge of a
-        // single sink into an empty one is the identity).
-        assert_eq!(
-            unsharded_summary(&spec, &model),
-            sharded_summary(&spec, &model, 1),
-            "backend {backend}"
-        );
-    }
+    let spec = base_spec(3, 2, false);
+    let model = ModelConfig::default_nfs();
+    let (exact_log, exact) = unsharded_report(&spec, &model);
+    let (sharded_log, sharded) = sharded_report(&spec, &model, 1);
+    assert_eq!(
+        exact_log.to_json().unwrap(),
+        sharded_log.to_json().unwrap(),
+        "K=1 must replay the unsharded log byte for byte"
+    );
+    assert_eq!(exact.resources, sharded.resources);
+    assert_eq!(exact.events, sharded.events);
+    assert_eq!(exact.duration, sharded.duration);
+    // The streaming summary path agrees bit for bit too (merge of a
+    // single sink into an empty one is the identity).
+    assert_eq!(
+        unsharded_summary(&spec, &model),
+        sharded_summary(&spec, &model, 1)
+    );
 }
 
 /// For K in {2, 4, 7}: every statistic the merged summary derives from the
@@ -198,45 +192,35 @@ fn merged_summaries_match_unsharded_op_stream_stats() {
     }
 }
 
-/// The merged full log is a pure function of (spec, seed, K): worker count
-/// and scheduler backend never change a byte. This is the "global sequence
-/// rewrite" guarantee — shard results merge in shard-index order by
-/// completion time, regardless of which worker finished first.
+/// The merged full log is a pure function of (spec, seed, K): the worker
+/// count never changes a byte. This is the "global sequence rewrite"
+/// guarantee — shard results merge in shard-index order by completion time,
+/// regardless of which worker finished first.
 #[test]
 fn merged_log_is_worker_and_backend_invariant() {
     let model = ModelConfig::default_nfs();
-    let reference = {
-        let spec = base_spec(6, 2, false);
-        sharded_report(&spec, &model, 4).0.to_json().unwrap()
-    };
-    for backend in [SchedulerBackend::Heap, SchedulerBackend::Calendar] {
-        for workers in [1usize, 2, 3, 8] {
-            let mut spec = base_spec(6, 2, false);
-            spec.run.scheduler = Some(backend);
-            let population = spec.compile().unwrap();
-            let plan = ShardPlan::new(spec.run.n_users, nz(4));
-            let envs: Vec<uswg_core::ShardEnv> = (0..plan.active_shards())
-                .map(|_| {
-                    let (vfs, catalog) = spec.generate_fs().unwrap();
-                    let mut pool = ResourcePool::new();
-                    let m = model.build(&mut pool);
-                    uswg_core::ShardEnv {
-                        vfs,
-                        catalog,
-                        model: m,
-                        pool,
-                    }
-                })
-                .collect();
-            let (log, _) = uswg_core::ShardedDesDriver::with_workers(workers)
-                .run(&population, &spec.run, nz(4), envs, UsageLog::new())
-                .unwrap();
-            assert_eq!(
-                log.to_json().unwrap(),
-                reference,
-                "workers={workers} backend={backend}"
-            );
-        }
+    let spec = base_spec(6, 2, false);
+    let reference = sharded_report(&spec, &model, 4).0.to_json().unwrap();
+    let population = spec.compile().unwrap();
+    for workers in [1usize, 2, 3, 8] {
+        let plan = ShardPlan::new(spec.run.n_users, nz(4));
+        let envs: Vec<uswg_core::ShardEnv> = (0..plan.active_shards())
+            .map(|_| {
+                let (vfs, catalog) = spec.generate_fs().unwrap();
+                let mut pool = ResourcePool::new();
+                let m = model.build(&mut pool);
+                uswg_core::ShardEnv {
+                    vfs,
+                    catalog,
+                    model: m,
+                    pool,
+                }
+            })
+            .collect();
+        let (log, _) = uswg_core::ShardedDesDriver::with_workers(workers)
+            .run(&population, &spec.run, nz(4), envs, UsageLog::new())
+            .unwrap();
+        assert_eq!(log.to_json().unwrap(), reference, "workers={workers}");
     }
 }
 

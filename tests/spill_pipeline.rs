@@ -2,15 +2,15 @@
 //! merge every plain sink gets — per-shard spill streams k-way merged
 //! frame-by-frame — must be record-for-record identical to the in-memory
 //! oracle (a `UsageLog` sink, whose per-shard logs are materialized and
-//! merged with `merge_shard_logs`) — under both scheduler backends, several
-//! worker counts and shard counts, and through the `WorkloadSpec` entry
-//! point end to end (run → spill file → read back).
+//! merged with `merge_shard_logs`) — under several worker counts and shard
+//! counts, and through the `WorkloadSpec` entry point end to end (run →
+//! spill file → read back).
 
 use std::num::NonZeroUsize;
 use uswg_core::experiment::ModelConfig;
 use uswg_core::{
-    read_spill_path, LogSink, ResourcePool, SchedulerBackend, ShardEnv, ShardPlan,
-    ShardedDesDriver, SpillSink, SummarySink, UsageLog, WorkloadSpec,
+    read_spill_path, LogSink, ResourcePool, ShardEnv, ShardPlan, ShardedDesDriver, SpillSink,
+    SummarySink, UsageLog, WorkloadSpec,
 };
 
 fn nz(k: usize) -> NonZeroUsize {
@@ -24,7 +24,6 @@ fn base_spec(users: usize, sessions: u32) -> WorkloadSpec {
     let mut spec = WorkloadSpec::paper_default().unwrap();
     spec.run.n_users = users;
     spec.run.sessions_per_user = sessions;
-    spec.run.scheduler = Some(SchedulerBackend::Heap);
     spec.fsc = spec
         .fsc
         .with_files_per_user(8)
@@ -68,51 +67,45 @@ fn shard_envs(spec: &WorkloadSpec, model: &ModelConfig, active: usize) -> Vec<Sh
         .collect()
 }
 
-/// Tentpole pin: for every (backend × workers × K) cell, the streamed
+/// Tentpole pin: for every (workers × K) cell, the streamed
 /// spill merge produces byte-for-byte the log the materialize-then-merge
 /// oracle produces — so replacing the in-memory path with the O(1)-memory
 /// path can never change a result.
 #[test]
 fn streamed_merge_is_byte_identical_to_the_in_memory_oracle() {
     let model = ModelConfig::default_nfs();
-    for backend in [SchedulerBackend::Heap, SchedulerBackend::Calendar] {
-        let mut spec = base_spec(5, 2);
-        spec.run.scheduler = Some(backend);
-        for k in [1usize, 2, 3] {
-            let plan = ShardPlan::new(spec.run.n_users, nz(k));
-            let population = spec.compile().unwrap();
-            let (oracle_log, oracle) = ShardedDesDriver::with_workers(1)
+    let spec = base_spec(5, 2);
+    for k in [1usize, 2, 3] {
+        let plan = ShardPlan::new(spec.run.n_users, nz(k));
+        let population = spec.compile().unwrap();
+        let (oracle_log, oracle) = ShardedDesDriver::with_workers(1)
+            .run(
+                &population,
+                &spec.run,
+                nz(k),
+                shard_envs(&spec, &model, plan.active_shards()),
+                UsageLog::new(),
+            )
+            .unwrap();
+        for workers in [1usize, 4] {
+            let (Streamed(streamed), stats) = ShardedDesDriver::with_workers(workers)
                 .run(
                     &population,
                     &spec.run,
                     nz(k),
                     shard_envs(&spec, &model, plan.active_shards()),
-                    UsageLog::new(),
+                    Streamed::default(),
                 )
                 .unwrap();
-            for workers in [1usize, 4] {
-                let (Streamed(streamed), stats) = ShardedDesDriver::with_workers(workers)
-                    .run(
-                        &population,
-                        &spec.run,
-                        nz(k),
-                        shard_envs(&spec, &model, plan.active_shards()),
-                        Streamed::default(),
-                    )
-                    .unwrap();
-                assert_eq!(
-                    streamed.to_json().unwrap(),
-                    oracle_log.to_json().unwrap(),
-                    "backend {backend}, K={k}, workers={workers}: streamed merge must \
-                     reproduce merge_shard_logs byte for byte"
-                );
-                assert_eq!(stats.events, oracle.events, "backend {backend}, K={k}");
-                assert_eq!(stats.duration, oracle.duration, "backend {backend}, K={k}");
-                assert_eq!(
-                    stats.resources, oracle.resources,
-                    "backend {backend}, K={k}"
-                );
-            }
+            assert_eq!(
+                streamed.to_json().unwrap(),
+                oracle_log.to_json().unwrap(),
+                "K={k}, workers={workers}: streamed merge must \
+                 reproduce merge_shard_logs byte for byte"
+            );
+            assert_eq!(stats.events, oracle.events, "K={k}");
+            assert_eq!(stats.duration, oracle.duration, "K={k}");
+            assert_eq!(stats.resources, oracle.resources, "K={k}");
         }
     }
 }

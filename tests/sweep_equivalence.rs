@@ -2,18 +2,17 @@
 //! `SummarySink`, must reproduce the reference implementation — the full
 //! `UsageLog` of the same spec aggregated post hoc with `Summary::of` — in
 //! every Table 5.3 statistic to 1e-9 relative, across random workload
-//! shapes, models, seeds and both scheduler backends. This is the gate that
+//! shapes, models and seeds. This is the gate that
 //! lets sweeps never materialize a log.
 
 use proptest::prelude::*;
 use uswg_core::experiment::{run_des_replicated, user_sweep, ModelConfig, Parallelism, SweepPoint};
-use uswg_core::{SchedulerBackend, Summary, UsageLog, WorkloadSpec};
+use uswg_core::{Summary, UsageLog, WorkloadSpec};
 
-fn small_spec(sessions: u32, seed: u64, backend: SchedulerBackend) -> WorkloadSpec {
+fn small_spec(sessions: u32, seed: u64) -> WorkloadSpec {
     let mut spec = WorkloadSpec::paper_default().unwrap();
     spec.run.sessions_per_user = sessions;
     spec.run.seed = seed;
-    spec.run.scheduler = Some(backend);
     spec.fsc = spec
         .fsc
         .with_files_per_user(8)
@@ -110,23 +109,20 @@ const MODELS: [fn() -> ModelConfig; 3] = [
     ModelConfig::default_whole_file,
 ];
 
-const BACKENDS: [SchedulerBackend; 2] = [SchedulerBackend::Heap, SchedulerBackend::Calendar];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Tentpole oracle: for any random spec shape, model, seed and
-    /// scheduler backend, every point of a user sweep equals the post-hoc
+    /// Tentpole oracle: for any random spec shape, model and seed, every
+    /// point of a user sweep equals the post-hoc
     /// aggregation of that point's full log to 1e-9.
     #[test]
     fn summary_sweep_points_match_full_log(
         sessions in 1u32..4,
         seed in 0u64..1_000_000,
         model_idx in 0usize..3,
-        backend_idx in 0usize..2,
         max_users in 1usize..3,
     ) {
-        let spec = small_spec(sessions, seed, BACKENDS[backend_idx]);
+        let spec = small_spec(sessions, seed);
         let model = MODELS[model_idx]();
         let users: Vec<usize> = (1..=max_users).collect();
         let full: Vec<SweepPoint> = users
@@ -152,9 +148,8 @@ proptest! {
     fn replication_modes_agree(
         seed in 0u64..100_000,
         model_idx in 0usize..3,
-        backend_idx in 0usize..2,
     ) {
-        let spec = small_spec(2, 1, BACKENDS[backend_idx]);
+        let spec = small_spec(2, 1);
         let model = MODELS[model_idx]();
         let seeds = [seed, seed ^ 0xABCD, seed.wrapping_add(17)];
         let summary = run_des_replicated(&spec, &model, seeds, Parallelism::Serial).unwrap();
@@ -191,7 +186,7 @@ proptest! {
 /// cap and keeps the pooled path covered on every host.
 #[test]
 fn stolen_schedules_are_byte_identical() {
-    let spec = small_spec(2, 42, SchedulerBackend::Heap);
+    let spec = small_spec(2, 42);
     let model = ModelConfig::default_nfs();
     let users = [1usize, 2, 3, 4, 5];
     let serial = user_sweep(&spec, &model, users, Parallelism::Serial).unwrap();
