@@ -35,6 +35,14 @@
 //! capture streams one frame at a time ([`SpillSource`]), and an owned
 //! `Vec` of ops replays through [`VecSource`] — the materialized reference
 //! the streaming sources are tested against.
+//!
+//! The driver's own CPU per op is overhead on every number it reports, so
+//! the hand-off is batched: after sleeping until an op is due, the pacer
+//! takes every following op that is already due ([`OpSource::try_next_op`]
+//! — never a pull that could wait on another thread while it holds a due
+//! op), queues them under one lock with one clock read, and wakes at most
+//! one waiting worker per op — none when no worker waits. A worker reads
+//! the clock for its deadline only when a deadline is set.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -267,8 +275,22 @@ struct Job {
     op: OpRecord,
 }
 
+impl Job {
+    /// `op`, simulated at `at`, scheduled `at / speedup` after `start`.
+    fn new(start: Instant, at: u64, op: OpRecord, speedup: f64) -> Self {
+        let scheduled = start + Duration::from_micros(scaled_arrival_micros(at, speedup));
+        Self { scheduled, op }
+    }
+}
+
+/// The most due ops handed over under one lock: a long burst goes over in
+/// slices, so the pacer's own buffer stays small whatever `queue_cap` is.
+const BATCH_MAX: usize = 256;
+
 struct QueueState {
     jobs: VecDeque<Job>,
+    /// Workers waiting on `ready`: the pacer wakes no more than this.
+    sleeping: usize,
     done: bool,
 }
 
@@ -315,8 +337,9 @@ fn scaled_arrival_micros(at: u64, speedup: f64) -> u64 {
 
 /// Replays a streaming [`OpSource`] against `target` under `config`.
 ///
-/// The pacer pulls one op at a time, so resident memory is bounded by the
-/// queue (plus whatever the source buffers), never by the stream length.
+/// The pacer pulls one op at a time and hands due ops over in batches of
+/// at most 256, so resident memory is bounded by the queue (plus whatever
+/// the source buffers), never by the stream length.
 /// The wall clock anchors at the *first* op, so a slow-starting producer
 /// (a DES warming up its file system) does not count as lateness; an op
 /// whose scaled arrival has already passed is offered immediately.
@@ -338,6 +361,7 @@ pub fn drive_stream<S: OpSource>(
     let shared = Arc::new(Shared {
         queue: Mutex::new(QueueState {
             jobs: VecDeque::with_capacity(config.queue_cap.min(4096)),
+            sleeping: 0,
             done: false,
         }),
         ready: Condvar::new(),
@@ -374,38 +398,67 @@ pub fn drive_stream<S: OpSource>(
         }
     }
 
-    // The pacer: offer each op at its scaled arrival time. A full queue
-    // sheds its oldest entry — the pacer itself never blocks on workers,
-    // which is what makes the loop open.
+    // The pacer: offer each op at its scaled arrival time, together with
+    // every following op already due. A full queue sheds its oldest entry
+    // — the pacer itself never blocks on workers, which is what makes the
+    // loop open.
     let mut start = Instant::now();
     let mut offered = 0u64;
     let mut source_error: Option<SourceError> = None;
-    loop {
-        let (at, op) = match source.next_op() {
-            Ok(Some(item)) => item,
-            Ok(None) => break,
-            Err(err) => {
-                source_error = Some(err);
-                break;
-            }
+    let mut batch = Vec::new();
+    // An op the look-ahead pulled before it was due; it heads the next batch.
+    let mut held: Option<Job> = None;
+    let mut ended = false;
+    while !ended {
+        let head = match held.take() {
+            Some(job) => job,
+            None => match source.next_op() {
+                Ok(Some((at, op))) => {
+                    if offered == 0 {
+                        start = Instant::now();
+                    }
+                    Job::new(start, at, op, config.speedup)
+                }
+                Ok(None) => break,
+                Err(err) => {
+                    source_error = Some(err);
+                    break;
+                }
+            },
         };
-        if offered == 0 {
-            start = Instant::now();
+        // One clock read per batch: after the sleep, the head's slot
+        // stands in for the time.
+        let mut now = Instant::now();
+        if head.scheduled > now {
+            std::thread::sleep(head.scheduled - now);
+            now = head.scheduled;
         }
-        offered += 1;
-        let scheduled = start + Duration::from_micros(scaled_arrival_micros(at, config.speedup));
-        let now = Instant::now();
-        if scheduled > now {
-            std::thread::sleep(scheduled - now);
+        batch.push(head);
+        while let Some(pulled) = source.try_next_op() {
+            match pulled {
+                Ok(Some((at, op))) => {
+                    let job = Job::new(start, at, op, config.speedup);
+                    if job.scheduled > now {
+                        held = Some(job);
+                        break;
+                    }
+                    batch.push(job);
+                    if batch.len() == BATCH_MAX {
+                        offered += offer(&shared, &mut batch, config.queue_cap);
+                    }
+                }
+                Ok(None) => {
+                    ended = true;
+                    break;
+                }
+                Err(err) => {
+                    source_error = Some(err);
+                    ended = true;
+                    break;
+                }
+            }
         }
-        let mut q = shared.queue.lock().expect("queue poisoned");
-        if q.jobs.len() >= config.queue_cap {
-            q.jobs.pop_front();
-            shared.shed.fetch_add(1, Ordering::Relaxed);
-        }
-        q.jobs.push_back(Job { scheduled, op });
-        drop(q);
-        shared.ready.notify_one();
+        offered += offer(&shared, &mut batch, config.queue_cap);
     }
     // Mark the stream done and drain: on a source error this is the early
     // termination path, and the already-queued ops are still completed,
@@ -453,6 +506,32 @@ pub fn drive_stream<S: OpSource>(
     }
 }
 
+/// Hands `batch` to the workers under one queue lock, shedding the oldest
+/// queued job for each job that finds the queue full, and wakes one
+/// waiting worker per job added — none when no worker waits. Returns the
+/// number of jobs offered.
+fn offer(shared: &Shared, batch: &mut Vec<Job>, queue_cap: usize) -> u64 {
+    let added = batch.len();
+    let mut shed = 0;
+    let mut q = shared.queue.lock().expect("queue poisoned");
+    for job in batch.drain(..) {
+        if q.jobs.len() >= queue_cap {
+            q.jobs.pop_front();
+            shed += 1;
+        }
+        q.jobs.push_back(job);
+    }
+    let wake = q.sleeping.min(added);
+    drop(q);
+    if shed > 0 {
+        shared.shed.fetch_add(shed, Ordering::Relaxed);
+    }
+    for _ in 0..wake {
+        shared.ready.notify_one();
+    }
+    added as u64
+}
+
 fn worker(
     shared: &Shared,
     target: &dyn Target,
@@ -471,7 +550,9 @@ fn worker(
                 if q.done {
                     return stats;
                 }
+                q.sleeping += 1;
                 q = shared.ready.wait(q).expect("queue poisoned");
+                q.sleeping -= 1;
             }
         };
         let depth = shared.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
@@ -490,10 +571,10 @@ fn run_job(
     rng: &mut StdRng,
     stats: &mut WorkerStats,
 ) {
-    let past_deadline = |at: Instant| {
-        deadline_micros > 0 && at >= job.scheduled + Duration::from_micros(deadline_micros)
-    };
-    if past_deadline(Instant::now()) {
+    // No deadline, no clock read.
+    let deadline =
+        (deadline_micros > 0).then(|| job.scheduled + Duration::from_micros(deadline_micros));
+    if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
         stats.expired += 1;
         return;
     }
@@ -516,11 +597,12 @@ fn run_job(
         // A retry that would land past the deadline is abandoned now: the
         // client has given up, so adding the load anyway only deepens the
         // overload.
-        if past_deadline(Instant::now() + Duration::from_micros(backoff)) {
+        let pause = Duration::from_micros(backoff);
+        if deadline.is_some_and(|deadline| Instant::now() + pause >= deadline) {
             stats.expired += 1;
             return;
         }
-        std::thread::sleep(Duration::from_micros(backoff));
+        std::thread::sleep(pause);
         prev_backoff = backoff;
         attempts += 1;
         stats.retries += 1;
@@ -531,6 +613,8 @@ fn run_job(
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
+    use std::sync::mpsc::{sync_channel, SyncSender};
+    use std::sync::Barrier;
     use uswg_fsc::FileCategory;
     use uswg_netfs::OpKind;
 
@@ -547,6 +631,27 @@ mod tests {
             category: FileCategory::REG_USER_RDONLY,
             retries: 0,
             aborted: false,
+        }
+    }
+
+    /// `op(at, id)` that carries `id` in `ino`, so a target can tell ops apart.
+    fn tagged(at: u64, id: u64) -> OpRecord {
+        OpRecord {
+            ino: id,
+            ..op(at, id)
+        }
+    }
+
+    /// A target that records the `ino` of every op it applies, in order.
+    #[derive(Default)]
+    struct Recorder {
+        applied: Mutex<Vec<u64>>,
+    }
+
+    impl Target for Recorder {
+        fn apply(&self, op: &OpRecord) -> Result<(), TargetError> {
+            self.applied.lock().unwrap().push(op.ino);
+            Ok(())
         }
     }
 
@@ -791,6 +896,129 @@ mod tests {
             DriveError::Source { report, .. } => assert_eq!(report.offered, 0),
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn bursts_reach_one_worker_in_source_order() {
+        // Runs of ten equal arrivals, 2 ms apart: each run is due at once
+        // and goes over in one batch.
+        let ops: Vec<_> = (0..120).map(|id| tagged(id / 10 * 2_000, id)).collect();
+        let recorder = Arc::new(Recorder::default());
+        let config = DriveConfig {
+            max_in_flight: 1,
+            queue_cap: 64,
+            ..DriveConfig::default()
+        };
+        let report = drive_stream(VecSource::new(ops), recorder.clone(), &config).unwrap();
+        assert_eq!(report.offered, 120);
+        assert_eq!(report.completed, report.offered, "{report:?}");
+        let applied = recorder.applied.lock().unwrap();
+        assert_eq!(*applied, (0..120).collect::<Vec<_>>());
+    }
+
+    /// A target whose first op signals `entered`, then waits on `release`.
+    struct Gate {
+        entered: Mutex<Option<SyncSender<()>>>,
+        release: Barrier,
+        applied: Recorder,
+    }
+
+    impl Target for Gate {
+        fn apply(&self, op: &OpRecord) -> Result<(), TargetError> {
+            if let Some(entered) = self.entered.lock().unwrap().take() {
+                entered.send(()).unwrap();
+                self.release.wait();
+            }
+            self.applied.apply(op)
+        }
+    }
+
+    #[test]
+    fn a_burst_past_the_queue_sheds_exactly_its_oldest() {
+        // Op 0 holds the one worker in the target; then a burst arrives at
+        // once. The finish hook, which runs only once every op pulled has
+        // been offered, lets op 0 go.
+        const CAP: usize = 8;
+        const BURST: u64 = 50;
+        let (entered, entered_rx) = sync_channel(1);
+        let gate = Arc::new(Gate {
+            entered: Mutex::new(Some(entered)),
+            release: Barrier::new(2),
+            applied: Recorder::default(),
+        });
+        let (tx, rx) = sync_channel(BURST as usize);
+        let producer = std::thread::spawn(move || {
+            tx.send(tagged(0, 0)).unwrap();
+            entered_rx.recv().unwrap();
+            for id in 1..BURST {
+                tx.send(tagged(0, id)).unwrap();
+            }
+        });
+        let release = Arc::clone(&gate);
+        let source = ChannelSource::new(rx).on_finish(Box::new(move || {
+            release.release.wait();
+            Ok(())
+        }));
+        let config = DriveConfig {
+            max_in_flight: 1,
+            queue_cap: CAP,
+            ..DriveConfig::default()
+        };
+        let report = drive_stream(source, gate.clone(), &config).unwrap();
+        producer.join().unwrap();
+        let in_flight = 1;
+        assert_eq!(report.offered, BURST);
+        assert_eq!(report.shed, BURST - CAP as u64 - in_flight, "{report:?}");
+        let newest = BURST - CAP as u64..BURST;
+        let applied = gate.applied.applied.lock().unwrap();
+        assert_eq!(*applied, [vec![0], newest.collect()].concat());
+    }
+
+    #[test]
+    fn a_lone_op_is_served_before_the_next_arrives() {
+        // One op every 100 ms, each to an idle worker: unless the pacer
+        // wakes a worker, an op waits for the next arrival or the end.
+        let ops: Vec<_> = (0..4).map(|i| op(i * 100_000, i)).collect();
+        let config = DriveConfig {
+            max_in_flight: 2,
+            ..DriveConfig::default()
+        };
+        let report = drive_flaky(ops, 0, &config).unwrap();
+        assert_eq!(report.completed, 4);
+        assert!(report.latency.max() < 100_000, "{report:?}");
+    }
+
+    #[test]
+    fn due_channel_ops_complete_while_the_producer_pauses() {
+        let recorder = Arc::new(Recorder::default());
+        let watch = Arc::clone(&recorder);
+        let (tx, rx) = sync_channel(16);
+        let producer = std::thread::spawn(move || {
+            for id in 0..5 {
+                tx.send(tagged(0, id)).unwrap();
+            }
+            // Pause until the five due ops are done; a pacer that held them
+            // while it waited on this channel would never let that happen.
+            let give_up = Instant::now() + Duration::from_secs(10);
+            while watch.applied.lock().unwrap().len() < 5 {
+                assert!(Instant::now() < give_up, "due ops waited on the producer");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            for id in 5..10 {
+                tx.send(tagged(0, id)).unwrap();
+            }
+        });
+        let config = DriveConfig {
+            max_in_flight: 1,
+            ..DriveConfig::default()
+        };
+        let report = drive_stream(ChannelSource::new(rx), recorder.clone(), &config).unwrap();
+        producer.join().expect("the producer saw its ops complete");
+        assert_eq!(report.completed, 10, "{report:?}");
+        assert_eq!(
+            *recorder.applied.lock().unwrap(),
+            (0..10).collect::<Vec<_>>()
+        );
     }
 
     #[test]

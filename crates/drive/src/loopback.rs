@@ -8,21 +8,32 @@
 //! choice, not a hardware accident. A `fail_ppm` knob injects transient
 //! errors to exercise the driver's retry path the same way `FaultSpec`
 //! exercises the simulator's.
+//!
+//! Once its buffers have grown, a successful op allocates nothing: the
+//! slot's path is formatted on the stack, writes store from one static
+//! zero slice, and reads copy into a buffer kept with the file system,
+//! through one kept [`Process`]: `Vfs::write_file_in` and
+//! `Vfs::read_file_into`, the calls behind `Vfs::write_file` and
+//! `Vfs::read_file` without their fresh descriptor table and byte vector
+//! per call.
 
 use crate::{Target, TargetError};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
+use std::io::Write as _;
 use std::sync::Mutex;
 use std::time::Duration;
 use uswg_netfs::OpKind;
 use uswg_usim::OpRecord;
-use uswg_vfs::{Vfs, VfsConfig};
+use uswg_vfs::{FsError, Process, Vfs, VfsConfig};
 
 /// Parts-per-million scale for the injected failure rate.
 const PPM: u64 = 1_000_000;
 /// Cap on a single replayed write, so a log with pathological sizes cannot
 /// make the loopback allocate unboundedly.
 const MAX_IO_BYTES: u64 = 64 * 1024;
+/// Every replayed write's payload: a prefix of this.
+static ZEROS: [u8; MAX_IO_BYTES as usize] = [0; MAX_IO_BYTES as usize];
 
 /// Configuration of the [`LoopbackVfs`] target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,27 +65,99 @@ impl Default for LoopbackConfig {
 #[derive(Debug)]
 pub struct LoopbackVfs {
     config: LoopbackConfig,
-    fs: Mutex<Vfs>,
+    fs: Mutex<Fs>,
     rng: Mutex<StdRng>,
+}
+
+/// The file system and what every op reuses, under one lock.
+#[derive(Debug)]
+struct Fs {
+    vfs: Vfs,
+    /// Opens every file; between ops its descriptor table is empty.
+    proc: Process,
+    /// Reads copy the whole file in here.
+    buf: Vec<u8>,
 }
 
 impl LoopbackVfs {
     /// Builds the target with a fresh in-memory file system.
     pub fn new(config: LoopbackConfig) -> Self {
-        let mut vfs = Vfs::new(VfsConfig::default());
+        Self::on(Vfs::new(VfsConfig::default()), config)
+    }
+
+    /// The target over `vfs`, a fresh file system.
+    fn on(mut vfs: Vfs, config: LoopbackConfig) -> Self {
         vfs.mkdir("/drive").expect("fresh vfs accepts /drive");
+        let proc = vfs.new_process();
         Self {
             config: LoopbackConfig {
                 working_set: config.working_set.max(1),
                 ..config
             },
-            fs: Mutex::new(vfs),
+            fs: Mutex::new(Fs {
+                vfs,
+                proc,
+                buf: Vec::new(),
+            }),
             rng: Mutex::new(StdRng::seed_from_u64(config.seed)),
         }
     }
+}
 
-    fn path_for(&self, ino: u64) -> String {
-        format!("/drive/f{}", ino % self.config.working_set)
+/// Writes `/drive/f{slot}` into `buf` — 8 bytes of prefix and at most 20
+/// digits — and returns it.
+fn slot_path(slot: u64, buf: &mut [u8; 28]) -> &str {
+    let mut rest = &mut buf[..];
+    write!(rest, "/drive/f{slot}").expect("28 bytes hold any slot's path");
+    let len = 28 - rest.len();
+    std::str::from_utf8(&buf[..len]).expect("the path is ASCII")
+}
+
+impl Fs {
+    /// One replayed op on slot `path`: the file-system calls of its kind.
+    fn apply(&mut self, kind: OpKind, path: &str, bytes: u64) -> Result<(), FsError> {
+        match kind {
+            OpKind::Write | OpKind::Create => {
+                self.write_file(path, &ZEROS[..bytes.min(MAX_IO_BYTES) as usize])
+            }
+            OpKind::Read => {
+                if !self.vfs.exists(path) {
+                    self.write_file(path, &[])?;
+                }
+                self.read_file(path)
+            }
+            OpKind::Stat => {
+                if !self.vfs.exists(path) {
+                    self.write_file(path, &[])?;
+                }
+                self.vfs.stat(path).map(drop)
+            }
+            OpKind::Unlink => {
+                if self.vfs.exists(path) {
+                    self.vfs.unlink(path)
+                } else {
+                    Ok(())
+                }
+            }
+            // Open/Close/Seek are per-process cursor motion; the replay keeps
+            // no cursor across ops, so they only touch the namespace.
+            OpKind::Open | OpKind::Close | OpKind::Seek => {
+                let _ = self.vfs.exists(path);
+                Ok(())
+            }
+            // OpKind is non_exhaustive: treat future kinds as metadata.
+            _ => Ok(()),
+        }
+    }
+
+    /// [`Vfs::write_file`] in the kept process.
+    fn write_file(&mut self, path: &str, data: &[u8]) -> Result<(), FsError> {
+        self.vfs.write_file_in(&mut self.proc, path, data)
+    }
+
+    /// [`Vfs::read_file`] in the kept process, into the kept buffer.
+    fn read_file(&mut self, path: &str) -> Result<(), FsError> {
+        self.vfs.read_file_into(&mut self.proc, path, &mut self.buf)
     }
 }
 
@@ -91,41 +174,16 @@ impl Target for LoopbackVfs {
                 return Err(TargetError("injected transient fault".into()));
             }
         }
-        let path = self.path_for(op.ino);
+        let mut path = [0; 28];
+        let path = slot_path(op.ino % self.config.working_set, &mut path);
         let mut fs = self.fs.lock().expect("vfs poisoned");
-        let outcome = match op.op {
-            OpKind::Write | OpKind::Create => {
-                let data = vec![0u8; op.bytes.min(MAX_IO_BYTES) as usize];
-                fs.write_file(&path, &data)
-            }
-            OpKind::Read => {
-                if !fs.exists(&path) {
-                    fs.write_file(&path, &[])?;
-                }
-                fs.read_file(&path).map(drop)
-            }
-            OpKind::Stat => {
-                if !fs.exists(&path) {
-                    fs.write_file(&path, &[])?;
-                }
-                fs.stat(&path).map(drop)
-            }
-            OpKind::Unlink => {
-                if fs.exists(&path) {
-                    fs.unlink(&path)
-                } else {
-                    Ok(())
-                }
-            }
-            // Open/Close/Seek are per-process cursor motion; the replay has
-            // no long-lived processes, so they only touch the namespace.
-            OpKind::Open | OpKind::Close | OpKind::Seek => {
-                let _ = fs.exists(&path);
-                Ok(())
-            }
-            // OpKind is non_exhaustive: treat future kinds as metadata.
-            _ => Ok(()),
-        };
+        let outcome = fs.apply(op.op, path, op.bytes);
+        if outcome.is_err() {
+            // A failed call may leave its descriptor open. The per-call
+            // process of `Vfs::read_file`/`write_file` took it along when
+            // dropped; the kept one goes the same way.
+            fs.proc = fs.vfs.new_process();
+        }
         outcome.map_err(TargetError::from)
     }
 
@@ -172,6 +230,13 @@ mod tests {
     }
 
     #[test]
+    fn slot_paths_fit_any_slot() {
+        for slot in [0, 7, 10, 4_096, u64::MAX] {
+            assert_eq!(slot_path(slot, &mut [0; 28]), format!("/drive/f{slot}"));
+        }
+    }
+
+    #[test]
     fn oversized_writes_are_capped() {
         let target = LoopbackVfs::new(LoopbackConfig::default());
         target.apply(&op(OpKind::Write, 1, u64::MAX)).unwrap();
@@ -187,8 +252,88 @@ mod tests {
             target.apply(&op(OpKind::Create, ino, 16)).unwrap();
         }
         let mut fs = target.fs.lock().unwrap();
-        let entries = fs.readdir("/drive").unwrap();
+        let entries = fs.vfs.readdir("/drive").unwrap();
         assert_eq!(entries.len(), 3);
+    }
+
+    /// The reference: each op kind through `Vfs`'s by-path convenience
+    /// calls, with a fresh path, payload and process per op.
+    fn path_calls(fs: &mut Vfs, working_set: u64, op: &OpRecord) -> Result<(), TargetError> {
+        let path = format!("/drive/f{}", op.ino % working_set);
+        let outcome = match op.op {
+            OpKind::Write | OpKind::Create => {
+                let data = vec![0u8; op.bytes.min(MAX_IO_BYTES) as usize];
+                fs.write_file(&path, &data)
+            }
+            OpKind::Read => {
+                if !fs.exists(&path) {
+                    fs.write_file(&path, &[])?;
+                }
+                fs.read_file(&path).map(drop)
+            }
+            OpKind::Stat => {
+                if !fs.exists(&path) {
+                    fs.write_file(&path, &[])?;
+                }
+                fs.stat(&path).map(drop)
+            }
+            OpKind::Unlink if fs.exists(&path) => fs.unlink(&path),
+            OpKind::Open | OpKind::Close | OpKind::Seek => {
+                let _ = fs.exists(&path);
+                Ok(())
+            }
+            _ => Ok(()),
+        };
+        outcome.map_err(TargetError::from)
+    }
+
+    #[test]
+    fn apply_matches_the_path_calls_it_replaced() {
+        // The default geometry, and one of 12 blocks where a second large
+        // write runs out of space mid-file and leaves its descriptor open:
+        // four such leaks fill a process's table.
+        let small = VfsConfig {
+            max_blocks: 12,
+            max_fds_per_process: 4,
+            ..VfsConfig::default()
+        };
+        let config = LoopbackConfig {
+            working_set: 6,
+            ..LoopbackConfig::default()
+        };
+        let mut errors = 0;
+        for (seed, geometry) in (0..8).zip([VfsConfig::default(), small].into_iter().cycle()) {
+            let target = LoopbackVfs::on(Vfs::new(geometry), config);
+            let mut reference = Vfs::new(geometry);
+            reference.mkdir("/drive").unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            for step in 0..300 {
+                let kind = OpKind::ALL[(rng.next_u64() % 8) as usize];
+                // Slots past the working set wrap; sizes past the cap clip.
+                let ino = rng.next_u64() % 20;
+                let bytes = match rng.next_u64() % 4 {
+                    0 => 0,
+                    1 => rng.next_u64() % 10_000,
+                    2 => MAX_IO_BYTES + rng.next_u64() % MAX_IO_BYTES,
+                    _ => u64::MAX,
+                };
+                let op = op(kind, ino, bytes);
+                let got = target.apply(&op);
+                assert_eq!(
+                    got,
+                    path_calls(&mut reference, 6, &op),
+                    "seed {seed} step {step}"
+                );
+                errors += u32::from(got.is_err());
+                let fs = &mut target.fs.lock().unwrap().vfs;
+                for slot in 0..6 {
+                    let path = format!("/drive/f{slot}");
+                    let (got, want) = (fs.read_file(&path), reference.read_file(&path));
+                    assert_eq!(got, want, "seed {seed} step {step} slot {slot}");
+                }
+            }
+        }
+        assert!(errors > 0, "the small geometry runs out of space");
     }
 
     #[test]

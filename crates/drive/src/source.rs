@@ -13,6 +13,10 @@
 //! * [`ChannelSource`] — drains a bounded channel fed by a live DES run on
 //!   a producer thread, with a `finish` hook to surface the producer's
 //!   outcome once the channel closes.
+//!
+//! The first two never wait on another thread, so the pacer may look ahead
+//! in them for ops already due; the channel lets it look only at what is
+//! already in the channel.
 
 use std::fs::File;
 use std::io::BufReader;
@@ -55,6 +59,16 @@ pub trait OpSource {
     /// Returns [`SourceError`] when the stream fails mid-run; the driver
     /// stops offering, drains the queue, and surfaces the partial report.
     fn next_op(&mut self) -> Result<Option<(u64, OpRecord)>, SourceError>;
+
+    /// The next operation if it can be had without waiting on another
+    /// thread, `None` when the pull might block. After sleeping until an
+    /// op is due, the pacer looks ahead through this to hand every op that
+    /// is already due to the workers in one batch; it never holds a due op
+    /// while a pull blocks. The default says "may block", which keeps a
+    /// source that does not override it on a one-op hand-off.
+    fn try_next_op(&mut self) -> Option<Result<Option<(u64, OpRecord)>, SourceError>> {
+        None
+    }
 }
 
 /// The materialized adapter: owns a `Vec<OpRecord>`, sorted by arrival
@@ -77,6 +91,10 @@ impl VecSource {
 impl OpSource for VecSource {
     fn next_op(&mut self) -> Result<Option<(u64, OpRecord)>, SourceError> {
         Ok(self.ops.next().map(|op| (op.at, op)))
+    }
+
+    fn try_next_op(&mut self) -> Option<Result<Option<(u64, OpRecord)>, SourceError>> {
+        Some(self.next_op())
     }
 }
 
@@ -113,6 +131,12 @@ impl OpSource for SpillSource {
                 Some(Err(err)) => return Err(SourceError(format!("spill source: {err}"))),
             }
         }
+    }
+
+    /// A capture is read on the pacer's own thread, so looking ahead never
+    /// waits on another one.
+    fn try_next_op(&mut self) -> Option<Result<Option<(u64, OpRecord)>, SourceError>> {
+        Some(self.next_op())
     }
 }
 
@@ -165,5 +189,12 @@ impl OpSource for ChannelSource {
                 None => Ok(None),
             },
         }
+    }
+
+    /// Only an op already in the channel: an empty channel may fill later,
+    /// and a closed one runs the finish hook, which joins the producer —
+    /// both are left to [`OpSource::next_op`].
+    fn try_next_op(&mut self) -> Option<Result<Option<(u64, OpRecord)>, SourceError>> {
+        self.rx.try_recv().ok().map(|op| Ok(Some((op.at, op))))
     }
 }

@@ -1,13 +1,17 @@
 //! The overload smoke: offered load an order of magnitude beyond the
 //! target's capacity must leave the driver standing — bounded memory
-//! (the queue cap *is* the bound), bounded wall time, a nonzero shed
-//! count, an in-flight peak at or under the cap, and a percentile report
-//! at the end. This is the robustness acceptance test of the open-loop
-//! design: a closed loop would simply slow down; the open loop must shed.
+//! (the queue cap *is* the bound), a bounded tail after the last arrival,
+//! a nonzero shed count, an in-flight peak at or under the cap, and a
+//! percentile report at the end. This is the robustness acceptance test
+//! of the open-loop design: a closed loop would simply slow down; the
+//! open loop must shed.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
-use uswg_drive::{drive_stream, DriveConfig, LoopbackConfig, LoopbackVfs, VecSource};
+use uswg_drive::{
+    drive_stream, DriveConfig, LoopbackConfig, LoopbackVfs, OpSource, SourceError, Target,
+    TargetError, VecSource,
+};
 use uswg_fsc::FileCategory;
 use uswg_netfs::OpKind;
 use uswg_usim::{OpRecord, RetryPolicy};
@@ -28,6 +32,62 @@ fn op(at: u64, i: u64) -> OpRecord {
     }
 }
 
+/// Completions so far, shared by the target that counts them and the
+/// source that reads the count as it yields its last op.
+type Completions = Arc<AtomicU64>;
+
+/// The loopback target, counting the ops it completes.
+struct Counting {
+    inner: LoopbackVfs,
+    completed: Completions,
+}
+
+impl Target for Counting {
+    fn apply(&self, op: &OpRecord) -> Result<(), TargetError> {
+        self.inner.apply(op)?;
+        self.completed.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+}
+
+/// A `VecSource` that notes the completion count when it yields its last
+/// op (`left` counts down to it); it looks ahead as the `VecSource` does.
+struct LastOpWatch {
+    inner: VecSource,
+    left: usize,
+    completed: Completions,
+    completed_at_last: Option<u64>,
+}
+
+impl LastOpWatch {
+    fn note(&mut self, next: &Result<Option<(u64, OpRecord)>, SourceError>) {
+        if let Ok(Some(_)) = next {
+            self.left -= 1;
+            if self.left == 0 {
+                self.completed_at_last = Some(self.completed.load(Ordering::Relaxed));
+            }
+        }
+    }
+}
+
+impl OpSource for &mut LastOpWatch {
+    fn next_op(&mut self) -> Result<Option<(u64, OpRecord)>, SourceError> {
+        let next = self.inner.next_op();
+        self.note(&next);
+        next
+    }
+
+    fn try_next_op(&mut self) -> Option<Result<Option<(u64, OpRecord)>, SourceError>> {
+        let next = self.inner.try_next_op()?;
+        self.note(&next);
+        Some(next)
+    }
+}
+
 #[test]
 fn ten_x_overload_sheds_and_terminates_bounded() {
     // Capacity: 2 workers × 1 op / 1000 µs = 2000 ops/s.
@@ -45,23 +105,31 @@ fn ten_x_overload_sheds_and_terminates_bounded() {
         retry: RetryPolicy::default(),
         seed: 7,
     };
-    let target = Arc::new(LoopbackVfs::new(LoopbackConfig {
-        service_micros,
-        ..LoopbackConfig::default()
-    }));
+    let completed = Completions::default();
+    let target = Arc::new(Counting {
+        inner: LoopbackVfs::new(LoopbackConfig {
+            service_micros,
+            ..LoopbackConfig::default()
+        }),
+        completed: Arc::clone(&completed),
+    });
+    let mut source = LastOpWatch {
+        left: ops.len(),
+        inner: VecSource::new(ops),
+        completed,
+        completed_at_last: None,
+    };
 
-    let started = Instant::now();
-    let report = drive_stream(VecSource::new(ops), target, &config).unwrap();
-    let wall = started.elapsed();
+    let report = drive_stream(&mut source, target, &config).unwrap();
 
-    // Bounded termination: the backlog can never exceed queue_cap, so the
-    // tail after the last arrival is at most (queue_cap + in-flight) ops
-    // of service time. 10 s is two orders of magnitude of slack over the
-    // ~0.13 s this takes; the point is "not proportional to the backlog
-    // an unbounded queue would have built".
+    // Bounded termination: the backlog can never exceed queue_cap, so what
+    // completes after the last arrival is at most the queue, the ops in
+    // flight and the last op itself — not the backlog an unbounded queue
+    // would have built, and not a wall time that depends on the machine.
+    let tail = report.completed - source.completed_at_last.expect("the source ran dry");
     assert!(
-        wall.as_secs() < 10,
-        "overload run must terminate bounded, took {wall:?}"
+        tail <= (queue_cap + max_in_flight + 1) as u64,
+        "{tail} ops completed after the last arrival: {report:?}"
     );
 
     // Conservation: every offered op accounted for exactly once.

@@ -785,20 +785,41 @@ impl Vfs {
     /// Same as the underlying calls.
     pub fn read_file(&mut self, path: &str) -> Result<Vec<u8>, FsError> {
         let mut proc = self.new_process();
-        let fd = self.open(&mut proc, path, OpenFlags::read_only())?;
-        let size = self.fstat(&proc, fd)?.size as usize;
-        let mut buf = vec![0u8; size];
+        let mut buf = Vec::new();
+        self.read_file_into(&mut proc, path, &mut buf)?;
+        Ok(buf)
+    }
+
+    /// [`Vfs::read_file`] in the caller's process and into the caller's
+    /// buffer, whose contents it replaces: open, fstat, read until the size
+    /// or end of file, close. A caller that keeps both across calls reads
+    /// without allocating once `buf` has grown.
+    ///
+    /// # Errors
+    ///
+    /// Same as the underlying calls. A call that fails after the open
+    /// leaves its descriptor open in `proc`.
+    pub fn read_file_into(
+        &mut self,
+        proc: &mut Process,
+        path: &str,
+        buf: &mut Vec<u8>,
+    ) -> Result<(), FsError> {
+        let fd = self.open(proc, path, OpenFlags::read_only())?;
+        let size = self.fstat(proc, fd)?.size as usize;
+        // Every byte kept is overwritten by the reads below.
+        buf.resize(size, 0);
         let mut done = 0;
         while done < size {
-            let n = self.read(&mut proc, fd, &mut buf[done..])?;
+            let n = self.read(proc, fd, &mut buf[done..])?;
             if n == 0 {
                 break;
             }
             done += n;
         }
-        self.close(&mut proc, fd)?;
+        self.close(proc, fd)?;
         buf.truncate(done);
-        Ok(buf)
+        Ok(())
     }
 
     /// Writes a whole file by path, creating or replacing it (a convenience
@@ -809,13 +830,29 @@ impl Vfs {
     /// Same as the underlying calls.
     pub fn write_file(&mut self, path: &str, data: &[u8]) -> Result<(), FsError> {
         let mut proc = self.new_process();
-        let fd = self.creat(&mut proc, path)?;
+        self.write_file_in(&mut proc, path, data)
+    }
+
+    /// [`Vfs::write_file`] in the caller's process: creat, write until
+    /// done, close.
+    ///
+    /// # Errors
+    ///
+    /// Same as the underlying calls. A call that fails after the creat
+    /// leaves its descriptor open in `proc`.
+    pub fn write_file_in(
+        &mut self,
+        proc: &mut Process,
+        path: &str,
+        data: &[u8],
+    ) -> Result<(), FsError> {
+        let fd = self.creat(proc, path)?;
         let mut done = 0;
         while done < data.len() {
-            let n = self.write(&mut proc, fd, &data[done..])?;
+            let n = self.write(proc, fd, &data[done..])?;
             done += n;
         }
-        self.close(&mut proc, fd)
+        self.close(proc, fd)
     }
 
     // ------------------------------------------------------------------
@@ -1054,6 +1091,22 @@ mod tests {
         f.close(&mut p, fd).unwrap();
         assert_eq!(f.read_file("/a.txt").unwrap(), b"hello world");
         assert_eq!(f.stat("/a.txt").unwrap().size, 11);
+    }
+
+    #[test]
+    fn whole_file_calls_in_a_kept_process_and_buffer() {
+        let mut f = small_fs(); // 4 descriptors a process
+        let mut p = f.new_process();
+        let mut buf = b"a longer stale buffer".to_vec();
+        for round in 0..8u8 {
+            f.write_file_in(&mut p, "/k", &[round; 3]).unwrap();
+            f.read_file_into(&mut p, "/k", &mut buf).unwrap();
+            assert_eq!(buf, [round; 3], "the read replaces the buffer");
+        }
+        // Every call closed its descriptor, so the process has all four.
+        for _ in 0..4 {
+            f.open(&mut p, "/k", OpenFlags::read_only()).unwrap();
+        }
     }
 
     #[test]
