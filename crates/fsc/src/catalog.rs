@@ -1,30 +1,27 @@
 //! The file catalog: the FSC's output, consumed by the User Simulator.
 //!
-//! At population scale the catalog is millions of small facts, so it is six
-//! flat vectors and no file, list or owner has a heap block of its own:
-//! `files` (one 32-byte `Copy` record per file), `paths` + `path_ends` (every path
-//! back to back, and where each ends), `candidates` (every candidate list
-//! back to back: live indices, ascending), `lists` (per list its category
-//! and its run of `candidates`; one owner's lists are adjacent) and
-//! `owner_lists` (per owner slot — 0 is the shared pool, `u + 1` user `u` —
-//! where its lists start). Offsets and owners are `u32`;
-//! [`FileSystemCreator::build`](crate::FileSystemCreator::build) refuses a
-//! plan they cannot address, and reserves the three per-file vectors at
-//! their final length before it adds the first file.
-//!
-//! [`FileCatalog::add`] is an O(1) append when files arrive as the FSC
-//! builds them: into the list of the previous `add`, or a new list of that
-//! owner or a later one. Any other `add`, and every
-//! [`FileCatalog::remove`], re-derives the index in O(files log files), to
-//! the same candidate lists in the same order; only tests take that path.
+//! A build creates its files in a fixed order: the shared runs, then for
+//! each user, in user order, the same per-user runs, where a run is
+//! `count` files of one category. So the catalog stores that plan — the
+//! shared `(category, count)` runs, the per-user runs and the user count —
+//! and per file only what the plan cannot say: its size (`u64`) and its
+//! inode number (`u32`), 12 bytes. Everything else about catalog index
+//! `idx` is arithmetic on the plan: the owner, the category, the file's
+//! place `seq` in its run, its path `"{dir}/{stem}{idx:05}_{seq:04}"`
+//! ([`FileCatalog::write_path`]), and the candidate list of `(user,
+//! category)` — the files of that category in the owner's block, in
+//! index order (one run, or several when a spec names a category twice).
+//! [`FileSystemCreator::build`](crate::FileSystemCreator::build) refuses,
+//! before it creates anything, a plan whose file count or inode numbers do
+//! not fit `u32`.
 
-use crate::{AliasTable, FileCategory, Owner};
+use crate::{creator, AliasTable, FileCategory, FileType, Owner};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// One file created by the FSC. The catalog keeps its path
-/// ([`FileCatalog::path`]).
+/// One file created by the FSC, as [`FileCatalog::file`] reports it. The
+/// catalog renders its path ([`FileCatalog::write_path`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CatalogFile {
     /// Inode number in the VFS.
@@ -105,46 +102,92 @@ impl FilePopularity {
         Ok(())
     }
 
-    /// The weight vector this policy assigns to `candidates` (catalog
-    /// indices, in list order). The analytic ground truth the chi-square
-    /// goodness-of-fit tests compare empirical pick frequencies against.
-    pub fn weights(self, files: &[CatalogFile], candidates: &[usize]) -> Vec<f64> {
+    /// The weight vector this policy assigns to a candidate list, given
+    /// the sizes of its files in list order. The analytic ground truth the
+    /// chi-square goodness-of-fit tests compare empirical pick frequencies
+    /// against.
+    pub fn weights(self, sizes: impl ExactSizeIterator<Item = u64>) -> Vec<f64> {
         match self {
-            FilePopularity::Uniform => vec![1.0; candidates.len()],
-            FilePopularity::SizeWeighted => candidates
-                .iter()
-                .map(|&idx| files[idx].size.max(1) as f64)
-                .collect(),
-            FilePopularity::Zipf { exponent } => (0..candidates.len())
+            FilePopularity::Uniform => vec![1.0; sizes.len()],
+            FilePopularity::SizeWeighted => sizes.map(|size| size.max(1) as f64).collect(),
+            FilePopularity::Zipf { exponent } => (0..sizes.len())
                 .map(|r| ((r + 1) as f64).powf(-exponent))
                 .collect(),
         }
     }
 }
 
-/// One candidate list: its category and its run of `candidates`, never
-/// empty (a list whose last file is removed goes with it).
-#[derive(Debug, Clone, Copy)]
-struct List {
-    category: FileCategory,
-    start: u32,
-    len: u32,
+/// The runs every owner on one side of the ownership split gets: the shared
+/// pool's, or each user's.
+#[derive(Debug, Clone, Default)]
+struct Runs {
+    /// `(category, count)` in creation order; no count is zero.
+    runs: Vec<(FileCategory, u32)>,
+    /// Each distinct category with its file count, in order of first
+    /// appearance: one candidate list per owner and entry.
+    lists: Vec<(FileCategory, u32)>,
+    /// Files per owner.
+    files: u32,
 }
 
-impl List {
-    fn run<'c>(&self, candidates: &'c [usize]) -> &'c [usize] {
-        &candidates[self.start as usize..][..self.len as usize]
+impl Runs {
+    fn new(runs: &[(FileCategory, u32)]) -> Self {
+        let mut out = Self::default();
+        for &(category, count) in runs.iter().filter(|run| run.1 > 0) {
+            out.runs.push((category, count));
+            out.files =
+                (out.files.checked_add(count)).expect("an owner holds at most u32::MAX files");
+            match out.lists.iter_mut().find(|list| list.0 == category) {
+                Some(list) => list.1 += count,
+                None => out.lists.push((category, count)),
+            }
+        }
+        out
+    }
+
+    /// The category of an owner's `at`-th file, and its place in its run.
+    fn locate(&self, mut at: u32) -> (FileCategory, u32) {
+        for &(category, count) in &self.runs {
+            if at < count {
+                return (category, at);
+            }
+            at -= count;
+        }
+        unreachable!("an index inside the owner's files")
+    }
+
+    /// Where in an owner's files the `i`-th candidate of `category` is.
+    fn nth(&self, category: FileCategory, mut i: u32) -> u32 {
+        let mut start = 0;
+        for &(run, count) in &self.runs {
+            if run == category {
+                if i < count {
+                    return start + i;
+                }
+                i -= count;
+            }
+            start += count;
+        }
+        unreachable!("a position inside the list")
     }
 }
 
-/// The owner slot a file is indexed under.
-fn slot(owner_user: Option<u32>) -> usize {
-    owner_user.map_or(0, |user| user as usize + 1)
+/// One owner's candidate list of one category.
+struct List<'c> {
+    runs: &'c Runs,
+    category: FileCategory,
+    /// The catalog index of the owner's first file.
+    base: usize,
+    len: u32,
+    /// The list's number among all lists: its alias table's.
+    table: usize,
 }
 
-/// Narrows a count of files, lists or path bytes to a stored offset.
-fn offset(n: usize) -> u32 {
-    u32::try_from(n).expect("a catalog holds at most u32::MAX files and path bytes")
+impl List<'_> {
+    /// The catalog index of the list's `i`-th candidate.
+    fn nth(&self, i: u32) -> usize {
+        self.base + self.runs.nth(self.category, i) as usize
+    }
 }
 
 /// An index of the synthetic file population by `(user, category)`.
@@ -155,107 +198,49 @@ fn offset(n: usize) -> u32 {
 /// described at the top of this file.
 #[derive(Debug, Clone, Default)]
 pub struct FileCatalog {
-    files: Vec<CatalogFile>,
-    paths: String,
-    path_ends: Vec<u32>,
-    candidates: Vec<usize>,
-    lists: Vec<List>,
-    owner_lists: Vec<u32>,
-    /// One table per list after a weighted seal, else empty:
-    /// [`FileCatalog::pick`] then draws `u % n`, the uniform policy exactly.
+    shared: Runs,
+    personal: Runs,
+    users: u32,
+    sizes: Vec<u64>,
+    inos: Vec<u32>,
+    /// One table per list after a weighted seal — the shared pool's lists,
+    /// then each user's — else empty: [`FileCatalog::pick`] then draws
+    /// `u % n`, the uniform policy exactly.
     aliases: Vec<AliasTable>,
-    /// Whether [`FileCatalog::seal_with`] ran since the last mutation.
+    /// Whether [`FileCatalog::seal_with`] ran.
     sealed: bool,
 }
 
 impl FileCatalog {
-    /// Creates an empty catalog.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a file under `path` and indexes it. Returns its catalog
-    /// index. Panics past `u32::MAX` files or path bytes.
-    pub fn add(&mut self, path: &str, file: CatalogFile) -> usize {
-        let idx = self.files.len();
-        self.files.push(file);
-        self.paths.push_str(path);
-        self.path_ends.push(offset(self.paths.len()));
-        self.unseal();
-        if !self.append(idx) {
-            self.reindex(|live| live.push(idx));
-        }
-        idx
-    }
-
-    /// Makes room for `files` more files in the per-file vectors, with no
-    /// slack.
-    pub(crate) fn try_reserve(&mut self, files: usize) -> Result<(), crate::FscError> {
-        fn exact<T>(v: &mut Vec<T>, n: usize, table: &'static str) -> Result<(), crate::FscError> {
-            let bytes = (n as u64).saturating_mul(std::mem::size_of::<T>() as u64);
-            (v.try_reserve_exact(n)).map_err(|_| crate::FscError::Reserve { table, bytes })
-        }
-        exact(&mut self.files, files, "catalog's file records")?;
-        exact(&mut self.path_ends, files, "catalog's path ends")?;
-        exact(&mut self.candidates, files, "catalog's candidate index")
-    }
-
-    fn unseal(&mut self) {
-        self.sealed = false;
-        self.aliases.clear();
-    }
-
-    /// Indexes file `idx` in place if it arrives in build order: into the
-    /// last list, or a new list of the last owner or a later one.
-    fn append(&mut self, idx: usize) -> bool {
-        let file = self.files[idx];
-        let slot = slot(file.owner_user);
-        if slot + 1 < self.owner_lists.len() {
-            return false; // an earlier owner
-        }
-        let first = match self.owner_lists.get(slot) {
-            Some(&first) => first as usize,
-            None => self.lists.len(),
-        };
-        let mut own = self.lists[first..].iter();
-        match own.position(|list| list.category == file.category) {
-            Some(at) if first + at + 1 < self.lists.len() => return false, // an earlier list
-            Some(_) => self.lists.last_mut().expect("just found").len += 1,
-            None => {
-                let owners = self.owner_lists.len().max(slot + 1);
-                self.owner_lists.resize(owners, offset(self.lists.len()));
-                self.lists.push(List {
-                    category: file.category,
-                    start: offset(self.candidates.len()),
-                    len: 1,
-                });
-            }
-        }
-        self.candidates.push(idx);
-        true
-    }
-
-    /// Re-derives the index over the live files as `change` leaves them, by
-    /// appending them in an order that is build order.
-    fn reindex(&mut self, change: impl FnOnce(&mut Vec<usize>)) {
-        let mut live = std::mem::take(&mut self.candidates);
-        change(&mut live);
-        let files = &self.files;
-        live.sort_unstable_by_key(|&idx| (slot(files[idx].owner_user), files[idx].category, idx));
-        self.lists.clear();
-        self.owner_lists.clear();
-        for idx in live {
-            let appended = self.append(idx);
-            debug_assert!(appended, "sorted by owner, then category");
-        }
-    }
-
-    /// Removes a file from the index (e.g. after `unlink`). The entry stays
-    /// in the backing vector so indices remain stable.
-    pub fn remove(&mut self, idx: usize) {
-        if idx < self.files.len() {
-            self.unseal();
-            self.reindex(|live| live.retain(|&i| i != idx));
+    /// The catalog of a build that created the `shared` runs, then the
+    /// `personal` runs for each of `users` users, with the files' sizes and
+    /// inode numbers in creation order. Unsealed.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `sizes` and `inos` hold one entry per planned file.
+    pub fn from_plan(
+        shared: &[(FileCategory, u32)],
+        personal: &[(FileCategory, u32)],
+        users: u32,
+        sizes: Vec<u64>,
+        inos: Vec<u32>,
+    ) -> Self {
+        let (shared, personal) = (Runs::new(shared), Runs::new(personal));
+        let planned = u64::from(shared.files) + u64::from(users) * u64::from(personal.files);
+        let lens = [sizes.len(), inos.len()].map(|len| len as u64);
+        assert_eq!(
+            lens, [planned; 2],
+            "a size and an inode number per planned file"
+        );
+        Self {
+            shared,
+            personal,
+            users,
+            sizes,
+            inos,
+            aliases: Vec::new(),
+            sealed: false,
         }
     }
 
@@ -273,45 +258,65 @@ impl FileCatalog {
     /// draw, like the uniform path — and deliberately changes which files
     /// seeded workloads touch. [`FilePopularity::Uniform`] builds nothing:
     /// the modulo pick already is the uniform alias draw, bit for bit.
-    /// Mutating the catalog afterwards unseals it and drops the tables;
-    /// re-seal to restore them. A sealed catalog is expected to stay as it
-    /// is, so its vectors give back their spare capacity.
+    /// Sealing again replaces the policy.
     pub fn seal_with(&mut self, popularity: FilePopularity) {
-        self.aliases.clear();
+        let mut tables = Vec::new();
         if popularity != FilePopularity::Uniform {
-            let tables = self.lists.iter().map(|list| {
-                let weights = popularity.weights(&self.files, list.run(&self.candidates));
-                AliasTable::new(&weights).expect("positive weights")
-            });
-            self.aliases.extend(tables);
+            let (shared, per_user) = (self.shared.files as usize, self.personal.files as usize);
+            let users = (0..self.users as usize).map(|u| (&self.personal, shared + u * per_user));
+            for (runs, base) in std::iter::once((&self.shared, 0)).chain(users) {
+                for &(category, len) in &runs.lists {
+                    let list = List {
+                        runs,
+                        category,
+                        base,
+                        len,
+                        table: tables.len(),
+                    };
+                    let sizes = (0..len).map(|i| self.sizes[list.nth(i)]);
+                    let table = AliasTable::new(&popularity.weights(sizes));
+                    tables.push(table.expect("positive weights"));
+                }
+            }
         }
-        self.files.shrink_to_fit();
-        self.paths.shrink_to_fit();
-        self.path_ends.shrink_to_fit();
-        self.candidates.shrink_to_fit();
-        self.lists.shrink_to_fit();
-        self.owner_lists.shrink_to_fit();
+        self.aliases = tables;
         self.sealed = true;
     }
 
-    /// Whether the catalog has been sealed since it was last mutated.
+    /// Whether the catalog has been sealed.
     pub fn is_sealed(&self) -> bool {
         self.sealed
     }
 
-    /// All registered files (including removed ones; see [`Self::remove`]).
-    pub fn files(&self) -> &[CatalogFile] {
-        &self.files
+    /// Every file, in catalog order.
+    pub fn files(&self) -> impl ExactSizeIterator<Item = CatalogFile> + '_ {
+        (0..self.len()).map(|idx| self.file(idx))
     }
 
-    /// Number of registered files.
+    /// Number of files.
     pub fn len(&self) -> usize {
-        self.files.len()
+        self.sizes.len()
     }
 
     /// Whether the catalog has no files.
     pub fn is_empty(&self) -> bool {
-        self.files.is_empty()
+        self.sizes.is_empty()
+    }
+
+    /// The owner, category and run position of the file at `idx`.
+    fn locate(&self, idx: usize) -> (Option<u32>, FileCategory, u32) {
+        assert!(idx < self.len(), "catalog index {idx} of {}", self.len());
+        match idx.checked_sub(self.shared.files as usize) {
+            None => {
+                let (category, seq) = self.shared.locate(idx as u32);
+                (None, category, seq)
+            }
+            Some(at) => {
+                let per_user = self.personal.files as usize;
+                let (category, seq) = self.personal.locate((at % per_user) as u32);
+                (Some((at / per_user) as u32), category, seq)
+            }
+        }
     }
 
     /// The file at a catalog index.
@@ -319,61 +324,88 @@ impl FileCatalog {
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
-    pub fn file(&self, idx: usize) -> &CatalogFile {
-        &self.files[idx]
+    pub fn file(&self, idx: usize) -> CatalogFile {
+        let (owner_user, category, _) = self.locate(idx);
+        CatalogFile {
+            ino: u64::from(self.inos[idx]),
+            size: self.sizes[idx],
+            category,
+            owner_user,
+        }
     }
 
-    /// The absolute path of the file at a catalog index; panics like
-    /// [`Self::file`].
-    pub fn path(&self, idx: usize) -> &str {
-        let start = idx.checked_sub(1).map_or(0, |prev| self.path_ends[prev]);
-        &self.paths[start as usize..self.path_ends[idx] as usize]
+    /// Replaces `out` with the absolute path of the file at a catalog
+    /// index; panics like [`Self::file`].
+    pub fn write_path(&self, idx: usize, out: &mut String) {
+        let (owner_user, category, seq) = self.locate(idx);
+        out.clear();
+        push_path(out, owner_user, category, idx, seq);
     }
 
-    /// The list `user` draws `category` from, with its list number.
-    fn list(&self, user: usize, category: FileCategory) -> Option<(usize, &List)> {
-        let slot = match category.owner {
-            Owner::User => user + 1,
-            Owner::Other => 0,
+    /// The absolute path of the file at a catalog index, in a new string;
+    /// panics like [`Self::file`].
+    pub fn path(&self, idx: usize) -> String {
+        let mut path = String::new();
+        self.write_path(idx, &mut path);
+        path
+    }
+
+    /// The list `user` draws `category` from.
+    fn list(&self, user: usize, category: FileCategory) -> Option<List<'_>> {
+        let (runs, base, first) = match category.owner {
+            Owner::Other => (&self.shared, 0, 0),
+            Owner::User if user < self.users as usize => (
+                &self.personal,
+                self.shared.files as usize + user * self.personal.files as usize,
+                self.shared.lists.len() + user * self.personal.lists.len(),
+            ),
+            Owner::User => return None,
         };
-        let first = *self.owner_lists.get(slot)? as usize;
-        let end = (self.owner_lists.get(slot + 1)).map_or(self.lists.len(), |&at| at as usize);
-        let at = first + (self.lists[first..end].iter()).position(|l| l.category == category)?;
-        Some((at, &self.lists[at]))
+        let at = runs.lists.iter().position(|list| list.0 == category)?;
+        Some(List {
+            runs,
+            category,
+            base,
+            len: runs.lists[at].1,
+            table: first + at,
+        })
     }
 
-    /// Candidate file indices for `user` accessing `category`.
-    pub fn candidates(&self, user: usize, category: FileCategory) -> &[usize] {
-        self.list(user, category)
-            .map_or(&[], |(_, list)| list.run(&self.candidates))
+    /// Candidate file indices for `user` accessing `category`, ascending.
+    pub fn candidates(
+        &self,
+        user: usize,
+        category: FileCategory,
+    ) -> impl ExactSizeIterator<Item = usize> + '_ {
+        let list = self.list(user, category);
+        let len = list.as_ref().map_or(0, |list| list.len);
+        (0..len).map(move |i| list.as_ref().expect("a list with candidates").nth(i))
     }
 
     /// Picks a random candidate for `user` × `category` under the policy
     /// the catalog was sealed with (uniform when unsealed).
     ///
     /// After a weighted seal a list answers through its alias table; a
-    /// uniform, unsealed or since-mutated catalog draws modulo. Both
-    /// consume one `next_u64`.
+    /// uniform or unsealed catalog draws modulo. Both consume one
+    /// `next_u64`.
     pub fn pick(
         &self,
         user: usize,
         category: FileCategory,
         rng: &mut dyn RngCore,
     ) -> Option<usize> {
-        let (at, list) = self.list(user, category)?;
-        let run = list.run(&self.candidates);
-        let i = match self.aliases.get(at) {
-            Some(table) => table.draw(rng),
-            None => (rng.next_u64() % run.len() as u64) as usize,
+        let list = self.list(user, category)?;
+        let i = match self.aliases.get(list.table) {
+            Some(table) => table.draw(rng) as u32,
+            None => (rng.next_u64() % u64::from(list.len)) as u32,
         };
-        Some(run[i])
+        Some(list.nth(i))
     }
 
-    /// Per-category summary: `(count, mean size)` over indexed (live) files.
+    /// Per-category summary: `(count, mean size)` over every file.
     pub fn characterize(&self) -> HashMap<FileCategory, (usize, f64)> {
         let mut out: HashMap<FileCategory, (usize, f64)> = HashMap::new();
-        for &idx in &self.candidates {
-            let f = &self.files[idx];
+        for f in self.files() {
             let entry = out.entry(f.category).or_insert((0, 0.0));
             entry.0 += 1;
             entry.1 += f.size as f64;
@@ -387,19 +419,33 @@ impl FileCatalog {
     }
 }
 
+/// Appends the path a build gives file `idx`, the `seq`-th of its run of
+/// `category` under `owner_user`: `"{dir}/{stem}{idx:05}_{seq:04}"`.
+pub(crate) fn push_path(
+    out: &mut String,
+    owner_user: Option<u32>,
+    category: FileCategory,
+    idx: usize,
+    seq: u32,
+) {
+    use std::fmt::Write as _;
+    let stem = match category.file_type {
+        FileType::Dir => "dir",
+        FileType::Reg => "file",
+        FileType::Notes => "note",
+    };
+    match (category.file_type, owner_user) {
+        (FileType::Notes, _) => out.push_str(creator::NOTES),
+        (_, None) => out.push_str(creator::SYSTEM),
+        (_, Some(user)) => crate::FileSystemCreator::push_user_dir(out, user as usize),
+    }
+    write!(out, "/{stem}{idx:05}_{seq:04}").expect("String write");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
-
-    fn file(cat: FileCategory, user: Option<u32>, size: u64, n: usize) -> CatalogFile {
-        CatalogFile {
-            ino: n as u64,
-            size,
-            category: cat,
-            owner_user: user,
-        }
-    }
 
     #[test]
     fn a_file_record_is_32_bytes() {
@@ -408,24 +454,27 @@ mod tests {
 
     #[test]
     fn user_files_are_private() {
-        let mut c = FileCatalog::new();
-        c.add("/f0", file(FileCategory::REG_USER_RDONLY, Some(0), 100, 0));
-        c.add("/f1", file(FileCategory::REG_USER_RDONLY, Some(1), 100, 1));
-        assert_eq!(c.candidates(0, FileCategory::REG_USER_RDONLY), &[0]);
-        assert_eq!(c.candidates(1, FileCategory::REG_USER_RDONLY), &[1]);
+        let cat = FileCategory::REG_USER_RDONLY;
+        let c = FileCatalog::from_plan(&[], &[(cat, 1)], 2, vec![100; 2], vec![0, 1]);
+        assert_eq!(c.candidates(0, cat).collect::<Vec<_>>(), [0]);
+        assert_eq!(c.candidates(1, cat).collect::<Vec<_>>(), [1]);
+        assert_eq!(c.file(1).owner_user, Some(1));
+        assert_eq!(c.path(1), "/u/user001/file00001_0000");
+        assert_eq!(c.candidates(2, cat).len(), 0, "no such user");
     }
 
     #[test]
     fn shared_files_are_visible_to_all() {
-        let mut c = FileCatalog::new();
-        c.add("/f0", file(FileCategory::REG_OTHER_RDONLY, None, 100, 0));
-        assert_eq!(c.candidates(0, FileCategory::REG_OTHER_RDONLY), &[0]);
-        assert_eq!(c.candidates(7, FileCategory::REG_OTHER_RDONLY), &[0]);
+        let cat = FileCategory::REG_OTHER_RDONLY;
+        let c = FileCatalog::from_plan(&[(cat, 1)], &[], 0, vec![100], vec![0]);
+        assert_eq!(c.candidates(0, cat).collect::<Vec<_>>(), [0]);
+        assert_eq!(c.candidates(7, cat).collect::<Vec<_>>(), [0]);
+        assert_eq!(c.path(0), "/system/file00000_0000");
     }
 
     #[test]
     fn pick_returns_none_when_empty() {
-        let c = FileCatalog::new();
+        let c = FileCatalog::default();
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
         assert!(c.pick(0, FileCategory::REG_USER_RDONLY, &mut rng).is_none());
         assert!(c.is_empty());
@@ -433,42 +482,23 @@ mod tests {
 
     #[test]
     fn pick_covers_all_candidates() {
-        let mut c = FileCatalog::new();
-        for n in 0..4 {
-            c.add(
-                &format!("/f{n}"),
-                file(FileCategory::NOTES_OTHER_RDONLY, None, 10, n),
-            );
-        }
+        let cat = FileCategory::NOTES_OTHER_RDONLY;
+        let c = FileCatalog::from_plan(&[(cat, 4)], &[], 0, vec![10; 4], vec![0, 1, 2, 3]);
+        assert_eq!(c.path(3), "/notes/note00003_0003");
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..200 {
-            seen.insert(
-                c.pick(0, FileCategory::NOTES_OTHER_RDONLY, &mut rng)
-                    .unwrap(),
-            );
+            seen.insert(c.pick(0, cat, &mut rng).unwrap());
         }
         assert_eq!(seen.len(), 4);
     }
 
     #[test]
-    fn remove_hides_from_candidates_but_keeps_record() {
-        let mut c = FileCatalog::new();
-        let idx = c.add("/f0", file(FileCategory::REG_USER_TEMP, Some(0), 10, 0));
-        assert_eq!(c.candidates(0, FileCategory::REG_USER_TEMP).len(), 1);
-        c.remove(idx);
-        assert!(c.candidates(0, FileCategory::REG_USER_TEMP).is_empty());
-        assert_eq!(c.len(), 1, "record is retained for stable indices");
-        c.remove(999); // out of range is a no-op
-    }
-
-    #[test]
     fn characterize_means() {
-        let mut c = FileCatalog::new();
-        c.add("/f0", file(FileCategory::REG_USER_RDONLY, Some(0), 100, 0));
-        c.add("/f1", file(FileCategory::REG_USER_RDONLY, Some(0), 300, 1));
+        let cat = FileCategory::REG_USER_RDONLY;
+        let c = FileCatalog::from_plan(&[], &[(cat, 2)], 1, vec![100, 300], vec![0, 1]);
         let summary = c.characterize();
-        let (count, mean) = summary[&FileCategory::REG_USER_RDONLY];
+        let (count, mean) = summary[&cat];
         assert_eq!(count, 2);
         assert!((mean - 200.0).abs() < 1e-12);
     }

@@ -1,6 +1,6 @@
 //! The creator proper: specification validation and file-system population.
 
-use crate::{CatalogFile, FileCatalog, FileCategory, FilePopularity, FileType, FscError, Owner};
+use crate::{catalog, FileCatalog, FileCategory, FilePopularity, FileType, FscError, Owner};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
@@ -9,6 +9,11 @@ use uswg_vfs::{FsError, Ino, OpenFlags, Process, Vfs};
 
 /// Tolerance when validating that category fractions sum to one.
 const FRACTION_TOL: f64 = 1e-6;
+
+/// The directory of every shared file but the notesfiles.
+pub(crate) const SYSTEM: &str = "/system";
+/// The directory of every notesfile, whoever owns it.
+pub(crate) const NOTES: &str = "/notes";
 
 /// One category's share of the file population and its size distribution.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -161,12 +166,26 @@ impl FileSystemCreator {
 
     /// The home directory path of virtual user `k`.
     pub fn user_dir(user: usize) -> String {
-        format!("/u/user{user:03}")
+        let mut dir = String::new();
+        Self::push_user_dir(&mut dir, user);
+        dir
+    }
+
+    /// Appends [`Self::user_dir`] to `out`.
+    pub(crate) fn push_user_dir(out: &mut String, user: usize) {
+        write!(out, "/u/user{user:03}").expect("String write");
     }
 
     /// The scratch directory path of virtual user `k`.
     pub fn scratch_dir(user: usize) -> String {
-        format!("/tmp/user{user:03}")
+        let mut dir = String::new();
+        Self::push_scratch_dir(&mut dir, user);
+        dir
+    }
+
+    /// Appends [`Self::scratch_dir`] to `out`.
+    pub fn push_scratch_dir(out: &mut String, user: usize) {
+        write!(out, "/tmp/user{user:03}").expect("String write");
     }
 
     /// Populates `vfs` for `n_users` virtual users and returns the catalog.
@@ -188,9 +207,9 @@ impl FileSystemCreator {
     /// [`FscError::InodeDemand`] — before anything is created — when the
     /// population cannot fit in the inodes `vfs` has left (an upper bound:
     /// directories `vfs` already holds are counted again), and
-    /// [`FscError::CatalogDemand`] when it has more files or path bytes
-    /// than the catalog's `u32` offsets address; otherwise propagates
-    /// validation, distribution and file-system errors.
+    /// [`FscError::CatalogDemand`] when its file count or the inode numbers
+    /// it can be handed do not fit the catalog's `u32`s; otherwise
+    /// propagates validation, distribution and file-system errors.
     pub fn build(
         &self,
         vfs: &mut Vfs,
@@ -203,50 +222,58 @@ impl FileSystemCreator {
         let personal = self.plan(Owner::User, self.spec.files_per_user)?;
         let files = file_demand(n_users, &shared, &personal);
         let inodes = check_inode_demand(vfs, n_users, files)?;
-        let files = check_catalog_demand(n_users, files)?;
+        let files = check_catalog_demand(vfs, files, inodes)?;
         vfs.try_reserve_inodes(inodes)
             .map_err(|_| FscError::Reserve {
                 table: "inode table",
                 bytes: (inodes as u64).saturating_mul(Vfs::INODE_BYTES as u64),
             })?;
-        let mut catalog = FileCatalog::new();
-        catalog.try_reserve(files)?;
+        let mut sizes = Vec::new();
+        let mut inos = Vec::new();
+        let reserve = |table, bytes| FscError::Reserve { table, bytes };
+        (sizes.try_reserve_exact(files))
+            .map_err(|_| reserve("catalog's sizes", 8 * files as u64))?;
+        (inos.try_reserve_exact(files))
+            .map_err(|_| reserve("catalog's inode numbers", 4 * files as u64))?;
 
         let root = vfs.root();
-        let system = Dir::ensure(vfs, root, "/system")?;
-        let notes = Dir::ensure(vfs, root, "/notes")?;
-        let homes = Dir::ensure(vfs, root, "/u")?;
-        let scratch = Dir::ensure(vfs, root, "/tmp")?;
+        let system = vfs.ensure_dir_at(root, last_component(SYSTEM))?;
+        let notes = vfs.ensure_dir_at(root, last_component(NOTES))?;
+        let homes = vfs.ensure_dir_at(root, "u")?;
+        let scratch = vfs.ensure_dir_at(root, "tmp")?;
         let mut build = Build {
             fill: self.spec.fill,
             proc: vfs.new_process(),
             vfs,
             rng,
             notes,
-            catalog,
+            sizes,
+            inos,
         };
         // Every catalog path is rendered here; its tail is the VFS name.
         let mut path = String::new();
-        build.populate(&shared, &system, None, &mut path)?;
-        for user in 0..n_users {
-            let home_path = Self::user_dir(user);
-            let home = Dir::ensure(build.vfs, homes.ino, &home_path)?;
+        build.populate(&shared, system, None, &mut path)?;
+        // The inode check bounds the users by the u32 inode numbers.
+        let users = u32::try_from(n_users).expect("checked with the inode numbers");
+        for user in 0..users {
+            let home_path = Self::user_dir(user as usize);
+            let name = last_component(&home_path);
+            let home = build.vfs.ensure_dir_at(homes, name)?;
             // The scratch directory carries the home's name (`scratch_dir`).
-            build
-                .vfs
-                .ensure_dir_at(scratch.ino, last_component(&home_path))?;
-            let owner = u32::try_from(user).map_err(|_| FscError::BadCount {
-                name: "n_users",
-                value: n_users as u64,
-            })?;
-            build.populate(&personal, &home, Some(owner), &mut path)?;
+            build.vfs.ensure_dir_at(scratch, name)?;
+            build.populate(&personal, home, Some(user), &mut path)?;
         }
+        let runs = |plan: &[PlannedCategory]| -> Vec<_> {
+            plan.iter().map(|p| (p.category, p.count as u32)).collect()
+        };
+        let (sizes, inos) = (build.sizes, build.inos);
+        let mut catalog =
+            FileCatalog::from_plan(&runs(&shared), &runs(&personal), users, sizes, inos);
         // Seal with the spec's popularity policy so the pick weighting is
         // part of the declarative workload description. Uniform sealing is
         // bit-identical to the historical unsealed modulo pick
         // (property-tested in tests/alias_equivalence.rs), so default
         // specs reproduce every earlier run byte for byte.
-        let mut catalog = build.catalog;
         catalog.seal_with(self.spec.popularity);
         Ok(catalog)
     }
@@ -286,21 +313,6 @@ struct PlannedCategory {
     size: Box<dyn Distribution>,
 }
 
-/// A directory the builder holds: its inode and its absolute path.
-#[derive(Debug)]
-struct Dir<'a> {
-    ino: Ino,
-    path: &'a str,
-}
-
-impl<'a> Dir<'a> {
-    /// Steps into (or creates) the last component of `path` inside `parent`.
-    fn ensure(vfs: &mut Vfs, parent: Ino, path: &'a str) -> Result<Self, FscError> {
-        let ino = vfs.ensure_dir_at(parent, last_component(path))?;
-        Ok(Self { ino, path })
-    }
-}
-
 fn last_component(path: &str) -> &str {
     path.rsplit('/').next().unwrap_or(path)
 }
@@ -313,8 +325,10 @@ struct Build<'b> {
     /// The descriptor table every file is created through.
     proc: Process,
     /// Notesfiles of every owner live here.
-    notes: Dir<'static>,
-    catalog: FileCatalog,
+    notes: Ino,
+    /// The catalog's two numbers per file, in creation order.
+    sizes: Vec<u64>,
+    inos: Vec<u32>,
 }
 
 impl Build<'_> {
@@ -323,37 +337,31 @@ impl Build<'_> {
     fn populate(
         &mut self,
         plan: &[PlannedCategory],
-        dir: &Dir<'_>,
+        dir: Ino,
         owner_user: Option<u32>,
         path: &mut String,
     ) -> Result<(), FscError> {
         for planned in plan {
             let category = planned.category;
-            let (stem, dir) = match category.file_type {
-                FileType::Dir => ("dir", dir),
-                FileType::Reg => ("file", dir),
-                FileType::Notes => ("note", &self.notes),
+            let dir = match category.file_type {
+                FileType::Notes => self.notes,
+                FileType::Dir | FileType::Reg => dir,
             };
-            let (dir_ino, dir_path) = (dir.ino, dir.path);
-            for seq in 0..planned.count {
+            for seq in 0..planned.count as u32 {
                 let size = planned.size.sample(self.rng).round().max(0.0) as u64;
-                let unique = self.catalog.len();
+                let idx = self.sizes.len();
                 path.clear();
-                write!(path, "{dir_path}/{stem}{unique:05}_{seq:04}").expect("String write");
-                let name = &path[dir_path.len() + 1..];
+                catalog::push_path(path, owner_user, category, idx, seq);
+                let name = last_component(path);
                 let ino = match category.file_type {
-                    FileType::Dir => self.vfs.ensure_dir_at(dir_ino, name)?,
-                    FileType::Reg | FileType::Notes => self.create_file(dir_ino, name, size)?,
+                    FileType::Dir => self.vfs.ensure_dir_at(dir, name)?,
+                    FileType::Reg | FileType::Notes => self.create_file(dir, name, size)?,
                 };
-                let file = CatalogFile {
-                    ino: ino.number(),
-                    // Directories have no byte size; record the sampled size
-                    // anyway as the "directory data" the workload reads.
-                    size,
-                    category,
-                    owner_user,
-                };
-                self.catalog.add(path, file);
+                // Directories have no byte size; record the sampled size
+                // anyway as the "directory data" the workload reads.
+                self.sizes.push(size);
+                let ino = u32::try_from(ino.number()).expect("checked before the build");
+                self.inos.push(ino);
             }
         }
         Ok(())
@@ -424,17 +432,14 @@ fn check_inode_demand(vfs: &Vfs, n_users: usize, files: Option<u64>) -> Result<u
     Ok(demand as usize)
 }
 
-/// Fails unless the catalog's `u32` offsets can address the bytes of every
-/// path (at a byte or more each, so the `files` as well), taking each as
-/// the longest: in the last user's home, numbered as the last file, which
-/// no sequence number exceeds either. Returns the file count.
-fn check_catalog_demand(n_users: usize, files: Option<u64>) -> Result<usize, FscError> {
+/// Fails unless the catalog's `u32`s hold the file count and every inode
+/// number the build can hand out: below the inode table's length plus the
+/// `inodes` it allocates. Returns the file count.
+fn check_catalog_demand(vfs: &Vfs, files: Option<u64>, inodes: usize) -> Result<usize, FscError> {
     let files = files.unwrap_or(u64::MAX);
-    let home = FileSystemCreator::user_dir(n_users.saturating_sub(1));
-    let longest = format!("{home}/file{files:05}_{files:04}").len() as u64;
-    let path_bytes = files.saturating_mul(longest);
-    if path_bytes > u64::from(u32::MAX) {
-        return Err(FscError::CatalogDemand { files, path_bytes });
+    let highest_ino = (vfs.inode_slots() as u64 + inodes as u64).saturating_sub(1);
+    if files.max(highest_ino) > u64::from(u32::MAX) {
+        return Err(FscError::CatalogDemand { files, highest_ino });
     }
     Ok(files as usize)
 }
@@ -548,25 +553,23 @@ mod tests {
 
     #[test]
     fn a_population_the_catalog_cannot_address_is_refused_up_front() {
-        // One user, nine-digit counts: `/u/user000/file126322567_126322567`
-        // is 34 bytes, and 34 × 126,322,567 is the last product under 2^32.
-        assert_eq!(check_catalog_demand(1, Some(126_322_567)), Ok(126_322_567));
-        let err = check_catalog_demand(1, Some(126_322_568)).unwrap_err();
-        let (files, path_bytes) = (126_322_568, 34 * 126_322_568);
-        assert_eq!(err, FscError::CatalogDemand { files, path_bytes });
-        for part in ["126322568 files", "4294967312 bytes", "at most 4294967295"] {
+        // On a fresh file system the root holds slot 0, so a build of
+        // `inodes` hands out numbers up to `inodes`, and u32::MAX is the
+        // last one a catalog holds.
+        let vfs = Vfs::new(VfsConfig::default());
+        let max = u32::MAX as usize;
+        assert_eq!(check_catalog_demand(&vfs, Some(7), max), Ok(7));
+        let err = check_catalog_demand(&vfs, Some(7), max + 1).unwrap_err();
+        let (files, highest_ino) = (7, u32::MAX as u64 + 1);
+        assert_eq!(err, FscError::CatalogDemand { files, highest_ino });
+        for part in ["7 files", "up to 4294967296", "at most 4294967295"] {
             assert!(err.to_string().contains(part), "{err}");
         }
-        // The million-user smoke is 3 M files and 99 MB of paths at most;
-        // forty times the users is refused, and so is a count past `u64`.
-        assert_eq!(
-            check_catalog_demand(1_000_000, Some(3_000_120)),
-            Ok(3_000_120)
-        );
-        assert!(check_catalog_demand(40_000_000, Some(120_000_120)).is_err());
-        assert!(check_catalog_demand(usize::MAX, None).is_err());
+        // A count past `u64` is refused whatever the inodes.
+        assert!(check_catalog_demand(&vfs, None, 7).is_err());
 
-        // Through `build`, with inodes to spare: nothing is created.
+        // Through `build`, with inodes to spare: one user, 120 shared files
+        // and five billion of its own, nothing created.
         let spec = two_category_spec().with_files_per_user(5_000_000_000);
         let mut vfs = Vfs::new(VfsConfig {
             max_inodes: usize::MAX,
@@ -575,8 +578,8 @@ mod tests {
         let err = FileSystemCreator::new(spec.unwrap())
             .build(&mut vfs, 1, &mut StdRng::seed_from_u64(1))
             .unwrap_err();
-        let files = 5_000_000_120;
-        assert!(matches!(err, FscError::CatalogDemand { files: f, .. } if f == files));
+        let (files, highest_ino) = (5_000_000_120, 5_000_000_126);
+        assert_eq!(err, FscError::CatalogDemand { files, highest_ino });
         assert_eq!(vfs.statfs().used_inodes, 1, "nothing was built");
     }
 
@@ -598,7 +601,6 @@ mod tests {
         let (_, catalog) = build(spec, 1, 2).unwrap();
         assert!(catalog
             .files()
-            .iter()
             .all(|f| f.category == FileCategory::REG_USER_RDONLY));
     }
 
@@ -612,7 +614,7 @@ mod tests {
             "sparse files hold no blocks"
         );
         // Sizes still reflect the distribution.
-        let total: u64 = catalog.files().iter().map(|f| f.size).sum();
+        let total: u64 = catalog.files().map(|f| f.size).sum();
         assert!(total > 0);
     }
 
@@ -621,10 +623,9 @@ mod tests {
         let (mut vfs, catalog) = build(two_category_spec(), 1, 4).unwrap();
         let idx = catalog
             .files()
-            .iter()
             .position(|f| f.size > 0)
             .expect("some non-empty file");
-        let data = vfs.read_file(catalog.path(idx)).unwrap();
+        let data = vfs.read_file(&catalog.path(idx)).unwrap();
         assert_eq!(data.len() as u64, catalog.file(idx).size);
         assert!(vfs.block_stats().allocated > 0);
     }
@@ -664,10 +665,9 @@ mod tests {
         let (mut vfs, catalog) = build(spec, 1, 6).unwrap();
         let dir_file = catalog
             .files()
-            .iter()
             .position(|f| f.category == FileCategory::DIR_USER_RDONLY)
             .expect("dir category populated");
-        assert!(vfs.stat(catalog.path(dir_file)).unwrap().is_dir());
+        assert!(vfs.stat(&catalog.path(dir_file)).unwrap().is_dir());
     }
 
     #[test]
@@ -677,9 +677,8 @@ mod tests {
             let (_, catalog) = build(spec, 2, seed).unwrap();
             catalog
                 .files()
-                .iter()
                 .enumerate()
-                .map(|(idx, f)| (catalog.path(idx).to_string(), f.size))
+                .map(|(idx, f)| (catalog.path(idx), f.size))
                 .collect::<Vec<_>>()
         };
         assert_eq!(paths(42), paths(42));

@@ -43,14 +43,14 @@ pub enum FscError {
         /// The file system's `vfs.max_inodes`.
         limit: u64,
     },
-    /// The population has more bytes of file paths (so possibly more files)
-    /// than the catalog's `u32` offsets address. Raised before anything is
+    /// The population has more files, or can be handed higher inode
+    /// numbers, than the catalog's `u32`s hold. Raised before anything is
     /// created.
     CatalogDemand {
         /// Files the build would catalog.
         files: u64,
-        /// Upper bound on the bytes of their paths.
-        path_bytes: u64,
+        /// The highest inode number the build could hand out.
+        highest_ino: u64,
     },
     /// Memory for a table the population needs could not be reserved.
     /// Raised before anything is created.
@@ -89,10 +89,10 @@ impl fmt::Display for FscError {
                 "the population needs {demand} inodes but `vfs.max_inodes` is {limit} \
                  ({available} free): raise vfs.max_inodes or shrink the population"
             ),
-            FscError::CatalogDemand { files, path_bytes } => write!(
+            FscError::CatalogDemand { files, highest_ino } => write!(
                 f,
-                "the population is {files} files with up to {path_bytes} bytes of paths, and \
-                 a file catalog addresses at most {} of either: shrink the population",
+                "the population is {files} files with inode numbers up to {highest_ino}, and \
+                 a file catalog holds at most {} of either: shrink the population",
                 u32::MAX
             ),
             FscError::Reserve { table, bytes } => write!(

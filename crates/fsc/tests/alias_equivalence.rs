@@ -5,15 +5,20 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use uswg_fsc::{AliasTable, CatalogFile, FileCatalog, FileCategory};
+use uswg_fsc::{AliasTable, FileCatalog, FileCategory, FilePopularity, Owner};
 
-fn file(cat: FileCategory, user: Option<u32>, n: usize) -> CatalogFile {
-    CatalogFile {
-        ino: n as u64,
-        size: 100 + n as u64,
-        category: cat,
-        owner_user: user,
-    }
+/// The catalog of a build that made `runs` — `(category, count)`, shared
+/// and per-user ones mixed — for three users, file `n` of size `100 + n`.
+fn catalog(runs: &[(FileCategory, u32)]) -> FileCatalog {
+    let side = |owner| {
+        let mine = runs.iter().filter(|run| run.0.owner == owner);
+        mine.copied().collect::<Vec<_>>()
+    };
+    let (shared, personal) = (side(Owner::Other), side(Owner::User));
+    let count = |runs: &[(FileCategory, u32)]| runs.iter().map(|run| run.1).sum::<u32>();
+    let files = count(&shared) + 3 * count(&personal);
+    let sizes = (0..files).map(|n| 100 + u64::from(n)).collect();
+    FileCatalog::from_plan(&shared, &personal, 3, sizes, (0..files).collect())
 }
 
 /// The categories a pick can target, mixing shared and per-user lists.
@@ -36,19 +41,8 @@ proptest! {
         picks in prop::collection::vec((0usize..3, 0usize..4), 1..200),
         seed in 0u64..1_000_000,
     ) {
-        let mut unsealed = FileCatalog::new();
-        let mut n = 0usize;
-        for &(cat_idx, count) in &per_cat {
-            let cat = CATS[cat_idx];
-            for _ in 0..count {
-                let owner = match cat.owner {
-                    uswg_fsc::Owner::User => Some(n as u32 % 3),
-                    uswg_fsc::Owner::Other => None,
-                };
-                unsealed.add(&format!("/f{n}"), file(cat, owner, n));
-                n += 1;
-            }
-        }
+        let runs: Vec<_> = per_cat.iter().map(|&(cat, count)| (CATS[cat], count as u32)).collect();
+        let unsealed = catalog(&runs);
         let mut sealed = unsealed.clone();
         sealed.seal();
         prop_assert!(sealed.is_sealed());
@@ -77,29 +71,22 @@ proptest! {
         }
     }
 
-    /// Mutating a sealed catalog invalidates the touched list: picks remain
-    /// correct (never a stale or out-of-range index) and still mirror the
-    /// unsealed catalog.
+    /// Sealing again replaces the policy: a catalog sealed weighted and
+    /// then uniform picks exactly as one never sealed, and never an index
+    /// that does not exist.
     #[test]
     fn mutation_after_seal_stays_equivalent(
-        initial in 2usize..20,
-        removals in prop::collection::vec(0usize..20, 1..6),
+        initial in 2u32..20,
+        exponent in 0.5f64..3.0,
         seed in 0u64..1_000_000,
     ) {
         let cat = FileCategory::REG_OTHER_RDONLY;
-        let mut sealed = FileCatalog::new();
-        for i in 0..initial {
-            sealed.add(&format!("/f{i}"), file(cat, None, i));
-        }
-        let mut unsealed = sealed.clone();
+        let unsealed = catalog(&[(cat, initial)]);
+        let mut sealed = unsealed.clone();
+        sealed.seal_with(FilePopularity::Zipf { exponent });
+        sealed.seal_with(FilePopularity::SizeWeighted);
         sealed.seal();
-        for &r in &removals {
-            sealed.remove(r % initial);
-            unsealed.remove(r % initial);
-        }
-        // One list grew back after sealing, too.
-        sealed.add(&format!("/f{initial}"), file(cat, None, initial));
-        unsealed.add(&format!("/f{initial}"), file(cat, None, initial));
+        prop_assert!(sealed.is_sealed());
 
         let mut rng_a = StdRng::seed_from_u64(seed);
         let mut rng_b = StdRng::seed_from_u64(seed);
@@ -108,7 +95,7 @@ proptest! {
             let b = unsealed.pick(0, cat, &mut rng_b);
             prop_assert_eq!(a, b);
             if let Some(idx) = a {
-                prop_assert!(idx <= initial, "picked an index that never existed");
+                prop_assert!(idx < initial as usize, "picked an index that never existed");
             }
         }
     }

@@ -7,21 +7,50 @@
 //! downstream can tell the two apart: the same tree (names, inode numbers,
 //! kinds, sizes, link counts, timestamps, contents), the same `statfs` and
 //! block counts, the same catalog, the same candidate lists, and the same
-//! picks from the same PRNG stream under every popularity policy.
+//! picks from the same PRNG stream under every popularity policy. The
+//! reference's catalog is stored the naive way: every path and record
+//! written out, a candidate list filtered from them, a pick drawn over it.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use uswg_distr::DistributionSpec;
 use uswg_fsc::{
-    CatalogFile, CategorySpec, FileCatalog, FileCategory, FilePopularity, FileSystemCreator,
+    AliasTable, CatalogFile, CategorySpec, FileCategory, FilePopularity, FileSystemCreator,
     FileType, FillPattern, FscSpec, Owner,
 };
 use uswg_vfs::{Metadata, Vfs, VfsConfig};
 
+/// Every file the reference created: its path and record.
+type StoredCatalog = Vec<(String, CatalogFile)>;
+
+/// The files of `category` that `user` draws from, in creation order.
+fn candidates(files: &StoredCatalog, user: usize, category: FileCategory) -> Vec<usize> {
+    let owner = (category.owner == Owner::User).then_some(user as u32);
+    let listed = |file: &CatalogFile| (file.owner_user, file.category) == (owner, category);
+    (0..files.len())
+        .filter(|&idx| listed(&files[idx].1))
+        .collect()
+}
+
+/// A pick from `list`: the modulo draw when `table` is `None`.
+fn pick(list: &[usize], table: Option<&AliasTable>, rng: &mut StdRng) -> Option<usize> {
+    let at = match table {
+        _ if list.is_empty() => return None,
+        None => (rng.next_u64() % list.len() as u64) as usize,
+        Some(table) => table.draw(rng),
+    };
+    Some(list[at])
+}
+
 /// The by-path population sequence.
-fn reference_build(spec: &FscSpec, vfs: &mut Vfs, n_users: usize, rng: &mut StdRng) -> FileCatalog {
-    let mut catalog = FileCatalog::new();
+fn reference_build(
+    spec: &FscSpec,
+    vfs: &mut Vfs,
+    n_users: usize,
+    rng: &mut StdRng,
+) -> StoredCatalog {
+    let mut catalog = StoredCatalog::new();
     for dir in ["/system", "/notes", "/u", "/tmp"] {
         vfs.mkdir_all(dir).unwrap();
     }
@@ -39,7 +68,6 @@ fn reference_build(spec: &FscSpec, vfs: &mut Vfs, n_users: usize, rng: &mut StdR
             Some(user),
         );
     }
-    catalog.seal_with(spec.popularity);
     catalog
 }
 
@@ -47,7 +75,7 @@ fn reference_populate(
     spec: &FscSpec,
     vfs: &mut Vfs,
     rng: &mut StdRng,
-    catalog: &mut FileCatalog,
+    catalog: &mut StoredCatalog,
     total: u64,
     owner_user: Option<usize>,
 ) {
@@ -91,7 +119,7 @@ fn reference_populate(
                 category: c.category,
                 owner_user: owner_user.map(|user| user as u32),
             };
-            catalog.add(&path, file);
+            catalog.push((path, file));
         }
     }
 }
@@ -167,7 +195,7 @@ proptest! {
             .build(&mut vfs, n_users, &mut rng)
             .unwrap();
         let (mut ref_vfs, mut ref_rng) = (fresh(), StdRng::seed_from_u64(seed));
-        let mut reference = reference_build(&spec, &mut ref_vfs, n_users, &mut ref_rng);
+        let reference = reference_build(&spec, &mut ref_vfs, n_users, &mut ref_rng);
         prop_assert_eq!(rng.next_u64(), ref_rng.next_u64(), "size draws diverged");
 
         let (mut tree, mut ref_tree) = (Vec::new(), Vec::new());
@@ -179,9 +207,10 @@ proptest! {
         prop_assert_eq!(vfs.block_stats(), ref_vfs.block_stats());
 
         prop_assert!(built.is_sealed());
-        prop_assert_eq!(built.files(), reference.files());
-        for idx in 0..built.len() {
-            prop_assert_eq!(built.path(idx), reference.path(idx));
+        prop_assert_eq!(built.len(), reference.len());
+        for (idx, (path, file)) in reference.iter().enumerate() {
+            prop_assert_eq!(&built.file(idx), file);
+            prop_assert_eq!(&built.path(idx), path);
         }
         for policy in [
             FilePopularity::Uniform,
@@ -189,18 +218,18 @@ proptest! {
             FilePopularity::Zipf { exponent: 1.1 },
         ] {
             built.seal_with(policy);
-            reference.seal_with(policy);
             let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
             for user in 0..n_users {
                 for category in FileCategory::TABLE_5_1 {
-                    prop_assert_eq!(
-                        built.candidates(user, category),
-                        reference.candidates(user, category)
-                    );
+                    let list = candidates(&reference, user, category);
+                    prop_assert_eq!(built.candidates(user, category).collect::<Vec<_>>(), &list[..]);
+                    let sizes = list.iter().map(|&idx| reference[idx].1.size);
+                    let table = (policy != FilePopularity::Uniform && !list.is_empty())
+                        .then(|| AliasTable::new(&policy.weights(sizes)).unwrap());
                     for _ in 0..1_000 {
                         prop_assert_eq!(
                             built.pick(user, category, &mut a),
-                            reference.pick(user, category, &mut b)
+                            pick(&list, table.as_ref(), &mut b)
                         );
                     }
                 }

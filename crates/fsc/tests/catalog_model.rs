@@ -1,18 +1,19 @@
-//! Model oracle for the catalog's flat index: random interleavings of `add`
-//! (any owner, any category, so most arrive out of build order and take the
-//! re-deriving path) and `remove`, against what the per-owner lists it
-//! replaced held — they were pushed to and `retain`ed, so a list was the
-//! live files of its `(owner, category)` in the order they were added.
-//! `alias_equivalence` and `build_equivalence` compare the catalog with
-//! itself, and only in build order.
+//! Model oracle for the catalog's plan arithmetic: random build plans —
+//! shared and per-user runs of any category, a category named in several
+//! runs, a run under an owner no lookup reaches — against the catalog as it
+//! used to be stored: every file's record and path written out in creation
+//! order, and a candidate list that is the files of its `(owner, category)`
+//! in that order. `alias_equivalence` and `build_equivalence` compare the
+//! catalog with itself and with the creator.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use uswg_fsc::{AliasTable, CatalogFile, FileCatalog, FileCategory, FilePopularity, Owner};
+use uswg_fsc::{
+    AliasTable, CatalogFile, FileCatalog, FileCategory, FilePopularity, FileType, Owner,
+};
 
-/// Both sides of the ownership split. A file's owner is drawn independently
-/// of its category, so some files sit under an owner no lookup reaches.
+/// Both sides of the ownership split and every file type.
 const CATS: [FileCategory; 5] = [
     FileCategory::REG_USER_RDONLY,
     FileCategory::REG_USER_TEMP,
@@ -20,35 +21,66 @@ const CATS: [FileCategory; 5] = [
     FileCategory::REG_OTHER_RDONLY,
     FileCategory::NOTES_OTHER_RDONLY,
 ];
-/// Users 0–3 own files; user 4 never does.
+/// Lookups go to users 0–4; a plan has at most four.
 const USERS: usize = 5;
 
-/// The files added so far, each with whether it has been removed.
-type Model = Vec<(CatalogFile, bool)>;
+/// Every file with its path, in creation order.
+type Model = Vec<(CatalogFile, String)>;
+
+fn model(shared: &[(FileCategory, u32)], personal: &[(FileCategory, u32)], users: u32) -> Model {
+    let mut files = Model::new();
+    let owners = std::iter::once((None, shared)).chain((0..users).map(|u| (Some(u), personal)));
+    for (owner_user, runs) in owners {
+        for &(category, count) in runs {
+            for seq in 0..count {
+                let dir = match (category.file_type, owner_user) {
+                    (FileType::Notes, _) => "/notes".to_string(),
+                    (_, None) => "/system".to_string(),
+                    (_, Some(user)) => format!("/u/user{user:03}"),
+                };
+                let stem = match category.file_type {
+                    FileType::Dir => "dir",
+                    FileType::Reg => "file",
+                    FileType::Notes => "note",
+                };
+                let idx = files.len();
+                let file = CatalogFile {
+                    ino: idx as u64 * 3 + 1,
+                    size: (idx as u64 * 7919 % 64) * 100, // zero included
+                    category,
+                    owner_user,
+                };
+                files.push((file, format!("{dir}/{stem}{idx:05}_{seq:04}")));
+            }
+        }
+    }
+    files
+}
 
 fn candidates(model: &Model, user: usize, category: FileCategory) -> Vec<usize> {
     let owner = match category.owner {
         Owner::User => Some(user as u32),
         Owner::Other => None,
     };
-    let listed = |(file, removed): &(CatalogFile, bool)| {
-        !removed && (file.owner_user, file.category) == (owner, category)
-    };
+    let listed = |file: &CatalogFile| (file.owner_user, file.category) == (owner, category);
     (0..model.len())
-        .filter(|&idx| listed(&model[idx]))
+        .filter(|&idx| listed(&model[idx].0))
         .collect()
 }
 
 fn pick(model: &Model, policy: FilePopularity, list: &[usize], rng: &mut StdRng) -> Option<usize> {
-    let files: Vec<CatalogFile> = model.iter().map(|(file, _)| *file).collect();
+    let sizes = list.iter().map(|&idx| model[idx].0.size);
     let at = match policy {
         _ if list.is_empty() => return None,
         FilePopularity::Uniform => (rng.next_u64() % list.len() as u64) as usize,
-        _ => AliasTable::new(&policy.weights(&files, list))
-            .unwrap()
-            .draw(rng),
+        _ => AliasTable::new(&policy.weights(sizes)).unwrap().draw(rng),
     };
     Some(list[at])
+}
+
+fn runs() -> impl Strategy<Value = Vec<(FileCategory, u32)>> {
+    prop::collection::vec((0..CATS.len(), 0u32..4), 0..6)
+        .prop_map(|runs| runs.into_iter().map(|(cat, n)| (CATS[cat], n)).collect())
 }
 
 proptest! {
@@ -56,54 +88,42 @@ proptest! {
 
     #[test]
     fn flat_index_matches_the_per_owner_lists_it_replaced(
-        // (remove when 0, owner slot, category, size or index to remove)
-        steps in prop::collection::vec((0usize..5, 0..USERS, 0..CATS.len(), 0u64..64), 1..48),
+        shared in runs(),
+        personal in runs(),
+        users in 0u32..USERS as u32,
         seed in 0u64..1_000_000,
     ) {
-        let (mut catalog, mut model) = (FileCatalog::new(), Model::new());
-        for &(op, owner, cat, n) in &steps {
-            let idx = model.len();
-            if op == 0 {
-                let idx = n as usize % (idx + 1); // one past the end: a no-op
-                catalog.remove(idx);
-                if let Some((_, removed)) = model.get_mut(idx) {
-                    *removed = true;
+        let model = model(&shared, &personal, users);
+        let sizes = model.iter().map(|(file, _)| file.size).collect();
+        let inos = model.iter().map(|(file, _)| file.ino as u32).collect();
+        let mut catalog = FileCatalog::from_plan(&shared, &personal, users, sizes, inos);
+        prop_assert!(!catalog.is_sealed());
+        prop_assert_eq!(catalog.len(), model.len());
+        prop_assert!(catalog.files().eq(model.iter().map(|(file, _)| *file)));
+        let mut path = String::from("stale");
+        for (idx, (file, expected)) in model.iter().enumerate() {
+            prop_assert_eq!(catalog.file(idx), *file);
+            catalog.write_path(idx, &mut path);
+            prop_assert_eq!(&path, expected);
+        }
+        for policy in [
+            FilePopularity::Uniform,
+            FilePopularity::SizeWeighted,
+            FilePopularity::Zipf { exponent: 1.1 },
+        ] {
+            catalog.seal_with(policy);
+            prop_assert!(catalog.is_sealed());
+            let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            for (user, category) in (0..USERS).flat_map(|u| CATS.map(|c| (u, c))) {
+                let expected = candidates(&model, user, category);
+                let listed: Vec<usize> = catalog.candidates(user, category).collect();
+                prop_assert_eq!(&listed, &expected);
+                for _ in 0..4 {
+                    let picked = catalog.pick(user, category, &mut a);
+                    prop_assert_eq!(picked, pick(&model, policy, &expected, &mut b));
                 }
-            } else {
-                let file = CatalogFile {
-                    ino: idx as u64,
-                    size: n * 100, // zero included: size-weighting keeps it reachable
-                    category: CATS[cat],
-                    owner_user: owner.checked_sub(1).map(|user| user as u32),
-                };
-                prop_assert_eq!(catalog.add(&format!("/o{owner}/f{idx}"), file), idx);
-                prop_assert!(!catalog.is_sealed(), "a mutation unseals");
-                model.push((file, false));
             }
-
-            for (idx, (file, _)) in model.iter().enumerate() {
-                prop_assert_eq!(catalog.file(idx), file);
-                let owner = file.owner_user.map_or(0, |user| user + 1);
-                prop_assert_eq!(catalog.path(idx), format!("/o{owner}/f{idx}"));
-            }
-            for policy in [
-                FilePopularity::Uniform,
-                FilePopularity::SizeWeighted,
-                FilePopularity::Zipf { exponent: 1.1 },
-            ] {
-                catalog.seal_with(policy);
-                prop_assert!(catalog.is_sealed());
-                let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
-                for (user, category) in (0..USERS).flat_map(|u| CATS.map(|c| (u, c))) {
-                    let expected = candidates(&model, user, category);
-                    prop_assert_eq!(catalog.candidates(user, category), &expected[..]);
-                    for _ in 0..4 {
-                        let picked = catalog.pick(user, category, &mut a);
-                        prop_assert_eq!(picked, pick(&model, policy, &expected, &mut b));
-                    }
-                }
-                prop_assert_eq!(a.next_u64(), b.next_u64(), "picks consumed different streams");
-            }
+            prop_assert_eq!(a.next_u64(), b.next_u64(), "picks consumed different streams");
         }
     }
 }

@@ -5,21 +5,19 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use uswg_fsc::{CatalogFile, FileCatalog, FileCategory, FilePopularity};
+use uswg_fsc::{FileCatalog, FileCategory, FilePopularity};
 
 /// A shared-pool catalog with `sizes.len()` files of the given sizes.
 fn catalog_with_sizes(sizes: &[u64]) -> FileCatalog {
-    let mut catalog = FileCatalog::new();
-    for (n, &size) in sizes.iter().enumerate() {
-        let file = CatalogFile {
-            ino: n as u64 + 1,
-            size,
-            category: FileCategory::REG_OTHER_RDONLY,
-            owner_user: None,
-        };
-        catalog.add(&format!("/shared/f{n}"), file);
-    }
-    catalog
+    let shared = [(FileCategory::REG_OTHER_RDONLY, sizes.len() as u32)];
+    let inos = (1..=sizes.len() as u32).collect();
+    FileCatalog::from_plan(&shared, &[], 0, sizes.to_vec(), inos)
+}
+
+/// The policy's weights over the shared pool's list.
+fn weights(catalog: &FileCatalog, policy: FilePopularity) -> Vec<f64> {
+    let list = catalog.candidates(0, FileCategory::REG_OTHER_RDONLY);
+    policy.weights(list.map(|idx| catalog.file(idx).size))
 }
 
 /// Pearson chi-square statistic of observed counts against the expected
@@ -63,10 +61,7 @@ fn size_weighted_picks_fit_the_size_distribution() {
     assert!(catalog.is_sealed());
 
     let counts = tally(&catalog, sizes.len(), DRAWS, 0x517E);
-    let weights = FilePopularity::SizeWeighted.weights(
-        catalog.files(),
-        catalog.candidates(0, FileCategory::REG_OTHER_RDONLY),
-    );
+    let weights = weights(&catalog, FilePopularity::SizeWeighted);
     let expected: Vec<f64> = sizes.iter().map(|&s| s as f64).collect();
     assert_eq!(weights, expected, "analytic weights are the byte sizes");
     let chi = chi_square(&counts, &weights, DRAWS);
@@ -87,10 +82,7 @@ fn zipf_picks_fit_the_analytic_zipf_weights() {
     catalog.seal_with(policy);
 
     let counts = tally(&catalog, sizes.len(), DRAWS, 0x21BF);
-    let weights = policy.weights(
-        catalog.files(),
-        catalog.candidates(0, FileCategory::REG_OTHER_RDONLY),
-    );
+    let weights = weights(&catalog, policy);
     for (r, w) in weights.iter().enumerate() {
         assert!((w - 1.0 / (r as f64 + 1.0)).abs() < 1e-12);
     }
@@ -139,16 +131,8 @@ fn zero_size_files_stay_reachable_under_size_weighting() {
 
 #[test]
 fn per_user_lists_honour_the_policy_too() {
-    let mut catalog = FileCatalog::new();
-    for (n, size) in [(0usize, 10u64), (1, 1_000)] {
-        let file = CatalogFile {
-            ino: n as u64 + 1,
-            size,
-            category: FileCategory::REG_USER_RDONLY,
-            owner_user: Some(0),
-        };
-        catalog.add(&format!("/u0/f{n}"), file);
-    }
+    let personal = [(FileCategory::REG_USER_RDONLY, 2)];
+    let mut catalog = FileCatalog::from_plan(&[], &personal, 1, vec![10, 1_000], vec![1, 2]);
     catalog.seal_with(FilePopularity::SizeWeighted);
     let mut rng = StdRng::seed_from_u64(11);
     let mut counts = [0u64; 2];

@@ -127,6 +127,11 @@ impl CompiledUserType {
     }
 }
 
+/// Most user types a population, and most categories one type, compiles:
+/// a user's type is a `u16` in the DES driver's user arena, and a scratch
+/// file's category a `u16` in its task and its path.
+pub(crate) const MAX_IDS: usize = 1 << 16;
+
 /// A compiled population: types, fractions and user→type assignment.
 #[derive(Debug, Clone)]
 pub struct CompiledPopulation {
@@ -140,8 +145,19 @@ impl CompiledPopulation {
     ///
     /// # Errors
     ///
-    /// Propagates distribution construction/tabulation errors.
+    /// [`UsimError::TooLarge`], before any table is built, for more than
+    /// 65,536 user types or more than 65,536 categories in one type;
+    /// otherwise propagates distribution construction/tabulation errors.
     pub fn compile(spec: &PopulationSpec, resolution: usize) -> Result<Self, UsimError> {
+        let widest = spec.types().iter().map(|(t, _)| t.categories.len()).max();
+        let ids = [
+            ("user types", spec.types().len()),
+            ("categories per user type", widest.unwrap_or(0)),
+        ];
+        if let Some(&(name, value)) = ids.iter().find(|id| id.1 > MAX_IDS) {
+            let max = MAX_IDS;
+            return Err(UsimError::TooLarge { name, value, max });
+        }
         let mut types = Vec::with_capacity(spec.types().len());
         let mut fractions = Vec::with_capacity(spec.types().len());
         for (t, frac) in spec.types() {
@@ -266,6 +282,26 @@ mod tests {
         // table (2 points at any resolution) keeps it just under 10×.
         assert!(hi.table_memory_bytes() > 9 * lo.table_memory_bytes());
         assert!(hi.table_memory_bytes() <= 10 * lo.table_memory_bytes());
+    }
+
+    #[test]
+    fn user_types_and_categories_past_u16_ids_are_refused() {
+        let spec = |types: usize, categories: usize| {
+            let mut t = population().types()[0].0.clone();
+            t.categories = vec![t.categories[0].clone(); categories];
+            let spec = PopulationSpec::new(vec![(t, 1.0 / types as f64); types]).unwrap();
+            CompiledPopulation::compile(&spec, 2).map(drop)
+        };
+        let refused = |name, value| {
+            Err(UsimError::TooLarge {
+                name,
+                value,
+                max: 65_536,
+            })
+        };
+        assert_eq!((spec(65_536, 1), spec(1, 65_536)), (Ok(()), Ok(())));
+        assert_eq!(spec(65_537, 1), refused("user types", 65_537));
+        assert_eq!(spec(1, 65_537), refused("categories per user type", 65_537));
     }
 
     #[test]

@@ -117,7 +117,7 @@ impl UserArena {
                 .push(u32::try_from(gid).expect("validated: population fits u32 ids"));
             arena
                 .type_idx
-                .push(u16::try_from(t).expect("more than 65535 user types"));
+                .push(u16::try_from(t).expect("compile caps the user types"));
             arena.behavior.push(population.types()[t].new_behavior());
             arena.sessions_done.push(0);
             arena.rng.push(StdRng::seed_from_u64(
@@ -193,6 +193,8 @@ impl HotArena {
 struct UsimWorld<S: LogSink> {
     vfs: Vfs,
     catalog: FileCatalog,
+    /// Every path a session names is rendered here.
+    path: String,
     pool: ResourcePool,
     model: Box<dyn ServiceModel>,
     /// Separate stream for model randomness (disk jitter), so the timing
@@ -332,6 +334,7 @@ impl<S: LogSink> World for UsimWorld<S> {
                 &mut hot.proc,
                 utype,
                 &self.catalog,
+                &mut self.path,
                 &mut self.users.rng[user],
             );
             match next {
@@ -463,6 +466,7 @@ fn simulation<S: LogSink>(
     let world = UsimWorld {
         vfs,
         catalog,
+        path: String::new(),
         pool,
         model,
         model_rng: StdRng::seed_from_u64(model_seed),
@@ -660,10 +664,10 @@ mod tests {
         let catalog = FileSystemCreator::new(spec)
             .build(&mut vfs, n_users, &mut StdRng::seed_from_u64(3))
             .unwrap();
-        for (idx, file) in catalog.files().iter().enumerate() {
+        for (idx, file) in catalog.files().enumerate() {
             if file.owner_user == Some(broken as u32) {
-                vfs.unlink(catalog.path(idx)).unwrap();
-                vfs.mkdir(catalog.path(idx)).unwrap();
+                vfs.unlink(&catalog.path(idx)).unwrap();
+                vfs.mkdir(&catalog.path(idx)).unwrap();
             }
         }
         (vfs, catalog)

@@ -46,6 +46,8 @@ impl DirectDriver {
         config.validate()?;
         let assignment = population.assign(config.n_users);
         let mut log = UsageLog::new();
+        // Every path a session names is rendered here.
+        let mut path = String::new();
 
         for (user, &type_idx) in assignment.iter().enumerate() {
             let utype = &population.types()[type_idx];
@@ -64,7 +66,8 @@ impl DirectDriver {
                 vfs.set_clock(now);
                 loop {
                     let before = Instant::now();
-                    let Some(exec) = session.next_op(vfs, &mut proc, utype, catalog, &mut rng)?
+                    let Some(exec) =
+                        session.next_op(vfs, &mut proc, utype, catalog, &mut path, &mut rng)?
                     else {
                         break;
                     };

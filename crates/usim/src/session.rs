@@ -15,7 +15,7 @@ use crate::log::SessionRecord;
 use crate::spec::AccessPattern;
 use crate::UsimError;
 use rand::RngCore;
-use std::borrow::Cow;
+use std::fmt::Write as _;
 use uswg_fsc::{FileCatalog, FileCategory, FileSystemCreator, FileType, UsageClass};
 use uswg_netfs::{FileId, OpKind, OpRequest};
 use uswg_vfs::{Fd, FsError, OpenFlags, Process, SeekFrom, Vfs};
@@ -44,14 +44,15 @@ enum Phase {
 
 /// Where a task's file lives, compactly. The path *string* is a pure
 /// function of this value, so it is rendered on demand (at open/stat/
-/// unlink/readdir time) instead of stored: a materialized `String` costs
-/// ~50–80 heap bytes per task, and with tens of thousands of sessions
-/// concurrently logged in under contention, per-task strings were one of
-/// the largest hot-memory line items.
+/// unlink/readdir time) into the one buffer the driver keeps, instead of
+/// stored: a materialized `String` costs ~50–80 heap bytes per task, and
+/// with tens of thousands of sessions concurrently logged in under
+/// contention, per-task strings were one of the largest hot-memory line
+/// items.
 #[derive(Debug, Clone, Copy)]
 enum TaskPath {
     /// Preexisting file or directory: index into the [`FileCatalog`],
-    /// which owns the path — rendering borrows it for free.
+    /// which renders its path.
     Catalog(u32),
     /// Scratch file this session creates: the path is
     /// `scratch_dir(user)/s<ordinal>_c<ci>_f<k>` by construction.
@@ -100,17 +101,24 @@ impl Task {
         }
     }
 
-    /// Renders the task's path (see [`TaskPath`]): borrowed straight from
-    /// the catalog for preexisting files, formatted fresh for scratch
-    /// files. Byte-identical to the strings `plan` used to store.
-    fn path<'a>(&self, user: usize, ordinal: u32, catalog: &'a FileCatalog) -> Cow<'a, str> {
+    /// Renders the task's path (see [`TaskPath`]) into `out`, replacing
+    /// what it held, and returns it.
+    fn write_path<'p>(
+        &self,
+        user: usize,
+        ordinal: u32,
+        catalog: &FileCatalog,
+        out: &'p mut String,
+    ) -> &'p str {
         match self.location {
-            TaskPath::Catalog(idx) => Cow::Borrowed(catalog.path(idx as usize)),
-            TaskPath::Scratch { ci, k } => Cow::Owned(format!(
-                "{}/s{ordinal:05}_c{ci:02}_f{k:03}",
-                FileSystemCreator::scratch_dir(user)
-            )),
+            TaskPath::Catalog(idx) => catalog.write_path(idx as usize, out),
+            TaskPath::Scratch { ci, k } => {
+                out.clear();
+                FileSystemCreator::push_scratch_dir(out, user);
+                write!(out, "/s{ordinal:05}_c{ci:02}_f{k:03}").expect("String write");
+            }
         }
+        out
     }
 }
 
@@ -157,7 +165,7 @@ impl Session {
                 } else {
                     let size = usage.file_size.sample_count(rng);
                     let location = TaskPath::Scratch {
-                        ci: ci as u16,
+                        ci: u16::try_from(ci).expect("compile caps the categories"),
                         k: k as u32,
                     };
                     (location, 0, size)
@@ -215,7 +223,8 @@ impl Session {
         self.record
     }
 
-    /// Selects and executes the next system call against `vfs`.
+    /// Selects and executes the next system call against `vfs`, rendering
+    /// the path it names into `path`.
     ///
     /// Returns `Ok(None)` when the session has logged out (no tasks left).
     ///
@@ -229,6 +238,7 @@ impl Session {
         proc: &mut Process,
         utype: &CompiledUserType,
         catalog: &FileCatalog,
+        path: &mut String,
         rng: &mut dyn RngCore,
     ) -> Result<Option<ExecutedOp>, UsimError> {
         loop {
@@ -248,7 +258,7 @@ impl Session {
                 task.done = task.budget;
             }
 
-            if let Some(exec) = self.step_task(tidx, vfs, proc, utype, catalog, rng)? {
+            if let Some(exec) = self.step_task(tidx, vfs, proc, utype, catalog, path, rng)? {
                 self.tasks[tidx].ops_issued += 1;
                 self.record.ops += 1;
                 return Ok(Some(exec));
@@ -260,6 +270,7 @@ impl Session {
 
     /// Steps one task: the system call it executed, or `None` when it is
     /// finished or could not run (missing file, fd pressure, full device).
+    #[allow(clippy::too_many_arguments)]
     fn step_task(
         &mut self,
         tidx: usize,
@@ -267,16 +278,17 @@ impl Session {
         proc: &mut Process,
         utype: &CompiledUserType,
         catalog: &FileCatalog,
+        path: &mut String,
         rng: &mut dyn RngCore,
     ) -> Result<Option<ExecutedOp>, UsimError> {
         let (user, ordinal) = (self.record.user, self.record.session);
         let task = &mut self.tasks[tidx];
         match task.phase {
             Phase::Closed => {
-                let path = task.path(user, ordinal, catalog);
+                let path = task.write_path(user, ordinal, catalog, path);
                 let kind = if task.is_dir {
                     // Directories are walked via stat + readdir.
-                    match vfs.stat(&path) {
+                    match vfs.stat(path) {
                         Ok(md) => task.ino = md.ino.number(),
                         Err(FsError::NotFound) => return Ok(None),
                         Err(e) => return Err(e.into()),
@@ -293,7 +305,7 @@ impl Session {
                     } else {
                         (OpenFlags::read_only(), OpKind::Open, FsError::NotFound)
                     };
-                    let fd = match vfs.open(proc, &path, flags) {
+                    let fd = match vfs.open(proc, path, flags) {
                         Ok(fd) => fd,
                         Err(e) if e == excused || e == FsError::TooManyOpenFiles => {
                             return Ok(None);
@@ -325,7 +337,7 @@ impl Session {
                 return Ok(Some(task.meta(user, OpKind::Close)));
             }
             Phase::Unlink => {
-                match vfs.unlink(&task.path(user, ordinal, catalog)) {
+                match vfs.unlink(task.write_path(user, ordinal, catalog, path)) {
                     Ok(()) | Err(FsError::NotFound) => {}
                     Err(e) => return Err(e.into()),
                 }
@@ -398,7 +410,7 @@ impl Session {
         if task.is_dir {
             // Directory data is consumed through readdir; the nominal bytes
             // drive the timing model.
-            match vfs.readdir(&task.path(user, ordinal, catalog)) {
+            match vfs.readdir(task.write_path(user, ordinal, catalog, path)) {
                 Ok(_) => {}
                 Err(FsError::NotFound | FsError::NotADirectory) => {
                     return Ok(None);

@@ -262,6 +262,12 @@ impl Vfs {
         self.inodes.try_reserve_exact(more)
     }
 
+    /// Length of the inode table: every inode number handed out so far is
+    /// below it, and `n` more inodes get numbers below `inode_slots() + n`.
+    pub fn inode_slots(&self) -> usize {
+        self.inodes.len()
+    }
+
     /// Live inode count in O(1): allocated slots minus the free list.
     fn used_inodes(&self) -> usize {
         self.inodes.len() - self.free_inodes.len()

@@ -25,9 +25,9 @@ fn pipeline_produces_consistent_catalog_and_log() {
     let spec = small_spec();
     let (vfs, catalog) = spec.generate_fs().unwrap();
     // Catalog entries exist in the file system with matching sizes.
-    for (idx, file) in catalog.files().iter().enumerate() {
+    for (idx, file) in catalog.files().enumerate() {
         let path = catalog.path(idx);
-        let md = vfs.resolve(path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let md = vfs.resolve(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
         assert_eq!(md.number(), file.ino);
     }
     // The log's referenced inodes are real.

@@ -3,8 +3,9 @@
 //! Direction 4). Measured with a counting allocator in the
 //! `specs/million-user.json` shape that the `wide_local` benchmark workload
 //! and CI's `million-user-smoke` run (a directory and two sparse files per
-//! home, 120 shared files). One test in its own binary: nothing else
-//! allocates while it counts.
+//! home, 120 shared files), and so is the high-water mark the build passes
+//! on its way there. One test in its own binary: nothing else allocates
+//! while it counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering::Relaxed};
@@ -12,16 +13,21 @@ use uswg_core::{FillPattern, WorkloadSpec};
 
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
 static LIVE_BLOCKS: AtomicIsize = AtomicIsize::new(0);
+/// The most `LIVE_BYTES` has been since it was last reset.
+static PEAK_BYTES: AtomicIsize = AtomicIsize::new(0);
 
-/// The system allocator, counting requested bytes and blocks. `realloc` is
-/// the trait's default, which goes through `alloc` and `dealloc`.
+/// The system allocator, counting requested bytes and blocks and tracking
+/// the high-water mark of the bytes. `realloc` is the trait's default,
+/// which goes through `alloc` and `dealloc`, so a growing vector counts its
+/// old and new buffers at once.
 struct Counting;
 
 // SAFETY: both calls are forwarded unchanged to `System`, which upholds the
 // `GlobalAlloc` contract; the counters are statistics and guard no memory.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE_BYTES.fetch_add(layout.size() as isize, Relaxed);
+        let size = layout.size() as isize;
+        PEAK_BYTES.fetch_max(LIVE_BYTES.fetch_add(size, Relaxed) + size, Relaxed);
         LIVE_BLOCKS.fetch_add(1, Relaxed);
         // SAFETY: the caller's obligations are `System.alloc`'s own.
         unsafe { System.alloc(layout) }
@@ -38,20 +44,24 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Live `[bytes, blocks]` of `generate_fs()`'s result at `users` users, and
-/// the blocks that dropping the catalog alone gives back.
-fn footprint(users: usize) -> ([isize; 2], isize) {
+/// Live `[bytes, blocks]` of `generate_fs()`'s result at `users` users, the
+/// blocks that dropping the catalog alone gives back, and the most bytes
+/// the build held above those it returns.
+fn footprint(users: usize) -> ([isize; 2], isize, isize) {
     let live = || [LIVE_BYTES.load(Relaxed), LIVE_BLOCKS.load(Relaxed)];
     let mut spec = WorkloadSpec::from_json(include_str!("../specs/million-user.json")).unwrap();
     spec.run.n_users = users;
     let before = live();
+    PEAK_BYTES.store(before[0], Relaxed);
     let (vfs, catalog) = spec.generate_fs().unwrap();
     let built = live();
+    let overshoot = PEAK_BYTES.load(Relaxed) - built[0];
     assert_eq!(catalog.len(), 120 + 3 * users);
     drop(catalog);
     let catalog_blocks = built[1] - live()[1];
     drop(vfs);
-    ([built[0] - before[0], built[1] - before[1]], catalog_blocks)
+    let footprint = [built[0] - before[0], built[1] - before[1]];
+    (footprint, catalog_blocks, overshoot)
 }
 
 #[test]
@@ -61,21 +71,33 @@ fn the_file_system_costs_a_known_number_of_bytes_and_blocks_per_user() {
     // difference of two sizes cancels the shared tree and every other
     // fixed cost.
     const STEP: usize = 3_250;
-    let ([bytes_a, blocks_a], _) = footprint(STEP);
-    let ([bytes_b, blocks_b], catalog_blocks) = footprint(2 * STEP);
+    let ([bytes_a, blocks_a], _, _) = footprint(STEP);
+    let ([bytes_b, blocks_b], catalog_blocks, overshoot) = footprint(2 * STEP);
     let bytes_per_user = (bytes_b - bytes_a) as f64 / STEP as f64;
     let blocks_per_user = (blocks_b - blocks_a) as f64 / STEP as f64;
     println!("{bytes_per_user:.1} B and {blocks_per_user:.3} blocks per user");
-    // Measured 817.4 B and 1.295 blocks; the bounds are that plus 10 %.
-    // With every directory a B-tree keyed by boxed names, an owner id in
-    // every inode and a `usize` owner in every catalog record it read
+    // Measured 604.4 B and 1.295 blocks; the bounds are that plus 10 %.
+    // With the catalog storing every path, record and candidate list it
+    // read 817.4 B; with every directory a B-tree keyed by boxed names, an
+    // owner id in every inode and a `usize` owner in every catalog record,
     // 1,099.7 B and 6.295 blocks; with directories in a hash map beside the
     // inode table and a catalog of per-owner lists, 1,967.9 B and 13.295.
-    assert!(bytes_per_user <= 899.0, "{bytes_per_user} bytes per user");
+    assert!(bytes_per_user <= 665.0, "{bytes_per_user} bytes per user");
     assert!(blocks_per_user <= 1.42, "{blocks_per_user} blocks per user");
-    // Six vectors however many files: no block per file, list or owner
-    // (712,007 blocks at 100 k users when every owner held its own lists).
+    // A handful of vectors however many files: no block per file, list or
+    // owner (712,007 blocks at 100 k users when every owner held its own
+    // lists).
     assert!(catalog_blocks <= 8, "{catalog_blocks} catalog blocks");
+    // The build reserves what it returns before it creates anything, so
+    // it never holds much more: a table grown by doubling and trimmed at
+    // the end passes the mark by up to its whole size (16 % over at 100 k
+    // users when the catalog's paths were built that way).
+    let built = bytes_b as f64;
+    println!("build peak {overshoot} B over the {bytes_b} B it returns");
+    assert!(
+        overshoot as f64 <= 0.02 * built,
+        "{overshoot} B over {built} B"
+    );
 
     // Pattern fill allocates a data block for every block of every file; a
     // block no caller has written costs its id, not its bytes. Over the

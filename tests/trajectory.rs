@@ -2,7 +2,8 @@
 //! counts per PR. It must be JSON, its rows must be in PR order, and the
 //! last row's line counts must be the tree's, counted as CI's size gates
 //! count them: every newline of every `.rs` file under `crates`, `tests`
-//! and `examples`, and under `vendor`.
+//! and `examples`, and under `vendor`. Its `counters` must be the pins of
+//! `tests/cost_counters.rs`.
 
 use std::path::Path;
 
@@ -111,4 +112,19 @@ fn the_trajectory_parses_in_pr_order_and_its_last_row_counts_the_tree() {
     let last = |key| *values(&text, key).last().expect("a row");
     assert_eq!(last("first_party"), count(&["crates", "tests", "examples"]));
     assert_eq!(last("vendor"), count(&["vendor"]));
+
+    let pins = std::fs::read_to_string(root.join("tests/cost_counters.rs")).unwrap();
+    let table = &pins[pins.find("const PINNED").expect("the pins")..];
+    let table = &table[..table.find("];").expect("the end of the pins")];
+    let pins = table
+        .lines()
+        .filter_map(|line| line.trim().strip_prefix("(\""));
+    let mut checked = 0;
+    for pin in pins {
+        let (name, value) = pin.split_once("\", ").expect("a (name, value) pair");
+        let value: f64 = value.trim_end_matches("),").parse().unwrap();
+        assert_eq!(last(name), value, "counter {name}");
+        checked += 1;
+    }
+    assert!(checked > 0, "no pins in tests/cost_counters.rs");
 }
