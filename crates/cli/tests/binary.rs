@@ -413,10 +413,11 @@ fn more_workers_than_the_os_grants_is_a_typed_error() {
     );
 }
 
-/// Sixty million files on two users: the inode table alone is 4.3 GB. The
-/// build reserves it from the plan before it creates anything, so a ceiling
-/// it cannot fit under is one typed line and exit 2 at once, where the
-/// table used to double its way there for ten seconds and abort (134).
+/// Sixty million files on two users: one home's inodes alone are 2.2 GB.
+/// The build reserves that from the plan before it creates anything, so a
+/// ceiling it cannot fit under is one typed line and exit 2 at once, where
+/// the inode table used to double its way there for ten seconds and abort
+/// (134).
 #[test]
 fn a_population_the_memory_limit_cannot_hold_is_refused_up_front() {
     let mut spec = WorkloadSpec::paper_default().unwrap();
@@ -439,7 +440,7 @@ fn a_population_the_memory_limit_cannot_hold_is_refused_up_front() {
     assert!(out.stdout.is_empty(), "{:?}", out.stdout);
     assert_eq!(stderr.lines().count(), 1, "{stderr}");
     assert!(
-        stderr.contains("cannot reserve 4320009360 bytes for the inode table"),
+        stderr.contains("cannot reserve 2160000216 bytes for the inodes of a home"),
         "{stderr}"
     );
 }

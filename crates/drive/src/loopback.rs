@@ -10,12 +10,12 @@
 //! exercises the simulator's.
 //!
 //! Once its buffers have grown, a successful op allocates nothing: the
-//! slot's path is formatted on the stack, writes store from one static
-//! zero slice, and reads copy into a buffer kept with the file system,
-//! through one kept [`Process`]: `Vfs::write_file_in` and
-//! `Vfs::read_file_into`, the calls behind `Vfs::write_file` and
-//! `Vfs::read_file` without their fresh descriptor table and byte vector
-//! per call.
+//! slot's path is formatted on the stack, a write is a truncating create
+//! plus `Vfs::write_zeros` — the bytes a write of zeros would store, which
+//! every reader sees alike, with no block buffer taken — and reads copy
+//! into a buffer kept with the file system, through one kept [`Process`]
+//! and `Vfs::read_file_into`, the call behind `Vfs::read_file` without its
+//! fresh descriptor table and byte vector per call.
 
 use crate::{Target, TargetError};
 use rand::rngs::StdRng;
@@ -32,8 +32,6 @@ const PPM: u64 = 1_000_000;
 /// Cap on a single replayed write, so a log with pathological sizes cannot
 /// make the loopback allocate unboundedly.
 const MAX_IO_BYTES: u64 = 64 * 1024;
-/// Every replayed write's payload: a prefix of this.
-static ZEROS: [u8; MAX_IO_BYTES as usize] = [0; MAX_IO_BYTES as usize];
 
 /// Configuration of the [`LoopbackVfs`] target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,17 +116,17 @@ impl Fs {
     fn apply(&mut self, kind: OpKind, path: &str, bytes: u64) -> Result<(), FsError> {
         match kind {
             OpKind::Write | OpKind::Create => {
-                self.write_file(path, &ZEROS[..bytes.min(MAX_IO_BYTES) as usize])
+                self.write_zeros(path, bytes.min(MAX_IO_BYTES) as usize)
             }
             OpKind::Read => {
                 if !self.vfs.exists(path) {
-                    self.write_file(path, &[])?;
+                    self.write_zeros(path, 0)?;
                 }
                 self.read_file(path)
             }
             OpKind::Stat => {
                 if !self.vfs.exists(path) {
-                    self.write_file(path, &[])?;
+                    self.write_zeros(path, 0)?;
                 }
                 self.vfs.stat(path).map(drop)
             }
@@ -150,9 +148,16 @@ impl Fs {
         }
     }
 
-    /// [`Vfs::write_file`] in the kept process.
-    fn write_file(&mut self, path: &str, data: &[u8]) -> Result<(), FsError> {
-        self.vfs.write_file_in(&mut self.proc, path, data)
+    /// [`Vfs::write_file`] of `n` zeros in the kept process, written with
+    /// [`Vfs::write_zeros`]: creat, write until done, close.
+    fn write_zeros(&mut self, path: &str, n: usize) -> Result<(), FsError> {
+        let (vfs, proc) = (&mut self.vfs, &mut self.proc);
+        let fd = vfs.creat(proc, path)?;
+        let mut done = 0;
+        while done < n {
+            done += vfs.write_zeros(proc, fd, n - done)?;
+        }
+        vfs.close(proc, fd)
     }
 
     /// [`Vfs::read_file`] in the kept process, into the kept buffer.
@@ -334,6 +339,48 @@ mod tests {
             }
         }
         assert!(errors > 0, "the small geometry runs out of space");
+    }
+
+    #[test]
+    fn a_replayed_log_reads_back_as_the_zero_writes_did() {
+        // A log of writes, creates, reads and unlinks over 8 slots, replayed
+        // onto the loopback and onto a file system written the way the
+        // loopback used to write: `write_file_in` with a slice of zeros.
+        let config = LoopbackConfig {
+            working_set: 8,
+            ..LoopbackConfig::default()
+        };
+        let target = LoopbackVfs::new(config);
+        let mut reference = Vfs::new(VfsConfig::default());
+        reference.mkdir("/drive").unwrap();
+        let mut proc = reference.new_process();
+        let zeros = vec![0u8; MAX_IO_BYTES as usize];
+        let mut rng = StdRng::seed_from_u64(5);
+        let kinds = [OpKind::Write, OpKind::Create, OpKind::Read, OpKind::Unlink];
+        for _ in 0..2_000 {
+            let kind = kinds[(rng.next_u64() % 4) as usize];
+            let op = op(kind, rng.next_u64() % 8, rng.next_u64() % 40_000);
+            target.apply(&op).unwrap();
+            let path = format!("/drive/f{}", op.ino);
+            match kind {
+                OpKind::Unlink if reference.exists(&path) => reference.unlink(&path).unwrap(),
+                OpKind::Write | OpKind::Create => {
+                    let data = &zeros[..op.bytes as usize];
+                    reference.write_file_in(&mut proc, &path, data).unwrap();
+                }
+                OpKind::Read if !reference.exists(&path) => {
+                    reference.write_file(&path, &[]).unwrap()
+                }
+                _ => {}
+            }
+        }
+        let fs = &mut target.fs.lock().unwrap().vfs;
+        for slot in 0..8 {
+            let path = format!("/drive/f{slot}");
+            assert_eq!(fs.read_file(&path), reference.read_file(&path), "{path}");
+        }
+        assert_eq!(fs.statfs(), reference.statfs());
+        assert_eq!(fs.block_stats(), reference.block_stats());
     }
 
     #[test]

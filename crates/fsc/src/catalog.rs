@@ -1,24 +1,31 @@
 //! The file catalog: the FSC's output, consumed by the User Simulator.
 //!
-//! A build creates its files in a fixed order: the shared runs, then for
+//! A build catalogs its files in a fixed order: the shared runs, then for
 //! each user, in user order, the same per-user runs, where a run is
 //! `count` files of one category. So the catalog stores that plan — the
 //! shared `(category, count)` runs, the per-user runs and the user count —
-//! and per file only what the plan cannot say: its size (`u64`) and its
-//! inode number (`u32`), 12 bytes. Everything else about catalog index
-//! `idx` is arithmetic on the plan: the owner, the category, the file's
-//! place `seq` in its run, its path `"{dir}/{stem}{idx:05}_{seq:04}"`
-//! ([`FileCatalog::write_path`]), and the candidate list of `(user,
-//! category)` — the files of that category in the owner's block, in
-//! index order (one run, or several when a spec names a category twice).
+//! and per file only what the plan cannot say: its size (`u64`), and for a
+//! shared file its inode number (`u32`). Everything else about catalog
+//! index `idx` is arithmetic on the plan: the owner, the category, the
+//! file's place `seq` in its run, its path
+//! `"{dir}/{stem}{idx:05}_{seq:04}"` ([`FileCatalog::write_path`]), the
+//! candidate list of `(user, category)` — the files of that category in
+//! the owner's block, in index order (one run, or several when a spec names
+//! a category twice) — and a user's inode numbers: user `u`'s home holds
+//! the run of `2 + files per user` numbers from `first_home + u × (2 +
+//! files per user)`, its home directory, its scratch directory and its
+//! files in order. That is what makes a home buildable at any time from
+//! the catalog alone ([`FileCatalog::build_home`]).
 //! [`FileSystemCreator::build`](crate::FileSystemCreator::build) refuses,
 //! before it creates anything, a plan whose file count or inode numbers do
 //! not fit `u32`.
 
-use crate::{creator, AliasTable, FileCategory, FileType, Owner};
+use crate::creator::{self, last_component};
+use crate::{AliasTable, FileCategory, FileSystemCreator, FileType, FillPattern, Owner};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use uswg_vfs::{FileKind, FsError, Vfs};
 
 /// One file created by the FSC, as [`FileCatalog::file`] reports it. The
 /// catalog renders its path ([`FileCatalog::write_path`]).
@@ -202,7 +209,12 @@ pub struct FileCatalog {
     personal: Runs,
     users: u32,
     sizes: Vec<u64>,
+    /// The shared files' inode numbers.
     inos: Vec<u32>,
+    /// The first inode number of user 0's home.
+    first_home: u32,
+    /// How a home's files hold their bytes when it is built.
+    pub(crate) fill: FillPattern,
     /// One table per list after a weighted seal — the shared pool's lists,
     /// then each user's — else empty: [`FileCatalog::pick`] then draws
     /// `u % n`, the uniform policy exactly.
@@ -212,26 +224,30 @@ pub struct FileCatalog {
 }
 
 impl FileCatalog {
-    /// The catalog of a build that created the `shared` runs, then the
-    /// `personal` runs for each of `users` users, with the files' sizes and
-    /// inode numbers in creation order. Unsealed.
+    /// The catalog of a build that planned the `shared` runs, then the
+    /// `personal` runs for each of `users` users, with every file's size in
+    /// catalog order, the shared files' inode numbers, and the first number
+    /// of the homes' runs. Unsealed; homes are built as holes.
     ///
     /// # Panics
     ///
-    /// Panics unless `sizes` and `inos` hold one entry per planned file.
+    /// Panics unless `sizes` holds one entry per planned file and `inos`
+    /// one per shared file.
     pub fn from_plan(
         shared: &[(FileCategory, u32)],
         personal: &[(FileCategory, u32)],
         users: u32,
         sizes: Vec<u64>,
         inos: Vec<u32>,
+        first_home: u32,
     ) -> Self {
         let (shared, personal) = (Runs::new(shared), Runs::new(personal));
         let planned = u64::from(shared.files) + u64::from(users) * u64::from(personal.files);
-        let lens = [sizes.len(), inos.len()].map(|len| len as u64);
+        assert_eq!(sizes.len() as u64, planned, "a size per planned file");
         assert_eq!(
-            lens, [planned; 2],
-            "a size and an inode number per planned file"
+            inos.len(),
+            shared.files as usize,
+            "a number per shared file"
         );
         Self {
             shared,
@@ -239,9 +255,22 @@ impl FileCatalog {
             users,
             sizes,
             inos,
+            first_home,
+            fill: FillPattern::Sparse,
             aliases: Vec::new(),
             sealed: false,
         }
+    }
+
+    /// Inode numbers per home: the home and scratch directories and the
+    /// user's files.
+    fn per_home(&self) -> u64 {
+        2 + u64::from(self.personal.files)
+    }
+
+    /// The first inode number of `user`'s home.
+    fn home_base(&self, user: u32) -> u64 {
+        u64::from(self.first_home) + u64::from(user) * self.per_home()
     }
 
     /// Seals the catalog with the uniform policy. Sealing is purely an
@@ -326,8 +355,15 @@ impl FileCatalog {
     /// Panics if `idx` is out of range.
     pub fn file(&self, idx: usize) -> CatalogFile {
         let (owner_user, category, _) = self.locate(idx);
+        let ino = match owner_user {
+            None => u64::from(self.inos[idx]),
+            Some(user) => {
+                let at = (idx - self.shared.files as usize) % self.personal.files as usize;
+                self.home_base(user) + 2 + at as u64
+            }
+        };
         CatalogFile {
-            ino: u64::from(self.inos[idx]),
+            ino,
             size: self.sizes[idx],
             category,
             owner_user,
@@ -402,6 +438,91 @@ impl FileCatalog {
         Some(list.nth(i))
     }
 
+    /// Builds `user`'s home in `vfs`, the file system this catalog was
+    /// built into, unless it is built: the home and scratch directories
+    /// under `/u` and `/tmp`, and the user's files — directories and
+    /// regular files in the home, notesfiles under `/notes` — at the inode
+    /// numbers, sizes and fill the build reserved for them, stamped with
+    /// the build's clock. No counter of `vfs` moves.
+    ///
+    /// # Errors
+    ///
+    /// The file system's, when `vfs` is not the one this catalog was built
+    /// into or a path of the home was taken since.
+    pub fn build_home(&self, vfs: &mut Vfs, user: usize) -> Result<(), FsError> {
+        let user32 = u32::try_from(user).map_err(|_| FsError::InvalidArgument)?;
+        if vfs.home_built(user) || user32 >= self.users {
+            return Ok(());
+        }
+        let [homes, scratch, notes] = self.parents(vfs)?;
+        let base = self.home_base(user32);
+        let mut path = FileSystemCreator::user_dir(user);
+        let name = last_component(&path);
+        let home = vfs.place(homes, name, base, FileKind::Directory, 0, false)?;
+        vfs.place(scratch, name, base + 1, FileKind::Directory, 0, false)?;
+        let filled = self.fill == FillPattern::Pattern;
+        for (at, idx) in self.home_files(user32).enumerate() {
+            let (_, category, seq) = self.locate(idx);
+            path.clear();
+            push_path(&mut path, Some(user32), category, idx, seq);
+            let (parent, kind) = match category.file_type {
+                FileType::Dir => (home, FileKind::Directory),
+                FileType::Reg => (home, FileKind::Regular),
+                FileType::Notes => (notes, FileKind::Regular),
+            };
+            let (name, number) = (last_component(&path), base + 2 + at as u64);
+            vfs.place(parent, name, number, kind, self.sizes[idx], filled)?;
+        }
+        Ok(())
+    }
+
+    /// Drops `user`'s home from `vfs` if it is built: everything
+    /// [`Self::build_home`] built, and everything created inside the home
+    /// and scratch directories since, goes, while its inode numbers and
+    /// data blocks stay counted as used, as if it still stood
+    /// ([`Vfs::retire`]).
+    pub fn drop_home(&self, vfs: &mut Vfs, user: usize) {
+        if !vfs.home_built(user) {
+            return;
+        }
+        if let Ok([homes, scratch, notes]) = self.parents(vfs) {
+            let user32 = user as u32;
+            let mut path = FileSystemCreator::user_dir(user);
+            vfs.retire(homes, last_component(&path));
+            vfs.retire(scratch, last_component(&path));
+            for idx in self.home_files(user32) {
+                let (_, category, seq) = self.locate(idx);
+                if category.file_type == FileType::Notes {
+                    path.clear();
+                    push_path(&mut path, Some(user32), category, idx, seq);
+                    vfs.retire(notes, last_component(&path));
+                }
+            }
+        }
+        vfs.drop_home(user);
+    }
+
+    /// Whether catalog file `idx` lives in a user's home.
+    pub fn in_home(&self, idx: usize) -> bool {
+        idx >= self.shared.files as usize
+    }
+
+    /// The catalog indices of `user`'s files.
+    fn home_files(&self, user: u32) -> std::ops::Range<usize> {
+        let per_user = self.personal.files as usize;
+        let first = self.shared.files as usize + user as usize * per_user;
+        first..first + per_user
+    }
+
+    /// The directories homes are built in: `/u`, `/tmp` and `/notes`.
+    fn parents(&self, vfs: &Vfs) -> Result<[uswg_vfs::Ino; 3], FsError> {
+        Ok([
+            vfs.resolve("/u")?,
+            vfs.resolve("/tmp")?,
+            vfs.resolve(creator::NOTES)?,
+        ])
+    }
+
     /// Per-category summary: `(count, mean size)` over every file.
     pub fn characterize(&self) -> HashMap<FileCategory, (usize, f64)> {
         let mut out: HashMap<FileCategory, (usize, f64)> = HashMap::new();
@@ -455,10 +576,12 @@ mod tests {
     #[test]
     fn user_files_are_private() {
         let cat = FileCategory::REG_USER_RDONLY;
-        let c = FileCatalog::from_plan(&[], &[(cat, 1)], 2, vec![100; 2], vec![0, 1]);
+        let c = FileCatalog::from_plan(&[], &[(cat, 1)], 2, vec![100; 2], vec![], 5);
         assert_eq!(c.candidates(0, cat).collect::<Vec<_>>(), [0]);
         assert_eq!(c.candidates(1, cat).collect::<Vec<_>>(), [1]);
         assert_eq!(c.file(1).owner_user, Some(1));
+        // User 1's home is the run 8, 9, 10: directories, then its file.
+        assert_eq!(c.file(1).ino, 10);
         assert_eq!(c.path(1), "/u/user001/file00001_0000");
         assert_eq!(c.candidates(2, cat).len(), 0, "no such user");
     }
@@ -466,7 +589,7 @@ mod tests {
     #[test]
     fn shared_files_are_visible_to_all() {
         let cat = FileCategory::REG_OTHER_RDONLY;
-        let c = FileCatalog::from_plan(&[(cat, 1)], &[], 0, vec![100], vec![0]);
+        let c = FileCatalog::from_plan(&[(cat, 1)], &[], 0, vec![100], vec![0], 1);
         assert_eq!(c.candidates(0, cat).collect::<Vec<_>>(), [0]);
         assert_eq!(c.candidates(7, cat).collect::<Vec<_>>(), [0]);
         assert_eq!(c.path(0), "/system/file00000_0000");
@@ -483,7 +606,7 @@ mod tests {
     #[test]
     fn pick_covers_all_candidates() {
         let cat = FileCategory::NOTES_OTHER_RDONLY;
-        let c = FileCatalog::from_plan(&[(cat, 4)], &[], 0, vec![10; 4], vec![0, 1, 2, 3]);
+        let c = FileCatalog::from_plan(&[(cat, 4)], &[], 0, vec![10; 4], vec![0, 1, 2, 3], 4);
         assert_eq!(c.path(3), "/notes/note00003_0003");
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let mut seen = std::collections::HashSet::new();
@@ -496,7 +619,7 @@ mod tests {
     #[test]
     fn characterize_means() {
         let cat = FileCategory::REG_USER_RDONLY;
-        let c = FileCatalog::from_plan(&[], &[(cat, 2)], 1, vec![100, 300], vec![0, 1]);
+        let c = FileCatalog::from_plan(&[], &[(cat, 2)], 1, vec![100, 300], vec![], 0);
         let summary = c.characterize();
         let (count, mean) = summary[&cat];
         assert_eq!(count, 2);

@@ -197,19 +197,31 @@ impl FileSystemCreator {
     /// (Section 4.1.2) — the population counts in the spec are therefore the
     /// *accessed* population, not a whole disk.
     ///
-    /// Every object is created by name inside a directory inode the builder
-    /// already holds, so the cost per object does not grow with the
-    /// population. A `vfs` that already contains part of the layout is
-    /// stepped into, as `mkdir -p` would.
+    /// The build creates `/system`, `/notes`, `/u`, `/tmp` and the shared
+    /// files, and samples every file's size, the shared ones first, then
+    /// each user's in user order. It creates no user's objects: it
+    /// reserves the inode numbers and, under pattern fill, the data blocks
+    /// a build that created them would have used ([`Vfs::reserve_homes`]),
+    /// so `statfs` and the block counts read as if it had. A home is built
+    /// when it is first needed ([`FileCatalog::build_home`]) and dropped
+    /// when it no longer is ([`FileCatalog::drop_home`]). Every object is
+    /// created by name inside a directory inode the builder already holds,
+    /// so the cost per object does not grow with the population. Top-level
+    /// directories `vfs` already holds are stepped into, as `mkdir -p`
+    /// would.
     ///
     /// # Errors
     ///
-    /// [`FscError::InodeDemand`] — before anything is created — when the
-    /// population cannot fit in the inodes `vfs` has left (an upper bound:
-    /// directories `vfs` already holds are counted again), and
-    /// [`FscError::CatalogDemand`] when its file count or the inode numbers
-    /// it can be handed do not fit the catalog's `u32`s; otherwise
-    /// propagates validation, distribution and file-system errors.
+    /// Before anything is created: [`FscError::NotFresh`] when `vfs` has
+    /// freed inode numbers or already holds homes — the homes' numbers are
+    /// the ones an eager build would hand out only on a fresh table —
+    /// [`FscError::InodeDemand`] when the population cannot fit in the
+    /// inodes `vfs` has left (an upper bound: directories `vfs` already
+    /// holds are counted again), and [`FscError::CatalogDemand`] when its
+    /// file count or the inode numbers it can be handed do not fit the
+    /// catalog's `u32`s; otherwise propagates validation, distribution and
+    /// file-system errors, a file too large or a device too small for the
+    /// homes' files among them.
     pub fn build(
         &self,
         vfs: &mut Vfs,
@@ -220,27 +232,32 @@ impl FileSystemCreator {
         positive("n_users", n_users as u64)?;
         let shared = self.plan(Owner::Other, self.spec.shared_files)?;
         let personal = self.plan(Owner::User, self.spec.files_per_user)?;
+        check_fresh(vfs)?;
         let files = file_demand(n_users, &shared, &personal);
         let inodes = check_inode_demand(vfs, n_users, files)?;
         let files = check_catalog_demand(vfs, files, inodes)?;
-        vfs.try_reserve_inodes(inodes)
-            .map_err(|_| FscError::Reserve {
-                table: "inode table",
-                bytes: (inodes as u64).saturating_mul(Vfs::INODE_BYTES as u64),
-            })?;
+        let shared_files = objects(&shared).expect("counted with the population") as usize;
+        let per_home = 2 + objects(&personal).expect("counted with the population");
+        let reserve = |table, bytes| FscError::Reserve { table, bytes };
+        // A home is built whole, so one home's inodes must fit.
+        let home = per_home.saturating_mul(Vfs::INODE_BYTES as u64);
+        (Vec::<u8>::new().try_reserve_exact(home as usize))
+            .map_err(|_| reserve("inodes of a home", home))?;
+        let dense = 4 + shared_files;
+        vfs.try_reserve_inodes(dense)
+            .map_err(|_| reserve("inode table", dense as u64 * Vfs::INODE_BYTES as u64))?;
         let mut sizes = Vec::new();
         let mut inos = Vec::new();
-        let reserve = |table, bytes| FscError::Reserve { table, bytes };
         (sizes.try_reserve_exact(files))
             .map_err(|_| reserve("catalog's sizes", 8 * files as u64))?;
-        (inos.try_reserve_exact(files))
-            .map_err(|_| reserve("catalog's inode numbers", 4 * files as u64))?;
+        (inos.try_reserve_exact(shared_files))
+            .map_err(|_| reserve("catalog's inode numbers", 4 * shared_files as u64))?;
 
         let root = vfs.root();
         let system = vfs.ensure_dir_at(root, last_component(SYSTEM))?;
         let notes = vfs.ensure_dir_at(root, last_component(NOTES))?;
-        let homes = vfs.ensure_dir_at(root, "u")?;
-        let scratch = vfs.ensure_dir_at(root, "tmp")?;
+        vfs.ensure_dir_at(root, "u")?;
+        vfs.ensure_dir_at(root, "tmp")?;
         let mut build = Build {
             fill: self.spec.fill,
             proc: vfs.new_process(),
@@ -252,23 +269,26 @@ impl FileSystemCreator {
         };
         // Every catalog path is rendered here; its tail is the VFS name.
         let mut path = String::new();
-        build.populate(&shared, system, None, &mut path)?;
+        build.populate(&shared, system, &mut path)?;
         // The inode check bounds the users by the u32 inode numbers.
         let users = u32::try_from(n_users).expect("checked with the inode numbers");
-        for user in 0..users {
-            let home_path = Self::user_dir(user as usize);
-            let name = last_component(&home_path);
-            let home = build.vfs.ensure_dir_at(homes, name)?;
-            // The scratch directory carries the home's name (`scratch_dir`).
-            build.vfs.ensure_dir_at(scratch, name)?;
-            build.populate(&personal, home, Some(user), &mut path)?;
-        }
+        let blocks = build.plan_homes(&personal, users)?;
+        let (vfs, sizes, inos) = (build.vfs, build.sizes, build.inos);
+        let first_home = (vfs.reserve_homes(n_users, per_home, blocks))
+            .map_err(|_| reserve("home table", 16 * n_users as u64))?;
+        let first_home = u32::try_from(first_home.number()).expect("checked before the build");
         let runs = |plan: &[PlannedCategory]| -> Vec<_> {
             plan.iter().map(|p| (p.category, p.count as u32)).collect()
         };
-        let (sizes, inos) = (build.sizes, build.inos);
-        let mut catalog =
-            FileCatalog::from_plan(&runs(&shared), &runs(&personal), users, sizes, inos);
+        let mut catalog = FileCatalog::from_plan(
+            &runs(&shared),
+            &runs(&personal),
+            users,
+            sizes,
+            inos,
+            first_home,
+        );
+        catalog.fill = self.spec.fill;
         // Seal with the spec's popularity policy so the pick weighting is
         // part of the declarative workload description. Uniform sealing is
         // bit-identical to the historical unsealed modulo pick
@@ -313,7 +333,7 @@ struct PlannedCategory {
     size: Box<dyn Distribution>,
 }
 
-fn last_component(path: &str) -> &str {
+pub(crate) fn last_component(path: &str) -> &str {
     path.rsplit('/').next().unwrap_or(path)
 }
 
@@ -326,19 +346,19 @@ struct Build<'b> {
     proc: Process,
     /// Notesfiles of every owner live here.
     notes: Ino,
-    /// The catalog's two numbers per file, in creation order.
+    /// Every file's size and every shared file's inode number, in catalog
+    /// order.
     sizes: Vec<u64>,
     inos: Vec<u32>,
 }
 
 impl Build<'_> {
-    /// Creates one owner's objects: notesfiles under `/notes`, everything
+    /// Creates the shared objects: notesfiles under `/notes`, everything
     /// else under `dir`.
     fn populate(
         &mut self,
         plan: &[PlannedCategory],
         dir: Ino,
-        owner_user: Option<u32>,
         path: &mut String,
     ) -> Result<(), FscError> {
         for planned in plan {
@@ -351,7 +371,7 @@ impl Build<'_> {
                 let size = planned.size.sample(self.rng).round().max(0.0) as u64;
                 let idx = self.sizes.len();
                 path.clear();
-                catalog::push_path(path, owner_user, category, idx, seq);
+                catalog::push_path(path, None, category, idx, seq);
                 let name = last_component(path);
                 let ino = match category.file_type {
                     FileType::Dir => self.vfs.ensure_dir_at(dir, name)?,
@@ -365,6 +385,34 @@ impl Build<'_> {
             }
         }
         Ok(())
+    }
+
+    /// Samples the sizes of every user's files, user by user, and returns
+    /// the data blocks their fill takes — failing on the first file that
+    /// creating them in this order would have failed on.
+    fn plan_homes(&mut self, plan: &[PlannedCategory], users: u32) -> Result<u64, FscError> {
+        let config = *self.vfs.config();
+        let free = self.vfs.statfs().free_blocks;
+        let mut blocks = 0u64;
+        for _ in 0..users {
+            for planned in plan {
+                let file = planned.category.file_type != FileType::Dir;
+                for _ in 0..planned.count {
+                    let size = planned.size.sample(self.rng).round().max(0.0) as u64;
+                    if file && size > config.max_file_size {
+                        return Err(FsError::FileTooLarge.into());
+                    }
+                    if file && self.fill == FillPattern::Pattern {
+                        blocks += size.div_ceil(config.block_size as u64);
+                        if blocks > free {
+                            return Err(FsError::NoSpace.into());
+                        }
+                    }
+                    self.sizes.push(size);
+                }
+            }
+        }
+        Ok(blocks)
     }
 
     /// Creates (or replaces) regular file `name` in `dir` with `size` bytes
@@ -396,25 +444,42 @@ fn positive(name: &'static str, n: u64) -> Result<u64, FscError> {
     }
 }
 
-/// Objects a build creates and catalogs: the shared ones, and the personal
-/// ones of every user. `None` past `u64`.
+/// Objects of `plan`, `None` past `u64`.
+fn objects(plan: &[PlannedCategory]) -> Option<u64> {
+    plan.iter()
+        .try_fold(0u64, |sum, planned| sum.checked_add(planned.count))
+}
+
+/// Fails unless `vfs` hands out numbers in order from its table's end and
+/// holds no home: no freed numbers, no homes reserved, nothing in `/u` or
+/// `/tmp`.
+fn check_fresh(vfs: &Vfs) -> Result<(), FscError> {
+    let freed = vfs.freed_inodes() as u64;
+    let mut homes = vfs.homes() as u64;
+    for dir in ["/u", "/tmp"] {
+        homes += vfs.resolve(dir).map_or(0, |dir| vfs.entry_count(dir));
+    }
+    if freed > 0 || homes > 0 {
+        return Err(FscError::NotFresh { freed, homes });
+    }
+    Ok(())
+}
+
+/// Objects a build catalogs: the shared ones, and the personal ones of
+/// every user. `None` past `u64`.
 fn file_demand(
     n_users: usize,
     shared: &[PlannedCategory],
     personal: &[PlannedCategory],
 ) -> Option<u64> {
-    let objects = |plan: &[PlannedCategory]| {
-        plan.iter()
-            .try_fold(0u64, |sum, planned| sum.checked_add(planned.count))
-    };
     objects(personal)?
         .checked_mul(n_users as u64)?
         .checked_add(objects(shared)?)
 }
 
-/// The inodes a build allocates on a fresh file system — the `files`, the
-/// four top-level directories, and per user a home and a scratch directory
-/// — or an error unless `vfs` has that many left.
+/// The inodes a build allocates or reserves on a fresh file system — the
+/// `files`, the four top-level directories, and per user a home and a
+/// scratch directory — or an error unless `vfs` has that many left.
 fn check_inode_demand(vfs: &Vfs, n_users: usize, files: Option<u64>) -> Result<usize, FscError> {
     let demand = files
         .zip((n_users as u64).checked_mul(2))
@@ -490,11 +555,15 @@ mod tests {
 
     #[test]
     fn build_creates_layout() {
-        let (vfs, catalog) = build(two_category_spec(), 3, 1).unwrap();
+        let (mut vfs, catalog) = build(two_category_spec(), 3, 1).unwrap();
         assert!(vfs.exists("/system"));
         assert!(vfs.exists("/notes"));
         for u in 0..3 {
-            assert!(vfs.exists(&FileSystemCreator::user_dir(u)));
+            // A home stands once it is built, and not before.
+            let exists = |vfs: &Vfs| vfs.exists(&FileSystemCreator::user_dir(u));
+            assert!(!exists(&vfs));
+            catalog.build_home(&mut vfs, u).unwrap();
+            assert!(exists(&vfs));
             assert!(vfs.exists(&FileSystemCreator::scratch_dir(u)));
         }
         // 50 per user × 3 + 120 shared (only one category on each side).
@@ -663,6 +732,7 @@ mod tests {
         ])
         .unwrap();
         let (mut vfs, catalog) = build(spec, 1, 6).unwrap();
+        catalog.build_home(&mut vfs, 0).unwrap();
         let dir_file = catalog
             .files()
             .position(|f| f.category == FileCategory::DIR_USER_RDONLY)

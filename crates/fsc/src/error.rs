@@ -43,6 +43,16 @@ pub enum FscError {
         /// The file system's `vfs.max_inodes`.
         limit: u64,
     },
+    /// The file system has freed inode numbers or already holds homes, so
+    /// the numbers a build reserves for the homes would not be the ones a
+    /// build that created every home would have handed out. Raised before
+    /// anything is created.
+    NotFresh {
+        /// Freed inode numbers the file system hands out again.
+        freed: u64,
+        /// Homes reserved, plus entries of `/u` and `/tmp`.
+        homes: u64,
+    },
     /// The population has more files, or can be handed higher inode
     /// numbers, than the catalog's `u32`s hold. Raised before anything is
     /// created.
@@ -88,6 +98,11 @@ impl fmt::Display for FscError {
                 f,
                 "the population needs {demand} inodes but `vfs.max_inodes` is {limit} \
                  ({available} free): raise vfs.max_inodes or shrink the population"
+            ),
+            FscError::NotFresh { freed, homes } => write!(
+                f,
+                "the file system has {freed} freed inode numbers and holds {homes} homes: \
+                 build into a fresh file system"
             ),
             FscError::CatalogDemand { files, highest_ino } => write!(
                 f,

@@ -9,12 +9,15 @@
 //! A [`FscSpec`] describes the file population: one [`CategorySpec`] per
 //! file category (file type × owner × type of use, as in Table 5.1 of the
 //! paper) with its fraction of the population and its size distribution.
-//! [`FileSystemCreator::build`] materializes that population inside a
-//! [`Vfs`](uswg_vfs::Vfs) and returns the [`FileCatalog`] the User Simulator
-//! uses to select files. The catalog is the build's plan — which runs of
-//! which categories every owner got, in creation order — plus each file's
-//! size and inode number; a file's owner, category, path and candidate list
-//! are arithmetic on the plan, so a catalog costs 12 bytes per file.
+//! [`FileSystemCreator::build`] materializes the shared part of that
+//! population inside a [`Vfs`](uswg_vfs::Vfs), reserves every user's home,
+//! and returns the [`FileCatalog`] the User Simulator uses to select files
+//! and to build a home when a session first needs it
+//! ([`FileCatalog::build_home`]). The catalog is the build's plan — which
+//! runs of which categories every owner got, in catalog order — plus each
+//! file's size and each shared file's inode number; a file's owner,
+//! category, path, candidate list and a user's inode numbers are
+//! arithmetic on the plan.
 //!
 //! # Example
 //!

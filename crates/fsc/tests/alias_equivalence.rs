@@ -18,7 +18,8 @@ fn catalog(runs: &[(FileCategory, u32)]) -> FileCatalog {
     let count = |runs: &[(FileCategory, u32)]| runs.iter().map(|run| run.1).sum::<u32>();
     let files = count(&shared) + 3 * count(&personal);
     let sizes = (0..files).map(|n| 100 + u64::from(n)).collect();
-    FileCatalog::from_plan(&shared, &personal, 3, sizes, (0..files).collect())
+    let inos = (0..count(&shared)).collect();
+    FileCatalog::from_plan(&shared, &personal, 3, sizes, inos, files)
 }
 
 /// The categories a pick can target, mixing shared and per-user lists.

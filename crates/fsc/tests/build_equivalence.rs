@@ -1,13 +1,18 @@
-//! State-equivalence oracle for [`FileSystemCreator::build`].
+//! State-equivalence oracle for [`FileSystemCreator::build`] and the homes
+//! it reserves.
 //!
-//! The builder creates every object by name inside a directory inode it
-//! holds. The reference below is the population sequence written the plain
-//! way — one absolute path per object, resolved from `/` by every call, a
-//! filled file one `write` of zeros — and the property is that nobody
-//! downstream can tell the two apart: the same tree (names, inode numbers,
-//! kinds, sizes, link counts, timestamps, contents), the same `statfs` and
-//! block counts, the same catalog, the same candidate lists, and the same
-//! picks from the same PRNG stream under every popularity policy. The
+//! The builder creates the shared objects by name inside a directory inode
+//! it holds, and reserves every user's home, built later at its reserved
+//! numbers. The reference below is the population sequence written the
+//! plain way, every home at once — one absolute path per object, resolved
+//! from `/` by every call, a filled file one `write` of zeros — and the
+//! property is that nobody downstream can tell the two apart: the same
+//! `statfs` and block counts before any home is built, and once every home
+//! is built, in any order, the same tree (names, inode numbers, kinds,
+//! sizes, link counts, timestamps, contents), the same catalog, the same
+//! candidate lists, and the same picks from the same PRNG stream under
+//! every popularity policy. A home dropped unwritten and built again is
+//! the home it was. The
 //! reference's catalog is stored the naive way: every path and record
 //! written out, a candidate list filtered from them, a pick drawn over it.
 
@@ -16,8 +21,8 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use uswg_distr::DistributionSpec;
 use uswg_fsc::{
-    AliasTable, CatalogFile, CategorySpec, FileCategory, FilePopularity, FileSystemCreator,
-    FileType, FillPattern, FscSpec, Owner,
+    AliasTable, CatalogFile, CategorySpec, FileCatalog, FileCategory, FilePopularity,
+    FileSystemCreator, FileType, FillPattern, FscError, FscSpec, Owner,
 };
 use uswg_vfs::{Metadata, Vfs, VfsConfig};
 
@@ -166,6 +171,51 @@ fn spec(files_per_user: u64, shared_files: u64, fill: FillPattern) -> FscSpec {
     .with_fill(fill)
 }
 
+/// The creator's build and the reference's, from the same seed, into file
+/// systems that already hold `/u` and `/system` when `preexisting_layout`
+/// (made at another clock than the build's).
+fn both(
+    spec: &FscSpec,
+    n_users: usize,
+    seed: u64,
+    preexisting_layout: bool,
+) -> (Vfs, FileCatalog, Vfs, StoredCatalog) {
+    let fresh = || {
+        let mut vfs = Vfs::new(VfsConfig::default());
+        vfs.set_clock(7);
+        if preexisting_layout {
+            vfs.mkdir_all("/u").unwrap();
+            vfs.mkdir_all("/system").unwrap();
+        }
+        vfs.set_clock(42);
+        vfs
+    };
+    let (mut vfs, mut rng) = (fresh(), StdRng::seed_from_u64(seed));
+    let built = FileSystemCreator::new(spec.clone())
+        .build(&mut vfs, n_users, &mut rng)
+        .unwrap();
+    let (mut ref_vfs, mut ref_rng) = (fresh(), StdRng::seed_from_u64(seed));
+    let reference = reference_build(spec, &mut ref_vfs, n_users, &mut ref_rng);
+    assert_eq!(rng.next_u64(), ref_rng.next_u64(), "size draws diverged");
+    (vfs, built, ref_vfs, reference)
+}
+
+/// The whole tree of `vfs`.
+fn tree(vfs: &mut Vfs) -> Vec<(String, Metadata, Vec<u8>)> {
+    let mut out = Vec::new();
+    walk(vfs, "/", &mut out);
+    out
+}
+
+/// The fill `sparse` says.
+fn fill(sparse: bool) -> FillPattern {
+    if sparse {
+        FillPattern::Sparse
+    } else {
+        FillPattern::Pattern
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -176,32 +226,28 @@ proptest! {
         shared_files in 1u64..=40,
         seed in 0u64..1_000_000,
         sparse in any::<bool>(),
-        preexisting_home in any::<bool>(),
+        preexisting_layout in any::<bool>(),
     ) {
-        let fill = if sparse { FillPattern::Sparse } else { FillPattern::Pattern };
-        let spec = spec(files_per_user, shared_files, fill);
-        let fresh = || {
-            let mut vfs = Vfs::new(VfsConfig::default());
-            vfs.set_clock(7);
-            if preexisting_home {
-                vfs.mkdir_all("/u/user000").unwrap();
-            }
-            vfs.set_clock(42);
-            vfs
-        };
+        let spec = spec(files_per_user, shared_files, fill(sparse));
+        let (mut vfs, mut built, mut ref_vfs, reference) =
+            both(&spec, n_users, seed, preexisting_layout);
+        // Before any home is built, the counts read as if every one were.
+        prop_assert_eq!(vfs.statfs(), ref_vfs.statfs());
+        prop_assert_eq!(vfs.block_stats(), ref_vfs.block_stats());
 
-        let (mut vfs, mut rng) = (fresh(), StdRng::seed_from_u64(seed));
-        let mut built = FileSystemCreator::new(spec.clone())
-            .build(&mut vfs, n_users, &mut rng)
-            .unwrap();
-        let (mut ref_vfs, mut ref_rng) = (fresh(), StdRng::seed_from_u64(seed));
-        let reference = reference_build(&spec, &mut ref_vfs, n_users, &mut ref_rng);
-        prop_assert_eq!(rng.next_u64(), ref_rng.next_u64(), "size draws diverged");
-
-        let (mut tree, mut ref_tree) = (Vec::new(), Vec::new());
-        walk(&mut vfs, "/", &mut tree);
-        walk(&mut ref_vfs, "/", &mut ref_tree);
-        prop_assert_eq!(tree, ref_tree);
+        // Built in any order, at any later time, the homes make the
+        // reference tree exactly.
+        let mut order: Vec<usize> = (0..n_users).collect();
+        let mut shuffle = StdRng::seed_from_u64(seed ^ 0x5EED);
+        for i in (1..order.len()).rev() {
+            order.swap(i, (shuffle.next_u64() % (i as u64 + 1)) as usize);
+        }
+        for user in order {
+            vfs.set_clock(100 + user as u64);
+            built.build_home(&mut vfs, user).unwrap();
+        }
+        vfs.set_clock(42);
+        prop_assert_eq!(tree(&mut vfs), tree(&mut ref_vfs));
         prop_assert_eq!(vfs.stat("/").unwrap(), ref_vfs.stat("/").unwrap());
         prop_assert_eq!(vfs.statfs(), ref_vfs.statfs());
         prop_assert_eq!(vfs.block_stats(), ref_vfs.block_stats());
@@ -237,19 +283,55 @@ proptest! {
             prop_assert_eq!(a.next_u64(), b.next_u64(), "picks consumed different streams");
         }
     }
+
+    #[test]
+    fn a_home_dropped_unwritten_is_built_again_identical(
+        n_users in 1usize..=12,
+        files_per_user in 1u64..=12,
+        seed in 0u64..1_000_000,
+        sparse in any::<bool>(),
+    ) {
+        let spec = spec(files_per_user, 5, fill(sparse));
+        let (mut vfs, built, mut ref_vfs, _) = both(&spec, n_users, seed, false);
+        (0..n_users).try_for_each(|user| built.build_home(&mut vfs, user)).unwrap();
+        let user = seed as usize % n_users;
+        let (counts, blocks) = (vfs.statfs(), vfs.block_stats());
+        built.drop_home(&mut vfs, user);
+        prop_assert!(!vfs.home_built(user));
+        prop_assert!(!vfs.exists(&FileSystemCreator::user_dir(user)));
+        prop_assert!(!vfs.exists(&FileSystemCreator::scratch_dir(user)));
+        prop_assert_eq!((vfs.statfs(), vfs.block_stats()), (counts, blocks), "the drop counts as nothing");
+        vfs.set_clock(1_000);
+        built.build_home(&mut vfs, user).unwrap();
+        vfs.set_clock(42);
+        prop_assert_eq!(tree(&mut vfs), tree(&mut ref_vfs));
+        prop_assert_eq!((vfs.statfs(), vfs.block_stats()), (counts, blocks));
+    }
 }
 
 #[test]
 fn a_file_where_a_home_should_be_is_not_a_directory() {
+    // Homes are built at the numbers reserved for them, which are an
+    // eager build's only on a fresh table: a file system that holds
+    // something where homes go, or hands out freed numbers, is refused
+    // before anything is built.
     let mut vfs = Vfs::new(VfsConfig::default());
     vfs.mkdir_all("/u").unwrap();
     vfs.write_file("/u/user001", b"in the way").unwrap();
     let mut rng = StdRng::seed_from_u64(1);
-    let err = FileSystemCreator::new(spec(2, 2, FillPattern::Sparse))
-        .build(&mut vfs, 3, &mut rng)
-        .unwrap_err();
-    assert_eq!(
-        err,
-        uswg_fsc::FscError::FileSystem(uswg_vfs::FsError::NotADirectory)
-    );
+    let creator = FileSystemCreator::new(spec(2, 2, FillPattern::Sparse));
+    let err = creator.build(&mut vfs, 3, &mut rng).unwrap_err();
+    assert_eq!(err, FscError::NotFresh { freed: 0, homes: 1 });
+    assert!(err.to_string().contains("holds 1 homes"), "{err}");
+    assert!(!vfs.exists("/system"), "nothing was built");
+
+    vfs.unlink("/u/user001").unwrap();
+    let err = creator.build(&mut vfs, 3, &mut rng).unwrap_err();
+    assert_eq!(err, FscError::NotFresh { freed: 1, homes: 0 });
+
+    // A second build into a built file system is the same error.
+    let mut vfs = Vfs::new(VfsConfig::default());
+    creator.build(&mut vfs, 3, &mut rng).unwrap();
+    let err = creator.build(&mut vfs, 3, &mut rng).unwrap_err();
+    assert_eq!(err, FscError::NotFresh { freed: 0, homes: 3 });
 }

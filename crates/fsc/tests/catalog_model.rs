@@ -27,8 +27,12 @@ const USERS: usize = 5;
 /// Every file with its path, in creation order.
 type Model = Vec<(CatalogFile, String)>;
 
+/// The first inode number of the homes in every model.
+const FIRST_HOME: u32 = 1_000;
+
 fn model(shared: &[(FileCategory, u32)], personal: &[(FileCategory, u32)], users: u32) -> Model {
     let mut files = Model::new();
+    let per_user: u32 = personal.iter().map(|run| run.1).sum();
     let owners = std::iter::once((None, shared)).chain((0..users).map(|u| (Some(u), personal)));
     for (owner_user, runs) in owners {
         for &(category, count) in runs {
@@ -44,8 +48,17 @@ fn model(shared: &[(FileCategory, u32)], personal: &[(FileCategory, u32)], users
                     FileType::Notes => "note",
                 };
                 let idx = files.len();
+                // Shared files anywhere; a user's in its home's run, after
+                // the home and scratch directories.
+                let ino = match owner_user {
+                    None => idx as u64 * 3 + 1,
+                    Some(user) => {
+                        let at = (idx - shared_files(shared)) as u64 % u64::from(per_user);
+                        u64::from(FIRST_HOME + user * (2 + per_user)) + 2 + at
+                    }
+                };
                 let file = CatalogFile {
-                    ino: idx as u64 * 3 + 1,
+                    ino,
                     size: (idx as u64 * 7919 % 64) * 100, // zero included
                     category,
                     owner_user,
@@ -55,6 +68,10 @@ fn model(shared: &[(FileCategory, u32)], personal: &[(FileCategory, u32)], users
         }
     }
     files
+}
+
+fn shared_files(shared: &[(FileCategory, u32)]) -> usize {
+    shared.iter().map(|run| run.1 as usize).sum()
 }
 
 fn candidates(model: &Model, user: usize, category: FileCategory) -> Vec<usize> {
@@ -95,8 +112,10 @@ proptest! {
     ) {
         let model = model(&shared, &personal, users);
         let sizes = model.iter().map(|(file, _)| file.size).collect();
-        let inos = model.iter().map(|(file, _)| file.ino as u32).collect();
-        let mut catalog = FileCatalog::from_plan(&shared, &personal, users, sizes, inos);
+        let shared_inos = model[..shared_files(&shared)].iter();
+        let inos = shared_inos.map(|(file, _)| file.ino as u32).collect();
+        let mut catalog =
+            FileCatalog::from_plan(&shared, &personal, users, sizes, inos, FIRST_HOME);
         prop_assert!(!catalog.is_sealed());
         prop_assert_eq!(catalog.len(), model.len());
         prop_assert!(catalog.files().eq(model.iter().map(|(file, _)| *file)));

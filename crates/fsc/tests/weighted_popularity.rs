@@ -11,7 +11,7 @@ use uswg_fsc::{FileCatalog, FileCategory, FilePopularity};
 fn catalog_with_sizes(sizes: &[u64]) -> FileCatalog {
     let shared = [(FileCategory::REG_OTHER_RDONLY, sizes.len() as u32)];
     let inos = (1..=sizes.len() as u32).collect();
-    FileCatalog::from_plan(&shared, &[], 0, sizes.to_vec(), inos)
+    FileCatalog::from_plan(&shared, &[], 0, sizes.to_vec(), inos, 0)
 }
 
 /// The policy's weights over the shared pool's list.
@@ -132,7 +132,7 @@ fn zero_size_files_stay_reachable_under_size_weighting() {
 #[test]
 fn per_user_lists_honour_the_policy_too() {
     let personal = [(FileCategory::REG_USER_RDONLY, 2)];
-    let mut catalog = FileCatalog::from_plan(&[], &personal, 1, vec![10, 1_000], vec![1, 2]);
+    let mut catalog = FileCatalog::from_plan(&[], &personal, 1, vec![10, 1_000], vec![], 1);
     catalog.seal_with(FilePopularity::SizeWeighted);
     let mut rng = StdRng::seed_from_u64(11);
     let mut counts = [0u64; 2];

@@ -18,6 +18,9 @@
 //! in-flight operation and its retry state — is materialized into a
 //! [`HotArena`] slot at login and recycled at logout, so that memory scales
 //! with the number of *concurrently active* users, not the population.
+//! A user's home in the file system follows the same rule: it is built at
+//! the first login whose session names it and dropped after the user's last
+//! session ([`FileCatalog::build_home`], [`FileCatalog::drop_home`]).
 //! Materialization is invisible to replay: session planning draws from the
 //! same per-user PRNG stream at the same points, so the op stream stays a
 //! pure function of (spec, seed, K) — pinned byte for byte by
@@ -220,6 +223,10 @@ impl<S: LogSink> UsimWorld<S> {
         self.users.hot[user] = HOT_NONE;
         self.sink.record_session(&hot.session.finish(now.micros()));
         self.users.sessions_done[user] += 1;
+        if self.users.sessions_done[user] == self.config.sessions_per_user {
+            let gid = self.users.gid[user] as usize;
+            self.catalog.drop_home(&mut self.vfs, gid);
+        }
     }
 }
 
@@ -308,8 +315,9 @@ impl<S: LogSink> World for UsimWorld<S> {
                     return;
                 }
                 let type_idx = usize::from(self.users.type_idx[user]);
+                let gid = self.users.gid[user] as usize;
                 let session = Session::plan(
-                    self.users.gid[user] as usize,
+                    gid,
                     type_idx,
                     self.users.sessions_done[user],
                     now.micros(),
@@ -317,6 +325,13 @@ impl<S: LogSink> World for UsimWorld<S> {
                     &self.catalog,
                     &mut self.users.rng[user],
                 );
+                if session.names_home(&self.catalog) {
+                    if let Err(e) = self.catalog.build_home(&mut self.vfs, gid) {
+                        self.error = Some(e.into());
+                        sched.halt();
+                        return;
+                    }
+                }
                 self.users.hot[user] = self.hot.acquire(HotUser {
                     proc: self.vfs.new_process(),
                     session,
@@ -664,6 +679,7 @@ mod tests {
         let catalog = FileSystemCreator::new(spec)
             .build(&mut vfs, n_users, &mut StdRng::seed_from_u64(3))
             .unwrap();
+        catalog.build_home(&mut vfs, broken).unwrap();
         for (idx, file) in catalog.files().enumerate() {
             if file.owner_user == Some(broken as u32) {
                 vfs.unlink(&catalog.path(idx)).unwrap();

@@ -63,6 +63,9 @@ impl DirectDriver {
                 let now = virtual_clock;
                 let mut session =
                     Session::plan(user, type_idx, ordinal, now, utype, catalog, &mut rng);
+                if session.names_home(catalog) {
+                    catalog.build_home(vfs, user)?;
+                }
                 vfs.set_clock(now);
                 loop {
                     let before = Instant::now();
@@ -95,6 +98,7 @@ impl DirectDriver {
                 // Logout → next login gap (same RNG point as the DES driver).
                 virtual_clock += utype.sample_inter_session(virtual_clock, &mut rng);
             }
+            catalog.drop_home(vfs, user);
         }
         Ok(log)
     }

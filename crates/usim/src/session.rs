@@ -216,6 +216,15 @@ impl Session {
         }
     }
 
+    /// Whether the session names a path in its user's home: one of the
+    /// user's catalog files, or a scratch file.
+    pub fn names_home(&self, catalog: &FileCatalog) -> bool {
+        self.tasks.iter().any(|task| match task.location {
+            TaskPath::Catalog(idx) => catalog.in_home(idx as usize),
+            TaskPath::Scratch { .. } => true,
+        })
+    }
+
     /// Logs out at `end`: the finished record.
     pub fn finish(mut self, end: u64) -> SessionRecord {
         self.record.end = end;

@@ -12,6 +12,15 @@ use uswg_usim::{
 use uswg_vfs::{Vfs, VfsConfig};
 
 fn build_fs(n_users: usize, seed: u64, fill: FillPattern) -> (Vfs, FileCatalog) {
+    build_fs_on(n_users, seed, fill, VfsConfig::default())
+}
+
+fn build_fs_on(
+    n_users: usize,
+    seed: u64,
+    fill: FillPattern,
+    geometry: VfsConfig,
+) -> (Vfs, FileCatalog) {
     let spec = FscSpec::new(vec![
         CategorySpec::new(
             FileCategory::DIR_USER_RDONLY,
@@ -41,7 +50,7 @@ fn build_fs(n_users: usize, seed: u64, fill: FillPattern) -> (Vfs, FileCatalog) 
     .unwrap()
     .with_fill(fill);
     let creator = FileSystemCreator::new(spec);
-    let mut vfs = Vfs::new(VfsConfig::default());
+    let mut vfs = Vfs::new(geometry);
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
     let catalog = creator.build(&mut vfs, n_users, &mut rng).unwrap();
     (vfs, catalog)
@@ -433,4 +442,56 @@ fn spill_sink_through_des_driver_is_lossless() {
         log.to_json().unwrap(),
         "spilled stream must reconstruct the identical usage log"
     );
+}
+
+/// FNV-1a over `bytes`.
+fn fnv(bytes: &[u8]) -> u64 {
+    let prime = 0x0100_0000_01b3;
+    (bytes.iter()).fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(prime)
+    })
+}
+
+/// `ENOSPC` and inode exhaustion strike at the same operations as when
+/// every home was built before the first login: a pattern-filled file
+/// system six blocks and eight inodes above what its build takes, six users
+/// creating `NEW` and `TEMP` files in it over four sessions each. The pins
+/// were read off the build that created every home up front: the DES
+/// capture's digest, the direct driver's op stream (response times aside,
+/// which it takes from the host's clock), and its final counts.
+#[test]
+fn a_full_device_fails_the_same_operations_as_when_every_home_stood() {
+    use uswg_usim::SpillSink;
+
+    let (n_users, seed) = (6, 11);
+    let (vfs, _) = build_fs(n_users, seed, FillPattern::Pattern);
+    let (blocks, inodes) = (vfs.block_stats().allocated, vfs.statfs().used_inodes);
+    let tight = VfsConfig {
+        max_blocks: blocks as usize + 6,
+        max_inodes: inodes as usize + 8,
+        ..VfsConfig::default()
+    };
+    let fs = || build_fs_on(n_users, seed, FillPattern::Pattern, tight);
+    let (run, pop) = (config(n_users, 4, seed), compiled(2000.0, 512));
+    let sink = SpillSink::new(Vec::new()).unwrap();
+    let capture = fnv(&des(fs(), &pop, &run, true, sink).0.finish().unwrap());
+
+    let (mut vfs, catalog) = fs();
+    let log = direct(&mut vfs, &catalog, &pop, &run);
+    let ops = log.ops().iter();
+    let calls = ops.map(|o| {
+        format!(
+            "{} {} {} {:?} {} {}",
+            o.at, o.user, o.session, o.op, o.ino, o.bytes
+        )
+    });
+    let stream = fnv(calls.collect::<Vec<_>>().join("\n").as_bytes());
+    let counts = (vfs.statfs().used_inodes, vfs.block_stats().allocated);
+    println!("capture {capture:#x} stream {stream:#x} counts {counts:?} of {blocks} + 6 blocks, {inodes} + 8 inodes");
+    let pinned = (
+        0x25c6_cc26_ed57_69ac,
+        0x41c4_d7d4_86af_ca5b,
+        (103 + 8, 154 + 6),
+    );
+    assert_eq!((capture, stream, counts), pinned, "both limits are reached");
 }

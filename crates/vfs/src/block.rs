@@ -1,6 +1,11 @@
 //! The block store: fixed-size data blocks with a free list and a capacity
 //! limit, giving the file system real `ENOSPC` behaviour and allocation
 //! statistics. A block holds memory only once a caller writes into it.
+//!
+//! Blocks can also be *reserved*: allocated in the statistics, and so in
+//! `statfs` and against the capacity, before any file holds them. A home
+//! built later takes its blocks out of the reservation, and a home dropped
+//! puts them back ([`crate::Vfs::reserve_homes`]); neither moves a count.
 
 use crate::FsError;
 use std::ops::Range;
@@ -30,6 +35,8 @@ pub(crate) struct BlockStore {
     blocks: Vec<Option<Box<[u8]>>>,
     free: Vec<BlockId>,
     stats: BlockStats,
+    /// Blocks counted in `stats.allocated` that no file holds.
+    reserved: u64,
 }
 
 impl BlockStore {
@@ -41,6 +48,7 @@ impl BlockStore {
             blocks: Vec::new(),
             free: Vec::new(),
             stats: BlockStats::default(),
+            reserved: 0,
         }
     }
 
@@ -59,12 +67,42 @@ impl BlockStore {
         }
         self.stats.allocated += 1;
         self.stats.total_allocations += 1;
+        Ok(self.take_id())
+    }
+
+    /// An unused id, holding a block that reads as zeros.
+    fn take_id(&mut self) -> BlockId {
         if let Some(id) = self.free.pop() {
             self.blocks[id.0 as usize] = Some(Box::default());
-            return Ok(id);
+            return id;
         }
         self.blocks.push(Some(Box::default()));
-        Ok(BlockId(self.blocks.len() as u32 - 1))
+        BlockId(self.blocks.len() as u32 - 1)
+    }
+
+    /// Allocates `n` blocks in the statistics that no file holds yet.
+    pub(crate) fn reserve(&mut self, n: u64) -> Result<(), FsError> {
+        if n > self.free_blocks() {
+            return Err(FsError::NoSpace);
+        }
+        self.stats.allocated += n;
+        self.stats.total_allocations += n;
+        self.reserved += n;
+        Ok(())
+    }
+
+    /// A reserved block, for a file to hold; no count moves.
+    pub(crate) fn take_reserved(&mut self) -> Result<BlockId, FsError> {
+        self.reserved = self.reserved.checked_sub(1).ok_or(FsError::NoSpace)?;
+        Ok(self.take_id())
+    }
+
+    /// Puts a file's block back into the reservation: its bytes go and its
+    /// id is free for another file, while its count stays.
+    pub(crate) fn retire(&mut self, id: BlockId) {
+        self.blocks[id.0 as usize] = None;
+        self.free.push(id);
+        self.reserved += 1;
     }
 
     /// Returns a block to the free list.
@@ -141,6 +179,27 @@ mod tests {
         let id = BlockId(0);
         s.free(id);
         assert!(s.alloc().is_ok());
+    }
+
+    #[test]
+    fn reserved_blocks_count_until_the_reservation_ends_and_never_after() {
+        let mut s = BlockStore::new(128, 4);
+        s.reserve(3).unwrap();
+        assert_eq!((s.stats().allocated, s.free_blocks()), (3, 1));
+        assert_eq!(s.reserve(2), Err(FsError::NoSpace));
+        let a = s.take_reserved().unwrap();
+        s.data_mut(a).fill(1);
+        s.retire(a);
+        let counts = BlockStats {
+            allocated: 3,
+            total_allocations: 3,
+            total_frees: 0,
+        };
+        assert_eq!(s.stats(), counts, "taking and retiring moves no count");
+        let b = s.take_reserved().unwrap();
+        assert_eq!((b, s.data(b)), (a, None), "a retired block reads as zeros");
+        assert!(s.alloc().is_ok());
+        assert_eq!(s.alloc(), Err(FsError::NoSpace));
     }
 
     #[test]

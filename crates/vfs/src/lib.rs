@@ -17,6 +17,14 @@
 //! [`Vfs::write_zeros`], the write twin of [`Vfs::read_discard`], fills a
 //! file for callers that never read its content back.
 //!
+//! A file system that holds many owners' objects, few in use at once,
+//! reserves each owner's run of inode numbers and data blocks up front
+//! ([`Vfs::reserve_homes`]), builds a home's objects at their numbers when
+//! it is needed ([`Vfs::place`]) and drops them when it no longer is
+//! ([`Vfs::retire`], [`Vfs::drop_home`]); the reservation counts as used
+//! throughout, so every number handed out and every count reads as if
+//! every home stood from the start.
+//!
 //! Paths are resolved from `/` on every call. A caller that creates many
 //! objects in a directory it already holds (the File System Creator) uses
 //! the by-handle calls instead — [`Vfs::mkdir_at`], [`Vfs::ensure_dir_at`],
@@ -48,6 +56,7 @@
 mod block;
 mod error;
 mod fd;
+mod home;
 mod inode;
 mod path;
 mod vfs;

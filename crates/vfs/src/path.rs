@@ -39,6 +39,23 @@ pub fn components(path: &str) -> Result<Vec<&str>, FsError> {
     Ok(out)
 }
 
+/// The components of `path` when it has nothing to resolve — absolute, no
+/// `.` or `..`, no name too long — as [`components`] would return them,
+/// without collecting them; `None` otherwise.
+pub fn plain(path: &str) -> Option<impl Iterator<Item = &str> + Clone> {
+    let comps = path.strip_prefix('/')?.split('/').filter(|c| !c.is_empty());
+    let simple = |c: &str| !matches!(c, "." | "..") && c.len() <= NAME_MAX;
+    comps.clone().all(simple).then_some(comps)
+}
+
+/// [`split_parent`] of a path [`plain`] accepts, without collecting the
+/// parent's components.
+pub fn plain_parent(path: &str) -> Option<(impl Iterator<Item = &str> + Clone, &str)> {
+    let (parent, name) = path.trim_end_matches('/').rsplit_once('/')?;
+    let parent = plain(if parent.is_empty() { "/" } else { parent })?;
+    (!matches!(name, "." | "..") && name.len() <= NAME_MAX).then_some((parent, name))
+}
+
 /// Validates a single directory-entry name, as the by-handle calls take it:
 /// what [`components`] would yield as exactly one component.
 ///
@@ -92,6 +109,25 @@ mod tests {
         assert_eq!(components("/").unwrap(), Vec::<&str>::new());
         assert_eq!(components("/a/b/c").unwrap(), vec!["a", "b", "c"]);
         assert_eq!(components("/a//b/").unwrap(), vec!["a", "b"]);
+    }
+
+    #[test]
+    fn plain_paths_split_as_components_does() {
+        let long = format!("/a/{}", "x".repeat(NAME_MAX + 1));
+        for path in [
+            "/", "/a/b/c", "/a//b/", "//a", "/a/./b", "/a/../b", "/..", &long, "a/b",
+        ] {
+            let collected = plain(path).map(|comps| comps.collect::<Vec<_>>());
+            let simple = !path.contains("/.") && path.starts_with('/') && path != long;
+            assert_eq!(
+                collected,
+                simple.then(|| components(path).unwrap()),
+                "{path:?}"
+            );
+            let parent = plain_parent(path).map(|(comps, name)| (comps.collect(), name));
+            let split = split_parent(path).ok();
+            assert_eq!(parent, split.filter(|_| simple), "{path:?}");
+        }
     }
 
     #[test]

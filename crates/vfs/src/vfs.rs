@@ -3,8 +3,9 @@
 
 use crate::block::{BlockStats, BlockStore};
 use crate::fd::{Fd, OpenFile, OpenFlags, Process, SeekFrom};
+use crate::home::{Homes, Slot};
 use crate::inode::{Content, Entries, FileKind, Ino, Inode, Metadata};
-use crate::path::{check_name, components, split_parent};
+use crate::path::{check_name, components, plain, plain_parent, split_parent};
 use crate::{ConfigError, FsError};
 use serde::{Deserialize, Serialize};
 use std::collections::TryReserveError;
@@ -144,8 +145,13 @@ impl OpCounters {
 pub struct Vfs {
     config: VfsConfig,
     clock: u64,
+    /// Every inode outside the homes' runs, by dense index.
     inodes: Vec<Option<Inode>>,
+    /// Freed dense indices.
     free_inodes: Vec<usize>,
+    /// Live dense inodes, retired ones, and every number of every home.
+    used: usize,
+    homes: Homes,
     store: BlockStore,
     counters: OpCounters,
     root: Ino,
@@ -161,6 +167,8 @@ impl Vfs {
             clock: 0,
             inodes: Vec::new(),
             free_inodes: Vec::new(),
+            used: 0,
+            homes: Homes::default(),
             store: BlockStore::new(config.block_size, config.max_blocks),
             counters: OpCounters::default(),
             root: Ino(0),
@@ -219,7 +227,7 @@ impl Vfs {
             block_size: self.config.block_size as u32,
             total_blocks: self.config.max_blocks as u64,
             free_blocks: self.store.free_blocks(),
-            used_inodes: self.used_inodes() as u64,
+            used_inodes: self.used as u64,
             total_inodes: self.config.max_inodes as u64,
         }
     }
@@ -229,20 +237,22 @@ impl Vfs {
     // ------------------------------------------------------------------
 
     fn alloc_inode(&mut self, kind: FileKind) -> Result<Ino, FsError> {
-        // Every `None` slot is on the free list exactly once, so the used
-        // count is a subtraction — scanning the table here would make bulk
-        // creation (the FSC populating millions of inodes) quadratic.
-        let used = self.used_inodes();
-        if used >= self.config.max_inodes {
+        if self.used >= self.config.max_inodes {
             return Err(FsError::NoSpace);
         }
+        self.used += 1;
         let node = Some(Inode::new(kind, self.clock));
-        if let Some(slot) = self.free_inodes.pop() {
-            self.inodes[slot] = node;
-            return Ok(Ino(slot as u64));
-        }
-        self.inodes.push(node);
-        Ok(Ino(self.inodes.len() as u64 - 1))
+        let idx = match self.free_inodes.pop() {
+            Some(idx) => {
+                self.inodes[idx] = node;
+                idx
+            }
+            None => {
+                self.inodes.push(node);
+                self.inodes.len() - 1
+            }
+        };
+        Ok(Ino(self.homes.number(idx)))
     }
 
     /// Bytes of one slot of the inode table.
@@ -262,34 +272,51 @@ impl Vfs {
         self.inodes.try_reserve_exact(more)
     }
 
-    /// Length of the inode table: every inode number handed out so far is
-    /// below it, and `n` more inodes get numbers below `inode_slots() + n`.
+    /// Length of the inode table: every inode number handed out or
+    /// reserved so far is below it, and `n` more inodes get numbers below
+    /// `inode_slots() + n` unless freed numbers are handed out again.
     pub fn inode_slots(&self) -> usize {
-        self.inodes.len()
+        self.inodes.len() + self.homes.span() as usize
     }
 
-    /// Live inode count in O(1): allocated slots minus the free list.
-    fn used_inodes(&self) -> usize {
-        self.inodes.len() - self.free_inodes.len()
+    /// Freed inode numbers that the next creations take again.
+    pub fn freed_inodes(&self) -> usize {
+        self.free_inodes.len()
+    }
+
+    /// The slot of inode `ino`: `None` past the table and in a home that
+    /// is not built.
+    fn slot_mut(&mut self, ino: Ino) -> Option<&mut Option<Inode>> {
+        slot_in(&mut self.inodes, &mut self.homes, ino)
+    }
+
+    /// The live inode `ino`, and the block store beside it.
+    fn node_and_store(&mut self, ino: Ino) -> (&mut Inode, &mut BlockStore) {
+        let node = slot_in(&mut self.inodes, &mut self.homes, ino).and_then(Option::as_mut);
+        (node.expect("reference to freed inode"), &mut self.store)
+    }
+
+    /// The live inode `ino`, if there is one.
+    fn node(&self, ino: Ino) -> Option<&Inode> {
+        match self.homes.slot(ino.0) {
+            Slot::Dense(idx) => self.inodes.get(idx)?.as_ref(),
+            Slot::Home(home, at) => self.homes.get(home, at),
+        }
     }
 
     fn inode(&self, ino: Ino) -> &Inode {
-        self.inodes[ino.0 as usize]
-            .as_ref()
-            .expect("reference to freed inode")
+        self.node(ino).expect("reference to freed inode")
     }
 
     fn inode_mut(&mut self, ino: Ino) -> &mut Inode {
-        self.inodes[ino.0 as usize]
-            .as_mut()
-            .expect("reference to freed inode")
+        self.node_and_store(ino).0
     }
 
     /// The entries of `ino` if it is a live directory of this file system:
     /// `None` for a regular file, a freed slot, or a number past the table
     /// (a handle kept across an `rmdir`, or taken from another `Vfs`).
     fn dir(&self, ino: Ino) -> Option<&Entries> {
-        match &self.inodes.get(ino.0 as usize)?.as_ref()?.content {
+        match &self.node(ino)?.content {
             Content::Directory(entries) => Some(entries),
             Content::Regular(_) => None,
         }
@@ -303,15 +330,16 @@ impl Vfs {
         }
     }
 
-    /// Frees an inode and its data blocks.
+    /// Frees an inode and its data blocks. A home's number stays its own.
     fn free_inode(&mut self, ino: Ino) {
-        let node = self.inodes[ino.0 as usize]
-            .take()
-            .expect("double free of inode");
+        let node = (self.slot_mut(ino).and_then(Option::take)).expect("double free of inode");
         for block in node.blocks().iter().flatten() {
             self.store.free(*block);
         }
-        self.free_inodes.push(ino.0 as usize);
+        if let Slot::Dense(idx) = self.homes.slot(ino.0) {
+            self.free_inodes.push(idx);
+            self.used -= 1;
+        }
     }
 
     fn drop_link(&mut self, ino: Ino) {
@@ -335,7 +363,10 @@ impl Vfs {
     /// [`FsError::NotFound`] for missing components, [`FsError::NotADirectory`]
     /// when a non-final component is a file, plus path-syntax errors.
     pub fn resolve(&self, path: &str) -> Result<Ino, FsError> {
-        self.walk(components(path)?)
+        match plain(path) {
+            Some(comps) => self.walk(comps),
+            None => self.walk(components(path)?),
+        }
     }
 
     /// Steps from the root through each of `comps`.
@@ -348,8 +379,13 @@ impl Vfs {
 
     /// Resolves the parent directory of `path`, returning `(dir_ino, name)`.
     fn resolve_parent<'p>(&self, path: &'p str) -> Result<(Ino, &'p str), FsError> {
-        let (parent_comps, name) = split_parent(path)?;
-        let parent = self.walk(parent_comps)?;
+        let (parent, name) = match plain_parent(path) {
+            Some((comps, name)) => (self.walk(comps)?, name),
+            None => {
+                let (comps, name) = split_parent(path)?;
+                (self.walk(comps)?, name)
+            }
+        };
         self.dir(parent).ok_or(FsError::NotADirectory)?;
         Ok((parent, name))
     }
@@ -548,14 +584,15 @@ impl Vfs {
             return Err(FsError::BadAccessMode);
         }
         let (ino, offset) = (open.ino, open.offset);
-        let left = self.inode(ino).size.saturating_sub(offset);
+        let clock = self.clock;
+        let node = self.inode_mut(ino);
+        node.atime = clock;
+        let left = node.size.saturating_sub(offset);
         let n = usize::try_from(left).map_or(len, |left| len.min(left));
         if let Some(buf) = buf {
             self.read_at(ino, offset, &mut buf[..n]);
         }
         open.offset += n as u64;
-        let clock = self.clock;
-        self.inode_mut(ino).atime = clock;
         self.counters.bytes_read += n as u64;
         Ok(n)
     }
@@ -611,20 +648,23 @@ impl Vfs {
         if offset.saturating_add(len as u64) > self.config.max_file_size {
             return Err(FsError::FileTooLarge);
         }
-        let bs = self.config.block_size as u64;
+        let (bs, clock) = (self.config.block_size as u64, self.clock);
+        // The inode is looked up once for the whole write.
+        let (node, store) = self.node_and_store(ino);
         let mut done = 0usize;
         while done < len {
             let pos = offset + done as u64;
             let block_idx = (pos / bs) as usize;
             let in_block = (pos % bs) as usize;
             let chunk = (len - done).min(bs as usize - in_block);
-            if self.inode(ino).blocks().len() <= block_idx {
-                self.inode_mut(ino).blocks_mut().resize(block_idx + 1, None);
+            let blocks = node.blocks_mut();
+            if blocks.len() <= block_idx {
+                blocks.resize(block_idx + 1, None);
             }
-            let id = match self.inode(ino).blocks()[block_idx] {
+            let id = match blocks[block_idx] {
                 Some(id) => id,
-                None => match self.store.alloc() {
-                    Ok(id) => *self.inode_mut(ino).blocks_mut()[block_idx].insert(id),
+                None => match store.alloc() {
+                    Ok(id) => *blocks[block_idx].insert(id),
                     Err(e) if done == 0 => return Err(e),
                     // The device filled mid-write: a short write.
                     Err(_) => break,
@@ -632,18 +672,16 @@ impl Vfs {
             };
             let range = in_block..in_block + chunk;
             match data.map(|data| &data[done..done + chunk]) {
-                Some(bytes) => self.store.data_mut(id)[range].copy_from_slice(bytes),
-                None => self.store.zero(id, range),
+                Some(bytes) => store.data_mut(id)[range].copy_from_slice(bytes),
+                None => store.zero(id, range),
             }
             done += chunk;
         }
-        let open = proc.get_mut(fd).expect("still open");
-        open.offset = offset + done as u64;
-        let clock = self.clock;
-        let node = self.inode_mut(ino);
         node.size = node.size.max(offset + done as u64);
         node.mtime = clock;
         node.ctime = clock;
+        let open = proc.get_mut(fd).expect("still open");
+        open.offset = offset + done as u64;
         self.counters.bytes_written += done as u64;
         Ok(done)
     }
@@ -940,6 +978,172 @@ impl Vfs {
         self.set_len(open.ino, len)
     }
 
+    // ------------------------------------------------------------------
+    // Homes: runs of inode numbers reserved at once, their objects built
+    // and dropped later by number (see `home.rs`).
+    // ------------------------------------------------------------------
+
+    /// Reserves `homes` runs of `per_home` inode numbers each, starting at
+    /// the next number the table hands out, and `blocks` data blocks for
+    /// the files they will hold. Every reserved number and block counts as
+    /// used from now on — in `statfs`, in [`BlockStats`] (as allocations)
+    /// and against the limits — so a file system whose homes are built
+    /// later reads as if they stood from the start. Objects created later
+    /// get the numbers after the runs. Returns the first number of home 0;
+    /// home `h` starts `h × per_home` above it.
+    ///
+    /// # Errors
+    ///
+    /// [`FsError::Busy`] when the table has freed numbers or homes already
+    /// (the runs must follow the last number handed out),
+    /// [`FsError::NoSpace`] when the inodes or blocks left are fewer, or
+    /// the table of homes cannot be allocated. Nothing is reserved then.
+    pub fn reserve_homes(
+        &mut self,
+        homes: usize,
+        per_home: u64,
+        blocks: u64,
+    ) -> Result<Ino, FsError> {
+        if !self.free_inodes.is_empty() || self.homes.len() > 0 {
+            return Err(FsError::Busy);
+        }
+        let numbers = (per_home.checked_mul(homes as u64)).ok_or(FsError::NoSpace)?;
+        let left = self.config.max_inodes - self.used;
+        if numbers > left as u64 || blocks > self.store.free_blocks() {
+            return Err(FsError::NoSpace);
+        }
+        let first = self.inodes.len() as u64;
+        self.homes = Homes::reserve(first, per_home, homes, self.clock).ok_or(FsError::NoSpace)?;
+        self.store.reserve(blocks)?;
+        self.used += numbers as usize;
+        Ok(Ino(first))
+    }
+
+    /// Whether home `home` is built: it has a page, so objects placed in
+    /// it are live.
+    pub fn home_built(&self, home: usize) -> bool {
+        self.homes.built(home)
+    }
+
+    /// Builds object `number`, one of a home's reserved numbers, as `name`
+    /// inside directory `parent`, the way the build that reserved it would
+    /// have created it: an empty directory, or a regular file of `size`
+    /// bytes that holds its blocks out of the reservation when `filled`
+    /// and is a hole otherwise. Every time it sets — its own, and the
+    /// parent's modification time — is the clock the homes were reserved
+    /// at, and no counter moves.
+    ///
+    /// # Errors
+    ///
+    /// [`FsError::InvalidArgument`] unless `number` is a reserved number
+    /// with no object, plus the name and parent errors of
+    /// [`Vfs::mkdir_at`], [`FsError::FileTooLarge`] past the maximum file
+    /// size, and [`FsError::NoSpace`] when the reservation is out of
+    /// blocks.
+    pub fn place(
+        &mut self,
+        parent: Ino,
+        name: &str,
+        number: u64,
+        kind: FileKind,
+        size: u64,
+        filled: bool,
+    ) -> Result<Ino, FsError> {
+        check_name(name)?;
+        let Slot::Home(home, at) = self.homes.slot(number) else {
+            return Err(FsError::InvalidArgument);
+        };
+        if self.homes.get(home, at).is_some() {
+            return Err(FsError::InvalidArgument);
+        }
+        if self
+            .dir(parent)
+            .ok_or(FsError::NotADirectory)?
+            .get(name)
+            .is_some()
+        {
+            return Err(FsError::AlreadyExists);
+        }
+        let clock = self.homes.clock;
+        let mut node = Inode::new(kind, clock);
+        if kind == FileKind::Regular {
+            if size > self.config.max_file_size {
+                return Err(FsError::FileTooLarge);
+            }
+            let blocks = if filled {
+                size.div_ceil(self.config.block_size as u64)
+            } else {
+                0
+            };
+            let blocks = (0..blocks).map(|_| self.store.take_reserved().map(Some));
+            node.content = Content::Regular(blocks.collect::<Result<_, _>>()?);
+            node.size = size;
+        }
+        *self.homes.build(home, at) = Some(node);
+        let ino = Ino(number);
+        self.dir_mut(parent).insert(name, ino);
+        let p = self.inode_mut(parent);
+        p.nlink += u32::from(kind == FileKind::Directory);
+        p.mtime = clock;
+        p.size += 1;
+        Ok(ino)
+    }
+
+    /// Unlinks `name` from directory `parent` and retires the object, and
+    /// everything below it if it is a directory, the way a home is
+    /// dropped: a retired inode's number stays used and is not handed out
+    /// again, its data blocks go back to the reservation, and no time or
+    /// counter moves. Returns whether there was such an entry.
+    pub fn retire(&mut self, parent: Ino, name: &str) -> bool {
+        let Some(ino) = self.dir(parent).and_then(|entries| entries.get(name)) else {
+            return false;
+        };
+        let is_dir = self.dir(ino).is_some();
+        self.dir_mut(parent).remove(name);
+        let p = self.inode_mut(parent);
+        p.nlink -= u32::from(is_dir);
+        p.size = p.size.saturating_sub(1);
+        self.retire_tree(ino);
+        true
+    }
+
+    fn retire_tree(&mut self, ino: Ino) {
+        let Some(node) = self.slot_mut(ino).and_then(Option::take) else {
+            return;
+        };
+        match node.content {
+            Content::Regular(blocks) => blocks.into_iter().flatten().for_each(|id| {
+                self.store.retire(id);
+            }),
+            Content::Directory(entries) => entries.iter().for_each(|(_, child)| {
+                self.retire_tree(child);
+            }),
+        }
+    }
+
+    /// Drops home `home`'s page once its objects are retired
+    /// ([`Vfs::retire`]); an object still in it is retired with it, though
+    /// an entry that names it elsewhere is not removed.
+    pub fn drop_home(&mut self, home: usize) {
+        let page = self.homes.drop_page(home).unwrap_or_default();
+        for node in page.into_vec().into_iter().flatten() {
+            node.blocks()
+                .iter()
+                .flatten()
+                .for_each(|id| self.store.retire(*id));
+        }
+    }
+
+    /// Number of homes reserved.
+    pub fn homes(&self) -> usize {
+        self.homes.len()
+    }
+
+    /// Entries of directory `dir`; 0 for anything else. No counter moves.
+    pub fn entry_count(&self, dir: Ino) -> u64 {
+        self.dir(dir).map_or(0, |_| self.inode(dir).size)
+    }
+
     /// The one creation body behind `mkdir`, `open(create)` and their
     /// by-handle forms: links a fresh inode of `kind` into `parent` as
     /// `name`.
@@ -1034,11 +1238,14 @@ impl Vfs {
     fn truncate_inode(&mut self, ino: Ino, len: u64) {
         let bs = self.config.block_size as u64;
         let keep_blocks = (len.div_ceil(bs)) as usize;
-        let blocks = self.inode_mut(ino).blocks_mut();
-        let freed = blocks.split_off(keep_blocks.min(blocks.len()));
-        for id in freed.into_iter().flatten() {
-            self.store.free(id);
-        }
+        // The list keeps its capacity, so truncating allocates nothing.
+        let mut blocks = std::mem::take(self.inode_mut(ino).blocks_mut());
+        let keep = keep_blocks.min(blocks.len());
+        blocks
+            .drain(keep..)
+            .flatten()
+            .for_each(|id| self.store.free(id));
+        *self.inode_mut(ino).blocks_mut() = blocks;
         // Zero the tail of the boundary block so re-extension reads zeros.
         let node_size = self.inode(ino).size;
         if len < node_size && !len.is_multiple_of(bs) {
@@ -1057,6 +1264,19 @@ impl Vfs {
                     .iter()
                     .any(|(_, child)| self.is_same_or_descendant(child, candidate))
             })
+    }
+}
+
+/// [`Vfs::slot_mut`] over the two tables alone, so that the block store can
+/// be borrowed beside the slot.
+fn slot_in<'v>(
+    inodes: &'v mut [Option<Inode>],
+    homes: &'v mut Homes,
+    ino: Ino,
+) -> Option<&'v mut Option<Inode>> {
+    match homes.slot(ino.0) {
+        Slot::Dense(idx) => inodes.get_mut(idx),
+        Slot::Home(home, at) => homes.get_mut(home, at),
     }
 }
 

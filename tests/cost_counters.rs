@@ -48,19 +48,19 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// Every pinned count, in the units its name gives, to three decimals.
-/// The loopback's are the VFS's: a replayed write stores its bytes in data
-/// blocks that the next truncating create frees again.
+/// The loopback's are the VFS's: what is left is a fresh inode's block
+/// list, taken when a slot is written after an unlink.
 const PINNED: [(&str, f64); 10] = [
-    ("nfs_allocs_per_op", 1.108),
-    ("nfs_bytes_per_op", 180.578),
+    ("nfs_allocs_per_op", 1.026),
+    ("nfs_bytes_per_op", 175.398),
     ("nfs_events_per_op", 8.595),
-    ("local_allocs_per_op", 1.108),
-    ("local_bytes_per_op", 70.341),
+    ("local_allocs_per_op", 1.026),
+    ("local_bytes_per_op", 65.161),
     ("local_events_per_op", 3.934),
     ("spill_encode_allocs_per_record", 0.009),
     ("scan_allocs_per_record", 0.0),
     ("fit_collect_allocs_per_record", 0.01),
-    ("loopback_allocs_per_op", 2.134),
+    ("loopback_allocs_per_op", 0.008),
 ];
 
 /// `f`'s result, and the allocations and bytes allocated while it ran.

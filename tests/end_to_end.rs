@@ -23,8 +23,12 @@ fn small_spec() -> WorkloadSpec {
 #[test]
 fn pipeline_produces_consistent_catalog_and_log() {
     let spec = small_spec();
-    let (vfs, catalog) = spec.generate_fs().unwrap();
-    // Catalog entries exist in the file system with matching sizes.
+    let (mut vfs, catalog) = spec.generate_fs().unwrap();
+    // Once every home is built, catalog entries exist in the file system
+    // at their inode numbers.
+    for user in 0..spec.run.n_users {
+        catalog.build_home(&mut vfs, user).unwrap();
+    }
     for (idx, file) in catalog.files().enumerate() {
         let path = catalog.path(idx);
         let md = vfs.resolve(&path).unwrap_or_else(|e| panic!("{path}: {e}"));

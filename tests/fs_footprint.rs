@@ -3,9 +3,9 @@
 //! Direction 4). Measured with a counting allocator in the
 //! `specs/million-user.json` shape that the `wide_local` benchmark workload
 //! and CI's `million-user-smoke` run (a directory and two sparse files per
-//! home, 120 shared files), and so is the high-water mark the build passes
-//! on its way there. One test in its own binary: nothing else allocates
-//! while it counts.
+//! home, 120 shared files), and so are what a built home costs, what its
+//! drop gives back, and the high-water mark the build passes on its way.
+//! One test in its own binary: nothing else allocates while it counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering::Relaxed};
@@ -44,56 +44,93 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Live `[bytes, blocks]` of `generate_fs()`'s result at `users` users, the
-/// blocks that dropping the catalog alone gives back, and the most bytes
-/// the build held above those it returns.
-fn footprint(users: usize) -> ([isize; 2], isize, isize) {
+/// What the file system of `users` users holds on the heap, `[bytes,
+/// blocks]`: as `generate_fs()` returns it, with every home built, and
+/// with every home dropped again; also the blocks that dropping the catalog
+/// alone gives back, and the most bytes the build held above those it
+/// returns.
+struct Footprint {
+    built: [isize; 2],
+    homes: [isize; 2],
+    dropped: [isize; 2],
+    catalog_blocks: isize,
+    overshoot: isize,
+}
+
+fn footprint(users: usize) -> Footprint {
     let live = || [LIVE_BYTES.load(Relaxed), LIVE_BLOCKS.load(Relaxed)];
     let mut spec = WorkloadSpec::from_json(include_str!("../specs/million-user.json")).unwrap();
     spec.run.n_users = users;
     let before = live();
     PEAK_BYTES.store(before[0], Relaxed);
-    let (vfs, catalog) = spec.generate_fs().unwrap();
+    let (mut vfs, catalog) = spec.generate_fs().unwrap();
     let built = live();
     let overshoot = PEAK_BYTES.load(Relaxed) - built[0];
     assert_eq!(catalog.len(), 120 + 3 * users);
+    (0..users)
+        .try_for_each(|user| catalog.build_home(&mut vfs, user))
+        .unwrap();
+    let homes = live();
+    (0..users).for_each(|user| catalog.drop_home(&mut vfs, user));
+    let dropped = live();
     drop(catalog);
-    let catalog_blocks = built[1] - live()[1];
+    let catalog_blocks = dropped[1] - live()[1];
     drop(vfs);
-    let footprint = [built[0] - before[0], built[1] - before[1]];
-    (footprint, catalog_blocks, overshoot)
+    let less = |after: [isize; 2]| [after[0] - before[0], after[1] - before[1]];
+    Footprint {
+        built: less(built),
+        homes: less(homes),
+        dropped: less(dropped),
+        catalog_blocks,
+        overshoot,
+    }
 }
 
 #[test]
 fn the_file_system_costs_a_known_number_of_bytes_and_blocks_per_user() {
-    // The build sizes the inode table and the catalog's per-file vectors
-    // to the plan, so no capacity lands past the population. The
-    // difference of two sizes cancels the shared tree and every other
-    // fixed cost.
+    // The build sizes its tables to the plan, so no capacity lands past the
+    // population. The difference of two sizes cancels the shared tree and
+    // every other fixed cost.
     const STEP: usize = 3_250;
-    let ([bytes_a, blocks_a], _, _) = footprint(STEP);
-    let ([bytes_b, blocks_b], catalog_blocks, overshoot) = footprint(2 * STEP);
-    let bytes_per_user = (bytes_b - bytes_a) as f64 / STEP as f64;
-    let blocks_per_user = (blocks_b - blocks_a) as f64 / STEP as f64;
+    let (a, b) = (footprint(STEP), footprint(2 * STEP));
+    let per_user =
+        |a: [isize; 2], b: [isize; 2]| [0, 1].map(|i| (b[i] - a[i]) as f64 / STEP as f64);
+    let [bytes_per_user, blocks_per_user] = per_user(a.built, b.built);
     println!("{bytes_per_user:.1} B and {blocks_per_user:.3} blocks per user");
-    // Measured 604.4 B and 1.295 blocks; the bounds are that plus 10 %.
-    // With the catalog storing every path, record and candidate list it
-    // read 817.4 B; with every directory a B-tree keyed by boxed names, an
-    // owner id in every inode and a `usize` owner in every catalog record,
-    // 1,099.7 B and 6.295 blocks; with directories in a hash map beside the
-    // inode table and a catalog of per-owner lists, 1,967.9 B and 13.295.
-    assert!(bytes_per_user <= 665.0, "{bytes_per_user} bytes per user");
-    assert!(blocks_per_user <= 1.42, "{blocks_per_user} blocks per user");
+    // Measured 40.0 B and no block: a user's three sizes and its home's
+    // page slot; the bound is that plus 10 %. With every home built at
+    // the start it read 604.4 B and 1.295 blocks; with the catalog storing
+    // every path, record and candidate list 817.4 B; with every directory
+    // a B-tree keyed by boxed names, an owner id in every inode and a
+    // `usize` owner in every catalog record, 1,099.7 B and 6.295 blocks;
+    // with directories in a hash map beside the inode table and a catalog
+    // of per-owner lists, 1,967.9 B and 13.295.
+    assert!(bytes_per_user <= 44.0, "{bytes_per_user} bytes per user");
+    assert!(blocks_per_user <= 0.01, "{blocks_per_user} blocks per user");
+    // A built home costs what one cost when every home was built at the
+    // start: its page of five inodes, its three entries and its share of
+    // `/u` and `/tmp`.
+    let [home_bytes, home_blocks] = per_user(a.homes, b.homes);
+    println!("{home_bytes:.1} B and {home_blocks:.3} blocks per user with every home built");
+    assert!(home_bytes <= 665.0, "{home_bytes} bytes per built home");
+    assert!(home_blocks <= 2.52, "{home_blocks} blocks per built home");
+    // Dropped, the homes give back all of it but the emptied `/u` and
+    // `/tmp` nodes.
+    for size in [&a, &b] {
+        let left = size.dropped[0] - size.built[0];
+        println!("{left} B left after dropping every home");
+        assert!(left <= 1_024, "{left} B left after the drop");
+    }
     // A handful of vectors however many files: no block per file, list or
     // owner (712,007 blocks at 100 k users when every owner held its own
     // lists).
-    assert!(catalog_blocks <= 8, "{catalog_blocks} catalog blocks");
+    assert!(b.catalog_blocks <= 8, "{} catalog blocks", b.catalog_blocks);
     // The build reserves what it returns before it creates anything, so
     // it never holds much more: a table grown by doubling and trimmed at
     // the end passes the mark by up to its whole size (16 % over at 100 k
     // users when the catalog's paths were built that way).
-    let built = bytes_b as f64;
-    println!("build peak {overshoot} B over the {bytes_b} B it returns");
+    let (overshoot, built) = (b.overshoot, b.built[0] as f64);
+    println!("build peak {overshoot} B over the {built} B it returns");
     assert!(
         overshoot as f64 <= 0.02 * built,
         "{overshoot} B over {built} B"
@@ -101,13 +138,14 @@ fn the_file_system_costs_a_known_number_of_bytes_and_blocks_per_user() {
 
     // Pattern fill allocates a data block for every block of every file; a
     // block no caller has written costs its id, not its bytes. Over the
-    // sparse build of the same spec that is at most 64 bytes a block (the
-    // block's 8 KiB when each held a zeroed buffer).
+    // sparse build of the same spec, homes built, that is at most 64 bytes
+    // a block (the block's 8 KiB when each held a zeroed buffer).
     let built = |fill| {
         let mut spec = WorkloadSpec::paper_default().unwrap();
         spec.fsc.fill = fill;
         let before = LIVE_BYTES.load(Relaxed);
-        let (vfs, _catalog) = spec.generate_fs().unwrap();
+        let (mut vfs, catalog) = spec.generate_fs().unwrap();
+        catalog.build_home(&mut vfs, 0).unwrap();
         let bytes = LIVE_BYTES.load(Relaxed) - before;
         (bytes, vfs.block_stats().allocated)
     };
