@@ -24,10 +24,6 @@ pub enum Command {
         /// Optional path to stream the binary columnar log to during the
         /// run (full fidelity, O(1) resident memory; requires a model).
         spill: Option<String>,
-        /// Shard the single run across this many independent DES
-        /// instances (None = the spec's choice, which itself defaults to
-        /// the exact unsharded path).
-        shards: Option<NonZeroUsize>,
         /// Override the spec's population size (the scale knob for smoke
         /// runs; applied before the file system is generated).
         users: Option<NonZeroUsize>,
@@ -45,8 +41,6 @@ pub enum Command {
         axis: SweepAxis,
         /// Worker threads (None = one per point, as cores allow).
         jobs: Option<usize>,
-        /// Per-point shard-count override (see `run`'s `shards`).
-        shards: Option<NonZeroUsize>,
     },
     /// `replicate <path>`: rerun one workload under several seeds.
     Replicate {
@@ -58,8 +52,6 @@ pub enum Command {
         seeds: SeedSpec,
         /// Worker threads (None = one per seed, as cores allow).
         jobs: Option<usize>,
-        /// Per-replicate shard-count override (see `run`'s `shards`).
-        shards: Option<NonZeroUsize>,
     },
     /// `fit <path>`: fit a family to a data file, or a whole workload
     /// spec to a spill capture (distinguished by the file's magic).
@@ -147,14 +139,11 @@ impl Command {
                 model,
                 out,
                 spill,
-                shards,
                 summary,
                 ..
             } => {
                 if model.is_none() && spill.is_some() {
                     Some("--spill needs a timing model (the direct driver does not stream)")
-                } else if model.is_none() && shards.is_some() {
-                    Some("--shards needs a timing model (the direct driver is single-instance)")
                 } else if model.is_none() && *summary {
                     Some("--summary needs a timing model (the direct driver materializes its log)")
                 } else if *summary && (out.is_some() || spill.is_some()) {
@@ -249,12 +238,8 @@ USAGE:
                        model runs only — inspect it with uswg analyze)
       --scheduler calendar  accepted and ignored: the calendar queue is the
                        only event queue (`heap` is an error)
-      --shards <K>     split this one run into K independent DES instances
-                       across cores and merge deterministically (model runs
-                       only; K=1 replays the exact path byte for byte, K>1
-                       approximates resource contention per shard; with
-                       --spill the per-shard streams spill to disk and k-way
-                       merge frame-by-frame — memory stays flat in K)
+      --shards 1       accepted and ignored: a run is one simulation (K > 1
+                       was removed, since each shard had its own servers)
       --users <N>      override the spec's population size before the file
                        system is generated (scale knob for smoke runs)
       --summary        stream into the O(1) summary sink and print only the
@@ -265,7 +250,7 @@ USAGE:
                                         run a Chapter 5 sweep across cores
       <AXIS> = --users 1,2,4,8 | --mix 0,0.5,1 | --sizes 128,512,2048
       --jobs <N>       worker threads (default: one per core)
-      --shards <K>     shard every point's run K ways (as for run)
+      --shards 1       accepted and ignored (as for run)
   uswg replicate <spec.json> --model <M> [OPTIONS]
                                         rerun under independent seeds, report 95% CI
       --seeds 1,2,3    explicit seed list

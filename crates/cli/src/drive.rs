@@ -26,7 +26,7 @@ pub(crate) fn drive(command: Command) -> Outcome {
     else {
         unreachable!("execute_with_status routes on the variant");
     };
-    let spec = load_spec(&path, None)?;
+    let spec = load_spec(&path)?;
     let config = DriveConfig {
         speedup,
         max_in_flight,

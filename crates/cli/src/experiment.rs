@@ -25,12 +25,11 @@ pub(crate) fn sweep(command: Command) -> Outcome {
         model,
         axis,
         jobs,
-        shards,
     } = command
     else {
         unreachable!("execute_with_status routes on the variant");
     };
-    let spec = load_spec(&path, shards)?;
+    let spec = load_spec(&path)?;
     let parallelism = parallelism_from_jobs(jobs)?;
     let (x_label, points) = match &axis {
         SweepAxis::Users(users) => (
@@ -55,12 +54,11 @@ pub(crate) fn replicate(command: Command) -> Outcome {
         model,
         seeds,
         jobs,
-        shards,
     } = command
     else {
         unreachable!("execute_with_status routes on the variant");
     };
-    let spec = load_spec(&path, shards)?;
+    let spec = load_spec(&path)?;
     let parallelism = parallelism_from_jobs(jobs)?;
     let seeds = seeds.resolve(spec.run.seed);
     let study = run_des_replicated(&spec, &model, seeds, parallelism)?;

@@ -49,10 +49,9 @@ mod parse;
 mod run;
 
 pub use command::{Command, Family, SeedSpec, SweepAxis, USAGE};
-pub use parse::{parse_args, parse_family, parse_model, parse_shards};
+pub use parse::{parse_args, parse_family, parse_model};
 
 use serde::Serialize;
-use std::num::NonZeroUsize;
 use uswg_core::metrics::OpKindSummary;
 use uswg_core::{CoreError, DistrError, Table, WorkloadSpec};
 
@@ -151,11 +150,11 @@ pub fn execute_with_status(command: Command) -> Result<(String, i32), CliError> 
     }
 }
 
-/// Reads the workload spec at `path` and applies the `--shards` override.
-fn load_spec(path: &str, shards: Option<NonZeroUsize>) -> Result<WorkloadSpec, CliError> {
-    let mut spec = WorkloadSpec::from_json(&std::fs::read_to_string(path).map_err(at(path))?)?;
-    spec.run.shards = shards.or(spec.run.shards);
-    Ok(spec)
+/// Reads the workload spec at `path`.
+fn load_spec(path: &str) -> Result<WorkloadSpec, CliError> {
+    Ok(WorkloadSpec::from_json(
+        &std::fs::read_to_string(path).map_err(at(path))?,
+    )?)
 }
 
 fn write_file(path: &str, contents: &str) -> Result<(), CliError> {
@@ -193,6 +192,7 @@ fn op_table(rows: Vec<OpKindSummary>) -> String {
 mod tests {
     use super::*;
     use std::fmt::Write as _;
+    use std::num::NonZeroUsize;
     use uswg_core::experiment::ModelConfig;
     use uswg_core::{Distribution, LogSink, SpillCodec, SpillSink, UsageLog};
 
@@ -216,7 +216,6 @@ mod tests {
                 model,
                 out,
                 spill,
-                shards,
                 users,
                 summary,
             } => {
@@ -224,7 +223,6 @@ mod tests {
                 assert_eq!(model.unwrap().name(), "nfs");
                 assert_eq!(out.as_deref(), Some("log.json"));
                 assert_eq!(spill, None);
-                assert_eq!(shards, None);
                 assert_eq!(users, None);
                 assert!(!summary);
             }
@@ -235,13 +233,6 @@ mod tests {
             Command::Run { users, summary, .. } => {
                 assert_eq!(users, NonZeroUsize::new(1_000_000));
                 assert!(summary);
-            }
-            other => panic!("{other:?}"),
-        }
-        let cmd = parse_args(argv("run spec.json --model nfs --shards 4")).unwrap();
-        match cmd {
-            Command::Run { shards, .. } => {
-                assert_eq!(shards, Some(NonZeroUsize::new(4).unwrap()));
             }
             other => panic!("{other:?}"),
         }
@@ -258,6 +249,8 @@ mod tests {
             other => panic!("{other:?}"),
         }
         let with = parse_args(argv("run spec.json --model nfs --scheduler calendar")).unwrap();
+        assert_eq!(with, parse_args(argv("run spec.json --model nfs")).unwrap());
+        let with = parse_args(argv("run spec.json --model nfs --shards 1")).unwrap();
         assert_eq!(with, parse_args(argv("run spec.json --model nfs")).unwrap());
     }
 
@@ -300,12 +293,10 @@ mod tests {
         assert!(parse_args(argv("run spec.json --users 0")).is_err());
         assert!(parse_args(argv("run spec.json --users many")).is_err());
         assert!(parse_args(argv("run spec.json --users")).is_err());
-        // Sharding is a DES-driver feature: no model, no shards; and the
-        // count must be a positive integer.
-        assert!(parse_args(argv("run spec.json --shards 2")).is_err());
+        // A shard count must be a count, and above 1 it is refused.
+        assert!(parse_args(argv("sweep spec.json --model nfs --users 1 --shards 2")).is_err());
         assert!(parse_args(argv("run spec.json --model nfs --shards 0")).is_err());
         assert!(parse_args(argv("run spec.json --model nfs --shards lots")).is_err());
-        assert!(parse_args(argv("sweep spec.json --model nfs --users 1 --shards 0")).is_err());
         // Sweep needs a model and exactly one axis.
         assert!(parse_args(argv("sweep spec.json --users 1,2")).is_err());
         assert!(parse_args(argv("sweep spec.json --model nfs")).is_err());
@@ -339,7 +330,7 @@ mod tests {
     #[test]
     fn parses_sweep_and_replicate() {
         let cmd = parse_args(argv(
-            "sweep spec.json --model nfs --users 1,2,4 --jobs 2 --shards 2",
+            "sweep spec.json --model nfs --users 1,2,4 --jobs 2 --shards 1",
         ))
         .unwrap();
         match cmd {
@@ -348,13 +339,11 @@ mod tests {
                 model,
                 axis,
                 jobs,
-                shards,
             } => {
                 assert_eq!(path, "spec.json");
                 assert_eq!(model.name(), "nfs");
                 assert_eq!(axis, SweepAxis::Users(vec![1, 2, 4]));
                 assert_eq!(jobs, Some(2));
-                assert_eq!(shards, Some(NonZeroUsize::new(2).unwrap()));
             }
             other => panic!("{other:?}"),
         }
@@ -723,14 +712,14 @@ mod tests {
             "truncated spill input must fail"
         );
 
-        // run --shards 1 routes through the sharded driver but replays the
-        // exact path: the rendered summary is identical text. A larger K
-        // still runs (this spec has one user, so 4 shards collapse to 1
-        // active shard and the output stays identical too).
-        let run_sharded = |flags: &str| cli_ok(&format!("run {spec_arg} --model local{flags}"));
-        let unsharded = run_sharded("");
-        assert_eq!(unsharded, run_sharded(" --shards 1"));
-        assert_eq!(unsharded, run_sharded(" --shards 4"));
+        // --shards 1 changes nothing; --shards 4 is refused with its reason.
+        let run = format!("run {spec_arg} --model local");
+        assert_eq!(cli_ok(&run), cli_ok(&format!("{run} --shards 1")));
+        let refused = cli(&format!("{run} --shards 4")).unwrap_err();
+        assert!(
+            refused.to_string().contains("own copy of the servers"),
+            "{refused}"
+        );
 
         std::fs::remove_dir_all(&dir).ok();
     }

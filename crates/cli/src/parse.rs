@@ -6,7 +6,7 @@ use crate::CliError;
 use std::num::NonZeroUsize;
 use std::str::FromStr;
 use uswg_core::experiment::ModelConfig;
-use uswg_core::NfsParams;
+use uswg_core::{NfsParams, UsimError};
 
 /// The grammar, one row per subcommand: its name, then every flag it
 /// accepts. The cursor vets each token against the row, and a unit test
@@ -80,8 +80,8 @@ impl<'a> Flags<'a> {
     }
 }
 
-/// The most servers `distributed:<n>` accepts. Each costs about 0.5 KB per
-/// shard (36 MB at this bound); far past it, resource registration runs the
+/// The most servers `distributed:<n>` accepts. Each costs about 0.5 KB
+/// (36 MB at this bound); far past it, resource registration runs the
 /// process out of memory.
 const MAX_SERVERS: usize = 65_536;
 
@@ -130,15 +130,19 @@ fn check_scheduler(name: &str) -> Result<(), CliError> {
     }
 }
 
-/// Parses a shard count (a positive integer).
-///
-/// # Errors
-///
-/// Returns [`CliError::Usage`] for zero or non-numeric counts.
-pub fn parse_shards(value: &str) -> Result<NonZeroUsize, CliError> {
-    value
-        .parse::<NonZeroUsize>()
-        .map_err(|_| CliError::Usage(format!("bad shard count `{value}` (expected 1, 2, ...)")))
+/// Checks a `--shards` value. A run is one simulation, so `1` is accepted
+/// and changes nothing; a larger count is refused with the spec's reason.
+fn check_shards(value: &str) -> Result<(), CliError> {
+    match value.parse::<NonZeroUsize>() {
+        Ok(k) if k.get() == 1 => Ok(()),
+        Ok(k) => Err(CliError::Usage(format!(
+            "--shards {k}: {}",
+            UsimError::ShardsRetired { shards: k.get() }
+        ))),
+        Err(_) => Err(CliError::Usage(format!(
+            "bad shard count `{value}` (expected 1)"
+        ))),
+    }
 }
 
 /// Parses a family selector.
@@ -184,7 +188,6 @@ struct Parsed {
     out: Option<String>,
     spill: Option<String>,
     from_spill: Option<String>,
-    shards: Option<NonZeroUsize>,
     users: Option<NonZeroUsize>,
     jobs: Option<usize>,
     axis: Option<SweepAxis>,
@@ -249,7 +252,7 @@ fn parse_flags(args: &[String], needs: &str) -> Result<(String, Parsed), CliErro
             "--spill" => p.spill = Some(flags.value()?.to_string()),
             "--from-spill" => p.from_spill = Some(flags.value()?.to_string()),
             "--scheduler" => check_scheduler(flags.value()?)?,
-            "--shards" => p.shards = Some(parse_shards(flags.value()?)?),
+            "--shards" => check_shards(flags.value()?)?,
             "--users" if subcommand == "sweep" => p.set_axis(SweepAxis::Users(flags.list()?))?,
             "--users" => p.users = Some(flags.parsed()?),
             "--mix" => {
@@ -339,7 +342,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
                 model: p.model,
                 out: p.out,
                 spill: p.spill,
-                shards: p.shards,
                 users: p.users,
                 summary: p.summary,
             }
@@ -353,7 +355,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
                     CliError::Usage("sweep needs an axis: --users, --mix or --sizes".into())
                 })?,
                 jobs: p.jobs,
-                shards: p.shards,
             }
         }
         "replicate" => {
@@ -373,7 +374,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
                 model,
                 seeds,
                 jobs: p.jobs,
-                shards: p.shards,
             }
         }
         "drive" => {

@@ -27,14 +27,13 @@ pub(crate) fn run(command: Command) -> Outcome {
         model,
         out,
         spill,
-        shards,
         users,
         summary: summary_only,
     } = command
     else {
         unreachable!("execute_with_status routes on the variant");
     };
-    let mut spec = load_spec(&path, shards)?;
+    let mut spec = load_spec(&path)?;
     if let Some(n) = users {
         // Applied before the file system is generated, so the run is a
         // full-fidelity rescale of the spec, not a truncation of its log.
@@ -78,16 +77,6 @@ pub(crate) fn run(command: Command) -> Outcome {
     );
     if spill.is_none() && !summary_only {
         text.push_str(&op_table(summary.op_kind_summaries()));
-    }
-    if let (Some(_), Some(k)) = (spill, spec.run.shards) {
-        // Sharded capture stays memory-flat: each shard spills to
-        // its own temporary stream and the streams k-way merge
-        // frame-by-frame into the output file.
-        let _ = writeln!(
-            text,
-            "sharded run ({k} shard(s)): per-shard spill streams merged \
-             frame-by-frame, O(1) resident memory"
-        );
     }
     text.push_str(&render_summary_sink(&summary));
     if let Some(spill_path) = spill {

@@ -15,7 +15,7 @@ fn scratch(label: &str) -> PathBuf {
     dir
 }
 
-/// Writes a small 8-user spec (so `--shards 4` has four active shards).
+/// Writes a small 8-user spec.
 fn write_spec(dir: &Path) -> String {
     let mut spec = WorkloadSpec::paper_default().unwrap();
     spec.run.n_users = 8;
@@ -31,9 +31,9 @@ fn write_spec(dir: &Path) -> String {
     path.to_string_lossy().into()
 }
 
-/// The shard-count and scheduler variables the library used to read, each
-/// with a malformed value. Spelled in halves so a grep for the names over
-/// the tree lists live readers only — and there are none.
+/// The retired shard-count and scheduler variables the library used to
+/// read, each with a malformed value. Spelled in halves so a grep for the
+/// names over the tree lists live readers only — and there are none.
 const STALE_ENV: [(&str, &str); 2] = [
     (concat!("USWG_", "SHARDS"), "abc"),
     (concat!("USWG_", "SCHEDULER"), "fifo"),
@@ -79,7 +79,7 @@ fn stale_uswg_environment_variables_change_nothing() {
     }
 }
 
-/// Sweep, shard and frame-range workers share one thread budget, and the
+/// Sweep and frame-range workers share one thread budget, and the
 /// width asked for — past the cores, past the tasks — changes no printed byte.
 #[test]
 fn nested_fan_outs_print_the_same_bytes_at_any_width() {
@@ -87,7 +87,7 @@ fn nested_fan_outs_print_the_same_bytes_at_any_width() {
     let (spec, capture) = (write_spec(&dir), dir.join("run.bin").display().to_string());
     let out = |args: String| stdout_of(&uswg(&args, &[]), &args);
     out(format!("run {spec} --model nfs --spill {capture}"));
-    let sweep = format!("sweep {spec} --model local --users 1,2,3,4 --shards 2");
+    let sweep = format!("sweep {spec} --model local --users 1,2,3,4");
     let analyze = format!("analyze {capture}");
     // 64 workers for four points; 100000 for a capture of five frames.
     for (command, widths) in [(sweep, [1, 2, 64]), (analyze, [1, 3, 100_000])] {
@@ -114,59 +114,23 @@ fn run_modes_print_the_same_headline_numbers() {
     let dir = scratch("modes");
     let spec = write_spec(&dir);
     let spill = dir.join("run.bin");
-    for shards in ["", " --shards 2"] {
-        let default = stdout_of(
-            &uswg(&format!("run {spec} --model nfs{shards}"), &[]),
-            "default",
-        );
-        let summary = stdout_of(
-            &uswg(&format!("run {spec} --model nfs --summary{shards}"), &[]),
-            "--summary",
-        );
-        let spilled = stdout_of(
-            &uswg(
-                &format!("run {spec} --model nfs --spill {}{shards}", spill.display()),
-                &[],
-            ),
-            "--spill",
-        );
-        assert_eq!(headline(&default), headline(&summary), "shards `{shards}`");
-        assert_eq!(headline(&default), headline(&spilled), "shards `{shards}`");
-        // Same simulation, too: the `model … | N events | T simulated` line.
-        assert_eq!(default.lines().next(), summary.lines().next());
-        assert_eq!(default.lines().next(), spilled.lines().next());
-    }
-}
-
-/// Sharded summaries fold per-shard sinks in memory — on `run --summary`
-/// exactly as in sweeps — so they work with no usable temporary directory.
-/// A sharded `--spill` does need one (per-shard streams merge from disk)
-/// and reports its absence as a typed error, not a panic.
-#[test]
-fn sharded_summaries_need_no_temporary_directory() {
-    let dir = scratch("tmpdir");
-    let spec = write_spec(&dir);
-    let blocker = dir.join("not-a-directory");
-    std::fs::write(&blocker, b"").unwrap();
-    let below_a_file = blocker.join("x");
-    let tmpdir = [("TMPDIR", below_a_file.to_str().unwrap())];
-
-    let args = format!("run {spec} --model local --summary --shards 4");
-    let unusable = stdout_of(&uswg(&args, &tmpdir), &args);
-    assert_eq!(unusable, stdout_of(&uswg(&args, &[]), &args));
-
-    let args = format!("sweep {spec} --model local --users 4,8 --shards 4");
-    stdout_of(&uswg(&args, &tmpdir), &args);
-
-    let args = format!(
-        "run {spec} --model local --shards 4 --spill {}",
-        dir.join("run.bin").display()
+    let default = stdout_of(&uswg(&format!("run {spec} --model nfs"), &[]), "default");
+    let summary = stdout_of(
+        &uswg(&format!("run {spec} --model nfs --summary"), &[]),
+        "--summary",
     );
-    let out = uswg(&args, &tmpdir);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("spill:"), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
+    let spilled = stdout_of(
+        &uswg(
+            &format!("run {spec} --model nfs --spill {}", spill.display()),
+            &[],
+        ),
+        "--spill",
+    );
+    assert_eq!(headline(&default), headline(&summary));
+    assert_eq!(headline(&default), headline(&spilled));
+    // Same simulation, too: the `model … | N events | T simulated` line.
+    assert_eq!(default.lines().next(), summary.lines().next());
+    assert_eq!(default.lines().next(), spilled.lines().next());
 }
 
 /// A population that cannot fit in `vfs.max_inodes` is refused up front,
@@ -225,7 +189,7 @@ fn an_unbuildable_vfs_geometry_is_refused_by_name() {
 /// Simulated time saturates, so a delay past the clock's limit used to pin
 /// it there: every later response read 0 and the run exited 0 with a
 /// 18446744073709.551 s report. Now it is one line of error, exit 2,
-/// sharded or not — from a latency spike and from a think time alike.
+/// from a latency spike and from a think time alike.
 #[test]
 fn a_run_whose_clock_overflows_is_refused() {
     let dir = scratch("clock");
@@ -252,15 +216,13 @@ fn a_run_whose_clock_overflows_is_refused() {
     for (name, spec) in [("spike", spike), ("think", think)] {
         let path = dir.join(format!("{name}.json"));
         std::fs::write(&path, spec.to_json().unwrap()).unwrap();
-        for shards in ["", " --shards 2"] {
-            let args = format!("run {} --model nfs --summary{shards}", path.display());
-            let out = uswg(&args, &[]);
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert_eq!(out.status.code(), Some(2), "{args}: {stderr}");
-            assert!(out.stdout.is_empty(), "{args}: {stderr}");
-            assert!(stderr.contains("clock overflow"), "{args}: {stderr}");
-            assert_eq!(stderr.lines().count(), 1, "{args}: {stderr}");
-        }
+        let args = format!("run {} --model nfs --summary", path.display());
+        let out = uswg(&args, &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args}: {stderr}");
+        assert!(stderr.contains("clock overflow"), "{args}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args}: {stderr}");
     }
 }
 
@@ -285,12 +247,7 @@ fn a_server_count_or_cdf_resolution_past_its_bound_is_refused() {
         spec.run.cdf_resolution = resolution;
         let path = dir.join(format!("cdf-{resolution}.json"));
         std::fs::write(&path, spec.to_json().unwrap()).unwrap();
-        for shards in ["", " --shards 2"] {
-            runs.push(format!(
-                "run {} --model nfs --summary{shards}",
-                path.display()
-            ));
-        }
+        runs.push(format!("run {} --model nfs --summary", path.display()));
     }
     for args in runs {
         let out = uswg(&args, &[]);
@@ -336,6 +293,51 @@ fn the_removed_heap_scheduler_is_refused() {
     let plain = stdout_of(&uswg(&run, &[]), &run);
     let flagged = format!("{run} --scheduler calendar");
     assert_eq!(stdout_of(&uswg(&flagged, &[]), &flagged), plain);
+}
+
+/// A run is one simulation. A shard count of 1, as `--shards 1` or as the
+/// spec's `run.shards`, parses and changes nothing; a larger one, on the
+/// command line of `run`, `sweep` or `replicate` or in a spec, is refused
+/// in one line that says why.
+#[test]
+fn shard_counts_above_one_are_refused() {
+    let dir = scratch("shards");
+    let spec = write_spec(&dir);
+    let json = std::fs::read_to_string(&spec).unwrap();
+    let pinned = |k: &str| {
+        let pinned = json.replace("\"shards\": null", &format!("\"shards\": {k}"));
+        assert_ne!(pinned, json, "the spec names no shard count to pin");
+        let path = dir.join(format!("shards-{k}.json"));
+        std::fs::write(&path, pinned).unwrap();
+        path.display().to_string()
+    };
+    let (one, four) = (pinned("1"), pinned("4"));
+    for args in [
+        format!("run {spec} --model local --shards 2"),
+        format!("sweep {spec} --model local --users 1 --shards 2"),
+        format!("replicate {spec} --model local --shards 2"),
+        format!("run {four} --model local"),
+    ] {
+        let out = uswg(&args, &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args}: {stderr}");
+        assert!(
+            stderr.contains("each of the") && stderr.contains("own copy of the servers"),
+            "{args}: {stderr}"
+        );
+    }
+    let spill = dir.join("run.bin").display().to_string();
+    let run = |spec: &str, flags: &str| {
+        let args = format!("run {spec} --model local --spill {spill}{flags}");
+        (
+            stdout_of(&uswg(&args, &[]), &args),
+            std::fs::read(&spill).unwrap(),
+        )
+    };
+    let plain = run(&spec, "");
+    assert_eq!(run(&spec, " --shards 1"), plain);
+    assert_eq!(run(&one, ""), plain);
 }
 
 /// `--help` or `-h` anywhere on the line asks for the usage text (banner on

@@ -78,11 +78,10 @@ pub use uswg_sim::{
     Resource, ResourcePool, ResourceStats, Scheduler, SchedulerBackend, SimTime, Simulation, World,
 };
 pub use uswg_usim::{
-    merge_shard_logs, merge_spill_shards, read_spill, read_spill_path, shard_model_seed,
-    AccessPattern, BehaviorState, CategoryUsage, ChannelSink, CompiledPopulation, DesDriver,
-    DesRunStats, DirectDriver, DiurnalProfile, FaultSpec, FrameIndex, FrameIndexEntry, LogSink,
-    OpRecord, PhaseModel, PhaseState, PopulationSpec, RetryPolicy, RunConfig, SessionRecord,
-    ShardEnv, ShardPlan, ShardedDesDriver, SpillCodec, SpillReader, SpillRecord, SpillSink,
+    read_spill, read_spill_path, AccessPattern, BehaviorState, CategoryUsage, ChannelSink,
+    CompiledPopulation, DesDriver, DesRunStats, DirectDriver, DiurnalProfile, FaultSpec,
+    FrameIndex, FrameIndexEntry, LogSink, OpRecord, PhaseModel, PhaseState, PopulationSpec,
+    RetryPolicy, RunConfig, SessionRecord, SpillCodec, SpillReader, SpillRecord, SpillSink,
     SummarySink, UsageLog, UserTypeSpec, UsimError,
 };
 pub use uswg_vfs::{Fd, FsError, Metadata, OpenFlags, SeekFrom, Vfs, VfsConfig};

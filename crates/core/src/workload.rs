@@ -9,7 +9,7 @@ use uswg_fsc::{FileCatalog, FileSystemCreator, FscSpec};
 use uswg_sim::ResourcePool;
 use uswg_usim::{
     CompiledPopulation, DesDriver, DesRunStats, DirectDriver, LogSink, PopulationSpec, RunConfig,
-    ShardEnv, ShardPlan, ShardedDesDriver, UsageLog,
+    UsageLog,
 };
 use uswg_vfs::{Vfs, VfsConfig};
 
@@ -121,30 +121,6 @@ impl WorkloadSpec {
         Ok(DirectDriver::new().run(&mut vfs, &catalog, &population, &self.run)?)
     }
 
-    /// One [`ShardEnv`] per active shard: each is a fresh build of the
-    /// same seeded file system plus a fresh instance of the timing model,
-    /// so every shard starts from the identical initial state. The
-    /// per-shard model copies are the documented sharding approximation —
-    /// users queue only behind their own shard's resources.
-    ///
-    /// Environments build in parallel, under the thread budget the shards
-    /// then run under: K full file-system builds would otherwise sit on the
-    /// single-threaded critical path and grow with K while the simulation
-    /// shrinks with K. A build is a pure function of the spec and seed.
-    fn shard_envs(&self, model: &ModelConfig, active: usize) -> Result<Vec<ShardEnv>, CoreError> {
-        stealpool::try_map_indexed(active, active, |_| {
-            let (vfs, catalog) = self.generate_fs()?;
-            let mut pool = ResourcePool::new();
-            let model = model.build(&mut pool);
-            Ok(ShardEnv {
-                vfs,
-                catalog,
-                model,
-                pool,
-            })
-        })
-    }
-
     /// Runs the workload in simulated time against a timing model,
     /// streaming every record into `sink`: the response-time measurement
     /// mode behind Table 5.3 and Figures 5.6–5.12, and the one timed-run
@@ -156,31 +132,14 @@ impl WorkloadSpec {
     /// [`ChannelSink`](uswg_usim::ChannelSink) feeds a consumer thread — and
     /// the record stream is identical whichever it is.
     ///
-    /// With `run.shards` set the population is split across that many
-    /// independent DES instances run in parallel and the sink
-    /// decides how the shard results combine (see [`LogSink`]): summaries
-    /// fold in shard order, logs k-way merge by completion time, anything
-    /// else sees the merged stream replayed from per-shard temporary spill
-    /// files with O(shards × frame) resident memory. One shard replays the
-    /// unsharded run byte for byte; more shards trade contention fidelity
-    /// (each shard owns a private copy of the timing model) for wall-clock —
-    /// see [`ShardedDesDriver`] for the exact contract.
-    ///
     /// # Errors
     ///
-    /// Propagates generation, compilation and simulation errors, plus
-    /// spill-file I/O errors from the streamed sharded merge.
-    pub fn run_des<S: LogSink + Send>(
+    /// Propagates generation, compilation and simulation errors.
+    pub fn run_des<S: LogSink>(
         &self,
         model: &ModelConfig,
         sink: S,
     ) -> Result<(S, DesRunStats), CoreError> {
-        if let Some(shards) = self.run.shards {
-            let population = self.compile()?;
-            let plan = ShardPlan::new(self.run.n_users, shards);
-            let envs = self.shard_envs(model, plan.active_shards())?;
-            return Ok(ShardedDesDriver::new().run(&population, &self.run, shards, envs, sink)?);
-        }
         let (vfs, catalog) = self.generate_fs()?;
         let population = self.compile()?;
         let mut pool = ResourcePool::new();

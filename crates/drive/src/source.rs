@@ -49,7 +49,8 @@ impl From<std::io::Error> for SourceError {
 /// Items arrive in whatever order the producer emits them; the pacer
 /// sleeps until each op's scaled arrival and offers an already-late op
 /// immediately, so a source need not guarantee nondecreasing timestamps
-/// (a merged sharded log is ordered; a raw one may interleave).
+/// (a capture holds ops in completion order, so their issue times may
+/// interleave).
 pub trait OpSource {
     /// The next operation and its simulated arrival time in µs, `None` at
     /// a clean end of stream.

@@ -23,7 +23,7 @@
 //! session ([`FileCatalog::build_home`], [`FileCatalog::drop_home`]).
 //! Materialization is invisible to replay: session planning draws from the
 //! same per-user PRNG stream at the same points, so the op stream stays a
-//! pure function of (spec, seed, K) — pinned byte for byte by
+//! pure function of (spec, seed) — pinned byte for byte by
 //! `tests/golden_identity.rs`.
 
 use crate::compile::{BehaviorState, CompiledPopulation};
@@ -40,11 +40,11 @@ use uswg_vfs::{Process, Vfs};
 
 /// The event driving one simulated user — a *wake* (think time over: issue
 /// the next operation) or a *step* (an in-flight operation finished a
-/// stage) — for the *local* user index, packed to `u32` like
-/// [`UserArena::gid`]. One word, the kind in bit 32, so the scheduler moves
-/// it in one 8-byte store and load: a two-variant enum was stored as tag and
-/// payload, 4 bytes each, and read back by one 8-byte load the CPU cannot
-/// forward from them — a stall on 6.4 % of `deep_nfs`'s samples.
+/// stage) — for the user's id, packed to `u32`. One word, the kind in bit
+/// 32, so the scheduler moves it in one 8-byte store and load: a
+/// two-variant enum was stored as tag and payload, 4 bytes each, and read
+/// back by one 8-byte load the CPU cannot forward from them — a stall on
+/// 6.4 % of `deep_nfs`'s samples.
 #[derive(Debug, Clone, Copy)]
 struct Ev(u64);
 
@@ -73,16 +73,10 @@ const HOT_NONE: u32 = u32::MAX;
 
 /// Whole-run per-user state as parallel columns (struct of arrays). These
 /// are the only fields a population of N users pays for N times; everything
-/// session-scoped lives in [`HotArena`] slots.
+/// session-scoped lives in [`HotArena`] slots. A user's id is its slot
+/// index: it seeds the user's PRNG stream and labels every record. Events
+/// carry it as a `u32`; [`RunConfig::validate`] rejects larger populations.
 pub(crate) struct UserArena {
-    /// The user's global id: equal to the local slot index in an unsharded
-    /// run, and the population-wide index in a shard of a
-    /// [`ShardedDesDriver`](crate::ShardedDesDriver) run. Seeds the user's
-    /// PRNG stream and labels every record, so a user's behaviour is a
-    /// function of the global id alone — independent of how the population
-    /// is partitioned. Packed to `u32`; [`RunConfig::validate`] rejects
-    /// larger populations.
-    gid: Vec<u32>,
     /// Index into the compiled population's types.
     type_idx: Vec<u16>,
     behavior: Vec<BehaviorState>,
@@ -93,38 +87,27 @@ pub(crate) struct UserArena {
 }
 
 impl UserArena {
-    /// Builds the columns for `members` — the full population for the
-    /// unsharded entry points, one shard's global ids otherwise. The type
-    /// assignment is evaluated per member with
-    /// [`CompiledPopulation::type_of`], so nothing population-sized is ever
-    /// materialized besides the columns themselves.
-    pub(crate) fn build(
-        population: &CompiledPopulation,
-        seed: u64,
-        n_users: usize,
-        members: impl Iterator<Item = usize>,
-        len_hint: usize,
-    ) -> Self {
+    /// Builds the columns for users `0..n_users`. The type assignment is
+    /// evaluated per user with [`CompiledPopulation::type_of`], so nothing
+    /// population-sized is ever materialized besides the columns
+    /// themselves.
+    pub(crate) fn build(population: &CompiledPopulation, seed: u64, n_users: usize) -> Self {
         let mut arena = Self {
-            gid: Vec::with_capacity(len_hint),
-            type_idx: Vec::with_capacity(len_hint),
-            behavior: Vec::with_capacity(len_hint),
-            sessions_done: Vec::with_capacity(len_hint),
-            rng: Vec::with_capacity(len_hint),
-            hot: Vec::with_capacity(len_hint),
+            type_idx: Vec::with_capacity(n_users),
+            behavior: Vec::with_capacity(n_users),
+            sessions_done: Vec::with_capacity(n_users),
+            rng: Vec::with_capacity(n_users),
+            hot: Vec::with_capacity(n_users),
         };
-        for gid in members {
-            let t = population.type_of(gid, n_users);
-            arena
-                .gid
-                .push(u32::try_from(gid).expect("validated: population fits u32 ids"));
+        for user in 0..n_users {
+            let t = population.type_of(user, n_users);
             arena
                 .type_idx
                 .push(u16::try_from(t).expect("compile caps the user types"));
             arena.behavior.push(population.types()[t].new_behavior());
             arena.sessions_done.push(0);
             arena.rng.push(StdRng::seed_from_u64(
-                seed ^ (gid as u64).wrapping_mul(USER_SEED_MUL),
+                seed ^ (user as u64).wrapping_mul(USER_SEED_MUL),
             ));
             arena.hot.push(HOT_NONE);
         }
@@ -133,7 +116,7 @@ impl UserArena {
 
     /// Number of users in the arena.
     pub(crate) fn len(&self) -> usize {
-        self.gid.len()
+        self.hot.len()
     }
 }
 
@@ -224,8 +207,7 @@ impl<S: LogSink> UsimWorld<S> {
         self.sink.record_session(&hot.session.finish(now.micros()));
         self.users.sessions_done[user] += 1;
         if self.users.sessions_done[user] == self.config.sessions_per_user {
-            let gid = self.users.gid[user] as usize;
-            self.catalog.drop_home(&mut self.vfs, gid);
+            self.catalog.drop_home(&mut self.vfs, user);
         }
     }
 }
@@ -286,7 +268,7 @@ impl<S: LogSink> World for UsimWorld<S> {
                     if self.config.record_ops {
                         self.sink.record_op(&OpRecord {
                             at: issued.micros(),
-                            user: self.users.gid[user] as usize,
+                            user,
                             session: hot.session.record.session,
                             op: exec.request.kind,
                             ino: exec.request.file.0,
@@ -315,9 +297,8 @@ impl<S: LogSink> World for UsimWorld<S> {
                     return;
                 }
                 let type_idx = usize::from(self.users.type_idx[user]);
-                let gid = self.users.gid[user] as usize;
                 let session = Session::plan(
-                    gid,
+                    user,
                     type_idx,
                     self.users.sessions_done[user],
                     now.micros(),
@@ -326,7 +307,7 @@ impl<S: LogSink> World for UsimWorld<S> {
                     &mut self.users.rng[user],
                 );
                 if session.names_home(&self.catalog) {
-                    if let Err(e) = self.catalog.build_home(&mut self.vfs, gid) {
+                    if let Err(e) = self.catalog.build_home(&mut self.vfs, user) {
                         self.error = Some(e.into());
                         sched.halt();
                         return;
@@ -357,8 +338,8 @@ impl<S: LogSink> World for UsimWorld<S> {
                     let stages = self.model.stages(&exec.request, &mut self.model_rng);
                     // Latency spike on the first attempt: a seeded draw
                     // from the issuing user's own stream, so the outcome
-                    // is independent of sharding. The
-                    // disabled default draws nothing.
+                    // is independent of the timing model. The disabled
+                    // default draws nothing.
                     let spike = self.config.faults.sample_spike(&mut self.users.rng[user]);
                     hot.attempts = 1;
                     hot.prev_backoff = 0;
@@ -413,14 +394,12 @@ pub struct DesRunStats {
 }
 
 /// XOR mask deriving the model-randomness stream (disk jitter) from the
-/// run seed. Shard 0 of a sharded run uses exactly this stream, so a
-/// one-shard run replays the unsharded simulation byte for byte.
-pub(crate) const MODEL_SEED_XOR: u64 = 0x4D4F_4445_4C00_0001;
+/// run seed.
+const MODEL_SEED_XOR: u64 = 0x4D4F_4445_4C00_0001;
 
 /// Multiplier deriving each user's PRNG stream from the run seed and the
-/// user's *global* id, so a user's operation stream is independent of how
-/// the population is partitioned across shards.
-pub(crate) const USER_SEED_MUL: u64 = 0x9E37_79B9;
+/// user's id.
+const USER_SEED_MUL: u64 = 0x9E37_79B9;
 
 /// Capacity hint for a collecting sink: the session count
 /// (saturating — the `n_users × sessions_per_user` product can exceed
@@ -465,7 +444,6 @@ fn simulation<S: LogSink>(
     pool: ResourcePool,
     config: &RunConfig,
     users: UserArena,
-    model_seed: u64,
     sink: S,
 ) -> Simulation<UsimWorld<S>> {
     // Precompute the O(1) alias samplers for session planning's
@@ -484,7 +462,7 @@ fn simulation<S: LogSink>(
         path: String::new(),
         pool,
         model,
-        model_rng: StdRng::seed_from_u64(model_seed),
+        model_rng: StdRng::seed_from_u64(config.seed ^ MODEL_SEED_XOR),
         population: population.clone(),
         config: *config,
         users,
@@ -537,50 +515,9 @@ impl DesDriver {
         config.validate()?;
         let (est_ops, sessions) = log_capacity_hint(population, config);
         sink.reserve(est_ops, sessions);
-        let users = UserArena::build(
-            population,
-            config.seed,
-            config.n_users,
-            0..config.n_users,
-            config.n_users,
-        );
-        self.run_inner(
-            vfs,
-            catalog,
-            population,
-            model,
-            pool,
-            config,
-            users,
-            config.seed ^ MODEL_SEED_XOR,
-            sink,
-        )
-    }
-
-    /// Shared body of [`Self::run_with_sink`] and the sharded driver's
-    /// per-shard runs: simulates the users in `users` —
-    /// the full population for the unsharded entry points, one shard's
-    /// members otherwise. Per-user PRNG streams are derived from the
-    /// *global* ids (by [`UserArena::build`]), so each user's operation
-    /// stream is the same under every partitioning; `model_seed` seeds the
-    /// timing model's jitter stream (per shard in sharded runs).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_inner<S: LogSink>(
-        &self,
-        vfs: Vfs,
-        catalog: FileCatalog,
-        population: &CompiledPopulation,
-        model: Box<dyn ServiceModel>,
-        pool: ResourcePool,
-        config: &RunConfig,
-        users: UserArena,
-        model_seed: u64,
-        sink: S,
-    ) -> Result<(S, DesRunStats), UsimError> {
+        let users = UserArena::build(population, config.seed, config.n_users);
         let model_name = model.name().to_string();
-        let mut sim = simulation(
-            vfs, catalog, population, model, pool, config, users, model_seed, sink,
-        );
+        let mut sim = simulation(vfs, catalog, population, model, pool, config, users, sink);
         let events = sim.run();
         let duration = sim.now();
         let world = sim.into_world();
@@ -655,9 +592,13 @@ mod tests {
     #[test]
     fn arena_build_packs_members_in_order() {
         let population = population();
-        let arena = UserArena::build(&population, 7, 10, (1..10).step_by(3), 3);
-        assert_eq!(arena.len(), 3);
-        assert_eq!(arena.gid, vec![1, 4, 7]);
+        let arena = UserArena::build(&population, 7, 10);
+        assert_eq!(arena.len(), 10);
+        // Slot `u` is user `u`: its stream is seeded from that id.
+        assert_eq!(
+            arena.rng[4],
+            StdRng::seed_from_u64(7 ^ 4u64.wrapping_mul(USER_SEED_MUL))
+        );
         assert!(arena.hot.iter().all(|&h| h == HOT_NONE));
         assert!(arena.sessions_done.iter().all(|&s| s == 0));
     }
@@ -708,7 +649,7 @@ mod tests {
         // is event 151: 249 seed wakes unstreamed, 150 users' first
         // stages held or queued. None of them may run.
         let (vfs, catalog, model, pool) = build();
-        let users = UserArena::build(&population, config.seed, n_users, 0..n_users, n_users);
+        let users = UserArena::build(&population, config.seed, n_users);
         let mut sim = simulation(
             vfs,
             catalog,
@@ -717,7 +658,6 @@ mod tests {
             pool,
             &config,
             users,
-            1,
             UsageLog::new(),
         );
         assert_eq!(sim.run(), broken as u64 + 1);

@@ -45,26 +45,18 @@ pub enum UsimError {
         /// The requested user count.
         n_users: usize,
     },
-    /// The sharded driver was handed the wrong number of shard
-    /// environments for the plan's active shard count.
-    ShardEnvMismatch {
-        /// Environments the plan requires (one per active shard).
-        expected: usize,
-        /// Environments actually supplied.
-        got: usize,
+    /// `run.shards` asked for more than one shard. A run is one
+    /// simulation against one contended server; splitting it K ways gave
+    /// each shard its own copy of the servers and divided response times by
+    /// about K, so only `null` and 1 are accepted.
+    ShardsRetired {
+        /// The requested shard count.
+        shards: usize,
     },
     /// A distribution could not be instantiated or tabulated.
     Distribution(DistrError),
     /// The file system rejected an operation the simulator cannot skip.
     FileSystem(FsError),
-    /// A spill-file operation failed (writing, sealing or merging the
-    /// per-shard streams of a streamed full-log run). Holds the rendered
-    /// I/O error: `std::io::Error` is neither `Clone` nor `PartialEq`, and
-    /// callers only ever report this.
-    Spill {
-        /// The rendered underlying I/O error.
-        message: String,
-    },
     /// The simulated clock reached its limit (`SimTime::MAX`, ~584,542
     /// years): a think time, gap or delay overflowed, and since every time
     /// addition saturates, every response after it would read 0.
@@ -92,13 +84,14 @@ impl fmt::Display for UsimError {
                 f,
                 "population of {n_users} users exceeds the arena limit of 2^32 - 1"
             ),
-            UsimError::ShardEnvMismatch { expected, got } => write!(
+            UsimError::ShardsRetired { shards } => write!(
                 f,
-                "sharded run needs one environment per active shard (expected {expected}, got {got})"
+                "sharded runs were removed: each of the {shards} shards simulated its own \
+                 copy of the servers, dividing response times by about {shards} \
+                 (a shard count of 1 is accepted and changes nothing)"
             ),
             UsimError::Distribution(e) => write!(f, "distribution: {e}"),
             UsimError::FileSystem(e) => write!(f, "file system: {e}"),
-            UsimError::Spill { message } => write!(f, "spill: {message}"),
             UsimError::ClockOverflow => write!(
                 f,
                 "simulated clock overflow: a delay pushed it past 2^64 - 1 µs \
@@ -127,14 +120,6 @@ impl From<DistrError> for UsimError {
 impl From<FsError> for UsimError {
     fn from(e: FsError) -> Self {
         UsimError::FileSystem(e)
-    }
-}
-
-impl From<std::io::Error> for UsimError {
-    fn from(e: std::io::Error) -> Self {
-        UsimError::Spill {
-            message: e.to_string(),
-        }
     }
 }
 

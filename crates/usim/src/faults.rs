@@ -8,9 +8,8 @@
 //! can fail transiently and be retried under a [`RetryPolicy`] with
 //! exponential backoff and decorrelated jitter. Every random decision is
 //! drawn from the issuing user's own PRNG stream, so a faulted run remains
-//! a pure function of (spec, seed, K): fault outcomes never depend on the
-//! worker count or how the population is sharded —
-//! exactly the contract the shard- and sweep-equivalence suites pin.
+//! a pure function of (spec, seed) — the contract the fault-equivalence
+//! suite pins.
 //!
 //! Faults model the *timing and outcome* of a call, not its semantics: the
 //! synthetic file system executes the call's effect at issue time either

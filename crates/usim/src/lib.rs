@@ -36,7 +36,6 @@ mod error;
 mod faults;
 mod log;
 mod session;
-mod shard;
 mod sink;
 mod spec;
 mod spill;
@@ -50,9 +49,6 @@ pub use error::UsimError;
 pub use faults::{FaultSpec, RetryPolicy, PPM_SCALE};
 pub use log::{OpRecord, SessionRecord, UsageLog};
 pub use session::MAX_ACCESS_BYTES;
-pub use shard::{
-    merge_shard_logs, merge_spill_shards, shard_model_seed, ShardEnv, ShardPlan, ShardedDesDriver,
-};
 pub use sink::{ChannelSink, LogSink, OpKindSummary, SummarySink, UserTypeStream};
 pub use spec::{AccessPattern, CategoryUsage, PopulationSpec, RunConfig, UserTypeSpec};
 pub use spill::{

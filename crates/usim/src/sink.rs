@@ -18,17 +18,6 @@ use uswg_netfs::OpKind;
 /// A destination for the records a driver produces.
 ///
 /// Methods take references so a sink never forces a copy it does not need.
-///
-/// # Sharded runs
-///
-/// How K shard results combine is a property of the sink. A sink whose
-/// per-shard instances can be combined in memory overrides
-/// [`LogSink::shard_sink`] and [`LogSink::absorb_shards`]: every shard
-/// then records into its own instance and the instances are folded in
-/// shard order, with no I/O. Any other sink sees the merged record stream
-/// replayed from per-shard temporary spill files (all ops in merged order,
-/// then all sessions) — see
-/// [`ShardedDesDriver::run`](crate::ShardedDesDriver::run).
 pub trait LogSink {
     /// Receives one executed operation. Only called when the run's
     /// `record_ops` flag is on.
@@ -37,32 +26,13 @@ pub trait LogSink {
     /// Receives one completed session.
     fn record_session(&mut self, session: &SessionRecord);
 
-    /// Capacity hint from the driver before an unsharded run starts: about
+    /// Capacity hint from the driver before a run starts: about
     /// `ops` operation records and `sessions` session records will follow.
     /// Collecting sinks pre-size from it; streaming sinks ignore it.
     fn reserve(&mut self, _ops: usize, _sessions: usize) {}
-
-    /// A fresh, empty sink for one shard of a sharded run, or `None` (the
-    /// default) when per-shard instances cannot be combined in memory.
-    fn shard_sink(&self) -> Option<Self>
-    where
-        Self: Sized,
-    {
-        None
-    }
-
-    /// Folds the per-shard sinks handed out by [`LogSink::shard_sink`],
-    /// given **in shard order**, into `self`.
-    fn absorb_shards(&mut self, shards: Vec<Self>)
-    where
-        Self: Sized,
-    {
-        debug_assert!(shards.is_empty(), "shard_sink() handed out no sinks");
-    }
 }
 
-/// Collects everything; a sharded run k-way merges the per-shard logs by
-/// completion time ([`merge_shard_logs`](crate::merge_shard_logs)).
+/// Collects everything.
 impl LogSink for UsageLog {
     fn record_op(&mut self, op: &OpRecord) {
         self.push_op(*op);
@@ -75,20 +45,11 @@ impl LogSink for UsageLog {
     fn reserve(&mut self, ops: usize, sessions: usize) {
         UsageLog::reserve(self, ops, sessions);
     }
-
-    fn shard_sink(&self) -> Option<Self> {
-        Some(UsageLog::new())
-    }
-
-    fn absorb_shards(&mut self, shards: Vec<Self>) {
-        crate::shard::merge_shard_logs_into(self, &shards);
-    }
 }
 
 /// A tee: every record goes to both sinks, left first. Lets one run feed a
 /// streaming summary *and* a spill file (the `uswg run --spill` path) with
-/// no extra driver machinery. Shards combine in memory when both halves
-/// can, and through the streamed merge otherwise.
+/// no extra driver machinery.
 impl<A: LogSink, B: LogSink> LogSink for (A, B) {
     fn record_op(&mut self, op: &OpRecord) {
         self.0.record_op(op);
@@ -103,16 +64,6 @@ impl<A: LogSink, B: LogSink> LogSink for (A, B) {
     fn reserve(&mut self, ops: usize, sessions: usize) {
         self.0.reserve(ops, sessions);
         self.1.reserve(ops, sessions);
-    }
-
-    fn shard_sink(&self) -> Option<Self> {
-        Some((self.0.shard_sink()?, self.1.shard_sink()?))
-    }
-
-    fn absorb_shards(&mut self, shards: Vec<Self>) {
-        let (left, right) = shards.into_iter().unzip();
-        self.0.absorb_shards(left);
-        self.1.absorb_shards(right);
     }
 }
 
@@ -272,7 +223,7 @@ impl SummarySink {
     }
 
     /// Folds `other` into `self`, as if every record `other` saw had been
-    /// recorded here too. This is the reduction step for sharded,
+    /// recorded here too. This is the reduction step for sweep,
     /// replicated and parallel-analyze passes: fan the stream out over
     /// independent sinks, then merge them in order — counts, sums and
     /// extrema combine exactly, and the variance accumulators combine via
@@ -427,16 +378,6 @@ impl LogSink for SummarySink {
         };
         let entry = self.user_types.entry(session.user_type).or_default();
         entry.absorb(&stream, overflow);
-    }
-
-    fn shard_sink(&self) -> Option<Self> {
-        Some(SummarySink::new())
-    }
-
-    fn absorb_shards(&mut self, shards: Vec<Self>) {
-        for shard in &shards {
-            self.merge(shard);
-        }
     }
 }
 
@@ -644,11 +585,11 @@ mod tests {
         let base = 1u64 << 26;
         let n = 1_000_000u64;
         let mut whole = SummarySink::new();
-        let mut shards: Vec<SummarySink> = (0..10).map(|_| SummarySink::new()).collect();
+        let mut parts: Vec<SummarySink> = (0..10).map(|_| SummarySink::new()).collect();
         for i in 0..n {
             let record = op(OpKind::Read, base + i % 3, base + i % 3);
             whole.record_op(&record);
-            shards[(i % 10) as usize].record_op(&record);
+            parts[(i % 10) as usize].record_op(&record);
         }
         // Values cycle {base, base+1, base+2}: sample variance → 2/3.
         let expected = (2.0f64 / 3.0).sqrt();
@@ -657,10 +598,10 @@ mod tests {
             (got - expected).abs() < 1e-6,
             "sequential std {got} vs {expected}"
         );
-        // Chan's merge keeps the same stability across shard reductions.
+        // Chan's merge keeps the same stability across partial sinks.
         let mut merged = SummarySink::new();
-        for shard in &shards {
-            merged.merge(shard);
+        for part in &parts {
+            merged.merge(part);
         }
         let got = merged.access_size().std_dev;
         assert!(

@@ -266,17 +266,9 @@ pub struct RunConfig {
     /// `"calendar"` still parse, and any other name is a spec error.
     #[serde(default)]
     pub scheduler: Option<SchedulerBackend>,
-    /// Shards a single DES run across cores: the population is split
-    /// round-robin into this many independent DES instances and the
-    /// results are merged deterministically (see
-    /// [`ShardedDesDriver`](crate::ShardedDesDriver)). `None` — the
-    /// default — runs the exact single-instance simulation with one
-    /// globally contended resource model. `Some(1)` routes
-    /// through the sharded driver with one shard, which replays the exact
-    /// path byte for byte; `Some(K > 1)` trades contention fidelity for
-    /// wall-clock — each shard owns a private copy of the timing model's
-    /// resources, so response times are preserved statistically, not
-    /// exactly, while the operation streams themselves are unchanged.
+    /// Kept so that specs naming a shard count still parse: `null` and 1
+    /// both run the one exact simulation, and [`Self::validate`] refuses
+    /// anything larger with [`UsimError::ShardsRetired`].
     #[serde(default)]
     pub shards: Option<NonZeroUsize>,
     /// Seeded fault injection at the service boundary: transient errors
@@ -317,8 +309,14 @@ impl RunConfig {
     /// Returns [`UsimError::BadCount`] when users, sessions or resolution
     /// are zero, [`UsimError::TooLarge`] for a resolution above
     /// [`Self::MAX_CDF_RESOLUTION`], and [`UsimError::PopulationTooLarge`]
-    /// when the population exceeds the user arena's packed `u32` ids.
+    /// when the population exceeds the user arena's packed `u32` ids, and
+    /// [`UsimError::ShardsRetired`] for a shard count above 1.
     pub fn validate(&self) -> Result<(), UsimError> {
+        if let Some(shards) = self.shards.filter(|k| k.get() > 1) {
+            return Err(UsimError::ShardsRetired {
+                shards: shards.get(),
+            });
+        }
         if self.n_users == 0 {
             return Err(UsimError::BadCount { name: "n_users" });
         }
@@ -465,6 +463,18 @@ mod tests {
                 ..RunConfig::default()
             };
             assert_eq!(c.validate().is_ok(), ok, "{cdf_resolution}");
+        }
+        for (shards, ok) in [(None, true), (Some(1), true), (Some(2), false)] {
+            let c = RunConfig {
+                shards: shards.and_then(NonZeroUsize::new),
+                ..RunConfig::default()
+            };
+            let result = c.validate();
+            assert_eq!(result.is_ok(), ok, "{shards:?}");
+            if let Err(e) = result {
+                assert_eq!(e, UsimError::ShardsRetired { shards: 2 });
+                assert!(e.to_string().contains("own copy of the servers"), "{e}");
+            }
         }
     }
 

@@ -10,8 +10,8 @@
 //! [`read_spill`] reconstructs the exact `UsageLog` the run would have
 //! produced in memory (losslessly, byte-for-byte through JSON — guarded by
 //! round-trip property tests), and [`SpillReader`] iterates the records
-//! frame-by-frame without ever materializing a log — the substrate of the
-//! streamed sharded merge and of `uswg analyze`.
+//! frame-by-frame without ever materializing a log — the substrate of
+//! `uswg analyze`, `fit` and `drive --from-spill`.
 //!
 //! # Formats
 //!

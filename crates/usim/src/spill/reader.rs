@@ -109,8 +109,8 @@ impl<R: Read> SpillReader<R> {
     /// structurally* — their headers are parsed (so frame counts still
     /// reconcile against the end-of-stream marker) but their bodies are
     /// never decoded or allocated, which halves the work of passes that
-    /// only want one record kind (the sharded k-way merge reads every
-    /// file once per kind). Skipped frames' checksums are not verified;
+    /// only want one record kind (`fit` reads a capture once per kind, and
+    /// `drive --from-spill` replays only ops). Skipped frames' checksums are not verified;
     /// a pass that consumes the other kind (or [`read_spill`]) still
     /// verifies them.
     pub fn ops_only(mut self) -> Self {

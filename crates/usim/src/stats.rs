@@ -85,8 +85,8 @@ impl Summary {
 }
 
 /// A [`Summary`] built one sample at a time: the streaming counterpart of
-/// [`Summary::of`] for inputs too large to collect (spill files, merged
-/// shard streams). Means come from an exact running sum (so they match the
+/// [`Summary::of`] for inputs too large to collect (spill files, summary
+/// sinks). Means come from an exact running sum (so they match the
 /// post-hoc `sum / n` to the last bit); the spread uses Welford's running
 /// M2, which stays numerically stable where the naive `Σx² − (Σx)²/n` form
 /// loses every digit at large n with small variance.

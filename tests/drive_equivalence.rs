@@ -6,7 +6,7 @@
 //!
 //! * **Stream identity** — the channel source yields exactly the op
 //!   sequence the materialized log holds, record for record, for any
-//!   (spec, seed, K) — property-tested below. This is the
+//!   (spec, seed) — property-tested below. This is the
 //!   strong form: the pacer cannot tell which path produced its input.
 //! * **Report equality** — at high speedup against an instant loopback
 //!   with a queue wide enough to hold the whole stream, every op
@@ -19,7 +19,6 @@
 //! it offered and keeps the conservation identity intact.
 
 use proptest::prelude::*;
-use std::num::NonZeroUsize;
 use std::sync::Arc;
 use uswg_core::experiment::ModelConfig;
 use uswg_core::{ChannelSink, CoreError, DesRunStats, OpRecord, UsageLog, WorkloadSpec};
@@ -29,16 +28,11 @@ use uswg_drive::{
 };
 use uswg_usim::{SpillCodec, SpillSink};
 
-fn nz(k: usize) -> NonZeroUsize {
-    NonZeroUsize::new(k).expect("positive shard count")
-}
-
-/// A small multi-user workload under the given shard count.
-fn base_spec(users: usize, sessions: u32, shards: usize) -> WorkloadSpec {
+/// A small multi-user workload.
+fn base_spec(users: usize, sessions: u32) -> WorkloadSpec {
     let mut spec = WorkloadSpec::paper_default().unwrap();
     spec.run.n_users = users;
     spec.run.sessions_per_user = sessions;
-    spec.run.shards = (shards > 1).then(|| nz(shards));
     spec.fsc = spec
         .fsc
         .with_files_per_user(8)
@@ -118,35 +112,32 @@ fn assert_reports_equivalent(streamed: &DriveReport, materialized: &DriveReport,
     );
 }
 
-/// The tentpole contract: for shards {1, 2}, the streamed
-/// drive report equals the Vec-fed report on every counter, and the run
-/// really completes everything (the equality is not vacuous).
+/// The tentpole contract: the streamed drive report equals the Vec-fed
+/// report on every counter, and the run really completes everything (the
+/// equality is not vacuous).
 #[test]
 fn streamed_des_drive_matches_materialized_counters() {
     let model = ModelConfig::default_nfs();
-    for shards in [1usize, 2] {
-        let spec = base_spec(3, 2, shards);
-        let ops = spec
-            .run_des(&model, UsageLog::new())
-            .unwrap()
-            .0
-            .ops()
-            .to_vec();
-        let total = ops.len();
-        assert!(total > 0, "K={shards}: empty workload");
-        let config = wide_config(total);
-        let materialized = drive_stream(VecSource::new(ops), loopback(), &config).unwrap();
-        let streamed = drive_stream(
-            des_source(&spec, &model, config.queue_cap),
-            loopback(),
-            &config,
-        )
-        .unwrap();
-        let label = format!("K={shards}");
-        assert_reports_equivalent(&streamed, &materialized, &label);
-        assert_eq!(streamed.completed, total as u64, "{label}: all complete");
-        assert_eq!(streamed.shed + streamed.expired + streamed.aborted, 0);
-    }
+    let spec = base_spec(3, 2);
+    let ops = spec
+        .run_des(&model, UsageLog::new())
+        .unwrap()
+        .0
+        .ops()
+        .to_vec();
+    let total = ops.len();
+    assert!(total > 0, "empty workload");
+    let config = wide_config(total);
+    let materialized = drive_stream(VecSource::new(ops), loopback(), &config).unwrap();
+    let streamed = drive_stream(
+        des_source(&spec, &model, config.queue_cap),
+        loopback(),
+        &config,
+    )
+    .unwrap();
+    assert_reports_equivalent(&streamed, &materialized, "streamed");
+    assert_eq!(streamed.completed, total as u64, "all complete");
+    assert_eq!(streamed.shed + streamed.expired + streamed.aborted, 0);
 }
 
 /// Replaying a capture through `SpillSource` offers exactly the ops the
@@ -156,7 +147,7 @@ fn spill_capture_drive_matches_materialized_counters() {
     let dir = std::env::temp_dir().join(format!("uswg-drive-equiv-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let model = ModelConfig::default_nfs();
-    let spec = base_spec(2, 2, 1);
+    let spec = base_spec(2, 2);
     let ops = spec
         .run_des(&model, UsageLog::new())
         .unwrap()
@@ -187,7 +178,7 @@ fn truncated_capture_drains_and_keeps_the_conservation_identity() {
     let dir = std::env::temp_dir().join(format!("uswg-drive-trunc-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let model = ModelConfig::default_nfs();
-    let spec = base_spec(2, 2, 1);
+    let spec = base_spec(2, 2);
     let path = dir.join("capture.bin");
     // Tiny frames, so a mid-file cut leaves many intact op frames ahead
     // of it (one default-sized frame would swallow the whole small run).
@@ -237,9 +228,8 @@ proptest! {
         users in 1usize..=3,
         sessions in 1u32..=2,
         seed in 0u64..1_000,
-        shards in 1usize..=2,
     ) {
-        let mut spec = base_spec(users, sessions, shards);
+        let mut spec = base_spec(users, sessions);
         spec.run.seed = seed;
         let model = ModelConfig::default_local();
         let expected = spec.run_des(&model, UsageLog::new()).unwrap().0.ops().to_vec();

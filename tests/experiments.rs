@@ -15,9 +15,7 @@ fn base_spec() -> WorkloadSpec {
     // riding the small-sample noise of a particular RNG stream.
     spec.run.sessions_per_user = 8;
     // These tests assert the paper's *contended* queueing shapes (response
-    // grows with users because everyone queues behind one server), so they
-    // run unsharded; the sharded regime has its own suite
-    // (tests/shard_equivalence.rs).
+    // grows with users because everyone queues behind one server).
     spec.fsc = spec
         .fsc
         .with_files_per_user(15)

@@ -6,14 +6,11 @@
 //! (measure a system, characterize the users, regenerate an equivalent
 //! workload), closed as an executable loop.
 //!
-//! The matrix covers unsharded and sharded captures (K ∈ {1, 2}), both
-//! spill codecs, and a footer-less capture (no index — the fit collector's
-//! streamed fallback), across two distinct source specs. Everything is
-//! seeded, so the acceptance bands are deterministic gates, not flaky
-//! tolerances. The `heap` / `calendar` in the test names is only a name:
-//! there is one event queue, and every case runs on it.
+//! The matrix covers both spill codecs and footer-less captures (no index
+//! — the fit collector's streamed fallback), across two distinct source
+//! specs. Everything is seeded, so the acceptance bands are deterministic
+//! gates, not flaky tolerances.
 
-use std::num::NonZeroUsize;
 use std::path::Path;
 use uswg_core::experiment::ModelConfig;
 use uswg_core::{
@@ -124,14 +121,12 @@ fn assert_measure_close(label: &str, a: &[f64], b: &[f64], max_d: f64, ratio: f6
 
 /// The oracle: capture `spec`, fit it, run the fitted spec, and pin the
 /// regenerated capture against the original.
-fn roundtrip(label: &str, spec: &WorkloadSpec, shards: usize, codec: SpillCodec, indexed: bool) {
+fn roundtrip(label: &str, spec: &WorkloadSpec, codec: SpillCodec, indexed: bool) {
     let dir = unique_dir(label);
     let source_path = dir.join("source.bin");
     let refit_path = dir.join("refit.bin");
 
-    let mut spec = spec.clone();
-    spec.run.shards = NonZeroUsize::new(shards);
-    capture(&spec, &source_path, codec, indexed);
+    capture(spec, &source_path, codec, indexed);
 
     let source = observe(&source_path);
     assert_eq!(source.users, spec.run.n_users, "{label}: users observed");
@@ -143,8 +138,8 @@ fn roundtrip(label: &str, spec: &WorkloadSpec, shards: usize, codec: SpillCodec,
         spec.run.sessions_per_user
     );
 
-    // The fitted spec runs unsharded on its own seed — the oracle compares
-    // workload statistics, not event interleavings.
+    // The fitted spec runs on its own seed — the oracle compares workload
+    // statistics, not event interleavings.
     capture(&fitted.spec, &refit_path, SpillCodec::Compressed, true);
     let refit = observe(&refit_path);
     assert!(!refit.is_empty(), "{label}: regenerated capture is empty");
@@ -204,54 +199,35 @@ fn roundtrip(label: &str, spec: &WorkloadSpec, shards: usize, codec: SpillCodec,
 }
 
 #[test]
-fn roundtrip_paper_heap_unsharded_compressed() {
-    roundtrip(
-        "paper-k1-v2",
-        &paper_spec(),
-        1,
-        SpillCodec::Compressed,
-        true,
-    );
+fn roundtrip_paper_compressed() {
+    roundtrip("paper-v2", &paper_spec(), SpillCodec::Compressed, true);
 }
 
 #[test]
-fn roundtrip_paper_calendar_unsharded_raw() {
-    roundtrip("paper-k1-v1", &paper_spec(), 1, SpillCodec::Raw, true);
+fn roundtrip_paper_raw() {
+    roundtrip("paper-v1", &paper_spec(), SpillCodec::Raw, true);
 }
 
 #[test]
-fn roundtrip_paper_heap_sharded_footerless() {
-    // K = 2 sharded capture, no index footer: the fit collector must take
-    // its whole-file streamed fallback over the merged shard streams.
+fn roundtrip_paper_compressed_footerless() {
+    // No index footer: the fit collector must take its whole-file streamed
+    // fallback.
     roundtrip(
-        "paper-k2-nofooter",
+        "paper-v2-nofooter",
         &paper_spec(),
-        2,
         SpillCodec::Compressed,
         false,
     );
 }
 
 #[test]
-fn roundtrip_mixed_calendar_sharded_compressed() {
-    roundtrip(
-        "mixed-k2-v2",
-        &mixed_spec(),
-        2,
-        SpillCodec::Compressed,
-        true,
-    );
+fn roundtrip_mixed_compressed() {
+    roundtrip("mixed-v2", &mixed_spec(), SpillCodec::Compressed, true);
 }
 
 #[test]
-fn roundtrip_mixed_heap_unsharded_raw_footerless() {
-    roundtrip(
-        "mixed-k1-v1-nofooter",
-        &mixed_spec(),
-        1,
-        SpillCodec::Raw,
-        false,
-    );
+fn roundtrip_mixed_raw_footerless() {
+    roundtrip("mixed-v1-nofooter", &mixed_spec(), SpillCodec::Raw, false);
 }
 
 #[test]

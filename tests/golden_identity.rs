@@ -1,6 +1,6 @@
 //! Golden byte-identity suite: committed fixtures pin the **exact bytes**
 //! a fixed workload produces — the serialized [`UsageLog`] JSON and the
-//! binary spill capture — at shard counts K ∈ {1, 2, 4}.
+//! binary spill capture.
 //!
 //! The fixtures under `tests/golden/` were generated by the pre-arena
 //! `DesDriver` (one boxed `UserState` per user), so these tests prove the
@@ -15,6 +15,9 @@
 //! fixture as a strict byte *prefix*, with the only addition after it the
 //! loadable index footer. Decoding the footer-less fixture directly pins
 //! that pre-footer files stay readable with unchanged results.
+//!
+//! A spec naming one shard (`run.shards: 1`) is the same run: it writes
+//! the same bytes, at the fixture's frame size and at a small one.
 //!
 //! After an **intended** stream change, regenerate with:
 //!
@@ -31,13 +34,9 @@ use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use uswg_core::experiment::ModelConfig;
 use uswg_core::{
-    DesDriver, FaultSpec, FrameIndex, Owner, PopulationSpec, ResourcePool, SpillSink, SummarySink,
-    UsageClass, UsageLog, WorkloadSpec,
+    DesDriver, FaultSpec, FrameIndex, Owner, PopulationSpec, ResourcePool, SpillCodec, SpillSink,
+    SummarySink, UsageClass, UsageLog, WorkloadSpec,
 };
-
-fn nz(k: usize) -> NonZeroUsize {
-    NonZeroUsize::new(k).expect("positive shard count")
-}
 
 /// Bytes the index footer appends after the end marker: fixed header
 /// (8-byte magic + 4-byte count + 4-byte CRC), 29 bytes per frame entry,
@@ -55,12 +54,12 @@ fn golden_dir() -> PathBuf {
 /// session (login/logout/relogin), the full paper category mix including
 /// shared read-write coupling, and fault injection (retries, spikes,
 /// aborts) so the retry state machine is pinned too.
-fn golden_spec(k: usize) -> WorkloadSpec {
+fn golden_spec(shards: Option<NonZeroUsize>) -> WorkloadSpec {
     let mut spec = WorkloadSpec::paper_default().expect("paper default builds");
     spec.run.n_users = 6;
     spec.run.sessions_per_user = 3;
     spec.run.seed = 0x60_1D;
-    spec.run.shards = Some(nz(k));
+    spec.run.shards = shards;
     spec.run.faults = FaultSpec {
         fault_ppm: 120_000,
         spike_ppm: 80_000,
@@ -77,8 +76,8 @@ fn golden_spec(k: usize) -> WorkloadSpec {
 }
 
 /// One captured run: the serialized usage log and the raw spill bytes.
-fn capture(k: usize) -> (String, Vec<u8>) {
-    let spec = golden_spec(k);
+fn capture(shards: Option<NonZeroUsize>) -> (String, Vec<u8>) {
+    let spec = golden_spec(shards);
     let model = ModelConfig::default_nfs();
     let log_json = spec
         .run_des(&model, UsageLog::new())
@@ -86,8 +85,10 @@ fn capture(k: usize) -> (String, Vec<u8>) {
         .0
         .to_json()
         .expect("log serializes");
-    let spill_path =
-        std::env::temp_dir().join(format!("uswg-golden-{}-k{k}.spill", std::process::id()));
+    let spill_path = std::env::temp_dir().join(format!(
+        "uswg-golden-{}-{shards:?}.spill",
+        std::process::id()
+    ));
     let sink = (
         SummarySink::new(),
         SpillSink::create(&spill_path).expect("spill sink"),
@@ -99,7 +100,18 @@ fn capture(k: usize) -> (String, Vec<u8>) {
     (log_json, bytes)
 }
 
-/// The fixture comparison (or regeneration) for every K.
+/// The golden spec's capture at `frame_cap` records per frame.
+fn small_frame_capture(shards: Option<NonZeroUsize>, frame_cap: usize) -> Vec<u8> {
+    let sink =
+        SpillSink::with_options(Vec::new(), SpillCodec::default(), frame_cap).expect("spill sink");
+    let (sink, _) = golden_spec(shards)
+        .run_des(&ModelConfig::default_nfs(), sink)
+        .expect("run succeeds");
+    sink.finish().expect("spill seals")
+}
+
+/// The fixture comparison (or regeneration), with the shard count unset
+/// and at 1.
 #[test]
 fn arena_refactor_replays_the_pre_refactor_bytes() {
     let regen = std::env::var("USWG_GOLDEN_REGEN").is_ok();
@@ -107,9 +119,17 @@ fn arena_refactor_replays_the_pre_refactor_bytes() {
     if regen {
         std::fs::create_dir_all(&dir).expect("fixture dir");
     }
-    for k in [1usize, 2, 4] {
-        let spill_fixture = dir.join(format!("k{k}.spill"));
-        let (log_json, spill_bytes) = capture(k);
+    // Eight records per frame: sessions complete between op frames, so a
+    // run that reorders its records into all ops, then all sessions,
+    // writes different bytes.
+    assert_eq!(
+        small_frame_capture(None, 8),
+        small_frame_capture(NonZeroUsize::new(1), 8),
+        "shards: 1 must write the exact run's capture"
+    );
+    for shards in [None, NonZeroUsize::new(1)] {
+        let spill_fixture = dir.join("k1.spill");
+        let (log_json, spill_bytes) = capture(shards);
         let index = FrameIndex::load(&mut Cursor::new(&spill_bytes))
             .expect("trailer probe succeeds")
             .expect("a sealed capture carries an index footer");
@@ -131,18 +151,18 @@ fn arena_refactor_replays_the_pre_refactor_bytes() {
         assert_eq!(
             &spill_bytes[..stream_end],
             &want_spill[..],
-            "K={k}: spill record stream diverged from the \
+            "shards {shards:?}: spill record stream diverged from the \
              committed golden fixture (an op-stream change; if intended, \
              regenerate with USWG_GOLDEN_REGEN=1 and commit the fixtures)"
         );
         assert_eq!(
             spill_bytes.len(),
             want_spill.len() + footer_bytes(index.frames()),
-            "K={k}: the index footer must be the only \
+            "shards {shards:?}: the index footer must be the only \
              bytes a live capture adds after the pre-footer stream"
         );
-        // The compressed spill *is* the full log (the fixture set stays
-        // ~100 KB per K instead of ~1.5 MB of JSON): reconstructing a
+        // The compressed spill *is* the full log (the fixture stays
+        // ~115 KB instead of ~1.5 MB of JSON): reconstructing a
         // UsageLog from the fixture and serializing it pins the
         // materialized-log path to the same golden bytes.
         let want_log = uswg_core::read_spill_path(&spill_fixture)
@@ -151,14 +171,13 @@ fn arena_refactor_replays_the_pre_refactor_bytes() {
             .expect("fixture log serializes");
         assert_eq!(
             log_json, want_log,
-            "K={k}: serialized UsageLog diverged from the \
+            "shards {shards:?}: serialized UsageLog diverged from the \
              committed golden fixture"
         );
     }
 }
 
-/// A decoupled spec for the cross-driver op comparison, extending the
-/// `tests/shard_equivalence.rs` oracle strip: shared read-write files
+/// A decoupled spec for the cross-driver op comparison: shared read-write files
 /// couple users through the file system (one user's write moves another's
 /// EOF), and file-*creating* categories couple them through the global
 /// inode allocator (creation order differs between the interleaved DES and
