@@ -127,7 +127,7 @@ pub fn category_observations(log: &UsageLog) -> Vec<CategoryObservation> {
 mod tests {
     use super::*;
     use uswg_netfs::OpKind;
-    use uswg_usim::{LogSink, OpRecord, Summary};
+    use uswg_usim::OpRecord;
 
     fn log_with(ops: Vec<OpRecord>, sessions: Vec<SessionRecord>) -> UsageLog {
         let mut log = UsageLog::new();
@@ -192,196 +192,6 @@ mod tests {
             session_series(&log, SessionMetric::ResponsePerByte),
             vec![0.25]
         );
-    }
-
-    #[test]
-    fn op_kind_summary_skips_absent_kinds() {
-        let log = log_with(
-            vec![op(OpKind::Read, 100, 10), op(OpKind::Read, 300, 20)],
-            vec![],
-        );
-        let summaries = SummarySink::of(&log).op_kind_summaries();
-        assert_eq!(summaries.len(), 1);
-        assert_eq!(summaries[0].kind, OpKind::Read);
-        assert_eq!(summaries[0].count, 2);
-        assert!((summaries[0].access_size.mean - 200.0).abs() < 1e-12);
-        assert!((summaries[0].response.mean - 15.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn data_summary_ignores_metadata() {
-        let log = log_with(
-            vec![
-                op(OpKind::Read, 100, 10),
-                op(OpKind::Open, 0, 99),
-                op(OpKind::Write, 300, 30),
-            ],
-            vec![],
-        );
-        let (sizes, responses) = SummarySink::of(&log).data_op_summary();
-        assert_eq!(sizes.n, 2);
-        assert!((sizes.mean - 200.0).abs() < 1e-12);
-        assert!((responses.mean - 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn response_per_byte_weights_by_bytes() {
-        let log = log_with(
-            vec![op(OpKind::Read, 100, 100), op(OpKind::Read, 300, 100)],
-            vec![],
-        );
-        // 200 µs over 400 bytes.
-        assert!((SummarySink::of(&log).response_per_byte() - 0.5).abs() < 1e-12);
-        assert_eq!(SummarySink::new().response_per_byte(), 0.0);
-    }
-
-    #[test]
-    fn response_per_byte_charges_metadata_calls() {
-        // An expensive open is not free, even though it moves no bytes.
-        let log = log_with(
-            vec![op(OpKind::Open, 0, 400), op(OpKind::Read, 400, 100)],
-            vec![],
-        );
-        // (400 + 100) µs over 400 data bytes.
-        assert!((SummarySink::of(&log).response_per_byte() - 1.25).abs() < 1e-12);
-    }
-
-    /// Two-pass `Summary::of` over the sizes and responses of the ops kept.
-    fn batch(ops: &[OpRecord], keep: impl Fn(&OpRecord) -> bool) -> (Summary, Summary) {
-        let (sizes, responses): (Vec<f64>, Vec<f64>) = ops
-            .iter()
-            .filter(|o| keep(o))
-            .map(|o| (o.bytes as f64, o.response as f64))
-            .unzip();
-        (Summary::of(&sizes), Summary::of(&responses))
-    }
-
-    /// Counts and extrema exactly, mean and std dev to 1e-9.
-    #[track_caller]
-    fn assert_close(got: &Summary, want: &Summary) {
-        assert_eq!((got.n, got.min, got.max), (want.n, want.min, want.max));
-        assert!((got.mean - want.mean).abs() < 1e-9, "{got:?} vs {want:?}");
-        assert!(
-            (got.std_dev - want.std_dev).abs() < 1e-9,
-            "{got:?} vs {want:?}"
-        );
-    }
-
-    #[test]
-    fn stream_stats_match_batch_metrics() {
-        // A stream with every wrinkle: metadata calls, zero-byte data
-        // calls excluded from the data aggregate, several kinds, and
-        // sessions of two user types.
-        let other_type = SessionRecord {
-            user_type: 1,
-            ..session(600, 300, 3, 70)
-        };
-        let log = log_with(
-            vec![
-                op(OpKind::Open, 0, 400),
-                op(OpKind::Read, 100, 10),
-                op(OpKind::Read, 300, 20),
-                op(OpKind::Write, 200, 15),
-                op(OpKind::Write, 0, 3),
-                op(OpKind::Close, 0, 5),
-            ],
-            vec![session(400, 100, 2, 50), other_type],
-        );
-        let stream = SummarySink::of(&log);
-        assert_eq!((stream.ops, stream.sessions), (6, 2));
-        let kinds = stream.op_kind_summaries();
-        assert_eq!(kinds.len(), 4);
-        for s in &kinds {
-            let (sizes, responses) = batch(log.ops(), |o| o.op == s.kind);
-            assert_eq!(s.count, sizes.n);
-            assert_close(&s.access_size, &sizes);
-            assert_close(&s.response, &responses);
-        }
-        let (sizes, responses) = batch(log.ops(), |o| o.op.is_data() && o.bytes > 0);
-        assert_eq!(sizes.n, 3);
-        assert_close(&stream.access_size(), &sizes);
-        assert_close(&stream.response(), &responses);
-        // Every call's response over the data bytes: 453 µs / 600 B.
-        assert!((stream.response_per_byte() - 453.0 / 600.0).abs() < 1e-12);
-        // Per-user-type breakdown.
-        let types = stream.user_types();
-        assert_eq!(
-            (types.len(), types[&0].sessions, types[&1].sessions),
-            (2, 1, 1)
-        );
-        assert_eq!(types[&0].bytes_accessed, 400);
-        assert!((types[&1].response_per_byte() - 70.0 / 600.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merged_stream_stats_match_a_single_pass() {
-        // Two disjoint halves with different kinds, fault outcomes and
-        // user types must merge into exactly what one pass accumulates.
-        let ops: Vec<OpRecord> = (0..200u64)
-            .map(|i| OpRecord {
-                retries: (i % 3) as u32,
-                aborted: i % 17 == 0,
-                ..op(OpKind::ALL[i as usize % 8], i * 37 % 500, i * 13 % 90 + 1)
-            })
-            .collect();
-        let sessions: Vec<SessionRecord> = (0..40)
-            .map(|i| SessionRecord {
-                user_type: i % 3,
-                ..session(i as u64 * 10, 100, 2, i as u64 * 3)
-            })
-            .collect();
-        let of = |o: &[OpRecord], s: &[SessionRecord]| {
-            SummarySink::of(&log_with(o.to_vec(), s.to_vec()))
-        };
-        let whole = of(&ops, &sessions);
-        let mut merged = of(&ops[..77], &sessions[..13]);
-        merged.merge(&of(&ops[77..], &sessions[13..]));
-        let tallies = |s: &SummarySink| {
-            let faults = [s.retries, s.aborted_ops, s.aborted_bytes];
-            ([s.ops, s.sessions, s.total_response, s.data_bytes], faults)
-        };
-        assert_eq!(tallies(&merged), tallies(&whole));
-        assert_eq!(merged.user_types(), whole.user_types());
-        let kinds = merged.op_kind_summaries();
-        assert_eq!(kinds.len(), whole.op_kind_summaries().len());
-        for (m, w) in kinds.iter().zip(&whole.op_kind_summaries()) {
-            assert_eq!((m.kind, m.count), (w.kind, w.count));
-            assert_close(&m.access_size, &w.access_size);
-            assert_close(&m.response, &w.response);
-        }
-        assert_close(&merged.access_size(), &whole.access_size());
-        assert_close(&merged.response(), &whole.response());
-        // Merging an empty accumulator changes nothing.
-        merged.merge(&SummarySink::new());
-        assert_eq!(merged.op_kind_summaries(), kinds);
-    }
-
-    #[test]
-    fn stream_stats_fold_fault_outcomes() {
-        let mut stream = SummarySink::new();
-        stream.record_op(&op(OpKind::Read, 100, 10)); // clean
-        stream.record_op(&OpRecord {
-            retries: 2,
-            ..op(OpKind::Read, 200, 50)
-        });
-        stream.record_op(&OpRecord {
-            retries: 3,
-            aborted: true,
-            ..op(OpKind::Write, 400, 90)
-        });
-        stream.record_op(&OpRecord {
-            aborted: true,
-            ..op(OpKind::Open, 0, 5) // aborted metadata call moves no bytes
-        });
-        assert_eq!(stream.retries, 5);
-        assert_eq!(stream.aborted_ops, 2);
-        assert_eq!(stream.aborted_bytes, 400);
-        assert!((stream.abort_rate() - 0.5).abs() < 1e-12);
-        assert_eq!(stream.goodput_bytes(), 300);
-        // A fault-free stream reports zeros.
-        let clean = SummarySink::new();
-        assert_eq!(clean.abort_rate(), 0.0);
-        assert_eq!(clean.goodput_bytes(), 0);
     }
 
     #[test]

@@ -10,8 +10,7 @@ use std::sync::Arc;
 use uswg_analyze::scan::{scan_indexed, scan_path};
 use uswg_analyze::{collect_fit, CountingReader, Coverage, ScanOptions};
 use uswg_usim::{
-    FrameIndex, LogSink, OpRecord, SessionRecord, SpillCodec, SpillReader, SpillRecord, SpillSink,
-    SummarySink,
+    FrameIndex, LogSink, OpRecord, SessionRecord, SpillReader, SpillRecord, SpillSink, SummarySink,
 };
 
 use uswg_fsc::FileCategory;
@@ -24,7 +23,7 @@ const OPS: u64 = 4000;
 /// fault outcomes and interleaved sessions, at a small frame cap so the
 /// file holds many frames.
 fn capture() -> Vec<u8> {
-    fill(SpillSink::with_options(Vec::new(), SpillCodec::Compressed, FRAME).unwrap())
+    fill(SpillSink::with_options(Vec::new(), FRAME).unwrap())
 }
 
 fn fill(mut sink: SpillSink<Vec<u8>>) -> Vec<u8> {
@@ -266,7 +265,7 @@ fn opts(since: Option<u64>, sample: Option<u64>, jobs: usize) -> ScanOptions {
 #[test]
 fn analyze_and_fit_make_one_index_or_stream_choice() {
     let indexed = on_disk("indexed", &capture());
-    let bare = SpillSink::with_options(Vec::new(), SpillCodec::Compressed, FRAME).unwrap();
+    let bare = SpillSink::with_options(Vec::new(), FRAME).unwrap();
     let unindexed = on_disk("unindexed", &fill(bare.without_index()));
     // A filter, a fan-out request and `--sample 1` (which drops nothing) all
     // ask for the index; only the plain full pass does not.

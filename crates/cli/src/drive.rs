@@ -27,6 +27,9 @@ pub(crate) fn drive(command: Command) -> Outcome {
         unreachable!("execute_with_status routes on the variant");
     };
     let spec = load_spec(&path)?;
+    // Refused here, as `uswg run` refuses it, rather than by the producer
+    // thread after the pacer has started.
+    spec.validate()?;
     let config = DriveConfig {
         speedup,
         max_in_flight,

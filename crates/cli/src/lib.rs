@@ -194,7 +194,7 @@ mod tests {
     use std::fmt::Write as _;
     use std::num::NonZeroUsize;
     use uswg_core::experiment::ModelConfig;
-    use uswg_core::{Distribution, LogSink, SpillCodec, SpillSink, UsageLog};
+    use uswg_core::{Distribution, LogSink, SpillSink, UsageLog};
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -815,7 +815,7 @@ mod tests {
         // A capture with a known time line: op i completes at i*10 µs, at
         // a small frame cap so the file holds many seekable frames.
         let file = std::fs::File::create(&arg).unwrap();
-        let mut sink = SpillSink::with_options(file, SpillCodec::Compressed, 64).unwrap();
+        let mut sink = SpillSink::with_options(file, 64).unwrap();
         for i in 0..2000u64 {
             sink.record_op(&uswg_core::OpRecord {
                 at: i * 10,

@@ -486,3 +486,46 @@ fn a_capture_whose_totals_overflow_is_refused() {
         assert!(stderr.contains("exceeds 2^64 - 1"), "{args}: {stderr}");
     }
 }
+
+/// `drive` on a spec the simulator refuses used to start the pacer, let
+/// the producer thread fail and exit 3 with a salvaged report over 0 ops.
+/// It now checks the spec first, live or from a capture: exit 2 and the
+/// line `run` prints.
+#[test]
+fn drive_refuses_the_specs_run_refuses() {
+    let dir = scratch("drive-refused");
+    let json = std::fs::read_to_string(write_spec(&dir)).unwrap();
+    for (field, value) in [
+        ("\"shards\": null", "\"shards\": 4"),
+        ("\"n_users\": 8", "\"n_users\": 0"),
+    ] {
+        let bad = json.replace(field, value);
+        assert_ne!(bad, json, "the spec names no {field}");
+        let path = dir.join("bad.json");
+        std::fs::write(&path, bad).unwrap();
+        let spec = path.display();
+        let run = uswg(&format!("run {spec} --model nfs"), &[]);
+        assert_eq!(run.status.code(), Some(2), "{value}");
+        let capture = dir.join("none.bin");
+        for args in [
+            format!("drive {spec} --model nfs"),
+            format!("drive {spec} --from-spill {}", capture.display()),
+        ] {
+            let out = uswg(&args, &[]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args}: {stderr}");
+            assert!(out.stdout.is_empty(), "{args}: {stderr}");
+            assert_eq!(out.stderr, run.stderr, "{args}: {stderr}");
+        }
+    }
+}
+
+/// Captures are written as v2 only; the v1 capture committed beside the
+/// golden fixtures still reads, and `analyze` says which format it is.
+#[test]
+fn analyze_reads_a_v1_capture() {
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/v1.spill");
+    let out = stdout_of(&uswg(&format!("analyze {fixture}"), &[]), "analyze");
+    let head = format!("spill file {fixture} (v1 raw): 40 ops, 6 sessions\n");
+    assert!(out.starts_with(&head), "{out}");
+}

@@ -77,15 +77,28 @@ impl WorkloadSpec {
         Ok(serde_json::from_str(json)?)
     }
 
+    /// Checks what every run checks before it builds anything: the `vfs`
+    /// geometry, then the `run` section.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Geometry`] for a `vfs` section no file system can be
+    /// built on, and what [`RunConfig::validate`](uswg_usim::RunConfig::validate)
+    /// refuses.
+    pub fn validate(&self) -> Result<(), CoreError> {
+        self.vfs.validate().map_err(CoreError::Geometry)?;
+        Ok(self.run.validate()?)
+    }
+
     /// Runs the FSC: builds the synthetic file system and its catalog for
     /// `run.n_users` users, seeded from `run.seed`.
     ///
     /// # Errors
     ///
-    /// [`CoreError::Geometry`] for a `vfs` section no file system can be
-    /// built on; otherwise propagates creator and file-system errors.
+    /// What [`Self::validate`] refuses; otherwise propagates creator and
+    /// file-system errors.
     pub fn generate_fs(&self) -> Result<(Vfs, FileCatalog), CoreError> {
-        self.vfs.validate().map_err(CoreError::Geometry)?;
+        self.validate()?;
         let mut vfs = Vfs::new(self.vfs);
         let creator = FileSystemCreator::new(self.fsc.clone());
         let mut rng = StdRng::seed_from_u64(self.run.seed.wrapping_mul(0xF5C0_0001));

@@ -94,24 +94,6 @@ impl CompiledUserType {
         (base * factor).round().max(0.0) as u64
     }
 
-    /// Expected file-access system calls per login session, estimated from
-    /// the compiled tables' recorded means: per category, `pct_users ×
-    /// mean_files × (bookkeeping calls + data calls)`, where data calls ≈
-    /// `access_per_byte × mean_file_size / mean_access_size`. Used to
-    /// pre-size usage logs; it is a capacity hint, not a guarantee.
-    pub fn expected_ops_per_session(&self) -> f64 {
-        // open + close + the occasional create/unlink/stat/seek per file.
-        const BOOKKEEPING_OPS: f64 = 4.0;
-        let access = self.access_size.mean().max(1.0);
-        self.categories
-            .iter()
-            .map(|c| {
-                let data_ops = (c.access_per_byte * c.file_size.mean().max(0.0) / access).ceil();
-                c.pct_users * c.files.mean().max(0.0) * (BOOKKEEPING_OPS + data_ops)
-            })
-            .sum()
-    }
-
     /// Total CDF-table bytes held by this type — the memory cost the paper
     /// flags in Section 4.2 ("the product of the number of user types,
     /// number of file types, and the number of sample values").
@@ -194,43 +176,12 @@ impl CompiledPopulation {
         &self.types
     }
 
-    /// Deterministic proportional assignment of users to type indices (see
-    /// [`PopulationSpec::assign`]).
-    pub fn assign(&self, n_users: usize) -> Vec<usize> {
-        (0..n_users).map(|i| self.type_of(i, n_users)).collect()
-    }
-
-    /// The type index [`Self::assign`] gives user `i` of an `n_users`
-    /// population — the same proportional split, evaluated per user in
-    /// O(types). This is what the columnar user arenas call, so a
-    /// million-user run never materializes the population-wide assignment
-    /// vector.
+    /// The type index [`PopulationSpec::assign`] gives user `i` of an
+    /// `n_users` population, evaluated per user in O(types): both drivers
+    /// call it per user, so a million-user run never materializes the
+    /// population-wide assignment vector.
     pub fn type_of(&self, i: usize, n_users: usize) -> usize {
-        let target = (i as f64 + 0.5) / n_users as f64;
-        let mut acc = 0.0;
-        let mut chosen = self.types.len() - 1;
-        for (idx, &frac) in self.fractions.iter().enumerate() {
-            acc += frac;
-            if target < acc + 1e-12 {
-                chosen = idx;
-                break;
-            }
-        }
-        chosen
-    }
-
-    /// Fraction-weighted expected file-access calls per login session
-    /// across the population: the O(types) log-capacity hint the DES
-    /// driver pre-sizes with. The proportional assignment differs from the
-    /// exact fractions only by per-type rounding, which a hint can ignore
-    /// — evaluating the estimate per assigned user would cost
-    /// O(users × categories).
-    pub fn expected_ops_per_user_session(&self) -> f64 {
-        self.types
-            .iter()
-            .zip(&self.fractions)
-            .map(|(t, frac)| frac * t.expected_ops_per_session())
-            .sum()
+        crate::spec::type_of(self.fractions.iter().copied(), i, n_users)
     }
 
     /// Total CDF-table memory across all types, bytes.
@@ -308,6 +259,7 @@ mod tests {
     fn assignment_matches_spec_assignment() {
         let spec = population();
         let compiled = CompiledPopulation::compile(&spec, 64).unwrap();
-        assert_eq!(spec.assign(7), compiled.assign(7));
+        let per_user: Vec<usize> = (0..7).map(|i| compiled.type_of(i, 7)).collect();
+        assert_eq!(spec.assign(7), per_user);
     }
 }

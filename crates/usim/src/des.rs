@@ -106,9 +106,7 @@ impl UserArena {
                 .push(u16::try_from(t).expect("compile caps the user types"));
             arena.behavior.push(population.types()[t].new_behavior());
             arena.sessions_done.push(0);
-            arena.rng.push(StdRng::seed_from_u64(
-                seed ^ (user as u64).wrapping_mul(USER_SEED_MUL),
-            ));
+            arena.rng.push(user_rng(seed, user));
             arena.hot.push(HOT_NONE);
         }
         arena
@@ -401,36 +399,10 @@ const MODEL_SEED_XOR: u64 = 0x4D4F_4445_4C00_0001;
 /// user's id.
 const USER_SEED_MUL: u64 = 0x9E37_79B9;
 
-/// Capacity hint for a collecting sink: the session count
-/// (saturating — the `n_users × sessions_per_user` product can exceed
-/// `usize` long before either factor looks suspicious) and the compiled
-/// population's expected op count, both capped so the upfront reservation
-/// stays bounded no matter how large the run is. 2^20 records (~80 MiB of
-/// `OpRecord`s) is the most a hint should pre-commit — beyond that,
-/// amortized growth is cheap anyway, and a 10M-user request must reserve
-/// hint-sized, not population-sized, buffers.
-pub(crate) fn log_capacity_hint(
-    population: &CompiledPopulation,
-    config: &RunConfig,
-) -> (usize, usize) {
-    const CAP: usize = 1 << 20;
-    let sessions = config
-        .n_users
-        .saturating_mul(config.sessions_per_user as usize)
-        .min(CAP);
-    let est_ops = if config.record_ops {
-        let total = population.expected_ops_per_user_session()
-            * config.n_users as f64
-            * f64::from(config.sessions_per_user);
-        if total.is_finite() && total > 0.0 {
-            (total as usize).min(CAP) // saturating float→int cast
-        } else {
-            0
-        }
-    } else {
-        0
-    };
-    (est_ops, sessions)
+/// User `user`'s PRNG stream under run seed `seed` — the one both drivers
+/// draw a user's sessions from.
+pub(crate) fn user_rng(seed: u64, user: usize) -> StdRng {
+    StdRng::seed_from_u64(seed ^ (user as u64).wrapping_mul(USER_SEED_MUL))
 }
 
 /// The world and its scheduler, ready to run: `users` logged out, one
@@ -489,9 +461,9 @@ impl DesDriver {
     }
 
     /// Executes the run, streaming every record into `sink`: a
-    /// [`UsageLog`](crate::UsageLog) collects them all (pre-sized through
-    /// [`LogSink::reserve`]), a [`SummarySink`](crate::SummarySink) keeps
-    /// O(1) memory. The record stream is the same whatever the sink.
+    /// [`UsageLog`](crate::UsageLog) collects them all, a
+    /// [`SummarySink`](crate::SummarySink) keeps O(1) memory. The record
+    /// stream is the same whatever the sink.
     ///
     /// `vfs` and `catalog` are consumed (the simulation owns them while it
     /// runs); `pool` must be the pool the model registered its resources in.
@@ -510,11 +482,9 @@ impl DesDriver {
         model: Box<dyn ServiceModel>,
         pool: ResourcePool,
         config: &RunConfig,
-        mut sink: S,
+        sink: S,
     ) -> Result<(S, DesRunStats), UsimError> {
         config.validate()?;
-        let (est_ops, sessions) = log_capacity_hint(population, config);
-        sink.reserve(est_ops, sessions);
         let users = UserArena::build(population, config.seed, config.n_users);
         let model_name = model.name().to_string();
         let mut sim = simulation(vfs, catalog, population, model, pool, config, users, sink);
@@ -568,25 +538,6 @@ mod tests {
             )],
         );
         CompiledPopulation::compile(&PopulationSpec::single(t).unwrap(), 64).unwrap()
-    }
-
-    /// The over-reservation regression the arena diet fixes: a 10M-user
-    /// request must reserve hint-sized, not population-sized, buffers —
-    /// and the session product must not overflow on any host.
-    #[test]
-    fn capacity_hint_is_bounded_for_ten_million_users() {
-        let population = population();
-        let mut config = RunConfig {
-            n_users: 10_000_000,
-            ..RunConfig::default()
-        };
-        config.sessions_per_user = u32::MAX; // product far beyond usize::MAX / hint cap
-        let (ops, sessions) = log_capacity_hint(&population, &config);
-        assert_eq!(sessions, 1 << 20);
-        assert!(ops > 0 && ops <= 1 << 20);
-        config.record_ops = false;
-        let (ops, _) = log_capacity_hint(&population, &config);
-        assert_eq!(ops, 0);
     }
 
     #[test]

@@ -11,11 +11,10 @@
 //! program never looks at them). That was never a model of anything.
 
 use crate::compile::CompiledPopulation;
+use crate::des::user_rng;
 use crate::log::{OpRecord, UsageLog};
 use crate::session::Session;
 use crate::{RunConfig, UsimError};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::time::Instant;
 use uswg_fsc::FileCatalog;
 use uswg_vfs::Vfs;
@@ -44,15 +43,14 @@ impl DirectDriver {
         config: &RunConfig,
     ) -> Result<UsageLog, UsimError> {
         config.validate()?;
-        let assignment = population.assign(config.n_users);
         let mut log = UsageLog::new();
         // Every path a session names is rendered here.
         let mut path = String::new();
 
-        for (user, &type_idx) in assignment.iter().enumerate() {
+        for user in 0..config.n_users {
+            let type_idx = population.type_of(user, config.n_users);
             let utype = &population.types()[type_idx];
-            let mut rng =
-                StdRng::seed_from_u64(config.seed ^ (user as u64).wrapping_mul(0x9E37_79B9));
+            let mut rng = user_rng(config.seed, user);
             let mut proc = vfs.new_process();
             let mut behavior = utype.new_behavior();
             // Virtual clock: think times are sampled (keeping the RNG stream

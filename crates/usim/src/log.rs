@@ -109,15 +109,6 @@ impl UsageLog {
         Self::default()
     }
 
-    /// Reserves room for at least `ops` more operation records and
-    /// `sessions` more session records, so steady-state recording never
-    /// reallocates. Drivers size this from `n_users × sessions_per_user`
-    /// and the population's expected operations per session.
-    pub fn reserve(&mut self, ops: usize, sessions: usize) {
-        self.ops.reserve(ops);
-        self.sessions.reserve(sessions);
-    }
-
     /// Appends an operation record.
     pub fn push_op(&mut self, record: OpRecord) {
         self.ops.push(record);

@@ -25,11 +25,6 @@ pub trait LogSink {
 
     /// Receives one completed session.
     fn record_session(&mut self, session: &SessionRecord);
-
-    /// Capacity hint from the driver before a run starts: about
-    /// `ops` operation records and `sessions` session records will follow.
-    /// Collecting sinks pre-size from it; streaming sinks ignore it.
-    fn reserve(&mut self, _ops: usize, _sessions: usize) {}
 }
 
 /// Collects everything.
@@ -40,10 +35,6 @@ impl LogSink for UsageLog {
 
     fn record_session(&mut self, session: &SessionRecord) {
         self.push_session(*session);
-    }
-
-    fn reserve(&mut self, ops: usize, sessions: usize) {
-        UsageLog::reserve(self, ops, sessions);
     }
 }
 
@@ -59,11 +50,6 @@ impl<A: LogSink, B: LogSink> LogSink for (A, B) {
     fn record_session(&mut self, session: &SessionRecord) {
         self.0.record_session(session);
         self.1.record_session(session);
-    }
-
-    fn reserve(&mut self, ops: usize, sessions: usize) {
-        self.0.reserve(ops, sessions);
-        self.1.reserve(ops, sessions);
     }
 }
 
@@ -541,17 +527,26 @@ mod tests {
             };
             prop_assert_eq!(tallies(&merged), tallies(&whole));
             prop_assert_eq!(merged.user_types(), whole.user_types());
+            let ratio = |n: u64, d: u64| if d == 0 { 0.0 } else { n as f64 / d as f64 };
             for (&t, row) in whole.user_types() {
                 let of_type: Vec<_> = sessions.iter().filter(|s| s.user_type == t).collect();
                 let bytes: u64 = of_type.iter().map(|s| s.bytes_accessed).sum();
+                let response: u64 = of_type.iter().map(|s| s.total_response).sum();
                 prop_assert!(t < types);
                 prop_assert_eq!((row.sessions, row.bytes_accessed), (of_type.len() as u64, bytes));
+                prop_assert_eq!(row.response_per_byte(), ratio(response, bytes));
             }
             prop_assert_eq!(whole.check_totals(), Ok(()));
             let data = |o: &&OpRecord| o.op.is_data() && o.bytes > 0;
             let data_bytes: u64 = ops.iter().filter(data).map(|o| o.bytes).sum();
             let total: u64 = ops.iter().map(|o| o.response).sum();
             prop_assert_eq!((whole.data_bytes, whole.total_response), (data_bytes, total));
+            // Metadata calls are charged to the data bytes.
+            prop_assert_eq!(whole.response_per_byte(), ratio(total, data_bytes));
+            let aborted = ops.iter().filter(|o| o.aborted);
+            let aborted_bytes: u64 = aborted.clone().filter(data).map(|o| o.bytes).sum();
+            prop_assert_eq!(whole.abort_rate(), ratio(aborted.count() as u64, ops.len() as u64));
+            prop_assert_eq!(whole.goodput_bytes(), data_bytes - aborted_bytes);
             let two_pass = |of: &mut dyn Iterator<Item = &OpRecord>| {
                 let rows: Vec<_> = of.map(|o| (o.bytes as f64, o.response as f64)).collect();
                 let (sizes, responses): (Vec<f64>, Vec<f64>) = rows.into_iter().unzip();
@@ -573,6 +568,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn response_per_byte_weights_by_bytes() {
+        let sink = fold(
+            &[op(OpKind::Read, 100, 100), op(OpKind::Read, 300, 100)],
+            &[],
+        );
+        // 200 µs over 400 bytes.
+        assert!((sink.response_per_byte() - 0.5).abs() < 1e-12);
+        assert_eq!(SummarySink::new().response_per_byte(), 0.0);
+    }
+
+    #[test]
+    fn stream_stats_fold_fault_outcomes() {
+        let stream = fold(
+            &[
+                op(OpKind::Read, 100, 10), // clean
+                OpRecord {
+                    retries: 2,
+                    ..op(OpKind::Read, 200, 50)
+                },
+                OpRecord {
+                    retries: 3,
+                    aborted: true,
+                    ..op(OpKind::Write, 400, 90)
+                },
+                OpRecord {
+                    aborted: true,
+                    ..op(OpKind::Open, 0, 5) // aborted metadata call moves no bytes
+                },
+            ],
+            &[],
+        );
+        assert_eq!(stream.retries, 5);
+        assert_eq!(stream.aborted_ops, 2);
+        assert_eq!(stream.aborted_bytes, 400);
+        assert!((stream.abort_rate() - 0.5).abs() < 1e-12);
+        assert_eq!(stream.goodput_bytes(), 300);
+        // A fault-free stream reports zeros.
+        let clean = SummarySink::new();
+        assert_eq!(clean.abort_rate(), 0.0);
+        assert_eq!(clean.goodput_bytes(), 0);
     }
 
     #[test]

@@ -229,22 +229,29 @@ impl PopulationSpec {
     /// `(i + 0.5) / n`. With 5 users and an 80/20 split this yields exactly
     /// 4 + 1, which matters for the paper's small populations.
     pub fn assign(&self, n_users: usize) -> Vec<usize> {
-        let mut out = Vec::with_capacity(n_users);
-        for i in 0..n_users {
-            let target = (i as f64 + 0.5) / n_users as f64;
-            let mut acc = 0.0;
-            let mut chosen = self.types.len() - 1;
-            for (idx, &(_, frac)) in self.types.iter().enumerate() {
-                acc += frac;
-                if target < acc + 1e-12 {
-                    chosen = idx;
-                    break;
-                }
-            }
-            out.push(chosen);
-        }
-        out
+        (0..n_users)
+            .map(|i| type_of(self.types.iter().map(|&(_, frac)| frac), i, n_users))
+            .collect()
     }
+}
+
+/// The type [`PopulationSpec::assign`] gives user `i` of `n_users`, from the
+/// types' `fractions` in order: the first whose cumulative fraction covers
+/// `(i + 0.5) / n_users`, else the last.
+pub(crate) fn type_of(
+    mut fractions: impl ExactSizeIterator<Item = f64>,
+    i: usize,
+    n_users: usize,
+) -> usize {
+    let last = fractions.len() - 1;
+    let target = (i as f64 + 0.5) / n_users as f64;
+    let mut acc = 0.0;
+    fractions
+        .position(|frac| {
+            acc += frac;
+            target < acc + 1e-12
+        })
+        .unwrap_or(last)
 }
 
 /// Run-level configuration of a simulation.

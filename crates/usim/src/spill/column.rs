@@ -75,13 +75,6 @@ pub(super) fn decode_aborted(code: u8) -> io::Result<bool> {
     }
 }
 
-/// Appends one v1 column: each value's low `width` bytes, little-endian.
-pub(super) fn push_fixed_col(body: &mut Vec<u8>, width: usize, values: impl Iterator<Item = u64>) {
-    for v in values {
-        body.extend_from_slice(&v.to_le_bytes()[..width]);
-    }
-}
-
 /// Decodes one v1 column — `out.len()` values of `width` bytes each — back
 /// to its values.
 pub(super) fn decode_fixed_col(buf: &[u8], width: usize, out: &mut [u64]) {

@@ -4,21 +4,23 @@
 //! Which columns a record has, in which order and at which width, is said
 //! once: a column table per record kind and a [`Row`] impl per kind mapping
 //! a record to its column values and back, strict decode checks included.
-//! [`write_frame`], [`read_body`] and [`skip_body`] walk the table for
-//! either codec; v1 and v2 differ only in which of `column`'s codecs a
-//! column goes through, and in v2's CRC. All are functions of bytes and
-//! records: nothing here knows about the sink or the reader.
+//! [`write_frame`] walks the table to write v2; [`read_body`] and
+//! [`skip_body`] walk it for either format (v1 is read, no longer written),
+//! which differ only in which of `column`'s codecs a column goes through,
+//! and in v2's CRC. All are functions of bytes and records: nothing here
+//! knows about the sink or the reader.
 
 use super::bad_data;
 use super::column::{
     decode_aborted, decode_category, decode_delta_col, decode_fixed_col, decode_op, decode_u8_col,
-    encode_category, encode_op, push_delta_col, push_fixed_col, push_u8_col, MAX_VARINT,
+    encode_category, encode_op, push_delta_col, push_u8_col, MAX_VARINT,
 };
 use super::crc::crc32;
 use crate::log::{OpRecord, SessionRecord};
 use std::io::{self, Read, Write};
 
-/// v1 file magic: format name + version (fixed-width raw columns).
+/// v1 file magic: format name + version (fixed-width raw columns; read
+/// only).
 pub(super) const MAGIC_V1: &[u8; 8] = b"USWGSPL1";
 /// v2 file magic (per-frame compressed columns + CRC).
 pub(super) const MAGIC_V2: &[u8; 8] = b"USWGSPL2";
@@ -45,17 +47,16 @@ pub(super) const TAG_OPS_FAULTS: u8 = 3;
 /// counts, for both formats.
 pub const FRAME_CAP: usize = 4096;
 
-/// How a spill file encodes its frames on disk. Both codecs hold the
-/// identical record stream; the reader sniffs the file magic, so the choice
-/// only trades bytes on disk against encode/decode work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// How a spill file encodes its frames on disk, as the reader reports it
+/// from the file magic. Both formats hold the same record stream; the
+/// writer writes v2, and v1 files from earlier releases stay readable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpillCodec {
-    /// The v1 format: fixed-width little-endian columns, byte-for-byte what
-    /// earlier releases wrote. No checksums.
+    /// The v1 format: fixed-width little-endian columns, as earlier
+    /// releases wrote them. No checksums.
     Raw,
-    /// The v2 format (the default): delta+varint integer columns, RLE byte
-    /// columns, CRC32 per frame.
-    #[default]
+    /// The v2 format: delta+varint integer columns, RLE byte columns,
+    /// CRC32 per frame.
     Compressed,
 }
 
@@ -146,21 +147,18 @@ impl Cols<'_> {
 /// One column on its way into a frame.
 pub(super) struct ColWriter<'a> {
     frame: &'a mut Vec<u8>,
-    codec: SpillCodec,
     col: Col,
 }
 
 impl ColWriter<'_> {
-    /// Appends the column's `values` as its storage class and the codec
-    /// encode them.
+    /// Appends the column's `values` in its storage class's v2 encoding.
     fn put(self, values: impl Iterator<Item = u64>) {
-        match (self.codec, self.col) {
-            (SpillCodec::Raw, col) => push_fixed_col(self.frame, col.width(), values),
-            (SpillCodec::Compressed, U8) => {
+        match self.col {
+            U8 => {
                 let bytes: Vec<u8> = values.map(|v| v as u8).collect();
                 push_u8_col(self.frame, &bytes);
             }
-            (SpillCodec::Compressed, U64 | U32) => push_delta_col(self.frame, values),
+            U64 | U32 => push_delta_col(self.frame, values),
         }
     }
 }
@@ -287,30 +285,22 @@ impl Row for SessionRecord {
 }
 
 /// Writes `rows` (the sink passes `1..=FRAME_CAP` of them; [`read_header`]
-/// rejects anything else) as one frame — tag, count, v2's CRC over both
-/// and every column, then the columns of the tag's table in `codec`'s
-/// encoding. Returns the tag it chose and the exact bytes written, which
-/// is what the frame index records.
-pub(super) fn write_frame<T: Row, W: Write>(
-    out: &mut W,
-    codec: SpillCodec,
-    rows: &[T],
-) -> io::Result<(u8, u64)> {
+/// rejects anything else) as one v2 frame — tag, count, the CRC over both
+/// and every column, then the columns of the tag's table. Returns the tag
+/// it chose and the exact bytes written, which is what the frame index
+/// records.
+pub(super) fn write_frame<T: Row, W: Write>(out: &mut W, rows: &[T]) -> io::Result<(u8, u64)> {
     let tag = T::tag(rows);
     let count = u32::try_from(rows.len()).map_err(|_| bad_data("frame too large".into()))?;
     let mut frame = vec![tag];
     frame.extend_from_slice(&count.to_le_bytes());
-    if codec == SpillCodec::Compressed {
-        frame.extend_from_slice(&[0u8; 4]); // the CRC, once the columns are in
-    }
+    frame.extend_from_slice(&[0u8; 4]); // the CRC, once the columns are in
     for (c, &col) in frame_cols(tag).iter().enumerate() {
         let frame = &mut frame;
-        T::put_col(rows, c, ColWriter { frame, codec, col });
+        T::put_col(rows, c, ColWriter { frame, col });
     }
-    if codec == SpillCodec::Compressed {
-        let crc = crc32(&[&frame[..5], &frame[9..]]);
-        frame[5..9].copy_from_slice(&crc.to_le_bytes());
-    }
+    let crc = crc32(&[&frame[..5], &frame[9..]]);
+    frame[5..9].copy_from_slice(&crc.to_le_bytes());
     out.write_all(&frame)?;
     Ok((tag, frame.len() as u64))
 }
@@ -500,16 +490,15 @@ mod tests {
     use super::super::tests::{faulted_op, sample_op, sample_session};
     use super::*;
 
-    const CODECS: [SpillCodec; 2] = [SpillCodec::Raw, SpillCodec::Compressed];
     const TAGS: [u8; 3] = [TAG_OPS, TAG_OPS_FAULTS, TAG_SESSIONS];
 
     /// One three-record frame of `tag`, exactly as [`write_frame`] emits it.
-    fn frame(codec: SpillCodec, tag: u8) -> Vec<u8> {
+    fn frame(tag: u8) -> Vec<u8> {
         let mut out = Vec::new();
         let wrote = match tag {
-            TAG_OPS => write_frame(&mut out, codec, &[1, 2, 3].map(sample_op)),
-            TAG_OPS_FAULTS => write_frame(&mut out, codec, &[1, 2, 3].map(faulted_op)),
-            _ => write_frame(&mut out, codec, &[1, 2, 3].map(sample_session)),
+            TAG_OPS => write_frame(&mut out, &[1, 2, 3].map(sample_op)),
+            TAG_OPS_FAULTS => write_frame(&mut out, &[1, 2, 3].map(faulted_op)),
+            _ => write_frame(&mut out, &[1, 2, 3].map(sample_session)),
         };
         assert_eq!(wrote.unwrap(), (tag, out.len() as u64));
         out
@@ -518,25 +507,21 @@ mod tests {
     #[test]
     fn the_tables_describe_what_is_written() {
         for tag in TAGS {
-            let raw = frame(SpillCodec::Raw, tag);
-            assert_eq!((raw.len() - 5) as u64, 3 * v1_row_bytes(tag));
-            // Hopping v2's length prefixes lands on the end of the frame
+            // Hopping the length prefixes lands on the end of the frame
             // after exactly the table's number of columns.
-            let v2 = frame(SpillCodec::Compressed, tag);
+            let mut stream = frame(tag);
             let (mut at, mut columns) = (9, 0);
-            while at < v2.len() {
-                at += 4 + u32::from_le_bytes(v2[at..at + 4].try_into().unwrap()) as usize;
+            while at < stream.len() {
+                at += 4 + u32::from_le_bytes(stream[at..at + 4].try_into().unwrap()) as usize;
                 columns += 1;
             }
-            assert_eq!((at, columns), (v2.len(), frame_cols(tag).len()));
+            assert_eq!((at, columns), (stream.len(), frame_cols(tag).len()));
             // A skip consumes the frame and not a byte of what follows.
-            for (codec, mut stream) in [(SpillCodec::Raw, raw), (SpillCodec::Compressed, v2)] {
-                stream.push(0xEE);
-                let mut r = &stream[1..];
-                let head = read_header(&mut r, tag).unwrap();
-                skip_body(&mut r, codec, head).unwrap();
-                assert_eq!(r, [0xEE], "{codec:?} tag {tag}");
-            }
+            stream.push(0xEE);
+            let mut r = &stream[1..];
+            let head = read_header(&mut r, tag).unwrap();
+            skip_body(&mut r, SpillCodec::Compressed, head).unwrap();
+            assert_eq!(r, [0xEE], "tag {tag}");
         }
     }
 
@@ -551,12 +536,12 @@ mod tests {
         }
     }
 
-    /// Decodes one frame (tag byte first) with no reader around it.
-    fn decode(codec: SpillCodec, bytes: &[u8]) -> io::Result<Vec<SpillRecord>> {
+    /// Decodes one v2 frame (tag byte first) with no reader around it.
+    fn decode(bytes: &[u8]) -> io::Result<Vec<SpillRecord>> {
         let mut r = Probe(&bytes[1..], 0);
         let mut out = Decoded::default();
-        let read =
-            read_header(&mut r, bytes[0]).and_then(|h| read_body(&mut r, codec, h, &mut out));
+        let read = read_header(&mut r, bytes[0])
+            .and_then(|h| read_body(&mut r, SpillCodec::Compressed, h, &mut out));
         let rows = read.map(|()| out.rows);
         // Nothing is sized past one column of FRAME_CAP values.
         assert!(r.1 <= 1 + FRAME_CAP * (1 + MAX_VARINT));
@@ -566,21 +551,19 @@ mod tests {
 
     #[test]
     fn mutated_frames_decode_or_fail_and_never_panic() {
-        for (codec, tag) in CODECS.into_iter().flat_map(|c| TAGS.map(|t| (c, t))) {
-            let good = frame(codec, tag);
-            assert_eq!(decode(codec, &good).unwrap().len(), 3);
+        for tag in TAGS {
+            let good = frame(tag);
+            assert_eq!(decode(&good).unwrap().len(), 3);
             for cut in 1..good.len() {
-                assert!(decode(codec, &good[..cut]).is_err(), "{codec:?} cut {cut}");
+                assert!(decode(&good[..cut]).is_err(), "tag {tag} cut {cut}");
             }
             for at in 0..good.len() {
                 for byte in [0x00, 0xFF] {
                     let mut bad = good.clone();
                     bad[at] = byte;
-                    // Ok or Err, never a panic: v1 may read other values
-                    // back, v2's CRC lets no change through.
-                    let result = decode(codec, &bad);
-                    if codec == SpillCodec::Compressed && bad != good {
-                        assert!(result.is_err(), "tag {tag} byte {at}");
+                    // The CRC lets no change through, and nothing panics.
+                    if bad != good {
+                        assert!(decode(&bad).is_err(), "tag {tag} byte {at}");
                     }
                 }
             }

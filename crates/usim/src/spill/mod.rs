@@ -20,11 +20,11 @@
 //! first 8 bytes of the file):
 //!
 //! * **v1 raw** (`USWGSPL1`, [`SpillCodec::Raw`]) — fixed-width
-//!   little-endian columns, exactly the format earlier releases wrote.
-//!   Still written on request (tests ask; the CLI always writes v2) and
-//!   always readable.
-//! * **v2 compressed** (`USWGSPL2`, [`SpillCodec::Compressed`], the
-//!   default) — the same columns per frame, but each column is
+//!   little-endian columns, the format earlier releases wrote. Read only:
+//!   [`SpillSink`] writes v2, and the committed capture
+//!   `tests/golden/v1.spill` pins the v1 reader.
+//! * **v2 compressed** (`USWGSPL2`, [`SpillCodec::Compressed`], what the
+//!   sink writes) — the same columns per frame, but each column is
 //!   independently compressed: integer columns as zigzag **delta +
 //!   LEB128 varint** (the op stream is sorted by completion time and most
 //!   magnitudes are small, so deltas collapse), byte columns as **RLE**
@@ -81,8 +81,8 @@
 //!
 //! The fault-outcome tag is chosen **per frame**: a frame whose records
 //! all carry the default outcome (no retries, not aborted) is written as a
-//! plain op frame, so a run without fault injection produces byte-identical
-//! files under both codecs to every earlier release, and old readers only
+//! plain op frame, so a run without fault injection produces files
+//! byte-identical to every earlier v2 release, and old readers only
 //! reject files that actually contain fault data.
 //!
 //! v2 integer columns (u32 widened to u64): per value the zigzag-encoded
@@ -97,8 +97,7 @@
 //! interleaving order within each record kind.
 //!
 //! The diagram above is drawn once, here; its executable form is `frame`'s
-//! column tables, which every writer, reader and skip walks for either
-//! codec.
+//! column tables, which the writer, the reader and the skip walk.
 
 mod column;
 mod crc;

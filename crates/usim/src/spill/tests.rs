@@ -185,8 +185,8 @@ fn filtered(bytes: &[u8]) -> (Vec<OpRecord>, Vec<SessionRecord>) {
     (ops, sessions)
 }
 
-fn write_all(codec: SpillCodec, n_ops: u64) -> (Vec<u8>, UsageLog) {
-    let mut sink = SpillSink::with_codec(Vec::new(), codec).unwrap();
+fn write_all(n_ops: u64) -> (Vec<u8>, UsageLog) {
+    let mut sink = SpillSink::new(Vec::new()).unwrap();
     let mut expected = UsageLog::new();
     for i in 0..n_ops {
         let op = sample_op(i);
@@ -202,170 +202,108 @@ fn write_all(codec: SpillCodec, n_ops: u64) -> (Vec<u8>, UsageLog) {
 }
 
 #[test]
-fn round_trips_multiple_frames_both_codecs() {
+fn round_trips_multiple_frames() {
     // 3 × FRAME_CAP ops forces mid-run frame flushes; interleaved
     // session records verify per-kind order is preserved.
-    for codec in [SpillCodec::Raw, SpillCodec::Compressed] {
-        let (bytes, expected) = write_all(codec, 3 * FRAME_CAP as u64 + 100);
-        let back = read_spill(bytes.as_slice()).unwrap();
-        assert_eq!(back.ops().len(), expected.ops().len());
-        assert_eq!(back.sessions().len(), expected.sessions().len());
-        // Byte-identical serialized form: the reconstruction is
-        // lossless under either codec.
-        assert_eq!(back.to_json().unwrap(), expected.to_json().unwrap());
-    }
-}
-
-#[test]
-fn compressed_files_are_measurably_smaller() {
-    let (raw, _) = write_all(SpillCodec::Raw, 2 * FRAME_CAP as u64);
-    let (compressed, _) = write_all(SpillCodec::Compressed, 2 * FRAME_CAP as u64);
-    assert!(
-        (compressed.len() as f64) < 0.7 * raw.len() as f64,
-        "compressed {} vs raw {}",
-        compressed.len(),
-        raw.len()
-    );
-}
-
-#[test]
-fn v1_format_is_frozen_byte_for_byte() {
-    // The raw codec must keep writing exactly the historical v1 layout,
-    // so files from earlier releases and files from `SpillCodec::Raw`
-    // are the same format. Reconstruct the expected bytes from the
-    // documented layout by hand and compare.
-    let ops = [sample_op(1), sample_op(2)];
-    let session = sample_session(5);
-    let mut sink = SpillSink::with_codec(Vec::new(), SpillCodec::Raw)
-        .unwrap()
-        .without_index();
-    for op in &ops {
-        sink.record_op(op);
-    }
-    sink.record_session(&session);
-    let bytes = sink.finish().unwrap();
-
-    let mut expected = MAGIC_V1.to_vec();
-    expected.push(TAG_OPS);
-    expected.extend_from_slice(&2u32.to_le_bytes());
-    for o in &ops {
-        expected.extend_from_slice(&o.at.to_le_bytes());
-    }
-    for o in &ops {
-        expected.extend_from_slice(&(o.user as u64).to_le_bytes());
-    }
-    for o in &ops {
-        expected.extend_from_slice(&o.session.to_le_bytes());
-    }
-    for o in &ops {
-        expected.push(encode_op(o.op));
-    }
-    for o in &ops {
-        expected.extend_from_slice(&o.ino.to_le_bytes());
-    }
-    for o in &ops {
-        expected.extend_from_slice(&o.bytes.to_le_bytes());
-    }
-    for o in &ops {
-        expected.extend_from_slice(&o.file_size.to_le_bytes());
-    }
-    for o in &ops {
-        expected.extend_from_slice(&o.response.to_le_bytes());
-    }
-    for o in &ops {
-        expected.push(encode_category(o.category));
-    }
-    expected.push(TAG_SESSIONS);
-    expected.extend_from_slice(&1u32.to_le_bytes());
-    for v in [session.user as u64, session.user_type as u64] {
-        expected.extend_from_slice(&v.to_le_bytes());
-    }
-    expected.extend_from_slice(&session.session.to_le_bytes());
-    for v in [
-        session.start,
-        session.end,
-        session.ops,
-        session.files_referenced,
-        session.file_bytes_referenced,
-        session.bytes_accessed,
-        session.bytes_read,
-        session.bytes_written,
-        session.total_response,
-    ] {
-        expected.extend_from_slice(&v.to_le_bytes());
-    }
-    expected.push(TAG_END);
-    expected.extend_from_slice(&2u64.to_le_bytes());
-    expected.extend_from_slice(&1u64.to_le_bytes());
-    assert_eq!(bytes, expected, "v1 byte layout must stay frozen");
-    // And it reads back losslessly.
+    let (bytes, expected) = write_all(3 * FRAME_CAP as u64 + 100);
     let back = read_spill(bytes.as_slice()).unwrap();
-    assert_eq!(back.ops().len(), 2);
-    assert_eq!(back.sessions().len(), 1);
+    assert_eq!(back.ops().len(), expected.ops().len());
+    assert_eq!(back.sessions().len(), expected.sessions().len());
+    // Byte-identical serialized form: the reconstruction is lossless.
+    assert_eq!(back.to_json().unwrap(), expected.to_json().unwrap());
+}
+
+/// A v1 capture from the last release that wrote the format: the records
+/// of [`record_v1_fixture`] at 4 per frame, without the index footer.
+const V1: &[u8] = include_bytes!("../../../../tests/golden/v1.spill");
+
+/// Records what [`V1`] holds into `sink`: 40 ops, clean for the first 20
+/// and faulted after, so the 4-record frames cross both kinds of op frame,
+/// and a session every 7 ops.
+fn record_v1_fixture(sink: &mut impl LogSink) {
+    for i in 0..40 {
+        sink.record_op(&if i < 20 { sample_op(i) } else { faulted_op(i) });
+        if i % 7 == 0 {
+            sink.record_session(&sample_session(i));
+        }
+    }
+}
+
+/// The records of [`V1`] as the writer writes them today, 4 per frame.
+fn v1_fixture_as_v2() -> Vec<u8> {
+    let mut sink = SpillSink::with_options(Vec::new(), 4).unwrap();
+    record_v1_fixture(&mut sink);
+    sink.finish().unwrap()
 }
 
 #[test]
 fn fault_outcomes_round_trip_both_codecs() {
-    // Mixed stream: clean frames keep the plain tag, frames holding
-    // any non-default outcome carry the fault columns; both read back
-    // losslessly and interleave correctly with session frames.
-    for codec in [SpillCodec::Raw, SpillCodec::Compressed] {
-        let mut sink = SpillSink::with_options(Vec::new(), codec, 4).unwrap();
-        let mut expected = UsageLog::new();
-        for i in 0..40 {
-            // First half clean, second half faulted: the 4-record
-            // frames cross both kinds of op frame.
-            let op = if i < 20 { sample_op(i) } else { faulted_op(i) };
-            sink.record_op(&op);
-            expected.push_op(op);
-            if i % 7 == 0 {
-                let s = sample_session(i);
-                sink.record_session(&s);
-                expected.push_session(s);
-            }
-        }
-        let bytes = sink.finish().unwrap();
-        let back = read_spill(bytes.as_slice()).unwrap();
-        assert_eq!(
-            back.to_json().unwrap(),
-            expected.to_json().unwrap(),
-            "{codec:?}"
-        );
+    // Clean frames keep the plain tag, frames holding any non-default
+    // outcome carry the fault columns; a stream written today (v2) and the
+    // committed v1 capture both read back losslessly and interleave
+    // correctly with session frames.
+    let mut expected = UsageLog::new();
+    record_v1_fixture(&mut expected);
+    for bytes in [v1_fixture_as_v2().as_slice(), V1] {
+        let back = read_spill(bytes).unwrap();
+        assert_eq!(back.to_json().unwrap(), expected.to_json().unwrap());
         // Filtered readers handle (decode and skip) both op tags.
-        let (ops, sessions) = filtered(&bytes);
-        assert_eq!(ops, expected.ops(), "{codec:?}");
-        assert_eq!(sessions, expected.sessions(), "{codec:?}");
+        let (ops, sessions) = filtered(bytes);
+        assert_eq!(ops, expected.ops());
+        assert_eq!(sessions, expected.sessions());
     }
+    assert_eq!(SpillReader::new(V1).unwrap().codec(), SpillCodec::Raw);
+}
+
+#[test]
+fn compressed_files_are_measurably_smaller() {
+    let v2 = v1_fixture_as_v2();
+    assert!(
+        (v2.len() as f64) < 0.7 * V1.len() as f64,
+        "v2 {} vs v1 {}",
+        v2.len(),
+        V1.len()
+    );
+}
+
+#[test]
+fn v1_rejects_non_boolean_aborted() {
+    // The strict 0/1 decode is v1's only integrity check. Op 39's aborted
+    // byte (0) ends the last op frame, which the last session frame (2
+    // records of 92 bytes after a 5-byte header) and the end marker follow.
+    let mut bad = V1.to_vec();
+    let aborted_at = bad.len() - 17 - (5 + 2 * 92) - 1;
+    assert_eq!(bad[aborted_at], 0);
+    bad[aborted_at] = 7;
+    let err = read_spill(bad.as_slice()).unwrap_err();
+    assert!(err.to_string().contains("aborted flag"), "{err}");
 }
 
 #[test]
 fn default_outcomes_never_change_the_byte_stream() {
     // Records whose outcome fields hold the defaults must produce a
-    // file indistinguishable from one written by a pre-fault release:
-    // the same bytes, under both codecs.
-    for codec in [SpillCodec::Raw, SpillCodec::Compressed] {
-        // `frame_has_faults` gates the tag choice: all-default frames
-        // take the historical tag…
-        assert!(!frame_has_faults(&[sample_op(3), sample_op(4)]));
-        assert!(frame_has_faults(&[sample_op(3), faulted_op(21)]));
-        // …so decoding a clean stream and re-writing it reproduces the
-        // original file byte for byte (no fault frames appear).
-        let (bytes, _) = write_all(codec, 200);
-        let log = read_spill(bytes.as_slice()).unwrap();
-        let mut rewrite = SpillSink::with_codec(Vec::new(), codec).unwrap();
-        for op in log.ops() {
-            rewrite.record_op(op);
-        }
-        for s in log.sessions() {
-            rewrite.record_session(s);
-        }
-        assert_eq!(rewrite.finish().unwrap(), bytes, "{codec:?}");
+    // file indistinguishable from one written by a pre-fault release.
+    // `frame_has_faults` gates the tag choice: all-default frames take the
+    // historical tag…
+    assert!(!frame_has_faults(&[sample_op(3), sample_op(4)]));
+    assert!(frame_has_faults(&[sample_op(3), faulted_op(21)]));
+    // …so decoding a clean stream and re-writing it reproduces the
+    // original file byte for byte (no fault frames appear).
+    let (bytes, _) = write_all(200);
+    let log = read_spill(bytes.as_slice()).unwrap();
+    let mut rewrite = SpillSink::new(Vec::new()).unwrap();
+    for op in log.ops() {
+        rewrite.record_op(op);
     }
+    for s in log.sessions() {
+        rewrite.record_session(s);
+    }
+    assert_eq!(rewrite.finish().unwrap(), bytes);
 }
 
 #[test]
 fn v2_fault_frames_detect_bit_flips() {
-    let mut sink = SpillSink::with_codec(Vec::new(), SpillCodec::Compressed).unwrap();
+    let mut sink = SpillSink::new(Vec::new()).unwrap();
     for i in 0..32 {
         sink.record_op(&faulted_op(i));
     }
@@ -380,22 +318,6 @@ fn v2_fault_frames_detect_bit_flips() {
             );
         }
     }
-}
-
-#[test]
-fn v1_rejects_non_boolean_aborted() {
-    // Build a valid v1 fault frame, then corrupt the aborted column:
-    // the strict 0/1 decode is v1's only integrity check.
-    let mut sink = SpillSink::with_codec(Vec::new(), SpillCodec::Raw)
-        .unwrap()
-        .without_index();
-    sink.record_op(&faulted_op(21)); // retries 1, not aborted
-    let mut bytes = sink.finish().unwrap();
-    let aborted_at = bytes.len() - 17 - 1; // last column byte before the end marker
-    assert_eq!(bytes[aborted_at], 0);
-    bytes[aborted_at] = 7;
-    let err = read_spill(bytes.as_slice()).unwrap_err();
-    assert!(err.to_string().contains("aborted flag"), "{err}");
 }
 
 #[test]
@@ -452,93 +374,85 @@ fn trailing_garbage_after_the_end_marker_is_rejected() {
     // the streaming and collecting readers must now reject it, with
     // and without an index footer in between.
     for indexed in [false, true] {
-        for codec in [SpillCodec::Raw, SpillCodec::Compressed] {
-            let mut sink = SpillSink::with_codec(Vec::new(), codec).unwrap();
-            if !indexed {
-                sink = sink.without_index();
-            }
-            for i in 0..10 {
-                sink.record_op(&sample_op(i));
-            }
-            let mut bytes = sink.finish().unwrap();
-            assert!(read_spill(bytes.as_slice()).is_ok());
-            bytes.push(0xA5);
-            let err = read_spill(bytes.as_slice()).unwrap_err();
-            assert_eq!(
-                err.kind(),
-                io::ErrorKind::InvalidData,
-                "{indexed} {codec:?}"
-            );
-            let mut reader = SpillReader::new(bytes.as_slice()).unwrap();
-            let last = (&mut reader).last().expect("at least one item");
-            assert!(last.is_err(), "streaming reader accepted garbage");
-            // The records themselves were all intact: salvage callers
-            // can still tell this apart from mid-stream damage.
-            assert!(reader.stream_complete());
+        let mut sink = SpillSink::new(Vec::new()).unwrap();
+        if !indexed {
+            sink = sink.without_index();
         }
+        for i in 0..10 {
+            sink.record_op(&sample_op(i));
+        }
+        let mut bytes = sink.finish().unwrap();
+        assert!(read_spill(bytes.as_slice()).is_ok());
+        bytes.push(0xA5);
+        let err = read_spill(bytes.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{indexed}");
+        let mut reader = SpillReader::new(bytes.as_slice()).unwrap();
+        let last = (&mut reader).last().expect("at least one item");
+        assert!(last.is_err(), "streaming reader accepted garbage");
+        // The records themselves were all intact: salvage callers
+        // can still tell this apart from mid-stream damage.
+        assert!(reader.stream_complete());
     }
 }
 
 #[test]
 fn index_footer_round_trips_and_matches_the_stream() {
-    for codec in [SpillCodec::Raw, SpillCodec::Compressed] {
-        let mut sink = SpillSink::with_options(Vec::new(), codec, 8).unwrap();
-        let mut expected = UsageLog::new();
-        for i in 0..50 {
-            let op = if i < 25 { sample_op(i) } else { faulted_op(i) };
-            sink.record_op(&op);
-            expected.push_op(op);
-            if i % 9 == 0 {
-                let s = sample_session(i);
-                sink.record_session(&s);
-                expected.push_session(s);
-            }
+    let mut sink = SpillSink::with_options(Vec::new(), 8).unwrap();
+    let mut expected = UsageLog::new();
+    for i in 0..50 {
+        let op = if i < 25 { sample_op(i) } else { faulted_op(i) };
+        sink.record_op(&op);
+        expected.push_op(op);
+        if i % 9 == 0 {
+            let s = sample_session(i);
+            sink.record_session(&s);
+            expected.push_session(s);
         }
-        let bytes = sink.finish().unwrap();
-        let index = FrameIndex::load(&mut io::Cursor::new(&bytes))
-            .unwrap()
-            .expect("footer present");
-        assert_eq!(index.records(), 50 + 6, "{codec:?}");
-        let (ops, sessions): (Vec<&FrameIndexEntry>, Vec<&FrameIndexEntry>) =
-            index.entries().iter().partition(|e| !e.is_session_frame());
-        assert_eq!(ops.iter().map(|e| u64::from(e.records)).sum::<u64>(), 50);
-        assert_eq!(
-            sessions.iter().map(|e| u64::from(e.records)).sum::<u64>(),
-            6
-        );
-        // Seeking to each entry decodes exactly its records, and the
-        // entry's time range matches what the records say.
-        let mut reader = SpillReader::new(io::Cursor::new(&bytes)).unwrap();
-        for entry in index.entries() {
-            reader.seek_to_frames(entry.offset, 1).unwrap();
-            let records: Vec<SpillRecord> = (&mut reader).collect::<io::Result<_>>().unwrap();
-            assert_eq!(records.len(), entry.records as usize, "{codec:?}");
-            let times: Vec<u64> = records
-                .iter()
-                .map(|r| match r {
-                    SpillRecord::Op(o) => o.at,
-                    SpillRecord::Session(s) => s.end,
-                })
-                .collect();
-            assert_eq!(times.iter().min(), Some(&entry.min_time));
-            assert_eq!(times.iter().max(), Some(&entry.max_time));
-        }
-        // A multi-frame seek spanning the whole file reproduces the log.
-        reader
-            .seek_to_frames(index.entries()[0].offset, index.frames() as u64)
-            .unwrap();
-        let all: Vec<SpillRecord> = (&mut reader).collect::<io::Result<_>>().unwrap();
-        assert_eq!(
-            all.len() as u64,
-            expected.ops().len() as u64 + expected.sessions().len() as u64
-        );
-        // Overrunning the frame budget into the end marker is corruption.
-        reader
-            .seek_to_frames(index.entries()[0].offset, index.frames() as u64 + 1)
-            .unwrap();
-        let err = (&mut reader).collect::<io::Result<Vec<_>>>().unwrap_err();
-        assert!(err.to_string().contains("promised more frames"), "{err}");
     }
+    let bytes = sink.finish().unwrap();
+    let index = FrameIndex::load(&mut io::Cursor::new(&bytes))
+        .unwrap()
+        .expect("footer present");
+    assert_eq!(index.records(), 50 + 6);
+    let (ops, sessions): (Vec<&FrameIndexEntry>, Vec<&FrameIndexEntry>) =
+        index.entries().iter().partition(|e| !e.is_session_frame());
+    assert_eq!(ops.iter().map(|e| u64::from(e.records)).sum::<u64>(), 50);
+    assert_eq!(
+        sessions.iter().map(|e| u64::from(e.records)).sum::<u64>(),
+        6
+    );
+    // Seeking to each entry decodes exactly its records, and the
+    // entry's time range matches what the records say.
+    let mut reader = SpillReader::new(io::Cursor::new(&bytes)).unwrap();
+    for entry in index.entries() {
+        reader.seek_to_frames(entry.offset, 1).unwrap();
+        let records: Vec<SpillRecord> = (&mut reader).collect::<io::Result<_>>().unwrap();
+        assert_eq!(records.len(), entry.records as usize);
+        let times: Vec<u64> = records
+            .iter()
+            .map(|r| match r {
+                SpillRecord::Op(o) => o.at,
+                SpillRecord::Session(s) => s.end,
+            })
+            .collect();
+        assert_eq!(times.iter().min(), Some(&entry.min_time));
+        assert_eq!(times.iter().max(), Some(&entry.max_time));
+    }
+    // A multi-frame seek spanning the whole file reproduces the log.
+    reader
+        .seek_to_frames(index.entries()[0].offset, index.frames() as u64)
+        .unwrap();
+    let all: Vec<SpillRecord> = (&mut reader).collect::<io::Result<_>>().unwrap();
+    assert_eq!(
+        all.len() as u64,
+        expected.ops().len() as u64 + expected.sessions().len() as u64
+    );
+    // Overrunning the frame budget into the end marker is corruption.
+    reader
+        .seek_to_frames(index.entries()[0].offset, index.frames() as u64 + 1)
+        .unwrap();
+    let err = (&mut reader).collect::<io::Result<Vec<_>>>().unwrap_err();
+    assert!(err.to_string().contains("promised more frames"), "{err}");
 }
 
 #[test]
@@ -562,7 +476,7 @@ fn footer_truncation_degrades_to_streaming() {
     // Cut anywhere inside the footer region: FrameIndex::load falls
     // back to None (no trailer yet) and the streaming reader reports
     // UnexpectedEof with the stream itself complete — never InvalidData.
-    let mut sink = SpillSink::with_options(Vec::new(), SpillCodec::Compressed, 8).unwrap();
+    let mut sink = SpillSink::with_options(Vec::new(), 8).unwrap();
     for i in 0..30 {
         sink.record_op(&sample_op(i));
     }
@@ -615,15 +529,18 @@ fn rejects_empty_frames() {
     // and in an indexed file every later frame sits off its footer offset.
     // The one header parse rejects it, so decoding, skipping and seeking
     // passes all do.
-    for codec in [SpillCodec::Raw, SpillCodec::Compressed] {
-        let mut empties = [Vec::new(), Vec::new()];
-        write_frame::<OpRecord, _>(&mut empties[0], codec, &[]).unwrap();
-        write_frame::<SessionRecord, _>(&mut empties[1], codec, &[]).unwrap();
+    let mut sink = SpillSink::new(Vec::new()).unwrap();
+    sink.record_op(&sample_op(1));
+    sink.record_session(&sample_session(1));
+    let v2 = sink.without_index().finish().unwrap();
+    let mut v2_empties = [Vec::new(), Vec::new()];
+    write_frame::<OpRecord, _>(&mut v2_empties[0], &[]).unwrap();
+    write_frame::<SessionRecord, _>(&mut v2_empties[1], &[]).unwrap();
+    // v1 has no CRC to notice one: its empty frame is the header alone.
+    let v1_empties = [TAG_OPS, TAG_SESSIONS].map(|tag| vec![tag, 0, 0, 0, 0]);
+    for (stream, empties) in [(v2, v2_empties), (V1.to_vec(), v1_empties)] {
         for empty in empties {
-            let mut sink = SpillSink::with_codec(Vec::new(), codec).unwrap();
-            sink.record_op(&sample_op(1));
-            sink.record_session(&sample_session(1));
-            let mut bytes = sink.without_index().finish().unwrap();
+            let mut bytes = stream.clone();
             let at = bytes.len() - 17; // just before the end marker
             bytes.splice(at..at, empty);
             let open = || SpillReader::new(bytes.as_slice()).unwrap();
@@ -637,7 +554,7 @@ fn rejects_empty_frames() {
             ];
             for pass in passes {
                 let err = pass.unwrap_err();
-                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{codec:?}");
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
                 assert!(err.to_string().contains("frame count"), "{err}");
             }
         }
@@ -646,13 +563,11 @@ fn rejects_empty_frames() {
 
 #[test]
 fn truncated_stream_errors() {
-    for codec in [SpillCodec::Raw, SpillCodec::Compressed] {
-        let mut sink = SpillSink::with_codec(Vec::new(), codec).unwrap();
-        sink.record_op(&sample_op(1));
-        let bytes = sink.finish().unwrap();
-        // Drop the last byte: the final marker comes up short.
-        assert!(read_spill(&bytes[..bytes.len() - 1]).is_err());
-    }
+    let mut sink = SpillSink::new(Vec::new()).unwrap();
+    sink.record_op(&sample_op(1));
+    let bytes = sink.finish().unwrap();
+    // Drop the last byte: the final marker comes up short.
+    assert!(read_spill(&bytes[..bytes.len() - 1]).is_err());
 }
 
 #[test]
@@ -661,7 +576,7 @@ fn v2_detects_every_single_bit_flip() {
     // the magic check, cover every byte of a v2 file: any single-bit
     // corruption must surface as a clean error, never as a silently
     // different log (and never as a panic).
-    let (bytes, _) = write_all(SpillCodec::Compressed, 64);
+    let (bytes, _) = write_all(64);
     for byte in 0..bytes.len() {
         for bit in 0..8 {
             let mut flipped = bytes.clone();
@@ -677,51 +592,47 @@ fn v2_detects_every_single_bit_flip() {
 
 #[test]
 fn reader_streams_the_same_records_read_spill_collects() {
-    for codec in [SpillCodec::Raw, SpillCodec::Compressed] {
-        let (bytes, expected) = write_all(codec, 300);
-        let mut streamed = UsageLog::new();
-        let mut reader = SpillReader::new(bytes.as_slice()).unwrap();
-        assert_eq!(reader.codec(), codec);
-        for record in &mut reader {
-            match record.unwrap() {
-                SpillRecord::Op(op) => streamed.push_op(op),
-                SpillRecord::Session(s) => streamed.push_session(s),
-            }
+    let (bytes, expected) = write_all(300);
+    let mut streamed = UsageLog::new();
+    let mut reader = SpillReader::new(bytes.as_slice()).unwrap();
+    assert_eq!(reader.codec(), SpillCodec::Compressed);
+    for record in &mut reader {
+        match record.unwrap() {
+            SpillRecord::Op(op) => streamed.push_op(op),
+            SpillRecord::Session(s) => streamed.push_session(s),
         }
-        assert_eq!(streamed.to_json().unwrap(), expected.to_json().unwrap());
-        // Exhausted readers stay exhausted.
-        assert!(reader.next().is_none());
     }
+    assert_eq!(streamed.to_json().unwrap(), expected.to_json().unwrap());
+    // Exhausted readers stay exhausted.
+    assert!(reader.next().is_none());
 }
 
 #[test]
 fn filtered_readers_skip_without_decoding() {
-    for codec in [SpillCodec::Raw, SpillCodec::Compressed] {
-        // Tiny frames force many skips of each kind, interleaved.
-        let mut sink = SpillSink::with_options(Vec::new(), codec, 3).unwrap();
-        let mut expected = UsageLog::new();
-        for i in 0..25 {
-            let op = sample_op(i);
-            sink.record_op(&op);
-            expected.push_op(op);
-            let s = sample_session(i);
-            sink.record_session(&s);
-            expected.push_session(s);
-        }
-        let bytes = sink.finish().unwrap();
-        let (ops, sessions) = filtered(&bytes);
-        assert_eq!(ops, expected.ops(), "{codec:?}");
-        assert_eq!(sessions, expected.sessions(), "{codec:?}");
-        // Truncation inside a *skipped* frame still errors cleanly.
-        let cut = &bytes[..bytes.len() / 2];
-        let results: Vec<_> = SpillReader::new(cut).unwrap().ops_only().collect();
-        assert!(results.last().is_some_and(Result::is_err));
+    // Tiny frames force many skips of each kind, interleaved.
+    let mut sink = SpillSink::with_options(Vec::new(), 3).unwrap();
+    let mut expected = UsageLog::new();
+    for i in 0..25 {
+        let op = sample_op(i);
+        sink.record_op(&op);
+        expected.push_op(op);
+        let s = sample_session(i);
+        sink.record_session(&s);
+        expected.push_session(s);
     }
+    let bytes = sink.finish().unwrap();
+    let (ops, sessions) = filtered(&bytes);
+    assert_eq!(ops, expected.ops());
+    assert_eq!(sessions, expected.sessions());
+    // Truncation inside a *skipped* frame still errors cleanly.
+    let cut = &bytes[..bytes.len() / 2];
+    let results: Vec<_> = SpillReader::new(cut).unwrap().ops_only().collect();
+    assert!(results.last().is_some_and(Result::is_err));
 }
 
 #[test]
 fn reader_fuses_after_an_error() {
-    let (bytes, _) = write_all(SpillCodec::Compressed, 10);
+    let (bytes, _) = write_all(10);
     let truncated = &bytes[..bytes.len() - 5];
     let mut reader = SpillReader::new(truncated).unwrap();
     let mut errors = 0;
@@ -736,21 +647,19 @@ fn reader_fuses_after_an_error() {
 
 #[test]
 fn tiny_frame_caps_cross_many_boundaries() {
-    for codec in [SpillCodec::Raw, SpillCodec::Compressed] {
-        let mut sink = SpillSink::with_options(Vec::new(), codec, 3).unwrap();
-        let mut expected = UsageLog::new();
-        for i in 0..20 {
-            let op = sample_op(i);
-            sink.record_op(&op);
-            expected.push_op(op);
-            let s = sample_session(i);
-            sink.record_session(&s);
-            expected.push_session(s);
-        }
-        let bytes = sink.finish().unwrap();
-        let back = read_spill(bytes.as_slice()).unwrap();
-        assert_eq!(back.to_json().unwrap(), expected.to_json().unwrap());
+    let mut sink = SpillSink::with_options(Vec::new(), 3).unwrap();
+    let mut expected = UsageLog::new();
+    for i in 0..20 {
+        let op = sample_op(i);
+        sink.record_op(&op);
+        expected.push_op(op);
+        let s = sample_session(i);
+        sink.record_session(&s);
+        expected.push_session(s);
     }
+    let bytes = sink.finish().unwrap();
+    let back = read_spill(bytes.as_slice()).unwrap();
+    assert_eq!(back.to_json().unwrap(), expected.to_json().unwrap());
 }
 
 /// A writer that fails after `n` bytes, to exercise deferred errors.
@@ -773,11 +682,9 @@ impl Write for FailAfter {
 
 #[test]
 fn write_errors_surface_at_finish() {
-    for codec in [SpillCodec::Raw, SpillCodec::Compressed] {
-        let mut sink = SpillSink::with_codec(FailAfter { left: 64 }, codec).unwrap();
-        for i in 0..(FRAME_CAP as u64 + 1) {
-            sink.record_op(&sample_op(i)); // mid-run flush hits the fault
-        }
-        assert!(sink.finish().is_err());
+    let mut sink = SpillSink::new(FailAfter { left: 64 }).unwrap();
+    for i in 0..(FRAME_CAP as u64 + 1) {
+        sink.record_op(&sample_op(i)); // mid-run flush hits the fault
     }
+    assert!(sink.finish().is_err());
 }

@@ -2,7 +2,7 @@
 //! to [`write_frame`] and seals the stream with the end marker and the
 //! index footer.
 
-use super::frame::{write_frame, Row, SpillCodec, FRAME_CAP, MAGIC_V1, MAGIC_V2, TAG_END};
+use super::frame::{write_frame, Row, FRAME_CAP, MAGIC_V2, TAG_END};
 use super::index::{write_index_footer, FrameIndexEntry};
 use crate::log::{OpRecord, SessionRecord};
 use crate::sink::LogSink;
@@ -11,7 +11,7 @@ use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 /// A [`LogSink`] that streams records to a binary columnar file instead of
-/// holding them in memory. See the module documentation for the formats.
+/// holding them in memory, in the v2 format (see the module documentation).
 ///
 /// I/O failures are deferred: the `LogSink` methods are infallible by
 /// signature, so the first error is stored and surfaced by
@@ -19,7 +19,6 @@ use std::path::Path;
 #[derive(Debug)]
 pub struct SpillSink<W: Write> {
     out: W,
-    codec: SpillCodec,
     frame_cap: usize,
     ops: Vec<OpRecord>,
     sessions: Vec<SessionRecord>,
@@ -38,48 +37,28 @@ pub struct SpillSink<W: Write> {
 }
 
 impl SpillSink<BufWriter<File>> {
-    /// Creates (truncating) `path` and returns a sink spilling into it with
-    /// the default (compressed, v2) codec.
+    /// Creates (truncating) `path` and returns a sink spilling into it.
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O error if the file cannot be created or
     /// the header written.
     pub fn create<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        Self::create_with(path, SpillCodec::default())
-    }
-
-    /// [`SpillSink::create`] with an explicit codec.
-    ///
-    /// # Errors
-    ///
-    /// As for [`SpillSink::create`].
-    pub fn create_with<P: AsRef<Path>>(path: P, codec: SpillCodec) -> io::Result<Self> {
-        Self::with_codec(BufWriter::new(File::create(path)?), codec)
+        Self::new(BufWriter::new(File::create(path)?))
     }
 }
 
 impl<W: Write> SpillSink<W> {
-    /// Wraps a writer with the default (compressed, v2) codec, emitting the
-    /// format header immediately.
+    /// Wraps a writer, emitting the format header immediately.
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O error if the header write fails.
     pub fn new(out: W) -> io::Result<Self> {
-        Self::with_codec(out, SpillCodec::default())
+        Self::with_options(out, FRAME_CAP)
     }
 
-    /// Wraps a writer with an explicit codec.
-    ///
-    /// # Errors
-    ///
-    /// As for [`SpillSink::new`].
-    pub fn with_codec(out: W, codec: SpillCodec) -> io::Result<Self> {
-        Self::with_options(out, codec, FRAME_CAP)
-    }
-
-    /// Wraps a writer with an explicit codec and frame capacity (clamped to
+    /// Wraps a writer with an explicit frame capacity (clamped to
     /// `1..=FRAME_CAP`). Smaller frames trade compression ratio for less
     /// buffered memory; tests use tiny frames to cross many boundaries
     /// cheaply.
@@ -87,15 +66,11 @@ impl<W: Write> SpillSink<W> {
     /// # Errors
     ///
     /// As for [`SpillSink::new`].
-    pub fn with_options(mut out: W, codec: SpillCodec, frame_cap: usize) -> io::Result<Self> {
-        out.write_all(match codec {
-            SpillCodec::Raw => MAGIC_V1,
-            SpillCodec::Compressed => MAGIC_V2,
-        })?;
+    pub fn with_options(mut out: W, frame_cap: usize) -> io::Result<Self> {
+        out.write_all(MAGIC_V2)?;
         let frame_cap = frame_cap.clamp(1, FRAME_CAP);
         Ok(Self {
             out,
-            codec,
             frame_cap,
             ops: Vec::with_capacity(frame_cap),
             sessions: Vec::with_capacity(frame_cap),
@@ -105,11 +80,6 @@ impl<W: Write> SpillSink<W> {
             index: Some(Vec::new()),
             error: None,
         })
-    }
-
-    /// The codec this sink writes.
-    pub fn codec(&self) -> SpillCodec {
-        self.codec
     }
 
     /// Disables the frame-index footer: [`SpillSink::finish`] seals the
@@ -155,7 +125,7 @@ impl<W: Write> SpillSink<W> {
     /// the emptied buffer back for reuse.
     fn flush<T: Row>(&mut self, mut rows: Vec<T>) -> Vec<T> {
         if !rows.is_empty() && self.error.is_none() {
-            match write_frame(&mut self.out, self.codec, &rows) {
+            match write_frame(&mut self.out, &rows) {
                 Ok((tag, written)) => {
                     if let Some(index) = &mut self.index {
                         let (min_time, max_time) = rows

@@ -396,24 +396,6 @@ fn summary_sink_matches_collected_log() {
 }
 
 #[test]
-fn expected_ops_estimate_is_a_sane_capacity_hint() {
-    let pop = compiled(0.0, 256);
-    let est = pop.types()[0].expected_ops_per_session();
-    assert!(est > 0.0, "estimate must be positive, got {est}");
-
-    // Compare against an actual run: the hint should be the right order of
-    // magnitude (it guides Vec pre-sizing, nothing else).
-    let (mut vfs, catalog) = build_fs(1, 9, Sparse);
-    let config = config(1, 8, 3);
-    let log = direct(&mut vfs, &catalog, &pop, &config);
-    let actual = log.ops().len() as f64 / 8.0;
-    assert!(
-        est > actual / 20.0 && est < actual * 20.0,
-        "estimate {est} vs actual {actual} ops/session"
-    );
-}
-
-#[test]
 fn spill_sink_through_des_driver_is_lossless() {
     use uswg_usim::{read_spill, SpillSink};
 

@@ -1,21 +1,22 @@
 //! Property suite for the spill-to-disk sink: any op/session stream —
 //! arbitrary field values, arbitrary interleaving, any length relative to
-//! the frame size, under **either codec** (v1 raw, v2 compressed) — must
-//! survive the disk round trip byte-identically (compared through the
-//! serialized JSON form, the on-disk "usage log file" of the paper), both
-//! through the collecting `read_spill` and the streaming `SpillReader`.
+//! the frame size — must survive the disk round trip byte-identically
+//! (compared through the serialized JSON form, the on-disk "usage log
+//! file" of the paper), both through the collecting `read_spill` and the
+//! streaming `SpillReader`.
 //!
 //! The robustness half: truncated (at any byte), bit-flipped and
-//! wrong-magic files must come back as clean `io::Error`s — no panics and,
-//! for the checksummed v2 format, no silently different records.
+//! wrong-magic files must come back as clean `io::Error`s — no panics and
+//! no silently different records. (The writer writes v2 only; the v1
+//! reader is pinned on the committed capture `tests/golden/v1.spill`.)
 
 use proptest::prelude::*;
 use std::io::Cursor;
 use uswg_fsc::{FileCategory, FileType, Owner, UsageClass};
 use uswg_netfs::OpKind;
 use uswg_usim::{
-    read_spill, FrameIndex, LogSink, OpRecord, SessionRecord, SpillCodec, SpillReader, SpillRecord,
-    SpillSink, UsageLog, FRAME_CAP,
+    read_spill, FrameIndex, LogSink, OpRecord, SessionRecord, SpillReader, SpillRecord, SpillSink,
+    UsageLog, FRAME_CAP,
 };
 
 /// Bytes the index footer adds after the end marker: the fixed header
@@ -104,18 +105,13 @@ fn arb_session() -> impl Strategy<Value = SessionRecord> {
         )
 }
 
-fn arb_codec() -> impl Strategy<Value = SpillCodec> {
-    prop_oneof![Just(SpillCodec::Raw), Just(SpillCodec::Compressed)]
-}
-
-/// Writes an interleaved record stream under `codec` with the given frame
-/// capacity; returns the file bytes and the log the stream described.
+/// Writes an interleaved record stream with the given frame capacity;
+/// returns the file bytes and the log the stream described.
 fn spill_stream(
     records: &[Result<OpRecord, SessionRecord>],
-    codec: SpillCodec,
     frame_cap: usize,
 ) -> (Vec<u8>, UsageLog) {
-    let mut sink = SpillSink::with_options(Vec::new(), codec, frame_cap).unwrap();
+    let mut sink = SpillSink::with_options(Vec::new(), frame_cap).unwrap();
     let mut expected = UsageLog::new();
     for record in records {
         match record {
@@ -137,7 +133,7 @@ proptest! {
 
     /// Satellite oracle: SpillSink → disk bytes → read_spill reproduces the
     /// UsageLog byte-identically, for arbitrary record interleavings,
-    /// under both codecs and any frame capacity (tiny caps cross many
+    /// and any frame capacity (tiny caps cross many
     /// frame boundaries; the empty stream is in range too).
     #[test]
     fn spill_round_trips_any_stream(
@@ -145,10 +141,9 @@ proptest! {
             prop_oneof![arb_op().prop_map(Ok), arb_session().prop_map(Err)],
             0..300,
         ),
-        codec in arb_codec(),
         frame_cap in 1usize..48,
     ) {
-        let (bytes, expected) = spill_stream(&records, codec, frame_cap);
+        let (bytes, expected) = spill_stream(&records, frame_cap);
         let back = read_spill(bytes.as_slice()).unwrap();
         prop_assert_eq!(back.to_json().unwrap(), expected.to_json().unwrap());
     }
@@ -161,10 +156,9 @@ proptest! {
             prop_oneof![arb_op().prop_map(Ok), arb_session().prop_map(Err)],
             0..200,
         ),
-        codec in arb_codec(),
         frame_cap in 1usize..48,
     ) {
-        let (bytes, expected) = spill_stream(&records, codec, frame_cap);
+        let (bytes, expected) = spill_stream(&records, frame_cap);
         let mut streamed = UsageLog::new();
         for record in SpillReader::new(bytes.as_slice()).unwrap() {
             match record.unwrap() {
@@ -185,11 +179,10 @@ proptest! {
             prop_oneof![arb_op().prop_map(Ok), arb_session().prop_map(Err)],
             0..80,
         ),
-        codec in arb_codec(),
         frame_cap in 1usize..32,
         cut_seed in any::<usize>(),
     ) {
-        let (bytes, expected) = spill_stream(&records, codec, frame_cap);
+        let (bytes, expected) = spill_stream(&records, frame_cap);
         let cut = cut_seed % bytes.len();
         // One cut is special: removing exactly the whole index footer
         // leaves a complete, unindexed stream — the pre-footer format —
@@ -218,11 +211,9 @@ proptest! {
         }
     }
 
-    /// Robustness: flipping any single bit of a **v2** file is detected —
-    /// the CRC per frame, the magic check and the end-marker totals leave
-    /// no unprotected byte. (v1 has no checksums — its guarantee is only
-    /// "no panic", covered by the truncation property above since its
-    /// structural fields are the same.)
+    /// Robustness: flipping any single bit of a file is detected — the
+    /// CRC per frame, the magic check and the end-marker totals leave no
+    /// unprotected byte.
     #[test]
     fn any_v2_bit_flip_is_detected(
         records in prop::collection::vec(
@@ -233,7 +224,7 @@ proptest! {
         flip_seed in any::<usize>(),
         bit in 0u8..8,
     ) {
-        let (bytes, _) = spill_stream(&records, SpillCodec::Compressed, frame_cap);
+        let (bytes, _) = spill_stream(&records, frame_cap);
         let mut flipped = bytes.clone();
         let at = flip_seed % flipped.len();
         flipped[at] ^= 1 << bit;
@@ -246,25 +237,6 @@ proptest! {
         );
     }
 
-    /// Robustness: corrupting a v1 file never panics (it may decode to
-    /// different records — the raw format carries no checksums, which is
-    /// exactly why v2 is the default).
-    #[test]
-    fn v1_bit_flips_never_panic(
-        records in prop::collection::vec(
-            prop_oneof![arb_op().prop_map(Ok), arb_session().prop_map(Err)],
-            0..60,
-        ),
-        flip_seed in any::<usize>(),
-        bit in 0u8..8,
-    ) {
-        let (bytes, _) = spill_stream(&records, SpillCodec::Raw, FRAME_CAP);
-        let mut flipped = bytes.clone();
-        let at = flip_seed % flipped.len();
-        flipped[at] ^= 1 << bit;
-        let _ = read_spill(flipped.as_slice()); // any Result is fine; panics are not
-    }
-
     /// Robustness: random leading bytes (wrong magic) are rejected up
     /// front unless they happen to *be* a valid magic.
     #[test]
@@ -275,7 +247,7 @@ proptest! {
     }
 
     /// The index footer is a faithful map of the stream, for any record
-    /// interleaving, codec and frame capacity: entry record counts sum to
+    /// interleaving and frame capacity: entry record counts sum to
     /// the totals, tags match the frame kind, and seeking to each entry
     /// decodes exactly its records inside exactly its time range.
     #[test]
@@ -284,10 +256,9 @@ proptest! {
             prop_oneof![arb_op().prop_map(Ok), arb_session().prop_map(Err)],
             0..200,
         ),
-        codec in arb_codec(),
         frame_cap in 1usize..48,
     ) {
-        let (bytes, expected) = spill_stream(&records, codec, frame_cap);
+        let (bytes, expected) = spill_stream(&records, frame_cap);
         let index = FrameIndex::load(&mut Cursor::new(&bytes)).unwrap().unwrap();
         let indexed: u64 = index.entries().iter().map(|e| u64::from(e.records)).sum();
         prop_assert_eq!(
@@ -336,11 +307,10 @@ proptest! {
             prop_oneof![arb_op().prop_map(Ok), arb_session().prop_map(Err)],
             0..80,
         ),
-        codec in arb_codec(),
         frame_cap in 1usize..32,
         cut_seed in any::<usize>(),
     ) {
-        let (bytes, expected) = spill_stream(&records, codec, frame_cap);
+        let (bytes, expected) = spill_stream(&records, frame_cap);
         let frames = FrameIndex::load(&mut Cursor::new(&bytes)).unwrap().unwrap().frames();
         let footer = footer_bytes(frames);
         let stream_end = bytes.len() - footer;
@@ -396,5 +366,24 @@ fn frame_boundaries_are_invisible() {
         let back = read_spill(bytes.as_slice()).unwrap();
         assert_eq!(back.ops().len(), count);
         assert_eq!(back.to_json().unwrap(), expected.to_json().unwrap());
+    }
+}
+
+/// Robustness of the v1 reader, on the committed capture from the last
+/// release that wrote v1: v1 has no checksum, so damage may read back as
+/// other values, but a cut is always an error and a flipped bit never a
+/// panic.
+#[test]
+fn v1_bit_flips_never_panic() {
+    let v1 = include_bytes!("../../../tests/golden/v1.spill");
+    for cut in 0..v1.len() {
+        assert!(read_spill(&v1[..cut]).is_err(), "cut at {cut}");
+    }
+    for byte in 0..v1.len() {
+        for bit in 0..8 {
+            let mut flipped = v1.to_vec();
+            flipped[byte] ^= 1 << bit;
+            let _ = read_spill(flipped.as_slice()); // any Result is fine; panics are not
+        }
     }
 }

@@ -26,7 +26,7 @@ use uswg_drive::{
     drive_stream, ChannelSource, DriveConfig, DriveError, DriveReport, LoopbackConfig, LoopbackVfs,
     SourceError, SpillSource, VecSource,
 };
-use uswg_usim::{SpillCodec, SpillSink};
+use uswg_usim::SpillSink;
 
 /// A small multi-user workload.
 fn base_spec(users: usize, sessions: u32) -> WorkloadSpec {
@@ -141,7 +141,7 @@ fn streamed_des_drive_matches_materialized_counters() {
 }
 
 /// Replaying a capture through `SpillSource` offers exactly the ops the
-/// materialized log drive offers, for both codecs.
+/// materialized log drive offers.
 #[test]
 fn spill_capture_drive_matches_materialized_counters() {
     let dir = std::env::temp_dir().join(format!("uswg-drive-equiv-{}", std::process::id()));
@@ -156,16 +156,13 @@ fn spill_capture_drive_matches_materialized_counters() {
         .to_vec();
     let config = wide_config(ops.len());
     let materialized = drive_stream(VecSource::new(ops), loopback(), &config).unwrap();
-    for codec in [SpillCodec::Raw, SpillCodec::Compressed] {
-        let path = dir.join(format!("capture-{codec:?}.bin"));
-        let (sink, _stats) = spec
-            .run_des(&model, SpillSink::create_with(&path, codec).unwrap())
-            .unwrap();
-        sink.finish().unwrap();
-        let streamed =
-            drive_stream(SpillSource::open(&path).unwrap(), loopback(), &config).unwrap();
-        assert_reports_equivalent(&streamed, &materialized, &format!("codec {codec:?}"));
-    }
+    let path = dir.join("capture.bin");
+    let (sink, _stats) = spec
+        .run_des(&model, SpillSink::create(&path).unwrap())
+        .unwrap();
+    sink.finish().unwrap();
+    let streamed = drive_stream(SpillSource::open(&path).unwrap(), loopback(), &config).unwrap();
+    assert_reports_equivalent(&streamed, &materialized, "capture");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -184,7 +181,6 @@ fn truncated_capture_drains_and_keeps_the_conservation_identity() {
     // of it (one default-sized frame would swallow the whole small run).
     let sink = SpillSink::with_options(
         std::io::BufWriter::new(std::fs::File::create(&path).unwrap()),
-        SpillCodec::Compressed,
         64,
     )
     .unwrap();

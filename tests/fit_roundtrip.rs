@@ -6,16 +6,15 @@
 //! (measure a system, characterize the users, regenerate an equivalent
 //! workload), closed as an executable loop.
 //!
-//! The matrix covers both spill codecs and footer-less captures (no index
-//! — the fit collector's streamed fallback), across two distinct source
-//! specs. Everything is seeded, so the acceptance bands are deterministic
+//! The matrix covers indexed and footer-less captures (no index — the fit
+//! collector's streamed fallback), across two distinct source specs. Everything is seeded, so the acceptance bands are deterministic
 //! gates, not flaky tolerances.
 
 use std::path::Path;
 use uswg_core::experiment::ModelConfig;
 use uswg_core::{
     collect_fit, gof, presets, synthesize_spec, FitObservation, OpKind, PopulationSpec,
-    ScanOptions, SpillCodec, SpillSink, SynthesisOptions, UsageLog, WorkloadSpec,
+    ScanOptions, SpillSink, SynthesisOptions, UsageLog, WorkloadSpec,
 };
 
 /// Source spec 1: the paper-default heavy-user population, shrunk to a
@@ -64,10 +63,10 @@ fn unique_dir(label: &str) -> std::path::PathBuf {
 }
 
 /// Runs `spec` under the local-disk model, spilling the full log to
-/// `path` with the requested codec (and optionally without the index
-/// footer, to force the fit collector's streamed fallback).
-fn capture(spec: &WorkloadSpec, path: &Path, codec: SpillCodec, indexed: bool) {
-    let sink = SpillSink::create_with(path, codec).unwrap();
+/// `path` (optionally without the index footer, to force the fit
+/// collector's streamed fallback).
+fn capture(spec: &WorkloadSpec, path: &Path, indexed: bool) {
+    let sink = SpillSink::create(path).unwrap();
     let sink = if indexed { sink } else { sink.without_index() };
     let (sink, _stats) = spec.run_des(&ModelConfig::default_local(), sink).unwrap();
     sink.finish().unwrap();
@@ -121,12 +120,12 @@ fn assert_measure_close(label: &str, a: &[f64], b: &[f64], max_d: f64, ratio: f6
 
 /// The oracle: capture `spec`, fit it, run the fitted spec, and pin the
 /// regenerated capture against the original.
-fn roundtrip(label: &str, spec: &WorkloadSpec, codec: SpillCodec, indexed: bool) {
+fn roundtrip(label: &str, spec: &WorkloadSpec, indexed: bool) {
     let dir = unique_dir(label);
     let source_path = dir.join("source.bin");
     let refit_path = dir.join("refit.bin");
 
-    capture(spec, &source_path, codec, indexed);
+    capture(spec, &source_path, indexed);
 
     let source = observe(&source_path);
     assert_eq!(source.users, spec.run.n_users, "{label}: users observed");
@@ -140,7 +139,7 @@ fn roundtrip(label: &str, spec: &WorkloadSpec, codec: SpillCodec, indexed: bool)
 
     // The fitted spec runs on its own seed — the oracle compares workload
     // statistics, not event interleavings.
-    capture(&fitted.spec, &refit_path, SpillCodec::Compressed, true);
+    capture(&fitted.spec, &refit_path, true);
     let refit = observe(&refit_path);
     assert!(!refit.is_empty(), "{label}: regenerated capture is empty");
 
@@ -200,34 +199,19 @@ fn roundtrip(label: &str, spec: &WorkloadSpec, codec: SpillCodec, indexed: bool)
 
 #[test]
 fn roundtrip_paper_compressed() {
-    roundtrip("paper-v2", &paper_spec(), SpillCodec::Compressed, true);
-}
-
-#[test]
-fn roundtrip_paper_raw() {
-    roundtrip("paper-v1", &paper_spec(), SpillCodec::Raw, true);
+    roundtrip("paper-v2", &paper_spec(), true);
 }
 
 #[test]
 fn roundtrip_paper_compressed_footerless() {
     // No index footer: the fit collector must take its whole-file streamed
     // fallback.
-    roundtrip(
-        "paper-v2-nofooter",
-        &paper_spec(),
-        SpillCodec::Compressed,
-        false,
-    );
+    roundtrip("paper-v2-nofooter", &paper_spec(), false);
 }
 
 #[test]
 fn roundtrip_mixed_compressed() {
-    roundtrip("mixed-v2", &mixed_spec(), SpillCodec::Compressed, true);
-}
-
-#[test]
-fn roundtrip_mixed_raw_footerless() {
-    roundtrip("mixed-v1-nofooter", &mixed_spec(), SpillCodec::Raw, false);
+    roundtrip("mixed-v2", &mixed_spec(), true);
 }
 
 #[test]
@@ -235,7 +219,7 @@ fn roundtrip_recovers_two_user_types() {
     let dir = unique_dir("two-types");
     let path = dir.join("source.bin");
     let spec = two_type_spec();
-    capture(&spec, &path, SpillCodec::Compressed, true);
+    capture(&spec, &path, true);
     let obs = observe(&path);
     assert_eq!(obs.types.len(), 2, "both user types observed");
     let fitted = synthesize_spec(&obs, &SynthesisOptions::default()).unwrap();
@@ -258,7 +242,7 @@ fn windowed_fit_matches_the_full_pass_on_a_full_window() {
     // unwindowed pass observes — the indexed and streamed collectors agree.
     let dir = unique_dir("window-full");
     let path = dir.join("source.bin");
-    capture(&paper_spec(), &path, SpillCodec::Compressed, true);
+    capture(&paper_spec(), &path, true);
     let full = observe(&path);
     let windowed = collect_fit(
         &path,

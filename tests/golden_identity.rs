@@ -34,8 +34,8 @@ use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use uswg_core::experiment::ModelConfig;
 use uswg_core::{
-    DesDriver, FaultSpec, FrameIndex, Owner, PopulationSpec, ResourcePool, SpillCodec, SpillSink,
-    SummarySink, UsageClass, UsageLog, WorkloadSpec,
+    DesDriver, FaultSpec, FrameIndex, Owner, PopulationSpec, ResourcePool, SpillSink, SummarySink,
+    UsageClass, UsageLog, WorkloadSpec,
 };
 
 /// Bytes the index footer appends after the end marker: fixed header
@@ -102,8 +102,7 @@ fn capture(shards: Option<NonZeroUsize>) -> (String, Vec<u8>) {
 
 /// The golden spec's capture at `frame_cap` records per frame.
 fn small_frame_capture(shards: Option<NonZeroUsize>, frame_cap: usize) -> Vec<u8> {
-    let sink =
-        SpillSink::with_options(Vec::new(), SpillCodec::default(), frame_cap).expect("spill sink");
+    let sink = SpillSink::with_options(Vec::new(), frame_cap).expect("spill sink");
     let (sink, _) = golden_spec(shards)
         .run_des(&ModelConfig::default_nfs(), sink)
         .expect("run succeeds");
