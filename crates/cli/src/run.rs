@@ -3,7 +3,7 @@
 
 use crate::{at, load_spec, ok, op_table, write_file, CliError, Command, Outcome};
 use std::fmt::Write as _;
-use uswg_core::{presets, CoreError, SpillSink, SummarySink, Table, UsageLog, WorkloadSpec};
+use uswg_core::{presets, SpillSink, SummarySink, Table, UsageLog, WorkloadSpec};
 
 pub(crate) fn init(path: &str) -> Outcome {
     let spec = WorkloadSpec::paper_default()?;
@@ -14,9 +14,12 @@ pub(crate) fn init(path: &str) -> Outcome {
     ))
 }
 
-/// Appends the `--out` step of a run: the usage log as JSON.
+/// Appends the `--out` step of a run: the usage log as JSON, streamed to
+/// the file one record at a time.
 fn write_log(text: &mut String, out_path: &str, log: &UsageLog) -> Result<(), CliError> {
-    write_file(out_path, &log.to_json().map_err(CoreError::from)?)?;
+    let file = std::fs::File::create(out_path).map_err(at(out_path))?;
+    log.write_json(std::io::BufWriter::new(file))
+        .map_err(at(out_path))?;
     let _ = writeln!(text, "usage log written to {out_path}");
     Ok(())
 }

@@ -44,11 +44,6 @@ impl Exponential {
         Ok(Self { mean, offset })
     }
 
-    /// The mean of the unshifted exponential part.
-    pub fn rate_mean(&self) -> f64 {
-        self.mean
-    }
-
     /// The offset added to every variate.
     pub fn offset(&self) -> f64 {
         self.offset

@@ -153,13 +153,6 @@ impl CdfTable {
         2 * self.xs.len() * std::mem::size_of::<f64>()
     }
 
-    /// Resident bytes of the guide-table sampling index (~a quarter of
-    /// [`Self::memory_bytes`]), reported separately so resolution ablations
-    /// keep comparing grid cost alone.
-    pub fn guide_memory_bytes(&self) -> usize {
-        self.guide.memory_bytes()
-    }
-
     /// The grid of `x` values.
     pub fn xs(&self) -> &[f64] {
         &self.xs

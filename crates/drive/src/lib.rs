@@ -60,7 +60,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use uswg_usim::{OpRecord, RetryPolicy};
 
@@ -377,10 +377,22 @@ pub fn drive_stream<S: OpSource>(
         let deadline = config.deadline_micros;
         let mut rng =
             StdRng::seed_from_u64(config.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let spawned = std::thread::Builder::new()
-            .spawn(move || worker(&shared_w, &*target, retry, deadline, &mut rng));
+        // A worker allocates its statistics before the next thread is
+        // asked for: under an address-space ceiling, a start-up allocation
+        // racing the next stack could abort the process, where a refused
+        // thread is a typed error.
+        let started = Arc::new(Barrier::new(2));
+        let started_w = Arc::clone(&started);
+        let spawned = std::thread::Builder::new().spawn(move || {
+            let stats = WorkerStats::default();
+            started_w.wait();
+            worker(&shared_w, &*target, retry, deadline, &mut rng, stats)
+        });
         match spawned {
-            Ok(handle) => workers.push(handle),
+            Ok(handle) => {
+                started.wait();
+                workers.push(handle);
+            }
             Err(e) => {
                 // Nothing has been offered: release the workers that did
                 // start and fail typed instead of running under-provisioned.
@@ -538,8 +550,8 @@ fn worker(
     retry: RetryPolicy,
     deadline_micros: u64,
     rng: &mut StdRng,
+    mut stats: WorkerStats,
 ) -> WorkerStats {
-    let mut stats = WorkerStats::default();
     loop {
         let job = {
             let mut q = shared.queue.lock().expect("queue poisoned");

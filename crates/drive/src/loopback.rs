@@ -9,13 +9,12 @@
 //! errors to exercise the driver's retry path the same way `FaultSpec`
 //! exercises the simulator's.
 //!
-//! Once its buffers have grown, a successful op allocates nothing: the
-//! slot's path is formatted on the stack, a write is a truncating create
-//! plus `Vfs::write_zeros` — the bytes a write of zeros would store, which
-//! every reader sees alike, with no block buffer taken — and reads copy
-//! into a buffer kept with the file system, through one kept [`Process`]
-//! and `Vfs::read_file_into`, the call behind `Vfs::read_file` without its
-//! fresh descriptor table and byte vector per call.
+//! Once its descriptor table has grown, a successful op allocates nothing
+//! past the file's block list: the slot's path is formatted on the stack,
+//! and every call runs in one kept [`Process`]. A write is
+//! [`Vfs::write_file`] — a truncating create, writes of the op's length and
+//! a close — and a read opens the file, reads its whole size and closes
+//! it; the file system holds sizes and block indices, never bytes.
 
 use crate::{Target, TargetError};
 use rand::rngs::StdRng;
@@ -25,7 +24,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 use uswg_netfs::OpKind;
 use uswg_usim::OpRecord;
-use uswg_vfs::{FsError, Process, Vfs, VfsConfig};
+use uswg_vfs::{FsError, OpenFlags, Process, Vfs, VfsConfig};
 
 /// Parts-per-million scale for the injected failure rate.
 const PPM: u64 = 1_000_000;
@@ -67,14 +66,12 @@ pub struct LoopbackVfs {
     rng: Mutex<StdRng>,
 }
 
-/// The file system and what every op reuses, under one lock.
+/// The file system and the process every op runs in, under one lock.
 #[derive(Debug)]
 struct Fs {
     vfs: Vfs,
     /// Opens every file; between ops its descriptor table is empty.
     proc: Process,
-    /// Reads copy the whole file in here.
-    buf: Vec<u8>,
 }
 
 impl LoopbackVfs {
@@ -92,11 +89,7 @@ impl LoopbackVfs {
                 working_set: config.working_set.max(1),
                 ..config
             },
-            fs: Mutex::new(Fs {
-                vfs,
-                proc,
-                buf: Vec::new(),
-            }),
+            fs: Mutex::new(Fs { vfs, proc }),
             rng: Mutex::new(StdRng::seed_from_u64(config.seed)),
         }
     }
@@ -114,25 +107,28 @@ fn slot_path(slot: u64, buf: &mut [u8; 28]) -> &str {
 impl Fs {
     /// One replayed op on slot `path`: the file-system calls of its kind.
     fn apply(&mut self, kind: OpKind, path: &str, bytes: u64) -> Result<(), FsError> {
+        let (vfs, proc) = (&mut self.vfs, &mut self.proc);
         match kind {
             OpKind::Write | OpKind::Create => {
-                self.write_zeros(path, bytes.min(MAX_IO_BYTES) as usize)
+                vfs.write_file(proc, path, bytes.min(MAX_IO_BYTES) as usize)
             }
             OpKind::Read => {
-                if !self.vfs.exists(path) {
-                    self.write_zeros(path, 0)?;
+                if !vfs.exists(path) {
+                    vfs.write_file(proc, path, 0)?;
                 }
-                self.read_file(path)
+                let fd = vfs.open(proc, path, OpenFlags::read_only())?;
+                vfs.read(proc, fd, usize::MAX)?;
+                vfs.close(proc, fd)
             }
             OpKind::Stat => {
-                if !self.vfs.exists(path) {
-                    self.write_zeros(path, 0)?;
+                if !vfs.exists(path) {
+                    vfs.write_file(proc, path, 0)?;
                 }
-                self.vfs.stat(path).map(drop)
+                vfs.stat(path).map(drop)
             }
             OpKind::Unlink => {
-                if self.vfs.exists(path) {
-                    self.vfs.unlink(path)
+                if vfs.exists(path) {
+                    vfs.unlink(path)
                 } else {
                     Ok(())
                 }
@@ -140,29 +136,12 @@ impl Fs {
             // Open/Close/Seek are per-process cursor motion; the replay keeps
             // no cursor across ops, so they only touch the namespace.
             OpKind::Open | OpKind::Close | OpKind::Seek => {
-                let _ = self.vfs.exists(path);
+                let _ = vfs.exists(path);
                 Ok(())
             }
             // OpKind is non_exhaustive: treat future kinds as metadata.
             _ => Ok(()),
         }
-    }
-
-    /// [`Vfs::write_file`] of `n` zeros in the kept process, written with
-    /// [`Vfs::write_zeros`]: creat, write until done, close.
-    fn write_zeros(&mut self, path: &str, n: usize) -> Result<(), FsError> {
-        let (vfs, proc) = (&mut self.vfs, &mut self.proc);
-        let fd = vfs.creat(proc, path)?;
-        let mut done = 0;
-        while done < n {
-            done += vfs.write_zeros(proc, fd, n - done)?;
-        }
-        vfs.close(proc, fd)
-    }
-
-    /// [`Vfs::read_file`] in the kept process, into the kept buffer.
-    fn read_file(&mut self, path: &str) -> Result<(), FsError> {
-        self.vfs.read_file_into(&mut self.proc, path, &mut self.buf)
     }
 }
 
@@ -184,9 +163,9 @@ impl Target for LoopbackVfs {
         let mut fs = self.fs.lock().expect("vfs poisoned");
         let outcome = fs.apply(op.op, path, op.bytes);
         if outcome.is_err() {
-            // A failed call may leave its descriptor open. The per-call
-            // process of `Vfs::read_file`/`write_file` took it along when
-            // dropped; the kept one goes the same way.
+            // A failed call may leave its descriptor open; a fresh process
+            // per op would take it along when dropped, and the kept one goes
+            // the same way.
             fs.proc = fs.vfs.new_process();
         }
         outcome.map_err(TargetError::from)
@@ -261,24 +240,27 @@ mod tests {
         assert_eq!(entries.len(), 3);
     }
 
-    /// The reference: each op kind through `Vfs`'s by-path convenience
-    /// calls, with a fresh path, payload and process per op.
+    /// The reference: each op kind through `Vfs`'s by-path calls, with a
+    /// fresh path and process per op.
     fn path_calls(fs: &mut Vfs, working_set: u64, op: &OpRecord) -> Result<(), TargetError> {
         let path = format!("/drive/f{}", op.ino % working_set);
+        let mut proc = fs.new_process();
         let outcome = match op.op {
             OpKind::Write | OpKind::Create => {
-                let data = vec![0u8; op.bytes.min(MAX_IO_BYTES) as usize];
-                fs.write_file(&path, &data)
+                fs.write_file(&mut proc, &path, op.bytes.min(MAX_IO_BYTES) as usize)
             }
             OpKind::Read => {
                 if !fs.exists(&path) {
-                    fs.write_file(&path, &[])?;
+                    fs.write_file(&mut proc, &path, 0)?;
                 }
-                fs.read_file(&path).map(drop)
+                let fd = fs.open(&mut proc, &path, OpenFlags::read_only())?;
+                let size = fs.fstat(&proc, fd)?.size as usize;
+                assert_eq!(fs.read(&mut proc, fd, size + 1), Ok(size));
+                fs.close(&mut proc, fd)
             }
             OpKind::Stat => {
                 if !fs.exists(&path) {
-                    fs.write_file(&path, &[])?;
+                    fs.write_file(&mut proc, &path, 0)?;
                 }
                 fs.stat(&path).map(drop)
             }
@@ -333,54 +315,17 @@ mod tests {
                 let fs = &mut target.fs.lock().unwrap().vfs;
                 for slot in 0..6 {
                     let path = format!("/drive/f{slot}");
-                    let (got, want) = (fs.read_file(&path), reference.read_file(&path));
+                    let (got, want) = (fs.stat(&path), reference.stat(&path));
                     assert_eq!(got, want, "seed {seed} step {step} slot {slot}");
+                    if let Ok(md) = got {
+                        assert_eq!(fs.block_indices(md.ino), reference.block_indices(md.ino));
+                    }
                 }
+                assert_eq!(fs.statfs(), reference.statfs(), "seed {seed} step {step}");
+                assert_eq!(fs.block_stats(), reference.block_stats());
             }
         }
         assert!(errors > 0, "the small geometry runs out of space");
-    }
-
-    #[test]
-    fn a_replayed_log_reads_back_as_the_zero_writes_did() {
-        // A log of writes, creates, reads and unlinks over 8 slots, replayed
-        // onto the loopback and onto a file system written the way the
-        // loopback used to write: `write_file_in` with a slice of zeros.
-        let config = LoopbackConfig {
-            working_set: 8,
-            ..LoopbackConfig::default()
-        };
-        let target = LoopbackVfs::new(config);
-        let mut reference = Vfs::new(VfsConfig::default());
-        reference.mkdir("/drive").unwrap();
-        let mut proc = reference.new_process();
-        let zeros = vec![0u8; MAX_IO_BYTES as usize];
-        let mut rng = StdRng::seed_from_u64(5);
-        let kinds = [OpKind::Write, OpKind::Create, OpKind::Read, OpKind::Unlink];
-        for _ in 0..2_000 {
-            let kind = kinds[(rng.next_u64() % 4) as usize];
-            let op = op(kind, rng.next_u64() % 8, rng.next_u64() % 40_000);
-            target.apply(&op).unwrap();
-            let path = format!("/drive/f{}", op.ino);
-            match kind {
-                OpKind::Unlink if reference.exists(&path) => reference.unlink(&path).unwrap(),
-                OpKind::Write | OpKind::Create => {
-                    let data = &zeros[..op.bytes as usize];
-                    reference.write_file_in(&mut proc, &path, data).unwrap();
-                }
-                OpKind::Read if !reference.exists(&path) => {
-                    reference.write_file(&path, &[]).unwrap()
-                }
-                _ => {}
-            }
-        }
-        let fs = &mut target.fs.lock().unwrap().vfs;
-        for slot in 0..8 {
-            let path = format!("/drive/f{slot}");
-            assert_eq!(fs.read_file(&path), reference.read_file(&path), "{path}");
-        }
-        assert_eq!(fs.statfs(), reference.statfs());
-        assert_eq!(fs.block_stats(), reference.block_stats());
     }
 
     #[test]

@@ -41,13 +41,14 @@ impl CategorySpec {
 /// How created files are filled with data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum FillPattern {
-    /// Allocate zero-filled data blocks for every byte of the file: the
-    /// device fills as the sizes say, and a block costs no memory until a
-    /// simulated user writes into it.
+    /// Allocate data blocks for every byte of the file: the device fills as
+    /// the sizes say. A block is a count and an index in its file; it holds
+    /// no bytes.
     #[default]
     Pattern,
     /// Set sizes with `truncate` only: files are holes and occupy no blocks.
-    /// Reads return zeros; use for large simulated populations.
+    /// Reads return the same byte counts; use for large simulated
+    /// populations.
     Sparse,
 }
 
@@ -424,7 +425,7 @@ impl Build<'_> {
         let filled = match self.fill {
             FillPattern::Sparse => vfs.ftruncate(proc, fd, size),
             // The whole size in one call; a short write is a full device.
-            FillPattern::Pattern => match vfs.write_zeros(proc, fd, size as usize) {
+            FillPattern::Pattern => match vfs.write(proc, fd, size as usize) {
                 Ok(n) if n as u64 == size => Ok(()),
                 Ok(_) => Err(FsError::NoSpace),
                 Err(e) => Err(e),
@@ -694,9 +695,11 @@ mod tests {
             .files()
             .position(|f| f.size > 0)
             .expect("some non-empty file");
-        let data = vfs.read_file(&catalog.path(idx)).unwrap();
-        assert_eq!(data.len() as u64, catalog.file(idx).size);
-        assert!(vfs.block_stats().allocated > 0);
+        let md = vfs.stat(&catalog.path(idx)).unwrap();
+        assert_eq!(md.size, catalog.file(idx).size);
+        let blocks = md.size.div_ceil(u64::from(md.block_size));
+        assert_eq!(md.blocks, blocks, "every block of the size is held");
+        assert!(vfs.block_stats().allocated >= blocks);
     }
 
     #[test]

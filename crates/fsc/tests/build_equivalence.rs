@@ -5,11 +5,11 @@
 //! it holds, and reserves every user's home, built later at its reserved
 //! numbers. The reference below is the population sequence written the
 //! plain way, every home at once — one absolute path per object, resolved
-//! from `/` by every call, a filled file one `write` of zeros — and the
+//! from `/` by every call, a filled file one `write` of its size — and the
 //! property is that nobody downstream can tell the two apart: the same
 //! `statfs` and block counts before any home is built, and once every home
 //! is built, in any order, the same tree (names, inode numbers, kinds,
-//! sizes, link counts, timestamps, contents), the same catalog, the same
+//! sizes, link counts, timestamps, held blocks), the same catalog, the same
 //! candidate lists, and the same picks from the same PRNG stream under
 //! every popularity policy. A home dropped unwritten and built again is
 //! the home it was. The
@@ -108,14 +108,15 @@ fn reference_populate(
                 (FileType::Reg, None) => ("file", "/system".to_string()),
             };
             let path = format!("{root}/{stem}{:05}_{seq:04}", catalog.len());
+            let mut proc = vfs.new_process();
             match (c.category.file_type, spec.fill) {
                 (FileType::Dir, _) => vfs.mkdir_all(&path).unwrap(),
                 (_, FillPattern::Sparse) => {
-                    vfs.write_file(&path, &[]).unwrap();
+                    vfs.write_file(&mut proc, &path, 0).unwrap();
                     vfs.truncate(&path, size).unwrap();
                 }
                 (_, FillPattern::Pattern) => {
-                    vfs.write_file(&path, &vec![0; size as usize]).unwrap()
+                    vfs.write_file(&mut proc, &path, size as usize).unwrap()
                 }
             }
             let file = CatalogFile {
@@ -130,18 +131,17 @@ fn reference_populate(
 }
 
 /// Every object under `dir`, depth first in name order: path, metadata, and
-/// the contents of regular files.
-fn walk(vfs: &mut Vfs, dir: &str, out: &mut Vec<(String, Metadata, Vec<u8>)>) {
+/// the indices of the blocks it holds.
+fn walk(vfs: &mut Vfs, dir: &str, out: &mut Vec<(String, Metadata, Vec<u64>)>) {
     for entry in vfs.readdir(dir).unwrap() {
         let path = format!("{}/{}", dir.trim_end_matches('/'), entry.name);
         let meta = vfs.stat(&path).unwrap();
         assert_eq!((meta.ino, meta.kind), (entry.ino, entry.kind), "{path}");
+        let blocks = vfs.block_indices(meta.ino).to_vec();
+        assert_eq!(blocks.len() as u64, meta.blocks, "{path}");
+        out.push((path.clone(), meta, blocks));
         if meta.is_dir() {
-            out.push((path.clone(), meta, Vec::new()));
             walk(vfs, &path, out);
-        } else {
-            let data = vfs.read_file(&path).unwrap();
-            out.push((path, meta, data));
         }
     }
 }
@@ -201,7 +201,7 @@ fn both(
 }
 
 /// The whole tree of `vfs`.
-fn tree(vfs: &mut Vfs) -> Vec<(String, Metadata, Vec<u8>)> {
+fn tree(vfs: &mut Vfs) -> Vec<(String, Metadata, Vec<u64>)> {
     let mut out = Vec::new();
     walk(vfs, "/", &mut out);
     out
@@ -317,7 +317,8 @@ fn a_file_where_a_home_should_be_is_not_a_directory() {
     // before anything is built.
     let mut vfs = Vfs::new(VfsConfig::default());
     vfs.mkdir_all("/u").unwrap();
-    vfs.write_file("/u/user001", b"in the way").unwrap();
+    let mut proc = vfs.new_process();
+    vfs.write_file(&mut proc, "/u/user001", 10).unwrap();
     let mut rng = StdRng::seed_from_u64(1);
     let creator = FileSystemCreator::new(spec(2, 2, FillPattern::Sparse));
     let err = creator.build(&mut vfs, 3, &mut rng).unwrap_err();

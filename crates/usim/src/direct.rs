@@ -6,9 +6,9 @@
 //! Figure 5.3–5.5 studies (600 login sessions) and the throughput benches.
 //! Response times are measured with the host's monotonic clock: they time
 //! this machine's in-memory file system doing the *bookkeeping* for a call —
-//! path walk, descriptor and cursor, block allocation; no data byte is
-//! copied either way ([`Vfs::write_zeros`], [`Vfs::read_discard`]: the user
-//! program never looks at them). That was never a model of anything.
+//! path walk, descriptor and cursor, block allocation; the file system holds
+//! no data byte to copy (a file is its size and the blocks it holds). That
+//! was never a model of anything.
 
 use crate::compile::CompiledPopulation;
 use crate::des::user_rng;

@@ -2,6 +2,7 @@
 //! Figure 4.1).
 
 use serde::{Deserialize, Serialize};
+use std::io::{self, Write};
 use uswg_fsc::FileCategory;
 use uswg_netfs::OpKind;
 
@@ -135,7 +136,25 @@ impl UsageLog {
     ///
     /// Returns the underlying `serde_json` error if serialization fails.
     pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string(self)
+        let mut out = Vec::new();
+        self.write_json(&mut out)
+            .expect("a vector takes every byte");
+        Ok(String::from_utf8(out).expect("JSON text is UTF-8"))
+    }
+
+    /// Writes the JSON of [`UsageLog::to_json`] to `out` one record at a
+    /// time, so the text of the whole log is never held at once.
+    ///
+    /// # Errors
+    ///
+    /// The writer's.
+    pub fn write_json(&self, mut out: impl Write) -> io::Result<()> {
+        out.write_all(b"{\"ops\":")?;
+        write_list(&mut out, &self.ops)?;
+        out.write_all(b",\"sessions\":")?;
+        write_list(&mut out, &self.sessions)?;
+        out.write_all(b"}")?;
+        out.flush()
     }
 
     /// Parses a log from JSON.
@@ -146,6 +165,19 @@ impl UsageLog {
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(json)
     }
+}
+
+/// `records` as a compact JSON array, one record rendered at a time.
+fn write_list<T: Serialize>(out: &mut impl Write, records: &[T]) -> io::Result<()> {
+    out.write_all(b"[")?;
+    for (i, record) in records.iter().enumerate() {
+        if i > 0 {
+            out.write_all(b",")?;
+        }
+        let text = serde_json::to_string(record).map_err(io::Error::other)?;
+        out.write_all(text.as_bytes())?;
+    }
+    out.write_all(b"]")
 }
 
 #[cfg(test)]
@@ -191,24 +223,32 @@ mod tests {
     #[test]
     fn json_round_trip() {
         let mut log = UsageLog::new();
-        log.push_session(session());
-        log.push_op(OpRecord {
-            at: 5,
-            user: 0,
-            session: 0,
-            op: OpKind::Read,
-            ino: 42,
-            bytes: 512,
-            file_size: 4096,
-            response: 1500,
-            category: FileCategory::REG_USER_RDONLY,
-            retries: 0,
-            aborted: false,
-        });
-        let json = log.to_json().unwrap();
-        let back = UsageLog::from_json(&json).unwrap();
-        assert_eq!(back.ops().len(), 1);
-        assert_eq!(back.sessions().len(), 1);
-        assert_eq!(back.ops()[0].bytes, 512);
+        for i in 0..4 {
+            // Streamed one record at a time, the text is the whole tree's.
+            let want = serde_json::to_string(&log).unwrap();
+            let mut streamed = Vec::new();
+            log.write_json(io::BufWriter::new(&mut streamed)).unwrap();
+            assert_eq!(streamed, want.as_bytes(), "{i} records of each kind");
+            assert_eq!(log.to_json().unwrap(), want);
+            let back = UsageLog::from_json(&want).unwrap();
+            assert_eq!((back.ops(), back.sessions()), (log.ops(), log.sessions()));
+            log.push_op(OpRecord {
+                at: 5 * i as u64,
+                user: i,
+                session: 0,
+                op: OpKind::ALL[i],
+                ino: 42,
+                bytes: 512,
+                file_size: 4096,
+                response: 1500,
+                category: FileCategory::REG_USER_RDONLY,
+                retries: i as u32,
+                aborted: i == 3,
+            });
+            log.push_session(SessionRecord {
+                session: i as u32,
+                ..session()
+            });
+        }
     }
 }

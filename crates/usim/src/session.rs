@@ -438,8 +438,7 @@ impl Session {
             if task.written < task.file_size {
                 access = access.min(task.file_size - task.written).max(1);
             }
-            // Nothing reads the bytes back (reads discard them): store none.
-            let n = match vfs.write_zeros(proc, fd, access as usize) {
+            let n = match vfs.write(proc, fd, access as usize) {
                 Ok(n) => n as u64,
                 Err(FsError::NoSpace | FsError::FileTooLarge) => {
                     // Device full: stop writing, degrade to finishing early.
@@ -454,7 +453,7 @@ impl Session {
             self.record.bytes_written += n;
             Ok(Some(task.data(user, OpKind::Write, offset, n)))
         } else {
-            let n = vfs.read_discard(proc, fd, access as usize)? as u64;
+            let n = vfs.read(proc, fd, access as usize)? as u64;
             if n == 0 {
                 // EOF. An empty file has nothing to give: finish the task;
                 // otherwise wrap on the next selection.

@@ -113,9 +113,9 @@ fn config(users: usize, sessions: u32, seed: u64) -> RunConfig {
     config.with_sessions(sessions).with_seed(seed)
 }
 
-/// Over real blocks and over holes alike. Sessions read through
-/// `Vfs::read_discard`: the file system still counts every read and every
-/// byte the log says a file read moved (directory reads go through `readdir`).
+/// Over real blocks and over holes alike. The file system counts every read
+/// and every byte the log says a file read moved (directory reads go
+/// through `readdir`).
 #[test]
 fn direct_driver_produces_sessions_and_ops() {
     for fill in [FillPattern::Pattern, FillPattern::Sparse] {

@@ -2,9 +2,9 @@
 //!
 //! An inode is one slot of the file system's inode table and the slot index
 //! is its number, so the number is not stored again inside. What the object
-//! holds lives in the inode too ([`Content`]): a file's block list or a
-//! directory's [`Entries`]. There is no side table of directories to probe
-//! or keep in step.
+//! holds lives in the inode too ([`Content`]): the indices of the blocks a
+//! file holds, or a directory's [`Entries`]. There is no side table of
+//! directories to probe or keep in step.
 //!
 //! Entries are sized for the population the File System Creator builds: most
 //! directories are homes of a few entries, a few (`/u`, `/tmp`) hold one per
@@ -14,7 +14,6 @@
 //! good. A name of up to 22 bytes lives inside its entry ([`Name`]), so an
 //! entry costs no heap block of its own.
 
-use crate::block::BlockId;
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
@@ -42,8 +41,9 @@ pub enum FileKind {
 /// What an inode holds besides its attributes; the variant is its kind.
 #[derive(Debug, Clone)]
 pub(crate) enum Content {
-    /// Data blocks; `None` entries are holes that read as zeros.
-    Regular(Vec<Option<BlockId>>),
+    /// The indices of the data blocks the file holds, ascending; an index
+    /// not listed is a hole. A block at a far offset costs one entry.
+    Regular(Vec<u64>),
     /// Named entries, in name order.
     Directory(Entries),
 }
@@ -235,17 +235,17 @@ impl Inode {
         }
     }
 
-    /// The data blocks; a directory has none.
-    pub(crate) fn blocks(&self) -> &[Option<BlockId>] {
+    /// The indices of the data blocks held; a directory holds none.
+    pub(crate) fn blocks(&self) -> &[u64] {
         match &self.content {
             Content::Regular(blocks) => blocks,
             Content::Directory(_) => &[],
         }
     }
 
-    /// The block list of a regular file: descriptors and `truncate` reach
-    /// nothing else, and a live inode never changes kind.
-    pub(crate) fn blocks_mut(&mut self) -> &mut Vec<Option<BlockId>> {
+    /// The block indices of a regular file: descriptors and `truncate`
+    /// reach nothing else, and a live inode never changes kind.
+    pub(crate) fn blocks_mut(&mut self) -> &mut Vec<u64> {
         match &mut self.content {
             Content::Regular(blocks) => blocks,
             Content::Directory(_) => unreachable!("data access to a directory"),
@@ -259,7 +259,7 @@ impl Inode {
             kind: self.kind(),
             size: self.size,
             nlink: self.nlink,
-            blocks: self.blocks().iter().flatten().count() as u64,
+            blocks: self.blocks().len() as u64,
             block_size: block_size as u32,
             atime: self.atime,
             mtime: self.mtime,
@@ -311,13 +311,13 @@ mod tests {
     fn metadata_snapshot() {
         let mut inode = Inode::new(FileKind::Regular, 1_000);
         inode.size = 100;
-        *inode.blocks_mut() = vec![None, None];
+        *inode.blocks_mut() = vec![1];
         let md = inode.metadata(Ino(7), 4096);
         assert_eq!(md.ino.number(), 7);
         assert!(md.is_file());
         assert!(!md.is_dir());
         assert_eq!(md.size, 100);
-        assert_eq!(md.blocks, 0, "holes are not allocated blocks");
+        assert_eq!(md.blocks, 1, "the hole at block 0 is not allocated");
         assert_eq!(md.atime, 1_000);
     }
 

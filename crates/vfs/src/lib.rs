@@ -10,12 +10,13 @@
 //!
 //! The implementation favours faithful UNIX semantics over raw speed:
 //! unlinked-but-open files stay readable until the last close (the paper's
-//! `TEMP` usage class relies on this), `lseek` past EOF creates holes that
-//! read back as zeros, and directory entries are kept in sorted order as
-//! `readdir` output. Data blocks are allocated, counted and freed as on a
-//! disk, but a block holds memory only once a caller writes bytes into it:
-//! [`Vfs::write_zeros`], the write twin of [`Vfs::read_discard`], fills a
-//! file for callers that never read its content back.
+//! `TEMP` usage class relies on this), `lseek` past EOF creates holes, and
+//! directory entries are kept in sorted order as `readdir` output. What the
+//! workload measures is usage, never content, so a file is its size and the
+//! blocks it holds: [`Vfs::read`] and [`Vfs::write`] take a length, and data
+//! blocks are allocated, counted and freed as on a disk while none holds a
+//! byte. A file lists the indices of its blocks, so a hole costs nothing and
+//! a block at a far offset one entry.
 //!
 //! A file system that holds many owners' objects, few in use at once,
 //! reserves each owner's run of inode numbers and data blocks up front
@@ -42,8 +43,10 @@
 //! let mut proc = fs.new_process();
 //! fs.mkdir("/home")?;
 //! let fd = fs.open(&mut proc, "/home/notes.txt", OpenFlags::create_write())?;
-//! fs.write(&mut proc, fd, b"hello")?;
+//! assert_eq!(fs.write(&mut proc, fd, 5)?, 5);
 //! fs.close(&mut proc, fd)?;
+//! let fd = fs.open(&mut proc, "/home/notes.txt", OpenFlags::read_only())?;
+//! assert_eq!(fs.read(&mut proc, fd, 4096)?, 5);
 //! assert_eq!(fs.stat("/home/notes.txt")?.size, 5);
 //! # Ok(())
 //! # }

@@ -95,9 +95,9 @@ pub struct OpCounters {
     pub opens: u64,
     /// `close` calls.
     pub closes: u64,
-    /// `read` / `read_discard` calls.
+    /// `read` calls.
     pub reads: u64,
-    /// `write` / `write_zeros` calls.
+    /// `write` calls.
     pub writes: u64,
     /// `lseek` calls.
     pub seeks: u64,
@@ -115,9 +115,9 @@ pub struct OpCounters {
     pub renames: u64,
     /// `truncate` calls.
     pub truncates: u64,
-    /// Bytes returned by `read` / `read_discard`.
+    /// Bytes returned by `read`.
     pub bytes_read: u64,
-    /// Bytes accepted by `write` / `write_zeros`.
+    /// Bytes accepted by `write`.
     pub bytes_written: u64,
 }
 
@@ -333,9 +333,7 @@ impl Vfs {
     /// Frees an inode and its data blocks. A home's number stays its own.
     fn free_inode(&mut self, ino: Ino) {
         let node = (self.slot_mut(ino).and_then(Option::take)).expect("double free of inode");
-        for block in node.blocks().iter().flatten() {
-            self.store.free(*block);
-        }
+        self.store.free(node.blocks().len() as u64);
         if let Slot::Dense(idx) = self.homes.slot(ino.0) {
             self.free_inodes.push(idx);
             self.used -= 1;
@@ -543,97 +541,40 @@ impl Vfs {
         Ok(())
     }
 
-    /// `read(2)`: reads up to `buf.len()` bytes at the descriptor's cursor.
-    /// Returns the number of bytes read; 0 at end-of-file.
+    /// `read(2)` of up to `len` bytes at the descriptor's cursor. Returns
+    /// the number of bytes read, 0 at end-of-file; no byte is copied.
     ///
     /// # Errors
     ///
     /// [`FsError::BadFd`] / [`FsError::BadAccessMode`] for bad descriptors.
-    pub fn read(&mut self, proc: &mut Process, fd: Fd, buf: &mut [u8]) -> Result<usize, FsError> {
-        self.read_impl(proc, fd, buf.len(), Some(buf))
-    }
-
-    /// `read(2)` for a caller that will not look at the bytes: every check
-    /// and every effect of [`Vfs::read`] with a `len`-byte buffer — return
-    /// value, cursor, `atime`, counters — and nothing is copied.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Vfs::read`].
-    pub fn read_discard(
-        &mut self,
-        proc: &mut Process,
-        fd: Fd,
-        len: usize,
-    ) -> Result<usize, FsError> {
-        self.read_impl(proc, fd, len, None)
-    }
-
-    /// The body of `read` and `read_discard`: the one place that decides how
-    /// many bytes a read returns. `buf`, when given, is `len` bytes long.
-    fn read_impl(
-        &mut self,
-        proc: &mut Process,
-        fd: Fd,
-        len: usize,
-        buf: Option<&mut [u8]>,
-    ) -> Result<usize, FsError> {
+    pub fn read(&mut self, proc: &mut Process, fd: Fd, len: usize) -> Result<usize, FsError> {
         self.counters.reads += 1;
         let open = proc.get_mut(fd).ok_or(FsError::BadFd)?;
         if !open.flags.read {
             return Err(FsError::BadAccessMode);
         }
-        let (ino, offset) = (open.ino, open.offset);
         let clock = self.clock;
-        let node = self.inode_mut(ino);
+        let node = self.inode_mut(open.ino);
         node.atime = clock;
-        let left = node.size.saturating_sub(offset);
+        let left = node.size.saturating_sub(open.offset);
         let n = usize::try_from(left).map_or(len, |left| len.min(left));
-        if let Some(buf) = buf {
-            self.read_at(ino, offset, &mut buf[..n]);
-        }
         open.offset += n as u64;
         self.counters.bytes_read += n as u64;
         Ok(n)
     }
 
-    /// `write(2)`: writes `data` at the descriptor's cursor (or at EOF with
-    /// append mode). Returns the number of bytes written, which may be short
-    /// if the device fills mid-write.
+    /// `write(2)` of `len` bytes at the descriptor's cursor (or at EOF with
+    /// append mode): every block the range touches is allocated, and no
+    /// byte is stored. Returns the number of bytes written, which is short
+    /// if the device fills mid-write: the write stops at the first block it
+    /// cannot allocate.
     ///
     /// # Errors
     ///
     /// [`FsError::BadFd`] / [`FsError::BadAccessMode`] for bad descriptors,
     /// [`FsError::NoSpace`] when nothing could be written,
     /// [`FsError::FileTooLarge`] beyond the maximum file size.
-    pub fn write(&mut self, proc: &mut Process, fd: Fd, data: &[u8]) -> Result<usize, FsError> {
-        self.write_impl(proc, fd, data.len(), Some(data))
-    }
-
-    /// `write(2)` of `n` zero bytes, for a caller whose data nobody reads
-    /// back: every check and every effect of [`Vfs::write`] with an `n`-byte
-    /// zero buffer — return value, short write at `NoSpace`, `FileTooLarge`,
-    /// cursor, size, `mtime`/`ctime`, counters, blocks allocated — and no
-    /// byte is stored. A block only ever written this way costs no memory;
-    /// one that already holds data has the range zeroed.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Vfs::write`].
-    pub fn write_zeros(&mut self, proc: &mut Process, fd: Fd, n: usize) -> Result<usize, FsError> {
-        self.write_impl(proc, fd, n, None)
-    }
-
-    /// The body of `write` and `write_zeros`: the one place that decides how
-    /// many bytes a write takes. `data`, when given, is `len` bytes long;
-    /// `None` writes zeros.
-    fn write_impl(
-        &mut self,
-        proc: &mut Process,
-        fd: Fd,
-        len: usize,
-        data: Option<&[u8]>,
-    ) -> Result<usize, FsError> {
+    pub fn write(&mut self, proc: &mut Process, fd: Fd, len: usize) -> Result<usize, FsError> {
         self.counters.writes += 1;
         let open = proc.get_mut(fd).ok_or(FsError::BadFd)?;
         if !open.flags.write {
@@ -651,36 +592,34 @@ impl Vfs {
         let (bs, clock) = (self.config.block_size as u64, self.clock);
         // The inode is looked up once for the whole write.
         let (node, store) = self.node_and_store(ino);
-        let mut done = 0usize;
-        while done < len {
-            let pos = offset + done as u64;
-            let block_idx = (pos / bs) as usize;
-            let in_block = (pos % bs) as usize;
-            let chunk = (len - done).min(bs as usize - in_block);
-            let blocks = node.blocks_mut();
-            if blocks.len() <= block_idx {
-                blocks.resize(block_idx + 1, None);
+        // Blocks `first..end` hold the range; those the file lacks are
+        // allocated in order, up to the first that does not fit.
+        let first = offset / bs;
+        let end = if len == 0 {
+            first
+        } else {
+            (offset + len as u64).div_ceil(bs)
+        };
+        let blocks = node.blocks_mut();
+        let (mut at, mut done) = (blocks.partition_point(|&b| b < first), len);
+        for block in first..end {
+            if blocks.get(at) != Some(&block) {
+                if let Err(e) = store.alloc() {
+                    if block == first {
+                        return Err(e);
+                    }
+                    // The device filled mid-write: a short write, up to the
+                    // block that did not fit.
+                    done = (block * bs - offset) as usize;
+                    break;
+                }
+                blocks.insert(at, block);
             }
-            let id = match blocks[block_idx] {
-                Some(id) => id,
-                None => match store.alloc() {
-                    Ok(id) => *blocks[block_idx].insert(id),
-                    Err(e) if done == 0 => return Err(e),
-                    // The device filled mid-write: a short write.
-                    Err(_) => break,
-                },
-            };
-            let range = in_block..in_block + chunk;
-            match data.map(|data| &data[done..done + chunk]) {
-                Some(bytes) => store.data_mut(id)[range].copy_from_slice(bytes),
-                None => store.zero(id, range),
-            }
-            done += chunk;
+            at += 1;
         }
         node.size = node.size.max(offset + done as u64);
         node.mtime = clock;
         node.ctime = clock;
-        let open = proc.get_mut(fd).expect("still open");
         open.offset = offset + done as u64;
         self.counters.bytes_written += done as u64;
         Ok(done)
@@ -821,82 +760,32 @@ impl Vfs {
         self.set_len(ino, len)
     }
 
-    /// Reads a whole file by path (a convenience wrapper over
-    /// open/read/close, used by tests and examples).
-    ///
-    /// # Errors
-    ///
-    /// Same as the underlying calls.
-    pub fn read_file(&mut self, path: &str) -> Result<Vec<u8>, FsError> {
-        let mut proc = self.new_process();
-        let mut buf = Vec::new();
-        self.read_file_into(&mut proc, path, &mut buf)?;
-        Ok(buf)
-    }
-
-    /// [`Vfs::read_file`] in the caller's process and into the caller's
-    /// buffer, whose contents it replaces: open, fstat, read until the size
-    /// or end of file, close. A caller that keeps both across calls reads
-    /// without allocating once `buf` has grown.
-    ///
-    /// # Errors
-    ///
-    /// Same as the underlying calls. A call that fails after the open
-    /// leaves its descriptor open in `proc`.
-    pub fn read_file_into(
-        &mut self,
-        proc: &mut Process,
-        path: &str,
-        buf: &mut Vec<u8>,
-    ) -> Result<(), FsError> {
-        let fd = self.open(proc, path, OpenFlags::read_only())?;
-        let size = self.fstat(proc, fd)?.size as usize;
-        // Every byte kept is overwritten by the reads below.
-        buf.resize(size, 0);
-        let mut done = 0;
-        while done < size {
-            let n = self.read(proc, fd, &mut buf[done..])?;
-            if n == 0 {
-                break;
-            }
-            done += n;
-        }
-        self.close(proc, fd)?;
-        buf.truncate(done);
-        Ok(())
-    }
-
-    /// Writes a whole file by path, creating or replacing it (a convenience
-    /// wrapper over creat/write/close).
-    ///
-    /// # Errors
-    ///
-    /// Same as the underlying calls.
-    pub fn write_file(&mut self, path: &str, data: &[u8]) -> Result<(), FsError> {
-        let mut proc = self.new_process();
-        self.write_file_in(&mut proc, path, data)
-    }
-
-    /// [`Vfs::write_file`] in the caller's process: creat, write until
-    /// done, close.
+    /// Writes a whole file of `len` bytes by path in `proc`, creating or
+    /// replacing it: creat, write until done, close.
     ///
     /// # Errors
     ///
     /// Same as the underlying calls. A call that fails after the creat
     /// leaves its descriptor open in `proc`.
-    pub fn write_file_in(
+    pub fn write_file(
         &mut self,
         proc: &mut Process,
         path: &str,
-        data: &[u8],
+        len: usize,
     ) -> Result<(), FsError> {
         let fd = self.creat(proc, path)?;
         let mut done = 0;
-        while done < data.len() {
-            let n = self.write(proc, fd, &data[done..])?;
-            done += n;
+        while done < len {
+            done += self.write(proc, fd, len - done)?;
         }
         self.close(proc, fd)
+    }
+
+    /// The indices of the data blocks regular file `ino` holds, ascending;
+    /// empty for a directory or a number with no live inode. No counter
+    /// moves.
+    pub fn block_indices(&self, ino: Ino) -> &[u64] {
+        self.node(ino).map_or(&[], Inode::blocks)
     }
 
     // ------------------------------------------------------------------
@@ -1075,8 +964,11 @@ impl Vfs {
             } else {
                 0
             };
-            let blocks = (0..blocks).map(|_| self.store.take_reserved().map(Some));
-            node.content = Content::Regular(blocks.collect::<Result<_, _>>()?);
+            self.store.take_reserved(blocks)?;
+            // The list a write from offset 0 leaves, spare room included:
+            // grown a block at a time.
+            let list = node.blocks_mut();
+            (0..blocks).for_each(|block| list.push(block));
             node.size = size;
         }
         *self.homes.build(home, at) = Some(node);
@@ -1112,9 +1004,7 @@ impl Vfs {
             return;
         };
         match node.content {
-            Content::Regular(blocks) => blocks.into_iter().flatten().for_each(|id| {
-                self.store.retire(id);
-            }),
+            Content::Regular(blocks) => self.store.retire(blocks.len() as u64),
             Content::Directory(entries) => entries.iter().for_each(|(_, child)| {
                 self.retire_tree(child);
             }),
@@ -1126,11 +1016,8 @@ impl Vfs {
     /// an entry that names it elsewhere is not removed.
     pub fn drop_home(&mut self, home: usize) {
         let page = self.homes.drop_page(home).unwrap_or_default();
-        for node in page.into_vec().into_iter().flatten() {
-            node.blocks()
-                .iter()
-                .flatten()
-                .for_each(|id| self.store.retire(*id));
+        for node in page.iter().flatten() {
+            self.store.retire(node.blocks().len() as u64);
         }
     }
 
@@ -1211,49 +1098,15 @@ impl Vfs {
     // Data plumbing
     // ------------------------------------------------------------------
 
-    /// Copies `buf.len()` bytes at `offset` out of the file; the caller
-    /// (`read_impl`) has already clipped the range to the file's size.
-    fn read_at(&self, ino: Ino, offset: u64, buf: &mut [u8]) {
-        let node = self.inode(ino);
-        let n = buf.len();
-        let bs = self.config.block_size as u64;
-        let mut done = 0usize;
-        while done < n {
-            let pos = offset + done as u64;
-            let block_idx = (pos / bs) as usize;
-            let in_block = (pos % bs) as usize;
-            let chunk = (n - done).min(bs as usize - in_block);
-            let block = node.blocks().get(block_idx).copied().flatten();
-            match block.and_then(|id| self.store.data(id)) {
-                Some(data) => {
-                    buf[done..done + chunk].copy_from_slice(&data[in_block..in_block + chunk]);
-                }
-                // A hole, or a block no caller has written: zeros.
-                None => buf[done..done + chunk].fill(0),
-            }
-            done += chunk;
-        }
-    }
-
     fn truncate_inode(&mut self, ino: Ino, len: u64) {
-        let bs = self.config.block_size as u64;
-        let keep_blocks = (len.div_ceil(bs)) as usize;
+        let keep = len.div_ceil(self.config.block_size as u64);
+        let (node, store) = self.node_and_store(ino);
+        let blocks = node.blocks_mut();
+        let cut = blocks.partition_point(|&b| b < keep);
+        store.free((blocks.len() - cut) as u64);
         // The list keeps its capacity, so truncating allocates nothing.
-        let mut blocks = std::mem::take(self.inode_mut(ino).blocks_mut());
-        let keep = keep_blocks.min(blocks.len());
-        blocks
-            .drain(keep..)
-            .flatten()
-            .for_each(|id| self.store.free(id));
-        *self.inode_mut(ino).blocks_mut() = blocks;
-        // Zero the tail of the boundary block so re-extension reads zeros.
-        let node_size = self.inode(ino).size;
-        if len < node_size && !len.is_multiple_of(bs) {
-            if let Some(Some(id)) = self.inode(ino).blocks().get(keep_blocks - 1).copied() {
-                self.store.zero(id, (len % bs) as usize..bs as usize);
-            }
-        }
-        self.inode_mut(ino).size = len;
+        blocks.truncate(cut);
+        node.size = len;
     }
 
     /// Whether `candidate` is `dir` itself or lives anywhere below it.
@@ -1298,6 +1151,19 @@ mod tests {
         })
     }
 
+    /// [`Vfs::write_file`] in a process of its own.
+    fn put(f: &mut Vfs, path: &str, len: usize) -> Result<(), FsError> {
+        let mut p = f.new_process();
+        f.write_file(&mut p, path, len)
+    }
+
+    /// Bytes a read-only descriptor on `path` reads from the start.
+    fn read_all(f: &mut Vfs, path: &str) -> Result<usize, FsError> {
+        let mut p = f.new_process();
+        let fd = f.open(&mut p, path, OpenFlags::read_only())?;
+        f.read(&mut p, fd, usize::MAX)
+    }
+
     #[test]
     fn fresh_fs_has_empty_root() {
         let mut f = fs();
@@ -1313,51 +1179,36 @@ mod tests {
         let mut f = fs();
         let mut p = f.new_process();
         let fd = f.creat(&mut p, "/a.txt").unwrap();
-        assert_eq!(f.write(&mut p, fd, b"hello world").unwrap(), 11);
+        assert_eq!(f.write(&mut p, fd, 11).unwrap(), 11);
         f.close(&mut p, fd).unwrap();
-        assert_eq!(f.read_file("/a.txt").unwrap(), b"hello world");
-        assert_eq!(f.stat("/a.txt").unwrap().size, 11);
-    }
-
-    #[test]
-    fn whole_file_calls_in_a_kept_process_and_buffer() {
-        let mut f = small_fs(); // 4 descriptors a process
-        let mut p = f.new_process();
-        let mut buf = b"a longer stale buffer".to_vec();
-        for round in 0..8u8 {
-            f.write_file_in(&mut p, "/k", &[round; 3]).unwrap();
-            f.read_file_into(&mut p, "/k", &mut buf).unwrap();
-            assert_eq!(buf, [round; 3], "the read replaces the buffer");
-        }
-        // Every call closed its descriptor, so the process has all four.
-        for _ in 0..4 {
-            f.open(&mut p, "/k", OpenFlags::read_only()).unwrap();
-        }
+        assert_eq!(read_all(&mut f, "/a.txt"), Ok(11));
+        let md = f.stat("/a.txt").unwrap();
+        assert_eq!((md.size, md.blocks), (11, 1));
+        assert_eq!(f.block_indices(md.ino), [0]);
     }
 
     #[test]
     fn multi_block_files() {
         let mut f = small_fs(); // 128-byte blocks
-        let data: Vec<u8> = (0..600).map(|i| (i % 251) as u8).collect();
-        f.write_file("/big", &data).unwrap();
-        assert_eq!(f.read_file("/big").unwrap(), data);
-        assert_eq!(f.stat("/big").unwrap().blocks, 5); // ceil(600/128)
+        put(&mut f, "/big", 600).unwrap();
+        assert_eq!(read_all(&mut f, "/big"), Ok(600));
+        let md = f.stat("/big").unwrap();
+        assert_eq!(md.blocks, 5); // ceil(600/128)
+        assert_eq!(f.block_indices(md.ino), [0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn sequential_reads_advance_cursor() {
         let mut f = fs();
-        f.write_file("/seq", b"abcdefghij").unwrap();
+        put(&mut f, "/seq", 10).unwrap();
         let mut p = f.new_process();
         let fd = f.open(&mut p, "/seq", OpenFlags::read_only()).unwrap();
-        let mut buf = [0u8; 4];
-        assert_eq!(f.read(&mut p, fd, &mut buf).unwrap(), 4);
-        assert_eq!(&buf, b"abcd");
-        assert_eq!(f.read(&mut p, fd, &mut buf).unwrap(), 4);
-        assert_eq!(&buf, b"efgh");
-        assert_eq!(f.read(&mut p, fd, &mut buf).unwrap(), 2);
-        assert_eq!(&buf[..2], b"ij");
-        assert_eq!(f.read(&mut p, fd, &mut buf).unwrap(), 0, "EOF");
+        assert_eq!(f.read(&mut p, fd, 4).unwrap(), 4);
+        assert_eq!(f.read(&mut p, fd, 4).unwrap(), 4);
+        assert_eq!(f.lseek(&mut p, fd, SeekFrom::Current(0)), Ok(8));
+        assert_eq!(f.read(&mut p, fd, 4).unwrap(), 2);
+        assert_eq!(f.read(&mut p, fd, 4).unwrap(), 0, "EOF");
+        assert_eq!(f.lseek(&mut p, fd, SeekFrom::Current(0)), Ok(10));
         f.close(&mut p, fd).unwrap();
     }
 
@@ -1366,25 +1217,21 @@ mod tests {
         let mut f = fs();
         let mut p = f.new_process();
         let fd = f.creat(&mut p, "/holey").unwrap();
-        f.write(&mut p, fd, b"head").unwrap();
+        f.write(&mut p, fd, 4).unwrap();
         f.lseek(&mut p, fd, SeekFrom::Start(100_000)).unwrap();
-        f.write(&mut p, fd, b"tail").unwrap();
+        f.write(&mut p, fd, 4).unwrap();
         f.close(&mut p, fd).unwrap();
-        let data = f.read_file("/holey").unwrap();
-        assert_eq!(data.len(), 100_004);
-        assert_eq!(&data[..4], b"head");
-        assert!(data[4..100_000].iter().all(|&b| b == 0));
-        assert_eq!(&data[100_000..], b"tail");
+        assert_eq!(read_all(&mut f, "/holey"), Ok(100_004));
         // Only the two touched blocks are allocated; the hole costs nothing.
         let md = f.stat("/holey").unwrap();
         assert_eq!(md.blocks, 2);
-        assert!(md.blocks < md.size / u64::from(md.block_size) + 1);
+        assert_eq!(f.block_indices(md.ino), [0, 100_000 / 8192]);
     }
 
     #[test]
     fn lseek_variants() {
         let mut f = fs();
-        f.write_file("/s", b"0123456789").unwrap();
+        put(&mut f, "/s", 10).unwrap();
         let mut p = f.new_process();
         let fd = f.open(&mut p, "/s", OpenFlags::read_only()).unwrap();
         assert_eq!(f.lseek(&mut p, fd, SeekFrom::End(-3)).unwrap(), 7);
@@ -1398,12 +1245,14 @@ mod tests {
     #[test]
     fn append_mode_writes_at_eof() {
         let mut f = fs();
-        f.write_file("/log", b"one\n").unwrap();
+        put(&mut f, "/log", 4).unwrap();
         let mut p = f.new_process();
         let fd = f.open(&mut p, "/log", OpenFlags::append_only()).unwrap();
-        f.write(&mut p, fd, b"two\n").unwrap();
+        f.lseek(&mut p, fd, SeekFrom::Start(1)).unwrap();
+        f.write(&mut p, fd, 4).unwrap();
+        assert_eq!(f.lseek(&mut p, fd, SeekFrom::Current(0)), Ok(8));
         f.close(&mut p, fd).unwrap();
-        assert_eq!(f.read_file("/log").unwrap(), b"one\ntwo\n");
+        assert_eq!(f.stat("/log").unwrap().size, 8);
     }
 
     #[test]
@@ -1419,12 +1268,11 @@ mod tests {
             f.open(&mut p, "/missing", OpenFlags::read_only()),
             Err(FsError::NotFound)
         );
-        f.write_file("/x", b"..").unwrap();
+        put(&mut f, "/x", 2).unwrap();
         let fd = f.open(&mut p, "/x", OpenFlags::read_only()).unwrap();
-        assert_eq!(f.write(&mut p, fd, b"no"), Err(FsError::BadAccessMode));
-        let mut buf = [0u8; 1];
+        assert_eq!(f.write(&mut p, fd, 2), Err(FsError::BadAccessMode));
         let wfd = f.open(&mut p, "/x", OpenFlags::create_write()).unwrap();
-        assert_eq!(f.read(&mut p, wfd, &mut buf), Err(FsError::BadAccessMode));
+        assert_eq!(f.read(&mut p, wfd, 1), Err(FsError::BadAccessMode));
     }
 
     #[test]
@@ -1440,9 +1288,11 @@ mod tests {
     #[test]
     fn truncate_on_open_clears_data() {
         let mut f = fs();
-        f.write_file("/t", b"old contents").unwrap();
-        f.write_file("/t", b"new").unwrap(); // creat truncates
-        assert_eq!(f.read_file("/t").unwrap(), b"new");
+        put(&mut f, "/t", 9_000).unwrap();
+        put(&mut f, "/t", 3).unwrap(); // creat truncates
+        let md = f.stat("/t").unwrap();
+        assert_eq!((md.size, md.blocks), (3, 1));
+        assert_eq!(f.block_stats().total_frees, 2);
     }
 
     #[test]
@@ -1450,8 +1300,8 @@ mod tests {
         let mut f = fs();
         f.mkdir("/a").unwrap();
         f.mkdir("/a/b").unwrap();
-        f.write_file("/a/b/f1", b"1").unwrap();
-        f.write_file("/a/b/f2", b"2").unwrap();
+        put(&mut f, "/a/b/f1", 1).unwrap();
+        put(&mut f, "/a/b/f2", 1).unwrap();
         let names: Vec<String> = f
             .readdir("/a/b")
             .unwrap()
@@ -1471,7 +1321,7 @@ mod tests {
         // Idempotent.
         f.mkdir_all("/u/kao/projects").unwrap();
         // File in the way.
-        f.write_file("/u/file", b"x").unwrap();
+        put(&mut f, "/u/file", 1).unwrap();
         assert!(f.mkdir_all("/u/file/sub").is_err());
     }
 
@@ -1488,20 +1338,20 @@ mod tests {
     fn rmdir_semantics() {
         let mut f = fs();
         f.mkdir("/d").unwrap();
-        f.write_file("/d/f", b"x").unwrap();
+        put(&mut f, "/d/f", 1).unwrap();
         assert_eq!(f.rmdir("/d"), Err(FsError::DirectoryNotEmpty));
         f.unlink("/d/f").unwrap();
         f.rmdir("/d").unwrap();
         assert!(!f.exists("/d"));
         assert_eq!(f.rmdir("/"), Err(FsError::Busy));
-        f.write_file("/f", b"x").unwrap();
+        put(&mut f, "/f", 1).unwrap();
         assert_eq!(f.rmdir("/f"), Err(FsError::NotADirectory));
     }
 
     #[test]
     fn unlink_frees_space() {
         let mut f = small_fs();
-        f.write_file("/a", &[1u8; 256]).unwrap(); // 2 blocks
+        put(&mut f, "/a", 256).unwrap(); // 2 blocks
         let before = f.statfs().free_blocks;
         f.unlink("/a").unwrap();
         assert_eq!(f.statfs().free_blocks, before + 2);
@@ -1515,18 +1365,20 @@ mod tests {
         // The TEMP usage class: creat, write, unlink, keep reading.
         let mut f = fs();
         let mut p = f.new_process();
-        let fd = f.creat(&mut p, "/tmp1").unwrap();
-        f.write(&mut p, fd, b"scratch").unwrap();
+        let fd = f
+            .open(&mut p, "/tmp1", OpenFlags::read_write_create())
+            .unwrap();
+        f.write(&mut p, fd, 7).unwrap();
         f.unlink("/tmp1").unwrap();
         assert!(!f.exists("/tmp1"));
         f.lseek(&mut p, fd, SeekFrom::Start(0)).unwrap();
-        // fd was write-only (creat); fstat still works and data is retained.
-        assert_eq!(f.fstat(&p, fd).unwrap().size, 7);
-        let allocated_before = f.block_stats().allocated;
-        assert!(allocated_before > 0);
+        assert_eq!(f.read(&mut p, fd, 100), Ok(7), "the data is retained");
+        let md = f.fstat(&p, fd).unwrap();
+        assert_eq!((md.size, md.nlink, md.blocks), (7, 0, 1));
         f.close(&mut p, fd).unwrap();
         // Now the data is gone.
         assert_eq!(f.block_stats().allocated, 0);
+        assert_eq!(f.block_indices(md.ino), [0u64; 0]);
     }
 
     #[test]
@@ -1534,16 +1386,18 @@ mod tests {
         let mut f = fs();
         f.mkdir("/a").unwrap();
         f.mkdir("/b").unwrap();
-        f.write_file("/a/f", b"payload").unwrap();
+        put(&mut f, "/a/f", 7).unwrap();
+        let moved = f.stat("/a/f").unwrap();
         f.rename("/a/f", "/b/g").unwrap();
         assert!(!f.exists("/a/f"));
-        assert_eq!(f.read_file("/b/g").unwrap(), b"payload");
-        // Replace existing file.
-        f.write_file("/b/h", b"old").unwrap();
+        assert_eq!(f.stat("/b/g").unwrap().ino, moved.ino);
+        // Replace existing file, whose blocks are freed.
+        put(&mut f, "/b/h", 3).unwrap();
         f.rename("/b/g", "/b/h").unwrap();
-        assert_eq!(f.read_file("/b/h").unwrap(), b"payload");
+        assert_eq!(f.stat("/b/h").unwrap(), moved);
+        assert_eq!(f.block_stats().allocated, 1);
         // Renaming onto a directory fails.
-        f.write_file("/x", b"x").unwrap();
+        put(&mut f, "/x", 1).unwrap();
         assert_eq!(f.rename("/x", "/a"), Err(FsError::IsADirectory));
     }
 
@@ -1570,25 +1424,25 @@ mod tests {
     #[test]
     fn rename_to_same_path_is_noop() {
         let mut f = fs();
-        f.write_file("/same", b"x").unwrap();
+        put(&mut f, "/same", 1).unwrap();
+        let before = f.stat("/same").unwrap();
         f.rename("/same", "/same").unwrap();
-        assert_eq!(f.read_file("/same").unwrap(), b"x");
+        assert_eq!(f.stat("/same"), Ok(before));
     }
 
     #[test]
     fn truncate_shrinks_and_grows() {
         let mut f = small_fs();
-        f.write_file("/t", &[7u8; 300]).unwrap();
+        put(&mut f, "/t", 300).unwrap();
         f.truncate("/t", 100).unwrap();
-        assert_eq!(f.stat("/t").unwrap().size, 100);
-        let data = f.read_file("/t").unwrap();
-        assert!(data.iter().all(|&b| b == 7));
-        // Grow back: the new tail must be zeros, not stale data.
+        let md = f.stat("/t").unwrap();
+        assert_eq!((md.size, md.blocks), (100, 1));
+        // Grow back: the new tail is a hole, not the freed blocks.
         f.truncate("/t", 300).unwrap();
-        let data = f.read_file("/t").unwrap();
-        assert_eq!(data.len(), 300);
-        assert!(data[..100].iter().all(|&b| b == 7));
-        assert!(data[100..].iter().all(|&b| b == 0), "stale data leaked");
+        let md = f.stat("/t").unwrap();
+        assert_eq!((md.size, md.blocks), (300, 1));
+        assert_eq!(read_all(&mut f, "/t"), Ok(300));
+        assert_eq!(f.block_stats().total_frees, 2);
     }
 
     #[test]
@@ -1596,10 +1450,12 @@ mod tests {
         let mut f = small_fs(); // 8 blocks of 128 B
         let mut p = f.new_process();
         let fd = f.creat(&mut p, "/fill").unwrap();
+        f.lseek(&mut p, fd, SeekFrom::Start(100)).unwrap();
         // 8 * 128 = 1024 bytes fit; the rest doesn't.
-        let n = f.write(&mut p, fd, &[1u8; 2048]).unwrap();
-        assert_eq!(n, 1024, "short write at device full");
-        assert_eq!(f.write(&mut p, fd, &[1u8; 10]), Err(FsError::NoSpace));
+        let n = f.write(&mut p, fd, 2048).unwrap();
+        assert_eq!(n, 924, "short write at device full");
+        assert_eq!(f.write(&mut p, fd, 10), Err(FsError::NoSpace));
+        assert_eq!(f.lseek(&mut p, fd, SeekFrom::Current(0)), Ok(1024));
         f.close(&mut p, fd).unwrap();
         f.unlink("/fill").unwrap();
         assert_eq!(f.statfs().free_blocks, 8);
@@ -1611,7 +1467,7 @@ mod tests {
         let mut p = f.new_process();
         let fd = f.creat(&mut p, "/cap").unwrap();
         f.lseek(&mut p, fd, SeekFrom::Start(4090)).unwrap();
-        assert_eq!(f.write(&mut p, fd, &[0u8; 100]), Err(FsError::FileTooLarge));
+        assert_eq!(f.write(&mut p, fd, 100), Err(FsError::FileTooLarge));
         assert_eq!(f.truncate("/cap", 1 << 32), Err(FsError::FileTooLarge));
     }
 
@@ -1619,19 +1475,20 @@ mod tests {
     fn inode_exhaustion() {
         let mut f = small_fs(); // 16 inodes, 1 used by root
         for i in 0..15 {
-            f.write_file(&format!("/f{i}"), b"").unwrap();
+            put(&mut f, &format!("/f{i}"), 0).unwrap();
         }
-        assert_eq!(f.write_file("/one-too-many", b""), Err(FsError::NoSpace));
+        assert_eq!(put(&mut f, "/one-too-many", 0), Err(FsError::NoSpace));
         f.unlink("/f0").unwrap();
-        f.write_file("/now-fits", b"").unwrap();
+        put(&mut f, "/now-fits", 0).unwrap();
     }
 
     #[test]
     fn fd_exhaustion() {
         let mut f = small_fs(); // 4 fds per process
         let mut p = f.new_process();
-        for i in 0..4 {
-            f.write_file(&format!("/f{i}"), b"x").unwrap();
+        // Each whole-file write closes the descriptor it opened.
+        for i in 0..8 {
+            f.write_file(&mut p, &format!("/f{}", i % 4), 1).unwrap();
         }
         let mut fds = Vec::new();
         for i in 0..4 {
@@ -1666,7 +1523,7 @@ mod tests {
     #[test]
     fn path_traversal_through_file_fails() {
         let mut f = fs();
-        f.write_file("/notdir", b"x").unwrap();
+        put(&mut f, "/notdir", 1).unwrap();
         assert_eq!(f.stat("/notdir/child"), Err(FsError::NotADirectory));
         assert_eq!(f.resolve("/notdir/child"), Err(FsError::NotADirectory));
     }
@@ -1675,14 +1532,13 @@ mod tests {
     fn timestamps_track_clock() {
         let mut f = fs();
         f.set_clock(1_000);
-        f.write_file("/ts", b"v1").unwrap();
+        put(&mut f, "/ts", 2).unwrap();
         let created = f.stat("/ts").unwrap();
         assert_eq!(created.mtime, 1_000);
         f.set_clock(2_000);
         let mut p = f.new_process();
         let fd = f.open(&mut p, "/ts", OpenFlags::read_only()).unwrap();
-        let mut b = [0u8; 2];
-        f.read(&mut p, fd, &mut b).unwrap();
+        f.read(&mut p, fd, 2).unwrap();
         f.close(&mut p, fd).unwrap();
         let after_read = f.stat("/ts").unwrap();
         assert_eq!(after_read.atime, 2_000);
@@ -1695,12 +1551,11 @@ mod tests {
         let mut f = fs();
         let mut p = f.new_process();
         let fd = f.creat(&mut p, "/c").unwrap();
-        f.write(&mut p, fd, b"12345").unwrap();
+        f.write(&mut p, fd, 5).unwrap();
         f.lseek(&mut p, fd, SeekFrom::Start(0)).unwrap();
         f.close(&mut p, fd).unwrap();
         let fd = f.open(&mut p, "/c", OpenFlags::read_only()).unwrap();
-        let mut buf = [0u8; 5];
-        f.read(&mut p, fd, &mut buf).unwrap();
+        f.read(&mut p, fd, 9).unwrap();
         f.close(&mut p, fd).unwrap();
         f.stat("/c").unwrap();
         f.unlink("/c").unwrap();
@@ -1723,7 +1578,7 @@ mod tests {
     fn dot_and_dotdot_resolution() {
         let mut f = fs();
         f.mkdir_all("/a/b").unwrap();
-        f.write_file("/a/b/f", b"x").unwrap();
+        put(&mut f, "/a/b/f", 1).unwrap();
         assert!(f.exists("/a/./b/../b/f"));
         assert!(f.exists("/../a/b/f"));
     }
@@ -1733,7 +1588,7 @@ mod tests {
         let mut by_path = fs();
         by_path.set_clock(5);
         by_path.mkdir("/d").unwrap();
-        by_path.write_file("/d/f", b"").unwrap();
+        put(&mut by_path, "/d/f", 0).unwrap();
         by_path.truncate("/d/f", 300).unwrap();
 
         let mut by_handle = fs();
@@ -1789,7 +1644,7 @@ mod tests {
         let mut f = fs();
         let root = f.root();
         let mut p = f.new_process();
-        f.write_file("/file", b"x").unwrap();
+        put(&mut f, "/file", 1).unwrap();
         let file = f.resolve("/file").unwrap();
         let gone = f.mkdir_at(root, "gone").unwrap();
         f.rmdir("/gone").unwrap();
@@ -1808,7 +1663,7 @@ mod tests {
             );
         }
         // The freed slot comes back as a regular file: still no directory.
-        f.write_file("/reuse", b"x").unwrap();
+        put(&mut f, "/reuse", 1).unwrap();
         assert_eq!(f.resolve("/reuse"), Ok(gone), "the slot was reused");
         assert_eq!(f.ensure_dir_at(gone, "d"), Err(FsError::NotADirectory));
         assert_eq!(f.readdir("/reuse"), Err(FsError::NotADirectory));
@@ -1864,16 +1719,14 @@ mod tests {
     #[test]
     fn two_processes_have_independent_cursors() {
         let mut f = fs();
-        f.write_file("/shared", b"abcdef").unwrap();
+        put(&mut f, "/shared", 6).unwrap();
         let mut p1 = f.new_process();
         let mut p2 = f.new_process();
         let fd1 = f.open(&mut p1, "/shared", OpenFlags::read_only()).unwrap();
         let fd2 = f.open(&mut p2, "/shared", OpenFlags::read_only()).unwrap();
-        let mut b1 = [0u8; 3];
-        let mut b2 = [0u8; 6];
-        f.read(&mut p1, fd1, &mut b1).unwrap();
-        f.read(&mut p2, fd2, &mut b2).unwrap();
-        assert_eq!(&b1, b"abc");
-        assert_eq!(&b2, b"abcdef");
+        assert_eq!(f.read(&mut p1, fd1, 3), Ok(3));
+        assert_eq!(f.read(&mut p2, fd2, 9), Ok(6));
+        assert_eq!(f.read(&mut p1, fd1, 9), Ok(3));
+        assert_eq!(f.lseek(&mut p1, fd1, SeekFrom::Current(0)), Ok(6));
     }
 }

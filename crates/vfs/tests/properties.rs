@@ -1,16 +1,20 @@
 //! Property-based tests: the file system is exercised with random operation
-//! sequences and checked against a simple in-memory model (a map from path
-//! to byte vector), plus standalone invariants like space accounting.
+//! sequences and checked against simple models — a map from path to size
+//! and held blocks, an arithmetic model of every call on a small device —
+//! plus standalone invariants like space accounting.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use uswg_vfs::{FileKind, FsError, OpenFlags, SeekFrom, Vfs, VfsConfig};
+use uswg_vfs::{
+    BlockStats, Fd, FileKind, FsError, Ino, Metadata, OpCounters, OpenFlags, Process, SeekFrom,
+    Vfs, VfsConfig,
+};
 
 /// Random workload operations applied both to the Vfs and to the model.
 #[derive(Debug, Clone)]
 enum Op {
-    WriteFile { name: u8, payload: Vec<u8> },
-    AppendFile { name: u8, payload: Vec<u8> },
+    WriteFile { name: u8, len: u16 },
+    AppendFile { name: u8, len: u16 },
     ReadFile { name: u8 },
     Unlink { name: u8 },
     Truncate { name: u8, len: u16 },
@@ -20,10 +24,8 @@ enum Op {
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0u8..12, prop::collection::vec(any::<u8>(), 0..600))
-            .prop_map(|(name, payload)| Op::WriteFile { name, payload }),
-        (0u8..12, prop::collection::vec(any::<u8>(), 0..300))
-            .prop_map(|(name, payload)| Op::AppendFile { name, payload }),
+        (0u8..12, 0u16..20_000).prop_map(|(name, len)| Op::WriteFile { name, len }),
+        (0u8..12, 0u16..10_000).prop_map(|(name, len)| Op::AppendFile { name, len }),
         (0u8..12).prop_map(|name| Op::ReadFile { name }),
         (0u8..12).prop_map(|name| Op::Unlink { name }),
         (0u8..12, any::<u16>()).prop_map(|(name, len)| Op::Truncate { name, len }),
@@ -99,44 +101,293 @@ fn dir_op(what: u8, shrinking: bool, other: usize) -> DirOp {
     }
 }
 
+/// The small device the arithmetic model runs on: 64-byte blocks, 24 of
+/// them, 8 inodes (the root's among them), 8 descriptors and 1,000-byte
+/// files, so writes come up short at `NoSpace`, fail at `FileTooLarge`, and
+/// creates run out of inodes.
+const SMALL: VfsConfig = VfsConfig {
+    block_size: 64,
+    max_blocks: 24,
+    max_inodes: 8,
+    max_fds_per_process: 8,
+    max_file_size: 1_000,
+};
+
+/// One regular file of the model; `times` are access, modification and
+/// change time.
+#[derive(Debug, Clone, Default)]
+struct File {
+    size: u64,
+    blocks: BTreeSet<u64>,
+    nlink: u32,
+    open: u32,
+    times: [u64; 3],
+}
+
+/// One open descriptor of the model: its file, cursor and flags.
+type Desc = (u64, u64, OpenFlags);
+
+/// What `fstat` says of a regular file on the small device: inode number,
+/// size, links, blocks and times.
+type Stat = (u64, u64, u32, u64, [u64; 3]);
+
+fn stat_of(md: Metadata) -> Stat {
+    assert_eq!((md.kind, md.block_size), (FileKind::Regular, 64));
+    let times = [md.atime, md.mtime, md.ctime];
+    (md.ino.number(), md.size, md.nlink, md.blocks, times)
+}
+
+/// The file system as arithmetic: sizes, block-index sets, link and open
+/// counts, a descriptor table, the counters. Every call's result comes from
+/// the numbers alone, written the way the system-call manual reads.
+#[derive(Debug, Default)]
+struct Model {
+    files: BTreeMap<u64, File>,
+    names: BTreeMap<String, u64>,
+    fds: Vec<Option<Desc>>,
+    /// Freed inode numbers, the last freed taken first.
+    freed: Vec<u64>,
+    clock: u64,
+    counters: OpCounters,
+    blocks: BlockStats,
+}
+
+impl Model {
+    fn desc(&self, fd: u32) -> Result<Desc, FsError> {
+        let desc = self.fds.get(fd as usize).copied().flatten();
+        desc.ok_or(FsError::BadFd)
+    }
+
+    fn file(&mut self, ino: u64) -> &mut File {
+        self.files.get_mut(&ino).expect("live file")
+    }
+
+    /// Drops the blocks of `ino` at and past index `keep`.
+    fn cut(&mut self, ino: u64, keep: u64) {
+        let freed = self.file(ino).blocks.split_off(&keep).len() as u64;
+        self.blocks.allocated -= freed;
+        self.blocks.total_frees += freed;
+    }
+
+    /// Frees `ino` once no name and no descriptor holds it.
+    fn settle(&mut self, ino: u64) {
+        if (self.files[&ino].nlink, self.files[&ino].open) == (0, 0) {
+            self.cut(ino, 0);
+            self.files.remove(&ino);
+            self.freed.push(ino);
+        }
+    }
+
+    fn open(&mut self, path: &str, flags: OpenFlags) -> Result<u32, FsError> {
+        self.counters.opens += 1;
+        let ino = match self.names.get(path) {
+            Some(&ino) => ino,
+            None if !flags.create => return Err(FsError::NotFound),
+            None if 1 + self.files.len() >= SMALL.max_inodes => return Err(FsError::NoSpace),
+            None => {
+                // Every number handed out is live or freed, the root's too.
+                let ino = self.freed.pop().unwrap_or(1 + self.files.len() as u64);
+                let file = File {
+                    nlink: 1,
+                    times: [self.clock; 3],
+                    ..File::default()
+                };
+                self.files.insert(ino, file);
+                self.names.insert(path.to_string(), ino);
+                ino
+            }
+        };
+        if flags.truncate {
+            self.cut(ino, 0);
+            self.file(ino).size = 0;
+        }
+        let slot = self.fds.iter().position(Option::is_none);
+        let slot = slot.unwrap_or(self.fds.len());
+        if slot == SMALL.max_fds_per_process {
+            return Err(FsError::TooManyOpenFiles);
+        }
+        self.fds.resize(self.fds.len().max(slot + 1), None);
+        self.fds[slot] = Some((ino, 0, flags));
+        let clock = self.clock;
+        let file = self.file(ino);
+        file.open += 1;
+        file.times[0] = clock;
+        Ok(slot as u32)
+    }
+
+    /// A write of `len` bytes takes the blocks its range lacks in order,
+    /// as many as are free; it ends where the first block that did not fit
+    /// begins, and fails if that is where it starts.
+    fn write(&mut self, fd: u32, len: u64) -> Result<u64, FsError> {
+        self.counters.writes += 1;
+        let (ino, cursor, flags) = self.desc(fd)?;
+        if !flags.write {
+            return Err(FsError::BadAccessMode);
+        }
+        let bs = SMALL.block_size as u64;
+        let offset = if flags.append {
+            self.files[&ino].size
+        } else {
+            cursor
+        };
+        if offset + len > SMALL.max_file_size {
+            return Err(FsError::FileTooLarge);
+        }
+        let range = offset / bs..(offset + len).div_ceil(bs);
+        let held = &self.files[&ino].blocks;
+        let lacking: Vec<u64> = range.filter(|b| len > 0 && !held.contains(b)).collect();
+        let free = (SMALL.max_blocks as u64 - self.blocks.allocated) as usize;
+        let n = match lacking.get(free) {
+            None => len,
+            Some(&stop) if stop * bs <= offset => return Err(FsError::NoSpace),
+            Some(&stop) => stop * bs - offset,
+        };
+        let taken = &lacking[..free.min(lacking.len())];
+        self.blocks.allocated += taken.len() as u64;
+        self.blocks.total_allocations += taken.len() as u64;
+        let clock = self.clock;
+        let file = self.file(ino);
+        file.blocks.extend(taken);
+        file.size = file.size.max(offset + n);
+        file.times[1..].fill(clock);
+        self.fds[fd as usize] = Some((ino, offset + n, flags));
+        self.counters.bytes_written += n;
+        Ok(n)
+    }
+
+    fn read(&mut self, fd: u32, len: u64) -> Result<u64, FsError> {
+        self.counters.reads += 1;
+        let (ino, cursor, flags) = self.desc(fd)?;
+        if !flags.read {
+            return Err(FsError::BadAccessMode);
+        }
+        let clock = self.clock;
+        let file = self.file(ino);
+        file.times[0] = clock;
+        let n = len.min(file.size.saturating_sub(cursor));
+        self.fds[fd as usize] = Some((ino, cursor + n, flags));
+        self.counters.bytes_read += n;
+        Ok(n)
+    }
+
+    fn seek(&mut self, fd: u32, to: u64) -> Result<u64, FsError> {
+        self.counters.seeks += 1;
+        let (ino, _, flags) = self.desc(fd)?;
+        self.fds[fd as usize] = Some((ino, to, flags));
+        Ok(to)
+    }
+
+    fn truncate(&mut self, path: &str, len: u64) -> Result<(), FsError> {
+        self.counters.truncates += 1;
+        let ino = *self.names.get(path).ok_or(FsError::NotFound)?;
+        if len > SMALL.max_file_size {
+            return Err(FsError::FileTooLarge);
+        }
+        self.cut(ino, len.div_ceil(SMALL.block_size as u64));
+        let clock = self.clock;
+        let file = self.file(ino);
+        file.size = len;
+        file.times[1..].fill(clock);
+        Ok(())
+    }
+
+    fn unlink(&mut self, path: &str) -> Result<(), FsError> {
+        self.counters.unlinks += 1;
+        let ino = self.names.remove(path).ok_or(FsError::NotFound)?;
+        let clock = self.clock;
+        let file = self.file(ino);
+        file.nlink -= 1;
+        file.times[2] = clock;
+        self.settle(ino);
+        Ok(())
+    }
+
+    fn close(&mut self, fd: u32) -> Result<(), FsError> {
+        self.counters.closes += 1;
+        let (ino, _, _) = self.desc(fd)?;
+        self.fds[fd as usize] = None;
+        self.file(ino).open -= 1;
+        self.settle(ino);
+        Ok(())
+    }
+
+    fn fstat(&mut self, fd: u32) -> Result<Stat, FsError> {
+        self.counters.stats += 1;
+        let (ino, _, _) = self.desc(fd)?;
+        let File {
+            size,
+            ref blocks,
+            nlink,
+            times,
+            ..
+        } = self.files[&ino];
+        Ok((ino, size, nlink, blocks.len() as u64, times))
+    }
+}
+
+/// Flags of an open step: read-write creating, appending, truncating
+/// write-only, or read-only.
+fn open_flags(what: u8) -> OpenFlags {
+    match what {
+        0 => OpenFlags::read_write_create(),
+        1 => OpenFlags {
+            append: true,
+            ..OpenFlags::read_write_create()
+        },
+        2 => OpenFlags::create_write(),
+        _ => OpenFlags::read_only(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The Vfs agrees byte-for-byte with a trivial map model under random
-    /// whole-file operations.
+    /// The Vfs agrees with a map from path to size and held block indices
+    /// under random whole-file operations: a write holds the blocks under
+    /// its range, a truncation drops those past the new size, and a read
+    /// returns the size.
     #[test]
     fn vfs_matches_model(ops in prop::collection::vec(op_strategy(), 1..60)) {
         let mut fs = Vfs::new(VfsConfig::default());
+        let bs = fs.config().block_size as u64;
         fs.mkdir("/w").unwrap();
-        let mut model: HashMap<String, Vec<u8>> = HashMap::new();
+        let mut proc = fs.new_process();
+        let mut model: HashMap<String, (u64, BTreeSet<u64>)> = HashMap::new();
+        let under = |from: u64, to: u64| from / bs..to.div_ceil(bs).max(from / bs);
 
         for op in ops {
             match op {
-                Op::WriteFile { name, payload } => {
-                    fs.write_file(&path(name), &payload).unwrap();
-                    model.insert(path(name), payload);
+                Op::WriteFile { name, len } => {
+                    fs.write_file(&mut proc, &path(name), len.into()).unwrap();
+                    let len = u64::from(len);
+                    model.insert(path(name), (len, under(0, len).collect()));
                 }
-                Op::AppendFile { name, payload } => {
+                Op::AppendFile { name, len } => {
                     let p = path(name);
-                    if model.contains_key(&p) {
-                        let mut proc = fs.new_process();
-                        let fd = fs.open(&mut proc, &p, OpenFlags::append_only()).unwrap();
-                        fs.write(&mut proc, fd, &payload).unwrap();
+                    let opened = fs.open(&mut proc, &p, OpenFlags::append_only());
+                    if let Some((size, blocks)) = model.get_mut(&p) {
+                        let fd = opened.unwrap();
+                        fs.lseek(&mut proc, fd, SeekFrom::Start(0)).unwrap();
+                        prop_assert_eq!(fs.write(&mut proc, fd, len.into()), Ok(len.into()));
                         fs.close(&mut proc, fd).unwrap();
-                        model.get_mut(&p).unwrap().extend_from_slice(&payload);
+                        if len > 0 {
+                            blocks.extend(under(*size, *size + u64::from(len)));
+                        }
+                        *size += u64::from(len);
                     } else {
-                        let mut proc = fs.new_process();
-                        prop_assert_eq!(
-                            fs.open(&mut proc, &p, OpenFlags::append_only()),
-                            Err(FsError::NotFound)
-                        );
+                        prop_assert_eq!(opened, Err(FsError::NotFound));
                     }
                 }
                 Op::ReadFile { name } => {
                     let p = path(name);
+                    let read = fs.open(&mut proc, &p, OpenFlags::read_only()).and_then(|fd| {
+                        let n = fs.read(&mut proc, fd, usize::MAX);
+                        fs.close(&mut proc, fd).unwrap();
+                        n
+                    });
                     match model.get(&p) {
-                        Some(expect) => prop_assert_eq!(&fs.read_file(&p).unwrap(), expect),
-                        None => prop_assert!(fs.read_file(&p).is_err()),
+                        Some(&(size, _)) => prop_assert_eq!(read, Ok(size as usize)),
+                        None => prop_assert_eq!(read, Err(FsError::NotFound)),
                     }
                 }
                 Op::Unlink { name } => {
@@ -149,19 +400,20 @@ proptest! {
                 }
                 Op::Truncate { name, len } => {
                     let p = path(name);
-                    if let Some(content) = model.get_mut(&p) {
-                        fs.truncate(&p, len as u64).unwrap();
-                        content.resize(len as usize, 0);
+                    if let Some((size, blocks)) = model.get_mut(&p) {
+                        fs.truncate(&p, len.into()).unwrap();
+                        *size = len.into();
+                        blocks.retain(|&b| b < size.div_ceil(bs));
                     } else {
-                        prop_assert!(fs.truncate(&p, len as u64).is_err());
+                        prop_assert!(fs.truncate(&p, len.into()).is_err());
                     }
                 }
                 Op::Stat { name } => {
                     let p = path(name);
                     match model.get(&p) {
-                        Some(content) => {
+                        Some((size, blocks)) => {
                             let md = fs.stat(&p).unwrap();
-                            prop_assert_eq!(md.size, content.len() as u64);
+                            prop_assert_eq!((md.size, md.blocks), (*size, blocks.len() as u64));
                             prop_assert!(md.is_file());
                         }
                         None => prop_assert!(fs.stat(&p).is_err()),
@@ -180,16 +432,22 @@ proptest! {
             }
         }
 
-        // Final sweep: every model file matches; the directory lists exactly
-        // the model's keys.
+        // Final sweep: every model file matches in size and blocks; the
+        // directory lists exactly the model's keys; no block is held but
+        // theirs.
         let mut listed: Vec<String> = fs.readdir("/w").unwrap().into_iter().map(|e| format!("/w/{}", e.name)).collect();
         listed.sort();
         let mut expected: Vec<String> = model.keys().cloned().collect();
         expected.sort();
         prop_assert_eq!(listed, expected);
-        for (p, content) in &model {
-            prop_assert_eq!(&fs.read_file(p).unwrap(), content);
+        for (p, (size, blocks)) in &model {
+            let md = fs.stat(p).unwrap();
+            prop_assert_eq!(md.size, *size);
+            let held: Vec<u64> = blocks.iter().copied().collect();
+            prop_assert_eq!(fs.block_indices(md.ino), &held[..]);
         }
+        let held: usize = model.values().map(|(_, blocks)| blocks.len()).sum();
+        prop_assert_eq!(fs.block_stats().allocated, held as u64);
     }
 
     /// One directory under a random script of creates, mkdirs, unlinks,
@@ -207,6 +465,7 @@ proptest! {
         let mut fs = Vfs::new(VfsConfig::default());
         fs.mkdir("/d").unwrap();
         fs.mkdir("/o").unwrap();
+        let mut proc = fs.new_process();
         let (mut model, mut dirs) = (BTreeMap::<String, _>::new(), BTreeSet::new());
         let steps = grow.iter().map(|s| (s, false)).chain(shrink.iter().map(|s| (s, true)));
         for (&(what, name, other), shrinking) in steps {
@@ -227,7 +486,6 @@ proptest! {
             };
             let result = match op {
                 DirOp::Create => {
-                    let mut proc = fs.new_process();
                     let created = fs.open(&mut proc, &path, OpenFlags::create_write().with_exclusive());
                     created.map(|fd| fs.close(&mut proc, fd).unwrap())
                 }
@@ -235,7 +493,7 @@ proptest! {
                 DirOp::Unlink => fs.unlink(&path),
                 DirOp::Rmdir => fs.rmdir(&path),
                 DirOp::RenameIn => {
-                    fs.write_file("/o/in", b"x").unwrap();
+                    fs.write_file(&mut proc, "/o/in", 1).unwrap();
                     let ino = fs.resolve("/o/in").unwrap();
                     let renamed = fs.rename("/o/in", &path);
                     match renamed {
@@ -302,9 +560,9 @@ proptest! {
     #[test]
     fn space_is_reclaimed(sizes in prop::collection::vec(0usize..100_000, 1..20)) {
         let mut fs = Vfs::new(VfsConfig::default());
+        let mut proc = fs.new_process();
         for (i, size) in sizes.iter().enumerate() {
-            let payload = vec![0xA5u8; *size];
-            fs.write_file(&format!("/f{i}"), &payload).unwrap();
+            fs.write_file(&mut proc, &format!("/f{i}"), *size).unwrap();
         }
         prop_assert!(fs.block_stats().allocated > 0 || sizes.iter().all(|&s| s == 0));
         for i in 0..sizes.len() {
@@ -315,170 +573,92 @@ proptest! {
         prop_assert_eq!(st.free_blocks, st.total_blocks);
     }
 
-    /// Sequential chunked reads reassemble exactly what one write stored,
-    /// for arbitrary chunk sizes.
+    /// Every call against the arithmetic model, on the small device: a
+    /// random script of opens (creating, appending, truncating, read-only),
+    /// writes, reads, seeks (past EOF too), truncations up and down (holes),
+    /// unlinks (of open files too) and closes, over three names and every
+    /// descriptor handed out, closed ones included. After every step the
+    /// call's result, every cursor and `fstat`, each live file's block
+    /// indices, the counters, `block_stats` and `statfs` are the model's.
     #[test]
-    fn chunked_reads_reassemble(payload in prop::collection::vec(any::<u8>(), 1..40_000), chunk in 1usize..5_000) {
-        let mut fs = Vfs::new(VfsConfig::default());
-        fs.write_file("/data", &payload).unwrap();
+    fn calls_match_an_arithmetic_model(steps in prop::collection::vec((0u8..13, any::<u16>()), 1..240)) {
+        let mut fs = Vfs::new(SMALL);
         let mut proc = fs.new_process();
-        let fd = fs.open(&mut proc, "/data", OpenFlags::read_only()).unwrap();
-        let mut out = Vec::new();
-        let mut buf = vec![0u8; chunk];
-        loop {
-            let n = fs.read(&mut proc, fd, &mut buf).unwrap();
-            if n == 0 { break; }
-            out.extend_from_slice(&buf[..n]);
-        }
-        fs.close(&mut proc, fd).unwrap();
-        prop_assert_eq!(out, payload);
-    }
-
-    /// Writing at random offsets then reading back behaves like a sparse
-    /// byte array, whether a segment is written as bytes or as zeros.
-    #[test]
-    fn random_offset_writes(segments in prop::collection::vec((0u32..200_000, prop::collection::vec(any::<u8>(), 1..500), any::<bool>()), 1..10)) {
-        let mut fs = Vfs::new(VfsConfig::default());
-        let mut proc = fs.new_process();
-        let fd = fs.creat(&mut proc, "/sparse").unwrap();
-        let mut model: Vec<u8> = Vec::new();
-        for (offset, data, zeros) in &segments {
-            let offset = *offset as usize;
-            fs.lseek(&mut proc, fd, SeekFrom::Start(offset as u64)).unwrap();
-            if model.len() < offset + data.len() {
-                model.resize(offset + data.len(), 0);
-            }
-            let written = &mut model[offset..offset + data.len()];
-            if *zeros {
-                fs.write_zeros(&mut proc, fd, data.len()).unwrap();
-                written.fill(0);
-            } else {
-                fs.write(&mut proc, fd, data).unwrap();
-                written.copy_from_slice(data);
-            }
-        }
-        fs.close(&mut proc, fd).unwrap();
-        prop_assert_eq!(fs.read_file("/sparse").unwrap(), model);
-    }
-
-    /// `read_discard` is `read` minus the bytes: over files with holes,
-    /// truncations up and down, cursors past EOF, a write-only and a closed
-    /// descriptor, it returns what `read` returns and leaves the cursor, the
-    /// inode and the counters where `read` leaves them. A step is (what to
-    /// do, on which descriptor, a length or offset).
-    #[test]
-    fn read_discard_is_read_minus_the_bytes(steps in prop::collection::vec((0u8..6, 0usize..6, any::<u16>()), 1..80)) {
-        // Three files: a read-write descriptor on each, a second (read-only)
-        // cursor on the first, a write-only and a closed one.
-        let open_all = |fs: &mut Vfs| {
-            let mut proc = fs.new_process();
-            let mut open = |f: u8, flags| fs.open(&mut proc, &format!("/f{f}"), flags).unwrap();
-            let mut fds: Vec<_> = (0..3).map(|f| open(f, OpenFlags::read_write_create())).collect();
-            fds.extend([open(0, OpenFlags::read_only()), open(1, OpenFlags::create_write())]);
-            fds.push(open(2, OpenFlags::read_only()));
-            fs.close(&mut proc, fds[5]).unwrap();
-            (proc, fds)
-        };
-        let (mut copying, mut discarding) = (Vfs::new(VfsConfig::default()), Vfs::new(VfsConfig::default()));
-        let (mut proc_c, fds) = open_all(&mut copying);
-        let (mut proc_d, _) = open_all(&mut discarding);
-
-        let mut buf = vec![0xC3u8; 9_000];
-        for (tick, (what, fd, arg)) in steps.into_iter().enumerate() {
-            let (fd, len) = (fds[fd], arg as usize % buf.len());
-            if what >= 4 {
-                // A read, the one call that differs.
-                prop_assert_eq!(
-                    copying.read(&mut proc_c, fd, &mut buf[..len]),
-                    discarding.read_discard(&mut proc_d, fd, len)
-                );
-                continue;
-            }
-            for (fs, proc) in [(&mut copying, &mut proc_c), (&mut discarding, &mut proc_d)] {
-                match what {
-                    0 => drop(fs.write(proc, fd, &buf[..len % 3_000])),
-                    1 => fs.truncate(&format!("/f{}", arg % 3), (arg / 3).into()).unwrap(),
-                    2 => drop(fs.lseek(proc, fd, SeekFrom::Start(arg.into()))),
-                    _ => fs.set_clock(7 * tick as u64),
-                }
-            }
-        }
-
-        for &fd in &fds {
-            prop_assert_eq!(
-                copying.lseek(&mut proc_c, fd, SeekFrom::Current(0)),
-                discarding.lseek(&mut proc_d, fd, SeekFrom::Current(0))
-            );
-        }
-        for f in 0..3 {
-            // Size, blocks, atime, mtime and the rest, field by field.
-            prop_assert_eq!(copying.stat(&format!("/f{f}")), discarding.stat(&format!("/f{f}")));
-        }
-        prop_assert_eq!(copying.counters(), discarding.counters());
-    }
-
-    /// `write_zeros` is `write` minus the bytes: one random script on two file
-    /// systems, one writing a buffer of zeros, the other calling
-    /// `write_zeros`, on a geometry small enough that writes come up short at
-    /// `NoSpace` and fail at `FileTooLarge`. Both also write the same non-zero
-    /// bytes, so zeros land on blocks holding data and truncation cuts through
-    /// them. After every step they agree on the result, every cursor and
-    /// `fstat`, the counters, `block_stats` and `statfs`; a read, on the bytes.
-    #[test]
-    fn write_zeros_is_write_minus_the_bytes(steps in prop::collection::vec((0u8..9, any::<u16>()), 1..80)) {
-        let config = VfsConfig {
-            block_size: 64,
-            max_blocks: 24,
-            max_inodes: 8,
-            max_fds_per_process: 8,
-            max_file_size: 1_000,
-        };
-        let (mut copying, mut zeroing) = (Vfs::new(config), Vfs::new(config));
-        let (mut proc_c, mut proc_z) = (copying.new_process(), zeroing.new_process());
-        let create = OpenFlags::read_write_create();
-        let mut fds = vec![copying.open(&mut proc_c, "/f0", create).unwrap()];
-        zeroing.open(&mut proc_z, "/f0", create).unwrap();
-        for (what, arg) in steps {
-            let (path, len) = (format!("/f{}", arg % 3), usize::from(arg) % 700);
-            let fd = fds[usize::from(arg) % fds.len()];
-            let (mut results, mut bytes, mut opened) = (Vec::new(), Vec::new(), None);
-            for (fs, proc, zeros) in [(&mut copying, &mut proc_c, false), (&mut zeroing, &mut proc_z, true)] {
-                let n = |n: usize| n as u64;
-                results.push(match what {
-                    // An open, of a file that may be new, in append mode or not.
-                    0 | 1 => fs.open(proc, &path, OpenFlags { append: what == 1, ..create }).map(|fd| {
-                        opened = Some(fd);
-                        fd.number().into()
-                    }),
-                    2 if zeros => fs.write_zeros(proc, fd, len).map(n),
-                    2 => fs.write(proc, fd, &[0; 700][..len]).map(n),
-                    3 => fs.write(proc, fd, &[arg as u8 | 1; 700][..len]).map(n),
-                    4 => fs.lseek(proc, fd, SeekFrom::Start(u64::from(arg) % 1_200)),
-                    5 => fs.truncate(&path, u64::from(arg) % 1_100).map(|()| 0),
-                    6 => {
-                        let mut buf = vec![0xEE; len];
-                        let read = fs.read(proc, fd, &mut buf);
-                        buf.truncate(*read.as_ref().unwrap_or(&0));
-                        bytes.push(buf);
-                        read.map(n)
-                    }
-                    7 => fs.unlink(&path).map(|()| 0),
-                    _ => fs.close(proc, fd).map(|()| 0),
-                });
-            }
-            prop_assert_eq!(results[0], results[1], "step {} {}", what, arg);
-            prop_assert_eq!(bytes.first(), bytes.last());
-            fds.extend(opened);
-            for &fd in &fds {
-                prop_assert_eq!(
-                    copying.lseek(&mut proc_c, fd, SeekFrom::Current(0)),
-                    zeroing.lseek(&mut proc_z, fd, SeekFrom::Current(0))
-                );
-                prop_assert_eq!(copying.fstat(&proc_c, fd), zeroing.fstat(&proc_z, fd));
-            }
-            prop_assert_eq!(copying.counters(), zeroing.counters());
-            prop_assert_eq!(copying.block_stats(), zeroing.block_stats());
-            prop_assert_eq!(copying.statfs(), zeroing.statfs());
+        let mut model = Model::default();
+        let mut fds = Vec::new();
+        for (tick, (what, arg)) in steps.into_iter().enumerate() {
+            fs.set_clock(10 * tick as u64);
+            model.clock = 10 * tick as u64;
+            let path = format!("/f{}", arg % 3);
+            let fd = fds.get(usize::from(arg) % fds.len().max(1)).copied();
+            let (len, at) = (u64::from(arg) % 700, u64::from(arg) % 1_200);
+            let got: Result<u64, FsError> = match (what, fd) {
+                (0..=3, _) => fs.open(&mut proc, &path, open_flags(what)).map(|fd| {
+                    fds.push(fd);
+                    fd.number().into()
+                }),
+                (4 | 5, Some(fd)) => fs.write(&mut proc, fd, len as usize).map(|n| n as u64),
+                (6, Some(fd)) => fs.read(&mut proc, fd, len as usize).map(|n| n as u64),
+                (7, Some(fd)) => fs.lseek(&mut proc, fd, SeekFrom::Start(at)),
+                (8, _) => fs.truncate(&path, at).map(|()| 0),
+                (9, _) => fs.unlink(&path).map(|()| 0),
+                (_, Some(fd)) => fs.close(&mut proc, fd).map(|()| 0),
+                (_, None) => continue,
+            };
+            let fd = fd.map_or(0, |fd| fd.number());
+            let want = match what {
+                0..=3 => model.open(&path, open_flags(what)).map(u64::from),
+                4 | 5 => model.write(fd, len),
+                6 => model.read(fd, len),
+                7 => model.seek(fd, at),
+                8 => model.truncate(&path, at).map(|()| 0),
+                9 => model.unlink(&path).map(|()| 0),
+                _ => model.close(fd).map(|()| 0),
+            };
+            prop_assert_eq!(got, want, "step {} {}", what, arg);
+            check(&mut fs, &mut proc, &mut model, &fds);
         }
     }
+}
+
+/// Every cursor and `fstat` of `fds`, each live file's block indices, the
+/// counters, `block_stats` and `statfs`, against the model.
+fn check(fs: &mut Vfs, proc: &mut Process, model: &mut Model, fds: &[Fd]) {
+    // A live file is named or open, so these find every one.
+    let mut live: BTreeMap<u64, Ino> = BTreeMap::new();
+    for &fd in fds {
+        let cursor = model.desc(fd.number()).map(|(_, cursor, _)| cursor);
+        model.counters.seeks += 1;
+        prop_assert_eq!(
+            fs.lseek(proc, fd, SeekFrom::Current(0)),
+            cursor,
+            "cursor of {:?}",
+            fd
+        );
+        let md = fs.fstat(proc, fd);
+        live.extend(md.iter().map(|md| (md.ino.number(), md.ino)));
+        prop_assert_eq!(
+            md.map(stat_of),
+            model.fstat(fd.number()),
+            "fstat of {:?}",
+            fd
+        );
+    }
+    for path in model.names.keys() {
+        let ino = fs.resolve(path).unwrap();
+        live.insert(ino.number(), ino);
+    }
+    prop_assert_eq!(live.len(), model.files.len());
+    for (&ino, file) in &model.files {
+        let held: Vec<u64> = file.blocks.iter().copied().collect();
+        prop_assert_eq!(fs.block_indices(live[&ino]), &held[..], "blocks of {}", ino);
+    }
+    prop_assert_eq!(fs.counters(), model.counters);
+    prop_assert_eq!(fs.block_stats(), model.blocks);
+    let st = fs.statfs();
+    let free = SMALL.max_blocks as u64 - model.blocks.allocated;
+    prop_assert_eq!(
+        (st.free_blocks, st.used_inodes),
+        (free, 1 + model.files.len() as u64)
+    );
 }
