@@ -582,43 +582,106 @@ proptest! {
     /// indices, the counters, `block_stats` and `statfs` are the model's.
     #[test]
     fn calls_match_an_arithmetic_model(steps in prop::collection::vec((0u8..13, any::<u16>()), 1..240)) {
+        script(steps);
+    }
+
+    /// `read` of a length (once `read_discard`) is a byte read minus the
+    /// bytes: over holes, truncations, cursors past EOF, a second read-only
+    /// cursor, a write-only and a closed descriptor, and a clock that moves
+    /// on its own steps, every read is the model's `read(2)`.
+    #[test]
+    fn read_discard_is_read_minus_the_bytes(steps in prop::collection::vec((0u8..6, 0usize..6, any::<u16>()), 1..80)) {
         let mut fs = Vfs::new(SMALL);
         let mut proc = fs.new_process();
-        let mut model = Model::default();
-        let mut fds = Vec::new();
-        for (tick, (what, arg)) in steps.into_iter().enumerate() {
-            fs.set_clock(10 * tick as u64);
-            model.clock = 10 * tick as u64;
-            let path = format!("/f{}", arg % 3);
-            let fd = fds.get(usize::from(arg) % fds.len().max(1)).copied();
-            let (len, at) = (u64::from(arg) % 700, u64::from(arg) % 1_200);
-            let got: Result<u64, FsError> = match (what, fd) {
-                (0..=3, _) => fs.open(&mut proc, &path, open_flags(what)).map(|fd| {
-                    fds.push(fd);
-                    fd.number().into()
-                }),
-                (4 | 5, Some(fd)) => fs.write(&mut proc, fd, len as usize).map(|n| n as u64),
-                (6, Some(fd)) => fs.read(&mut proc, fd, len as usize).map(|n| n as u64),
-                (7, Some(fd)) => fs.lseek(&mut proc, fd, SeekFrom::Start(at)),
-                (8, _) => fs.truncate(&path, at).map(|()| 0),
-                (9, _) => fs.unlink(&path).map(|()| 0),
-                (_, Some(fd)) => fs.close(&mut proc, fd).map(|()| 0),
-                (_, None) => continue,
-            };
-            let fd = fd.map_or(0, |fd| fd.number());
-            let want = match what {
-                0..=3 => model.open(&path, open_flags(what)).map(u64::from),
-                4 | 5 => model.write(fd, len),
-                6 => model.read(fd, len),
-                7 => model.seek(fd, at),
-                8 => model.truncate(&path, at).map(|()| 0),
-                9 => model.unlink(&path).map(|()| 0),
-                _ => model.close(fd).map(|()| 0),
-            };
-            prop_assert_eq!(got, want, "step {} {}", what, arg);
-            check(&mut fs, &mut proc, &mut model, &fds);
+        let (mut model, mut fds) = (Model::default(), Vec::new());
+        // Read-write descriptors on /f0, /f1 and /f2, a second (read-only)
+        // cursor on /f0, a write-only one on /f1 and a closed one on /f2.
+        for open in [(0, 0), (0, 1), (0, 2), (3, 0), (2, 1), (3, 2)] {
+            step(&mut fs, &mut proc, &mut model, &mut fds, 0, open, None);
+        }
+        let last = Some(fds[5]);
+        step(&mut fs, &mut proc, &mut model, &mut fds, 0, (10, 0), last);
+        let mut clock = 0;
+        for (tick, (what, fd, arg)) in steps.into_iter().enumerate() {
+            if what == 3 {
+                clock = 7 * tick as u64;
+                continue;
+            }
+            // A write, a truncation, a seek, or (two in six) a read.
+            let (what, fd) = ([4, 8, 7, 0, 6, 6][usize::from(what)], Some(fds[fd]));
+            step(&mut fs, &mut proc, &mut model, &mut fds, clock, (what, arg), fd);
         }
     }
+
+    /// `write` of a length (once `write_zeros`) is a byte write minus the
+    /// bytes: a script that starts with `/f0` open, two steps in nine a
+    /// write, rewrites held blocks, cuts through them, and comes up short at
+    /// `NoSpace` and fails at `FileTooLarge`, each write as the model's.
+    #[test]
+    fn write_zeros_is_write_minus_the_bytes(steps in prop::collection::vec((0u8..9, any::<u16>()), 1..80)) {
+        let steps = steps.into_iter().map(|(what, arg)| ([0, 1, 4, 5, 7, 8, 6, 9, 10][usize::from(what)], arg));
+        script(std::iter::once((0, 0)).chain(steps));
+    }
+}
+
+/// Runs a script of `step`s on the small device, the clock at ten times the
+/// step's number; a step's argument also picks its descriptor among those
+/// handed out.
+fn script(steps: impl IntoIterator<Item = (u8, u16)>) {
+    let mut fs = Vfs::new(SMALL);
+    let mut proc = fs.new_process();
+    let (mut model, mut fds) = (Model::default(), Vec::new());
+    for (tick, (what, arg)) in steps.into_iter().enumerate() {
+        let fd = fds.get(usize::from(arg) % fds.len().max(1)).copied();
+        let (fs, proc, model) = (&mut fs, &mut proc, &mut model);
+        step(fs, proc, model, &mut fds, 10 * tick as u64, (what, arg), fd);
+    }
+}
+
+/// Makes step `what` on the Vfs and on the model with both clocks at
+/// `clock`, asserts they return the same, then runs `check`. Steps 0 to 3
+/// open `/f{arg % 3}` with `open_flags(what)`, 4 and 5 write `arg % 700`
+/// bytes, 6 reads as many, 7 seeks to `arg % 1_200`, 8 truncates the name
+/// to that, 9 unlinks it, and the rest close; a step on `fd` when there is
+/// none is skipped. An opened descriptor joins `fds`.
+fn step(
+    fs: &mut Vfs,
+    proc: &mut Process,
+    model: &mut Model,
+    fds: &mut Vec<Fd>,
+    clock: u64,
+    (what, arg): (u8, u16),
+    fd: Option<Fd>,
+) {
+    fs.set_clock(clock);
+    model.clock = clock;
+    let path = format!("/f{}", arg % 3);
+    let (len, at) = (u64::from(arg) % 700, u64::from(arg) % 1_200);
+    let got: Result<u64, FsError> = match (what, fd) {
+        (0..=3, _) => fs.open(proc, &path, open_flags(what)).map(|fd| {
+            fds.push(fd);
+            fd.number().into()
+        }),
+        (4 | 5, Some(fd)) => fs.write(proc, fd, len as usize).map(|n| n as u64),
+        (6, Some(fd)) => fs.read(proc, fd, len as usize).map(|n| n as u64),
+        (7, Some(fd)) => fs.lseek(proc, fd, SeekFrom::Start(at)),
+        (8, _) => fs.truncate(&path, at).map(|()| 0),
+        (9, _) => fs.unlink(&path).map(|()| 0),
+        (_, Some(fd)) => fs.close(proc, fd).map(|()| 0),
+        (_, None) => return,
+    };
+    let fd = fd.map_or(0, |fd| fd.number());
+    let want = match what {
+        0..=3 => model.open(&path, open_flags(what)).map(u64::from),
+        4 | 5 => model.write(fd, len),
+        6 => model.read(fd, len),
+        7 => model.seek(fd, at),
+        8 => model.truncate(&path, at).map(|()| 0),
+        9 => model.unlink(&path).map(|()| 0),
+        _ => model.close(fd).map(|()| 0),
+    };
+    prop_assert_eq!(got, want, "step {} {}", what, arg);
+    check(fs, proc, model, fds);
 }
 
 /// Every cursor and `fstat` of `fds`, each live file's block indices, the
@@ -629,20 +692,12 @@ fn check(fs: &mut Vfs, proc: &mut Process, model: &mut Model, fds: &[Fd]) {
     for &fd in fds {
         let cursor = model.desc(fd.number()).map(|(_, cursor, _)| cursor);
         model.counters.seeks += 1;
-        prop_assert_eq!(
-            fs.lseek(proc, fd, SeekFrom::Current(0)),
-            cursor,
-            "cursor of {:?}",
-            fd
-        );
+        let got = fs.lseek(proc, fd, SeekFrom::Current(0));
+        prop_assert_eq!(got, cursor, "cursor of {fd:?}");
         let md = fs.fstat(proc, fd);
         live.extend(md.iter().map(|md| (md.ino.number(), md.ino)));
-        prop_assert_eq!(
-            md.map(stat_of),
-            model.fstat(fd.number()),
-            "fstat of {:?}",
-            fd
-        );
+        let want = model.fstat(fd.number());
+        prop_assert_eq!(md.map(stat_of), want, "fstat of {fd:?}");
     }
     for path in model.names.keys() {
         let ino = fs.resolve(path).unwrap();
