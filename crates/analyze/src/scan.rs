@@ -125,7 +125,10 @@ where
 
 /// The frames of `index` overlapping the window, thinned to every k-th
 /// when sampling — the selection every indexed pass decodes.
-pub fn select_frames(index: &FrameIndex, opts: &ScanOptions) -> Vec<(usize, FrameIndexEntry)> {
+pub(crate) fn select_frames(
+    index: &FrameIndex,
+    opts: &ScanOptions,
+) -> Vec<(usize, FrameIndexEntry)> {
     let selected: Vec<(usize, FrameIndexEntry)> = index
         .entries()
         .iter()

@@ -31,8 +31,7 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with the given column headers. The first column is
-    /// left-aligned, the rest right-aligned (override with
-    /// [`Table::with_aligns`]).
+    /// left-aligned, the rest right-aligned.
     pub fn new<S: Into<String>>(headers: Vec<S>) -> Self {
         let headers: Vec<String> = headers.into_iter().map(Into::into).collect();
         let mut aligns = vec![Align::Right; headers.len()];
@@ -45,17 +44,6 @@ impl Table {
             rows: Vec::new(),
             title: None,
         }
-    }
-
-    /// Sets per-column alignment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the alignment count does not match the header count.
-    pub fn with_aligns(mut self, aligns: Vec<Align>) -> Self {
-        assert_eq!(aligns.len(), self.headers.len(), "one alignment per column");
-        self.aligns = aligns;
-        self
     }
 
     /// Sets a title rendered above the table.
@@ -167,13 +155,5 @@ mod tests {
     fn mismatched_row_rejected() {
         let mut t = Table::new(vec!["a", "b"]);
         t.row(vec!["only-one".into()]);
-    }
-
-    #[test]
-    fn custom_alignment() {
-        let mut t = Table::new(vec!["n", "label"]).with_aligns(vec![Align::Right, Align::Left]);
-        t.row(vec!["7".into(), "x".into()]);
-        let s = t.render();
-        assert!(s.contains("7  x"));
     }
 }

@@ -12,7 +12,7 @@ use uswg_core::experiment::{access_size_sweep, user_sweep, ModelConfig, Parallel
 use uswg_core::metrics::{self, session_series, CategoryObservation, SessionMetric};
 use uswg_core::{
     plot, presets, CdfTable, Distribution, FillPattern, Histogram, NfsParams, PhaseTypeExp,
-    PopulationSpec, Summary, Table, UsimError,
+    PopulationSpec, Summary, Table, UsageLog, UsimError,
 };
 use Run::{Other, SessionHistogram, UserSweep};
 
@@ -274,7 +274,8 @@ fn session_histogram(
     spec.run.record_ops = false;
     spec.fsc = spec.fsc.with_fill(FillPattern::Sparse);
 
-    let series = session_series(&spec.run_direct()?, metric);
+    let (log, _) = spec.run_des(&ModelConfig::None, UsageLog::new())?;
+    let series = session_series(&log, metric);
     let s = Summary::of(&series);
     let heading = heading
         .replace("{n}", &s.n.to_string())
@@ -394,7 +395,7 @@ fn table5_2(title: &str) -> Outcome {
     spec.run.n_users = 6;
     spec.fsc = spec.fsc.with_fill(FillPattern::Sparse);
 
-    let log = spec.run_direct()?;
+    let (log, _) = spec.run_des(&ModelConfig::None, UsageLog::new())?;
     let observations = metrics::category_observations(&log);
     let measured = |category, decimals: usize, value: fn(&CategoryObservation) -> f64| {
         let observed = observations.iter().find(|o| o.category == category);

@@ -17,18 +17,18 @@ pub enum Command {
     Run {
         /// Path of the JSON spec.
         path: String,
-        /// Timing model (None = direct driver).
-        model: Option<ModelConfig>,
+        /// Timing model (`none` unless `--model` names one).
+        model: ModelConfig,
         /// Optional path to write the usage log JSON.
         out: Option<String>,
         /// Optional path to stream the binary columnar log to during the
-        /// run (full fidelity, O(1) resident memory; requires a model).
+        /// run (full fidelity, O(1) resident memory).
         spill: Option<String>,
         /// Override the spec's population size (the scale knob for smoke
         /// runs; applied before the file system is generated).
         users: Option<NonZeroUsize>,
         /// Stream into the O(1) summary sink and print only the headline
-        /// numbers — no usage log is materialized (requires a model).
+        /// numbers — no usage log is materialized.
         summary: bool,
     },
     /// `sweep <path>`: run one of the Chapter 5 sweeps.
@@ -136,21 +136,12 @@ impl Command {
     pub(crate) fn validate(&self) -> Result<(), CliError> {
         let refusal = match self {
             Command::Run {
-                model,
                 out,
                 spill,
-                summary,
+                summary: true,
                 ..
-            } => {
-                if model.is_none() && spill.is_some() {
-                    Some("--spill needs a timing model (the direct driver does not stream)")
-                } else if model.is_none() && *summary {
-                    Some("--summary needs a timing model (the direct driver materializes its log)")
-                } else if *summary && (out.is_some() || spill.is_some()) {
-                    Some("--summary keeps no log, so --out/--spill have nothing to write")
-                } else {
-                    None
-                }
+            } if out.is_some() || spill.is_some() => {
+                Some("--summary keeps no log, so --out/--spill have nothing to write")
             }
             Command::Drive {
                 model, from_spill, ..
@@ -229,13 +220,14 @@ uswg — user-oriented synthetic workload generator
 USAGE:
   uswg init <spec.json>                 write the paper-default workload spec
   uswg run <spec.json> [OPTIONS]        execute a workload spec
-      --model <M>      timing model: nfs | nfs-cached | local | whole-file |
-                       distributed:<servers>   (default: direct driver, no model)
-      --direct         the direct driver after all: drops an earlier --model
+      --model <M>      timing model: none | nfs | nfs-cached | local |
+                       whole-file | distributed:<servers>   (default: none,
+                       where every call completes the instant it is issued
+                       and think times alone drive the clock)
       --out <log.json> write the usage log as JSON
       --spill <p.bin>  stream the log to a compressed binary columnar file
                        during the run (full fidelity, O(1) resident memory;
-                       model runs only — inspect it with uswg analyze)
+                       inspect it with uswg analyze)
       --scheduler calendar  accepted and ignored: the calendar queue is the
                        only event queue (`heap` is an error)
       --shards 1       accepted and ignored: a run is one simulation (K > 1
@@ -244,8 +236,8 @@ USAGE:
                        system is generated (scale knob for smoke runs)
       --summary        stream into the O(1) summary sink and print only the
                        headline numbers — no usage log is kept, so memory
-                       stays flat at any population (model runs only;
-                       conflicts with --out/--spill)
+                       stays flat at any population (conflicts with
+                       --out/--spill)
   uswg sweep <spec.json> --model <M> <AXIS> [OPTIONS]
                                         run a Chapter 5 sweep across cores
       <AXIS> = --users 1,2,4,8 | --mix 0,0.5,1 | --sizes 128,512,2048

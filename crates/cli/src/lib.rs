@@ -6,8 +6,9 @@
 //!
 //! * `uswg init <spec.json>` — write the paper-default workload spec for
 //!   editing (the "specify distributions" step);
-//! * `uswg run <spec.json> [--model M] [--direct] [--out log.json]` — build
-//!   the file system, simulate the users, print the summary tables;
+//! * `uswg run <spec.json> [--model M] [--out log.json]` — build the file
+//!   system, simulate the users (under no timing model unless `--model`
+//!   names one), print the summary tables;
 //! * `uswg fit <data.txt> --family exp|phase:K|gamma:K` — fit a
 //!   distribution family to one-number-per-line data and report fit
 //!   quality (the GDS fitting step);
@@ -220,7 +221,7 @@ mod tests {
                 summary,
             } => {
                 assert_eq!(path, "spec.json");
-                assert_eq!(model.unwrap().name(), "nfs");
+                assert_eq!(model.name(), "nfs");
                 assert_eq!(out.as_deref(), Some("log.json"));
                 assert_eq!(spill, None);
                 assert_eq!(users, None);
@@ -241,11 +242,19 @@ mod tests {
             Command::Run { spill, .. } => assert_eq!(spill.as_deref(), Some("log.bin")),
             other => panic!("{other:?}"),
         }
-        let cmd = parse_args(argv("run spec.json --direct")).unwrap();
-        assert!(matches!(cmd, Command::Run { model: None, .. }));
+        let cmd = parse_args(argv("run spec.json")).unwrap();
+        assert!(matches!(
+            cmd,
+            Command::Run {
+                model: ModelConfig::None,
+                ..
+            }
+        ));
+        let none = parse_args(argv("run spec.json --model none")).unwrap();
+        assert_eq!(none, cmd);
         let cmd = parse_args(argv("run spec.json --model distributed:3")).unwrap();
         match cmd {
-            Command::Run { model: Some(m), .. } => assert_eq!(m.name(), "distributed-nfs"),
+            Command::Run { model: m, .. } => assert_eq!(m.name(), "distributed-nfs"),
             other => panic!("{other:?}"),
         }
         let with = parse_args(argv("run spec.json --model nfs --scheduler calendar")).unwrap();
@@ -281,12 +290,13 @@ mod tests {
         assert!(parse_family("phase:0").is_err());
         assert!(parse_family("phase:99").is_err());
         assert!(parse_family("cauchy").is_err());
-        // The spill path needs a timing model to stream from.
-        assert!(parse_args(argv("run spec.json --spill log.bin")).is_err());
-        assert!(parse_args(argv("run spec.json --direct --spill log.bin")).is_err());
-        // Summary mode streams through the DES, so it also needs a model,
-        // and it keeps no log for --out/--spill to write.
-        assert!(parse_args(argv("run spec.json --summary")).is_err());
+        // The direct driver is gone: the refusal names what replaced it.
+        let direct = parse_args(argv("run spec.json --direct"));
+        assert!(matches!(direct, Err(CliError::Usage(msg)) if msg.contains("--model none")));
+        // Every run streams, so --spill and --summary need no model; a
+        // summary keeps no log for --out/--spill to write.
+        assert!(parse_args(argv("run spec.json --spill log.bin")).is_ok());
+        assert!(parse_args(argv("run spec.json --summary")).is_ok());
         assert!(parse_args(argv("run spec.json --model nfs --summary --out log.json")).is_err());
         assert!(parse_args(argv("run spec.json --model nfs --summary --spill log.bin")).is_err());
         // The population override must be a positive count.
@@ -599,12 +609,14 @@ mod tests {
         assert_eq!(written.run, WorkloadSpec::paper_default().unwrap().run);
         small_spec(&dir, |_| {});
 
-        // run (direct) with log output
-        let out = cli_ok(&format!("run {spec} --direct --out {}", log_path.display()));
+        // run (no model) with log output: every response is zero
+        let out = cli_ok(&format!("run {spec} --out {}", log_path.display()));
+        assert!(out.contains("model none"));
         assert!(out.contains("Per-system-call summary"));
         assert!(out.contains("sessions: 2"));
         let log = UsageLog::from_json(&std::fs::read_to_string(&log_path).unwrap()).unwrap();
         assert!(!log.ops().is_empty());
+        assert!(log.ops().iter().all(|op| op.response == 0));
 
         // run (modelled)
         let out = cli_ok(&format!("run {spec} --model local"));

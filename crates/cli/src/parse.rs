@@ -12,7 +12,7 @@ use uswg_core::{NfsParams, UsimError};
 /// accepts. The cursor vets each token against the row, and a unit test
 /// holds the usage text to it.
 const FLAGS: [&str; 6] = [
-    "run --model --direct --out --spill --scheduler --shards --users --summary",
+    "run --model --out --spill --scheduler --shards --users --summary",
     "sweep --model --users --mix --sizes --jobs --shards",
     "replicate --model --seeds --replicates --jobs --shards",
     "drive --model --from-spill --speedup --max-in-flight --queue-cap --deadline-us \
@@ -44,7 +44,12 @@ impl<'a> Flags<'a> {
     }
 
     fn unknown(&self) -> CliError {
-        CliError::Usage(format!("unknown flag `{}`", self.flag))
+        CliError::Usage(match self.flag {
+            "--direct" => "--direct was removed: the default, --model none, runs without \
+                           a timing model"
+                .into(),
+            flag => format!("unknown flag `{flag}`"),
+        })
     }
 
     /// The current flag's value, verbatim.
@@ -106,12 +111,14 @@ pub fn parse_model(name: &str) -> Result<ModelConfig, CliError> {
         return Ok(ModelConfig::distributed_nfs(servers));
     }
     match name {
+        "none" => Ok(ModelConfig::None),
         "nfs" => Ok(ModelConfig::default_nfs()),
         "nfs-cached" => Ok(ModelConfig::Nfs(NfsParams::with_cache(8_192))),
         "local" => Ok(ModelConfig::default_local()),
         "whole-file" => Ok(ModelConfig::default_whole_file()),
         other => Err(CliError::Usage(format!(
-            "unknown model `{other}` (expected nfs, nfs-cached, local, whole-file, distributed:<n>)"
+            "unknown model `{other}` (expected none, nfs, nfs-cached, local, whole-file, \
+             distributed:<n>)"
         ))),
     }
 }
@@ -247,7 +254,6 @@ fn parse_flags(args: &[String], needs: &str) -> Result<(String, Parsed), CliErro
     while let Some(flag) = flags.next_flag()? {
         match flag {
             "--model" => p.model = Some(parse_model(flags.value()?)?),
-            "--direct" => p.model = None,
             "--out" => p.out = Some(flags.value()?.to_string()),
             "--spill" => p.spill = Some(flags.value()?.to_string()),
             "--from-spill" => p.from_spill = Some(flags.value()?.to_string()),
@@ -339,7 +345,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
             let (path, p) = parse_flags(&args, spec_file)?;
             Command::Run {
                 path,
-                model: p.model,
+                model: p.model.unwrap_or(ModelConfig::None),
                 out: p.out,
                 spill: p.spill,
                 users: p.users,

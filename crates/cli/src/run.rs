@@ -43,16 +43,6 @@ pub(crate) fn run(command: Command) -> Outcome {
         spec.run.n_users = n.get();
     }
     let (out, spill) = (out.as_deref(), spill.as_deref());
-    let Some(m) = &model else {
-        let log = spec.run_direct()?;
-        let mut text = "direct driver (no timing model)\n".to_string();
-        text.push_str(&op_table(SummarySink::of(&log).op_kind_summaries()));
-        let _ = writeln!(text, "sessions: {}", log.sessions().len());
-        if let Some(out_path) = out {
-            write_log(&mut text, out_path, &log)?;
-        }
-        return ok(text);
-    };
     // One run into the summary sink, which holds every number the console
     // prints; beside it rides a spill file (--spill: full fidelity on
     // disk, O(1) resident) or, only when --out asks for one, the
@@ -61,16 +51,17 @@ pub(crate) fn run(command: Command) -> Outcome {
         (Some(spill_path), _) => {
             let spill_sink = SpillSink::create(spill_path).map_err(at(spill_path))?;
             let ((summary, spill_sink), stats) =
-                spec.run_des(m, (SummarySink::new(), spill_sink))?;
+                spec.run_des(&model, (SummarySink::new(), spill_sink))?;
             spill_sink.finish().map_err(at(spill_path))?;
             (summary, stats, None)
         }
         (None, Some(_)) => {
-            let ((summary, log), stats) = spec.run_des(m, (SummarySink::new(), UsageLog::new()))?;
+            let ((summary, log), stats) =
+                spec.run_des(&model, (SummarySink::new(), UsageLog::new()))?;
             (summary, stats, Some(log))
         }
         (None, None) => {
-            let (summary, stats) = spec.run_des(m, SummarySink::new())?;
+            let (summary, stats) = spec.run_des(&model, SummarySink::new())?;
             (summary, stats, None)
         }
     };

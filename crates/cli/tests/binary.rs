@@ -133,6 +133,36 @@ fn run_modes_print_the_same_headline_numbers() {
     assert_eq!(default.lines().next(), spilled.lines().next());
 }
 
+/// With no `--model`, a run is the DES under the zero-stage model: two runs
+/// print and spill the same bytes, every record's response is zero,
+/// `--summary` works on it, and `--direct` is refused naming the default.
+#[test]
+fn the_default_run_is_a_pure_function_of_spec_and_seed() {
+    let dir = scratch("default");
+    let spec = write_spec(&dir);
+    let out = |args: String| stdout_of(&uswg(&args, &[]), &args);
+    let plain = out(format!("run {spec}"));
+    assert!(plain.starts_with("model none |"), "{plain}");
+    assert_eq!(out(format!("run {spec} --model none")), plain);
+    assert_eq!(
+        headline(&out(format!("run {spec} --summary"))),
+        headline(&plain)
+    );
+    let [a, b] = ["a.bin", "b.bin"].map(|name| dir.join(name));
+    for capture in [&a, &b] {
+        let spilled = out(format!("run {spec} --spill {}", capture.display()));
+        assert_eq!(headline(&spilled), headline(&plain));
+    }
+    let bytes = std::fs::read(&a).unwrap();
+    assert_eq!(bytes, std::fs::read(&b).unwrap());
+    let log = uswg_core::read_spill(bytes.as_slice()).unwrap();
+    assert!(!log.ops().is_empty() && log.ops().iter().all(|op| op.response == 0));
+    let refused = uswg(&format!("run {spec} --direct"), &[]);
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert_eq!(refused.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--model none"), "{stderr}");
+}
+
 /// A population that cannot fit in `vfs.max_inodes` is refused up front,
 /// with a message that names the field, the demand and the limit — not a
 /// bare ENOSPC after 65 k inodes have been built.

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use uswg_analyze::Summary;
 use uswg_netfs::{
     DistributedNfsParams, LocalDiskModel, LocalDiskParams, NfsModel, NfsParams, ServiceModel,
-    WholeFileCacheModel, WholeFileCacheParams,
+    WholeFileCacheModel, WholeFileCacheParams, ZeroModel,
 };
 use uswg_sim::ResourcePool;
 use uswg_usim::{PopulationSpec, SummarySink};
@@ -22,6 +22,10 @@ use uswg_usim::{PopulationSpec, SummarySink};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(tag = "model", rename_all = "snake_case")]
 pub enum ModelConfig {
+    /// No timing model: every call completes the instant it is issued, so
+    /// think times alone drive the clock. `uswg run`'s default, and the
+    /// usage studies of Figures 5.3–5.5.
+    None,
     /// Local-disk file system.
     Local(LocalDiskParams),
     /// NFS-like remote file system.
@@ -57,6 +61,7 @@ impl ModelConfig {
     /// Instantiates the model, registering its resources in `pool`.
     pub fn build(&self, pool: &mut ResourcePool) -> Box<dyn ServiceModel> {
         match self {
+            ModelConfig::None => Box::new(ZeroModel),
             ModelConfig::Local(p) => Box::new(LocalDiskModel::new(pool, *p)),
             ModelConfig::Nfs(p) => Box::new(NfsModel::new(pool, *p)),
             ModelConfig::WholeFile(p) => Box::new(WholeFileCacheModel::new(pool, *p)),
@@ -67,6 +72,7 @@ impl ModelConfig {
     /// The model's display name.
     pub fn name(&self) -> &'static str {
         match self {
+            ModelConfig::None => "none",
             ModelConfig::Local(_) => "local",
             ModelConfig::Nfs(_) => "nfs",
             ModelConfig::WholeFile(_) => "whole-file-cache",
@@ -388,15 +394,23 @@ mod tests {
             assert_eq!(config.name(), name);
             assert!(!pool.is_empty());
         }
+        // The zero-stage model registers no resource.
+        let mut pool = ResourcePool::new();
+        assert_eq!(ModelConfig::None.build(&mut pool).name(), "none");
+        assert!(pool.is_empty());
     }
 
     #[test]
     fn model_config_serde_round_trip() {
-        let config = ModelConfig::default_nfs();
-        let json = serde_json::to_string(&config).unwrap();
-        let back: ModelConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(config, back);
-        assert!(json.contains("\"model\":\"nfs\""));
+        for (config, tag) in [
+            (ModelConfig::default_nfs(), "nfs"),
+            (ModelConfig::None, "none"),
+        ] {
+            let json = serde_json::to_string(&config).unwrap();
+            let back: ModelConfig = serde_json::from_str(&json).unwrap();
+            assert_eq!(config, back);
+            assert!(json.contains(&format!("\"model\":\"{tag}\"")), "{json}");
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! * **FSC** (`uswg-fsc`) — creation of the initial synthetic file system
 //!   ([`FscSpec`], [`FileSystemCreator`]);
 //! * **USIM** (`uswg-usim`) — simulation of login sessions issuing file I/O
-//!   ([`PopulationSpec`], [`DesDriver`], [`DirectDriver`]);
+//!   ([`PopulationSpec`], [`DesDriver`]; the zero-stage model runs it as a
+//!   pure usage study, the queueing models measure response times);
 //! * substrates the paper ran on real hardware: an in-memory UNIX-like file
 //!   system (`uswg-vfs`) and queueing models of NFS-like installations
 //!   (`uswg-netfs`) on a discrete-event kernel (`uswg-sim`).

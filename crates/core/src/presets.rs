@@ -90,7 +90,7 @@ pub fn table_5_2_usages() -> Vec<CategoryUsage> {
 /// A user type with the Table 5.2 usage profile and the given think time
 /// (µs). Zero think time becomes a point mass, exactly Table 5.4's
 /// "extremely heavy I/O" row; anything else is exponential.
-pub fn user_type_with_think(name: &str, mean_think_us: f64) -> UserTypeSpec {
+pub(crate) fn user_type_with_think(name: &str, mean_think_us: f64) -> UserTypeSpec {
     user_type_with(name, mean_think_us, ACCESS_SIZE_MEAN)
 }
 

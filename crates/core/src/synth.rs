@@ -238,15 +238,17 @@ fn synthesize_fsc(
     Ok(fsc)
 }
 
-/// VFS limits sized to the observed footprint with 2× headroom: the
-/// synthesized run creates fresh NEW/TEMP files beyond the pre-existing
-/// population, so replaying at exactly the observed geometry would ENOSPC.
-fn synthesize_vfs(obs: &FitObservation) -> VfsConfig {
+/// VFS limits with 2× headroom over the larger of the observed footprint
+/// and what `fsc` builds for the capture's users: the synthesized run
+/// creates fresh NEW/TEMP files beyond the pre-existing population, so
+/// replaying at exactly either would ENOSPC. The build's demand is the
+/// FSC's own ([`FscSpec::inode_demand`]), which refuses a smaller limit.
+fn synthesize_vfs(obs: &FitObservation, fsc: &FscSpec) -> VfsConfig {
     let mut vfs = VfsConfig::default();
     let geometry = &obs.geometry;
-    let want_inodes = (geometry.max_ino + 1)
-        .saturating_add(geometry.total_files)
-        .saturating_mul(2);
+    let observed = (geometry.max_ino + 1).saturating_add(geometry.total_files);
+    let built = fsc.inode_demand(obs.users).unwrap_or(u64::MAX);
+    let want_inodes = observed.max(built).saturating_mul(2);
     if want_inodes > vfs.max_inodes as u64 {
         vfs.max_inodes = want_inodes.next_power_of_two() as usize;
     }
@@ -316,7 +318,7 @@ pub fn synthesize_spec(
     run.record_ops = true;
 
     let fsc = synthesize_fsc(&mut s, obs, obs.users)?;
-    let vfs = synthesize_vfs(obs);
+    let vfs = synthesize_vfs(obs, &fsc);
 
     let spec = WorkloadSpec {
         fsc,
@@ -339,6 +341,7 @@ mod tests {
     use uswg_fsc::FileCategory;
     use uswg_netfs::OpKind;
     use uswg_usim::{OpRecord, SessionRecord};
+    use uswg_vfs::Vfs;
 
     fn session(user: usize, user_type: usize, n: u32, start: u64, end: u64) -> SessionRecord {
         SessionRecord {
@@ -446,5 +449,26 @@ mod tests {
         let vfs = out.spec.vfs;
         assert!(vfs.max_inodes as u64 > obs.geometry.max_ino);
         assert!(vfs.max_file_size >= 2 * obs.geometry.max_file_size);
+    }
+
+    /// A million users who touched a few dozen files: the fitted file
+    /// system must hold what its own FSC section builds for them, 2 inodes
+    /// per home beside the files, with the 2× headroom. Sized from the
+    /// touched inodes alone, `run` refused the spec from 4·10⁴ users up.
+    #[test]
+    fn vfs_holds_what_the_fitted_fsc_builds_at_a_million_users() {
+        let mut obs = observation();
+        obs.users = 1_000_000;
+        let spec = synthesize_spec(&obs, &SynthesisOptions::default())
+            .unwrap()
+            .spec;
+        let demand = spec.fsc.inode_demand(spec.run.n_users).unwrap();
+        assert!(demand > 3_000_000, "{demand}");
+        assert!(spec.vfs.max_inodes as u64 >= 2 * demand);
+        let fresh = Vfs::new(spec.vfs).statfs();
+        assert!(fresh.total_inodes - fresh.used_inodes >= demand);
+        // At four users the observed footprint decides, as before.
+        let small = synthesize_spec(&observation(), &SynthesisOptions::default()).unwrap();
+        assert_eq!(small.spec.vfs.max_inodes, VfsConfig::default().max_inodes);
     }
 }

@@ -7,10 +7,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use uswg_fsc::{FileCatalog, FileSystemCreator, FscSpec};
 use uswg_sim::ResourcePool;
-use uswg_usim::{
-    CompiledPopulation, DesDriver, DesRunStats, DirectDriver, LogSink, PopulationSpec, RunConfig,
-    UsageLog,
-};
+use uswg_usim::{CompiledPopulation, DesDriver, DesRunStats, LogSink, PopulationSpec, RunConfig};
 use uswg_vfs::{Vfs, VfsConfig};
 
 /// A complete workload description: the initial file system, the user
@@ -50,12 +47,6 @@ impl WorkloadSpec {
     /// Builder-style population override.
     pub fn with_population(mut self, population: PopulationSpec) -> Self {
         self.population = population;
-        self
-    }
-
-    /// Builder-style run-config override.
-    pub fn with_run(mut self, run: RunConfig) -> Self {
-        self.run = run;
         self
     }
 
@@ -122,23 +113,13 @@ impl WorkloadSpec {
         )?)
     }
 
-    /// Runs the workload with the direct driver (no timing model): the
-    /// usage-study mode behind Figures 5.3–5.5.
-    ///
-    /// # Errors
-    ///
-    /// Propagates generation, compilation and simulation errors.
-    pub fn run_direct(&self) -> Result<UsageLog, CoreError> {
-        let (mut vfs, catalog) = self.generate_fs()?;
-        let population = self.compile()?;
-        Ok(DirectDriver::new().run(&mut vfs, &catalog, &population, &self.run)?)
-    }
-
     /// Runs the workload in simulated time against a timing model,
-    /// streaming every record into `sink`: the response-time measurement
-    /// mode behind Table 5.3 and Figures 5.6–5.12, and the one timed-run
-    /// entry point. What the caller keeps is the sink it passes — a
-    /// [`UsageLog`] collects the full log, a
+    /// streaming every record into `sink`: the one run entry point. Under a
+    /// queueing model it is the response-time measurement behind Table 5.3
+    /// and Figures 5.6–5.12; under [`ModelConfig::None`] every call
+    /// completes the instant it is issued, the usage study behind Figures
+    /// 5.3–5.5. What the caller keeps is the sink it passes — a
+    /// [`UsageLog`](uswg_usim::UsageLog) collects the full log, a
     /// [`SummarySink`](uswg_usim::SummarySink) keeps O(1) running
     /// aggregates, a [`SpillSink`](uswg_usim::SpillSink) writes the binary
     /// capture, a tuple tees two sinks, a
@@ -172,7 +153,7 @@ impl WorkloadSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uswg_usim::PopulationSpec;
+    use uswg_usim::{PopulationSpec, UsageLog};
 
     fn quick_spec() -> WorkloadSpec {
         let mut spec = WorkloadSpec::paper_default().unwrap();
@@ -187,11 +168,17 @@ mod tests {
         spec
     }
 
+    /// Named for the sequential driver it once ran; it runs the DES under
+    /// the zero-stage model that replaced it.
     #[test]
     fn paper_default_builds_and_runs_direct() {
-        let log = quick_spec().run_direct().unwrap();
+        let (log, stats) = quick_spec()
+            .run_des(&ModelConfig::None, UsageLog::new())
+            .unwrap();
+        assert_eq!(stats.model, "none");
         assert_eq!(log.sessions().len(), 2);
         assert!(!log.ops().is_empty());
+        assert!(log.ops().iter().all(|op| op.response == 0));
     }
 
     #[test]
@@ -258,10 +245,11 @@ mod tests {
         assert!(!old_style.run.faults.enabled());
 
         // And an enabled spec survives the round trip intact.
-        let faulted = quick_spec().with_run(quick_spec().run.with_faults(uswg_usim::FaultSpec {
+        let mut faulted = quick_spec();
+        faulted.run = faulted.run.with_faults(uswg_usim::FaultSpec {
             fault_ppm: 20_000,
             ..uswg_usim::FaultSpec::default()
-        }));
+        });
         let back = WorkloadSpec::from_json(&faulted.to_json().unwrap()).unwrap();
         assert_eq!(back.run.faults, faulted.run.faults);
         assert!(back.run.faults.enabled());
@@ -270,9 +258,7 @@ mod tests {
     #[test]
     fn builders_replace_parts() {
         let spec = quick_spec()
-            .with_population(PopulationSpec::single(crate::presets::light_user()).unwrap())
-            .with_run(RunConfig::default().with_users(2).with_sessions(1));
-        assert_eq!(spec.run.n_users, 2);
+            .with_population(PopulationSpec::single(crate::presets::light_user()).unwrap());
         assert_eq!(spec.population.types()[0].0.name, "light I/O");
     }
 

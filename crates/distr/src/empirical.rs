@@ -122,16 +122,6 @@ impl PdfTable {
     pub fn cumulative(&self) -> &[f64] {
         &self.cdf
     }
-
-    /// Converts this table into an [`EmpiricalCdf`] (the GDS output format).
-    pub fn to_empirical_cdf(&self) -> EmpiricalCdf {
-        EmpiricalCdf {
-            xs: self.xs.clone(),
-            cdf: self.cdf.clone(),
-            // Same CDF grid, so the bucket index transfers verbatim.
-            guide: self.guide.clone(),
-        }
-    }
 }
 
 /// Cumulative integral of tabulated `f` over grid `xs`.
@@ -692,12 +682,5 @@ mod tests {
         let e = EmpiricalCdf::new(pts).unwrap();
         assert!((e.mean() - 50.0).abs() < 1e-9);
         assert!((e.variance() - 100.0 * 100.0 / 12.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn pdf_table_round_trips_to_empirical() {
-        let t = uniform_pdf_table(10);
-        let e = t.to_empirical_cdf();
-        assert!((e.cdf(5.0) - 0.5).abs() < 1e-9);
     }
 }

@@ -138,7 +138,7 @@ impl MultiStageGamma {
     ///
     /// Returns [`DistrError::Empty`] when no stages are supplied and
     /// [`DistrError::BadWeights`] when the weights do not sum to one.
-    pub fn from_stages(stages: Vec<GammaStage>) -> Result<Self, DistrError> {
+    pub(crate) fn from_stages(stages: Vec<GammaStage>) -> Result<Self, DistrError> {
         if stages.is_empty() {
             return Err(DistrError::Empty);
         }

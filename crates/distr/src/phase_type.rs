@@ -117,7 +117,7 @@ impl PhaseTypeExp {
     ///
     /// Returns [`DistrError::Empty`] when no phases are supplied and
     /// [`DistrError::BadWeights`] when the weights do not sum to one.
-    pub fn from_phases(phases: Vec<ExpPhase>) -> Result<Self, DistrError> {
+    pub(crate) fn from_phases(phases: Vec<ExpPhase>) -> Result<Self, DistrError> {
         if phases.is_empty() {
             return Err(DistrError::Empty);
         }

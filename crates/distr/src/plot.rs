@@ -23,19 +23,8 @@ pub fn plot_pdf(
     plot_function(|x| dist.pdf(x), x_min, x_max, width, height)
 }
 
-/// Renders the CDF of `dist` over `[x_min, x_max]` as an ASCII plot.
-pub fn plot_cdf(
-    dist: &dyn Distribution,
-    x_min: f64,
-    x_max: f64,
-    width: usize,
-    height: usize,
-) -> String {
-    plot_function(|x| dist.cdf(x), x_min, x_max, width, height)
-}
-
 /// Renders an arbitrary function as an ASCII plot (see [`plot_pdf`]).
-pub fn plot_function<F: Fn(f64) -> f64>(
+pub(crate) fn plot_function<F: Fn(f64) -> f64>(
     f: F,
     x_min: f64,
     x_max: f64,
@@ -112,7 +101,7 @@ pub fn plot_histogram(bins: &[(f64, f64)], width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Exponential, PhaseTypeExp};
+    use crate::Exponential;
 
     #[test]
     fn plot_contains_curve_and_axes() {
@@ -132,15 +121,6 @@ mod tests {
         let d = Exponential::new(1.0).unwrap();
         let s = plot_pdf(&d, 0.0, 5.0, 1, 1);
         assert!(s.lines().count() >= 4);
-    }
-
-    #[test]
-    fn cdf_plot_is_monotone_visual() {
-        let d = PhaseTypeExp::new(vec![(0.4, 12.7, 0.0), (0.6, 18.2, 18.0)]).unwrap();
-        let s = plot_cdf(&d, 0.0, 120.0, 40, 10);
-        // The last column of the CDF plot should be at the top row.
-        let first_grid_line = s.lines().nth(1).unwrap();
-        assert!(first_grid_line.ends_with('*'));
     }
 
     #[test]

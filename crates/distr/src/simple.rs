@@ -34,7 +34,7 @@ impl Exponential {
     ///
     /// Returns [`DistrError::BadScale`] if `mean <= 0` or
     /// [`DistrError::BadOffset`] if `offset` is negative or non-finite.
-    pub fn with_offset(mean: f64, offset: f64) -> Result<Self, DistrError> {
+    pub(crate) fn with_offset(mean: f64, offset: f64) -> Result<Self, DistrError> {
         if !(mean.is_finite() && mean > 0.0) {
             return Err(DistrError::BadScale { value: mean });
         }

@@ -28,7 +28,7 @@ const LANCZOS_COEF: [f64; 9] = [
 ///
 /// Panics if `x` is zero, negative, or not finite: the distribution families
 /// in this crate only require positive arguments.
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     assert!(x.is_finite() && x > 0.0, "ln_gamma requires x > 0, got {x}");
     if x < 0.5 {
         // Reflection: Γ(x) Γ(1 − x) = π / sin(πx).
@@ -53,7 +53,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `a <= 0` or `x < 0`.
-pub fn reg_lower_gamma(a: f64, x: f64) -> f64 {
+pub(crate) fn reg_lower_gamma(a: f64, x: f64) -> f64 {
     assert!(a > 0.0, "reg_lower_gamma requires a > 0, got {a}");
     assert!(x >= 0.0, "reg_lower_gamma requires x >= 0, got {x}");
     if x == 0.0 {
@@ -70,7 +70,7 @@ pub fn reg_lower_gamma(a: f64, x: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `a <= 0` or `x < 0`.
-pub fn reg_upper_gamma(a: f64, x: f64) -> f64 {
+pub(crate) fn reg_upper_gamma(a: f64, x: f64) -> f64 {
     assert!(a > 0.0, "reg_upper_gamma requires a > 0, got {a}");
     assert!(x >= 0.0, "reg_upper_gamma requires x >= 0, got {x}");
     if x == 0.0 {
@@ -131,7 +131,7 @@ fn gamma_continued_fraction(a: f64, x: f64) -> f64 {
 /// `Q_KS(λ) = 2 Σ_{j≥1} (−1)^{j−1} e^{−2 j² λ²}`; used to convert a KS
 /// statistic into an approximate p-value. Returns 1 for tiny arguments and 0
 /// for very large ones.
-pub fn ks_q(lambda: f64) -> f64 {
+pub(crate) fn ks_q(lambda: f64) -> f64 {
     if lambda < 1e-8 {
         return 1.0;
     }

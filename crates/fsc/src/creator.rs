@@ -128,6 +128,42 @@ impl FscSpec {
         self
     }
 
+    /// The inodes a build of this spec for `n_users` allocates or reserves
+    /// on a fresh file system — its files, the four top-level directories,
+    /// and per user a home and a scratch directory — or `None` past `u64`.
+    /// [`FileSystemCreator::build`] refuses a file system with fewer left.
+    pub fn inode_demand(&self, n_users: usize) -> Option<u64> {
+        (self.file_demand(n_users)?)
+            .checked_add((n_users as u64).checked_mul(2)?)?
+            .checked_add(4)
+    }
+
+    /// Objects a build catalogs: the shared ones, and the personal ones of
+    /// every user. `None` past `u64`.
+    fn file_demand(&self, n_users: usize) -> Option<u64> {
+        let count = |owner, total| objects(self.shares(owner, total).iter().map(|s| s.1));
+        (count(Owner::User, self.files_per_user)?)
+            .checked_mul(n_users as u64)?
+            .checked_add(count(Owner::Other, self.shared_files)?)
+    }
+
+    /// `owner`'s pre-existing categories, each with the objects it gets
+    /// when `total` are shared out by fraction: rounded, at least one.
+    fn shares(&self, owner: Owner, total: u64) -> Vec<(&CategorySpec, u64)> {
+        let specs: Vec<&CategorySpec> = (self.categories.iter())
+            .filter(|c| c.category.owner == owner && c.category.preexisting())
+            .collect();
+        let frac_sum: f64 = specs.iter().map(|c| c.fraction).sum();
+        if frac_sum <= 0.0 || total == 0 {
+            return Vec::new();
+        }
+        let count = |spec: &CategorySpec| ((spec.fraction / frac_sum) * total as f64).round();
+        specs
+            .into_iter()
+            .map(|c| (c, count(c).max(1.0) as u64))
+            .collect()
+    }
+
     fn validate(&self) -> Result<(), FscError> {
         if self.categories.is_empty() {
             return Err(FscError::EmptySpec);
@@ -234,11 +270,11 @@ impl FileSystemCreator {
         let shared = self.plan(Owner::Other, self.spec.shared_files)?;
         let personal = self.plan(Owner::User, self.spec.files_per_user)?;
         check_fresh(vfs)?;
-        let files = file_demand(n_users, &shared, &personal);
-        let inodes = check_inode_demand(vfs, n_users, files)?;
-        let files = check_catalog_demand(vfs, files, inodes)?;
-        let shared_files = objects(&shared).expect("counted with the population") as usize;
-        let per_home = 2 + objects(&personal).expect("counted with the population");
+        let inodes = check_inode_demand(vfs, self.spec.inode_demand(n_users))?;
+        let files = check_catalog_demand(vfs, self.spec.file_demand(n_users), inodes)?;
+        let counted = |plan: &[PlannedCategory]| objects(plan.iter().map(|p| p.count));
+        let shared_files = counted(&shared).expect("counted with the population") as usize;
+        let per_home = 2 + counted(&personal).expect("counted with the population");
         let reserve = |table, bytes| FscError::Reserve { table, bytes };
         // A home is built whole, so one home's inodes must fit.
         let home = per_home.saturating_mul(Vfs::INODE_BYTES as u64);
@@ -302,22 +338,11 @@ impl FileSystemCreator {
     /// The pre-existing categories owned by `owner`, with `total` objects
     /// spread across them by renormalized fraction (at least one each).
     fn plan(&self, owner: Owner, total: u64) -> Result<Vec<PlannedCategory>, FscError> {
-        let specs: Vec<&CategorySpec> = self
-            .spec
-            .categories
-            .iter()
-            .filter(|c| c.category.owner == owner && c.category.preexisting())
-            .collect();
-        let frac_sum: f64 = specs.iter().map(|c| c.fraction).sum();
-        if frac_sum <= 0.0 || total == 0 {
-            return Ok(Vec::new());
-        }
-        specs
-            .into_iter()
-            .map(|spec| {
+        (self.spec.shares(owner, total).into_iter())
+            .map(|(spec, count)| {
                 Ok(PlannedCategory {
                     category: spec.category,
-                    count: ((spec.fraction / frac_sum) * total as f64).round().max(1.0) as u64,
+                    count,
                     size: spec.size.build()?,
                 })
             })
@@ -445,10 +470,9 @@ fn positive(name: &'static str, n: u64) -> Result<u64, FscError> {
     }
 }
 
-/// Objects of `plan`, `None` past `u64`.
-fn objects(plan: &[PlannedCategory]) -> Option<u64> {
-    plan.iter()
-        .try_fold(0u64, |sum, planned| sum.checked_add(planned.count))
+/// The sum of `counts`, `None` past `u64`.
+fn objects(mut counts: impl Iterator<Item = u64>) -> Option<u64> {
+    counts.try_fold(0u64, |sum, count| sum.checked_add(count))
 }
 
 /// Fails unless `vfs` hands out numbers in order from its table's end and
@@ -466,26 +490,10 @@ fn check_fresh(vfs: &Vfs) -> Result<(), FscError> {
     Ok(())
 }
 
-/// Objects a build catalogs: the shared ones, and the personal ones of
-/// every user. `None` past `u64`.
-fn file_demand(
-    n_users: usize,
-    shared: &[PlannedCategory],
-    personal: &[PlannedCategory],
-) -> Option<u64> {
-    objects(personal)?
-        .checked_mul(n_users as u64)?
-        .checked_add(objects(shared)?)
-}
-
-/// The inodes a build allocates or reserves on a fresh file system — the
-/// `files`, the four top-level directories, and per user a home and a
-/// scratch directory — or an error unless `vfs` has that many left.
-fn check_inode_demand(vfs: &Vfs, n_users: usize, files: Option<u64>) -> Result<usize, FscError> {
-    let demand = files
-        .zip((n_users as u64).checked_mul(2))
-        .and_then(|(files, dirs)| files.checked_add(dirs)?.checked_add(4))
-        .unwrap_or(u64::MAX);
+/// The inodes of `demand` ([`FscSpec::inode_demand`]), or an error unless
+/// `vfs` has that many left.
+fn check_inode_demand(vfs: &Vfs, demand: Option<u64>) -> Result<usize, FscError> {
+    let demand = demand.unwrap_or(u64::MAX);
     let stats = vfs.statfs();
     let available = stats.total_inodes.saturating_sub(stats.used_inodes);
     if demand > available {

@@ -153,7 +153,5 @@ mod tests {
         let cold = isolated_response(&mut m, &mut pool, &req, &mut rng, SimTime::ZERO);
         let warm = isolated_response(&mut m, &mut pool, &req, &mut rng, SimTime::from_secs(1));
         assert_eq!(warm, per_server.client_cpu_per_call, "cold was {cold}");
-        assert_eq!(m.cache_stats().read_hits, 1);
-        assert_eq!(m.cache_stats().read_misses, 1);
     }
 }

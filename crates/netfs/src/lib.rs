@@ -19,7 +19,10 @@
 //!   * N servers behind the one network, each file placed by a hash of its
 //!     inode number ([`NfsModel::distributed`], [`DistributedNfsParams`]);
 //! * [`WholeFileCacheModel`] — an AFS-like design that fetches whole files
-//!   on open and writes them back on close.
+//!   on open and writes them back on close;
+//! * [`ZeroModel`] — no stage at all: every call completes the instant it
+//!   is issued, so think times alone drive the clock (the usage studies of
+//!   Figures 5.3–5.5, where the measured quantity is the workload itself).
 //!
 //! Absolute latencies are parameters ([`NfsParams`], …); defaults are tuned
 //! so single-user response times land in the paper's microsecond range, but
@@ -62,6 +65,21 @@ pub trait ServiceModel: std::fmt::Debug + Send {
 
     /// Called when a file is removed, so caches can drop entries.
     fn invalidate(&mut self, _file: FileId) {}
+}
+
+/// The zero-stage model (`--model none`): every call's chain is empty, so
+/// it completes the instant it is issued and records a response of zero.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct ZeroModel;
+
+impl ServiceModel for ZeroModel {
+    fn name(&self) -> &str {
+        "none"
+    }
+
+    fn stages(&mut self, _req: &OpRequest, _rng: &mut dyn RngCore) -> Vec<Stage> {
+        Vec::new()
+    }
 }
 
 /// The jitter a model adds to one disk service: a draw from

@@ -51,11 +51,6 @@ impl LocalDiskModel {
         let disk = pool.add(Resource::new("local.disk", 1));
         Self { params, cpu, disk }
     }
-
-    /// The model's parameters.
-    pub fn params(&self) -> &LocalDiskParams {
-        &self.params
-    }
 }
 
 impl ServiceModel for LocalDiskModel {
@@ -177,6 +172,5 @@ mod tests {
         let mut pool = ResourcePool::new();
         let m = LocalDiskModel::new(&mut pool, LocalDiskParams::default());
         assert_eq!(m.name(), "local");
-        assert_eq!(m.params().cpu_per_call, 50);
     }
 }

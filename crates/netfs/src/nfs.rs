@@ -84,15 +84,6 @@ impl NfsParams {
     }
 }
 
-/// Counters describing cache effectiveness.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CacheStats {
-    /// Read calls fully served from the client cache.
-    pub read_hits: u64,
-    /// Read calls that went to the server.
-    pub read_misses: u64,
-}
-
 /// The NFS-like client/server timing model. See the module documentation for the full model description.
 #[derive(Debug)]
 pub struct NfsModel {
@@ -103,7 +94,6 @@ pub struct NfsModel {
     /// `(CPU, disk)` of each file server.
     servers: Vec<(ResourceId, ResourceId)>,
     cache: Option<LruSet<(FileId, u64)>>,
-    cache_stats: CacheStats,
 }
 
 /// Stages of the longest remote round trip (the one that touches the disk):
@@ -159,23 +149,12 @@ impl NfsModel {
             network,
             servers,
             cache: (params.cache_blocks > 0).then(|| LruSet::new(params.cache_blocks)),
-            cache_stats: CacheStats::default(),
         }
-    }
-
-    /// The model's parameters (each server's, when there are several).
-    pub fn params(&self) -> &NfsParams {
-        &self.params
-    }
-
-    /// Cache hit/miss counters (all zero when the cache is disabled).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache_stats
     }
 
     /// The server a file lives on: the only one, or else a Fibonacci hash
     /// of the inode number (stable, well spread).
-    pub fn server_of(&self, file: FileId) -> usize {
+    pub(crate) fn server_of(&self, file: FileId) -> usize {
         match self.servers.len() {
             1 => 0,
             n => (file.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % n,
@@ -268,14 +247,10 @@ impl ServiceModel for NfsModel {
         match req.kind {
             OpKind::Read => {
                 if self.cache_covers(req.file, req.offset, req.bytes) {
-                    self.cache_stats.read_hits += 1;
                     return vec![Stage::Service {
                         resource: self.client_cpu,
                         micros: p.client_cpu_per_call,
                     }];
-                }
-                if self.cache.is_some() {
-                    self.cache_stats.read_misses += 1;
                 }
                 let disk = p.server_disk_per_op
                     + (req.bytes as f64 * p.server_disk_per_byte).round() as u64
@@ -415,8 +390,6 @@ mod tests {
         let cold = response(&mut m, &mut pool, &req, 1);
         let warm = response(&mut m, &mut pool, &req, 2);
         assert!(warm < cold / 5, "warm {warm} vs cold {cold}");
-        assert_eq!(m.cache_stats().read_hits, 1);
-        assert_eq!(m.cache_stats().read_misses, 1);
     }
 
     #[test]
@@ -439,19 +412,16 @@ mod tests {
             again > cold,
             "after unlink the read must miss: {again} vs {cold}"
         );
-        assert_eq!(m.cache_stats().read_misses, 2);
     }
 
     #[test]
     fn writes_are_write_through_even_with_cache() {
         let mut pool = ResourcePool::new();
-        let mut m = NfsModel::new(
-            &mut pool,
-            NfsParams {
-                disk_jitter: 0,
-                ..NfsParams::with_cache(1024)
-            },
-        );
+        let params = NfsParams {
+            disk_jitter: 0,
+            ..NfsParams::with_cache(1024)
+        };
+        let mut m = NfsModel::new(&mut pool, params);
         let w = OpRequest::data(0, OpKind::Write, FileId(4), 0, 1024, 1024);
         let t1 = response(&mut m, &mut pool, &w, 1);
         let t2 = response(&mut m, &mut pool, &w, 2);
@@ -459,7 +429,7 @@ mod tests {
         // But the written block satisfies a later read.
         let r = OpRequest::data(0, OpKind::Read, FileId(4), 0, 1024, 1024);
         let tr = response(&mut m, &mut pool, &r, 3);
-        assert_eq!(tr, m.params().client_cpu_per_call);
+        assert_eq!(tr, params.client_cpu_per_call);
     }
 
     #[test]

@@ -54,15 +54,6 @@ impl ResourceStats {
         }
     }
 
-    /// Mean service time per job, in microseconds.
-    pub fn mean_service(&self) -> f64 {
-        if self.jobs == 0 {
-            0.0
-        } else {
-            self.total_service as f64 / self.jobs as f64
-        }
-    }
-
     /// Fraction of `elapsed` the servers spent busy (per-server average).
     ///
     /// Work-conserving FIFO means busy time equals dispensed service time.
@@ -139,25 +130,9 @@ impl Resource {
         }
     }
 
-    /// Earliest time at which a job arriving now could start service.
-    pub fn earliest_start(&self, now: SimTime) -> SimTime {
-        let free = self.free_at.iter().copied().min().expect("capacity > 0");
-        now.max(free)
-    }
-
-    /// Number of servers busy at time `now`.
-    pub fn busy_at(&self, now: SimTime) -> usize {
-        self.free_at.iter().filter(|&&t| t > now).count()
-    }
-
     /// Cumulative statistics.
     pub fn stats(&self) -> ResourceStats {
         self.stats
-    }
-
-    /// Resets statistics (e.g. after a warm-up period), keeping server state.
-    pub fn reset_stats(&mut self) {
-        self.stats = ResourceStats::default();
     }
 }
 
@@ -217,13 +192,6 @@ impl ResourcePool {
     pub fn is_empty(&self) -> bool {
         self.resources.is_empty()
     }
-
-    /// Resets statistics on every resource.
-    pub fn reset_stats(&mut self) {
-        for r in &mut self.resources {
-            r.reset_stats();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -267,7 +235,6 @@ mod tests {
         assert_eq!(a.waited, 0);
         assert_eq!(b.waited, 0);
         assert_eq!(c.start, SimTime::from_micros(100));
-        assert_eq!(r.busy_at(SimTime::from_micros(50)), 2);
     }
 
     #[test]
@@ -281,7 +248,6 @@ mod tests {
         assert_eq!(s.total_wait, 10);
         assert_eq!(s.max_wait, 10);
         assert!((s.mean_wait() - 5.0).abs() < 1e-12);
-        assert!((s.mean_service() - 20.0).abs() < 1e-12);
     }
 
     #[test]
@@ -291,31 +257,6 @@ mod tests {
         let u = r.stats().utilization(SimTime::from_micros(1_000), 1);
         assert!((u - 0.5).abs() < 1e-12);
         assert_eq!(r.stats().utilization(SimTime::ZERO, 1), 0.0);
-    }
-
-    #[test]
-    fn reset_stats_keeps_server_state() {
-        let mut r = Resource::new("cpu", 1);
-        r.serve(SimTime::ZERO, 100);
-        r.reset_stats();
-        assert_eq!(r.stats().jobs, 0);
-        // Server still busy until 100.
-        let out = r.serve(SimTime::from_micros(10), 10);
-        assert_eq!(out.start, SimTime::from_micros(100));
-    }
-
-    #[test]
-    fn earliest_start_reflects_backlog() {
-        let mut r = Resource::new("disk", 1);
-        r.serve(SimTime::ZERO, 100);
-        assert_eq!(
-            r.earliest_start(SimTime::from_micros(10)),
-            SimTime::from_micros(100)
-        );
-        assert_eq!(
-            r.earliest_start(SimTime::from_micros(200)),
-            SimTime::from_micros(200)
-        );
     }
 
     #[test]
@@ -330,7 +271,5 @@ mod tests {
         assert_eq!(pool.get(disk).stats().jobs, 1);
         let names: Vec<&str> = pool.iter().map(|(_, r)| r.name()).collect();
         assert_eq!(names, vec!["cpu", "disk"]);
-        pool.reset_stats();
-        assert_eq!(pool.get(disk).stats().jobs, 0);
     }
 }

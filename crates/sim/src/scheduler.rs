@@ -21,7 +21,7 @@ pub trait World {
 /// The event queue's data structure, as specs and `uswg run --scheduler`
 /// name it.
 ///
-/// There is one: the calendar queue (see [`CalendarQueue`]), O(1)
+/// There is one: the calendar queue (`calendar.rs`), O(1)
 /// amortized per operation. The enum exists so that specs naming
 /// `"calendar"` still parse; choosing it changes nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -311,11 +311,6 @@ impl<W: World> Simulation<W> {
         &self.world
     }
 
-    /// Exclusive access to the world.
-    pub fn world_mut(&mut self) -> &mut W {
-        &mut self.world
-    }
-
     /// Consumes the simulation, returning the world.
     pub fn into_world(self) -> W {
         self.world
@@ -523,8 +518,8 @@ mod tests {
         assert_eq!(sim.run(), 3);
         assert_eq!(sim.pending(), 0);
         assert_eq!(sim.world().handled, 3);
-        // The scheduler is still usable afterwards.
-        sim.world_mut().stop = u32::MAX;
+        // The scheduler is still usable afterwards (events past 2 never
+        // halt).
         sim.schedule(1, 5);
         assert_eq!(sim.run_steps(4), 4);
     }

@@ -52,16 +52,6 @@ impl CompiledUserType {
         &self.name
     }
 
-    /// Mean think time recorded from the spec, µs.
-    pub fn mean_think_time(&self) -> f64 {
-        self.think_time.mean()
-    }
-
-    /// Mean access size recorded from the spec, bytes.
-    pub fn mean_access_size(&self) -> f64 {
-        self.access_size.mean()
-    }
-
     /// Fresh behaviour state (phase chain at state 0) for one user.
     pub fn new_behavior(&self) -> BehaviorState {
         BehaviorState::default()
@@ -92,20 +82,6 @@ impl CompiledUserType {
             .as_ref()
             .map_or(1.0, |d| d.factor_at(now_micros));
         (base * factor).round().max(0.0) as u64
-    }
-
-    /// Total CDF-table bytes held by this type — the memory cost the paper
-    /// flags in Section 4.2 ("the product of the number of user types,
-    /// number of file types, and the number of sample values").
-    pub fn table_memory_bytes(&self) -> usize {
-        self.think_time.memory_bytes()
-            + self.access_size.memory_bytes()
-            + self.inter_session_time.memory_bytes()
-            + self
-                .categories
-                .iter()
-                .map(|c| c.file_size.memory_bytes() + c.files.memory_bytes())
-                .sum::<usize>()
     }
 }
 
@@ -183,11 +159,6 @@ impl CompiledPopulation {
     pub fn type_of(&self, i: usize, n_users: usize) -> usize {
         crate::spec::type_of(self.fractions.iter().copied(), i, n_users)
     }
-
-    /// Total CDF-table memory across all types, bytes.
-    pub fn table_memory_bytes(&self) -> usize {
-        self.types.iter().map(|t| t.table_memory_bytes()).sum()
-    }
 }
 
 pub(crate) fn uniform01(rng: &mut dyn RngCore) -> f64 {
@@ -221,18 +192,6 @@ mod tests {
         let t = &pop.types()[0];
         assert_eq!(t.name(), "heavy");
         assert_eq!(t.categories.len(), 2);
-        assert!((t.mean_think_time() - 5000.0).abs() < 1e-9);
-        assert!((t.mean_access_size() - 1024.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn memory_scales_with_resolution() {
-        let lo = CompiledPopulation::compile(&population(), 64).unwrap();
-        let hi = CompiledPopulation::compile(&population(), 640).unwrap();
-        // Near-linear in resolution; the degenerate constant inter-session
-        // table (2 points at any resolution) keeps it just under 10×.
-        assert!(hi.table_memory_bytes() > 9 * lo.table_memory_bytes());
-        assert!(hi.table_memory_bytes() <= 10 * lo.table_memory_bytes());
     }
 
     #[test]

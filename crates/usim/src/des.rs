@@ -1,12 +1,15 @@
 //! The discrete-event driver: all users run concurrently in simulated time
 //! against a file-system timing model.
 //!
-//! This is the reproduction of the paper's measurement setup. Each user
-//! alternates between thinking and issuing a system call; the call's
-//! semantic effect executes against the VFS immediately, while its latency
-//! is the traversal of the timing model's stage chain through the shared
-//! resource pool. Response times therefore include queueing behind every
-//! other user — the effect Chapter 5 measures.
+//! This is the reproduction of the paper's measurement setup, and the only
+//! driver. Each user alternates between thinking and issuing a system call;
+//! the call's semantic effect executes against the VFS immediately, while
+//! its latency is the traversal of the timing model's stage chain through
+//! the shared resource pool. Response times therefore include queueing
+//! behind every other user — the effect Chapter 5 measures. Under the
+//! zero-stage model ([`ZeroModel`](uswg_netfs::ZeroModel)) the chain is
+//! empty: every call completes the instant it is issued and think times
+//! alone drive the clock — the usage study of Figures 5.3–5.5.
 //!
 //! # Memory layout: cold columns, hot slots
 //!
@@ -182,9 +185,9 @@ struct UsimWorld<S: LogSink> {
     pool: ResourcePool,
     model: Box<dyn ServiceModel>,
     /// Separate stream for model randomness (disk jitter), so the timing
-    /// model never perturbs the users' operation selection: the same seed
-    /// produces the same op stream under every model and under the direct
-    /// driver.
+    /// model never perturbs the users' operation selection: a user's draws
+    /// are the same under every model, and only the interleaving of users
+    /// (through files they share) depends on it.
     model_rng: StdRng,
     population: CompiledPopulation,
     config: RunConfig,
@@ -399,9 +402,9 @@ const MODEL_SEED_XOR: u64 = 0x4D4F_4445_4C00_0001;
 /// user's id.
 const USER_SEED_MUL: u64 = 0x9E37_79B9;
 
-/// User `user`'s PRNG stream under run seed `seed` — the one both drivers
-/// draw a user's sessions from.
-pub(crate) fn user_rng(seed: u64, user: usize) -> StdRng {
+/// User `user`'s PRNG stream under run seed `seed` — the one a user's
+/// sessions are drawn from.
+pub fn user_rng(seed: u64, user: usize) -> StdRng {
     StdRng::seed_from_u64(seed ^ (user as u64).wrapping_mul(USER_SEED_MUL))
 }
 
@@ -476,7 +479,28 @@ impl DesDriver {
     #[allow(clippy::too_many_arguments)]
     pub fn run_with_sink<S: LogSink>(
         &self,
-        vfs: Vfs,
+        mut vfs: Vfs,
+        catalog: FileCatalog,
+        population: &CompiledPopulation,
+        model: Box<dyn ServiceModel>,
+        pool: ResourcePool,
+        config: &RunConfig,
+        sink: S,
+    ) -> Result<(S, DesRunStats), UsimError> {
+        self.run_on(&mut vfs, catalog, population, model, pool, config, sink)
+    }
+
+    /// [`Self::run_with_sink`] on a file system the caller keeps: `vfs`
+    /// holds the run's final state when it returns, so its counters and
+    /// free space can be read.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::run_with_sink`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_on<S: LogSink>(
+        &self,
+        vfs: &mut Vfs,
         catalog: FileCatalog,
         population: &CompiledPopulation,
         model: Box<dyn ServiceModel>,
@@ -487,10 +511,12 @@ impl DesDriver {
         config.validate()?;
         let users = UserArena::build(population, config.seed, config.n_users);
         let model_name = model.name().to_string();
-        let mut sim = simulation(vfs, catalog, population, model, pool, config, users, sink);
+        let owned = std::mem::replace(vfs, Vfs::new(*vfs.config()));
+        let mut sim = simulation(owned, catalog, population, model, pool, config, users, sink);
         let events = sim.run();
         let duration = sim.now();
         let world = sim.into_world();
+        *vfs = world.vfs;
         if let Some(e) = world.error {
             return Err(e);
         }

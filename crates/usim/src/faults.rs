@@ -130,14 +130,14 @@ impl FaultSpec {
 
     /// Draws whether this attempt fails transiently. Consumes one PRNG
     /// value when `fault_ppm > 0`, none otherwise.
-    pub fn sample_fault(&self, rng: &mut dyn RngCore) -> bool {
+    pub(crate) fn sample_fault(&self, rng: &mut dyn RngCore) -> bool {
         self.fault_ppm > 0 && rng.next_u64() % PPM_SCALE < u64::from(self.fault_ppm)
     }
 
     /// Draws the spike latency for an operation's first attempt: `Some`
     /// when the spike fires. Consumes one PRNG value when spikes are
     /// configured, none otherwise.
-    pub fn sample_spike(&self, rng: &mut dyn RngCore) -> Option<u64> {
+    pub(crate) fn sample_spike(&self, rng: &mut dyn RngCore) -> Option<u64> {
         if self.spike_ppm == 0 || self.spike_micros == 0 {
             return None;
         }

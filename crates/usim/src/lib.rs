@@ -14,16 +14,18 @@
 //! time (Table 5.4). All distributions are compiled to CDF tables — the GDS
 //! artifact — before simulation.
 //!
-//! Two drivers execute the generated operation stream:
+//! One driver executes the generated operation stream: [`DesDriver`] runs
+//! all users concurrently in **simulated time** against a
+//! [`ServiceModel`](uswg_netfs::ServiceModel). Under a queueing model it
+//! produces the response times of the paper's Chapter 5 experiments; under
+//! the zero-stage [`ZeroModel`](uswg_netfs::ZeroModel) every call completes
+//! the instant it is issued and think times alone drive the clock, which is
+//! the usage-distribution study of Figures 5.3–5.5. Either way a run is a
+//! pure function of (spec, seed). It records a [`UsageLog`] — the paper's
+//! "usage log file" — or streams into any other [`LogSink`].
 //!
-//! * [`DesDriver`] runs all users concurrently in **simulated time** against
-//!   a [`ServiceModel`](uswg_netfs::ServiceModel), producing the response
-//!   times of the paper's Chapter 5 experiments;
-//! * [`DirectDriver`] runs sessions back-to-back against the
-//!   [`Vfs`](uswg_vfs::Vfs) with no timing model, for usage-distribution
-//!   studies (Figures 5.3–5.5) and throughput benchmarking.
-//!
-//! Both record a [`UsageLog`] — the paper's "usage log file".
+//! [`Session`] is the per-login engine the driver steps, exported so that a
+//! test can run sessions without the scheduler as an independent oracle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,12 +45,12 @@ mod stats;
 mod temporal;
 
 pub use compile::{BehaviorState, CompiledPopulation, CompiledUserType};
-pub use des::{DesDriver, DesRunStats};
+pub use des::{user_rng, DesDriver, DesRunStats};
 pub use direct::DirectDriver;
 pub use error::UsimError;
 pub use faults::{FaultSpec, RetryPolicy, PPM_SCALE};
 pub use log::{OpRecord, SessionRecord, UsageLog};
-pub use session::MAX_ACCESS_BYTES;
+pub use session::{ExecutedOp, Session, MAX_ACCESS_BYTES};
 pub use sink::{ChannelSink, LogSink, OpKindSummary, SummarySink, UserTypeStream};
 pub use spec::{AccessPattern, CategoryUsage, PopulationSpec, RunConfig, UserTypeSpec};
 pub use spill::{

@@ -9,8 +9,7 @@ use uswg_netfs::OpKind;
 /// One executed file-access system call.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OpRecord {
-    /// Issue time, µs (simulated time for the DES driver, elapsed run time
-    /// for the direct driver).
+    /// Issue time, simulated µs.
     pub at: u64,
     /// The issuing user.
     pub user: usize,

@@ -29,8 +29,10 @@ const OP_GUARD_SLACK: u64 = 64;
 
 /// One executed system call, ready for timing and logging.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct ExecutedOp {
+pub struct ExecutedOp {
+    /// The call as the timing model sees it.
     pub request: OpRequest,
+    /// The category of the file it named.
     pub category: FileCategory,
 }
 
@@ -124,7 +126,7 @@ impl Task {
 
 /// One login session of one user.
 #[derive(Debug)]
-pub(crate) struct Session {
+pub struct Session {
     /// The session's record as it grows: who and `start` from login, the
     /// totals as calls execute (`total_response` is the driver's to add),
     /// `end` and `bytes_accessed` at logout ([`Session::finish`]).

@@ -61,7 +61,7 @@ impl<A: LogSink, B: LogSink> LogSink for (A, B) {
 /// consumer side of this sink is an op stream).
 ///
 /// If the receiver goes away the sink stops sending and the run finishes
-/// normally; [`ChannelSink::is_disconnected`] reports that it happened.
+/// normally.
 #[derive(Debug)]
 pub struct ChannelSink {
     tx: SyncSender<OpRecord>,
@@ -80,11 +80,6 @@ impl ChannelSink {
             },
             rx,
         )
-    }
-
-    /// True once the receiver has hung up; later records are discarded.
-    pub fn is_disconnected(&self) -> bool {
-        self.disconnected
     }
 }
 
@@ -667,21 +662,19 @@ mod tests {
             for i in 0..100u64 {
                 sink.record_op(&op(OpKind::Read, i + 1, i));
             }
-            sink.is_disconnected()
         });
         let got: Vec<u64> = rx.iter().map(|record| record.response).collect();
         assert_eq!(got, (0..100).collect::<Vec<_>>());
-        assert!(!producer.join().unwrap());
+        producer.join().unwrap();
     }
 
     #[test]
     fn channel_sink_survives_a_hung_up_receiver() {
         let (mut sink, rx) = ChannelSink::bounded(1);
         drop(rx);
-        // No panic, records silently discarded, and the hangup is visible.
+        // No panic, records silently discarded.
         sink.record_op(&op(OpKind::Read, 8, 1));
         sink.record_op(&op(OpKind::Write, 8, 2));
-        assert!(sink.is_disconnected());
     }
 
     #[test]

@@ -123,7 +123,7 @@ pub(super) fn decode_entries(counted: &[u8]) -> io::Result<Vec<FrameIndexEntry>>
 /// [`SpillSink::finish`](super::SpillSink::finish) appends after the end
 /// marker. [`FrameIndex::load`] finds the footer by seeking to the
 /// fixed-size trailer at EOF, so a multi-gigabyte capture answers "which
-/// frames overlap t∈[a,b]" from a few dozen kilobytes of index — the entry
+/// frames overlap t∈\[a,b\]" from a few dozen kilobytes of index — the entry
 /// point of `uswg analyze --since/--until/--sample/--jobs`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrameIndex {

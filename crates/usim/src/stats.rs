@@ -47,12 +47,6 @@ impl Summary {
         }
     }
 
-    /// Summarizes an iterator of integers (common for byte/µs counts).
-    pub fn of_counts<I: IntoIterator<Item = u64>>(values: I) -> Self {
-        let collected: Vec<f64> = values.into_iter().map(|v| v as f64).collect();
-        Self::of(&collected)
-    }
-
     /// The `p`-quantile (0–1) of a sample by linear interpolation.
     ///
     /// # Panics
@@ -278,12 +272,6 @@ mod tests {
         assert_eq!(s.std_dev, 0.0);
         assert_eq!(s.min, 42.0);
         assert_eq!(s.max, 42.0);
-    }
-
-    #[test]
-    fn of_counts_converts() {
-        let s = Summary::of_counts([1u64, 2, 3]);
-        assert!((s.mean - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -120,11 +120,6 @@ impl PhaseModel {
         )
     }
 
-    /// The phases.
-    pub fn states(&self) -> &[PhaseState] {
-        &self.states
-    }
-
     /// Steps the chain: given the current state and a uniform draw `u` in
     /// `[0, 1)`, returns the next state index.
     pub fn step(&self, current: usize, u: f64) -> usize {
@@ -191,7 +186,7 @@ impl DiurnalProfile {
     }
 
     /// The factor in effect at simulated time `micros`.
-    pub fn factor_at(&self, micros: u64) -> f64 {
+    pub(crate) fn factor_at(&self, micros: u64) -> f64 {
         const HOUR_US: u64 = 3_600_000_000;
         let hour = (micros / HOUR_US) % 24;
         self.hourly[hour as usize]
@@ -232,7 +227,6 @@ mod tests {
     #[test]
     fn io_cpu_helper() {
         let m = PhaseModel::io_cpu(0.2, 5.0, 0.9).unwrap();
-        assert_eq!(m.states().len(), 2);
         assert!((m.scale(0) - 0.2).abs() < 1e-12);
         assert!((m.scale(1) - 5.0).abs() < 1e-12);
         assert!(PhaseModel::io_cpu(0.2, 5.0, 1.5).is_err());

@@ -1,13 +1,16 @@
-//! End-to-end tests of both USIM drivers on a small Table-5.2-like workload.
+//! End-to-end tests of the USIM driver, under the zero-stage model and the
+//! queueing ones, on a small Table-5.2-like workload.
 
 use uswg_distr::DistributionSpec;
 use uswg_fsc::FillPattern::{self, Sparse};
 use uswg_fsc::{CategorySpec, FileCatalog, FileCategory, FileSystemCreator, FileType, FscSpec};
-use uswg_netfs::{LocalDiskModel, LocalDiskParams, NfsModel, NfsParams, OpKind, ServiceModel};
+use uswg_netfs::{
+    LocalDiskModel, LocalDiskParams, NfsModel, NfsParams, OpKind, ServiceModel, ZeroModel,
+};
 use uswg_sim::ResourcePool;
 use uswg_usim::{
-    CategoryUsage, CompiledPopulation, DesDriver, DesRunStats, DirectDriver, LogSink,
-    PopulationSpec, RunConfig, UsageLog, UserTypeSpec,
+    CategoryUsage, CompiledPopulation, DesDriver, DesRunStats, LogSink, PopulationSpec, RunConfig,
+    UsageLog, UserTypeSpec,
 };
 use uswg_vfs::{Vfs, VfsConfig};
 
@@ -81,13 +84,17 @@ fn compiled(think_us: f64, resolution: usize) -> CompiledPopulation {
     CompiledPopulation::compile(&population(think_us), resolution).unwrap()
 }
 
-fn direct(
+/// A run under the zero-stage model on a file system the caller keeps, so
+/// its final state can be read.
+fn unmodelled(
     vfs: &mut Vfs,
     files: &FileCatalog,
     pop: &CompiledPopulation,
     run: &RunConfig,
 ) -> UsageLog {
-    DirectDriver::new().run(vfs, files, pop, run).unwrap()
+    let (model, pool) = (Box::new(ZeroModel), ResourcePool::new());
+    let des = DesDriver::new().run_on(vfs, files.clone(), pop, model, pool, run, UsageLog::new());
+    des.unwrap().0
 }
 
 /// A DES run over `fs` into `sink`, under the NFS model or the local disk's.
@@ -113,15 +120,16 @@ fn config(users: usize, sessions: u32, seed: u64) -> RunConfig {
     config.with_sessions(sessions).with_seed(seed)
 }
 
-/// Over real blocks and over holes alike. The file system counts every read
-/// and every byte the log says a file read moved (directory reads go
-/// through `readdir`).
+/// A run under the zero-stage model (the test keeps the name of the
+/// sequential driver it replaced), over real blocks and over holes alike.
+/// The file system counts every read and every byte the log says a file
+/// read moved (directory reads go through `readdir`).
 #[test]
 fn direct_driver_produces_sessions_and_ops() {
     for fill in [FillPattern::Pattern, FillPattern::Sparse] {
         let (mut vfs, catalog) = build_fs(2, 1, fill);
         vfs.reset_counters();
-        let log = direct(&mut vfs, &catalog, &compiled(0.0, 512), &config(2, 5, 7));
+        let log = unmodelled(&mut vfs, &catalog, &compiled(0.0, 512), &config(2, 5, 7));
 
         assert_eq!(log.sessions().len(), 10);
         assert!(!log.ops().is_empty());
@@ -149,7 +157,7 @@ fn op_stream_respects_logical_constraints() {
     let (mut vfs, catalog) = build_fs(1, 2, Sparse);
     let pop = compiled(0.0, 512);
     let config = config(1, 3, 3);
-    let log = direct(&mut vfs, &catalog, &pop, &config);
+    let log = unmodelled(&mut vfs, &catalog, &pop, &config);
 
     // Per (session, ino): open/creat before any read/write; close after.
     // A file may be referenced by several concurrent tasks in one session
@@ -213,7 +221,7 @@ fn temp_files_do_not_accumulate() {
     );
     let pop = CompiledPopulation::compile(&PopulationSpec::single(utype).unwrap(), 256).unwrap();
     let config = config(1, 10, 11);
-    let log = direct(&mut vfs, &catalog, &pop, &config);
+    let log = unmodelled(&mut vfs, &catalog, &pop, &config);
     let creates = log.ops().iter().filter(|o| o.op == OpKind::Create).count();
     let unlinks = log.ops().iter().filter(|o| o.op == OpKind::Unlink).count();
     assert!(creates > 0, "temp workload must create files");
@@ -278,21 +286,23 @@ fn des_contention_raises_response_times() {
     );
 }
 
+/// The zero-stage model against the local disk's (named for the sequential
+/// driver the first side once was).
 #[test]
 fn des_and_direct_semantics_agree() {
-    // The same seed produces the same op stream regardless of driver,
-    // because op generation only consumes the per-user RNG.
+    // A lone user's op stream is the same under every model, because op
+    // generation only consumes the per-user RNG.
     let (mut vfs1, catalog1) = build_fs(1, 8, Sparse);
     let pop = compiled(0.0, 512);
     let config = config(1, 2, 9);
-    let direct = direct(&mut vfs1, &catalog1, &pop, &config);
+    let none = unmodelled(&mut vfs1, &catalog1, &pop, &config);
 
     let (vfs2, catalog2) = build_fs(1, 8, Sparse);
     let (des_log, _) = des((vfs2, catalog2), &pop, &config, false, UsageLog::new());
 
-    let seq_direct: Vec<(OpKind, u64)> = direct.ops().iter().map(|o| (o.op, o.bytes)).collect();
+    let seq_none: Vec<(OpKind, u64)> = none.ops().iter().map(|o| (o.op, o.bytes)).collect();
     let seq_des: Vec<(OpKind, u64)> = des_log.ops().iter().map(|o| (o.op, o.bytes)).collect();
-    assert_eq!(seq_direct, seq_des);
+    assert_eq!(seq_none, seq_des);
 }
 
 #[test]
@@ -300,7 +310,7 @@ fn log_round_trips_through_json() {
     let (mut vfs, catalog) = build_fs(1, 10, Sparse);
     let pop = compiled(0.0, 256);
     let config = config(1, 1, 13);
-    let log = direct(&mut vfs, &catalog, &pop, &config);
+    let log = unmodelled(&mut vfs, &catalog, &pop, &config);
     let json = log.to_json().unwrap();
     let back = uswg_usim::UsageLog::from_json(&json).unwrap();
     assert_eq!(back.ops().len(), log.ops().len());
@@ -340,7 +350,7 @@ fn deterministic_given_seed() {
         let (mut vfs, catalog) = build_fs(2, 42, Sparse);
         let pop = compiled(0.0, 256);
         let config = config(2, 3, seed);
-        let log = direct(&mut vfs, &catalog, &pop, &config);
+        let log = unmodelled(&mut vfs, &catalog, &pop, &config);
         log.ops()
             .iter()
             .map(|o| (o.user, o.op, o.bytes, o.ino))
@@ -356,7 +366,7 @@ fn record_ops_off_still_counts_sessions() {
     let pop = compiled(0.0, 256);
     let mut config = config(1, 4, 15);
     config.record_ops = false;
-    let log = direct(&mut vfs, &catalog, &pop, &config);
+    let log = unmodelled(&mut vfs, &catalog, &pop, &config);
     assert!(log.ops().is_empty());
     assert_eq!(log.sessions().len(), 4);
     assert!(log.sessions().iter().any(|s| s.ops > 0));
@@ -437,10 +447,11 @@ fn fnv(bytes: &[u8]) -> u64 {
 /// `ENOSPC` and inode exhaustion strike at the same operations as when
 /// every home was built before the first login: a pattern-filled file
 /// system six blocks and eight inodes above what its build takes, six users
-/// creating `NEW` and `TEMP` files in it over four sessions each. The pins
-/// were read off the build that created every home up front: the DES
-/// capture's digest, the direct driver's op stream (response times aside,
-/// which it takes from the host's clock), and its final counts.
+/// creating `NEW` and `TEMP` files in it over four sessions each. The NFS
+/// capture's digest was read off the build that created every home up
+/// front. The op stream under the zero-stage model and its final counts
+/// were read when that model replaced the sequential driver, whose stream
+/// ran one user after another: the counts are the ones it reached.
 #[test]
 fn a_full_device_fails_the_same_operations_as_when_every_home_stood() {
     use uswg_usim::SpillSink;
@@ -459,7 +470,7 @@ fn a_full_device_fails_the_same_operations_as_when_every_home_stood() {
     let capture = fnv(&des(fs(), &pop, &run, true, sink).0.finish().unwrap());
 
     let (mut vfs, catalog) = fs();
-    let log = direct(&mut vfs, &catalog, &pop, &run);
+    let log = unmodelled(&mut vfs, &catalog, &pop, &run);
     let ops = log.ops().iter();
     let calls = ops.map(|o| {
         format!(
@@ -472,7 +483,7 @@ fn a_full_device_fails_the_same_operations_as_when_every_home_stood() {
     println!("capture {capture:#x} stream {stream:#x} counts {counts:?} of {blocks} + 6 blocks, {inodes} + 8 inodes");
     let pinned = (
         0x25c6_cc26_ed57_69ac,
-        0x41c4_d7d4_86af_ca5b,
+        0x782e_05a3_6bbf_7962,
         (103 + 8, 154 + 6),
     );
     assert_eq!((capture, stream, counts), pinned, "both limits are reached");

@@ -5,8 +5,8 @@ use uswg_distr::DistributionSpec;
 use uswg_fsc::{CategorySpec, FileCatalog, FileCategory, FileSystemCreator, FillPattern, FscSpec};
 use uswg_netfs::OpKind;
 use uswg_usim::{
-    AccessPattern, CategoryUsage, CompiledPopulation, DesDriver, DirectDriver, DiurnalProfile,
-    PhaseModel, PopulationSpec, RunConfig, UsageLog, UserTypeSpec,
+    AccessPattern, CategoryUsage, CompiledPopulation, DesDriver, DiurnalProfile, PhaseModel,
+    PopulationSpec, RunConfig, UsageLog, UserTypeSpec,
 };
 use uswg_vfs::{Vfs, VfsConfig};
 
@@ -29,6 +29,19 @@ fn build_fs(n_users: usize, seed: u64) -> (Vfs, FileCatalog) {
     (vfs, catalog)
 }
 
+/// A run under the zero-stage model: every call completes when issued.
+fn unmodelled(
+    (vfs, catalog): (Vfs, FileCatalog),
+    pop: &CompiledPopulation,
+    config: &RunConfig,
+) -> UsageLog {
+    let model = Box::new(uswg_netfs::ZeroModel);
+    let pool = uswg_sim::ResourcePool::new();
+    let des =
+        DesDriver::new().run_with_sink(vfs, catalog, pop, model, pool, config, UsageLog::new());
+    des.unwrap().0
+}
+
 fn rdonly_user(pattern: AccessPattern) -> UserTypeSpec {
     UserTypeSpec::new(
         "reader",
@@ -43,7 +56,7 @@ fn rdonly_user(pattern: AccessPattern) -> UserTypeSpec {
 
 #[test]
 fn random_access_interleaves_seeks() {
-    let (mut vfs, catalog) = build_fs(1, 1);
+    let (vfs, catalog) = build_fs(1, 1);
     let pop = CompiledPopulation::compile(
         &PopulationSpec::single(rdonly_user(AccessPattern::Random)).unwrap(),
         256,
@@ -53,9 +66,7 @@ fn random_access_interleaves_seeks() {
         .with_users(1)
         .with_sessions(3)
         .with_seed(5);
-    let log = DirectDriver::new()
-        .run(&mut vfs, &catalog, &pop, &config)
-        .unwrap();
+    let log = unmodelled((vfs, catalog), &pop, &config);
     let seeks = log.ops().iter().filter(|o| o.op == OpKind::Seek).count();
     let reads = log.ops().iter().filter(|o| o.op == OpKind::Read).count();
     assert!(reads > 10);
@@ -69,7 +80,7 @@ fn random_access_interleaves_seeks() {
 
 #[test]
 fn sequential_access_seeks_rarely() {
-    let (mut vfs, catalog) = build_fs(1, 1);
+    let (vfs, catalog) = build_fs(1, 1);
     let pop = CompiledPopulation::compile(
         &PopulationSpec::single(rdonly_user(AccessPattern::Sequential)).unwrap(),
         256,
@@ -79,9 +90,7 @@ fn sequential_access_seeks_rarely() {
         .with_users(1)
         .with_sessions(3)
         .with_seed(5);
-    let log = DirectDriver::new()
-        .run(&mut vfs, &catalog, &pop, &config)
-        .unwrap();
+    let log = unmodelled((vfs, catalog), &pop, &config);
     let seeks = log.ops().iter().filter(|o| o.op == OpKind::Seek).count();
     let reads = log.ops().iter().filter(|o| o.op == OpKind::Read).count();
     // Sequential: only wraparound seeks (~1 per whole-file pass).
@@ -93,7 +102,7 @@ fn sequential_access_seeks_rarely() {
 
 #[test]
 fn random_access_offsets_are_scattered() {
-    let (mut vfs, catalog) = build_fs(1, 2);
+    let (vfs, catalog) = build_fs(1, 2);
     let pop = CompiledPopulation::compile(
         &PopulationSpec::single(rdonly_user(AccessPattern::Random)).unwrap(),
         256,
@@ -103,9 +112,7 @@ fn random_access_offsets_are_scattered() {
         .with_users(1)
         .with_sessions(2)
         .with_seed(6);
-    let log = DirectDriver::new()
-        .run(&mut vfs, &catalog, &pop, &config)
-        .unwrap();
+    let log = unmodelled((vfs, catalog), &pop, &config);
     // Reads on one file must NOT be monotone in offset.
     use std::collections::HashMap;
     let mut offsets: HashMap<u64, Vec<u64>> = HashMap::new();
@@ -254,7 +261,8 @@ fn extended_spec_serde_round_trips() {
 
 #[test]
 fn drivers_still_agree_with_extensions_enabled() {
-    // The RNG-parity property must survive phases + inter-session gaps.
+    // The RNG-parity property must survive phases + inter-session gaps: a
+    // lone user issues the same stream under every model.
     let user = rdonly_user(AccessPattern::Random)
         .with_inter_session_time(DistributionSpec::exponential(100_000.0))
         .with_phases(PhaseModel::io_cpu(0.5, 2.0, 0.8).unwrap());
@@ -264,10 +272,8 @@ fn drivers_still_agree_with_extensions_enabled() {
         .with_sessions(3)
         .with_seed(17);
 
-    let (mut vfs1, catalog1) = build_fs(1, 6);
-    let direct = DirectDriver::new()
-        .run(&mut vfs1, &catalog1, &pop, &config)
-        .unwrap();
+    let (vfs1, catalog1) = build_fs(1, 6);
+    let none = unmodelled((vfs1, catalog1), &pop, &config);
 
     let (vfs2, catalog2) = build_fs(1, 6);
     let mut pool = uswg_sim::ResourcePool::new();
@@ -279,7 +285,7 @@ fn drivers_still_agree_with_extensions_enabled() {
         .run_with_sink(vfs2, catalog2, &pop, model, pool, &config, UsageLog::new())
         .unwrap();
 
-    let a: Vec<(OpKind, u64)> = direct.ops().iter().map(|o| (o.op, o.bytes)).collect();
+    let a: Vec<(OpKind, u64)> = none.ops().iter().map(|o| (o.op, o.bytes)).collect();
     let b: Vec<(OpKind, u64)> = des_log.ops().iter().map(|o| (o.op, o.bytes)).collect();
     assert_eq!(a, b);
 }

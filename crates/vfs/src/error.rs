@@ -34,7 +34,7 @@ pub enum FsError {
 
 impl FsError {
     /// The closest classic UNIX errno name, for logs and reports.
-    pub fn errno_name(self) -> &'static str {
+    pub(crate) fn errno_name(self) -> &'static str {
         match self {
             FsError::NotFound => "ENOENT",
             FsError::NotADirectory => "ENOTDIR",

@@ -136,6 +136,11 @@ impl Process {
         }
     }
 
+    /// Whether [`Self::insert`] would find a slot.
+    pub(crate) fn has_room(&self) -> bool {
+        self.files.len() < self.max_fds || self.files.iter().any(Option::is_none)
+    }
+
     pub(crate) fn insert(&mut self, open: OpenFile) -> Option<Fd> {
         // Lowest-numbered free slot, like UNIX.
         for (i, slot) in self.files.iter_mut().enumerate() {

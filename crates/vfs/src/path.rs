@@ -16,7 +16,7 @@ pub const NAME_MAX: usize = 255;
 ///
 /// Returns [`FsError::InvalidArgument`] for empty or relative paths and
 /// [`FsError::NameTooLong`] for components longer than [`NAME_MAX`].
-pub fn components(path: &str) -> Result<Vec<&str>, FsError> {
+pub(crate) fn components(path: &str) -> Result<Vec<&str>, FsError> {
     if path.is_empty() || !path.starts_with('/') {
         return Err(FsError::InvalidArgument);
     }
@@ -50,7 +50,7 @@ pub fn plain(path: &str) -> Option<impl Iterator<Item = &str> + Clone> {
 
 /// [`split_parent`] of a path [`plain`] accepts, without collecting the
 /// parent's components.
-pub fn plain_parent(path: &str) -> Option<(impl Iterator<Item = &str> + Clone, &str)> {
+pub(crate) fn plain_parent(path: &str) -> Option<(impl Iterator<Item = &str> + Clone, &str)> {
     let (parent, name) = path.trim_end_matches('/').rsplit_once('/')?;
     let parent = plain(if parent.is_empty() { "/" } else { parent })?;
     (!matches!(name, "." | "..") && name.len() <= NAME_MAX).then_some((parent, name))
@@ -63,7 +63,7 @@ pub fn plain_parent(path: &str) -> Option<(impl Iterator<Item = &str> + Clone, &
 ///
 /// Returns [`FsError::InvalidArgument`] for an empty name, `.`, `..` or a
 /// name containing `/`, and [`FsError::NameTooLong`] beyond [`NAME_MAX`].
-pub fn check_name(name: &str) -> Result<(), FsError> {
+pub(crate) fn check_name(name: &str) -> Result<(), FsError> {
     if matches!(name, "" | "." | "..") || name.contains('/') {
         return Err(FsError::InvalidArgument);
     }
@@ -79,7 +79,7 @@ pub fn check_name(name: &str) -> Result<(), FsError> {
 ///
 /// Returns [`FsError::InvalidArgument`] when the path resolves to the root
 /// (which has no parent) plus the errors of [`components`].
-pub fn split_parent(path: &str) -> Result<(Vec<&str>, &str), FsError> {
+pub(crate) fn split_parent(path: &str) -> Result<(Vec<&str>, &str), FsError> {
     let mut comps = components(path)?;
     let name = comps.pop().ok_or(FsError::InvalidArgument)?;
     Ok((comps, name))

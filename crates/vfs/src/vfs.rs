@@ -488,8 +488,9 @@ impl Vfs {
     /// [`FsError::NotFound`] without `create`, [`FsError::AlreadyExists`]
     /// with `exclusive`, [`FsError::IsADirectory`] when opening a directory
     /// for writing, [`FsError::TooManyOpenFiles`] when the process table is
-    /// full, [`FsError::InvalidArgument`] for flags with neither read nor
-    /// write access.
+    /// full (checked first, as Linux takes the descriptor before the path:
+    /// nothing is created or truncated), [`FsError::InvalidArgument`] for
+    /// flags with neither read nor write access.
     pub fn open(
         &mut self,
         proc: &mut Process,
@@ -497,9 +498,7 @@ impl Vfs {
         flags: OpenFlags,
     ) -> Result<Fd, FsError> {
         self.counters.opens += 1;
-        if !flags.read && !flags.write {
-            return Err(FsError::InvalidArgument);
-        }
+        check_open(proc, flags)?;
         let ino = match self.resolve(path) {
             Ok(ino) => {
                 if flags.create && flags.exclusive {
@@ -567,7 +566,8 @@ impl Vfs {
     /// append mode): every block the range touches is allocated, and no
     /// byte is stored. Returns the number of bytes written, which is short
     /// if the device fills mid-write: the write stops at the first block it
-    /// cannot allocate.
+    /// cannot allocate. A write of 0 bytes changes nothing: not the size,
+    /// the times or the cursor.
     ///
     /// # Errors
     ///
@@ -579,6 +579,9 @@ impl Vfs {
         let open = proc.get_mut(fd).ok_or(FsError::BadFd)?;
         if !open.flags.write {
             return Err(FsError::BadAccessMode);
+        }
+        if len == 0 {
+            return Ok(0);
         }
         let ino = open.ino;
         let offset = if open.flags.append {
@@ -594,12 +597,7 @@ impl Vfs {
         let (node, store) = self.node_and_store(ino);
         // Blocks `first..end` hold the range; those the file lacks are
         // allocated in order, up to the first that does not fit.
-        let first = offset / bs;
-        let end = if len == 0 {
-            first
-        } else {
-            (offset + len as u64).div_ceil(bs)
-        };
+        let (first, end) = (offset / bs, (offset + len as u64).div_ceil(bs));
         let blocks = node.blocks_mut();
         let (mut at, mut done) = (blocks.partition_point(|&b| b < first), len);
         for block in first..end {
@@ -838,9 +836,7 @@ impl Vfs {
         flags: OpenFlags,
     ) -> Result<Fd, FsError> {
         self.counters.opens += 1;
-        if !flags.read && !flags.write {
-            return Err(FsError::InvalidArgument);
-        }
+        check_open(proc, flags)?;
         check_name(name)?;
         let ino = match self.dir(parent).ok_or(FsError::NotADirectory)?.get(name) {
             Some(_) if flags.create && flags.exclusive => return Err(FsError::AlreadyExists),
@@ -1050,8 +1046,9 @@ impl Vfs {
         Ok(ino)
     }
 
-    /// The tail of every open: access checks on the resolved inode, then a
-    /// descriptor in `proc`.
+    /// The tail of every open: access checks on the resolved inode, the
+    /// truncation (which sets `mtime` and `ctime`), then a descriptor in
+    /// `proc`, which [`check_open`] made sure has room.
     fn open_inode(
         &mut self,
         proc: &mut Process,
@@ -1070,11 +1067,14 @@ impl Vfs {
             offset: 0,
             flags,
         };
-        let fd = proc.insert(open).ok_or(FsError::TooManyOpenFiles)?;
+        let fd = proc.insert(open).expect("check_open saw room");
         let clock = self.clock;
         let node = self.inode_mut(ino);
         node.open_count += 1;
         node.atime = clock;
+        if flags.truncate {
+            (node.mtime, node.ctime) = (clock, clock);
+        }
         Ok(fd)
     }
 
@@ -1118,6 +1118,18 @@ impl Vfs {
                     .any(|(_, child)| self.is_same_or_descendant(child, candidate))
             })
     }
+}
+
+/// What every open checks before it touches the tree: an access mode, and
+/// room in the process's descriptor table.
+fn check_open(proc: &Process, flags: OpenFlags) -> Result<(), FsError> {
+    if !flags.read && !flags.write {
+        return Err(FsError::InvalidArgument);
+    }
+    if !proc.has_room() {
+        return Err(FsError::TooManyOpenFiles);
+    }
+    Ok(())
 }
 
 /// [`Vfs::slot_mut`] over the two tables alone, so that the block store can
@@ -1503,6 +1515,46 @@ mod tests {
         );
         f.close(&mut p, fds[0]).unwrap();
         assert!(f.open(&mut p, "/f0", OpenFlags::read_only()).is_ok());
+    }
+
+    /// A full descriptor table refuses an open before the path is touched,
+    /// as Linux takes the descriptor first: no file is created and none is
+    /// truncated.
+    #[test]
+    fn an_open_refused_for_descriptors_creates_and_truncates_nothing() {
+        let mut f = small_fs(); // 4 fds per process
+        let mut p = f.new_process();
+        f.write_file(&mut p, "/kept", 100).unwrap();
+        for _ in 0..4 {
+            f.open(&mut p, "/kept", OpenFlags::read_only()).unwrap();
+        }
+        let used = f.statfs().used_inodes;
+        assert_eq!(f.creat(&mut p, "/new"), Err(FsError::TooManyOpenFiles));
+        assert_eq!(f.creat(&mut p, "/kept"), Err(FsError::TooManyOpenFiles));
+        assert_eq!(f.resolve("/new"), Err(FsError::NotFound));
+        assert_eq!(
+            (f.stat("/kept").unwrap().size, f.statfs().used_inodes),
+            (100, used)
+        );
+    }
+
+    /// `O_TRUNC` on an existing file sets `mtime` and `ctime`, as a
+    /// truncation does; a write of 0 bytes past EOF changes nothing.
+    #[test]
+    fn o_trunc_stamps_the_file_and_an_empty_write_changes_nothing() {
+        let mut f = fs();
+        let mut p = f.new_process();
+        f.write_file(&mut p, "/f", 10).unwrap();
+        f.set_clock(50);
+        let fd = f.creat(&mut p, "/f").unwrap();
+        let md = f.fstat(&p, fd).unwrap();
+        assert_eq!((md.size, md.atime, md.mtime, md.ctime), (0, 50, 50, 50));
+        f.lseek(&mut p, fd, SeekFrom::Start(4096)).unwrap();
+        f.set_clock(60);
+        assert_eq!(f.write(&mut p, fd, 0), Ok(0));
+        let md = f.fstat(&p, fd).unwrap();
+        assert_eq!((md.size, md.blocks, md.mtime, md.ctime), (0, 0, 50, 50));
+        assert_eq!(f.lseek(&mut p, fd, SeekFrom::Current(0)), Ok(4096));
     }
 
     #[test]

@@ -178,8 +178,15 @@ impl Model {
         }
     }
 
+    /// A full descriptor table refuses the open before the name is looked
+    /// up; a truncation stamps `mtime` and `ctime`.
     fn open(&mut self, path: &str, flags: OpenFlags) -> Result<u32, FsError> {
         self.counters.opens += 1;
+        let slot = self.fds.iter().position(Option::is_none);
+        let slot = slot.unwrap_or(self.fds.len());
+        if slot == SMALL.max_fds_per_process {
+            return Err(FsError::TooManyOpenFiles);
+        }
         let ino = match self.names.get(path) {
             Some(&ino) => ino,
             None if !flags.create => return Err(FsError::NotFound),
@@ -197,18 +204,15 @@ impl Model {
                 ino
             }
         };
+        let clock = self.clock;
         if flags.truncate {
             self.cut(ino, 0);
-            self.file(ino).size = 0;
-        }
-        let slot = self.fds.iter().position(Option::is_none);
-        let slot = slot.unwrap_or(self.fds.len());
-        if slot == SMALL.max_fds_per_process {
-            return Err(FsError::TooManyOpenFiles);
+            let file = self.file(ino);
+            file.size = 0;
+            file.times[1..].fill(clock);
         }
         self.fds.resize(self.fds.len().max(slot + 1), None);
         self.fds[slot] = Some((ino, 0, flags));
-        let clock = self.clock;
         let file = self.file(ino);
         file.open += 1;
         file.times[0] = clock;
@@ -217,12 +221,16 @@ impl Model {
 
     /// A write of `len` bytes takes the blocks its range lacks in order,
     /// as many as are free; it ends where the first block that did not fit
-    /// begins, and fails if that is where it starts.
+    /// begins, and fails if that is where it starts. A write of 0 bytes
+    /// changes nothing.
     fn write(&mut self, fd: u32, len: u64) -> Result<u64, FsError> {
         self.counters.writes += 1;
         let (ino, cursor, flags) = self.desc(fd)?;
         if !flags.write {
             return Err(FsError::BadAccessMode);
+        }
+        if len == 0 {
+            return Ok(0);
         }
         let bs = SMALL.block_size as u64;
         let offset = if flags.append {
@@ -235,7 +243,7 @@ impl Model {
         }
         let range = offset / bs..(offset + len).div_ceil(bs);
         let held = &self.files[&ino].blocks;
-        let lacking: Vec<u64> = range.filter(|b| len > 0 && !held.contains(b)).collect();
+        let lacking: Vec<u64> = range.filter(|b| !held.contains(b)).collect();
         let free = (SMALL.max_blocks as u64 - self.blocks.allocated) as usize;
         let n = match lacking.get(free) {
             None => len,

@@ -3,9 +3,14 @@
 
 use uswg_core::experiment::ModelConfig;
 use uswg_core::{
-    metrics, presets, FillPattern, OpKind, PopulationSpec, Summary, SummarySink, UsageLog,
-    WorkloadSpec,
+    metrics, presets, DesDriver, FillPattern, OpKind, PopulationSpec, ResourcePool, Summary,
+    SummarySink, UsageLog, WorkloadSpec,
 };
+
+/// The run under the zero-stage model, collected.
+fn run_none(spec: &WorkloadSpec) -> UsageLog {
+    spec.run_des(&ModelConfig::None, UsageLog::new()).unwrap().0
+}
 
 fn small_spec() -> WorkloadSpec {
     let mut spec = WorkloadSpec::paper_default().unwrap();
@@ -35,7 +40,7 @@ fn pipeline_produces_consistent_catalog_and_log() {
         assert_eq!(md.number(), file.ino);
     }
     // The log's referenced inodes are real.
-    let log = spec.run_direct().unwrap();
+    let log = run_none(&spec);
     assert!(!log.ops().is_empty());
     assert_eq!(log.sessions().len(), 8);
 }
@@ -67,9 +72,17 @@ fn generated_file_sizes_track_table_5_1() {
     }
 }
 
+/// The zero-stage model records a response of exactly zero; NFS does not.
 #[test]
 fn des_response_times_exceed_direct_zero_baseline() {
     let spec = small_spec();
+    let (baseline, _) = spec
+        .run_des(&ModelConfig::None, SummarySink::new())
+        .unwrap();
+    assert_eq!(
+        (baseline.total_response, baseline.response().mean),
+        (0, 0.0)
+    );
     let (sink, _) = spec
         .run_des(&ModelConfig::default_nfs(), SummarySink::new())
         .unwrap();
@@ -91,7 +104,7 @@ fn usage_measures_have_paper_magnitudes() {
     spec.run.sessions_per_user = 50;
     spec.run.record_ops = false;
     spec.fsc = spec.fsc.with_fill(FillPattern::Sparse);
-    let log = spec.run_direct().unwrap();
+    let log = run_none(&spec);
     let apb = metrics::session_series(&log, metrics::SessionMetric::AccessPerByte);
     let apb_summary = Summary::of(&apb);
     assert!(
@@ -137,8 +150,18 @@ fn temp_usage_class_cleans_up_in_full_pipeline() {
     let (mut vfs, catalog) = spec.generate_fs().unwrap();
     let inodes_before = vfs.statfs().used_inodes;
     let population = spec.compile().unwrap();
-    let log = uswg_core::DirectDriver::new()
-        .run(&mut vfs, &catalog, &population, &spec.run)
+    let mut pool = ResourcePool::new();
+    let model = ModelConfig::None.build(&mut pool);
+    let (log, _) = DesDriver::new()
+        .run_on(
+            &mut vfs,
+            catalog,
+            &population,
+            model,
+            pool,
+            &spec.run,
+            UsageLog::new(),
+        )
         .unwrap();
     let creates = log.ops().iter().filter(|o| o.op == OpKind::Create).count();
     let unlinks = log.ops().iter().filter(|o| o.op == OpKind::Unlink).count();
@@ -158,7 +181,8 @@ fn run_survives_a_nearly_full_file_system() {
     spec.vfs.max_blocks = 220; // Table 5.1 population barely fits
     spec.vfs.block_size = 8_192;
     spec.fsc = spec.fsc.with_fill(FillPattern::Sparse);
-    let log = spec.run_direct().expect("run must degrade, not fail");
+    let run = spec.run_des(&ModelConfig::None, UsageLog::new());
+    let (log, _) = run.expect("run must degrade, not fail");
     assert_eq!(log.sessions().len(), 8);
     let session_ops: u64 = log.sessions().iter().map(|s| s.ops).sum();
     assert_eq!(session_ops as usize, log.ops().len());
@@ -172,7 +196,8 @@ fn run_survives_inode_exhaustion() {
     let mut spec = small_spec();
     spec.vfs.max_inodes = 130; // just above the generated population
     spec.fsc = spec.fsc.with_fill(FillPattern::Sparse);
-    let log = spec.run_direct().expect("inode exhaustion must degrade");
+    let run = spec.run_des(&ModelConfig::None, UsageLog::new());
+    let (log, _) = run.expect("inode exhaustion must degrade");
     assert_eq!(log.sessions().len(), 8);
 }
 
@@ -181,14 +206,13 @@ fn spec_json_survives_and_runs() {
     let spec = small_spec();
     let json = spec.to_json().unwrap();
     let parsed = WorkloadSpec::from_json(&json).unwrap();
-    let log = parsed.run_direct().unwrap();
+    let log = run_none(&parsed);
     assert_eq!(log.sessions().len(), 8);
 }
 
 #[test]
 fn usage_log_json_round_trip_at_scale() {
-    let spec = small_spec();
-    let log = spec.run_direct().unwrap();
+    let log = run_none(&small_spec());
     let json = log.to_json().unwrap();
     let back = uswg_core::UsageLog::from_json(&json).unwrap();
     assert_eq!(back.ops().len(), log.ops().len());

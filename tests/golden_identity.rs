@@ -37,6 +37,7 @@ use uswg_core::{
     DesDriver, FaultSpec, FrameIndex, Owner, PopulationSpec, ResourcePool, SpillSink, SummarySink,
     UsageClass, UsageLog, WorkloadSpec,
 };
+use uswg_usim::{user_rng, Session};
 
 /// Bytes the index footer appends after the end marker: fixed header
 /// (8-byte magic + 4-byte count + 4-byte CRC), 29 bytes per frame entry,
@@ -176,11 +177,12 @@ fn arena_refactor_replays_the_pre_refactor_bytes() {
     }
 }
 
-/// A decoupled spec for the cross-driver op comparison: shared read-write files
-/// couple users through the file system (one user's write moves another's
-/// EOF), and file-*creating* categories couple them through the global
-/// inode allocator (creation order differs between the interleaved DES and
-/// the sequential direct driver, so created files get different inos) —
+/// A decoupled spec for the DES-against-oracle op comparison: shared
+/// read-write files couple users through the file system (one user's write
+/// moves another's EOF), and file-*creating* categories couple them through
+/// the global inode allocator (creation order differs between the
+/// interleaved DES and the sequential oracle, so created files get different
+/// inos) —
 /// the comparison runs on the preexisting private/shared categories, which
 /// still exercise every materialization path: plan, open, read/write/seek,
 /// close, logout.
@@ -206,8 +208,8 @@ fn read_only_spec(users: usize, sessions: u32, seed: u64) -> WorkloadSpec {
 }
 
 /// What an op looks like with all timing stripped: the selection-only view
-/// that must be identical between drivers (and thus unperturbed by lazy
-/// session materialization).
+/// that must be identical between the DES and the oracle (and thus
+/// unperturbed by lazy session materialization).
 type OpShape = (u32, String, u64, u64, u64);
 
 fn op_shapes(log: &uswg_core::UsageLog, user: usize) -> Vec<OpShape> {
@@ -226,6 +228,50 @@ fn op_shapes(log: &uswg_core::UsageLog, user: usize) -> Vec<OpShape> {
         .collect()
 }
 
+/// The oracle: every user's sessions run back to back, one user after
+/// another, with no scheduler and no timing model — the engine's
+/// [`Session`] stepped by hand, drawing from each user's own stream at the
+/// points the DES draws (think and inter-session gaps included). Returns
+/// each user's op shapes.
+fn sequential_shapes(spec: &WorkloadSpec) -> Vec<Vec<OpShape>> {
+    let (mut vfs, catalog) = spec.generate_fs().expect("fs builds");
+    let population = spec.compile().expect("compiles");
+    let (n_users, mut path) = (spec.run.n_users, String::new());
+    (0..n_users)
+        .map(|user| {
+            let type_idx = population.type_of(user, n_users);
+            let utype = &population.types()[type_idx];
+            let mut rng = user_rng(spec.run.seed, user);
+            let (mut proc, mut behavior) = (vfs.new_process(), utype.new_behavior());
+            let (mut clock, mut shapes) = (0, Vec::new());
+            for ordinal in 0..spec.run.sessions_per_user {
+                let mut session =
+                    Session::plan(user, type_idx, ordinal, clock, utype, &catalog, &mut rng);
+                if session.names_home(&catalog) {
+                    catalog.build_home(&mut vfs, user).expect("home builds");
+                }
+                vfs.set_clock(clock);
+                loop {
+                    let op =
+                        session.next_op(&mut vfs, &mut proc, utype, &catalog, &mut path, &mut rng);
+                    let Some(exec) = op.expect("op runs") else {
+                        break;
+                    };
+                    let r = exec.request;
+                    shapes.push((ordinal, r.kind.to_string(), r.file.0, r.bytes, r.file_size));
+                    clock += utype.sample_think(&mut behavior, &mut rng);
+                    vfs.set_clock(clock);
+                }
+                if ordinal + 1 < spec.run.sessions_per_user {
+                    clock += utype.sample_inter_session(clock, &mut rng);
+                }
+            }
+            catalog.drop_home(&mut vfs, user);
+            shapes
+        })
+        .collect()
+}
+
 proptest! {
     // Real runs are expensive; a handful of random shapes on top of the
     // exhaustive deterministic fixtures above is the right trade.
@@ -234,8 +280,8 @@ proptest! {
     /// Lazy session materialization never changes op order: for random
     /// small specs, each user's operation subsequence from the DES driver
     /// (sessions materialized per login, interleaved across users in
-    /// simulated time) equals the direct driver's (sessions run
-    /// back-to-back per user, no timing model) — op for op, in order.
+    /// simulated time) equals the sequential oracle's (sessions run
+    /// back-to-back per user, no scheduler) — op for op, in order.
     #[test]
     fn lazy_sessions_preserve_op_order(
         users in 1usize..6,
@@ -243,7 +289,7 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let spec = read_only_spec(users, sessions, seed);
-        let direct = spec.run_direct().expect("direct run");
+        let oracle = sequential_shapes(&spec);
         // The raw driver, so the oracle shares no plumbing with `run_des`.
         let (vfs, catalog) = spec.generate_fs().expect("fs builds");
         let population = spec.compile().expect("compiles");
@@ -252,11 +298,12 @@ proptest! {
         let (des_log, _) = DesDriver::new()
             .run_with_sink(vfs, catalog, &population, model, pool, &spec.run, UsageLog::new())
             .expect("des run");
-        for user in 0..users {
+        prop_assert_eq!(oracle.len(), users);
+        for (user, want) in oracle.into_iter().enumerate() {
             prop_assert_eq!(
                 op_shapes(&des_log, user),
-                op_shapes(&direct, user),
-                "user {} op stream diverged between drivers",
+                want,
+                "user {} op stream diverged from the sequential oracle",
                 user
             );
         }

@@ -76,10 +76,13 @@ fn spec_strategy() -> impl Strategy<Value = WorkloadSpec> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any valid spec runs to completion and its log is self-consistent.
+    /// Any valid spec runs to completion under the zero-stage model (the
+    /// name is the sequential driver's it replaced), its log is
+    /// self-consistent, and every call completes when it is issued.
     #[test]
     fn any_valid_spec_runs_direct(spec in spec_strategy()) {
-        let log = spec.run_direct().expect("run succeeds");
+        let (log, _) = spec.run_des(&ModelConfig::None, UsageLog::new()).expect("run succeeds");
+        prop_assert!(log.ops().iter().all(|o| o.response == 0));
         prop_assert_eq!(
             log.sessions().len(),
             spec.run.n_users * spec.run.sessions_per_user as usize
@@ -119,16 +122,16 @@ proptest! {
         }
     }
 
-    /// The same spec is bit-for-bit reproducible.
+    /// The same spec is bit-for-bit reproducible: every field of every
+    /// record, response included, under `run`'s default model and a
+    /// queueing one.
     #[test]
     fn runs_are_deterministic(spec in spec_strategy()) {
-        let a = spec.run_direct().expect("first run");
-        let b = spec.run_direct().expect("second run");
-        prop_assert_eq!(a.ops().len(), b.ops().len());
-        for (x, y) in a.ops().iter().zip(b.ops()) {
-            prop_assert_eq!(x.op, y.op);
-            prop_assert_eq!(x.bytes, y.bytes);
-            prop_assert_eq!(x.ino, y.ino);
+        for model in [ModelConfig::None, ModelConfig::default_nfs()] {
+            let (a, _) = spec.run_des(&model, UsageLog::new()).expect("first run");
+            let (b, _) = spec.run_des(&model, UsageLog::new()).expect("second run");
+            prop_assert_eq!(a.ops(), b.ops());
+            prop_assert_eq!(a.sessions(), b.sessions());
         }
     }
 
