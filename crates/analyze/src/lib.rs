@@ -31,5 +31,5 @@ mod table;
 pub use fit::{collect_fit, FitCollector, FitObservation, FitOutcome, Reservoir};
 pub use histogram::Histogram;
 pub use scan::{CountingReader, Coverage, Pass, ScanOptions, ScanOutcome};
-pub use table::{Align, Table};
+pub use table::Table;
 pub use uswg_usim::{StreamingSummary, Summary};

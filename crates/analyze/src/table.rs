@@ -2,7 +2,7 @@
 
 /// Column alignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Align {
+enum Align {
     /// Flush left (labels).
     Left,
     /// Flush right (numbers).

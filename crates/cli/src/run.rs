@@ -93,6 +93,17 @@ pub(crate) fn run(command: Command) -> Outcome {
         };
         write_log(&mut text, out_path, &log)?;
     }
+    // Last, one line per resource of the timing model (none under `none`),
+    // so a saturated one shows.
+    for (name, r) in &stats.resources {
+        let _ = writeln!(
+            text,
+            "resource {name}: utilization {:.3} | mean wait {:.1} µs | max wait {} µs",
+            r.utilization(stats.duration),
+            r.mean_wait(),
+            r.max_wait
+        );
+    }
     ok(text)
 }
 

@@ -325,6 +325,86 @@ fn the_removed_heap_scheduler_is_refused() {
     assert_eq!(stdout_of(&uswg(&flagged, &[]), &flagged), plain);
 }
 
+/// A spec is read strictly: a key its type does not declare is refused in
+/// one line that names the key, where it used to be dropped and the run
+/// went on with the default. A top-level `model` is such a key too.
+#[test]
+fn a_spec_key_no_type_declares_is_refused_by_name() {
+    let dir = scratch("strict");
+    let init = dir.join("init.json").display().to_string();
+    stdout_of(&uswg(&format!("init {init}"), &[]), "init");
+    let json = std::fs::read_to_string(&init).unwrap();
+    for (label, edited, key, ty) in [
+        (
+            "typo",
+            json.replacen(
+                "\"sessions_per_user\"",
+                "\"sessions_per_usr\": 2, \"sessions_per_user\"",
+                1,
+            ),
+            "sessions_per_usr",
+            "RunConfig",
+        ),
+        (
+            "model",
+            json.replacen('{', "{\"model\": {\"model\": \"nfs\"}, ", 1),
+            "model",
+            "WorkloadSpec",
+        ),
+    ] {
+        assert_ne!(edited, json, "{label}: the edit took");
+        let path = dir.join(format!("{label}.json"));
+        std::fs::write(&path, edited).unwrap();
+        let out = uswg(&format!("run {} --users 1", path.display()), &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{label}: {stderr}");
+        assert!(out.stdout.is_empty(), "{label}: {stderr}");
+        let cause = format!("unknown field `{key}` in {ty}");
+        assert!(stderr.contains(&cause), "{label}: {stderr}");
+    }
+    let run = format!("run {init} --users 1");
+    stdout_of(&uswg(&run, &[]), &run);
+}
+
+/// `run` ends with one line per resource of the timing model: its name,
+/// utilisation over its servers, mean and max wait. The `nfs` model has
+/// four resources; `none` has none and prints no such line.
+#[test]
+fn run_names_each_resource_and_how_busy_it_was() {
+    let dir = scratch("resources");
+    let spec = write_spec(&dir);
+    let spill = dir.join("run.bin").display().to_string();
+    let nfs = format!("run {spec} --model nfs --spill {spill}");
+    let text = stdout_of(&uswg(&nfs, &[]), &nfs);
+    let lines: Vec<&str> = text.lines().collect();
+    let tail = &lines[lines.len() - 4..];
+    for (line, name) in tail
+        .iter()
+        .zip(["client_cpu", "network", "server_cpu", "server_disk"])
+    {
+        let prefix = format!("resource nfs.{name}: utilization ");
+        let rest = line
+            .strip_prefix(&prefix)
+            .unwrap_or_else(|| panic!("{line}"));
+        let utilization: f64 = rest.split(' ').next().unwrap().parse().unwrap();
+        assert!((0.0..=1.0).contains(&utilization), "{line}");
+        assert!(
+            line.contains(" | mean wait ") && line.ends_with(" µs"),
+            "{line}"
+        );
+    }
+    assert!(!lines[..lines.len() - 4]
+        .iter()
+        .any(|l| l.starts_with("resource ")));
+    for run in [
+        format!("run {spec}"),
+        format!("run {spec} --model none --summary"),
+    ] {
+        let text = stdout_of(&uswg(&run, &[]), &run);
+        assert!(!text.contains("resource "), "{run}: {text}");
+    }
+}
+
 /// A run is one simulation. A shard count of 1, as `--shards 1` or as the
 /// spec's `run.shards`, parses and changes nothing; a larger one, on the
 /// command line of `run`, `sweep` or `replicate` or in a spec, is refused
@@ -445,7 +525,7 @@ fn more_workers_than_the_os_grants_is_a_typed_error() {
     );
 }
 
-/// Sixty million files on two users: one home's inodes alone are 2.2 GB.
+/// Ninety million files on two users: one home's inodes alone are 2.2 GB.
 /// The build reserves that from the plan before it creates anything, so a
 /// ceiling it cannot fit under is one typed line and exit 2 at once, where
 /// the inode table used to double its way there for ten seconds and abort
@@ -455,7 +535,7 @@ fn a_population_the_memory_limit_cannot_hold_is_refused_up_front() {
     let mut spec = WorkloadSpec::paper_default().unwrap();
     spec.run.n_users = 2;
     spec.run.sessions_per_user = 1;
-    spec.fsc = (spec.fsc.with_files_per_user(30_000_000).unwrap())
+    spec.fsc = (spec.fsc.with_files_per_user(45_000_000).unwrap())
         .with_fill(uswg_core::FillPattern::Sparse);
     spec.vfs.max_inodes = usize::MAX;
     let path = scratch("reserve").join("huge.json");
@@ -472,7 +552,7 @@ fn a_population_the_memory_limit_cannot_hold_is_refused_up_front() {
     assert!(out.stdout.is_empty(), "{:?}", out.stdout);
     assert_eq!(stderr.lines().count(), 1, "{stderr}");
     assert!(
-        stderr.contains("cannot reserve 2160000216 bytes for the inodes of a home"),
+        stderr.contains("cannot reserve 2160000048 bytes for the inodes of a home"),
         "{stderr}"
     );
 }

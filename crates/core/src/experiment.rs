@@ -411,6 +411,16 @@ mod tests {
             assert_eq!(config, back);
             assert!(json.contains(&format!("\"model\":\"{tag}\"")), "{json}");
         }
+        // The tag is known; any other key a variant does not declare is not.
+        for (json, ty) in [
+            (r#"{"model":"none","servers":2}"#, "ModelConfig"),
+            (r#"{"model":"nfs","srevers":2}"#, "NfsParams"),
+        ] {
+            let err = serde_json::from_str::<ModelConfig>(json)
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains("unknown field") && err.contains(ty), "{err}");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * **GDS** (`uswg-distr`) — distribution specification, fitting and CDF
 //!   tables ([`DistributionSpec`], [`PhaseTypeExp`], [`MultiStageGamma`]);
 //! * **FSC** (`uswg-fsc`) — creation of the initial synthetic file system
-//!   ([`FscSpec`], [`FileSystemCreator`]);
+//!   ([`FscSpec`], [`uswg_fsc::FileSystemCreator`]);
 //! * **USIM** (`uswg-usim`) — simulation of login sessions issuing file I/O
 //!   ([`PopulationSpec`], [`DesDriver`]; the zero-stage model runs it as a
 //!   pure usage study, the queueing models measure response times);
@@ -59,30 +59,27 @@ pub use workload::WorkloadSpec;
 // (`uswg_analyze::fit` items are re-exported individually — the module name
 // `fit` is taken by the `uswg_distr::fit` re-export below.)
 pub use uswg_analyze::{
-    collect_fit, metrics, scan, Align, CountingReader, FitCollector, FitObservation, FitOutcome,
-    Histogram, Reservoir, ScanOptions, ScanOutcome, StreamingSummary, Summary, Table,
+    collect_fit, metrics, scan, FitCollector, FitObservation, FitOutcome, Histogram, ScanOptions,
+    Summary, Table,
 };
 pub use uswg_distr::{
-    fit, gof, plot, spec::DistributionSpec, CdfTable, DistrError, Distribution, EmpiricalCdf,
-    Exponential, MultiStageGamma, PdfTable, PhaseTypeExp,
+    fit, gof, plot, spec::DistributionSpec, CdfTable, DistrError, Distribution, Exponential,
+    MultiStageGamma, PhaseTypeExp,
 };
 pub use uswg_fsc::{
-    CatalogFile, CategorySpec, FileCatalog, FileCategory, FilePopularity, FileSystemCreator,
-    FileType, FillPattern, FscError, FscSpec, Owner, UsageClass,
+    CatalogFile, CategorySpec, FileCatalog, FileCategory, FillPattern, FscError, FscSpec, Owner,
+    UsageClass,
 };
 pub use uswg_netfs::{
-    isolated_response, DistributedNfsParams, FileId, LocalDiskModel, LocalDiskParams, NfsModel,
-    NfsParams, OpKind, OpRequest, PendingOp, ServiceModel, Stage, StepOutcome, WholeFileCacheModel,
-    WholeFileCacheParams,
+    FileId, NfsParams, OpKind, OpRequest, ServiceModel, Stage, WholeFileCacheParams,
 };
 pub use uswg_sim::{
     Resource, ResourcePool, ResourceStats, Scheduler, SchedulerBackend, SimTime, Simulation, World,
 };
 pub use uswg_usim::{
-    read_spill, read_spill_path, AccessPattern, BehaviorState, CategoryUsage, ChannelSink,
-    CompiledPopulation, DesDriver, DesRunStats, DirectDriver, DiurnalProfile, FaultSpec,
-    FrameIndex, FrameIndexEntry, LogSink, OpRecord, PhaseModel, PhaseState, PopulationSpec,
-    RetryPolicy, RunConfig, SessionRecord, SpillCodec, SpillReader, SpillRecord, SpillSink,
-    SummarySink, UsageLog, UserTypeSpec, UsimError,
+    read_spill, read_spill_path, AccessPattern, CategoryUsage, ChannelSink, CompiledPopulation,
+    DesDriver, DesRunStats, DirectDriver, DiurnalProfile, FaultSpec, FrameIndex, LogSink, OpRecord,
+    PhaseModel, PopulationSpec, RetryPolicy, RunConfig, SessionRecord, SpillCodec, SpillReader,
+    SpillRecord, SpillSink, SummarySink, UsageLog, UserTypeSpec, UsimError,
 };
 pub use uswg_vfs::{Fd, FsError, Metadata, OpenFlags, SeekFrom, Vfs, VfsConfig};

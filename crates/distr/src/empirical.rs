@@ -32,7 +32,7 @@ fn fits_guide(len: usize) -> Result<(), DistrError> {
 /// integrated table is normalized so the final CDF value is exactly one,
 /// which mirrors how the GDS "creates CDF tables for the FSC and the USIM".
 #[derive(Debug, Clone, PartialEq)]
-pub struct PdfTable {
+pub(crate) struct PdfTable {
     xs: Vec<f64>,
     pdf: Vec<f64>,
     cdf: Vec<f64>,
@@ -106,21 +106,6 @@ impl PdfTable {
             variance,
             guide,
         })
-    }
-
-    /// The grid of `x` values.
-    pub fn xs(&self) -> &[f64] {
-        &self.xs
-    }
-
-    /// The normalized density values at [`Self::xs`].
-    pub fn densities(&self) -> &[f64] {
-        &self.pdf
-    }
-
-    /// The integrated, normalized CDF values at [`Self::xs`].
-    pub fn cumulative(&self) -> &[f64] {
-        &self.cdf
     }
 }
 
@@ -550,7 +535,7 @@ mod tests {
     #[test]
     fn uniform_table_normalizes() {
         let t = uniform_pdf_table(10);
-        assert!((t.cumulative().last().unwrap() - 1.0).abs() < 1e-12);
+        assert!((t.cdf.last().unwrap() - 1.0).abs() < 1e-12);
         assert!((t.cdf(5.0) - 0.5).abs() < 1e-9);
         assert!((t.mean() - 5.0).abs() < 1e-9);
     }

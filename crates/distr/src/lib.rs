@@ -5,7 +5,8 @@
 //!
 //! * describe usage measures with **phase-type exponential** mixtures
 //!   ([`PhaseTypeExp`]), **multi-stage gamma** mixtures ([`MultiStageGamma`]),
-//!   or direct **tabular** PDF/CDF values ([`PdfTable`], [`EmpiricalCdf`]);
+//!   or direct **tabular** PDF/CDF values ([`DistributionSpec::PdfTable`],
+//!   [`EmpiricalCdf`]);
 //! * **fit** those families to empirical samples ([`fit`]);
 //! * check fits with **goodness-of-fit** statistics ([`gof`]);
 //! * produce the **CDF tables** ([`CdfTable`]) consumed by the File System
@@ -49,7 +50,8 @@ pub mod plot;
 pub mod spec;
 pub mod special;
 
-pub use empirical::{EmpiricalCdf, PdfTable};
+pub use empirical::EmpiricalCdf;
+pub(crate) use empirical::PdfTable;
 pub use error::DistrError;
 pub use gamma::{GammaStage, MultiStageGamma};
 pub use guide::GuideTable;

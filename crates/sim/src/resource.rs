@@ -42,6 +42,8 @@ pub struct ResourceStats {
     pub total_wait: u64,
     /// Largest single queueing delay observed, in microseconds.
     pub max_wait: u64,
+    /// Parallel servers of the resource.
+    pub capacity: usize,
 }
 
 impl ResourceStats {
@@ -57,8 +59,8 @@ impl ResourceStats {
     /// Fraction of `elapsed` the servers spent busy (per-server average).
     ///
     /// Work-conserving FIFO means busy time equals dispensed service time.
-    pub fn utilization(&self, elapsed: SimTime, capacity: usize) -> f64 {
-        let span = elapsed.micros() as f64 * capacity.max(1) as f64;
+    pub fn utilization(&self, elapsed: SimTime) -> f64 {
+        let span = elapsed.micros() as f64 * self.capacity.max(1) as f64;
         if span <= 0.0 {
             0.0
         } else {
@@ -87,7 +89,10 @@ impl Resource {
         Self {
             name: name.into(),
             free_at: vec![SimTime::ZERO; capacity],
-            stats: ResourceStats::default(),
+            stats: ResourceStats {
+                capacity,
+                ..ResourceStats::default()
+            },
         }
     }
 
@@ -254,9 +259,13 @@ mod tests {
     fn utilization_bounded() {
         let mut r = Resource::new("cpu", 1);
         r.serve(SimTime::ZERO, 500);
-        let u = r.stats().utilization(SimTime::from_micros(1_000), 1);
+        let u = r.stats().utilization(SimTime::from_micros(1_000));
         assert!((u - 0.5).abs() < 1e-12);
-        assert_eq!(r.stats().utilization(SimTime::ZERO, 1), 0.0);
+        assert_eq!(r.stats().utilization(SimTime::ZERO), 0.0);
+        let mut pair = Resource::new("cpus", 2);
+        pair.serve(SimTime::ZERO, 500);
+        let u = pair.stats().utilization(SimTime::from_micros(1_000));
+        assert!((u - 0.25).abs() < 1e-12, "half of one of two servers");
     }
 
     #[test]

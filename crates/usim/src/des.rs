@@ -218,7 +218,6 @@ impl<S: LogSink> World for UsimWorld<S> {
 
     fn handle(&mut self, event: Ev, sched: &mut Scheduler<Ev>) {
         let now = sched.now();
-        self.vfs.set_clock(now.micros());
         let u = event.user();
         let user = u as usize;
         if event.is_step() {

@@ -10,7 +10,7 @@ pub enum FsError {
     NotADirectory,
     /// The operation needs a regular file but got a directory (`EISDIR`).
     IsADirectory,
-    /// Exclusive create of a path that already exists (`EEXIST`).
+    /// Making an object at a name that is taken (`EEXIST`).
     AlreadyExists,
     /// The file descriptor is not open (`EBADF`).
     BadFd,
@@ -20,13 +20,12 @@ pub enum FsError {
     TooManyOpenFiles,
     /// The block store or inode table is exhausted (`ENOSPC`).
     NoSpace,
-    /// Removing a directory that still has entries (`ENOTEMPTY`).
-    DirectoryNotEmpty,
     /// A path component exceeds the name length limit (`ENAMETOOLONG`).
     NameTooLong,
     /// A malformed argument: empty path, relative path, bad seek (`EINVAL`).
     InvalidArgument,
-    /// Removing or overwriting the root directory (`EBUSY`).
+    /// Reserving homes on a table that hands out freed numbers or already
+    /// holds homes (`EBUSY`).
     Busy,
     /// A write would exceed the maximum file size (`EFBIG`).
     FileTooLarge,
@@ -43,7 +42,6 @@ impl FsError {
             FsError::BadFd | FsError::BadAccessMode => "EBADF",
             FsError::TooManyOpenFiles => "EMFILE",
             FsError::NoSpace => "ENOSPC",
-            FsError::DirectoryNotEmpty => "ENOTEMPTY",
             FsError::NameTooLong => "ENAMETOOLONG",
             FsError::InvalidArgument => "EINVAL",
             FsError::Busy => "EBUSY",
@@ -63,7 +61,6 @@ impl fmt::Display for FsError {
             FsError::BadAccessMode => "file not open for requested access",
             FsError::TooManyOpenFiles => "too many open files",
             FsError::NoSpace => "no space left on device",
-            FsError::DirectoryNotEmpty => "directory not empty",
             FsError::NameTooLong => "file name too long",
             FsError::InvalidArgument => "invalid argument",
             FsError::Busy => "device or resource busy",

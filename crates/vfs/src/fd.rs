@@ -25,10 +25,6 @@ pub struct OpenFlags {
     pub create: bool,
     /// Truncate to zero length on open (requires `write`).
     pub truncate: bool,
-    /// Position every write at end-of-file.
-    pub append: bool,
-    /// With `create`: fail if the file already exists (`O_EXCL`).
-    pub exclusive: bool,
 }
 
 impl OpenFlags {
@@ -39,8 +35,6 @@ impl OpenFlags {
             write: false,
             create: false,
             truncate: false,
-            append: false,
-            exclusive: false,
         }
     }
 
@@ -51,8 +45,6 @@ impl OpenFlags {
             write: true,
             create: true,
             truncate: true,
-            append: false,
-            exclusive: false,
         }
     }
 
@@ -63,8 +55,6 @@ impl OpenFlags {
             write: true,
             create: false,
             truncate: false,
-            append: false,
-            exclusive: false,
         }
     }
 
@@ -75,27 +65,7 @@ impl OpenFlags {
             write: true,
             create: true,
             truncate: false,
-            append: false,
-            exclusive: false,
         }
-    }
-
-    /// `O_WRONLY | O_APPEND`.
-    pub fn append_only() -> Self {
-        Self {
-            read: false,
-            write: true,
-            create: false,
-            truncate: false,
-            append: true,
-            exclusive: false,
-        }
-    }
-
-    /// Builder-style setter for `exclusive`.
-    pub fn with_exclusive(mut self) -> Self {
-        self.exclusive = true;
-        self
     }
 }
 
@@ -217,7 +187,5 @@ mod tests {
         assert!(cw.write && cw.create && cw.truncate && !cw.read);
         let rw = OpenFlags::read_write();
         assert!(rw.read && rw.write && !rw.create);
-        assert!(OpenFlags::append_only().append);
-        assert!(OpenFlags::create_write().with_exclusive().exclusive);
     }
 }

@@ -37,15 +37,13 @@ pub(crate) struct Homes {
     magic: u64,
     /// Numbers of all homes.
     span: u64,
-    /// The clock when the homes were reserved: a built object's times.
-    pub(crate) clock: u64,
     pages: Vec<Option<Page>>,
 }
 
 impl Homes {
     /// `homes` runs of `per_home` numbers from `first`, none built; `None`
     /// when the table of pages cannot be allocated.
-    pub(crate) fn reserve(first: u64, per_home: u64, homes: usize, clock: u64) -> Option<Self> {
+    pub(crate) fn reserve(first: u64, per_home: u64, homes: usize) -> Option<Self> {
         let mut pages = Vec::new();
         pages.try_reserve_exact(homes).ok()?;
         pages.resize_with(homes, || None);
@@ -54,7 +52,6 @@ impl Homes {
             per_home,
             magic: u64::MAX.checked_div(per_home).unwrap_or(0),
             span: per_home * homes as u64,
-            clock,
             pages,
         })
     }
@@ -133,7 +130,7 @@ mod tests {
     #[test]
     fn a_number_lands_in_the_home_a_division_puts_it_in() {
         for per_home in [1, 2, 3, 7, 52, 1 << 20, (1 << 31) + 11] {
-            let homes = Homes::reserve(10, per_home, 3, 0).unwrap();
+            let homes = Homes::reserve(10, per_home, 3).unwrap();
             let offs = (0..3 * per_home.min(200)).chain([3 * per_home - 1]);
             for off in offs.chain([per_home - 1, per_home, 2 * per_home]) {
                 let Slot::Home(home, at) = homes.slot(10 + off) else {

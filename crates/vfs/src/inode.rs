@@ -173,13 +173,6 @@ impl Entries {
         }
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
-        match self {
-            Entries::Small(entries) => entries.is_empty(),
-            Entries::Large(entries) => entries.is_empty(),
-        }
-    }
-
     /// Every entry, in name order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (&Name, Ino)> {
         let (small, large) = match self {
@@ -201,18 +194,12 @@ pub(crate) struct Inode {
     /// Number of open descriptors referencing this inode.
     pub open_count: u32,
     pub content: Content,
-    /// Last access time, microseconds of the file-system clock.
-    pub atime: u64,
-    /// Last modification time.
-    pub mtime: u64,
-    /// Inode change time.
-    pub ctime: u64,
 }
 
 impl Inode {
     /// An empty object of `kind`. A directory starts at two links: its
     /// name in the parent and its own `.`.
-    pub(crate) fn new(kind: FileKind, now: u64) -> Self {
+    pub(crate) fn new(kind: FileKind) -> Self {
         let (nlink, content) = match kind {
             FileKind::Regular => (1, Content::Regular(Vec::new())),
             FileKind::Directory => (2, Content::Directory(Entries::Small(Vec::new()))),
@@ -222,9 +209,6 @@ impl Inode {
             nlink,
             open_count: 0,
             content,
-            atime: now,
-            mtime: now,
-            ctime: now,
         }
     }
 
@@ -261,9 +245,6 @@ impl Inode {
             nlink: self.nlink,
             blocks: self.blocks().len() as u64,
             block_size: block_size as u32,
-            atime: self.atime,
-            mtime: self.mtime,
-            ctime: self.ctime,
         }
     }
 }
@@ -283,12 +264,6 @@ pub struct Metadata {
     pub blocks: u64,
     /// Block size of the containing file system.
     pub block_size: u32,
-    /// Last access time (µs).
-    pub atime: u64,
-    /// Last modification time (µs).
-    pub mtime: u64,
-    /// Inode change time (µs).
-    pub ctime: u64,
 }
 
 impl Metadata {
@@ -309,7 +284,7 @@ mod tests {
 
     #[test]
     fn metadata_snapshot() {
-        let mut inode = Inode::new(FileKind::Regular, 1_000);
+        let mut inode = Inode::new(FileKind::Regular);
         inode.size = 100;
         *inode.blocks_mut() = vec![1];
         let md = inode.metadata(Ino(7), 4096);
@@ -318,13 +293,12 @@ mod tests {
         assert!(!md.is_dir());
         assert_eq!(md.size, 100);
         assert_eq!(md.blocks, 1, "the hole at block 0 is not allocated");
-        assert_eq!(md.atime, 1_000);
     }
 
     #[test]
     fn names_entries_and_inodes_stay_small() {
         assert_eq!(std::mem::size_of::<Name>(), 24);
-        assert!(std::mem::size_of::<Option<Inode>>() <= 72);
+        assert_eq!(std::mem::size_of::<Option<Inode>>(), 48);
         for name in [
             "",
             "a",

@@ -12,11 +12,16 @@
 //! unlinked-but-open files stay readable until the last close (the paper's
 //! `TEMP` usage class relies on this), `lseek` past EOF creates holes, and
 //! directory entries are kept in sorted order as `readdir` output. What the
-//! workload measures is usage, never content, so a file is its size and the
-//! blocks it holds: [`Vfs::read`] and [`Vfs::write`] take a length, and data
-//! blocks are allocated, counted and freed as on a disk while none holds a
-//! byte. A file lists the indices of its blocks, so a hole costs nothing and
-//! a block at a far offset one entry.
+//! workload measures is usage, never content, so a file is its size, its
+//! links and the blocks it holds: [`Vfs::read`] and [`Vfs::write`] take a
+//! length, and data blocks are allocated, counted and freed as on a disk
+//! while none holds a byte. A file lists the indices of its blocks, so a
+//! hole costs nothing and a block at a far offset one entry. No inode keeps
+//! a time, since nothing reads one, and the calls are the ones the User
+//! Simulator, the File System Creator and the loopback target make:
+//! `open`/`creat` (read-only, read-write, creating, truncating), `close`,
+//! `read`, `write`, `lseek`, `stat`/`fstat`, `unlink`, `mkdir`, `readdir`
+//! and `ftruncate`.
 //!
 //! A file system that holds many owners' objects, few in use at once,
 //! reserves each owner's run of inode numbers and data blocks up front

@@ -107,13 +107,9 @@ pub struct OpCounters {
     pub unlinks: u64,
     /// `mkdir` calls.
     pub mkdirs: u64,
-    /// `rmdir` calls.
-    pub rmdirs: u64,
     /// `readdir` calls.
     pub readdirs: u64,
-    /// `rename` calls.
-    pub renames: u64,
-    /// `truncate` calls.
+    /// `ftruncate` calls.
     pub truncates: u64,
     /// Bytes returned by `read`.
     pub bytes_read: u64,
@@ -132,9 +128,7 @@ impl OpCounters {
             + self.stats
             + self.unlinks
             + self.mkdirs
-            + self.rmdirs
             + self.readdirs
-            + self.renames
             + self.truncates
     }
 }
@@ -144,7 +138,6 @@ impl OpCounters {
 #[derive(Debug)]
 pub struct Vfs {
     config: VfsConfig,
-    clock: u64,
     /// Every inode outside the homes' runs, by dense index.
     inodes: Vec<Option<Inode>>,
     /// Freed dense indices.
@@ -164,7 +157,6 @@ impl Vfs {
         config.validate().unwrap_or_else(|e| panic!("{e}"));
         let mut fs = Self {
             config,
-            clock: 0,
             inodes: Vec::new(),
             free_inodes: Vec::new(),
             used: 0,
@@ -192,18 +184,6 @@ impl Vfs {
     /// The configured geometry.
     pub fn config(&self) -> &VfsConfig {
         &self.config
-    }
-
-    /// Sets the file-system clock (microseconds); timestamps of subsequent
-    /// operations use this value. The User Simulator drives it from the
-    /// simulation clock.
-    pub fn set_clock(&mut self, micros: u64) {
-        self.clock = micros;
-    }
-
-    /// The current file-system clock.
-    pub fn clock(&self) -> u64 {
-        self.clock
     }
 
     /// Cumulative system-call counters.
@@ -241,7 +221,7 @@ impl Vfs {
             return Err(FsError::NoSpace);
         }
         self.used += 1;
-        let node = Some(Inode::new(kind, self.clock));
+        let node = Some(Inode::new(kind));
         let idx = match self.free_inodes.pop() {
             Some(idx) => {
                 self.inodes[idx] = node;
@@ -313,8 +293,8 @@ impl Vfs {
     }
 
     /// The entries of `ino` if it is a live directory of this file system:
-    /// `None` for a regular file, a freed slot, or a number past the table
-    /// (a handle kept across an `rmdir`, or taken from another `Vfs`).
+    /// `None` for a regular file, an empty slot, or a number past the table
+    /// (a handle kept across [`Vfs::retire`], or taken from another `Vfs`).
     fn dir(&self, ino: Ino) -> Option<&Entries> {
         match &self.node(ino)?.content {
             Content::Directory(entries) => Some(entries),
@@ -337,16 +317,6 @@ impl Vfs {
         if let Slot::Dense(idx) = self.homes.slot(ino.0) {
             self.free_inodes.push(idx);
             self.used -= 1;
-        }
-    }
-
-    fn drop_link(&mut self, ino: Ino) {
-        let clock = self.clock;
-        let node = self.inode_mut(ino);
-        node.nlink = node.nlink.saturating_sub(1);
-        node.ctime = clock;
-        if node.nlink == 0 && node.open_count == 0 {
-            self.free_inode(ino);
         }
     }
 
@@ -425,35 +395,6 @@ impl Vfs {
         Ok(())
     }
 
-    /// `rmdir(2)`: removes an empty directory.
-    ///
-    /// # Errors
-    ///
-    /// [`FsError::DirectoryNotEmpty`] if it has entries, [`FsError::Busy`]
-    /// for the root, [`FsError::NotADirectory`] for files.
-    pub fn rmdir(&mut self, path: &str) -> Result<(), FsError> {
-        self.counters.rmdirs += 1;
-        let ino = self.resolve(path)?;
-        if ino == self.root {
-            return Err(FsError::Busy);
-        }
-        let entries = self.dir(ino).ok_or(FsError::NotADirectory)?;
-        if !entries.is_empty() {
-            return Err(FsError::DirectoryNotEmpty);
-        }
-        let (parent, name) = self.resolve_parent(path)?;
-        self.dir_mut(parent).remove(name);
-        let clock = self.clock;
-        let p = self.inode_mut(parent);
-        p.nlink -= 1;
-        p.mtime = clock;
-        p.size = p.size.saturating_sub(1);
-        // Directories have nlink 2 when empty; force the free.
-        self.inode_mut(ino).nlink = 0;
-        self.free_inode(ino);
-        Ok(())
-    }
-
     /// `readdir`: lists a directory in name order.
     ///
     /// # Errors
@@ -472,8 +413,6 @@ impl Vfs {
                 kind: self.inode(child).kind(),
             })
             .collect();
-        let clock = self.clock;
-        self.inode_mut(ino).atime = clock;
         Ok(out)
     }
 
@@ -485,12 +424,12 @@ impl Vfs {
     ///
     /// # Errors
     ///
-    /// [`FsError::NotFound`] without `create`, [`FsError::AlreadyExists`]
-    /// with `exclusive`, [`FsError::IsADirectory`] when opening a directory
-    /// for writing, [`FsError::TooManyOpenFiles`] when the process table is
-    /// full (checked first, as Linux takes the descriptor before the path:
-    /// nothing is created or truncated), [`FsError::InvalidArgument`] for
-    /// flags with neither read nor write access.
+    /// [`FsError::NotFound`] without `create`, [`FsError::IsADirectory`]
+    /// when opening a directory, [`FsError::TooManyOpenFiles`] when the
+    /// process table is full (checked first, as Linux takes the descriptor
+    /// before the path: nothing is created or truncated),
+    /// [`FsError::InvalidArgument`] for flags with neither read nor write
+    /// access.
     pub fn open(
         &mut self,
         proc: &mut Process,
@@ -500,12 +439,7 @@ impl Vfs {
         self.counters.opens += 1;
         check_open(proc, flags)?;
         let ino = match self.resolve(path) {
-            Ok(ino) => {
-                if flags.create && flags.exclusive {
-                    return Err(FsError::AlreadyExists);
-                }
-                ino
-            }
+            Ok(ino) => ino,
             Err(FsError::NotFound) if flags.create => {
                 let (parent, name) = self.resolve_parent(path)?;
                 self.create_at(parent, name, FileKind::Regular)?
@@ -552,22 +486,18 @@ impl Vfs {
         if !open.flags.read {
             return Err(FsError::BadAccessMode);
         }
-        let clock = self.clock;
-        let node = self.inode_mut(open.ino);
-        node.atime = clock;
-        let left = node.size.saturating_sub(open.offset);
+        let left = self.inode(open.ino).size.saturating_sub(open.offset);
         let n = usize::try_from(left).map_or(len, |left| len.min(left));
         open.offset += n as u64;
         self.counters.bytes_read += n as u64;
         Ok(n)
     }
 
-    /// `write(2)` of `len` bytes at the descriptor's cursor (or at EOF with
-    /// append mode): every block the range touches is allocated, and no
-    /// byte is stored. Returns the number of bytes written, which is short
-    /// if the device fills mid-write: the write stops at the first block it
-    /// cannot allocate. A write of 0 bytes changes nothing: not the size,
-    /// the times or the cursor.
+    /// `write(2)` of `len` bytes at the descriptor's cursor: every block the
+    /// range touches is allocated, and no byte is stored. Returns the number
+    /// of bytes written, which is short if the device fills mid-write: the
+    /// write stops at the first block it cannot allocate. A write of 0 bytes
+    /// changes nothing: not the size or the cursor.
     ///
     /// # Errors
     ///
@@ -583,16 +513,11 @@ impl Vfs {
         if len == 0 {
             return Ok(0);
         }
-        let ino = open.ino;
-        let offset = if open.flags.append {
-            self.inode(ino).size
-        } else {
-            open.offset
-        };
+        let (ino, offset) = (open.ino, open.offset);
         if offset.saturating_add(len as u64) > self.config.max_file_size {
             return Err(FsError::FileTooLarge);
         }
-        let (bs, clock) = (self.config.block_size as u64, self.clock);
+        let bs = self.config.block_size as u64;
         // The inode is looked up once for the whole write.
         let (node, store) = self.node_and_store(ino);
         // Blocks `first..end` hold the range; those the file lacks are
@@ -616,8 +541,6 @@ impl Vfs {
             at += 1;
         }
         node.size = node.size.max(offset + done as u64);
-        node.mtime = clock;
-        node.ctime = clock;
         open.offset = offset + done as u64;
         self.counters.bytes_written += done as u64;
         Ok(done)
@@ -672,8 +595,7 @@ impl Vfs {
     ///
     /// # Errors
     ///
-    /// [`FsError::IsADirectory`] for directories (use [`Vfs::rmdir`]), plus
-    /// resolution errors.
+    /// [`FsError::IsADirectory`] for directories, plus resolution errors.
     pub fn unlink(&mut self, path: &str) -> Result<(), FsError> {
         self.counters.unlinks += 1;
         let ino = self.resolve(path)?;
@@ -682,80 +604,14 @@ impl Vfs {
         }
         let (parent, name) = self.resolve_parent(path)?;
         self.dir_mut(parent).remove(name).ok_or(FsError::NotFound)?;
-        let clock = self.clock;
         let p = self.inode_mut(parent);
-        p.mtime = clock;
         p.size = p.size.saturating_sub(1);
-        self.drop_link(ino);
+        let node = self.inode_mut(ino);
+        node.nlink = node.nlink.saturating_sub(1);
+        if node.nlink == 0 && node.open_count == 0 {
+            self.free_inode(ino);
+        }
         Ok(())
-    }
-
-    /// `rename(2)`: moves `old` to `new`, replacing an existing file at
-    /// `new` (but never a directory).
-    ///
-    /// # Errors
-    ///
-    /// [`FsError::IsADirectory`] when `new` names an existing directory,
-    /// [`FsError::InvalidArgument`] when moving a directory into its own
-    /// subtree, plus resolution errors.
-    pub fn rename(&mut self, old: &str, new: &str) -> Result<(), FsError> {
-        self.counters.renames += 1;
-        let ino = self.resolve(old)?;
-        if ino == self.root {
-            return Err(FsError::Busy);
-        }
-        let (old_parent, old_name) = self.resolve_parent(old)?;
-        let (new_parent, new_name) = self.resolve_parent(new)?;
-        if old_parent == new_parent && old_name == new_name {
-            return Ok(());
-        }
-        let is_dir = self.dir(ino).is_some();
-        if is_dir && self.is_same_or_descendant(ino, new_parent) {
-            return Err(FsError::InvalidArgument);
-        }
-        // Handle an existing target.
-        let new_entries = self.dir(new_parent).expect("parent checked");
-        if let Some(target) = new_entries.get(new_name) {
-            if self.dir(target).is_some() {
-                return Err(FsError::IsADirectory);
-            }
-            // Without link(2) the target is `ino` only if the names alias,
-            // and the old name goes below.
-            if target != ino {
-                self.dir_mut(new_parent).remove(new_name);
-                let p = self.inode_mut(new_parent);
-                p.size = p.size.saturating_sub(1);
-                self.drop_link(target);
-            }
-        }
-        self.dir_mut(old_parent).remove(old_name);
-        self.dir_mut(new_parent).insert(new_name, ino);
-        let clock = self.clock;
-        if old_parent != new_parent {
-            if is_dir {
-                self.inode_mut(old_parent).nlink -= 1;
-                self.inode_mut(new_parent).nlink += 1;
-            }
-            self.inode_mut(old_parent).size = self.inode(old_parent).size.saturating_sub(1);
-            self.inode_mut(new_parent).size += 1;
-        }
-        self.inode_mut(old_parent).mtime = clock;
-        self.inode_mut(new_parent).mtime = clock;
-        self.inode_mut(ino).ctime = clock;
-        Ok(())
-    }
-
-    /// `truncate(2)`: sets the file length, freeing or holing blocks.
-    ///
-    /// # Errors
-    ///
-    /// [`FsError::IsADirectory`] for directories,
-    /// [`FsError::FileTooLarge`] beyond the maximum file size, plus
-    /// resolution errors.
-    pub fn truncate(&mut self, path: &str, len: u64) -> Result<(), FsError> {
-        self.counters.truncates += 1;
-        let ino = self.resolve(path)?;
-        self.set_len(ino, len)
     }
 
     /// Writes a whole file of `len` bytes by path in `proc`, creating or
@@ -839,7 +695,6 @@ impl Vfs {
         check_open(proc, flags)?;
         check_name(name)?;
         let ino = match self.dir(parent).ok_or(FsError::NotADirectory)?.get(name) {
-            Some(_) if flags.create && flags.exclusive => return Err(FsError::AlreadyExists),
             Some(ino) => ino,
             None if flags.create => self.create_at(parent, name, FileKind::Regular)?,
             None => return Err(FsError::NotFound),
@@ -860,7 +715,11 @@ impl Vfs {
         if !open.flags.write {
             return Err(FsError::BadAccessMode);
         }
-        self.set_len(open.ino, len)
+        if len > self.config.max_file_size {
+            return Err(FsError::FileTooLarge);
+        }
+        self.truncate_inode(open.ino, len);
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -898,7 +757,7 @@ impl Vfs {
             return Err(FsError::NoSpace);
         }
         let first = self.inodes.len() as u64;
-        self.homes = Homes::reserve(first, per_home, homes, self.clock).ok_or(FsError::NoSpace)?;
+        self.homes = Homes::reserve(first, per_home, homes).ok_or(FsError::NoSpace)?;
         self.store.reserve(blocks)?;
         self.used += numbers as usize;
         Ok(Ino(first))
@@ -914,9 +773,7 @@ impl Vfs {
     /// inside directory `parent`, the way the build that reserved it would
     /// have created it: an empty directory, or a regular file of `size`
     /// bytes that holds its blocks out of the reservation when `filled`
-    /// and is a hole otherwise. Every time it sets — its own, and the
-    /// parent's modification time — is the clock the homes were reserved
-    /// at, and no counter moves.
+    /// and is a hole otherwise. No counter moves.
     ///
     /// # Errors
     ///
@@ -949,8 +806,7 @@ impl Vfs {
         {
             return Err(FsError::AlreadyExists);
         }
-        let clock = self.homes.clock;
-        let mut node = Inode::new(kind, clock);
+        let mut node = Inode::new(kind);
         if kind == FileKind::Regular {
             if size > self.config.max_file_size {
                 return Err(FsError::FileTooLarge);
@@ -972,7 +828,6 @@ impl Vfs {
         self.dir_mut(parent).insert(name, ino);
         let p = self.inode_mut(parent);
         p.nlink += u32::from(kind == FileKind::Directory);
-        p.mtime = clock;
         p.size += 1;
         Ok(ino)
     }
@@ -980,8 +835,8 @@ impl Vfs {
     /// Unlinks `name` from directory `parent` and retires the object, and
     /// everything below it if it is a directory, the way a home is
     /// dropped: a retired inode's number stays used and is not handed out
-    /// again, its data blocks go back to the reservation, and no time or
-    /// counter moves. Returns whether there was such an entry.
+    /// again, its data blocks go back to the reservation, and no counter
+    /// moves. Returns whether there was such an entry.
     pub fn retire(&mut self, parent: Ino, name: &str) -> bool {
         let Some(ino) = self.dir(parent).and_then(|entries| entries.get(name)) else {
             return false;
@@ -1038,17 +893,15 @@ impl Vfs {
         }
         let ino = self.alloc_inode(kind)?;
         self.dir_mut(parent).insert(name, ino);
-        let clock = self.clock;
         let p = self.inode_mut(parent);
         p.nlink += u32::from(kind == FileKind::Directory);
-        p.mtime = clock;
         p.size += 1;
         Ok(ino)
     }
 
     /// The tail of every open: access checks on the resolved inode, the
-    /// truncation (which sets `mtime` and `ctime`), then a descriptor in
-    /// `proc`, which [`check_open`] made sure has room.
+    /// truncation, then a descriptor in `proc`, which [`check_open`] made
+    /// sure has room.
     fn open_inode(
         &mut self,
         proc: &mut Process,
@@ -1068,30 +921,8 @@ impl Vfs {
             flags,
         };
         let fd = proc.insert(open).expect("check_open saw room");
-        let clock = self.clock;
-        let node = self.inode_mut(ino);
-        node.open_count += 1;
-        node.atime = clock;
-        if flags.truncate {
-            (node.mtime, node.ctime) = (clock, clock);
-        }
+        self.inode_mut(ino).open_count += 1;
         Ok(fd)
-    }
-
-    /// The body of `truncate` and `ftruncate`.
-    fn set_len(&mut self, ino: Ino, len: u64) -> Result<(), FsError> {
-        if self.dir(ino).is_some() {
-            return Err(FsError::IsADirectory);
-        }
-        if len > self.config.max_file_size {
-            return Err(FsError::FileTooLarge);
-        }
-        self.truncate_inode(ino, len);
-        let clock = self.clock;
-        let node = self.inode_mut(ino);
-        node.mtime = clock;
-        node.ctime = clock;
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1107,16 +938,6 @@ impl Vfs {
         // The list keeps its capacity, so truncating allocates nothing.
         blocks.truncate(cut);
         node.size = len;
-    }
-
-    /// Whether `candidate` is `dir` itself or lives anywhere below it.
-    fn is_same_or_descendant(&self, dir: Ino, candidate: Ino) -> bool {
-        dir == candidate
-            || self.dir(dir).is_some_and(|entries| {
-                entries
-                    .iter()
-                    .any(|(_, child)| self.is_same_or_descendant(child, candidate))
-            })
     }
 }
 
@@ -1255,19 +1076,6 @@ mod tests {
     }
 
     #[test]
-    fn append_mode_writes_at_eof() {
-        let mut f = fs();
-        put(&mut f, "/log", 4).unwrap();
-        let mut p = f.new_process();
-        let fd = f.open(&mut p, "/log", OpenFlags::append_only()).unwrap();
-        f.lseek(&mut p, fd, SeekFrom::Start(1)).unwrap();
-        f.write(&mut p, fd, 4).unwrap();
-        assert_eq!(f.lseek(&mut p, fd, SeekFrom::Current(0)), Ok(8));
-        f.close(&mut p, fd).unwrap();
-        assert_eq!(f.stat("/log").unwrap().size, 8);
-    }
-
-    #[test]
     fn open_flags_validated() {
         let mut f = fs();
         let mut p = f.new_process();
@@ -1285,16 +1093,6 @@ mod tests {
         assert_eq!(f.write(&mut p, fd, 2), Err(FsError::BadAccessMode));
         let wfd = f.open(&mut p, "/x", OpenFlags::create_write()).unwrap();
         assert_eq!(f.read(&mut p, wfd, 1), Err(FsError::BadAccessMode));
-    }
-
-    #[test]
-    fn exclusive_create() {
-        let mut f = fs();
-        let mut p = f.new_process();
-        let flags = OpenFlags::create_write().with_exclusive();
-        let fd = f.open(&mut p, "/once", flags).unwrap();
-        f.close(&mut p, fd).unwrap();
-        assert_eq!(f.open(&mut p, "/once", flags), Err(FsError::AlreadyExists));
     }
 
     #[test]
@@ -1347,20 +1145,6 @@ mod tests {
     }
 
     #[test]
-    fn rmdir_semantics() {
-        let mut f = fs();
-        f.mkdir("/d").unwrap();
-        put(&mut f, "/d/f", 1).unwrap();
-        assert_eq!(f.rmdir("/d"), Err(FsError::DirectoryNotEmpty));
-        f.unlink("/d/f").unwrap();
-        f.rmdir("/d").unwrap();
-        assert!(!f.exists("/d"));
-        assert_eq!(f.rmdir("/"), Err(FsError::Busy));
-        put(&mut f, "/f", 1).unwrap();
-        assert_eq!(f.rmdir("/f"), Err(FsError::NotADirectory));
-    }
-
-    #[test]
     fn unlink_frees_space() {
         let mut f = small_fs();
         put(&mut f, "/a", 256).unwrap(); // 2 blocks
@@ -1394,63 +1178,16 @@ mod tests {
     }
 
     #[test]
-    fn rename_moves_and_replaces() {
-        let mut f = fs();
-        f.mkdir("/a").unwrap();
-        f.mkdir("/b").unwrap();
-        put(&mut f, "/a/f", 7).unwrap();
-        let moved = f.stat("/a/f").unwrap();
-        f.rename("/a/f", "/b/g").unwrap();
-        assert!(!f.exists("/a/f"));
-        assert_eq!(f.stat("/b/g").unwrap().ino, moved.ino);
-        // Replace existing file, whose blocks are freed.
-        put(&mut f, "/b/h", 3).unwrap();
-        f.rename("/b/g", "/b/h").unwrap();
-        assert_eq!(f.stat("/b/h").unwrap(), moved);
-        assert_eq!(f.block_stats().allocated, 1);
-        // Renaming onto a directory fails.
-        put(&mut f, "/x", 1).unwrap();
-        assert_eq!(f.rename("/x", "/a"), Err(FsError::IsADirectory));
-    }
-
-    #[test]
-    fn rename_directory_updates_links() {
-        let mut f = fs();
-        f.mkdir("/a").unwrap();
-        f.mkdir("/b").unwrap();
-        f.mkdir("/a/sub").unwrap();
-        let a_links = f.stat("/a").unwrap().nlink;
-        f.rename("/a/sub", "/b/sub").unwrap();
-        assert_eq!(f.stat("/a").unwrap().nlink, a_links - 1);
-        assert!(f.exists("/b/sub"));
-    }
-
-    #[test]
-    fn rename_into_own_subtree_rejected() {
-        let mut f = fs();
-        f.mkdir_all("/d/inner").unwrap();
-        assert_eq!(f.rename("/d", "/d/inner/d2"), Err(FsError::InvalidArgument));
-        assert_eq!(f.rename("/", "/d/root"), Err(FsError::Busy));
-    }
-
-    #[test]
-    fn rename_to_same_path_is_noop() {
-        let mut f = fs();
-        put(&mut f, "/same", 1).unwrap();
-        let before = f.stat("/same").unwrap();
-        f.rename("/same", "/same").unwrap();
-        assert_eq!(f.stat("/same"), Ok(before));
-    }
-
-    #[test]
     fn truncate_shrinks_and_grows() {
         let mut f = small_fs();
         put(&mut f, "/t", 300).unwrap();
-        f.truncate("/t", 100).unwrap();
+        let mut p = f.new_process();
+        let fd = f.open(&mut p, "/t", OpenFlags::read_write()).unwrap();
+        f.ftruncate(&p, fd, 100).unwrap();
         let md = f.stat("/t").unwrap();
         assert_eq!((md.size, md.blocks), (100, 1));
         // Grow back: the new tail is a hole, not the freed blocks.
-        f.truncate("/t", 300).unwrap();
+        f.ftruncate(&p, fd, 300).unwrap();
         let md = f.stat("/t").unwrap();
         assert_eq!((md.size, md.blocks), (300, 1));
         assert_eq!(read_all(&mut f, "/t"), Ok(300));
@@ -1480,7 +1217,7 @@ mod tests {
         let fd = f.creat(&mut p, "/cap").unwrap();
         f.lseek(&mut p, fd, SeekFrom::Start(4090)).unwrap();
         assert_eq!(f.write(&mut p, fd, 100), Err(FsError::FileTooLarge));
-        assert_eq!(f.truncate("/cap", 1 << 32), Err(FsError::FileTooLarge));
+        assert_eq!(f.ftruncate(&p, fd, 1 << 32), Err(FsError::FileTooLarge));
     }
 
     #[test]
@@ -1538,22 +1275,19 @@ mod tests {
         );
     }
 
-    /// `O_TRUNC` on an existing file sets `mtime` and `ctime`, as a
-    /// truncation does; a write of 0 bytes past EOF changes nothing.
+    /// `O_TRUNC` on an existing file empties it; a write of 0 bytes past
+    /// EOF changes nothing.
     #[test]
     fn o_trunc_stamps_the_file_and_an_empty_write_changes_nothing() {
         let mut f = fs();
         let mut p = f.new_process();
         f.write_file(&mut p, "/f", 10).unwrap();
-        f.set_clock(50);
         let fd = f.creat(&mut p, "/f").unwrap();
-        let md = f.fstat(&p, fd).unwrap();
-        assert_eq!((md.size, md.atime, md.mtime, md.ctime), (0, 50, 50, 50));
+        assert_eq!(f.fstat(&p, fd).unwrap().size, 0);
         f.lseek(&mut p, fd, SeekFrom::Start(4096)).unwrap();
-        f.set_clock(60);
         assert_eq!(f.write(&mut p, fd, 0), Ok(0));
         let md = f.fstat(&p, fd).unwrap();
-        assert_eq!((md.size, md.blocks, md.mtime, md.ctime), (0, 0, 50, 50));
+        assert_eq!((md.size, md.blocks), (0, 0));
         assert_eq!(f.lseek(&mut p, fd, SeekFrom::Current(0)), Ok(4096));
     }
 
@@ -1578,24 +1312,6 @@ mod tests {
         put(&mut f, "/notdir", 1).unwrap();
         assert_eq!(f.stat("/notdir/child"), Err(FsError::NotADirectory));
         assert_eq!(f.resolve("/notdir/child"), Err(FsError::NotADirectory));
-    }
-
-    #[test]
-    fn timestamps_track_clock() {
-        let mut f = fs();
-        f.set_clock(1_000);
-        put(&mut f, "/ts", 2).unwrap();
-        let created = f.stat("/ts").unwrap();
-        assert_eq!(created.mtime, 1_000);
-        f.set_clock(2_000);
-        let mut p = f.new_process();
-        let fd = f.open(&mut p, "/ts", OpenFlags::read_only()).unwrap();
-        f.read(&mut p, fd, 2).unwrap();
-        f.close(&mut p, fd).unwrap();
-        let after_read = f.stat("/ts").unwrap();
-        assert_eq!(after_read.atime, 2_000);
-        assert_eq!(after_read.mtime, 1_000, "read must not touch mtime");
-        assert_eq!(f.clock(), 2_000);
     }
 
     #[test]
@@ -1638,13 +1354,13 @@ mod tests {
     #[test]
     fn by_handle_calls_create_what_the_path_calls_would() {
         let mut by_path = fs();
-        by_path.set_clock(5);
         by_path.mkdir("/d").unwrap();
-        put(&mut by_path, "/d/f", 0).unwrap();
-        by_path.truncate("/d/f", 300).unwrap();
+        let mut p = by_path.new_process();
+        let fd = by_path.creat(&mut p, "/d/f").unwrap();
+        by_path.ftruncate(&p, fd, 300).unwrap();
+        by_path.close(&mut p, fd).unwrap();
 
         let mut by_handle = fs();
-        by_handle.set_clock(5);
         let root = by_handle.root();
         let d = by_handle.mkdir_at(root, "d").unwrap();
         assert_eq!(by_handle.ensure_dir_at(root, "d"), Ok(d), "steps into it");
@@ -1699,7 +1415,7 @@ mod tests {
         put(&mut f, "/file", 1).unwrap();
         let file = f.resolve("/file").unwrap();
         let gone = f.mkdir_at(root, "gone").unwrap();
-        f.rmdir("/gone").unwrap();
+        assert!(f.retire(root, "gone"));
         assert_eq!(f.readdir("/gone"), Err(FsError::NotFound));
         // A handle indexes the inode table: one from a larger file system
         // lies past the end of this one's.
@@ -1714,21 +1430,15 @@ mod tests {
                 Err(FsError::NotADirectory)
             );
         }
-        // The freed slot comes back as a regular file: still no directory.
-        put(&mut f, "/reuse", 1).unwrap();
-        assert_eq!(f.resolve("/reuse"), Ok(gone), "the slot was reused");
+        // A retired number is not handed out again: still no directory.
+        put(&mut f, "/next", 1).unwrap();
+        assert_ne!(f.resolve("/next"), Ok(gone), "the number stays retired");
         assert_eq!(f.ensure_dir_at(gone, "d"), Err(FsError::NotADirectory));
-        assert_eq!(f.readdir("/reuse"), Err(FsError::NotADirectory));
 
         f.mkdir_at(root, "dir").unwrap();
         assert_eq!(f.mkdir_at(root, "dir"), Err(FsError::AlreadyExists));
         assert_eq!(f.mkdir_at(root, "file"), Err(FsError::AlreadyExists));
         assert_eq!(f.ensure_dir_at(root, "file"), Err(FsError::NotADirectory));
-        let exclusive = OpenFlags::create_write().with_exclusive();
-        assert_eq!(
-            f.open_at(&mut p, root, "file", exclusive),
-            Err(FsError::AlreadyExists)
-        );
         assert_eq!(
             f.open_at(&mut p, root, "dir", OpenFlags::create_write()),
             Err(FsError::IsADirectory)

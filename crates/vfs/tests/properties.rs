@@ -19,7 +19,6 @@ enum Op {
     Unlink { name: u8 },
     Truncate { name: u8, len: u16 },
     Stat { name: u8 },
-    Rename { from: u8, to: u8 },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -30,7 +29,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u8..12).prop_map(|name| Op::Unlink { name }),
         (0u8..12, any::<u16>()).prop_map(|(name, len)| Op::Truncate { name, len }),
         (0u8..12).prop_map(|name| Op::Stat { name }),
-        (0u8..12, 0u8..12).prop_map(|(from, to)| Op::Rename { from, to }),
     ]
 }
 
@@ -69,34 +67,26 @@ fn names() -> Vec<String> {
 /// One step of a directory script, on one name of `/d`.
 #[derive(Debug, Clone, Copy)]
 enum DirOp {
+    /// `creat`: a new file, or an existing one emptied.
     Create,
     Mkdir,
     Unlink,
-    Rmdir,
-    /// A new file in `/o` renamed onto the name.
-    RenameIn,
-    /// The entry renamed to `/o`, then removed there.
-    RenameOut,
-    /// The entry renamed to another name of the pool.
-    RenameWithin(usize),
+    /// The entry retired, the way a home is dropped.
+    Retire,
     Lookup,
 }
 
 /// What step `what` does: a growing script mostly adds entries, a
 /// shrinking one mostly removes them.
-fn dir_op(what: u8, shrinking: bool, other: usize) -> DirOp {
+fn dir_op(what: u8, shrinking: bool) -> DirOp {
     use DirOp::*;
-    const GROW: [DirOp; 8] = [
-        Create, Create, Create, Create, Mkdir, Mkdir, RenameIn, Unlink,
-    ];
+    const GROW: [DirOp; 8] = [Create, Create, Create, Create, Create, Mkdir, Mkdir, Unlink];
     const SHRINK: [DirOp; 8] = [
-        Unlink, Unlink, Rmdir, Rmdir, RenameOut, RenameOut, RenameOut, Create,
+        Unlink, Unlink, Unlink, Retire, Retire, Retire, Retire, Create,
     ];
     match what {
         0..=7 if shrinking => SHRINK[usize::from(what)],
         0..=7 => GROW[usize::from(what)],
-        8 => RenameWithin(other),
-        9 if shrinking => RenameOut,
         _ => Lookup,
     }
 }
@@ -113,28 +103,25 @@ const SMALL: VfsConfig = VfsConfig {
     max_file_size: 1_000,
 };
 
-/// One regular file of the model; `times` are access, modification and
-/// change time.
+/// One regular file of the model.
 #[derive(Debug, Clone, Default)]
 struct File {
     size: u64,
     blocks: BTreeSet<u64>,
     nlink: u32,
     open: u32,
-    times: [u64; 3],
 }
 
 /// One open descriptor of the model: its file, cursor and flags.
 type Desc = (u64, u64, OpenFlags);
 
 /// What `fstat` says of a regular file on the small device: inode number,
-/// size, links, blocks and times.
-type Stat = (u64, u64, u32, u64, [u64; 3]);
+/// size, links and blocks.
+type Stat = (u64, u64, u32, u64);
 
 fn stat_of(md: Metadata) -> Stat {
     assert_eq!((md.kind, md.block_size), (FileKind::Regular, 64));
-    let times = [md.atime, md.mtime, md.ctime];
-    (md.ino.number(), md.size, md.nlink, md.blocks, times)
+    (md.ino.number(), md.size, md.nlink, md.blocks)
 }
 
 /// The file system as arithmetic: sizes, block-index sets, link and open
@@ -147,7 +134,6 @@ struct Model {
     fds: Vec<Option<Desc>>,
     /// Freed inode numbers, the last freed taken first.
     freed: Vec<u64>,
-    clock: u64,
     counters: OpCounters,
     blocks: BlockStats,
 }
@@ -179,7 +165,7 @@ impl Model {
     }
 
     /// A full descriptor table refuses the open before the name is looked
-    /// up; a truncation stamps `mtime` and `ctime`.
+    /// up.
     fn open(&mut self, path: &str, flags: OpenFlags) -> Result<u32, FsError> {
         self.counters.opens += 1;
         let slot = self.fds.iter().position(Option::is_none);
@@ -196,7 +182,6 @@ impl Model {
                 let ino = self.freed.pop().unwrap_or(1 + self.files.len() as u64);
                 let file = File {
                     nlink: 1,
-                    times: [self.clock; 3],
                     ..File::default()
                 };
                 self.files.insert(ino, file);
@@ -204,18 +189,13 @@ impl Model {
                 ino
             }
         };
-        let clock = self.clock;
         if flags.truncate {
             self.cut(ino, 0);
-            let file = self.file(ino);
-            file.size = 0;
-            file.times[1..].fill(clock);
+            self.file(ino).size = 0;
         }
         self.fds.resize(self.fds.len().max(slot + 1), None);
         self.fds[slot] = Some((ino, 0, flags));
-        let file = self.file(ino);
-        file.open += 1;
-        file.times[0] = clock;
+        self.file(ino).open += 1;
         Ok(slot as u32)
     }
 
@@ -225,7 +205,7 @@ impl Model {
     /// changes nothing.
     fn write(&mut self, fd: u32, len: u64) -> Result<u64, FsError> {
         self.counters.writes += 1;
-        let (ino, cursor, flags) = self.desc(fd)?;
+        let (ino, offset, flags) = self.desc(fd)?;
         if !flags.write {
             return Err(FsError::BadAccessMode);
         }
@@ -233,11 +213,6 @@ impl Model {
             return Ok(0);
         }
         let bs = SMALL.block_size as u64;
-        let offset = if flags.append {
-            self.files[&ino].size
-        } else {
-            cursor
-        };
         if offset + len > SMALL.max_file_size {
             return Err(FsError::FileTooLarge);
         }
@@ -253,11 +228,9 @@ impl Model {
         let taken = &lacking[..free.min(lacking.len())];
         self.blocks.allocated += taken.len() as u64;
         self.blocks.total_allocations += taken.len() as u64;
-        let clock = self.clock;
         let file = self.file(ino);
         file.blocks.extend(taken);
         file.size = file.size.max(offset + n);
-        file.times[1..].fill(clock);
         self.fds[fd as usize] = Some((ino, offset + n, flags));
         self.counters.bytes_written += n;
         Ok(n)
@@ -269,10 +242,7 @@ impl Model {
         if !flags.read {
             return Err(FsError::BadAccessMode);
         }
-        let clock = self.clock;
-        let file = self.file(ino);
-        file.times[0] = clock;
-        let n = len.min(file.size.saturating_sub(cursor));
+        let n = len.min(self.files[&ino].size.saturating_sub(cursor));
         self.fds[fd as usize] = Some((ino, cursor + n, flags));
         self.counters.bytes_read += n;
         Ok(n)
@@ -285,27 +255,24 @@ impl Model {
         Ok(to)
     }
 
-    fn truncate(&mut self, path: &str, len: u64) -> Result<(), FsError> {
+    fn ftruncate(&mut self, fd: u32, len: u64) -> Result<(), FsError> {
         self.counters.truncates += 1;
-        let ino = *self.names.get(path).ok_or(FsError::NotFound)?;
+        let (ino, _, flags) = self.desc(fd)?;
+        if !flags.write {
+            return Err(FsError::BadAccessMode);
+        }
         if len > SMALL.max_file_size {
             return Err(FsError::FileTooLarge);
         }
         self.cut(ino, len.div_ceil(SMALL.block_size as u64));
-        let clock = self.clock;
-        let file = self.file(ino);
-        file.size = len;
-        file.times[1..].fill(clock);
+        self.file(ino).size = len;
         Ok(())
     }
 
     fn unlink(&mut self, path: &str) -> Result<(), FsError> {
         self.counters.unlinks += 1;
         let ino = self.names.remove(path).ok_or(FsError::NotFound)?;
-        let clock = self.clock;
-        let file = self.file(ino);
-        file.nlink -= 1;
-        file.times[2] = clock;
+        self.file(ino).nlink -= 1;
         self.settle(ino);
         Ok(())
     }
@@ -326,22 +293,18 @@ impl Model {
             size,
             ref blocks,
             nlink,
-            times,
             ..
         } = self.files[&ino];
-        Ok((ino, size, nlink, blocks.len() as u64, times))
+        Ok((ino, size, nlink, blocks.len() as u64))
     }
 }
 
-/// Flags of an open step: read-write creating, appending, truncating
+/// Flags of an open step: read-write creating, read-write, truncating
 /// write-only, or read-only.
 fn open_flags(what: u8) -> OpenFlags {
     match what {
         0 => OpenFlags::read_write_create(),
-        1 => OpenFlags {
-            append: true,
-            ..OpenFlags::read_write_create()
-        },
+        1 => OpenFlags::read_write(),
         2 => OpenFlags::create_write(),
         _ => OpenFlags::read_only(),
     }
@@ -352,8 +315,8 @@ proptest! {
 
     /// The Vfs agrees with a map from path to size and held block indices
     /// under random whole-file operations: a write holds the blocks under
-    /// its range, a truncation drops those past the new size, and a read
-    /// returns the size.
+    /// its range (an append seeks to the end first), a truncation drops
+    /// those past the new size, and a read returns the size.
     #[test]
     fn vfs_matches_model(ops in prop::collection::vec(op_strategy(), 1..60)) {
         let mut fs = Vfs::new(VfsConfig::default());
@@ -372,10 +335,10 @@ proptest! {
                 }
                 Op::AppendFile { name, len } => {
                     let p = path(name);
-                    let opened = fs.open(&mut proc, &p, OpenFlags::append_only());
+                    let opened = fs.open(&mut proc, &p, OpenFlags::read_write());
                     if let Some((size, blocks)) = model.get_mut(&p) {
                         let fd = opened.unwrap();
-                        fs.lseek(&mut proc, fd, SeekFrom::Start(0)).unwrap();
+                        prop_assert_eq!(fs.lseek(&mut proc, fd, SeekFrom::End(0)), Ok(*size));
                         prop_assert_eq!(fs.write(&mut proc, fd, len.into()), Ok(len.into()));
                         fs.close(&mut proc, fd).unwrap();
                         if len > 0 {
@@ -408,12 +371,15 @@ proptest! {
                 }
                 Op::Truncate { name, len } => {
                     let p = path(name);
+                    let opened = fs.open(&mut proc, &p, OpenFlags::read_write());
                     if let Some((size, blocks)) = model.get_mut(&p) {
-                        fs.truncate(&p, len.into()).unwrap();
+                        let fd = opened.unwrap();
+                        fs.ftruncate(&proc, fd, len.into()).unwrap();
+                        fs.close(&mut proc, fd).unwrap();
                         *size = len.into();
                         blocks.retain(|&b| b < size.div_ceil(bs));
                     } else {
-                        prop_assert!(fs.truncate(&p, len.into()).is_err());
+                        prop_assert_eq!(opened, Err(FsError::NotFound));
                     }
                 }
                 Op::Stat { name } => {
@@ -425,16 +391,6 @@ proptest! {
                             prop_assert!(md.is_file());
                         }
                         None => prop_assert!(fs.stat(&p).is_err()),
-                    }
-                }
-                Op::Rename { from, to } => {
-                    let (pf, pt) = (path(from), path(to));
-                    if model.contains_key(&pf) {
-                        fs.rename(&pf, &pt).unwrap();
-                        let v = model.remove(&pf).unwrap();
-                        model.insert(pt, v);
-                    } else {
-                        prop_assert!(fs.rename(&pf, &pt).is_err());
                     }
                 }
             }
@@ -459,76 +415,41 @@ proptest! {
     }
 
     /// One directory under a random script of creates, mkdirs, unlinks,
-    /// rmdirs, renames in, out and within, and lookups, checked against a
-    /// map from name to inode after every step: what each call returns,
-    /// `readdir` in name order with every inode and kind, the directory's
-    /// size and links, and the live inode count. A script grows the
+    /// retires and lookups, checked against a map from name to inode after
+    /// every step: what each call returns, `readdir` in name order with
+    /// every inode and kind, the directory's size and links, and the used
+    /// inode count, which keeps every retired number. A script grows the
     /// directory past the vector-to-B-tree promotion, then shrinks it.
     #[test]
     fn a_directory_matches_a_name_map(
-        grow in prop::collection::vec((0u8..11, 0..POOL, 0..POOL), 80..200),
-        shrink in prop::collection::vec((0u8..11, 0..POOL, 0..POOL), 80..240),
+        grow in prop::collection::vec((0u8..11, 0..POOL), 80..200),
+        shrink in prop::collection::vec((0u8..11, 0..POOL), 80..240),
     ) {
         let names = names();
         let mut fs = Vfs::new(VfsConfig::default());
         fs.mkdir("/d").unwrap();
-        fs.mkdir("/o").unwrap();
+        let d = fs.resolve("/d").unwrap();
         let mut proc = fs.new_process();
         let (mut model, mut dirs) = (BTreeMap::<String, _>::new(), BTreeSet::new());
+        let mut retired = 0;
         let steps = grow.iter().map(|s| (s, false)).chain(shrink.iter().map(|s| (s, true)));
-        for (&(what, name, other), shrinking) in steps {
+        for (&(what, name), shrinking) in steps {
             let (name, path) = (&names[name], format!("/d/{}", names[name]));
-            let op = dir_op(what, shrinking, other);
+            let op = dir_op(what, shrinking);
             let (present, is_dir) = (model.contains_key(name), dirs.contains(name));
             let expected = match op {
-                _ if !present && !matches!(op, DirOp::Create | DirOp::Mkdir | DirOp::RenameIn) => {
-                    Err(FsError::NotFound)
-                }
-                DirOp::Create | DirOp::Mkdir if present => Err(FsError::AlreadyExists),
-                DirOp::Unlink | DirOp::RenameIn if is_dir => Err(FsError::IsADirectory),
-                DirOp::Rmdir if !is_dir => Err(FsError::NotADirectory),
-                DirOp::RenameWithin(to) if dirs.contains(&names[to]) && names[to] != *name => {
-                    Err(FsError::IsADirectory)
-                }
+                DirOp::Create | DirOp::Unlink if is_dir => Err(FsError::IsADirectory),
+                DirOp::Create => Ok(()),
+                DirOp::Mkdir if present => Err(FsError::AlreadyExists),
+                DirOp::Mkdir => Ok(()),
+                _ if !present => Err(FsError::NotFound),
                 _ => Ok(()),
             };
             let result = match op {
-                DirOp::Create => {
-                    let created = fs.open(&mut proc, &path, OpenFlags::create_write().with_exclusive());
-                    created.map(|fd| fs.close(&mut proc, fd).unwrap())
-                }
+                DirOp::Create => fs.creat(&mut proc, &path).map(|fd| fs.close(&mut proc, fd).unwrap()),
                 DirOp::Mkdir => fs.mkdir(&path),
                 DirOp::Unlink => fs.unlink(&path),
-                DirOp::Rmdir => fs.rmdir(&path),
-                DirOp::RenameIn => {
-                    fs.write_file(&mut proc, "/o/in", 1).unwrap();
-                    let ino = fs.resolve("/o/in").unwrap();
-                    let renamed = fs.rename("/o/in", &path);
-                    match renamed {
-                        Ok(()) => drop((model.insert(name.clone(), ino), dirs.remove(name))),
-                        Err(_) => fs.unlink("/o/in").unwrap(),
-                    }
-                    renamed
-                }
-                DirOp::RenameOut => {
-                    let out = format!("/o/{name}");
-                    let renamed = fs.rename(&path, &out);
-                    if renamed.is_ok() {
-                        if is_dir { fs.rmdir(&out) } else { fs.unlink(&out) }.unwrap();
-                    }
-                    renamed
-                }
-                DirOp::RenameWithin(to) => {
-                    let renamed = fs.rename(&path, &format!("/d/{}", names[to]));
-                    if renamed.is_ok() && names[to] != *name {
-                        let ino = model.remove(name).unwrap();
-                        model.insert(names[to].clone(), ino);
-                        if dirs.remove(name) {
-                            dirs.insert(names[to].clone());
-                        }
-                    }
-                    renamed
-                }
+                DirOp::Retire => fs.retire(d, name).then_some(()).ok_or(FsError::NotFound),
                 DirOp::Lookup => fs.resolve(&path).map(|ino| {
                     assert_eq!(model.get(name), Some(&ino), "{name}");
                 }),
@@ -537,16 +458,19 @@ proptest! {
             if result.is_ok() {
                 match op {
                     DirOp::Create | DirOp::Mkdir => {
-                        model.insert(name.clone(), fs.resolve(&path).unwrap());
+                        let ino = fs.resolve(&path).unwrap();
+                        let kept = model.insert(name.clone(), ino);
+                        prop_assert!(kept.is_none() || kept == Some(ino), "creat keeps the inode");
                         if matches!(op, DirOp::Mkdir) {
                             dirs.insert(name.clone());
                         }
                     }
-                    DirOp::Unlink | DirOp::Rmdir | DirOp::RenameOut => {
+                    DirOp::Unlink | DirOp::Retire => {
                         model.remove(name);
                         dirs.remove(name);
+                        retired += u64::from(matches!(op, DirOp::Retire));
                     }
-                    _ => {}
+                    DirOp::Lookup => {}
                 }
             }
 
@@ -559,7 +483,7 @@ proptest! {
             prop_assert_eq!(listed, expected);
             let md = fs.stat("/d").unwrap();
             prop_assert_eq!((md.size, md.nlink as usize), (model.len() as u64, 2 + dirs.len()));
-            prop_assert_eq!(fs.statfs().used_inodes, 3 + model.len() as u64);
+            prop_assert_eq!(fs.statfs().used_inodes, 2 + model.len() as u64 + retired);
         }
     }
 
@@ -582,7 +506,7 @@ proptest! {
     }
 
     /// Every call against the arithmetic model, on the small device: a
-    /// random script of opens (creating, appending, truncating, read-only),
+    /// random script of opens (creating, read-write, truncating, read-only),
     /// writes, reads, seeks (past EOF too), truncations up and down (holes),
     /// unlinks (of open files too) and closes, over three names and every
     /// descriptor handed out, closed ones included. After every step the
@@ -595,29 +519,24 @@ proptest! {
 
     /// `read` of a length (once `read_discard`) is a byte read minus the
     /// bytes: over holes, truncations, cursors past EOF, a second read-only
-    /// cursor, a write-only and a closed descriptor, and a clock that moves
-    /// on its own steps, every read is the model's `read(2)`.
+    /// cursor, a write-only and a closed descriptor, every read is the
+    /// model's `read(2)`.
     #[test]
-    fn read_discard_is_read_minus_the_bytes(steps in prop::collection::vec((0u8..6, 0usize..6, any::<u16>()), 1..80)) {
+    fn read_discard_is_read_minus_the_bytes(steps in prop::collection::vec((0u8..5, 0usize..6, any::<u16>()), 1..80)) {
         let mut fs = Vfs::new(SMALL);
         let mut proc = fs.new_process();
         let (mut model, mut fds) = (Model::default(), Vec::new());
         // Read-write descriptors on /f0, /f1 and /f2, a second (read-only)
         // cursor on /f0, a write-only one on /f1 and a closed one on /f2.
         for open in [(0, 0), (0, 1), (0, 2), (3, 0), (2, 1), (3, 2)] {
-            step(&mut fs, &mut proc, &mut model, &mut fds, 0, open, None);
+            step(&mut fs, &mut proc, &mut model, &mut fds, open, None);
         }
         let last = Some(fds[5]);
-        step(&mut fs, &mut proc, &mut model, &mut fds, 0, (10, 0), last);
-        let mut clock = 0;
-        for (tick, (what, fd, arg)) in steps.into_iter().enumerate() {
-            if what == 3 {
-                clock = 7 * tick as u64;
-                continue;
-            }
-            // A write, a truncation, a seek, or (two in six) a read.
-            let (what, fd) = ([4, 8, 7, 0, 6, 6][usize::from(what)], Some(fds[fd]));
-            step(&mut fs, &mut proc, &mut model, &mut fds, clock, (what, arg), fd);
+        step(&mut fs, &mut proc, &mut model, &mut fds, (10, 0), last);
+        for (what, fd, arg) in steps {
+            // A write, a truncation, a seek, or (two in five) a read.
+            let (what, fd) = ([4, 8, 7, 6, 6][usize::from(what)], Some(fds[fd]));
+            step(&mut fs, &mut proc, &mut model, &mut fds, (what, arg), fd);
         }
     }
 
@@ -632,37 +551,32 @@ proptest! {
     }
 }
 
-/// Runs a script of `step`s on the small device, the clock at ten times the
-/// step's number; a step's argument also picks its descriptor among those
-/// handed out.
+/// Runs a script of `step`s on the small device; a step's argument also
+/// picks its descriptor among those handed out.
 fn script(steps: impl IntoIterator<Item = (u8, u16)>) {
     let mut fs = Vfs::new(SMALL);
     let mut proc = fs.new_process();
     let (mut model, mut fds) = (Model::default(), Vec::new());
-    for (tick, (what, arg)) in steps.into_iter().enumerate() {
+    for (what, arg) in steps {
         let fd = fds.get(usize::from(arg) % fds.len().max(1)).copied();
-        let (fs, proc, model) = (&mut fs, &mut proc, &mut model);
-        step(fs, proc, model, &mut fds, 10 * tick as u64, (what, arg), fd);
+        step(&mut fs, &mut proc, &mut model, &mut fds, (what, arg), fd);
     }
 }
 
-/// Makes step `what` on the Vfs and on the model with both clocks at
-/// `clock`, asserts they return the same, then runs `check`. Steps 0 to 3
-/// open `/f{arg % 3}` with `open_flags(what)`, 4 and 5 write `arg % 700`
-/// bytes, 6 reads as many, 7 seeks to `arg % 1_200`, 8 truncates the name
-/// to that, 9 unlinks it, and the rest close; a step on `fd` when there is
-/// none is skipped. An opened descriptor joins `fds`.
+/// Makes step `what` on the Vfs and on the model, asserts they return the
+/// same, then runs `check`. Steps 0 to 3 open `/f{arg % 3}` with
+/// `open_flags(what)`, 4 and 5 write `arg % 700` bytes, 6 reads as many, 7
+/// seeks to `arg % 1_200`, 8 truncates the descriptor's file to that, 9
+/// unlinks the name, and the rest close; a step on `fd` when there is none
+/// is skipped. An opened descriptor joins `fds`.
 fn step(
     fs: &mut Vfs,
     proc: &mut Process,
     model: &mut Model,
     fds: &mut Vec<Fd>,
-    clock: u64,
     (what, arg): (u8, u16),
     fd: Option<Fd>,
 ) {
-    fs.set_clock(clock);
-    model.clock = clock;
     let path = format!("/f{}", arg % 3);
     let (len, at) = (u64::from(arg) % 700, u64::from(arg) % 1_200);
     let got: Result<u64, FsError> = match (what, fd) {
@@ -673,7 +587,7 @@ fn step(
         (4 | 5, Some(fd)) => fs.write(proc, fd, len as usize).map(|n| n as u64),
         (6, Some(fd)) => fs.read(proc, fd, len as usize).map(|n| n as u64),
         (7, Some(fd)) => fs.lseek(proc, fd, SeekFrom::Start(at)),
-        (8, _) => fs.truncate(&path, at).map(|()| 0),
+        (8, Some(fd)) => fs.ftruncate(proc, fd, at).map(|()| 0),
         (9, _) => fs.unlink(&path).map(|()| 0),
         (_, Some(fd)) => fs.close(proc, fd).map(|()| 0),
         (_, None) => return,
@@ -684,7 +598,7 @@ fn step(
         4 | 5 => model.write(fd, len),
         6 => model.read(fd, len),
         7 => model.seek(fd, at),
-        8 => model.truncate(&path, at).map(|()| 0),
+        8 => model.ftruncate(fd, at).map(|()| 0),
         9 => model.unlink(&path).map(|()| 0),
         _ => model.close(fd).map(|()| 0),
     };

@@ -8,7 +8,7 @@
 //! environments."
 //!
 //! ```sh
-//! cargo run --release -p uswg-examples --bin compare_filesystems
+//! cargo run --release --example compare_filesystems
 //! ```
 
 use uswg_core::experiment::{compare_models, ModelConfig, Parallelism};

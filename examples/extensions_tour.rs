@@ -3,7 +3,7 @@
 //! distributed NFS.
 //!
 //! ```sh
-//! cargo run --release -p uswg-examples --bin extensions_tour
+//! cargo run --release --example extensions_tour
 //! ```
 
 use uswg_core::experiment::{user_sweep, ModelConfig, Parallelism};

@@ -4,7 +4,7 @@
 //! including the Figure 5.1/5.2 example families.
 //!
 //! ```sh
-//! cargo run -p uswg-examples --bin fit_distributions
+//! cargo run --example fit_distributions
 //! ```
 
 use rand::SeedableRng;

@@ -2,7 +2,7 @@
 //! NFS model, and print the response-time summary.
 //!
 //! ```sh
-//! cargo run -p uswg-examples --bin quickstart
+//! cargo run --example quickstart
 //! ```
 
 use uswg_core::experiment::ModelConfig;
@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  {name:<16} {:>8} jobs, mean wait {:>8.1} µs, utilization {:>5.1}%",
             stats.jobs,
             stats.mean_wait(),
-            100.0 * stats.utilization(report.duration, 1)
+            100.0 * stats.utilization(report.duration)
         );
     }
     Ok(())

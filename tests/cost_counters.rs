@@ -52,10 +52,10 @@ static ALLOCATOR: Counting = Counting;
 /// list, taken when a slot is written after an unlink.
 const PINNED: [(&str, f64); 10] = [
     ("nfs_allocs_per_op", 1.026),
-    ("nfs_bytes_per_op", 175.398),
+    ("nfs_bytes_per_op", 175.181),
     ("nfs_events_per_op", 8.595),
     ("local_allocs_per_op", 1.026),
-    ("local_bytes_per_op", 65.161),
+    ("local_bytes_per_op", 64.943),
     ("local_events_per_op", 3.934),
     ("spill_encode_allocs_per_record", 0.009),
     ("scan_allocs_per_record", 0.0),

@@ -112,8 +112,9 @@ fn the_file_system_costs_a_known_number_of_bytes_and_blocks_per_user() {
     // `/u` and `/tmp`.
     let [home_bytes, home_blocks] = per_user(a.homes, b.homes);
     println!("{home_bytes:.1} B and {home_blocks:.3} blocks per user with every home built");
-    // Measured 608.4 B and 2.295 blocks.
-    assert!(home_bytes <= 608.4, "{home_bytes} bytes per built home");
+    // Measured 488.4 B and 2.295 blocks, the bound 10 % above; 608.4 B
+    // while every inode kept three timestamps (72 B a slot, now 48 B).
+    assert!(home_bytes <= 537.3, "{home_bytes} bytes per built home");
     assert!(home_blocks <= 2.3, "{home_blocks} blocks per built home");
     // Dropped, the homes give back all of it but the emptied `/u` and
     // `/tmp` nodes.

@@ -250,7 +250,6 @@ fn sequential_shapes(spec: &WorkloadSpec) -> Vec<Vec<OpShape>> {
                 if session.names_home(&catalog) {
                     catalog.build_home(&mut vfs, user).expect("home builds");
                 }
-                vfs.set_clock(clock);
                 loop {
                     let op =
                         session.next_op(&mut vfs, &mut proc, utype, &catalog, &mut path, &mut rng);
@@ -260,7 +259,6 @@ fn sequential_shapes(spec: &WorkloadSpec) -> Vec<Vec<OpShape>> {
                     let r = exec.request;
                     shapes.push((ordinal, r.kind.to_string(), r.file.0, r.bytes, r.file_size));
                     clock += utype.sample_think(&mut behavior, &mut rng);
-                    vfs.set_clock(clock);
                 }
                 if ordinal + 1 < spec.run.sessions_per_user {
                     clock += utype.sample_inter_session(clock, &mut rng);
