@@ -30,6 +30,6 @@ mod table;
 
 pub use fit::{collect_fit, FitCollector, FitObservation, FitOutcome, Reservoir};
 pub use histogram::Histogram;
-pub use scan::{CountingReader, Coverage, Pass, ScanOptions, ScanOutcome};
+pub use scan::{CountingReader, Coverage, Pass, ScanOptions};
 pub use table::Table;
 pub use uswg_usim::{StreamingSummary, Summary};

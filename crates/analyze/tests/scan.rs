@@ -1,13 +1,13 @@
 //! Acceptance pins for spill scans: a windowed pass reads O(window) bytes
-//! (counting-reader budget), sampling thins frames, a parallel pass merges
-//! to the sequential statistics within 1e-9, and the path-level entry
-//! points make one index-or-stream choice for `analyze` and `fit` alike.
+//! (counting-reader budget), sampling thins frames, and the path-level
+//! entry points make one index-or-stream choice for `analyze` and `fit`
+//! alike.
 
-use std::io::{Cursor, ErrorKind};
+use std::io::{self, Cursor, ErrorKind, Read, Seek};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use uswg_analyze::scan::{scan_indexed, scan_path};
+use uswg_analyze::scan::{scan_path, visit_indexed};
 use uswg_analyze::{collect_fit, CountingReader, Coverage, ScanOptions};
 use uswg_usim::{
     FrameIndex, LogSink, OpRecord, SessionRecord, SpillReader, SpillRecord, SpillSink, SummarySink,
@@ -76,6 +76,25 @@ fn sequential(bytes: &[u8], opts: &ScanOptions) -> SummarySink {
     stats
 }
 
+/// The indexed pass folded into a [`SummarySink`], with the frames it
+/// decoded and the frames the index lists.
+fn fold_indexed<R: Read + Seek>(
+    index: &FrameIndex,
+    opts: &ScanOptions,
+    open: impl FnOnce() -> io::Result<SpillReader<R>>,
+) -> (SummarySink, usize, usize) {
+    let mut stats = SummarySink::new();
+    let coverage = visit_indexed(index, opts, open, |record| match record {
+        SpillRecord::Op(op) => stats.record_op(op),
+        SpillRecord::Session(s) => stats.record_session(s),
+    })
+    .unwrap();
+    let Coverage::Indexed { decoded, total } = coverage else {
+        panic!("{coverage:?}");
+    };
+    (stats, decoded, total)
+}
+
 fn assert_stats_match(a: &SummarySink, b: &SummarySink) {
     assert_eq!(a.ops, b.ops);
     assert_eq!(a.sessions, b.sessions);
@@ -140,15 +159,14 @@ fn windowed_scan_reads_only_overlapping_frames() {
         .sum::<u64>();
     let bytes_read = Arc::new(AtomicU64::new(0));
     let counter = Arc::clone(&bytes_read);
-    let outcome = scan_indexed(&index, &opts, || {
+    let (stats, decoded, total) = fold_indexed(&index, &opts, || {
         SpillReader::new(CountingReader::new(
             Cursor::new(&bytes),
             Arc::clone(&counter),
         ))
-    })
-    .unwrap();
-    assert_eq!(outcome.frames_decoded, overlapping.len());
-    assert_eq!(outcome.frames_total, index.frames());
+    });
+    assert_eq!(decoded, overlapping.len());
+    assert_eq!(total, index.frames());
     let read = bytes_read.load(Ordering::Relaxed);
     assert!(
         read <= budget,
@@ -157,33 +175,7 @@ fn windowed_scan_reads_only_overlapping_frames() {
     );
     assert!(read < bytes.len() as u64 / 10, "not O(window)");
     // And the records match the filtered sequential pass exactly.
-    assert_stats_match(&outcome.stats, &sequential(&bytes, &opts));
-}
-
-#[test]
-fn parallel_scan_matches_sequential_within_1e_9() {
-    let bytes = capture();
-    let index = FrameIndex::load(&mut Cursor::new(&bytes)).unwrap().unwrap();
-    let full = sequential(&bytes, &ScanOptions::default());
-    for jobs in [2, 4, 7] {
-        let opts = ScanOptions {
-            jobs,
-            ..ScanOptions::default()
-        };
-        let outcome =
-            scan_indexed(&index, &opts, || SpillReader::new(Cursor::new(&bytes))).unwrap();
-        assert_eq!(outcome.frames_decoded, index.frames());
-        assert_stats_match(&outcome.stats, &full);
-    }
-    // A parallel *windowed* scan also matches its sequential filter.
-    let opts = ScanOptions {
-        since: Some(5_000),
-        until: Some(30_000),
-        jobs: 3,
-        ..ScanOptions::default()
-    };
-    let outcome = scan_indexed(&index, &opts, || SpillReader::new(Cursor::new(&bytes))).unwrap();
-    assert_stats_match(&outcome.stats, &sequential(&bytes, &opts));
+    assert_stats_match(&stats, &sequential(&bytes, &opts));
 }
 
 #[test]
@@ -195,9 +187,9 @@ fn sampling_thins_the_selected_frames() {
         sample: Some(k),
         ..ScanOptions::default()
     };
-    let outcome = scan_indexed(&index, &opts, || SpillReader::new(Cursor::new(&bytes))).unwrap();
+    let (stats, decoded, _) = fold_indexed(&index, &opts, || SpillReader::new(Cursor::new(&bytes)));
     let expected_frames = index.frames().div_ceil(k as usize);
-    assert_eq!(outcome.frames_decoded, expected_frames);
+    assert_eq!(decoded, expected_frames);
     // The sampled stats hold exactly the records of every k-th frame.
     let expected_records: u64 = index
         .entries()
@@ -205,19 +197,18 @@ fn sampling_thins_the_selected_frames() {
         .step_by(k as usize)
         .map(|e| u64::from(e.records))
         .sum();
-    assert_eq!(outcome.stats.ops + outcome.stats.sessions, expected_records);
+    assert_eq!(stats.ops + stats.sessions, expected_records);
     // sample=1 and sample=None decode everything.
-    let all = scan_indexed(
+    let (all, decoded, _) = fold_indexed(
         &index,
         &ScanOptions {
             sample: Some(1),
             ..ScanOptions::default()
         },
         || SpillReader::new(Cursor::new(&bytes)),
-    )
-    .unwrap();
-    assert_eq!(all.frames_decoded, index.frames());
-    assert_stats_match(&all.stats, &sequential(&bytes, &ScanOptions::default()));
+    );
+    assert_eq!(decoded, index.frames());
+    assert_stats_match(&all, &sequential(&bytes, &ScanOptions::default()));
 }
 
 #[test]
@@ -226,21 +217,19 @@ fn empty_window_scans_nothing() {
     let index = FrameIndex::load(&mut Cursor::new(&bytes)).unwrap().unwrap();
     let opts = ScanOptions {
         since: Some(1_000_000),
-        jobs: 4,
         ..ScanOptions::default()
     };
     let bytes_read = Arc::new(AtomicU64::new(0));
     let counter = Arc::clone(&bytes_read);
-    let outcome = scan_indexed(&index, &opts, || {
+    let (stats, decoded, _) = fold_indexed(&index, &opts, || {
         SpillReader::new(CountingReader::new(
             Cursor::new(&bytes),
             Arc::clone(&counter),
         ))
-    })
-    .unwrap();
-    assert_eq!(outcome.frames_decoded, 0);
-    assert_eq!(outcome.stats.ops, 0);
-    assert_eq!(outcome.stats.sessions, 0);
+    });
+    assert_eq!(decoded, 0);
+    assert_eq!(stats.ops, 0);
+    assert_eq!(stats.sessions, 0);
     // No frames selected → no reader ever opened.
     assert_eq!(bytes_read.load(Ordering::Relaxed), 0);
 }
@@ -252,13 +241,12 @@ fn on_disk(name: &str, bytes: &[u8]) -> PathBuf {
     path
 }
 
-fn opts(since: Option<u64>, sample: Option<u64>, jobs: usize) -> ScanOptions {
+fn opts(since: Option<u64>, sample: Option<u64>) -> ScanOptions {
     let until = since.map(|s| s + 2_000);
     ScanOptions {
         since,
         until,
         sample,
-        jobs,
     }
 }
 
@@ -267,15 +255,13 @@ fn analyze_and_fit_make_one_index_or_stream_choice() {
     let indexed = on_disk("indexed", &capture());
     let bare = SpillSink::with_options(Vec::new(), FRAME).unwrap();
     let unindexed = on_disk("unindexed", &fill(bare.without_index()));
-    // A filter, a fan-out request and `--sample 1` (which drops nothing) all
-    // ask for the index; only the plain full pass does not.
+    // A filter, `--sample 1` (which drops nothing) among them, asks for the
+    // index; only the plain full pass does not.
     for (opts, wants_index) in [
-        (opts(None, None, 0), false),
-        (opts(Some(20_000), None, 0), true),
-        (opts(None, Some(1), 0), true),
-        (opts(None, Some(4), 0), true),
-        (opts(None, None, 1), true),
-        (opts(None, None, 3), true),
+        (opts(None, None), false),
+        (opts(Some(20_000), None), true),
+        (opts(None, Some(1)), true),
+        (opts(None, Some(4)), true),
     ] {
         let (with, pass) = scan_path(&indexed, &opts, false).unwrap();
         let (without, streamed) = scan_path(&unindexed, &opts, false).unwrap();
@@ -321,7 +307,7 @@ fn salvage_accepts_a_cut_says_where_and_still_rejects_corruption() {
     // streams rather than trusting half an index.
     let foot = on_disk("cut-foot", &bytes[..bytes.len() - 5]);
     assert!(scan_path(&foot, &full, false).is_err());
-    let (stats, pass) = scan_path(&foot, &opts(Some(0), None, 0), true).unwrap();
+    let (stats, pass) = scan_path(&foot, &opts(Some(0), None), true).unwrap();
     assert!(pass.truncated && pass.stream_complete);
     assert_eq!(
         (stats.ops, pass.coverage),

@@ -24,7 +24,6 @@ pub(crate) fn analyze(command: Command) -> Outcome {
         since,
         until,
         sample,
-        jobs,
     } = command
     else {
         unreachable!("execute_with_status routes on the variant");
@@ -33,7 +32,6 @@ pub(crate) fn analyze(command: Command) -> Outcome {
         since,
         until,
         sample,
-        jobs: jobs.unwrap_or(0),
     };
     let (stats, pass) = scan_path(&path, &opts, salvage).map_err(at(&path))?;
     if opts.filters() && stats.ops == 0 && stats.sessions == 0 {
@@ -281,7 +279,6 @@ pub(crate) fn fit(command: Command) -> Outcome {
         since,
         until,
         sample,
-        jobs: 0,
     };
     if is_spill_file(&path)? {
         if family.is_some() {

@@ -95,8 +95,6 @@ pub enum Command {
         /// Decode every k-th selected frame (requires an index footer to
         /// skip; thins a huge capture into a cheap estimate).
         sample: Option<u64>,
-        /// Fan disjoint frame ranges across this many pool workers.
-        jobs: Option<usize>,
     },
     /// `drive <path>`: stream the workload's op stream — from a live DES
     /// run on a producer thread, or from a spill capture — open-loop
@@ -301,13 +299,11 @@ USAGE:
       --since <µs>     keep records completing at or after this time
       --until <µs>     keep records completing at or before this time
       --sample <k>     decode every k-th selected frame (an estimate)
-      --jobs <N>       fan frame ranges across N workers and merge
-                       (indexed files; results match the sequential pass)
                        With an index footer (written by default since
-                       schema 9), --since/--until/--sample/--jobs decode
-                       only the overlapping frames — O(window), not
-                       O(file); unindexed files fall back to a streamed
-                       pass with the same record filter
+                       schema 9), --since/--until/--sample decode only
+                       the overlapping frames — O(window), not O(file);
+                       unindexed files fall back to a streamed pass with
+                       the same record filter
   uswg tables                           print the Table 5.1/5.2/5.4 presets
   uswg help                             this message
 ";

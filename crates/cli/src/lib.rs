@@ -401,13 +401,12 @@ mod tests {
                 since: None,
                 until: None,
                 sample: None,
-                jobs: None,
             }
         );
         assert_eq!(
             parse_args(argv(
                 "analyze run.bin --json --by-type --salvage --since 100 \
-                 --until 900 --sample 10 --jobs 4"
+                 --until 900 --sample 10"
             ))
             .unwrap(),
             Command::Analyze {
@@ -418,14 +417,13 @@ mod tests {
                 since: Some(100),
                 until: Some(900),
                 sample: Some(10),
-                jobs: Some(4),
             }
         );
         // Windowed flags validate their values.
         assert!(parse_args(argv("analyze run.bin --since")).is_err());
         assert!(parse_args(argv("analyze run.bin --since later")).is_err());
         assert!(parse_args(argv("analyze run.bin --sample 0")).is_err());
-        assert!(parse_args(argv("analyze run.bin --jobs 0")).is_err());
+        assert!(parse_args(argv("analyze run.bin --jobs 2")).is_err());
         assert!(parse_args(argv("analyze run.bin --since 10 --until 5")).is_err());
     }
 
@@ -821,7 +819,7 @@ mod tests {
     }
 
     #[test]
-    fn windowed_and_parallel_analyze_use_the_index() {
+    fn windowed_analyze_uses_the_index() {
         let dir = unique_test_dir("window");
         let arg = arg(&dir, "timed.bin");
         // A capture with a known time line: op i completes at i*10 µs, at
@@ -865,22 +863,6 @@ mod tests {
         // Text mode names the coverage.
         let out = cli_ok(&format!("analyze {arg} --since 5000 --until 7000"));
         assert!(out.contains("frame index: decoded"), "{out}");
-
-        // Parallel analyze matches the sequential pass: counters exactly,
-        // derived floats within 1e-9.
-        let parallel = json("--jobs 4");
-        for key in ["ops", "sessions", "data_bytes", "goodput_bytes"] {
-            assert_eq!(json_u64(&parallel, key), json_u64(&full, key), "{key}");
-        }
-        let (p, f) = match (
-            parallel.get("response_per_byte"),
-            full.get("response_per_byte"),
-        ) {
-            (Some(serde::Value::F64(p)), Some(serde::Value::F64(f))) => (*p, *f),
-            other => panic!("{other:?}"),
-        };
-        assert!((p - f).abs() < 1e-9);
-        assert_eq!(json_u64(&parallel, "frames_decoded"), total);
 
         // Sampling decodes every k-th frame.
         let sampled = json("--sample 4");

@@ -18,7 +18,7 @@ const FLAGS: [&str; 6] = [
     "drive --model --from-spill --speedup --max-in-flight --queue-cap --deadline-us \
      --service-us --fail-ppm",
     "fit --family --out --json --since --until --sample",
-    "analyze --json --by-type --salvage --since --until --sample --jobs",
+    "analyze --json --by-type --salvage --since --until --sample",
 ];
 
 /// A cursor over one subcommand's flags. `next_flag` steps to the next
@@ -418,7 +418,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
                 since: p.since,
                 until: p.until,
                 sample: p.sample,
-                jobs: p.jobs,
             }
         }
         other => return Err(CliError::Usage(format!("unknown command `{other}`"))),

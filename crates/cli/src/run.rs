@@ -1,9 +1,9 @@
 //! `uswg init`, `uswg run` and `uswg tables`: write a spec, execute one,
 //! print the paper's presets.
 
-use crate::{at, load_spec, ok, op_table, write_file, CliError, Command, Outcome};
+use crate::{at, load_spec, ok, op_table, write_file, Command, Outcome};
 use std::fmt::Write as _;
-use uswg_core::{presets, SpillSink, SummarySink, Table, UsageLog, WorkloadSpec};
+use uswg_core::{presets, write_spill_json, SpillSink, SummarySink, Table, UsageLog, WorkloadSpec};
 
 pub(crate) fn init(path: &str) -> Outcome {
     let spec = WorkloadSpec::paper_default()?;
@@ -12,16 +12,6 @@ pub(crate) fn init(path: &str) -> Outcome {
         "wrote the paper-default workload spec to {path}\n\
          edit it, then: uswg run {path} --model nfs\n"
     ))
-}
-
-/// Appends the `--out` step of a run: the usage log as JSON, streamed to
-/// the file one record at a time.
-fn write_log(text: &mut String, out_path: &str, log: &UsageLog) -> Result<(), CliError> {
-    let file = std::fs::File::create(out_path).map_err(at(out_path))?;
-    log.write_json(std::io::BufWriter::new(file))
-        .map_err(at(out_path))?;
-    let _ = writeln!(text, "usage log written to {out_path}");
-    Ok(())
 }
 
 pub(crate) fn run(command: Command) -> Outcome {
@@ -81,17 +71,17 @@ pub(crate) fn run(command: Command) -> Outcome {
         );
     }
     if let Some(out_path) = out {
-        // Without a collected log the JSON form is reconstructed from
-        // the spill file, so even that path never holds the log *and*
-        // the run in memory at once.
-        let log = match log {
-            Some(log) => log,
-            None => {
-                let spill_path = spill.expect("no collected log means --spill");
-                uswg_core::read_spill_path(spill_path).map_err(at(spill_path))?
-            }
-        };
-        write_log(&mut text, out_path, &log)?;
+        // The usage log as JSON, one record at a time: from the collected
+        // log, or without one streamed from the spill file, so that path
+        // never holds the log at all.
+        let file = std::fs::File::create(out_path).map_err(at(out_path))?;
+        let file = std::io::BufWriter::new(file);
+        match log {
+            Some(log) => log.write_json(file),
+            None => write_spill_json(spill.expect("no collected log means --spill"), file),
+        }
+        .map_err(at(out_path))?;
+        let _ = writeln!(text, "usage log written to {out_path}");
     }
     // Last, one line per resource of the timing model (none under `none`),
     // so a saturated one shows.

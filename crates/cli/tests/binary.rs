@@ -79,22 +79,50 @@ fn stale_uswg_environment_variables_change_nothing() {
     }
 }
 
-/// Sweep and frame-range workers share one thread budget, and the
-/// width asked for — past the cores, past the tasks — changes no printed byte.
+/// The width a sweep asks for — past the cores, past the points (64
+/// workers for four) — changes no printed byte.
 #[test]
-fn nested_fan_outs_print_the_same_bytes_at_any_width() {
-    let dir = scratch("widths");
+fn a_sweep_prints_the_same_bytes_at_any_width() {
+    let spec = write_spec(&scratch("widths"));
+    let [one, some, many] = [1, 2, 64].map(|jobs| {
+        let args = format!("sweep {spec} --model local --users 1,2,3,4 --jobs {jobs}");
+        stdout_of(&uswg(&args, &[]), &args)
+    });
+    assert!(one.lines().count() > 4, "{one}");
+    assert_eq!((&one, &one), (&some, &many));
+}
+
+/// `analyze` reads a capture in one sequential pass: `--jobs`, which
+/// used to fan its frames across threads, is refused by name.
+#[test]
+fn analyze_refuses_jobs() {
+    let dir = scratch("analyze-jobs");
     let (spec, capture) = (write_spec(&dir), dir.join("run.bin").display().to_string());
-    let out = |args: String| stdout_of(&uswg(&args, &[]), &args);
-    out(format!("run {spec} --model nfs --spill {capture}"));
-    let sweep = format!("sweep {spec} --model local --users 1,2,3,4");
-    let analyze = format!("analyze {capture}");
-    // 64 workers for four points; 100000 for a capture of five frames.
-    for (command, widths) in [(sweep, [1, 2, 64]), (analyze, [1, 3, 100_000])] {
-        let [one, some, many] = widths.map(|jobs| out(format!("{command} --jobs {jobs}")));
-        assert!(one.lines().count() > 4, "{one}");
-        assert_eq!((&one, &one), (&some, &many), "{command}");
-    }
+    let run = format!("run {spec} --model nfs --spill {capture}");
+    stdout_of(&uswg(&run, &[]), &run);
+    let out = uswg(&format!("analyze {capture} --jobs 2"), &[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown flag `--jobs`"), "{stderr}");
+    assert!(out.stdout.is_empty(), "{:?}", out.stdout);
+}
+
+/// A report written into a pipe whose reader has gone stops quietly with
+/// the command's own status; `print!` used to panic there (exit 101,
+/// "failed printing to stdout: Broken pipe").
+#[test]
+fn a_closed_stdout_stops_the_report_quietly() {
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_uswg"))
+        .arg("tables")
+        .stdout(writer)
+        .output()
+        .expect("uswg spawns");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
 }
 
 /// The headline lines of a `uswg run` report.
@@ -131,6 +159,28 @@ fn run_modes_print_the_same_headline_numbers() {
     // Same simulation, too: the `model … | N events | T simulated` line.
     assert_eq!(default.lines().next(), summary.lines().next());
     assert_eq!(default.lines().next(), spilled.lines().next());
+}
+
+/// `run --spill --out` writes its JSON log from the capture, an op pass
+/// then a session pass, without collecting the log: the bytes are the
+/// collected log's.
+#[test]
+fn the_log_streamed_from_a_spill_is_the_collected_logs_bytes() {
+    let dir = scratch("out");
+    let spec = write_spec(&dir);
+    let path = |name: &str| dir.join(name).display().to_string();
+    let (collected, streamed) = (path("collected.json"), path("streamed.json"));
+    let spill = path("run.bin");
+    for args in [
+        format!("run {spec} --model nfs --out {collected}"),
+        format!("run {spec} --model nfs --spill {spill} --out {streamed}"),
+    ] {
+        stdout_of(&uswg(&args, &[]), &args);
+    }
+    let (collected, streamed) = (std::fs::read(collected), std::fs::read(streamed));
+    let collected = collected.unwrap();
+    assert!(collected.len() > 1_000, "{} bytes", collected.len());
+    assert!(collected == streamed.unwrap(), "the two logs differ");
 }
 
 /// With no `--model`, a run is the DES under the zero-stage model: two runs
@@ -586,7 +636,11 @@ fn a_capture_whose_totals_overflow_is_refused() {
         ..SessionRecord::default()
     });
     sink.finish().unwrap();
-    for (command, flags) in [("analyze", ""), ("analyze", "--json --jobs 2"), ("fit", "")] {
+    for (command, flags) in [
+        ("analyze", ""),
+        ("analyze", "--json --since 0"),
+        ("fit", ""),
+    ] {
         let args = format!("{command} {} {flags}", capture.display());
         let out = uswg(&args, &[]);
         let stderr = String::from_utf8_lossy(&out.stderr);

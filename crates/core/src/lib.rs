@@ -77,9 +77,10 @@ pub use uswg_sim::{
     Resource, ResourcePool, ResourceStats, Scheduler, SchedulerBackend, SimTime, Simulation, World,
 };
 pub use uswg_usim::{
-    read_spill, read_spill_path, AccessPattern, CategoryUsage, ChannelSink, CompiledPopulation,
-    DesDriver, DesRunStats, DirectDriver, DiurnalProfile, FaultSpec, FrameIndex, LogSink, OpRecord,
-    PhaseModel, PopulationSpec, RetryPolicy, RunConfig, SessionRecord, SpillCodec, SpillReader,
-    SpillRecord, SpillSink, SummarySink, UsageLog, UserTypeSpec, UsimError,
+    read_spill, read_spill_path, write_spill_json, AccessPattern, CategoryUsage, ChannelSink,
+    CompiledPopulation, DesDriver, DesRunStats, DirectDriver, DiurnalProfile, FaultSpec,
+    FrameIndex, LogSink, OpRecord, PhaseModel, PopulationSpec, RetryPolicy, RunConfig,
+    SessionRecord, SpillCodec, SpillReader, SpillRecord, SpillSink, SummarySink, UsageLog,
+    UserTypeSpec, UsimError,
 };
 pub use uswg_vfs::{Fd, FsError, Metadata, OpenFlags, SeekFrom, Vfs, VfsConfig};

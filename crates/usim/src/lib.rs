@@ -54,8 +54,8 @@ pub use session::{ExecutedOp, Session, MAX_ACCESS_BYTES};
 pub use sink::{ChannelSink, LogSink, OpKindSummary, SummarySink, UserTypeStream};
 pub use spec::{AccessPattern, CategoryUsage, PopulationSpec, RunConfig, UserTypeSpec};
 pub use spill::{
-    read_spill, read_spill_path, FrameIndex, FrameIndexEntry, SpillCodec, SpillReader, SpillRecord,
-    SpillSink, FRAME_CAP,
+    read_spill, read_spill_path, write_spill_json, FrameIndex, FrameIndexEntry, SpillCodec,
+    SpillReader, SpillRecord, SpillSink, FRAME_CAP,
 };
 pub use stats::{Overflow, StreamingSummary, Summary, TotalsOverflow};
 pub use temporal::{DiurnalProfile, PhaseModel, PhaseState};

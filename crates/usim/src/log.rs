@@ -2,6 +2,7 @@
 //! Figure 4.1).
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::io::{self, Write};
 use uswg_fsc::FileCategory;
 use uswg_netfs::OpKind;
@@ -147,13 +148,8 @@ impl UsageLog {
     /// # Errors
     ///
     /// The writer's.
-    pub fn write_json(&self, mut out: impl Write) -> io::Result<()> {
-        out.write_all(b"{\"ops\":")?;
-        write_list(&mut out, &self.ops)?;
-        out.write_all(b",\"sessions\":")?;
-        write_list(&mut out, &self.sessions)?;
-        out.write_all(b"}")?;
-        out.flush()
+    pub fn write_json(&self, out: impl Write) -> io::Result<()> {
+        write_json_records(out, self.ops.iter().map(Ok), self.sessions.iter().map(Ok))
     }
 
     /// Parses a log from JSON.
@@ -166,14 +162,34 @@ impl UsageLog {
     }
 }
 
+/// Writes the JSON of [`UsageLog::to_json`] for the log holding `ops`
+/// then `sessions`, each read one record at a time, so neither the log nor
+/// its text is ever held whole. The first `Err` a record source yields
+/// ends the write with that error.
+pub(crate) fn write_json_records(
+    mut out: impl Write,
+    ops: impl IntoIterator<Item = io::Result<impl Borrow<OpRecord>>>,
+    sessions: impl IntoIterator<Item = io::Result<impl Borrow<SessionRecord>>>,
+) -> io::Result<()> {
+    out.write_all(b"{\"ops\":")?;
+    write_list::<OpRecord>(&mut out, ops)?;
+    out.write_all(b",\"sessions\":")?;
+    write_list::<SessionRecord>(&mut out, sessions)?;
+    out.write_all(b"}")?;
+    out.flush()
+}
+
 /// `records` as a compact JSON array, one record rendered at a time.
-fn write_list<T: Serialize>(out: &mut impl Write, records: &[T]) -> io::Result<()> {
+fn write_list<T: Serialize>(
+    out: &mut impl Write,
+    records: impl IntoIterator<Item = io::Result<impl Borrow<T>>>,
+) -> io::Result<()> {
     out.write_all(b"[")?;
-    for (i, record) in records.iter().enumerate() {
+    for (i, record) in records.into_iter().enumerate() {
         if i > 0 {
             out.write_all(b",")?;
         }
-        let text = serde_json::to_string(record).map_err(io::Error::other)?;
+        let text = serde_json::to_string(record?.borrow()).map_err(io::Error::other)?;
         out.write_all(text.as_bytes())?;
     }
     out.write_all(b"]")

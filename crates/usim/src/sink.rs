@@ -204,9 +204,8 @@ impl SummarySink {
     }
 
     /// Folds `other` into `self`, as if every record `other` saw had been
-    /// recorded here too. This is the reduction step for sweep,
-    /// replicated and parallel-analyze passes: fan the stream out over
-    /// independent sinks, then merge them in order — counts, sums and
+    /// recorded here too. This is the reduction step of a replication
+    /// study: one sink per seed, merged in seed order — counts, sums and
     /// extrema combine exactly, and the variance accumulators combine via
     /// Chan's parallel formula, so a merged sink differs from a single pass
     /// over the concatenated stream only by floating-point rounding order

@@ -113,7 +113,7 @@ mod tests;
 
 pub use self::frame::{SpillCodec, SpillRecord, FRAME_CAP};
 pub use self::index::{FrameIndex, FrameIndexEntry};
-pub use self::reader::{read_spill, read_spill_path, SpillReader};
+pub use self::reader::{read_spill, read_spill_path, write_spill_json, SpillReader};
 pub use self::writer::SpillSink;
 
 fn bad_data(msg: String) -> std::io::Error {

@@ -7,9 +7,9 @@ use super::frame::{self, SpillCodec, SpillRecord, MAGIC_V1, MAGIC_V2, TAG_END};
 use super::index::{
     decode_entries, INDEX_ENTRY_BYTES, INDEX_FIXED_BYTES, MAGIC_INDEX, MAGIC_TRAILER, TRAILER_BYTES,
 };
-use crate::log::UsageLog;
+use crate::log::{write_json_records, UsageLog};
 use std::fs::File;
-use std::io::{self, BufReader, Read, Seek, SeekFrom};
+use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// Where a [`SpillReader`] is in its stream.
@@ -382,4 +382,29 @@ pub fn read_spill<R: Read>(r: R) -> io::Result<UsageLog> {
 /// Propagates [`read_spill`] errors and file-open failures.
 pub fn read_spill_path<P: AsRef<Path>>(path: P) -> io::Result<UsageLog> {
     read_spill(BufReader::new(File::open(path)?))
+}
+
+/// Writes the JSON of the log the capture at `path` holds — the bytes
+/// [`UsageLog::write_json`] writes for [`read_spill_path`]`(path)` — in
+/// two passes, every op and then every session, one record at a time: the
+/// log is never held, so memory stays one frame at any capture size.
+///
+/// # Errors
+///
+/// Propagates open, decode and write errors.
+pub fn write_spill_json<P: AsRef<Path>>(path: P, out: impl Write) -> io::Result<()> {
+    let path = path.as_ref();
+    let ops = SpillReader::open(path)?.ops_only().filter_map(|r| match r {
+        Ok(SpillRecord::Op(op)) => Some(Ok(op)),
+        Ok(SpillRecord::Session(_)) => None,
+        Err(e) => Some(Err(e)),
+    });
+    let sessions = SpillReader::open(path)?
+        .sessions_only()
+        .filter_map(|r| match r {
+            Ok(SpillRecord::Session(s)) => Some(Ok(s)),
+            Ok(SpillRecord::Op(_)) => None,
+            Err(e) => Some(Err(e)),
+        });
+    write_json_records(out, ops, sessions)
 }

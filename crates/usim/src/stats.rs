@@ -131,10 +131,10 @@ impl StreamingSummary {
 
     /// Folds another accumulator in, as if its samples had been pushed
     /// here: Chan's parallel combination of Welford M2 values, plus the
-    /// exact running sum. This is what lets a parallel spill pass split a
-    /// file into disjoint frame ranges, accumulate each independently, and
-    /// recombine — the merged moments match a sequential pass over the
-    /// same samples to floating-point roundoff.
+    /// exact running sum. This is what lets `replicate` pool the sinks of
+    /// its seeds, each run on its own thread — the merged moments match a
+    /// sequential pass over the same samples to floating-point roundoff.
+    /// Merging into an empty accumulator copies `other` bit for bit.
     pub fn merge(&mut self, other: &Self) {
         if other.n == 0 {
             return;
