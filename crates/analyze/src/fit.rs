@@ -11,6 +11,14 @@
 //! window they seek straight to the overlapping frames; without one they
 //! stream the whole file through the same record-level window filter.
 //!
+//! Memory follows what the capture holds, never its largest id: the
+//! session pass keeps one map entry per distinct user, which the first op
+//! record freezes into columns indexed by the user's rank in ascending id
+//! order (80 B per user), and the op pass adds one entry per distinct file
+//! plus the files of each user's largest session. At 10⁵–2·10⁵ users of
+//! `specs/million-user.json` `uswg fit`'s resident set grows by about
+//! 107 B per user in all.
+//!
 //! This module only *collects*; it never fits. `uswg-core` runs the
 //! `uswg-distr` fitters over the reservoirs and emits the runnable
 //! `WorkloadSpec`, so `uswg-analyze` stays independent of the distribution
@@ -18,8 +26,9 @@
 
 use crate::scan::{visit_path, Coverage, ScanOptions};
 use crate::StreamingSummary;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io;
+use std::mem::take;
 use std::path::Path;
 use uswg_fsc::FileCategory;
 use uswg_netfs::OpKind;
@@ -230,7 +239,8 @@ impl FitObservation {
 #[derive(Debug)]
 struct TypeState {
     cap: usize,
-    users: BTreeSet<usize>,
+    /// Distinct users seen under this type.
+    users: usize,
     sessions: u64,
     ops: u64,
     op_mix: [u64; OpKind::ALL.len()],
@@ -239,6 +249,7 @@ struct TypeState {
     think_time: Reservoir,
     session_length: Reservoir,
     inter_session: Reservoir,
+    sessions_per_user: StreamingSummary,
     categories: BTreeMap<FileCategory, CatState>,
 }
 
@@ -246,7 +257,7 @@ impl TypeState {
     fn new(cap: usize) -> Self {
         Self {
             cap,
-            users: BTreeSet::new(),
+            users: 0,
             sessions: 0,
             ops: 0,
             op_mix: [0; OpKind::ALL.len()],
@@ -255,6 +266,7 @@ impl TypeState {
             think_time: Reservoir::new(cap),
             session_length: Reservoir::new(cap),
             inter_session: Reservoir::new(cap),
+            sessions_per_user: StreamingSummary::default(),
             categories: BTreeMap::new(),
         }
     }
@@ -283,13 +295,17 @@ impl CatState {
     }
 }
 
-/// One user's in-flight session during the op pass.
+/// One user's in-flight session during the op pass. It is reset in place
+/// at the user's next session, so its buffers are allocated once per user
+/// and hold at most the distinct files of the user's largest session.
 #[derive(Debug)]
 struct SessionScratch {
     session: u32,
     /// `(at, response)` of the previous op in this session.
     last: Option<(u64, u64)>,
-    per_cat: BTreeMap<FileCategory, CatScratch>,
+    /// Per category ever touched by the user, unordered until a flush sorts
+    /// it; an entry with no sizes was not touched in this session.
+    per_cat: Vec<(FileCategory, CatScratch)>,
 }
 
 impl SessionScratch {
@@ -297,7 +313,7 @@ impl SessionScratch {
         Self {
             session,
             last: None,
-            per_cat: BTreeMap::new(),
+            per_cat: Vec::new(),
         }
     }
 }
@@ -305,29 +321,97 @@ impl SessionScratch {
 #[derive(Debug, Default)]
 struct CatScratch {
     /// Referenced inode → largest size seen.
-    sizes: BTreeMap<u64, u64>,
+    sizes: HashMap<u64, u64>,
     data_bytes: u64,
+}
+
+/// What the session pass keeps of one user.
+#[derive(Debug)]
+struct UserSessions {
+    /// Type index of the user's last session.
+    ty: usize,
+    sessions: u64,
+    last_end: u64,
+}
+
+/// Pass 1's state, keyed as the session records name users and types.
+#[derive(Debug, Default)]
+struct SessionPass {
+    users: BTreeMap<usize, UserSessions>,
+    types: BTreeMap<usize, TypeState>,
+    /// `(user, type)` of every type a user was seen under, for the users
+    /// seen under more than one: each pair counts once in its type's users.
+    mixed: BTreeSet<(usize, usize)>,
+}
+
+/// Pass 2's state: pass 1 frozen into columns indexed by user rank, the
+/// user's position in ascending id order.
+#[derive(Debug)]
+struct UserColumns {
+    /// Ascending user ids.
+    ids: Vec<usize>,
+    /// Per rank: the user's last type, as a position in `types`.
+    ty: Vec<usize>,
+    /// Per rank: sessions completed.
+    sessions: Vec<u64>,
+    /// Per rank: the in-flight session, from the user's first op on.
+    scratch: Vec<Option<SessionScratch>>,
+    /// `(type index, state)`, ascending by type index.
+    types: Vec<(usize, TypeState)>,
+}
+
+impl UserColumns {
+    fn freeze(pass: SessionPass) -> Self {
+        let types: Vec<(usize, TypeState)> = pass.types.into_iter().collect();
+        let n = pass.users.len();
+        let mut ids = Vec::with_capacity(n);
+        let (mut ty, mut sessions) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for (id, user) in pass.users {
+            ids.push(id);
+            let rank = types.binary_search_by_key(&user.ty, |&(index, _)| index);
+            ty.push(rank.expect("type created in pass 1"));
+            sessions.push(user.sessions);
+        }
+        Self {
+            ids,
+            ty,
+            sessions,
+            scratch: std::iter::repeat_with(|| None).take(n).collect(),
+            types,
+        }
+    }
+
+    /// The rank of `user`, `None` for a user with no session record.
+    fn rank(&self, user: usize) -> Option<usize> {
+        // O(1) when the ids are exactly `0..n`, as in every `run` capture.
+        if self.ids.get(user) == Some(&user) {
+            return Some(user);
+        }
+        self.ids.binary_search(&user).ok()
+    }
 }
 
 /// The two-pass streaming accumulator: feed every session record (pass 1),
 /// then every op record (pass 2), then [`finish`](Self::finish). Sessions
 /// must come first — they carry the user → user-type mapping that
 /// classifies the ops. Memory stays bounded by the reservoir capacity, the
-/// user count and the distinct-file count, never by the op count.
+/// distinct users in the session records (never the largest user id) and
+/// the distinct files, never by the op count: 80 B per user in the op pass,
+/// plus the files of each user's largest session.
 #[derive(Debug)]
 pub struct FitCollector {
     cap: usize,
-    user_type: BTreeMap<usize, usize>,
-    types: BTreeMap<usize, TypeState>,
+    /// Pass 1's state, emptied when the first op record freezes it.
+    pass: SessionPass,
+    /// Pass 2's state, from the first op record on.
+    columns: Option<UserColumns>,
     sessions: u64,
     ops_unclassified: u64,
     /// Distinct inode → (largest size seen, last category seen).
-    files: BTreeMap<u64, (u64, FileCategory)>,
-    /// Per-user in-flight session state (op pass).
-    scratch: BTreeMap<usize, SessionScratch>,
-    /// Per-user previous session end (session pass).
-    last_end: BTreeMap<usize, u64>,
-    per_user_sessions: BTreeMap<usize, u64>,
+    files: HashMap<u64, (u64, FileCategory)>,
+    /// A flushed category's `(inode, size)` pairs, sorted by inode; kept
+    /// to reuse its buffer.
+    by_ino: Vec<(u64, u64)>,
     /// Byte totals saturate rather than wrap; `finish` refuses them.
     overflow: Overflow,
 }
@@ -353,39 +437,59 @@ impl FitCollector {
         assert!(cap > 0, "reservoir capacity must be positive");
         Self {
             cap,
-            user_type: BTreeMap::new(),
-            types: BTreeMap::new(),
+            pass: SessionPass::default(),
+            columns: None,
             sessions: 0,
             ops_unclassified: 0,
-            files: BTreeMap::new(),
-            scratch: BTreeMap::new(),
-            last_end: BTreeMap::new(),
-            per_user_sessions: BTreeMap::new(),
+            files: HashMap::new(),
+            by_ino: Vec::new(),
             overflow: Overflow::default(),
         }
     }
 
     /// Folds one session record (pass 1).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an op record was folded before it: the op pass classifies
+    /// by the users the session pass saw, so it starts only once that ends.
     pub fn record_session(&mut self, s: &SessionRecord) {
+        assert!(
+            self.columns.is_none(),
+            "FitCollector: a session record after the op pass began"
+        );
+        let pass = &mut self.pass;
         self.sessions += 1;
-        self.user_type.insert(s.user, s.user_type);
-        *self.per_user_sessions.entry(s.user).or_insert(0) += 1;
-        let t = self
+        let t = pass
             .types
             .entry(s.user_type)
             .or_insert_with(|| TypeState::new(self.cap));
-        t.users.insert(s.user);
         t.sessions += 1;
         t.session_length.push(s.end.saturating_sub(s.start) as f64);
-        if let Some(&prev_end) = self.last_end.get(&s.user) {
+        let user = pass.users.entry(s.user).or_insert(UserSessions {
+            ty: s.user_type,
+            sessions: 0,
+            last_end: 0,
+        });
+        if user.sessions == 0 {
+            t.users += 1;
+        } else {
             // Sessions of one user are sequential; a start before the
             // previous end would be a malformed log, skipped rather than
             // recorded as a negative gap.
-            if s.start >= prev_end {
-                t.inter_session.push((s.start - prev_end) as f64);
+            if s.start >= user.last_end {
+                t.inter_session.push((s.start - user.last_end) as f64);
+            }
+            if user.ty != s.user_type {
+                pass.mixed.insert((s.user, user.ty));
+                if pass.mixed.insert((s.user, s.user_type)) {
+                    t.users += 1;
+                }
+                user.ty = s.user_type;
             }
         }
-        self.last_end.insert(s.user, s.end);
+        user.sessions += 1;
+        user.last_end = s.end;
     }
 
     /// Folds one op record (pass 2). Ops of users with no in-window
@@ -394,23 +498,23 @@ impl FitCollector {
         let entry = self.files.entry(op.ino).or_insert((0, op.category));
         entry.0 = entry.0.max(op.file_size);
         entry.1 = op.category;
-        let Some(&ty) = self.user_type.get(&op.user) else {
+        let users = self
+            .columns
+            .get_or_insert_with(|| UserColumns::freeze(take(&mut self.pass)));
+        let Some(rank) = users.rank(op.user) else {
             self.ops_unclassified += 1;
             return;
         };
-        let t = self.types.get_mut(&ty).expect("type created in pass 1");
+        let t = &mut users.types[users.ty[rank]].1;
         t.ops += 1;
         t.op_mix[op.op.index()] += 1;
         if op.op.is_data() && op.bytes > 0 {
             t.access_size.push(op.bytes as f64);
         }
-        let scratch = self
-            .scratch
-            .entry(op.user)
-            .or_insert_with(|| SessionScratch::new(op.session));
+        let scratch = users.scratch[rank].get_or_insert_with(|| SessionScratch::new(op.session));
         if scratch.session != op.session {
-            let done = std::mem::replace(scratch, SessionScratch::new(op.session));
-            Self::flush_scratch(t, done, &mut self.overflow);
+            Self::flush_scratch(t, scratch, &mut self.by_ino, &mut self.overflow);
+            (scratch.session, scratch.last) = (op.session, None);
         }
         if let Some((last_at, last_resp)) = scratch.last {
             if op.at >= last_at {
@@ -420,7 +524,13 @@ impl FitCollector {
             }
         }
         scratch.last = Some((op.at, op.response));
-        let c = scratch.per_cat.entry(op.category).or_default();
+        let per_cat = &mut scratch.per_cat;
+        let i = per_cat.iter().position(|(c, _)| *c == op.category);
+        let i = i.unwrap_or_else(|| {
+            per_cat.push((op.category, CatScratch::default()));
+            per_cat.len() - 1
+        });
+        let c = &mut per_cat[i].1;
         let size = c.sizes.entry(op.ino).or_insert(0);
         *size = (*size).max(op.file_size);
         if op.op.is_data() {
@@ -428,18 +538,31 @@ impl FitCollector {
         }
     }
 
-    fn flush_scratch(t: &mut TypeState, done: SessionScratch, overflow: &mut Overflow) {
+    /// Folds a finished session into its type, in category order and, in
+    /// each category, inode order, and empties it for the user's next.
+    fn flush_scratch(
+        t: &mut TypeState,
+        done: &mut SessionScratch,
+        by_ino: &mut Vec<(u64, u64)>,
+        overflow: &mut Overflow,
+    ) {
         let cap = t.cap;
-        for (category, c) in done.per_cat {
+        done.per_cat.sort_unstable_by_key(|&(category, _)| category);
+        for (category, c) in &mut done.per_cat {
+            if c.sizes.is_empty() {
+                continue;
+            }
             let cs = t
                 .categories
-                .entry(category)
+                .entry(*category)
                 .or_insert_with(|| CatState::new(cap));
             cs.sessions += 1;
             cs.files += c.sizes.len() as u64;
-            overflow.add(&mut cs.data_bytes, c.data_bytes);
+            overflow.add(&mut cs.data_bytes, take(&mut c.data_bytes));
             cs.files_per_session.push(c.sizes.len() as f64);
-            for &size in c.sizes.values() {
+            by_ino.extend(c.sizes.drain());
+            by_ino.sort_unstable_by_key(|&(ino, _)| ino);
+            for (_, size) in by_ino.drain(..) {
                 overflow.add(&mut cs.file_bytes, size);
                 cs.file_sizes.push(size as f64);
             }
@@ -453,27 +576,32 @@ impl FitCollector {
     /// [`TotalsOverflow`] when a byte total of the records passed
     /// `u64::MAX`: a spec fitted from it would be wrong.
     pub fn finish(mut self) -> Result<FitObservation, TotalsOverflow> {
-        let scratches = std::mem::take(&mut self.scratch);
-        for (user, scratch) in scratches {
-            if let Some(ty) = self.user_type.get(&user) {
-                let t = self.types.get_mut(ty).expect("type created in pass 1");
-                Self::flush_scratch(t, scratch, &mut self.overflow);
+        let UserColumns {
+            ty,
+            sessions,
+            scratch,
+            mut types,
+            ..
+        } = self
+            .columns
+            .take()
+            .unwrap_or_else(|| UserColumns::freeze(take(&mut self.pass)));
+        let users = ty.len();
+        for ((scratch, &ty), &count) in scratch.into_iter().zip(&ty).zip(&sessions) {
+            let t = &mut types[ty].1;
+            if let Some(mut scratch) = scratch {
+                Self::flush_scratch(t, &mut scratch, &mut self.by_ino, &mut self.overflow);
             }
-        }
-        let mut spu: BTreeMap<usize, StreamingSummary> = BTreeMap::new();
-        for (user, &count) in &self.per_user_sessions {
-            let ty = self.user_type[user];
-            spu.entry(ty).or_default().push(count as f64);
+            t.sessions_per_user.push(count as f64);
         }
         let mut ops = 0;
-        let types: Vec<TypeObservation> = self
-            .types
+        let types: Vec<TypeObservation> = types
             .into_iter()
             .map(|(type_index, t)| {
                 ops += t.ops;
                 TypeObservation {
                     type_index,
-                    users: t.users.len(),
+                    users: t.users,
                     sessions: t.sessions,
                     ops: t.ops,
                     op_mix: t.op_mix,
@@ -482,7 +610,7 @@ impl FitCollector {
                     think_time: t.think_time,
                     session_length: t.session_length,
                     inter_session: t.inter_session,
-                    sessions_per_user: spu.remove(&type_index).unwrap_or_default(),
+                    sessions_per_user: t.sessions_per_user,
                     categories: t
                         .categories
                         .into_iter()
@@ -499,9 +627,11 @@ impl FitCollector {
                 }
             })
             .collect();
+        let mut files: Vec<(u64, (u64, FileCategory))> = self.files.into_iter().collect();
+        files.sort_unstable_by_key(|&(ino, _)| ino);
         let mut geom: BTreeMap<FileCategory, CategoryFiles> = BTreeMap::new();
         let mut geometry = FileGeometry::default();
-        for (&ino, &(size, category)) in &self.files {
+        for (ino, (size, category)) in files {
             geometry.max_ino = geometry.max_ino.max(ino);
             geometry.max_file_size = geometry.max_file_size.max(size);
             geometry.total_files += 1;
@@ -520,7 +650,7 @@ impl FitCollector {
         self.overflow.check()?;
         Ok(FitObservation {
             types,
-            users: self.user_type.len(),
+            users,
             sessions: self.sessions,
             ops,
             ops_unclassified: self.ops_unclassified,
@@ -744,6 +874,102 @@ mod tests {
         assert_eq!(obs.geometry.max_ino, 11);
         assert_eq!(obs.geometry.max_file_size, 8_192);
         assert_eq!(obs.geometry.categories.len(), 2);
+    }
+
+    #[test]
+    fn an_order_preserving_relabel_of_the_users_changes_nothing() {
+        let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/k1.spill");
+        let log = uswg_usim::read_spill_path(golden).unwrap();
+        let collect = |relabel: fn(usize) -> usize| {
+            let mut c = FitCollector::new();
+            for s in log.sessions() {
+                c.record_session(&SessionRecord {
+                    user: relabel(s.user),
+                    ..*s
+                });
+            }
+            for op in log.ops() {
+                c.record_op(&OpRecord {
+                    user: relabel(op.user),
+                    ..*op
+                });
+            }
+            format!("{:?}", c.finish().unwrap())
+        };
+        let dense = collect(|u| u);
+        assert!(dense.contains("ops_unclassified: 0"), "{dense}");
+        assert_eq!(collect(|u| u * 1_000_003 + 11), dense);
+    }
+
+    #[test]
+    fn a_huge_user_id_costs_one_user() {
+        let mut c = FitCollector::new();
+        c.record_session(&session(usize::MAX - 1, 0, 0, 0, 10_000));
+        c.record_op(&op(usize::MAX - 1, 0, 100, OpKind::Read, 64));
+        c.record_op(&op(0, 0, 200, OpKind::Read, 64));
+        let obs = c.finish().unwrap();
+        assert_eq!((obs.users, obs.ops, obs.ops_unclassified), (1, 1, 1));
+        assert_eq!(obs.types[0].users, 1);
+    }
+
+    #[test]
+    fn ops_of_a_user_without_a_session_stay_unclassified() {
+        let mut c = FitCollector::new();
+        c.record_session(&session(5, 0, 0, 0, 10_000));
+        c.record_session(&session(9, 0, 0, 0, 10_000));
+        for user in [0, 5, 7, 9, 10, usize::MAX] {
+            c.record_op(&op(user, 0, 100, OpKind::Read, 64));
+        }
+        let obs = c.finish().unwrap();
+        assert_eq!((obs.users, obs.ops, obs.ops_unclassified), (2, 2, 4));
+    }
+
+    #[test]
+    fn a_user_seen_under_two_types_counts_once_in_each() {
+        let mut c = FitCollector::new();
+        c.record_session(&session(3, 0, 0, 0, 1_000));
+        c.record_session(&session(3, 1, 1, 2_000, 3_000));
+        c.record_session(&session(3, 0, 2, 4_000, 5_000));
+        c.record_session(&session(4, 1, 0, 0, 1_000));
+        // User 3's ops go to its last type, 0.
+        c.record_op(&op(3, 2, 4_100, OpKind::Read, 64));
+        let obs = c.finish().unwrap();
+        assert_eq!(obs.users, 2);
+        let users: Vec<_> = obs
+            .types
+            .iter()
+            .map(|t| (t.users, t.sessions, t.ops))
+            .collect();
+        assert_eq!(users, [(1, 2, 1), (2, 2, 0)]);
+        // Sessions per user go to the last type: user 3's three to type 0.
+        assert_eq!(obs.types[0].sessions_per_user.summary().n, 1);
+        assert!((obs.types[0].sessions_per_user.summary().mean - 3.0).abs() < 1e-12);
+        // Gaps follow the user across types: 1_000 into type 1, the next into 0.
+        assert_eq!(obs.types[1].inter_session.samples(), &[1_000.0]);
+        assert_eq!(obs.types[0].inter_session.samples(), &[1_000.0]);
+    }
+
+    #[test]
+    fn a_session_flushes_its_files_in_inode_order() {
+        let mut c = FitCollector::new();
+        c.record_session(&session(0, 0, 0, 0, 10_000_000));
+        c.record_session(&session(0, 0, 1, 10_000_000, 20_000_000));
+        let files = 10_000u64;
+        for (i, ino) in (1..=files).rev().enumerate() {
+            let mut o = op(0, 0, i as u64, OpKind::Read, 1);
+            (o.ino, o.file_size) = (ino, ino);
+            c.record_op(&o);
+        }
+        // The next session flushes the first; the second flushes at finish.
+        let mut last = op(0, 1, 10_000_001, OpKind::Read, 1);
+        (last.ino, last.file_size) = (files + 1, files + 1);
+        c.record_op(&last);
+        let obs = c.finish().unwrap();
+        let cat = &obs.types[0].categories[0];
+        let ascending: Vec<f64> = (1..=files + 1).map(|ino| ino as f64).collect();
+        assert_eq!(cat.file_sizes.samples(), &ascending[..]);
+        assert_eq!(cat.files_per_session.samples(), &[files as f64, 1.0]);
+        assert_eq!(obs.geometry.categories[0].sizes.samples(), &ascending[..]);
     }
 
     #[test]

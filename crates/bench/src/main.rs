@@ -4,6 +4,8 @@
 #![forbid(unsafe_code)]
 
 use std::error::Error;
+use std::fmt;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use rand::SeedableRng;
@@ -17,6 +19,28 @@ use uswg_core::{
 use Run::{Other, SessionHistogram, UserSweep};
 
 type Outcome = Result<(), Box<dyn Error>>;
+
+/// `println!` on the locked stdout, which ends the program quietly, status
+/// 0, once the reader has gone (`paper … | head`): it has all it wanted.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        say(format_args!($($arg)*))
+    };
+}
+
+fn say(line: fmt::Arguments) {
+    let mut stdout = io::stdout().lock();
+    if let Err(e) = stdout
+        .write_fmt(line)
+        .and_then(|()| stdout.write_all(b"\n"))
+    {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("paper: writing the report: {e}");
+        std::process::exit(1);
+    }
+}
 
 /// One regenerable artefact: its id, its title — written here only; the run
 /// prints it and the id list shows it — and how to run it.
@@ -213,7 +237,7 @@ fn main() -> ExitCode {
 /// A sweep's response time per byte against its x, as bars.
 fn print_curve(points: &[SweepPoint]) {
     let series: Vec<(f64, f64)> = points.iter().map(|p| (p.x, p.response_per_byte)).collect();
-    println!("{}", plot::plot_histogram(&series, 48));
+    say!("{}", plot::plot_histogram(&series, 48));
 }
 
 /// A table column: its heading, and how a row fills the cell under it.
@@ -225,7 +249,7 @@ fn print_table<T>(title: &str, rows: &[T], columns: &[Column<T>]) {
     for row in rows {
         table.row(columns.iter().map(|c| c.1(row)).collect());
     }
-    println!("{}", table.render());
+    say!("{}", table.render());
 }
 
 /// Figures 5.6–5.11: the sweep's table and curve, then the row's note.
@@ -254,7 +278,7 @@ fn user_sweep_figure(
     let note = note
         .replace("{slope}", &format!("{:.2}", slope(&points)))
         .replace("{ratio}", &format!("{ratio:.1}"));
-    println!("{note}");
+    say!("{note}");
     Ok(())
 }
 
@@ -281,28 +305,28 @@ fn session_histogram(
         .replace("{n}", &s.n.to_string())
         .replace("{mean}", &format!("{:.decimals$}", s.mean))
         .replace("{std}", &format!("{:.decimals$}", s.std_dev));
-    println!("{title}{heading}");
+    say!("{title}{heading}");
     let hist = Histogram::new(&series, 0.0, upper, bins);
-    println!("(a) Before smoothing");
-    println!("{}", plot::plot_histogram(&hist.bins(), 50));
-    println!("(b) After smoothing");
-    println!("{}", plot::plot_histogram(&hist.smoothed(1).bins(), 50));
+    say!("(a) Before smoothing");
+    say!("{}", plot::plot_histogram(&hist.bins(), 50));
+    say!("(b) After smoothing");
+    say!("{}", plot::plot_histogram(&hist.smoothed(1).bins(), 50));
     Ok(())
 }
 
 /// Figures 5.1 and 5.2: each example's moments and an ASCII density.
 fn pdf_examples<D: Distribution>(title: &str, examples: Vec<(String, D)>) -> Outcome {
-    println!("{title}\n");
+    say!("{title}\n");
     for (label, dist) in examples {
-        println!("{label}");
-        println!(
+        say!("{label}");
+        say!(
             "  mean = {:.2}, std = {:.2}, support = [{:.1}, ~{:.1}]",
             dist.mean(),
             dist.std_dev(),
             dist.support_min(),
             dist.quantile(0.999)
         );
-        println!("{}", plot::plot_pdf(&dist, 0.0, 100.0, 64, 12));
+        say!("{}", plot::plot_pdf(&dist, 0.0, 100.0, 64, 12));
     }
     Ok(())
 }
@@ -325,7 +349,7 @@ fn fig5_12(title: &str) -> Outcome {
         ],
     );
     print_curve(&points);
-    println!(
+    say!(
         "Paper shape: convex decay — per-call overheads amortize over larger\n\
          accesses ('it is better to have large access sizes for file I/O\n\
          system calls, which is why most language libraries want to keep a\n\
@@ -379,12 +403,14 @@ fn table5_1(title: &str) -> Outcome {
         ],
     );
     let fs = vfs.statfs();
-    println!(
+    say!(
         "NEW/TEMP categories are created by the simulated users at run time\n\
          (Section 4.1.2 only materializes accessed, pre-existing files), so\n\
          their built share appears as '-' here. File system: {} inodes, {}\n\
          blocks free of {}.",
-        fs.used_inodes, fs.free_blocks, fs.total_blocks
+        fs.used_inodes,
+        fs.free_blocks,
+        fs.total_blocks
     );
     Ok(())
 }
@@ -418,7 +444,7 @@ fn table5_2(title: &str) -> Outcome {
             }),
         ],
     );
-    println!(
+    say!(
         "Sessions: {}. Measured means track the spec within sampling noise;\n\
          the files column runs below spec when the generated population is\n\
          smaller than a session asks for (picks are with replacement but\n\
@@ -450,7 +476,7 @@ fn table5_3(title: &str) -> Outcome {
             }),
         ],
     );
-    println!(
+    say!(
         "Shape checks: access size is flat in the number of users with std of\n\
          the order of the mean (the exponential signature); response time\n\
          grows monotonically with users. The paper's response std is far\n\
@@ -486,7 +512,7 @@ fn table5_4(title: &str) -> Outcome {
             ("distribution", &|(_, think)| family(*think).to_string()),
         ],
     );
-    println!(
+    say!(
         "All three types share the Table 5.2 usage profile and the exp(1024 B)\n\
          access-size distribution; only the think time differs."
     );
@@ -520,7 +546,7 @@ fn ablation_cache(title: &str) -> Outcome {
         );
     };
 
-    println!("{title}\n");
+    say!("{title}\n");
     let sizes = [128.0, 512.0, 1_024.0, 2_048.0];
     print_saving(
         "Access-size sweep (Figure 5.12 conditions)",
@@ -534,7 +560,7 @@ fn ablation_cache(title: &str) -> Outcome {
         user_sweep(&spec, &without, [1, 3, 6], Parallelism::Auto)?,
         user_sweep(&spec, &with, [1, 3, 6], Parallelism::Auto)?,
     );
-    println!(
+    say!(
         "The cache absorbs re-reads (access-per-byte > 1 in Table 5.2), so\n\
          it helps most exactly where the workload re-touches bytes; writes\n\
          are write-through and keep the server disk busy either way."
@@ -575,7 +601,7 @@ fn ablation_cdf_resolution(title: &str) -> Outcome {
             ("KS vs truth", &|row| format!("{:.4}", row.3)),
         ],
     );
-    println!(
+    say!(
         "A few hundred points per distribution already put every error under\n\
          1%: the Section 4.2 memory blow-up (types × categories × samples)\n\
          is avoidable by keeping tables near 256-1024 points, as the USIM's\n\
@@ -608,7 +634,7 @@ fn ablation_servers(title: &str) -> Outcome {
             }),
         ],
     );
-    println!(
+    say!(
         "Single-user cost is server-count independent; multi-user growth\n\
          flattens with each server until the shared network becomes the\n\
          bottleneck — adding servers beyond that point buys nothing, the\n\

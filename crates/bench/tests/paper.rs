@@ -1,7 +1,7 @@
 //! The `paper` binary at the process boundary: every row of its table runs
 //! at smoke scale, and bad invocations fail the way the usage says.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn paper(ids: &[&str], sessions: &str) -> Output {
     Command::new(env!("CARGO_BIN_EXE_paper"))
@@ -61,4 +61,22 @@ fn an_unparsable_scale_is_an_error_that_names_the_variable() {
         stderr.contains("`sessions_per_user` must be positive"),
         "{stderr}"
     );
+}
+
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    let (reader, writer) = std::io::pipe().expect("a pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_paper"))
+        .arg("table5_4")
+        .env("USWG_SESSIONS", "2")
+        .env_remove("USWG_SEED")
+        .stdout(Stdio::from(writer))
+        .stderr(Stdio::piped())
+        .output()
+        .expect("spawn paper");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.stderr.is_empty(), "{stderr}");
 }

@@ -7,7 +7,7 @@
 //! of moments (exponential: mean; gamma: `α = m²/v`, `θ = v/m`) with the
 //! cluster minimum as the offset and the cluster fraction as the weight.
 
-use crate::gof::{ks_statistic, KsTest};
+use crate::gof::{ks_of_sorted, sorted, KsTest};
 use crate::{DistrError, DistributionSpec, MultiStageGamma, PhaseTypeExp};
 
 /// Smallest permitted scale when a cluster degenerates to a point.
@@ -37,8 +37,13 @@ pub fn fit_exponential(data: &[f64]) -> Result<PhaseTypeExp, DistrError> {
 /// [`DistrError::BadTable`] for invalid samples.
 pub fn fit_phase_type(data: &[f64], k: usize) -> Result<PhaseTypeExp, DistrError> {
     validate(data, components_needed(k)?)?;
-    let clusters = cluster_1d(data, k);
-    let n = data.len() as f64;
+    phase_type_of_sorted(&sorted(data), k)
+}
+
+/// [`fit_phase_type`] of a validated, ascending sample of at least `2k`.
+fn phase_type_of_sorted(sorted: &[f64], k: usize) -> Result<PhaseTypeExp, DistrError> {
+    let clusters = cluster_1d(sorted, k);
+    let n = sorted.len() as f64;
     let phases = clusters
         .into_iter()
         .map(|c| {
@@ -64,8 +69,14 @@ pub fn fit_phase_type(data: &[f64], k: usize) -> Result<PhaseTypeExp, DistrError
 /// [`DistrError::BadTable`] for invalid samples.
 pub fn fit_multi_stage_gamma(data: &[f64], k: usize) -> Result<MultiStageGamma, DistrError> {
     validate(data, components_needed(k)?)?;
-    let clusters = cluster_1d(data, k);
-    let n = data.len() as f64;
+    multi_stage_gamma_of_sorted(&sorted(data), k)
+}
+
+/// [`fit_multi_stage_gamma`] of a validated, ascending sample of at least
+/// `2k`.
+fn multi_stage_gamma_of_sorted(sorted: &[f64], k: usize) -> Result<MultiStageGamma, DistrError> {
+    let clusters = cluster_1d(sorted, k);
+    let n = sorted.len() as f64;
     let stages = clusters
         .into_iter()
         .map(|c| {
@@ -164,10 +175,14 @@ pub fn fit_best(data: &[f64], max_k: usize) -> Result<BestFit, DistrError> {
             },
         });
     }
+    // One sort serves every candidate's clusters and KS distance. The
+    // exponential's mean is summed over `data` itself, in its own order.
+    let sorted = sorted(data);
+    let fits = |k: usize| components_needed(k).is_ok_and(|needed| sorted.len() >= needed);
     let mut best: Option<BestFit> = None;
     let mut consider = |family: String, spec: DistributionSpec| -> Result<(), DistrError> {
         let dist = spec.build()?;
-        let ks = ks_statistic(data, dist.as_ref())?;
+        let ks = ks_of_sorted(&sorted, dist.as_ref());
         if best.as_ref().is_none_or(|b| ks.statistic < b.ks.statistic) {
             best = Some(BestFit { family, spec, ks });
         }
@@ -186,8 +201,8 @@ pub fn fit_best(data: &[f64], max_k: usize) -> Result<BestFit, DistrError> {
         }
         Err(e) => return Err(e),
     }
-    for k in 2..=max_k {
-        if let Ok(d) = fit_phase_type(data, k) {
+    for k in (2..=max_k).filter(|&k| fits(k)) {
+        if let Ok(d) = phase_type_of_sorted(&sorted, k) {
             let phases = d.phases().iter().map(|p| (p.weight, p.theta, p.offset));
             consider(
                 format!("phase:{k}"),
@@ -197,8 +212,8 @@ pub fn fit_best(data: &[f64], max_k: usize) -> Result<BestFit, DistrError> {
             )?;
         }
     }
-    for k in 1..=max_k {
-        if let Ok(d) = fit_multi_stage_gamma(data, k) {
+    for k in (1..=max_k).filter(|&k| fits(k)) {
+        if let Ok(d) = multi_stage_gamma_of_sorted(&sorted, k) {
             let stages = d
                 .stages()
                 .iter()
@@ -223,14 +238,13 @@ struct Cluster {
     variance: f64,
 }
 
-/// One-dimensional Lloyd (k-means) clustering on sorted data.
+/// One-dimensional Lloyd (k-means) clustering of an ascending, non-empty
+/// sample.
 ///
 /// Initializes centroids at the `k` quantile midpoints and iterates
 /// assignment/update until stable (1-D clusters are always contiguous in the
 /// sorted order, so assignment reduces to threshold search).
-fn cluster_1d(data: &[f64], k: usize) -> Vec<Cluster> {
-    let mut sorted = data.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+fn cluster_1d(sorted: &[f64], k: usize) -> Vec<Cluster> {
     let n = sorted.len();
     let k = k.min(n);
 
@@ -545,6 +559,28 @@ mod tests {
             ks2.statistic,
             ks1.statistic
         );
+    }
+
+    #[test]
+    fn fit_best_is_blind_to_sample_order() {
+        // Whole microseconds, as every capture measure is: their sums are
+        // exact in any order, so only the one shared sort could tell a
+        // shuffled copy from the sorted sample.
+        use rand::RngCore;
+        let truth = PhaseTypeExp::new(vec![(0.7, 800.0, 0.0), (0.3, 90.0, 5_000.0)]).unwrap();
+        let mut data: Vec<f64> = draws(&truth, 3_000, 21).iter().map(|x| x.floor()).collect();
+        data.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let mut shuffled = data.clone();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(22);
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+        }
+        assert_ne!(shuffled, data);
+        let [a, b] = [&data, &shuffled].map(|d| fit_best(d, 3).unwrap());
+        assert_eq!(a.family, b.family);
+        assert_eq!(a.spec, b.spec);
+        assert_eq!(a.ks.statistic.to_bits(), b.ks.statistic.to_bits());
+        assert_eq!(a.ks.p_value.to_bits(), b.ks.p_value.to_bits());
     }
 
     #[test]

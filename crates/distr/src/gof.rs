@@ -52,8 +52,19 @@ pub fn ks_statistic(data: &[f64], dist: &dyn Distribution) -> Result<KsTest, Dis
             reason: "samples must be finite".into(),
         });
     }
+    Ok(ks_of_sorted(&sorted(data), dist))
+}
+
+/// `data` in ascending order: the one sort every statistic and fitter over
+/// it shares. Stable, so equal values (`-0.0` and `0.0`) keep their order.
+pub(crate) fn sorted(data: &[f64]) -> Vec<f64> {
     let mut sorted = data.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    sorted
+}
+
+/// [`ks_statistic`] of a non-empty, finite, ascending sample.
+pub(crate) fn ks_of_sorted(sorted: &[f64], dist: &dyn Distribution) -> KsTest {
     let n = sorted.len() as f64;
     let mut d = 0.0f64;
     let mut i = 0;
@@ -72,10 +83,10 @@ pub fn ks_statistic(data: &[f64], dist: &dyn Distribution) -> Result<KsTest, Dis
     let sqrt_n = n.sqrt();
     // Asymptotic p-value with the standard small-sample correction.
     let lambda = (sqrt_n + 0.12 + 0.11 / sqrt_n) * d;
-    Ok(KsTest {
+    KsTest {
         statistic: d,
         p_value: ks_q(lambda),
-    })
+    }
 }
 
 /// Computes the two-sample Kolmogorov–Smirnov statistic between samples
@@ -100,10 +111,7 @@ pub fn ks_two_sample(a: &[f64], b: &[f64]) -> Result<KsTest, DistrError> {
             reason: "samples must be finite".into(),
         });
     }
-    let mut sa = a.to_vec();
-    let mut sb = b.to_vec();
-    sa.sort_by(|x, y| x.partial_cmp(y).expect("finite"));
-    sb.sort_by(|x, y| x.partial_cmp(y).expect("finite"));
+    let (sa, sb) = (sorted(a), sorted(b));
     let (na, nb) = (sa.len() as f64, sb.len() as f64);
     let (mut i, mut j) = (0usize, 0usize);
     let mut d = 0.0f64;

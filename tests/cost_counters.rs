@@ -59,7 +59,7 @@ const PINNED: [(&str, f64); 10] = [
     ("local_events_per_op", 3.934),
     ("spill_encode_allocs_per_record", 0.009),
     ("scan_allocs_per_record", 0.0),
-    ("fit_collect_allocs_per_record", 0.01),
+    ("fit_collect_allocs_per_record", 0.0),
     ("loopback_allocs_per_op", 0.008),
 ];
 
